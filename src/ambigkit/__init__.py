@@ -12,13 +12,11 @@ from .backend import (
 )
 from .entropy import (
     EntropyProfile,
-    InfoGainReport,
     TruncationMode,
     Verdict,
     classify,
     entropy_profile,
     info_gain,
-    info_gain_report,
     token_entropy,
 )
 from .evalkit import (
@@ -41,7 +39,6 @@ __all__ = [
     "FinishReason",
     "GenerationParams",
     "GenerationResult",
-    "InfoGainReport",
     "NgramTable",
     "OutcomeCounts",
     "PromptTemplate",
@@ -58,7 +55,6 @@ __all__ = [
     "f1_ambig",
     "f1_unambig",
     "info_gain",
-    "info_gain_report",
     "is_clarification",
     "load_dataset",
     "load_ngram_table",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import abc
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NormalizationError
 
@@ -66,15 +66,16 @@ class TokenDistribution:
     tail_mass: float
 
     def __post_init__(self) -> None:
-        if self.token_logprob > _SIGN_TOLERANCE:
+        # Written so that NaN fails every check.
+        if not self.token_logprob <= _SIGN_TOLERANCE:
             raise NormalizationError(
                 f"token_logprob must be <= 0, got {self.token_logprob}"
             )
-        if self.tail_mass < -_SIGN_TOLERANCE:
+        if not self.tail_mass >= -_SIGN_TOLERANCE:
             raise NormalizationError(f"tail_mass must be >= 0, got {self.tail_mass}")
         covered = math.fsum(math.exp(lp) for _, lp in self.top_alternatives)
         total = covered + self.tail_mass
-        if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
+        if not abs(total - 1.0) <= NORMALIZATION_TOLERANCE:
             raise NormalizationError(
                 f"alternative mass {covered:.9f} + tail {self.tail_mass:.9f} "
                 f"= {total:.9f}, not 1 within {NORMALIZATION_TOLERANCE}"
@@ -110,9 +111,7 @@ class BackendInfo:
     """Identity echoed into run manifests."""
 
     kind: str
-    detail: str = ""
     parallelism: int = 4
-    extra: dict = field(default_factory=dict)
 
 
 class Backend(abc.ABC):

@@ -31,6 +31,7 @@ from pathlib import Path
 from .backend import GenerationParams
 from .config import RunConfig, apply_overrides, config_hash, load_config, make_backend
 from .corpus import (
+    PromptTemplate,
     QASample,
     ambiguate,
     filter_allowlist,
@@ -49,18 +50,20 @@ from .errors import (
 )
 from .evalkit import (
     PredictionRecord,
-    categories_for,
     evaluate,
+    judge_sample_rep,
     mcr,
+    read_predictions,
     run_ambig_aware,
     run_direct,
     run_sample_rep,
     run_self_ask,
+    write_predictions,
 )
-from .jsonio import read_jsonl, write_json_atomic, write_jsonl_atomic, write_text_atomic
-from .phrases import FIXED_CLARIFICATIONS
+from .jsonio import write_json_atomic, write_jsonl_atomic, write_text_atomic
 from .pipeline import (
     LabelKind,
+    StageOnePartition,
     label_records,
     read_labels,
     read_partition,
@@ -73,7 +76,6 @@ from .pipeline import (
     write_partition,
     write_records,
 )
-from .seeding import rng_for
 from .sft import emit as sft_emit
 from .sft import verify as sft_verify
 
@@ -115,11 +117,21 @@ class _Paths:
         return path
 
 
-def _load_run(args) -> RunConfig:
-    config = load_config(args.config)
-    return apply_overrides(
-        config, seed=args.seed, epsilon=args.epsilon, backend=args.backend, out=args.out
+def _load_run(args) -> tuple[RunConfig, _Paths]:
+    config = apply_overrides(
+        load_config(args.config),
+        seed=args.seed, epsilon=args.epsilon, backend=args.backend, out=args.out,
     )
+    return config, _Paths(config)
+
+
+def _start(args) -> tuple[RunConfig, _Paths, dict[str, PromptTemplate]]:
+    """Setup of every command that runs a stage or scores predictions: the
+    effective config, the seed line, the checkpoint paths and the command's
+    one template load."""
+    config, paths = _load_run(args)
+    print(f"effective seed: {config.seed}")
+    return config, paths, load_templates(config.template_dir)
 
 
 def _greedy_params(config: RunConfig) -> GenerationParams:
@@ -137,9 +149,14 @@ def _dataset(config: RunConfig) -> list[QASample]:
     return load_dataset(config.dataset)
 
 
-def _write_manifest(config: RunConfig, paths: _Paths, command: str, outputs: list[str],
-                    extra: dict | None = None) -> None:
-    templates = load_templates(config.template_dir)
+def _read_partition(config: RunConfig, paths: _Paths) -> StageOnePartition:
+    samples_by_id = {s.id: s for s in _dataset(config)}
+    return read_partition(paths.require(paths.assess, "assess"), samples_by_id)
+
+
+def _write_manifest(config: RunConfig, paths: _Paths,
+                    templates: dict[str, PromptTemplate], command: str,
+                    outputs: list[str], extra: dict) -> None:
     manifest = {
         "command": command,
         "config_hash": config_hash(config),
@@ -152,25 +169,18 @@ def _write_manifest(config: RunConfig, paths: _Paths, command: str, outputs: lis
         "dataset": config.dataset,
         "template_hashes": template_fingerprints(templates),
         "outputs": outputs,
+        **extra,
     }
-    manifest.update(extra or {})
     write_json_atomic(paths.workdir / f"manifest_{command}.json", manifest)
-
-
-def _print_seed(config: RunConfig) -> None:
-    print(f"effective seed: {config.seed}")
 
 
 # -- commands ------------------------------------------------------------------
 
 
 def cmd_assess(args) -> int:
-    config = _load_run(args)
-    _print_seed(config)
-    paths = _Paths(config)
+    config, paths, templates = _start(args)
     samples = _dataset(config)
     backend = make_backend(config.backend)
-    templates = load_templates(config.template_dir)
     partition = stage1_assess(
         samples, backend, templates, _greedy_params(config),
         mode=config.truncation_mode, rouge_threshold=config.rouge_threshold,
@@ -179,7 +189,7 @@ def cmd_assess(args) -> int:
         len(partition.correct) + len(partition.incorrect), partition.errored
     )
     write_partition(partition, paths.assess)
-    _write_manifest(config, paths, "assess", [str(paths.assess)],
+    _write_manifest(config, paths, templates, "assess", [str(paths.assess)],
                     {"correct": len(partition.correct),
                      "incorrect": len(partition.incorrect),
                      "errored": len(partition.errored)})
@@ -191,13 +201,9 @@ def cmd_assess(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    config = _load_run(args)
-    _print_seed(config)
-    paths = _Paths(config)
-    samples_by_id = {s.id: s for s in _dataset(config)}
-    partition = read_partition(paths.require(paths.assess, "assess"), samples_by_id)
+    config, paths, templates = _start(args)
+    partition = _read_partition(config, paths)
     backend = make_backend(config.backend)
-    templates = load_templates(config.template_dir)
     records, errored = stage2_disambiguate(
         [a.sample for a in partition.incorrect], backend, templates,
         _greedy_params(config), mode=config.truncation_mode, epsilon=config.epsilon,
@@ -205,7 +211,7 @@ def cmd_detect(args) -> int:
     _fail_if_total_outage(len(records), errored)
     write_records(records, paths.records)
     ambiguous = sum(1 for r in records if r.verdict.value == "perceived_ambiguous")
-    _write_manifest(config, paths, "detect", [str(paths.records)],
+    _write_manifest(config, paths, templates, "detect", [str(paths.records)],
                     {"records": len(records), "perceived_ambiguous": ambiguous,
                      "errored": len(errored)})
     print(
@@ -215,29 +221,16 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _answer_entropies(partition) -> dict[str, float]:
-    return {
-        a.sample.id: a.answer_entropy
-        for a in partition.correct + partition.incorrect
-        if a.answer_entropy is not None
-    }
-
-
 def cmd_label(args) -> int:
-    config = _load_run(args)
-    if getattr(args, "kind", None):
+    config, paths, templates = _start(args)
+    if args.kind:
         config = replace(config, label_kind=LabelKind(args.kind))
-    _print_seed(config)
-    paths = _Paths(config)
-    samples_by_id = {s.id: s for s in _dataset(config)}
-    partition = read_partition(paths.require(paths.assess, "assess"), samples_by_id)
+    partition = _read_partition(config, paths)
     records = read_records(paths.require(paths.records, "detect"))
     selection = select_and_balance(
-        partition, records, config.strategy, config.epsilon, config.seed,
-        answer_entropy=_answer_entropies(partition),
+        partition, records, config.strategy, config.epsilon, config.seed
     )
     backend = make_backend(config.backend)
-    templates = load_templates(config.template_dir)
     labels = label_records(
         selection.ambiguous, config.label_kind, backend, templates,
         _greedy_params(config), master_seed=config.seed,
@@ -252,7 +245,7 @@ def cmd_label(args) -> int:
             "ambiguous_ids": [r.sample_id for r in selection.ambiguous],
         },
     )
-    _write_manifest(config, paths, "label",
+    _write_manifest(config, paths, templates, "label",
                     [str(paths.labels), str(paths.selection)],
                     {"labeled": len(labels)})
     print(
@@ -264,11 +257,8 @@ def cmd_label(args) -> int:
 
 
 def cmd_emit(args) -> int:
-    config = _load_run(args)
-    _print_seed(config)
-    paths = _Paths(config)
-    samples_by_id = {s.id: s for s in _dataset(config)}
-    partition = read_partition(paths.require(paths.assess, "assess"), samples_by_id)
+    config, paths, templates = _start(args)
+    partition = _read_partition(config, paths)
     records = {r.sample_id: r for r in read_records(paths.require(paths.records, "detect"))}
     labels = {
         label.sample_id: label
@@ -282,19 +272,18 @@ def cmd_emit(args) -> int:
         ambiguous = [records[i] for i in selection_obj["ambiguous_ids"]]
     except KeyError as exc:
         raise DataIntegrityError(f"selection references unknown sample {exc}") from exc
-    templates = load_templates(config.template_dir)
     count = sft_emit(
         correct, ambiguous, labels, templates["direct"], paths.sft,
         master_seed=config.seed,
     )
-    _write_manifest(config, paths, "emit", [str(paths.sft)], {"records": count})
+    _write_manifest(config, paths, templates, "emit", [str(paths.sft)],
+                    {"records": count})
     print(f"emitted {count} training records to {paths.sft}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    config = _load_run(args)
-    paths = _Paths(config)
+    config, paths = _load_run(args)
     target = Path(args.path) if args.path else paths.require(paths.sft, "emit")
     templates = load_templates(config.template_dir)
     report = sft_verify(target, answer_cue=templates["direct"].answer_cue)
@@ -304,18 +293,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_INTEGRITY
 
 
-def _predictions_from_file(path: Path) -> list[PredictionRecord]:
-    predictions = []
-    for line_number, obj in read_jsonl(path):
-        if "id" not in obj or "prediction" not in obj:
-            raise ParseError("prediction record needs 'id' and 'prediction'", line_number)
-        predictions.append(PredictionRecord(str(obj["id"]), str(obj["prediction"])))
-    return predictions
-
-
-def _run_strategy(config: RunConfig, strategy: str, samples) -> list[PredictionRecord]:
+def _run_strategy(config: RunConfig, strategy: str, samples,
+                  templates: dict[str, PromptTemplate]) -> list[PredictionRecord]:
     backend = make_backend(config.backend)
-    templates = load_templates(config.template_dir)
     params = _greedy_params(config)
     if strategy == "direct":
         return run_direct(samples, backend, templates, params)
@@ -361,9 +341,8 @@ def _aggregate_reports(report_paths: list[Path]) -> dict:
 
 
 def cmd_eval(args) -> int:
-    config = _load_run(args)
-    paths = _Paths(config)
     if args.aggregate:
+        config, paths = _load_run(args)
         summary = _aggregate_reports([Path(p) for p in args.aggregate])
         out = Path(args.report) if args.report else paths.workdir / "eval_aggregate.json"
         write_json_atomic(out, summary)
@@ -374,14 +353,15 @@ def cmd_eval(args) -> int:
             f"({out})"
         )
         return EXIT_OK
-    _print_seed(config)
+    config, paths, templates = _start(args)
     samples = _dataset(config)
     if args.compare:
-        before_path, after_path = (Path(p) for p in args.compare)
-        before = categories_for(samples, _predictions_from_file(before_path),
-                                config.rouge_threshold)
-        after = categories_for(samples, _predictions_from_file(after_path),
-                               config.rouge_threshold)
+        before, after = (
+            {o.sample_id: o.category
+             for o in evaluate(samples, read_predictions(Path(p)),
+                               config.rouge_threshold).per_sample}
+            for p in args.compare
+        )
         rate = mcr(before, after)
         report_obj = {
             "mcr": rate,
@@ -396,20 +376,12 @@ def cmd_eval(args) -> int:
         return EXIT_OK
 
     if args.predictions:
-        predictions = _predictions_from_file(Path(args.predictions))
+        predictions = read_predictions(Path(args.predictions))
         name = "predictions"
     else:
-        strategy = args.strategy or "direct"
-        predictions = _run_strategy(config, strategy, samples)
-        name = strategy
-        write_jsonl_atomic(
-            paths.workdir / f"predictions_{name}.jsonl",
-            (
-                {"id": p.sample_id, "prediction": p.prediction,
-                 **({"error": p.error} if p.error else {}), **p.extras}
-                for p in predictions
-            ),
-        )
+        name = args.strategy or "direct"
+        predictions = _run_strategy(config, name, samples, templates)
+        write_predictions(predictions, paths.workdir / f"predictions_{name}.jsonl")
     report = evaluate(samples, predictions, config.rouge_threshold)
     out = Path(args.report) if args.report else paths.workdir / f"eval_{name}.json"
     write_json_atomic(
@@ -439,8 +411,7 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_run(args)
-    paths = _Paths(config)
+    config, paths = _load_run(args)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     if args.sample_rep:
@@ -448,26 +419,10 @@ def cmd_sweep(args) -> int:
             args.thresholds or "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0", "threshold"
         )
         samples = _dataset(config)
-        rows = []
-        for _, obj in read_jsonl(Path(args.sample_rep)):
-            if "id" not in obj or "consistency" not in obj or "greedy" not in obj:
-                raise ParseError(
-                    "sample-rep sweep needs records with id/consistency/greedy"
-                )
-            rows.append(obj)
+        recorded = read_predictions(Path(args.sample_rep))
         writer.writerow(["threshold", "f1_u", "f1_a"])
         for threshold in thresholds:
-            predictions = [
-                PredictionRecord(
-                    str(r["id"]),
-                    rng_for(config.seed, "sample_rep_phrase", str(r["id"])).choice(
-                        FIXED_CLARIFICATIONS
-                    )
-                    if float(r["consistency"]) < threshold
-                    else str(r["greedy"]),
-                )
-                for r in rows
-            ]
+            predictions = [judge_sample_rep(p, threshold, config.seed) for p in recorded]
             report = evaluate(samples, predictions, config.rouge_threshold)
             writer.writerow([threshold, f"{report.f1_u:.6f}", f"{report.f1_a:.6f}"])
         default_out = paths.workdir / "sample_rep_sweep.csv"
@@ -490,12 +445,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ambiguate(args) -> int:
-    config = _load_run(args)
-    _print_seed(config)
-    paths = _Paths(config)
+    config, paths, templates = _start(args)
     samples = _dataset(config)
     backend = make_backend(config.backend)
-    templates = load_templates(config.template_dir)
     params = _greedy_params(config)
     accepted: list[QASample] = []
     rejects: list[dict] = []
@@ -525,7 +477,7 @@ def cmd_ambiguate(args) -> int:
     write_jsonl_atomic(out, (sample_to_obj(s) for s in accepted))
     rejects_path = paths.workdir / "ambiguate_rejects.jsonl"
     write_jsonl_atomic(rejects_path, rejects)
-    _write_manifest(config, paths, "ambiguate", [str(out), str(rejects_path)],
+    _write_manifest(config, paths, templates, "ambiguate", [str(out), str(rejects_path)],
                     {"accepted": len(accepted), "rejected": len(rejects)})
     print(f"ambiguated {len(accepted)} samples ({len(rejects)} rejected) -> {out}")
     return EXIT_OK

@@ -217,7 +217,9 @@ def template_fingerprints(templates: Mapping[str, PromptTemplate]) -> dict[str, 
     }
 
 
-def _first_word(text: str) -> str:
+def first_word(text: str) -> str:
+    """Lowercased first word without trailing punctuation: the one-word
+    verdict of a validator or self-ask reply."""
     words = text.split()
     return words[0].rstrip(_WORD_PUNCT).lower() if words else ""
 
@@ -247,7 +249,7 @@ def validate_ambiguation(
     if not candidate:
         raise ValueError("candidate must be non-empty")
     result = backend.generate(template.render(candidate=candidate), params)
-    return _first_word(trim_continuation(result.text)) == "yes"
+    return first_word(trim_continuation(result.text)) == "yes"
 
 
 def filter_allowlist(

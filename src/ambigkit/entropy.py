@@ -49,17 +49,6 @@ class EntropyProfile:
     truncation_mode: TruncationMode
 
 
-@dataclass(frozen=True)
-class InfoGainReport:
-    """Average-entropy drop from a query to its disambiguation."""
-
-    h_query: float
-    h_disambig: float
-    info_gain: float
-    epsilon: float
-    verdict: Verdict
-
-
 def _plogp(p: float) -> float:
     return -p * math.log(p) if p > 0.0 else 0.0
 
@@ -119,16 +108,3 @@ def classify(gain: float, epsilon: float) -> Verdict:
         return Verdict.PERCEIVED_AMBIGUOUS
     return Verdict.PERCEIVED_UNAMBIGUOUS
 
-
-def info_gain_report(
-    h_query: EntropyProfile, h_disambig: EntropyProfile, epsilon: float
-) -> InfoGainReport:
-    """Bundle the gain and its verdict for one query/disambiguation pair."""
-    gain = info_gain(h_query, h_disambig)
-    return InfoGainReport(
-        h_query=h_query.average_entropy,
-        h_disambig=h_disambig.average_entropy,
-        info_gain=gain,
-        epsilon=epsilon,
-        verdict=classify(gain, epsilon),
-    )

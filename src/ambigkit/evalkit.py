@@ -1,6 +1,6 @@
 """Evaluation harness: answer matching, clarification detection, the
-five-outcome taxonomy, F1 metrics, regression rate, and the four
-inference-only baselines.
+five-outcome taxonomy, F1 metrics, regression rate, the prediction-file
+format, and the four inference-only baselines.
 
 Outcome categories:
 
@@ -19,12 +19,14 @@ over the canonical marker list.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from .backend import Backend, GenerationParams, bounded_map
-from .corpus import PromptTemplate, QASample, trim_continuation
-from .errors import BackendError, DataIntegrityError
+from .corpus import PromptTemplate, QASample, first_word, trim_continuation
+from .errors import BackendError, DataIntegrityError, ParseError
+from .jsonio import read_jsonl, write_jsonl_atomic
 from .phrases import AMBIGUITY_MARKERS, FIXED_CLARIFICATIONS
 from .seeding import rng_for
 
@@ -122,10 +124,6 @@ class OutcomeCounts:
     def ambiguous_total(self) -> int:
         return self.c1 + self.c2
 
-    @property
-    def unambiguous_total(self) -> int:
-        return self.c3 + self.c4 + self.c5
-
 
 def _harmonic(precision: float, recall: float) -> float:
     if precision + recall == 0:
@@ -173,7 +171,12 @@ def mcr(before: Mapping[str, int], after: Mapping[str, int]) -> float | None:
     return shifted / len(base)
 
 
-# -- baseline runners --------------------------------------------------------
+def clarification_phrase(master_seed: int, purpose: str, sample_id: str) -> str:
+    """Seeded uniform choice among the six canonical clarification phrases."""
+    return rng_for(master_seed, purpose, sample_id).choice(FIXED_CLARIFICATIONS)
+
+
+# -- prediction files ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -185,6 +188,35 @@ class PredictionRecord:
     error: str | None = None
     flags: tuple[str, ...] = ()
     extras: dict = field(default_factory=dict)
+
+
+def write_predictions(predictions: Sequence[PredictionRecord], path: str | Path) -> None:
+    """One JSON line per record: id, prediction, the error if any, then the
+    extras. Flags are not written."""
+    write_jsonl_atomic(path, (
+        {"id": p.sample_id, "prediction": p.prediction,
+         **({"error": p.error} if p.error else {}), **p.extras}
+        for p in predictions
+    ))
+
+
+def read_predictions(path: str | Path) -> list[PredictionRecord]:
+    """Read a predictions file. A line with a non-null ``error`` is an
+    errored sample; ``flags`` is optional; other fields become extras."""
+    predictions = []
+    for line_number, obj in read_jsonl(path):
+        if "id" not in obj or "prediction" not in obj:
+            raise ParseError("prediction record needs 'id' and 'prediction'", line_number)
+        error = obj.pop("error", None)
+        predictions.append(PredictionRecord(
+            str(obj.pop("id")), str(obj.pop("prediction")),
+            error=None if error is None else str(error),
+            flags=tuple(obj.pop("flags", ())), extras=obj,
+        ))
+    return predictions
+
+
+# -- baseline runners --------------------------------------------------------
 
 
 def _run_prompted(
@@ -223,8 +255,28 @@ def run_ambig_aware(
     return _run_prompted(samples, backend, templates["ambiguity_aware"], params)
 
 
-def _clarification_phrase(master_seed: int, purpose: str, sample_id: str) -> str:
-    return rng_for(master_seed, purpose, sample_id).choice(FIXED_CLARIFICATIONS)
+def judge_sample_rep(
+    record: PredictionRecord, threshold: float, master_seed: int
+) -> PredictionRecord:
+    """Apply the sample-rep threshold to a record whose extras carry
+    ``consistency`` and ``greedy``.
+
+    A sample is judged ambiguous when consistency falls strictly below
+    ``threshold``; its prediction is then a fixed clarification phrase,
+    otherwise the greedy answer. Errored records pass through unchanged.
+    """
+    if record.error is not None:
+        return record
+    try:
+        consistency = float(record.extras["consistency"])
+        greedy = str(record.extras["greedy"])
+    except KeyError as exc:
+        raise ParseError(f"sample-rep record {record.sample_id!r} lacks {exc}") from exc
+    ambiguous = consistency < threshold
+    prediction = (clarification_phrase(master_seed, "sample_rep_phrase", record.sample_id)
+                  if ambiguous else greedy)
+    return replace(record, prediction=prediction,
+                   extras={**record.extras, "ambiguous": ambiguous})
 
 
 def run_sample_rep(
@@ -241,21 +293,14 @@ def run_sample_rep(
     """Consistency of sampled generations against the greedy one.
 
     ``consistency`` is the fraction of the sampled generations that equal the
-    greedy generation after trimming and lowercasing. A sample is judged
-    ambiguous when consistency falls strictly below ``threshold``; the
-    emitted prediction is then a fixed clarification phrase, otherwise the
-    greedy answer. The raw consistency and greedy answer ride along in
-    ``extras`` so thresholds can be swept without re-generating.
+    greedy generation after trimming and lowercasing; ``judge_sample_rep``
+    turns it into the prediction. The raw consistency and greedy answer ride
+    along in ``extras`` so thresholds can be swept without re-generating.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     template = templates["direct"]
-    greedy_params = GenerationParams(
-        max_tokens=params.max_tokens,
-        temperature=0.0,
-        top_k_logprobs=params.top_k_logprobs,
-        stop_sequences=params.stop_sequences,
-    )
+    greedy_params = replace(params, temperature=0.0, seed=None)
 
     def one(sample: QASample) -> PredictionRecord:
         prompt = template.render(question=sample.question)
@@ -263,32 +308,18 @@ def run_sample_rep(
             greedy = trim_continuation(backend.generate(prompt, greedy_params).text)
             matches = 0
             for draw in range(num_samples):
-                sampled_params = GenerationParams(
-                    max_tokens=params.max_tokens,
-                    temperature=temperature,
-                    top_k_logprobs=params.top_k_logprobs,
-                    stop_sequences=params.stop_sequences,
-                    seed=rng_for(master_seed, "sample_rep_draw", sample.id, draw).randrange(
-                        2**31
-                    ),
-                )
+                seed = rng_for(master_seed, "sample_rep_draw", sample.id, draw).randrange(2**31)
+                sampled_params = replace(params, temperature=temperature, seed=seed)
                 sampled = trim_continuation(backend.generate(prompt, sampled_params).text)
                 if sampled.lower() == greedy.lower():
                     matches += 1
         except BackendError as exc:
             return PredictionRecord(sample.id, "", error=str(exc))
-        consistency = matches / num_samples
-        ambiguous = consistency < threshold
-        prediction = (
-            _clarification_phrase(master_seed, "sample_rep_phrase", sample.id)
-            if ambiguous
-            else greedy
+        record = PredictionRecord(
+            sample.id, greedy,
+            extras={"consistency": matches / num_samples, "greedy": greedy},
         )
-        return PredictionRecord(
-            sample.id,
-            prediction,
-            extras={"consistency": consistency, "greedy": greedy, "ambiguous": ambiguous},
-        )
+        return judge_sample_rep(record, threshold, master_seed)
 
     return bounded_map(one, list(samples), backend.info.parallelism)
 
@@ -324,11 +355,10 @@ def run_self_ask(
             )
         except BackendError as exc:
             return PredictionRecord(sample.id, "", error=str(exc))
-        words = verdict_text.split()
-        first = words[0].rstrip(".,!?;:").lower() if words else ""
+        first = first_word(verdict_text)
         flags: tuple[str, ...] = ()
         if first == "ambiguous":
-            prediction = _clarification_phrase(master_seed, "self_ask_phrase", sample.id)
+            prediction = clarification_phrase(master_seed, "self_ask_phrase", sample.id)
         elif first == "unambiguous":
             prediction = answer
         else:
@@ -359,35 +389,24 @@ class EvalReport:
     f1_u: float
     f1_a: float
     per_sample: tuple[PerSampleOutcome, ...]
-    mcr: float | None = None
 
     def to_obj(self, config_echo: Mapping[str, object] | None = None) -> dict:
-        obj: dict = {
-            "counts": {
-                "c1": self.counts.c1,
-                "c2": self.counts.c2,
-                "c3": self.counts.c3,
-                "c4": self.counts.c4,
-                "c5": self.counts.c5,
-                "errored": self.counts.errored,
-            },
+        return {
+            "counts": asdict(self.counts),
             "f1_u": self.f1_u,
             "f1_a": self.f1_a,
+            "per_sample": [
+                {
+                    "id": o.sample_id,
+                    "category": o.category,
+                    "rouge": o.rouge,
+                    "prediction": o.prediction,
+                    **({"error": o.error} if o.error else {}),
+                }
+                for o in self.per_sample
+            ],
+            "config": dict(config_echo or {}),
         }
-        if self.mcr is not None:
-            obj["mcr"] = self.mcr
-        obj["per_sample"] = [
-            {
-                "id": o.sample_id,
-                "category": o.category,
-                "rouge": o.rouge,
-                "prediction": o.prediction,
-                **({"error": o.error} if o.error else {}),
-            }
-            for o in self.per_sample
-        ]
-        obj["config"] = dict(config_echo or {})
-        return obj
 
 
 def evaluate(
@@ -426,18 +445,3 @@ def evaluate(
         per_sample=tuple(outcomes),
     )
 
-
-def categories_for(
-    samples: Sequence[QASample],
-    predictions: Sequence[PredictionRecord],
-    threshold: float = DEFAULT_ROUGE_THRESHOLD,
-) -> dict[str, int]:
-    """Per-sample outcome categories, for regression comparison."""
-    by_id = {p.sample_id: p for p in predictions}
-    result = {}
-    for sample in samples:
-        record = by_id.get(sample.id)
-        if record is None:
-            raise DataIntegrityError(f"prediction missing for sample {sample.id!r}")
-        result[sample.id] = categorize(sample, record.prediction, threshold)
-    return result

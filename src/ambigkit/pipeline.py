@@ -18,16 +18,15 @@ byte-reproducible and insensitive to dataset growth.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .backend import Backend, GenerationParams, bounded_map
+from .backend import Backend, GenerationParams, ScoringResult, bounded_map
 from .corpus import PromptTemplate, QASample, trim_continuation
-from .entropy import TruncationMode, Verdict, classify, entropy_profile, info_gain, token_entropy
+from .entropy import TruncationMode, Verdict, classify, entropy_profile, info_gain
 from .errors import BackendError, ConfigurationError, DataIntegrityError, ParseError
-from .evalkit import categorize, is_clarification
+from .evalkit import categorize, clarification_phrase, is_clarification
 from .jsonio import read_jsonl, write_jsonl_atomic
 from .phrases import FIXED_CLARIFICATIONS
 from .seeding import derive_seed, rng_for
@@ -49,7 +48,6 @@ class SelectionStrategy(enum.Enum):
     GT_MAX_INFOGAIN = "gt_max_infogain"
     GT_MIN_INFOGAIN = "gt_min_infogain"
     ANSWER_ENTROPY = "answer_entropy"
-    PLAIN_RANDOM = "plain_random"
 
 
 @dataclass(frozen=True)
@@ -69,6 +67,17 @@ class StageOnePartition:
     correct: tuple[AssessedSample, ...]
     incorrect: tuple[AssessedSample, ...]
     errored: tuple[tuple[str, str], ...] = ()
+
+    @classmethod
+    def split(
+        cls, assessed: Sequence[AssessedSample], errored: Sequence[tuple[str, str]]
+    ) -> StageOnePartition:
+        """Categories 1 and 3 are correct, every other category incorrect."""
+        return cls(
+            correct=tuple(a for a in assessed if a.category in (1, 3)),
+            incorrect=tuple(a for a in assessed if a.category not in (1, 3)),
+            errored=tuple(errored),
+        )
 
     @property
     def categories(self) -> dict[str, int]:
@@ -130,12 +139,6 @@ class Selection:
 # -- stage 1 -----------------------------------------------------------------
 
 
-def _mean_generation_entropy(tokens, mode: TruncationMode) -> float | None:
-    if not tokens:
-        return None
-    return math.fsum(token_entropy(t, mode) for t in tokens) / len(tokens)
-
-
 def stage1_assess(
     samples: Sequence[QASample],
     backend: Backend,
@@ -163,14 +166,18 @@ def stage1_assess(
             sample=sample,
             prediction=prediction,
             category=category,
-            answer_entropy=_mean_generation_entropy(result.tokens, mode),
+            answer_entropy=(
+                entropy_profile(ScoringResult(result.tokens), mode).average_entropy
+                if result.tokens
+                else None
+            ),
         )
 
     outcomes = bounded_map(one, samples, backend.info.parallelism)
-    correct = tuple(o for o in outcomes if isinstance(o, AssessedSample) and o.category in (1, 3))
-    incorrect = tuple(o for o in outcomes if isinstance(o, AssessedSample) and o.category in (2, 4, 5))
-    errored = tuple(o for o in outcomes if not isinstance(o, AssessedSample))
-    return StageOnePartition(correct=correct, incorrect=incorrect, errored=errored)
+    return StageOnePartition.split(
+        [o for o in outcomes if isinstance(o, AssessedSample)],
+        [o for o in outcomes if not isinstance(o, AssessedSample)],
+    )
 
 
 # -- stage 2 -----------------------------------------------------------------
@@ -236,7 +243,7 @@ def stage2_disambiguate(
 
 def stage3_fixed_label(sample_id: str, master_seed: int) -> ClarifyLabel:
     """Uniform seeded choice among the six canonical phrases."""
-    phrase = rng_for(master_seed, "stage3_fixed", sample_id).choice(FIXED_CLARIFICATIONS)
+    phrase = clarification_phrase(master_seed, "stage3_fixed", sample_id)
     return ClarifyLabel(sample_id=sample_id, text=phrase, kind=LabelKind.FIXED)
 
 
@@ -261,13 +268,8 @@ def stage3_generated_label(
     text = trim_continuation(backend.generate(prompt, params).text)
     if text and is_clarification(text):
         return ClarifyLabel(sample_id=record.sample_id, text=text, kind=LabelKind.GENERATED)
-    fallback = stage3_fixed_label(record.sample_id, master_seed)
-    return ClarifyLabel(
-        sample_id=record.sample_id,
-        text=fallback.text,
-        kind=LabelKind.FIXED,
-        flags=(FALLBACK_FIXED_FLAG,),
-    )
+    return replace(stage3_fixed_label(record.sample_id, master_seed),
+                   flags=(FALLBACK_FIXED_FLAG,))
 
 
 def label_records(
@@ -286,13 +288,8 @@ def label_records(
 
     def one(record: DisambiguationRecord) -> ClarifyLabel:
         if not record.disambig_text:
-            fallback = stage3_fixed_label(record.sample_id, master_seed)
-            return ClarifyLabel(
-                sample_id=record.sample_id,
-                text=fallback.text,
-                kind=LabelKind.FIXED,
-                flags=(FALLBACK_FIXED_FLAG, EMPTY_DISAMBIGUATION_FLAG),
-            )
+            return replace(stage3_fixed_label(record.sample_id, master_seed),
+                           flags=(FALLBACK_FIXED_FLAG, EMPTY_DISAMBIGUATION_FLAG))
         return stage3_generated_label(
             record, backend, templates, params, master_seed=master_seed
         )
@@ -316,18 +313,19 @@ def _perceived_ambiguous(
 
 def _gold_ambiguous_pool(
     records: Sequence[DisambiguationRecord],
-    samples_by_id: Mapping[str, QASample],
+    assessed: Mapping[str, AssessedSample],
     strategy: SelectionStrategy,
 ) -> list[DisambiguationRecord]:
     pool = []
     for record in records:
-        sample = samples_by_id.get(record.sample_id)
-        if sample is None or sample.gold_ambiguous is None:
+        entry = assessed.get(record.sample_id)
+        gold = entry.sample.gold_ambiguous if entry is not None else None
+        if gold is None:
             raise ConfigurationError(
                 f"strategy {strategy.value} requires gold ambiguity labels; "
                 f"sample {record.sample_id!r} has none"
             )
-        if sample.gold_ambiguous:
+        if gold:
             pool.append(record)
     return pool
 
@@ -338,8 +336,6 @@ def select_and_balance(
     strategy: SelectionStrategy,
     epsilon: float,
     master_seed: int,
-    *,
-    answer_entropy: Mapping[str, float] | None = None,
 ) -> Selection:
     """Pick the ambiguous half per the strategy and balance both halves.
 
@@ -358,27 +354,23 @@ def select_and_balance(
         ranked = perceived
     else:
         budget = len(perceived)
-        samples_by_id = {a.sample.id: a.sample for a in partition.correct + partition.incorrect}
-        pool = _gold_ambiguous_pool(records, samples_by_id, strategy)
+        assessed = partition.assessed_by_id()
+        pool = _gold_ambiguous_pool(records, assessed, strategy)
         if strategy is SelectionStrategy.GT_MAX_INFOGAIN:
             ranked = sorted(pool, key=lambda r: -r.info_gain)[:budget]
         elif strategy is SelectionStrategy.GT_MIN_INFOGAIN:
             ranked = sorted(pool, key=lambda r: r.info_gain)[:budget]
-        elif strategy in (SelectionStrategy.GT_RANDOM, SelectionStrategy.PLAIN_RANDOM):
+        elif strategy is SelectionStrategy.GT_RANDOM:
             shuffled = list(pool)
             rng_for(master_seed, strategy.value).shuffle(shuffled)
             ranked = shuffled[:budget]
         elif strategy is SelectionStrategy.ANSWER_ENTROPY:
-            if answer_entropy is None:
-                raise ConfigurationError(
-                    "answer_entropy strategy requires per-sample answer entropies"
-                )
-            missing = [r.sample_id for r in pool if answer_entropy.get(r.sample_id) is None]
+            missing = [r.sample_id for r in pool if assessed[r.sample_id].answer_entropy is None]
             if missing:
                 raise ConfigurationError(
                     f"answer entropy missing for sample(s): {missing[:5]}"
                 )
-            ranked = sorted(pool, key=lambda r: -answer_entropy[r.sample_id])[:budget]
+            ranked = sorted(pool, key=lambda r: -assessed[r.sample_id].answer_entropy)[:budget]
         else:  # pragma: no cover - enum is exhaustive
             raise ConfigurationError(f"unknown strategy {strategy}")
 
@@ -444,8 +436,7 @@ def write_partition(partition: StageOnePartition, path: str | Path) -> None:
 def read_partition(
     path: str | Path, samples_by_id: Mapping[str, QASample]
 ) -> StageOnePartition:
-    correct: list[AssessedSample] = []
-    incorrect: list[AssessedSample] = []
+    assessed_samples: list[AssessedSample] = []
     errored: list[tuple[str, str]] = []
     for line_number, obj in read_jsonl(path):
         sample_id = obj.get("id")
@@ -468,8 +459,8 @@ def read_partition(
             )
         except KeyError as exc:
             raise ParseError(f"missing field {exc}", line_number) from exc
-        (correct if assessed.category in (1, 3) else incorrect).append(assessed)
-    return StageOnePartition(tuple(correct), tuple(incorrect), tuple(errored))
+        assessed_samples.append(assessed)
+    return StageOnePartition.split(assessed_samples, errored)
 
 
 def write_records(records: Sequence[DisambiguationRecord], path: str | Path) -> None:

@@ -71,8 +71,7 @@ class RemoteCompletionsBackend(Backend):
         self.backoff_base = backoff_base
         self._session = session or requests.Session()
         self._semaphore = threading.Semaphore(max(1, parallelism))
-        self.info = BackendInfo(kind="remote", detail=f"{endpoint} model={model}",
-                                parallelism=max(1, parallelism))
+        self.info = BackendInfo(kind="remote", parallelism=max(1, parallelism))
 
     # -- transport -----------------------------------------------------------
 

@@ -181,9 +181,7 @@ class ToyBackend(Backend):
             )
         self.table = table
         self.top_k = top_k
-        self.info = BackendInfo(
-            kind="toy", detail=f"order={table.order}", parallelism=parallelism
-        )
+        self.info = BackendInfo(kind="toy", parallelism=parallelism)
 
     # -- internals ---------------------------------------------------------
 

@@ -61,6 +61,25 @@ def test_distribution_rejects_negative_tail():
         )
 
 
+@pytest.mark.parametrize(
+    "token_logprob, alternatives, tail_mass",
+    [
+        (math.nan, (("a", 0.0),), 0.0),
+        (math.log(0.5), (("a", math.log(0.5)), ("b", math.nan)), 0.5),
+        (0.0, (("a", 0.0),), math.nan),
+    ],
+    ids=["token_logprob", "alternative", "tail_mass"],
+)
+def test_distribution_rejects_nan(token_logprob, alternatives, tail_mass):
+    with pytest.raises(NormalizationError):
+        TokenDistribution(
+            token_text="a",
+            token_logprob=token_logprob,
+            top_alternatives=alternatives,
+            tail_mass=tail_mass,
+        )
+
+
 def test_distribution_tolerates_float_fuzz():
     dist = TokenDistribution(
         token_text="a",

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+import ambigkit.cli
+from ambigkit.backend import Backend
 from ambigkit.cli import main
+from ambigkit.errors import TransportError
 from ambigkit.sft import verify as sft_verify
 
 from conftest import FIXTURES
@@ -420,3 +425,115 @@ def test_manifests_record_config_hash(tmp_path):
         "direct", "disambiguation", "clarification", "ambiguity_aware",
         "self_ask", "ambiguate", "ambiguation_validation",
     }
+
+
+# -- errored samples in prediction files ------------------------------------------
+
+
+class RefuseQuestion(Backend):
+    """Wraps a backend and refuses every generation whose prompt contains
+    ``question``, as a server refusing one sample's requests would."""
+
+    def __init__(self, inner: Backend, question: str):
+        self.inner, self.question, self.info = inner, question, inner.info
+
+    def generate(self, prompt, params):
+        if self.question in prompt:
+            raise TransportError(f"refused {self.question!r}", 1)
+        return self.inner.generate(prompt, params)
+
+    def score(self, text, context=""):
+        return self.inner.score(text, context)
+
+
+@pytest.fixture()
+def s1_refused(monkeypatch):
+    real = ambigkit.cli.make_backend
+    monkeypatch.setattr(ambigkit.cli, "make_backend",
+                        lambda spec: RefuseQuestion(real(spec), "q1a q1b"))
+
+
+def test_eval_predictions_rescore_keeps_errored_samples(tmp_path, s1_refused):
+    config = make_config(tmp_path)
+    out = workdir_of(config)
+    assert run("--config", str(config), "eval", "--strategy", "direct") == 0
+    assert run("--config", str(config), "eval", "--predictions",
+               str(out / "predictions_direct.jsonl")) == 0
+    original = json.loads((out / "eval_direct.json").read_text())
+    rescored = json.loads((out / "eval_predictions.json").read_text())
+    assert original["counts"]["errored"] == 1
+    for key in ("counts", "f1_u", "f1_a", "per_sample"):
+        assert rescored[key] == original[key]
+
+
+def test_sweep_sample_rep_leaves_errored_samples_out(tmp_path, s1_refused):
+    config = make_config(tmp_path)
+    out = workdir_of(config)
+    assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 0
+    report = json.loads((out / "eval_sample_rep.json").read_text())
+    assert report["counts"]["errored"] == 1
+    # The config's own threshold (0.5) reproduces the generating run's scores.
+    assert run("--config", str(config), "sweep", "--sample-rep",
+               str(out / "predictions_sample_rep.jsonl"), "--thresholds", "0.5") == 0
+    with open(out / "sample_rep_sweep.csv") as fh:
+        [row] = list(csv.DictReader(fh))
+    assert row["f1_u"] == f"{report['f1_u']:.6f}"
+    assert row["f1_a"] == f"{report['f1_a']:.6f}"
+
+
+# -- pinned toy-chain bytes -----------------------------------------------------------
+
+# SHA-256 of every file the toy chain below writes. Manifests are hashed with
+# the run's directories and its path-dependent config hash masked.
+PINNED_OUTPUTS = {
+    "assess.jsonl": "876d9d8ebf6b0ad4fe263dce250127b709edfb55e3248041894dd7b47dcec969",
+    "epsilon_sweep.csv": "7a91b9c3788758c750eceae463959492a665fd54c7b85704a9931a9ec519e807",
+    "eval_ambig_aware.json": "51a8845adba3c04d72b5bd9d38dbcb97c25fb6982a7e5ffe4a7064af58441677",
+    "eval_compare.json": "bc38edace147af3d22554585ca93eb2401ee5cbff38f610d9a51aa33ba5c6541",
+    "eval_direct.json": "5a2d81de9ec90b36edc46b8757af8c0bb6276f9e4f63b49dabc4f57b7dd6af37",
+    "eval_sample_rep.json": "585aa23518b26cde71ade24c708e6d73aeb672f2c6d445f7d46a9eaba42ebda4",
+    "eval_self_ask.json": "f9c0644d8b09baa0905a5926c0f1f1b7ca3cebd48407878ff2f2133ae0a6c162",
+    "labels.jsonl": "8516ff11234efcf68d7a123e8e1890b9951845ba31572adb930b3ec3a1ec0c66",
+    "manifest_assess.json": "dd32d645b89240ecee0b5250e759525e81441bf16ebbe906d59a3b5c65c099ec",
+    "manifest_detect.json": "050cf3e39a899d275f97f4f5ff2e8377abe090bb418d3255f9b8b68be29a6c92",
+    "manifest_emit.json": "38661b4b38b61c7cfd7024e53bee667eae0fd5d25522f83562b62189886c27c5",
+    "manifest_label.json": "e574a1ca6c2106bccb4dd323d988e742403578d07185b84c4460f3d582a95f59",
+    "predictions_ambig_aware.jsonl": "3ca3cecf9e657ac3e2a3b28893d3e6db0c9342b7ca9260ed0fbcf1ec7b1abd94",
+    "predictions_direct.jsonl": "eb5095f8abcbc723803ca764b07393f6c8ed3cedcdb16f1e91ee944b08244829",
+    "predictions_sample_rep.jsonl": "9a63f74ce697caa757f3ee6f4e6269cdb5554005f8006317a57759b7d4ad1e99",
+    "predictions_self_ask.jsonl": "68d2464a8722550137c5eca7929ceca31f7363f56898b77eae7581c6452fe998",
+    "records.jsonl": "c22247b8ce6c84996fef5ef699b7125f67503eb9772e5b5eff6999a5d9bc1c48",
+    "sample_rep_sweep.csv": "4b79ea13f399b2841ed2f09c1c53f5596c68caf00db43e818b987fae690655c0",
+    "selection.json": "eda5bf87430d2797c33934c33ec81be6d611b1177eccea435174984206ea8dbf",
+    "sft.jsonl": "ea34cf7c740d7bab1c1318417e9ddf218b970a629fb1157ce92ae5a4843890bf",
+}
+
+
+def _pinned_bytes(path: Path, out: Path) -> bytes:
+    if not path.name.startswith("manifest_"):
+        return path.read_bytes()
+    text = path.read_text(encoding="utf-8")
+    text = text.replace(str(out), "<out>").replace(str(FIXTURES), "<fixtures>")
+    text = re.sub(r'"config_hash": "[0-9a-f]{64}"', '"config_hash": "<hash>"', text)
+    return text.encode("utf-8")
+
+
+def test_toy_chain_outputs_are_pinned(tmp_path):
+    config = make_config(tmp_path)
+    out = workdir_of(config)
+    commands = [
+        ["assess"], ["detect"], ["label", "--kind", "generated"], ["emit"],
+        *(["eval", "--strategy", s]
+          for s in ("direct", "ambig_aware", "sample_rep", "self_ask")),
+        ["eval", "--compare", str(out / "predictions_direct.jsonl"),
+         str(out / "predictions_self_ask.jsonl")],
+        ["sweep"],
+        ["sweep", "--sample-rep", str(out / "predictions_sample_rep.jsonl")],
+    ]
+    for command in commands:
+        assert run("--config", str(config), *command) == 0, command
+    digests = {
+        path.name: hashlib.sha256(_pinned_bytes(path, out)).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+    assert digests == PINNED_OUTPUTS

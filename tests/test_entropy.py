@@ -14,7 +14,6 @@ from ambigkit.entropy import (
     classify,
     entropy_profile,
     info_gain,
-    info_gain_report,
     token_entropy,
 )
 from ambigkit.errors import ConfigurationError, EmptyInputError, NormalizationError
@@ -159,13 +158,6 @@ def test_classify_strict_threshold():
 def test_classify_requires_finite_epsilon():
     with pytest.raises(ConfigurationError):
         classify(0.5, math.inf)
-
-
-def test_report_bundles_gain_and_verdict():
-    report = info_gain_report(profile([1.0, 0.5]), profile([0.25, 0.25]), 0.1)
-    assert report.info_gain == pytest.approx(0.5, abs=1e-12)
-    assert report.verdict is Verdict.PERCEIVED_AMBIGUOUS
-    assert report.epsilon == 0.1
 
 
 def test_uniform_query_vs_one_hot_rewrite_gains_ln4():

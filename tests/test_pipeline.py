@@ -300,7 +300,7 @@ def make_record(sid: str, gain: float, epsilon: float = 0.1) -> DisambiguationRe
 
 def build_world(n_correct: int, gains: dict[str, float],
                 gold_ambiguous: set[str] | None = None,
-                entropies: dict[str, float] | None = None):
+                entropies: dict[str, float | None] | None = None):
     gold_ambiguous = gold_ambiguous if gold_ambiguous is not None else set(gains)
     correct = tuple(make_assessed(f"c{i:04d}", 3) for i in range(n_correct))
     incorrect = tuple(
@@ -438,18 +438,17 @@ def test_answer_entropy_strategy_ranks_by_score():
     entropies = {"a": 0.1, "b": 2.0, "c": 1.5, "d": 0.3}
     partition, records = build_world(2, gains, entropies=entropies)
     selection = select_and_balance(
-        partition, records, SelectionStrategy.ANSWER_ENTROPY, 0.1, master_seed=1,
-        answer_entropy=entropies,
+        partition, records, SelectionStrategy.ANSWER_ENTROPY, 0.1, master_seed=1
     )
     assert [r.sample_id for r in selection.ambiguous] == ["b", "c"]
 
 
 def test_answer_entropy_strategy_requires_scores():
     gains = {"a": 0.5, "b": 0.6}
-    partition, records = build_world(2, gains)
+    partition, records = build_world(2, gains, entropies={"a": None, "b": None})
     with pytest.raises(ConfigurationError, match="answer"):
         select_and_balance(partition, records, SelectionStrategy.ANSWER_ENTROPY,
-                           0.1, master_seed=1, answer_entropy=None)
+                           0.1, master_seed=1)
 
 
 def test_selected_halves_always_equal_sized():

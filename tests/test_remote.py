@@ -53,7 +53,7 @@ class StubState:
         self.requests: list[dict] = []
         self.headers: list[dict] = []
         self.fail_first = 0
-        self.mode = "ok"  # ok | malformed | no_logprobs | no_choices
+        self.mode = "ok"  # ok | malformed | no_logprobs | no_choices | nan_logprobs
         self.completion_text = " Paris"
         self.finish_reason = "stop"
 
@@ -92,17 +92,22 @@ class StubHandler(BaseHTTPRequestHandler):
         else:
             text = state.completion_text
             tokens = tokenize(text)
+            logprobs = {
+                "tokens": tokens,
+                "token_logprobs": [LN(0.6)] * len(tokens),
+                "top_logprobs": [
+                    {token: LN(0.6), "<alt>": LN(0.3)} for token in tokens
+                ],
+                "text_offset": list(range(len(tokens))),
+            }
+            if state.mode == "nan_logprobs":
+                # Serialised as the bare NaN token, which JSON decoders accept.
+                logprobs["token_logprobs"] = [math.nan] * len(tokens)
+                logprobs["top_logprobs"] = [{token: math.nan} for token in tokens]
             choice = {
                 "text": text,
                 "finish_reason": state.finish_reason,
-                "logprobs": None if state.mode == "no_logprobs" else {
-                    "tokens": tokens,
-                    "token_logprobs": [LN(0.6)] * len(tokens),
-                    "top_logprobs": [
-                        {token: LN(0.6), "<alt>": LN(0.3)} for token in tokens
-                    ],
-                    "text_offset": list(range(len(tokens))),
-                },
+                "logprobs": None if state.mode == "no_logprobs" else logprobs,
             }
         self._reply({"choices": [choice]})
 
@@ -223,6 +228,12 @@ def test_missing_choices_is_protocol_error(stub_server):
 def test_missing_logprobs_is_capability_error(stub_server):
     stub_server.state.mode = "no_logprobs"
     with pytest.raises(CapabilityError, match="logprobs"):
+        make_backend(stub_server).generate("hello", GenerationParams())
+
+
+def test_nan_logprobs_are_protocol_error(stub_server):
+    stub_server.state.mode = "nan_logprobs"
+    with pytest.raises(ProtocolError, match="distribution invalid"):
         make_backend(stub_server).generate("hello", GenerationParams())
 
 

@@ -138,6 +138,9 @@ class Backend(abc.ABC):
         Raises ValueError on empty text.
         """
 
+    def close(self) -> None:
+        """Release what the backend holds open; the default holds nothing."""
+
 
 def bounded_map(fn, items, max_workers: int) -> list:
     """Order-preserving map over ``items`` with bounded thread parallelism.

@@ -21,6 +21,7 @@ Global flags (before the command): --config, --seed, --epsilon, --backend,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -28,7 +29,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .backend import GenerationParams
+from .backend import Backend, GenerationParams
 from .config import RunConfig, apply_overrides, config_hash, load_config, make_backend
 from .corpus import (
     PromptTemplate,
@@ -108,6 +109,7 @@ class _Paths:
         self.labels = workdir / "labels.jsonl"
         self.selection = workdir / "selection.json"
         self.sft = workdir / "sft.jsonl"
+        self.journal = workdir / "backend_journal.jsonl"
 
     def require(self, path: Path, producer: str) -> Path:
         if not path.is_file():
@@ -134,6 +136,21 @@ def _start(args) -> tuple[RunConfig, _Paths, dict[str, PromptTemplate]]:
     return config, paths, load_templates(config.template_dir)
 
 
+@contextlib.contextmanager
+def _backend(config: RunConfig, paths: _Paths):
+    """The command's backend. A remote one journals its deterministic
+    requests in the workdir, so no stage or rerun sends one twice; the toy
+    backend is the in-process oracle and has nothing to save."""
+    if config.backend.kind == "remote":
+        backend = make_backend(config.backend, journal=paths.journal)
+    else:
+        backend = make_backend(config.backend)
+    try:
+        yield backend
+    finally:
+        backend.close()
+
+
 def _greedy_params(config: RunConfig) -> GenerationParams:
     top_k = config.backend.top_k
     return GenerationParams(
@@ -156,7 +173,12 @@ def _read_partition(config: RunConfig, paths: _Paths) -> StageOnePartition:
 
 def _write_manifest(config: RunConfig, paths: _Paths,
                     templates: dict[str, PromptTemplate], command: str,
-                    outputs: list[str], extra: dict) -> None:
+                    outputs: list[str], extra: dict,
+                    backend: Backend | None = None) -> None:
+    backend_entry = {"kind": config.backend.kind}
+    journal = getattr(backend, "journal", None)
+    if journal is not None:
+        backend_entry["journal"] = {"hits": journal.hits, "misses": journal.misses}
     manifest = {
         "command": command,
         "config_hash": config_hash(config),
@@ -165,7 +187,7 @@ def _write_manifest(config: RunConfig, paths: _Paths,
         "truncation_mode": config.truncation_mode.value,
         "strategy": config.strategy.value,
         "label_kind": config.label_kind.value,
-        "backend": {"kind": config.backend.kind},
+        "backend": backend_entry,
         "dataset": config.dataset,
         "template_hashes": template_fingerprints(templates),
         "outputs": outputs,
@@ -180,11 +202,11 @@ def _write_manifest(config: RunConfig, paths: _Paths,
 def cmd_assess(args) -> int:
     config, paths, templates = _start(args)
     samples = _dataset(config)
-    backend = make_backend(config.backend)
-    partition = stage1_assess(
-        samples, backend, templates, _greedy_params(config),
-        mode=config.truncation_mode, rouge_threshold=config.rouge_threshold,
-    )
+    with _backend(config, paths) as backend:
+        partition = stage1_assess(
+            samples, backend, templates, _greedy_params(config),
+            mode=config.truncation_mode, rouge_threshold=config.rouge_threshold,
+        )
     _fail_if_total_outage(
         len(partition.correct) + len(partition.incorrect), partition.errored
     )
@@ -192,7 +214,7 @@ def cmd_assess(args) -> int:
     _write_manifest(config, paths, templates, "assess", [str(paths.assess)],
                     {"correct": len(partition.correct),
                      "incorrect": len(partition.incorrect),
-                     "errored": len(partition.errored)})
+                     "errored": len(partition.errored)}, backend)
     print(
         f"assessed {len(samples)} samples: {len(partition.correct)} correct, "
         f"{len(partition.incorrect)} incorrect, {len(partition.errored)} errored"
@@ -203,17 +225,17 @@ def cmd_assess(args) -> int:
 def cmd_detect(args) -> int:
     config, paths, templates = _start(args)
     partition = _read_partition(config, paths)
-    backend = make_backend(config.backend)
-    records, errored = stage2_disambiguate(
-        [a.sample for a in partition.incorrect], backend, templates,
-        _greedy_params(config), mode=config.truncation_mode, epsilon=config.epsilon,
-    )
+    with _backend(config, paths) as backend:
+        records, errored = stage2_disambiguate(
+            [a.sample for a in partition.incorrect], backend, templates,
+            _greedy_params(config), mode=config.truncation_mode, epsilon=config.epsilon,
+        )
     _fail_if_total_outage(len(records), errored)
     write_records(records, paths.records)
     ambiguous = sum(1 for r in records if r.verdict.value == "perceived_ambiguous")
     _write_manifest(config, paths, templates, "detect", [str(paths.records)],
                     {"records": len(records), "perceived_ambiguous": ambiguous,
-                     "errored": len(errored)})
+                     "errored": len(errored)}, backend)
     print(
         f"disambiguated {len(records)} samples at epsilon={config.epsilon}: "
         f"{ambiguous} perceived ambiguous, {len(errored)} errored"
@@ -230,11 +252,11 @@ def cmd_label(args) -> int:
     selection = select_and_balance(
         partition, records, config.strategy, config.epsilon, config.seed
     )
-    backend = make_backend(config.backend)
-    labels = label_records(
-        selection.ambiguous, config.label_kind, backend, templates,
-        _greedy_params(config), master_seed=config.seed,
-    )
+    with _backend(config, paths) as backend:
+        labels = label_records(
+            selection.ambiguous, config.label_kind, backend, templates,
+            _greedy_params(config), master_seed=config.seed,
+        )
     write_labels(labels, paths.labels)
     write_json_atomic(
         paths.selection,
@@ -247,7 +269,7 @@ def cmd_label(args) -> int:
     )
     _write_manifest(config, paths, templates, "label",
                     [str(paths.labels), str(paths.selection)],
-                    {"labeled": len(labels)})
+                    {"labeled": len(labels)}, backend)
     print(
         f"selected {len(selection.correct)} correct + "
         f"{len(selection.ambiguous)} ambiguous ({config.strategy.value}); "
@@ -293,9 +315,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_INTEGRITY
 
 
-def _run_strategy(config: RunConfig, strategy: str, samples,
+def _run_strategy(config: RunConfig, backend: Backend, strategy: str, samples,
                   templates: dict[str, PromptTemplate]) -> list[PredictionRecord]:
-    backend = make_backend(config.backend)
     params = _greedy_params(config)
     if strategy == "direct":
         return run_direct(samples, backend, templates, params)
@@ -380,7 +401,8 @@ def cmd_eval(args) -> int:
         name = "predictions"
     else:
         name = args.strategy or "direct"
-        predictions = _run_strategy(config, name, samples, templates)
+        with _backend(config, paths) as backend:
+            predictions = _run_strategy(config, backend, name, samples, templates)
         write_predictions(predictions, paths.workdir / f"predictions_{name}.jsonl")
     report = evaluate(samples, predictions, config.rouge_threshold)
     out = Path(args.report) if args.report else paths.workdir / f"eval_{name}.json"
@@ -447,30 +469,30 @@ def cmd_sweep(args) -> int:
 def cmd_ambiguate(args) -> int:
     config, paths, templates = _start(args)
     samples = _dataset(config)
-    backend = make_backend(config.backend)
     params = _greedy_params(config)
     accepted: list[QASample] = []
     rejects: list[dict] = []
-    for sample in samples:
-        candidate = ambiguate(sample, backend, templates["ambiguate"], params)
-        if candidate is None:
-            rejects.append({"id": sample.id, "reason": "empty_generation"})
-            continue
-        if not validate_ambiguation(
-            candidate, backend, templates["ambiguation_validation"], params
-        ):
-            rejects.append({"id": sample.id, "reason": "validation_failed",
-                            "candidate": candidate})
-            continue
-        accepted.append(
-            QASample(
-                id=sample.id,
-                question=candidate,
-                answers=sample.answers,
-                gold_ambiguous=True,
-                source=sample.source,
+    with _backend(config, paths) as backend:
+        for sample in samples:
+            candidate = ambiguate(sample, backend, templates["ambiguate"], params)
+            if candidate is None:
+                rejects.append({"id": sample.id, "reason": "empty_generation"})
+                continue
+            if not validate_ambiguation(
+                candidate, backend, templates["ambiguation_validation"], params
+            ):
+                rejects.append({"id": sample.id, "reason": "validation_failed",
+                                "candidate": candidate})
+                continue
+            accepted.append(
+                QASample(
+                    id=sample.id,
+                    question=candidate,
+                    answers=sample.answers,
+                    gold_ambiguous=True,
+                    source=sample.source,
+                )
             )
-        )
     if args.allowlist:
         accepted = filter_allowlist(accepted, args.allowlist)
     out = paths.workdir / "ambiguated.jsonl"
@@ -478,7 +500,7 @@ def cmd_ambiguate(args) -> int:
     rejects_path = paths.workdir / "ambiguate_rejects.jsonl"
     write_jsonl_atomic(rejects_path, rejects)
     _write_manifest(config, paths, templates, "ambiguate", [str(out), str(rejects_path)],
-                    {"accepted": len(accepted), "rejected": len(rejects)})
+                    {"accepted": len(accepted), "rejected": len(rejects)}, backend)
     print(f"ambiguated {len(accepted)} samples ({len(rejects)} rejected) -> {out}")
     return EXIT_OK
 

@@ -241,8 +241,10 @@ def apply_overrides(
     return config
 
 
-def make_backend(spec: BackendSpec) -> Backend:
-    """Instantiate the configured backend."""
+def make_backend(spec: BackendSpec, *, journal: str | Path | None = None) -> Backend:
+    """Instantiate the configured backend. A remote backend given ``journal``
+    sends each deterministic request at most once (see
+    ``remote.RequestJournal``); the toy backend ignores it."""
     if spec.kind == "toy":
         from .toy import ToyBackend, load_ngram_table
 
@@ -256,4 +258,5 @@ def make_backend(spec: BackendSpec) -> Backend:
         api_key=spec.api_key,
         top_k=spec.top_k or 20,
         parallelism=spec.parallelism,
+        journal=journal,
     )

@@ -3,7 +3,8 @@
 All writers go through a temp-file-then-rename step so a failing command
 never leaves a partial checkpoint behind. Output is UTF-8 with LF line
 endings and insertion-ordered keys, giving byte-stable files for identical
-inputs.
+inputs. A NaN or infinite float is not JSON: writing one raises a
+DataIntegrityError that names the file, and nothing is written.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import ParseError
+from .errors import DataIntegrityError, ParseError
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -31,20 +32,28 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def dump_json(obj: object) -> str:
-    return json.dumps(obj, ensure_ascii=False)
+def dump_json(obj: object, **kwargs) -> str:
+    """Strict JSON: a NaN or infinite float raises ValueError."""
+    return json.dumps(obj, ensure_ascii=False, allow_nan=False, **kwargs)
+
+
+def _dump_to(path: str | Path, obj: object, **kwargs) -> str:
+    try:
+        return dump_json(obj, **kwargs)
+    except ValueError as exc:
+        raise DataIntegrityError(f"cannot write {path}: {exc}") from exc
 
 
 def write_jsonl_atomic(path: str | Path, objs: Iterable[object]) -> int:
     """Write one JSON object per line; returns the line count."""
-    lines = [dump_json(o) for o in objs]
+    lines = [_dump_to(path, o) for o in objs]
     text = "".join(line + "\n" for line in lines)
     write_text_atomic(path, text)
     return len(lines)
 
 
 def write_json_atomic(path: str | Path, obj: object) -> None:
-    write_text_atomic(path, json.dumps(obj, ensure_ascii=False, indent=2) + "\n")
+    write_text_atomic(path, _dump_to(path, obj, indent=2) + "\n")
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:

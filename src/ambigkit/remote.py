@@ -12,19 +12,31 @@ Transport failures are retried with exponential backoff; protocol errors
 never are. Servers cannot expose a distribution for the very first token of
 a sequence (its ``token_logprob`` is null), so scoring with an empty context
 silently skips that position; every other null is a protocol error.
+
+JSON has no non-finite numbers, but decoders accept the bare constants. A
+payload holding ``NaN`` or ``Infinity`` is a protocol error; ``-Infinity`` is
+accepted only as a ``top_logprobs`` value (an alternative of probability 0),
+and that alternative is dropped.
+
+Given a journal file, the backend sends each deterministic request (scoring,
+and greedy or seeded generation) at most once; see ``RequestJournal``.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import math
 import threading
 import time
-from typing import Any
+from pathlib import Path
+from typing import Any, Callable
 
 import requests
 
 from .backend import (
+    NORMALIZATION_TOLERANCE,
     Backend,
     BackendInfo,
     FinishReason,
@@ -34,6 +46,7 @@ from .backend import (
     TokenDistribution,
 )
 from .errors import (
+    BackendError,
     CapabilityError,
     NormalizationError,
     ProtocolError,
@@ -44,6 +57,102 @@ logger = logging.getLogger(__name__)
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 _EXCERPT_LIMIT = 200
+_FINISH_REASONS = {"stop": FinishReason.STOP, "length": FinishReason.LENGTH}
+
+
+def _parse_constant(name: str) -> float:
+    if name == "-Infinity":
+        return -math.inf
+    raise ProtocolError(f"backend distribution invalid: non-finite JSON constant {name}")
+
+
+def _decode(data: bytes | str) -> Any:
+    """``json.loads`` under this module's rule for non-finite constants."""
+    return json.loads(data, parse_constant=_parse_constant)
+
+
+def _number(value: Any, what: str) -> float:
+    """A logprob from a payload: a JSON number, finite or -inf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProtocolError(f"{what} is not a number: {str(value)[:_EXCERPT_LIMIT]!r}")
+    try:
+        number = float(value)
+    except OverflowError as exc:
+        raise ProtocolError(f"{what} is out of range") from exc
+    if math.isnan(number) or number == math.inf:
+        raise ProtocolError(f"backend distribution invalid: {what} is {number}")
+    return number
+
+
+class RequestJournal:
+    """Responses to deterministic requests, kept in an append-only file.
+
+    A request's key is the SHA-256 of the endpoint plus the canonical request
+    body, which holds the model, prompt and every decoding parameter; the API
+    key stays out of it. Each line of the file is ``<key>\\t<payload JSON>``,
+    the payload cut down to the first choice. Loading keeps every line's raw
+    text and decodes a line only when a request uses it; a later line wins
+    over an earlier one. A line that does not decode (a torn tail after a
+    crash) or no longer passes the parser's checks counts as a miss, and the
+    request goes to the network again.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self.hits = 0
+        self.misses = 0
+        self._lock = threading.Lock()
+        self._file = None
+        self._entries: dict[str, str] = {}
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            data = b""
+        self._torn_tail = bool(data) and not data.endswith(b"\n")
+        for line in data.split(b"\n"):
+            key, sep, raw = line.partition(b"\t")
+            if sep and line.isascii():
+                self._entries[key.decode("ascii")] = raw.decode("ascii")
+
+    @staticmethod
+    def key(endpoint: str, body: dict[str, Any]) -> str:
+        canonical = json.dumps([endpoint, body], sort_keys=True)
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def lookup(self, key: str, parse: Callable[[Any], Any]) -> Any | None:
+        """``parse`` of the journaled payload for ``key``, or None on a miss."""
+        result = None
+        raw = self._entries.get(key)
+        if raw is not None:
+            try:
+                result = parse(_decode(raw))
+            except (ValueError, BackendError) as exc:
+                logger.warning("journal %s: entry %s unusable (%s); requesting again",
+                               self.path, key[:12], exc)
+        with self._lock:
+            if result is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return result
+
+    def append(self, key: str, payload: dict) -> None:
+        raw = json.dumps(payload, separators=(",", ":"))
+        with self._lock:
+            if self._file is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._file = open(self.path, "a", encoding="ascii", newline="\n")
+                if self._torn_tail:
+                    self._file.write("\n")
+            self._file.write(f"{key}\t{raw}\n")
+            self._file.flush()
+            self._entries[key] = raw
+
+    def close(self) -> None:
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
 
 class RemoteCompletionsBackend(Backend):
@@ -61,6 +170,7 @@ class RemoteCompletionsBackend(Backend):
         max_attempts: int = 3,
         backoff_base: float = 0.5,
         session: requests.Session | None = None,
+        journal: str | Path | None = None,
     ):
         self.endpoint = endpoint
         self.model = model
@@ -71,7 +181,12 @@ class RemoteCompletionsBackend(Backend):
         self.backoff_base = backoff_base
         self._session = session or requests.Session()
         self._semaphore = threading.Semaphore(max(1, parallelism))
+        self.journal = RequestJournal(journal) if journal is not None else None
         self.info = BackendInfo(kind="remote", parallelism=max(1, parallelism))
+
+    def close(self) -> None:
+        if self.journal is not None:
+            self.journal.close()
 
     # -- transport -----------------------------------------------------------
 
@@ -81,7 +196,7 @@ class RemoteCompletionsBackend(Backend):
             headers["Authorization"] = f"Bearer {self.api_key}"
         return headers
 
-    def _post(self, body: dict[str, Any]) -> dict:
+    def _post(self, body: dict[str, Any]) -> Any:
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("request %s body=%s auth=%s", self.endpoint, body,
                          "Bearer ***" if self.api_key else "none")
@@ -107,7 +222,7 @@ class RemoteCompletionsBackend(Backend):
                     )
                 else:
                     try:
-                        payload = response.json()
+                        payload = _decode(response.content)
                     except ValueError as exc:
                         raise ProtocolError(
                             "response is not JSON", response.text[:_EXCERPT_LIMIT]
@@ -119,43 +234,134 @@ class RemoteCompletionsBackend(Backend):
                 time.sleep(self.backoff_base * (2 ** (attempt - 1)))
         raise TransportError(f"backend unreachable: {last_error}", self.max_attempts)
 
+    def _complete(self, body: dict[str, Any], parse: Callable[[Any], Any],
+                  deterministic: bool) -> Any:
+        """Send ``body`` and ``parse`` the payload. A deterministic request is
+        looked up in the journal first, and journaled once it parsed."""
+        key = None
+        if deterministic and self.journal is not None:
+            key = RequestJournal.key(self.endpoint, body)
+            result = self.journal.lookup(key, parse)
+            if result is not None:
+                return result
+        payload = self._post(body)
+        result = parse(payload)
+        if key is not None:
+            self.journal.append(key, {"choices": [self._choice(payload)]})
+        return result
+
     # -- payload parsing -------------------------------------------------------
 
-    def _choice(self, payload: dict) -> dict:
+    def _choice(self, payload: Any) -> dict:
         try:
-            return payload["choices"][0]
+            choice = payload["choices"][0]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(
                 "payload has no choices[0]", str(payload)[:_EXCERPT_LIMIT]
             ) from exc
+        if not isinstance(choice, dict):
+            raise ProtocolError("choices[0] is not an object", str(choice)[:_EXCERPT_LIMIT])
+        return choice
 
-    def _logprobs(self, choice: dict) -> dict:
+    def _logprobs(self, choice: dict, fields: tuple[str, ...]) -> list[list]:
+        """The named per-token arrays of ``choice``, checked to be arrays of
+        one length."""
         logprobs = choice.get("logprobs")
         if not isinstance(logprobs, dict):
             raise CapabilityError(
                 "backend returned no 'logprobs' field; enable echo/logprobs support"
             )
-        for key in ("tokens", "token_logprobs", "top_logprobs"):
-            if key not in logprobs:
+        arrays = []
+        for key in fields:
+            if logprobs.get(key) is None:
                 raise CapabilityError(f"backend logprobs lack the {key!r} field")
-        return logprobs
+            if not isinstance(logprobs[key], list):
+                raise ProtocolError(f"logprobs {key!r} is not an array")
+            arrays.append(logprobs[key])
+        if len({len(array) for array in arrays}) > 1:
+            raise ProtocolError("logprobs arrays have mismatched lengths")
+        for token in arrays[0]:
+            if not isinstance(token, str):
+                raise ProtocolError(f"token {str(token)[:_EXCERPT_LIMIT]!r} is not a string")
+        return arrays
 
     def _distribution(
-        self, token: str, token_logprob: float, top: dict[str, float] | None
+        self, token: str, token_logprob: Any, top: Any
     ) -> TokenDistribution:
-        if top is None:
+        if not isinstance(top, dict):
             raise ProtocolError(f"missing top_logprobs for token {token!r}")
-        ranked = sorted(top.items(), key=lambda kv: (-kv[1], kv[0]))
-        tail = max(0.0, 1.0 - math.fsum(math.exp(lp) for _, lp in ranked))
+        realized = _number(token_logprob, f"logprob of token {token!r}")
+        if realized == -math.inf:
+            raise ProtocolError(f"backend distribution invalid: token {token!r} has logprob -inf")
+        alternatives = {}
+        for alternative, value in top.items():
+            logprob = _number(value, f"top_logprobs[{alternative!r}]")
+            if logprob != -math.inf:
+                alternatives[alternative] = logprob
+        listed = alternatives.get(token)
+        if listed is not None and not abs(listed - realized) <= NORMALIZATION_TOLERANCE:
+            raise ProtocolError(
+                f"backend distribution invalid: token {token!r} has logprob {realized} "
+                f"but {listed} in its own top_logprobs entry"
+            )
+        ranked = sorted(alternatives.items(), key=lambda kv: (-kv[1], kv[0]))
         try:
+            tail = max(0.0, 1.0 - math.fsum(math.exp(lp) for _, lp in ranked))
             return TokenDistribution(
                 token_text=token,
-                token_logprob=float(token_logprob),
-                top_alternatives=tuple((t, float(lp)) for t, lp in ranked),
+                token_logprob=realized,
+                top_alternatives=tuple(ranked),
                 tail_mass=tail,
             )
-        except NormalizationError as exc:
+        except (NormalizationError, OverflowError) as exc:
             raise ProtocolError(f"backend distribution invalid: {exc}") from exc
+
+    def _parse_generation(self, payload: Any) -> GenerationResult:
+        choice = self._choice(payload)
+        tokens, token_logprobs, tops = self._logprobs(
+            choice, ("tokens", "token_logprobs", "top_logprobs"))
+        distributions = []
+        for token, lp, top in zip(tokens, token_logprobs, tops):
+            if lp is None:
+                raise ProtocolError(f"null token_logprob for generated token {token!r}")
+            distributions.append(self._distribution(token, lp, top))
+        reason = choice.get("finish_reason")
+        if not isinstance(reason, str):
+            reason = None  # an unhashable value cannot be looked up
+        finish = _FINISH_REASONS.get(reason, FinishReason.ERROR)
+        text = choice.get("text")
+        if not isinstance(text, str):
+            raise ProtocolError("choice has no text")
+        return GenerationResult(
+            text=text, tokens=tuple(distributions), finish_reason=finish
+        )
+
+    def _parse_scoring(self, payload: Any, boundary: int) -> ScoringResult:
+        choice = self._choice(payload)
+        tokens, token_logprobs, tops, offsets = self._logprobs(
+            choice, ("tokens", "token_logprobs", "top_logprobs", "text_offset"))
+        distributions = []
+        for token, lp, top, offset in zip(tokens, token_logprobs, tops, offsets):
+            if type(offset) is not int or offset < 0:
+                raise ProtocolError(f"text_offset {str(offset)[:_EXCERPT_LIMIT]!r} "
+                                    f"of token {token!r} is not a character index")
+            if offset + len(token) <= boundary:
+                continue  # entirely inside the context
+            if lp is None or top is None:
+                if offset == 0:
+                    # Sequence-initial token: no conditional distribution
+                    # exists at the backend's begin-of-sequence position.
+                    continue
+                raise ProtocolError(
+                    f"null logprob data for scored token {token!r} at offset {offset}"
+                )
+            distributions.append(self._distribution(token, lp, top))
+        if not distributions:
+            raise CapabilityError(
+                "backend produced no scorable positions for the text; it may "
+                "be a single sequence-initial token"
+            )
+        return ScoringResult(tokens=tuple(distributions))
 
     # -- Backend API -----------------------------------------------------------
 
@@ -174,69 +380,21 @@ class RemoteCompletionsBackend(Backend):
             body["stop"] = list(params.stop_sequences)
         if params.seed is not None:
             body["seed"] = params.seed
-        choice = self._choice(self._post(body))
-        logprobs = self._logprobs(choice)
-        tokens = logprobs["tokens"]
-        token_logprobs = logprobs["token_logprobs"]
-        tops = logprobs["top_logprobs"]
-        if not (len(tokens) == len(token_logprobs) == len(tops)):
-            raise ProtocolError("logprobs arrays have mismatched lengths")
-        distributions = []
-        for token, lp, top in zip(tokens, token_logprobs, tops):
-            if lp is None:
-                raise ProtocolError(f"null token_logprob for generated token {token!r}")
-            distributions.append(self._distribution(token, lp, top))
-        finish = {
-            "stop": FinishReason.STOP,
-            "length": FinishReason.LENGTH,
-        }.get(choice.get("finish_reason"), FinishReason.ERROR)
-        text = choice.get("text")
-        if text is None:
-            raise ProtocolError("choice has no text")
-        return GenerationResult(
-            text=text, tokens=tuple(distributions), finish_reason=finish
-        )
+        deterministic = params.temperature == 0 or params.seed is not None
+        return self._complete(body, self._parse_generation, deterministic)
 
     def score(self, text: str, context: str = "") -> ScoringResult:
         if not text:
             raise ValueError("text must be non-empty")
-        prompt = context + text
         body: dict[str, Any] = {
             "model": self.model,
-            "prompt": prompt,
+            "prompt": context + text,
             "max_tokens": 0,
             "temperature": 0,
             "logprobs": self.top_k,
             "echo": True,
         }
-        choice = self._choice(self._post(body))
-        logprobs = self._logprobs(choice)
-        offsets = logprobs.get("text_offset")
-        if offsets is None:
-            raise CapabilityError("backend logprobs lack the 'text_offset' field")
-        tokens = logprobs["tokens"]
-        token_logprobs = logprobs["token_logprobs"]
-        tops = logprobs["top_logprobs"]
-        if not (len(tokens) == len(token_logprobs) == len(tops) == len(offsets)):
-            raise ProtocolError("logprobs arrays have mismatched lengths")
         boundary = len(context)
-        distributions = []
-        for token, lp, top, offset in zip(tokens, token_logprobs, tops, offsets):
-            end = offset + len(token)
-            if end <= boundary:
-                continue  # entirely inside the context
-            if lp is None or top is None:
-                if offset == 0:
-                    # Sequence-initial token: no conditional distribution
-                    # exists at the backend's begin-of-sequence position.
-                    continue
-                raise ProtocolError(
-                    f"null logprob data for scored token {token!r} at offset {offset}"
-                )
-            distributions.append(self._distribution(token, lp, top))
-        if not distributions:
-            raise CapabilityError(
-                "backend produced no scorable positions for the text; it may "
-                "be a single sequence-initial token"
-            )
-        return ScoringResult(tokens=tuple(distributions))
+        return self._complete(
+            body, lambda payload: self._parse_scoring(payload, boundary), True
+        )

@@ -10,8 +10,11 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from ambigkit.backend import FinishReason, GenerationParams
+from ambigkit.cli import main
 from ambigkit.errors import CapabilityError, ProtocolError, TransportError
 from ambigkit.remote import RemoteCompletionsBackend
+
+from conftest import FIXTURES
 
 LN = math.log
 
@@ -53,8 +56,13 @@ class StubState:
         self.requests: list[dict] = []
         self.headers: list[dict] = []
         self.fail_first = 0
-        self.mode = "ok"  # ok | malformed | no_logprobs | no_choices | nan_logprobs
+        # ok | malformed | no_logprobs | no_choices | nan_logprobs | inf_logprobs
+        # | neg_inf_alternative
+        self.mode = "ok"
         self.completion_text = " Paris"
+        # Prompt substring -> completion text, taking precedence over
+        # completion_text.
+        self.answers: dict[str, str] = {}
         self.finish_reason = "stop"
 
 
@@ -90,7 +98,8 @@ class StubHandler(BaseHTTPRequestHandler):
             choice = {"text": body["prompt"], "finish_reason": "stop",
                       "logprobs": None if state.mode == "no_logprobs" else logprobs}
         else:
-            text = state.completion_text
+            text = next((answer for q, answer in state.answers.items()
+                         if q in body["prompt"]), state.completion_text)
             tokens = tokenize(text)
             logprobs = {
                 "tokens": tokens,
@@ -104,6 +113,13 @@ class StubHandler(BaseHTTPRequestHandler):
                 # Serialised as the bare NaN token, which JSON decoders accept.
                 logprobs["token_logprobs"] = [math.nan] * len(tokens)
                 logprobs["top_logprobs"] = [{token: math.nan} for token in tokens]
+            if state.mode == "inf_logprobs":
+                # Serialised as the bare Infinity token.
+                logprobs["token_logprobs"] = [math.inf] * len(tokens)
+            if state.mode == "neg_inf_alternative":
+                # A zero-probability alternative, serialised as -Infinity.
+                for top in logprobs["top_logprobs"]:
+                    top["<never>"] = -math.inf
             choice = {
                 "text": text,
                 "finish_reason": state.finish_reason,
@@ -124,7 +140,8 @@ class StubHandler(BaseHTTPRequestHandler):
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), StubHandler)
     server.state = StubState()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     yield server
     server.shutdown()
@@ -264,3 +281,231 @@ def test_debug_log_redacts_api_key(stub_server, caplog):
     joined = "\n".join(record.getMessage() for record in caplog.records)
     assert "sk-verysecret" not in joined
     assert "Bearer ***" in joined
+
+
+# -- realized-token consistency and non-finite constants -------------------------
+
+
+def test_realized_logprob_must_agree_with_its_alternative(stub_server):
+    backend = make_backend(stub_server)
+    with pytest.raises(ProtocolError, match="own top_logprobs entry"):
+        backend._distribution("w", LN(0.9), {"w": LN(0.1), "x": LN(0.9)})
+
+
+def test_realized_logprob_minus_inf_is_protocol_error(stub_server):
+    backend = make_backend(stub_server)
+    with pytest.raises(ProtocolError, match="-inf"):
+        backend._distribution("w", -math.inf, {"w": -math.inf, "x": 0.0})
+
+
+def test_nan_constant_is_protocol_error_and_not_retried(stub_server):
+    stub_server.state.mode = "nan_logprobs"
+    with pytest.raises(ProtocolError, match="NaN"):
+        make_backend(stub_server).generate("hello", GenerationParams())
+    assert len(stub_server.state.requests) == 1
+
+
+def test_infinity_constant_is_protocol_error_and_not_retried(stub_server):
+    stub_server.state.mode = "inf_logprobs"
+    with pytest.raises(ProtocolError, match="Infinity"):
+        make_backend(stub_server).generate("hello", GenerationParams())
+    assert len(stub_server.state.requests) == 1
+
+
+def test_minus_infinity_alternative_is_dropped(stub_server):
+    stub_server.state.mode = "neg_inf_alternative"
+    result = make_backend(stub_server).generate("hello", GenerationParams())
+    [dist] = result.tokens
+    assert [t for t, _ in dist.top_alternatives] == [" Paris", "<alt>"]
+    assert dist.tail_mass == pytest.approx(0.1, abs=1e-12)
+
+
+# -- request journal -------------------------------------------------------------
+
+
+@pytest.fixture()
+def journaled(stub_server, tmp_path):
+    """Makes stub backends that journal in one file; closes them at teardown."""
+    made: list[RemoteCompletionsBackend] = []
+
+    def make(path: str = "/v1/completions", **kwargs) -> RemoteCompletionsBackend:
+        host, port = stub_server.server_address
+        made.append(RemoteCompletionsBackend(
+            f"http://{host}:{port}{path}", "test-model", backoff_base=0.001,
+            journal=tmp_path / "journal.jsonl", **kwargs))
+        return made[-1]
+
+    yield make
+    for backend in made:
+        backend.close()
+
+
+def test_journal_serves_repeated_deterministic_requests(stub_server, tmp_path, journaled):
+    first = journaled()
+    greedy = first.generate("hello", GenerationParams())
+    scored = first.score("cat sat", context="the ")
+    first.close()
+    assert len(stub_server.state.requests) == 2
+    assert (first.journal.hits, first.journal.misses) == (0, 2)
+    rerun = journaled()
+    assert rerun.generate("hello", GenerationParams()) == greedy
+    assert rerun.score("cat sat", context="the ") == scored
+    assert len(stub_server.state.requests) == 2
+    assert (rerun.journal.hits, rerun.journal.misses) == (2, 0)
+    lines = (tmp_path / "journal.jsonl").read_text().splitlines()
+    assert len(lines) == 2
+    assert all(re.fullmatch(r"[0-9a-f]{64}\t\{.*\}", line) for line in lines)
+
+
+def test_journal_key_leaves_out_the_api_key(stub_server, tmp_path, journaled):
+    journaled(api_key="sk-one").generate("hello", GenerationParams())
+    journaled(api_key="sk-two").generate("hello", GenerationParams())
+    assert len(stub_server.state.requests) == 1
+    assert "sk-one" not in (tmp_path / "journal.jsonl").read_text()
+
+
+def test_unseeded_sampled_requests_always_reach_the_server(stub_server, tmp_path, journaled):
+    backend = journaled()
+    sampled = GenerationParams(temperature=1.0)
+    backend.generate("hello", sampled)
+    backend.generate("hello", sampled)
+    assert len(stub_server.state.requests) == 2
+    assert (backend.journal.hits, backend.journal.misses) == (0, 0)
+    assert not (tmp_path / "journal.jsonl").exists()
+    seeded = GenerationParams(temperature=1.0, seed=3)
+    backend.generate("hello", seeded)
+    backend.generate("hello", seeded)
+    assert len(stub_server.state.requests) == 3
+
+
+@pytest.mark.parametrize(
+    "mode", ["retries_exhausted", "malformed", "nan_logprobs", "no_logprobs"])
+def test_failed_requests_are_not_journaled(stub_server, tmp_path, journaled, mode):
+    if mode == "retries_exhausted":
+        stub_server.state.fail_first = 3
+    else:
+        stub_server.state.mode = mode
+    with pytest.raises((TransportError, ProtocolError, CapabilityError)):
+        journaled().generate("hello", GenerationParams())
+    sent = len(stub_server.state.requests)
+    assert not (tmp_path / "journal.jsonl").exists()
+    stub_server.state.mode = "ok"
+    rerun = journaled()
+    assert rerun.generate("hello", GenerationParams()).text == " Paris"
+    assert len(stub_server.state.requests) == sent + 1
+
+
+def test_changed_endpoint_or_top_k_is_a_miss(stub_server, journaled):
+    journaled().score("cat sat", context="the ")
+    journaled(top_k=5).score("cat sat", context="the ")
+    journaled("/v2/completions").score("cat sat", context="the ")
+    assert [body["logprobs"] for body in stub_server.state.requests] == [20, 5, 20]
+
+
+def test_torn_last_line_is_skipped(stub_server, tmp_path, journaled):
+    path = tmp_path / "journal.jsonl"
+    first = journaled()
+    first.generate("one", GenerationParams())
+    first.generate("two", GenerationParams())
+    first.close()
+    text = path.read_text()
+    path.write_text(text[: len(text) - 20])  # a crash mid-append
+    rerun = journaled()
+    rerun.generate("one", GenerationParams())
+    rerun.generate("two", GenerationParams())
+    rerun.close()
+    assert len(stub_server.state.requests) == 3
+    assert (rerun.journal.hits, rerun.journal.misses) == (1, 1)
+    # The new entry went onto a line of its own: both now hit.
+    again = journaled()
+    again.generate("one", GenerationParams())
+    again.generate("two", GenerationParams())
+    assert (again.journal.hits, again.journal.misses) == (2, 0)
+
+
+def test_journal_line_with_non_finite_constant_is_a_miss(stub_server, tmp_path, journaled):
+    path = tmp_path / "journal.jsonl"
+    first = journaled()
+    first.generate("hello", GenerationParams())
+    first.close()
+    path.write_text(path.read_text().replace('"token_logprobs":[', '"token_logprobs":[NaN,', 1))
+    rerun = journaled()
+    assert rerun.generate("hello", GenerationParams()).text == " Paris"
+    assert len(stub_server.state.requests) == 2
+    assert (rerun.journal.hits, rerun.journal.misses) == (0, 1)
+
+
+# -- the journal across CLI commands ---------------------------------------------
+
+CHECKPOINTS = ("assess.jsonl", "records.jsonl", "labels.jsonl", "selection.json",
+               "sft.jsonl", "predictions_direct.jsonl", "predictions_sample_rep.jsonl",
+               "predictions_self_ask.jsonl")
+
+
+def remote_config(server, tmp_path, out: str = "out"):
+    """The toy CLI config pointed at the stub. The stub answers s1 correctly
+    and every other prompt with three tokens, so every disambiguation is
+    scorable; epsilon -1 makes every scored sample perceived ambiguous."""
+    host, port = server.server_address
+    server.state.answers = {"q1a q1b": " ans1"}
+    server.state.completion_text = " the capital city"
+    config = json.loads((FIXTURES / "toy_config.json").read_text())
+    config["backend"] = {"kind": "remote", "endpoint": f"http://{host}:{port}/v1/completions",
+                         "model": "test-model", "top_k": 5, "parallelism": 2}
+    config["dataset"] = str(FIXTURES / "corpus.jsonl")
+    config["template_dir"] = str(FIXTURES / "toy_templates")
+    config["workdir"] = str(tmp_path / out)
+    config["epsilon"] = -1.0
+    config["truncation_mode"] = "tail_lump"  # the stub leaves 0.1 in the tail
+    config["sample_rep"]["num_samples"] = 3
+    path = tmp_path / f"config_{out}.json"
+    path.write_text(json.dumps(config))
+    return path, tmp_path / out
+
+
+def cli(config, *argv) -> None:
+    assert main(["--config", str(config), *argv]) == 0, argv
+
+
+def deterministic(body: dict) -> bool:
+    return body["echo"] or body["temperature"] == 0 or "seed" in body
+
+
+CHAIN = (("assess",), ("detect",), ("label", "--kind", "generated"), ("emit",), ("verify",),
+         ("eval", "--strategy", "direct"), ("eval", "--strategy", "sample_rep"),
+         ("eval", "--strategy", "self_ask"))
+
+
+def test_eval_direct_after_assess_sends_no_requests(stub_server, tmp_path):
+    config, out = remote_config(stub_server, tmp_path)
+    cli(config, "assess")
+    sent = len(stub_server.state.requests)
+    assert sent == 9
+    cli(config, "eval", "--strategy", "direct")
+    assert len(stub_server.state.requests) == sent
+    manifest = json.loads((out / "manifest_assess.json").read_text())
+    assert manifest["backend"] == {"kind": "remote", "journal": {"hits": 0, "misses": 9}}
+
+
+def test_remote_chain_rerun_is_served_from_the_journal(stub_server, tmp_path):
+    config, out = remote_config(stub_server, tmp_path)
+    for command in CHAIN:
+        cli(config, *command)
+    cold = {name: (out / name).read_bytes() for name in CHECKPOINTS}
+    assert cold["sft.jsonl"] and cold["labels.jsonl"]
+    cold_manifest = json.loads((out / "manifest_detect.json").read_text())
+    sent = len(stub_server.state.requests)
+    for command in CHAIN:
+        cli(config, *command)
+    assert len(stub_server.state.requests) == sent  # every request is deterministic
+    assert {name: (out / name).read_bytes() for name in CHECKPOINTS} == cold
+    warm_manifest = json.loads((out / "manifest_detect.json").read_text())
+    journal = warm_manifest.pop("backend").pop("journal")
+    assert journal["misses"] == 0 and journal["hits"] > 0
+    assert warm_manifest["config_hash"] == cold_manifest["config_hash"]
+    # A fresh workdir starts cold and writes the same bytes.
+    fresh, fresh_out = remote_config(stub_server, tmp_path, out="fresh")
+    for command in CHAIN:
+        cli(fresh, *command)
+    assert {name: (fresh_out / name).read_bytes() for name in CHECKPOINTS} == cold
+    assert all(deterministic(body) for body in stub_server.state.requests)

@@ -71,16 +71,16 @@ def _decode(data: bytes | str) -> Any:
     return json.loads(data, parse_constant=_parse_constant)
 
 
-def _number(value: Any, what: str) -> float:
+def _number(value: Any) -> float:
     """A logprob from a payload: a JSON number, finite or -inf."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(f"{what} is not a number: {str(value)[:_EXCERPT_LIMIT]!r}")
+    if type(value) not in (float, int):  # bool is an int, but not a JSON number
+        raise ProtocolError(f"logprob {str(value)[:_EXCERPT_LIMIT]!r} is not a number")
     try:
         number = float(value)
     except OverflowError as exc:
-        raise ProtocolError(f"{what} is out of range") from exc
+        raise ProtocolError(f"logprob {value} is out of range") from exc
     if math.isnan(number) or number == math.inf:
-        raise ProtocolError(f"backend distribution invalid: {what} is {number}")
+        raise ProtocolError(f"backend distribution invalid: logprob {number}")
     return number
 
 
@@ -89,12 +89,12 @@ class RequestJournal:
 
     A request's key is the SHA-256 of the endpoint plus the canonical request
     body, which holds the model, prompt and every decoding parameter; the API
-    key stays out of it. Each line of the file is ``<key>\\t<payload JSON>``,
-    the payload cut down to the first choice. Loading keeps every line's raw
-    text and decodes a line only when a request uses it; a later line wins
-    over an earlier one. A line that does not decode (a torn tail after a
-    crash) or no longer passes the parser's checks counts as a miss, and the
-    request goes to the network again.
+    key stays out of it. Each line of the file is ``<key>\\t<response>``, the
+    response body as the server sent it, its line breaks made spaces. Loading
+    keeps every line's raw text and decodes a line only when a request uses
+    it; a later line wins over an earlier one. A line that does not decode (a
+    torn tail after a crash) or no longer passes the parser's checks counts as
+    a miss, and the request goes to the network again.
     """
 
     def __init__(self, path: str | Path):
@@ -111,8 +111,11 @@ class RequestJournal:
         self._torn_tail = bool(data) and not data.endswith(b"\n")
         for line in data.split(b"\n"):
             key, sep, raw = line.partition(b"\t")
-            if sep and line.isascii():
-                self._entries[key.decode("ascii")] = raw.decode("ascii")
+            if sep:
+                try:
+                    self._entries[key.decode("ascii")] = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    continue  # a torn tail that cut a character
 
     @staticmethod
     def key(endpoint: str, body: dict[str, Any]) -> str:
@@ -136,12 +139,15 @@ class RequestJournal:
                 self.hits += 1
         return result
 
-    def append(self, key: str, payload: dict) -> None:
-        raw = json.dumps(payload, separators=(",", ":"))
+    def append(self, key: str, text: str) -> None:
+        # A JSON string holds no raw line break, so every line break in the
+        # text is whitespace between tokens. Re-encoding the payload instead
+        # would cost more than the rest of the client's work on a call.
+        raw = text.replace("\r", " ").replace("\n", " ")
         with self._lock:
             if self._file is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._file = open(self.path, "a", encoding="ascii", newline="\n")
+                self._file = open(self.path, "a", encoding="utf-8", newline="\n")
                 if self._torn_tail:
                     self._file.write("\n")
             self._file.write(f"{key}\t{raw}\n")
@@ -196,7 +202,8 @@ class RemoteCompletionsBackend(Backend):
             headers["Authorization"] = f"Bearer {self.api_key}"
         return headers
 
-    def _post(self, body: dict[str, Any]) -> Any:
+    def _post(self, body: dict[str, Any]) -> tuple[Any, str]:
+        """The decoded payload of the server's answer, and its text."""
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("request %s body=%s auth=%s", self.endpoint, body,
                          "Bearer ***" if self.api_key else "none")
@@ -222,14 +229,16 @@ class RemoteCompletionsBackend(Backend):
                     )
                 else:
                     try:
-                        payload = _decode(response.content)
+                        text = response.content.decode(
+                            json.detect_encoding(response.content))
+                        payload = _decode(text)
                     except ValueError as exc:
                         raise ProtocolError(
                             "response is not JSON", response.text[:_EXCERPT_LIMIT]
                         ) from exc
                     if logger.isEnabledFor(logging.DEBUG):
                         logger.debug("response %s", str(payload)[:_EXCERPT_LIMIT * 4])
-                    return payload
+                    return payload, text
             if attempt < self.max_attempts:
                 time.sleep(self.backoff_base * (2 ** (attempt - 1)))
         raise TransportError(f"backend unreachable: {last_error}", self.max_attempts)
@@ -244,10 +253,10 @@ class RemoteCompletionsBackend(Backend):
             result = self.journal.lookup(key, parse)
             if result is not None:
                 return result
-        payload = self._post(body)
+        payload, text = self._post(body)
         result = parse(payload)
         if key is not None:
-            self.journal.append(key, {"choices": [self._choice(payload)]})
+            self.journal.append(key, text)
         return result
 
     # -- payload parsing -------------------------------------------------------
@@ -290,14 +299,14 @@ class RemoteCompletionsBackend(Backend):
     ) -> TokenDistribution:
         if not isinstance(top, dict):
             raise ProtocolError(f"missing top_logprobs for token {token!r}")
-        realized = _number(token_logprob, f"logprob of token {token!r}")
+        try:
+            realized = _number(token_logprob)
+            alternatives = {alternative: logprob for alternative, value in top.items()
+                            if (logprob := _number(value)) != -math.inf}
+        except ProtocolError as exc:
+            raise ProtocolError(f"token {token!r}: {exc}") from exc
         if realized == -math.inf:
             raise ProtocolError(f"backend distribution invalid: token {token!r} has logprob -inf")
-        alternatives = {}
-        for alternative, value in top.items():
-            logprob = _number(value, f"top_logprobs[{alternative!r}]")
-            if logprob != -math.inf:
-                alternatives[alternative] = logprob
         listed = alternatives.get(token)
         if listed is not None and not abs(listed - realized) <= NORMALIZATION_TOLERANCE:
             raise ProtocolError(

@@ -4,7 +4,9 @@ import json
 import logging
 import math
 import re
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from ambigkit.backend import FinishReason, GenerationParams
 from ambigkit.cli import main
 from ambigkit.errors import CapabilityError, ProtocolError, TransportError
-from ambigkit.remote import RemoteCompletionsBackend
+from ambigkit.remote import RemoteCompletionsBackend, RequestJournal
 
 from conftest import FIXTURES
 
@@ -428,7 +430,7 @@ def test_journal_line_with_non_finite_constant_is_a_miss(stub_server, tmp_path, 
     first = journaled()
     first.generate("hello", GenerationParams())
     first.close()
-    path.write_text(path.read_text().replace('"token_logprobs":[', '"token_logprobs":[NaN,', 1))
+    path.write_text(re.sub(r'"token_logprobs": ?\[', '"token_logprobs": [NaN, ', path.read_text()))
     rerun = journaled()
     assert rerun.generate("hello", GenerationParams()).text == " Paris"
     assert len(stub_server.state.requests) == 2
@@ -509,3 +511,31 @@ def test_remote_chain_rerun_is_served_from_the_journal(stub_server, tmp_path):
         cli(fresh, *command)
     assert {name: (fresh_out / name).read_bytes() for name in CHECKPOINTS} == cold
     assert all(deterministic(body) for body in stub_server.state.requests)
+
+
+def test_journal_counts_and_lines_survive_concurrent_workers(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    journal = RequestJournal(path)
+    keys = [f"{i:064x}" for i in range(200)]
+
+    def work(key: str) -> None:
+        if journal.lookup(key, lambda payload: payload) is None:
+            journal.append(key, json.dumps({"choices": [{"text": key}]}))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            list(pool.map(work, keys * 2, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+        journal.close()
+    assert journal.hits + journal.misses == 2 * len(keys)
+    lines = path.read_text().splitlines()
+    assert len(lines) == journal.misses
+    for line in lines:
+        key, raw = line.split("\t")
+        assert json.loads(raw) == {"choices": [{"text": key}]}
+    reloaded = RequestJournal(path)
+    assert all(reloaded.lookup(key, lambda payload: payload) for key in keys)
+    assert (reloaded.hits, reloaded.misses) == (len(keys), 0)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import ambigkit.cli
 from ambigkit.cli import main
 from ambigkit.errors import DataIntegrityError
 from ambigkit.jsonio import dump_json, write_json_atomic, write_jsonl_atomic
@@ -27,8 +28,6 @@ def test_checkpoint_writers_name_the_file_and_write_nothing(tmp_path, write):
 
 
 def test_nan_reaching_a_checkpoint_exits_4(tmp_path, monkeypatch, capsys):
-    import ambigkit.cli
-
     monkeypatch.setattr(ambigkit.cli, "_aggregate_reports", lambda paths: {"n": math.nan})
     config = tmp_path / "config.json"
     config.write_text('{"backend": {"kind": "toy", "fixture": "t.yaml"}, '

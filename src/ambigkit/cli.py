@@ -403,6 +403,8 @@ def cmd_eval(args) -> int:
         name = args.strategy or "direct"
         with _backend(config, paths) as backend:
             predictions = _run_strategy(config, backend, name, samples, templates)
+        errored = [(p.sample_id, p.error) for p in predictions if p.error is not None]
+        _fail_if_total_outage(len(predictions) - len(errored), errored)
         write_predictions(predictions, paths.workdir / f"predictions_{name}.jsonl")
     report = evaluate(samples, predictions, config.rouge_threshold)
     out = Path(args.report) if args.report else paths.workdir / f"eval_{name}.json"

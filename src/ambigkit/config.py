@@ -9,30 +9,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .backend import Backend
 from .entropy import TruncationMode
 from .errors import ConfigurationError
+from .evalkit import DEFAULT_ROUGE_THRESHOLD
 from .pipeline import LabelKind, SelectionStrategy
-
-_CONFIG_KEYS = {
-    "backend",
-    "dataset",
-    "workdir",
-    "epsilon",
-    "truncation_mode",
-    "seed",
-    "template_dir",
-    "max_tokens",
-    "rouge_threshold",
-    "strategy",
-    "label_kind",
-    "sample_rep",
-}
-_BACKEND_KEYS = {"kind", "fixture", "endpoint", "model", "api_key", "top_k", "parallelism"}
-_SAMPLE_REP_KEYS = {"threshold", "num_samples", "temperature"}
 
 
 @dataclass(frozen=True)
@@ -50,6 +35,8 @@ class BackendSpec:
             raise ConfigurationError(f"backend kind must be toy or remote, got {self.kind!r}")
         if self.parallelism < 1:
             raise ConfigurationError("backend parallelism must be >= 1")
+        if self.top_k is not None and self.top_k < 1:
+            raise ConfigurationError(f"backend top_k must be >= 1, got {self.top_k}")
         if self.kind == "toy" and not self.fixture:
             raise ConfigurationError("toy backend requires a 'fixture' path")
         if self.kind == "remote" and not self.endpoint:
@@ -64,18 +51,26 @@ class SampleRepConfig:
     num_samples: int = 10
     temperature: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.num_samples < 1:
+            raise ConfigurationError("sample_rep num_samples must be >= 1")
+        if not self.temperature >= 0:
+            raise ConfigurationError(
+                f"sample_rep temperature must be >= 0, got {self.temperature}"
+            )
+
 
 @dataclass(frozen=True)
 class RunConfig:
     backend: BackendSpec
     dataset: str
-    workdir: str
+    workdir: str = "out"
     epsilon: float = 0.1
     truncation_mode: TruncationMode = TruncationMode.TAIL_LUMP
     seed: int = 0
     template_dir: str | None = None
     max_tokens: int = 64
-    rouge_threshold: float = 0.3
+    rouge_threshold: float = DEFAULT_ROUGE_THRESHOLD
     strategy: SelectionStrategy = SelectionStrategy.APA_INFOGAIN
     label_kind: LabelKind = LabelKind.FIXED
     sample_rep: SampleRepConfig = field(default_factory=SampleRepConfig)
@@ -86,53 +81,33 @@ class RunConfig:
         if self.max_tokens < 1:
             raise ConfigurationError("max_tokens must be >= 1")
 
-    def to_obj(self) -> dict:
-        return {
-            "backend": {
-                "kind": self.backend.kind,
-                "fixture": self.backend.fixture,
-                "endpoint": self.backend.endpoint,
-                "model": self.backend.model,
-                "top_k": self.backend.top_k,
-                "parallelism": self.backend.parallelism,
-            },
-            "dataset": self.dataset,
-            "workdir": self.workdir,
-            "epsilon": self.epsilon,
-            "truncation_mode": self.truncation_mode.value,
-            "seed": self.seed,
-            "template_dir": self.template_dir,
-            "max_tokens": self.max_tokens,
-            "rouge_threshold": self.rouge_threshold,
-            "strategy": self.strategy.value,
-            "label_kind": self.label_kind.value,
-            "sample_rep": {
-                "threshold": self.sample_rep.threshold,
-                "num_samples": self.sample_rep.num_samples,
-                "temperature": self.sample_rep.temperature,
-            },
-        }
-
 
 def config_hash(config: RunConfig) -> str:
     """Hash of the effective configuration (API key excluded)."""
-    canonical = json.dumps(config.to_obj(), sort_keys=True)
+    obj = asdict(config)
+    del obj["backend"]["api_key"]
+    canonical = json.dumps(obj, sort_keys=True, default=lambda member: member.value)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+def _section(cls, obj: object, where: str, convert: dict):
+    """Build one config section from the keys ``obj`` holds, each through
+    its ``convert`` entry if it has one; an absent key takes the dataclass
+    default."""
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"'{where}' must be an object")
+    unknown = set(obj) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigurationError(
             f"unknown {where} key(s): {', '.join(sorted(unknown))}"
         )
-
-
-def _resolve(base: Path, value: str | None) -> str | None:
-    if value is None:
-        return None
-    path = Path(value)
-    return str(path if path.is_absolute() else (base / path).resolve())
+    values = {}
+    for key, value in obj.items():
+        try:
+            values[key] = convert[key](value) if key in convert else value
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad {where} value for {key!r}: {exc}") from exc
+    return cls(**values)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -146,59 +121,42 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigurationError("config must be a JSON object")
-    _check_keys(obj, _CONFIG_KEYS, "config")
-    base = path.parent
-
-    backend_obj = obj.get("backend", {})
-    if not isinstance(backend_obj, dict):
-        raise ConfigurationError("'backend' must be an object")
-    _check_keys(backend_obj, _BACKEND_KEYS, "backend")
-    backend = BackendSpec(
-        kind=backend_obj.get("kind", "toy"),
-        fixture=_resolve(base, backend_obj.get("fixture")),
-        endpoint=backend_obj.get("endpoint"),
-        model=backend_obj.get("model"),
-        api_key=backend_obj.get("api_key"),
-        top_k=backend_obj.get("top_k"),
-        parallelism=int(backend_obj.get("parallelism", 4)),
-    )
-
-    sr_obj = obj.get("sample_rep", {})
-    if not isinstance(sr_obj, dict):
-        raise ConfigurationError("'sample_rep' must be an object")
-    _check_keys(sr_obj, _SAMPLE_REP_KEYS, "sample_rep")
-    sample_rep = SampleRepConfig(
-        threshold=float(sr_obj.get("threshold", 0.5)),
-        num_samples=int(sr_obj.get("num_samples", 10)),
-        temperature=float(sr_obj.get("temperature", 1.0)),
-    )
-
     if "dataset" not in obj:
         raise ConfigurationError("config requires a 'dataset' path")
-    try:
-        truncation_mode = TruncationMode(obj.get("truncation_mode", "tail_lump"))
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
-    try:
-        strategy = SelectionStrategy(obj.get("strategy", "apa_infogain"))
-        label_kind = LabelKind(obj.get("label_kind", "fixed"))
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
 
-    return RunConfig(
-        backend=backend,
-        dataset=_resolve(base, str(obj["dataset"])),
-        workdir=_resolve(base, str(obj.get("workdir", "out"))),
-        epsilon=float(obj.get("epsilon", 0.1)),
-        truncation_mode=truncation_mode,
-        seed=int(obj.get("seed", 0)),
-        template_dir=_resolve(base, obj.get("template_dir")),
-        max_tokens=int(obj.get("max_tokens", 64)),
-        rouge_threshold=float(obj.get("rouge_threshold", 0.3)),
-        strategy=strategy,
-        label_kind=label_kind,
-        sample_rep=sample_rep,
-    )
+    def relative(value):
+        """A path relative to the config file's directory; None stays None."""
+        if value is None:
+            return None
+        value = Path(value)
+        return str(value if value.is_absolute() else (path.parent / value).resolve())
+
+    def relative_str(value):
+        return relative(str(value))
+
+    # An absent backend section is an empty one, and the default workdir is
+    # relative to the config file like a given one.
+    obj = {"backend": {}, "workdir": RunConfig.workdir, **obj}
+    return _section(RunConfig, obj, "config", {
+        "backend": partial(_section, BackendSpec, where="backend", convert={
+            "fixture": relative,
+            "top_k": lambda value: None if value is None else int(value),
+            "parallelism": int,
+        }),
+        "dataset": relative_str,
+        "workdir": relative_str,
+        "epsilon": float,
+        "truncation_mode": TruncationMode,
+        "seed": int,
+        "template_dir": relative,
+        "max_tokens": int,
+        "rouge_threshold": float,
+        "strategy": SelectionStrategy,
+        "label_kind": LabelKind,
+        "sample_rep": partial(_section, SampleRepConfig, where="sample_rep", convert={
+            "threshold": float, "num_samples": int, "temperature": float,
+        }),
+    })
 
 
 def apply_overrides(
@@ -217,8 +175,6 @@ def apply_overrides(
     if seed is not None:
         config = replace(config, seed=seed)
     if epsilon is not None:
-        if not math.isfinite(epsilon):
-            raise ConfigurationError("epsilon override must be finite")
         config = replace(config, epsilon=epsilon)
     if out is not None:
         config = replace(config, workdir=str(Path(out).resolve()))
@@ -249,7 +205,10 @@ def make_backend(spec: BackendSpec, *, journal: str | Path | None = None) -> Bac
         from .toy import ToyBackend, load_ngram_table
 
         table = load_ngram_table(spec.fixture)
-        return ToyBackend(table, top_k=spec.top_k, parallelism=spec.parallelism)
+        try:
+            return ToyBackend(table, top_k=spec.top_k, parallelism=spec.parallelism)
+        except ValueError as exc:  # top_k beyond the fixture's vocabulary
+            raise ConfigurationError(f"backend {exc}") from exc
     from .remote import RemoteCompletionsBackend
 
     return RemoteCompletionsBackend(

@@ -14,7 +14,6 @@ point at an alternative directory with the same file names.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -23,6 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .backend import Backend, GenerationParams
 from .errors import ConfigurationError, DataIntegrityError, ParseError, TemplateError
+from .jsonio import read_jsonl, write_jsonl_atomic
 
 # Trailing characters ignored when parsing one-word verdicts like "Yes.".
 _WORD_PUNCT = ".,!?;:"
@@ -49,9 +49,7 @@ class QASample:
             )
 
 
-def _sample_from_obj(obj: object, line_number: int) -> QASample:
-    if not isinstance(obj, dict):
-        raise ParseError("record is not a JSON object", line_number)
+def _sample_from_obj(obj: dict, line_number: int) -> QASample:
     try:
         sample = QASample(
             id=str(obj["id"]),
@@ -73,21 +71,14 @@ def load_dataset(path: str | Path) -> list[QASample]:
     """Order-preserving JSONL load; duplicate ids are rejected."""
     samples: list[QASample] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_number) from exc
-            sample = _sample_from_obj(obj, line_number)
-            if sample.id in seen:
-                raise DataIntegrityError(
-                    f"line {line_number}: duplicate sample id {sample.id!r}"
-                )
-            seen.add(sample.id)
-            samples.append(sample)
+    for line_number, obj in read_jsonl(path):
+        sample = _sample_from_obj(obj, line_number)
+        if sample.id in seen:
+            raise DataIntegrityError(
+                f"line {line_number}: duplicate sample id {sample.id!r}"
+            )
+        seen.add(sample.id)
+        samples.append(sample)
     return samples
 
 
@@ -104,8 +95,6 @@ def sample_to_obj(sample: QASample) -> dict:
 
 
 def save_dataset(samples: Iterable[QASample], path: str | Path) -> None:
-    from .jsonio import write_jsonl_atomic
-
     write_jsonl_atomic(path, (sample_to_obj(s) for s in samples))
 
 

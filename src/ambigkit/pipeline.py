@@ -26,7 +26,7 @@ from .backend import Backend, GenerationParams, ScoringResult, bounded_map
 from .corpus import PromptTemplate, QASample, trim_continuation
 from .entropy import TruncationMode, Verdict, classify, entropy_profile, info_gain
 from .errors import BackendError, ConfigurationError, DataIntegrityError, ParseError
-from .evalkit import categorize, clarification_phrase, is_clarification
+from .evalkit import DEFAULT_ROUGE_THRESHOLD, categorize, clarification_phrase, is_clarification
 from .jsonio import read_jsonl, write_jsonl_atomic
 from .phrases import FIXED_CLARIFICATIONS
 from .seeding import derive_seed, rng_for
@@ -146,7 +146,7 @@ def stage1_assess(
     params: GenerationParams,
     *,
     mode: TruncationMode,
-    rouge_threshold: float = 0.3,
+    rouge_threshold: float = DEFAULT_ROUGE_THRESHOLD,
 ) -> StageOnePartition:
     """Greedy-answer every sample and split by the five-outcome rule.
 

@@ -481,6 +481,35 @@ def test_sweep_sample_rep_leaves_errored_samples_out(tmp_path, s1_refused):
     assert row["f1_a"] == f"{report['f1_a']:.6f}"
 
 
+def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch):
+    real = ambigkit.cli.make_backend
+    # Every prompt contains the empty question, so every call is refused.
+    monkeypatch.setattr(ambigkit.cli, "make_backend",
+                        lambda spec: RefuseQuestion(real(spec), ""))
+    config = make_config(tmp_path)
+    out = workdir_of(config)
+    assert run("--config", str(config), "eval", "--strategy", "direct") == 3
+    assert not (out / "eval_direct.json").exists()
+    assert not (out / "predictions_direct.jsonl").exists()
+
+
+@pytest.mark.parametrize("patch", [
+    {"epsilon": "abc"},
+    {"epsilon": None},
+    {"epsilon": [1]},
+    {"backend": {"top_k": 0}},
+    {"backend": {"top_k": -3}},
+    {"backend": {"top_k": 99}},  # the fixture's vocabulary has 65 tokens
+    {"sample_rep": {"threshold": 0.5, "num_samples": 0, "temperature": 1.0}},
+    {"sample_rep": {"threshold": 0.5, "num_samples": 10, "temperature": -1.0}},
+], ids=["epsilon-text", "epsilon-null", "epsilon-list", "top_k-0", "top_k-negative",
+        "top_k-over-vocabulary", "num_samples-0", "temperature-negative"])
+def test_bad_config_value_exits_2(tmp_path, capsys, patch):
+    config = make_config(tmp_path, **patch)
+    assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 # -- pinned toy-chain bytes -----------------------------------------------------------
 
 # SHA-256 of every file the toy chain below writes. Manifests are hashed with

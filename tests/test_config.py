@@ -125,6 +125,43 @@ def test_config_hash_tracks_content(tmp_path):
     assert config_hash(a) != config_hash(b)
 
 
+def test_config_hash_is_pinned(tmp_path):
+    # Fixed absolute paths and a non-default value for every key; the digest
+    # changes only when the hashed form of a config does.
+    config = {
+        "backend": {
+            "kind": "remote", "fixture": "/fixed/world.yaml",
+            "endpoint": "http://127.0.0.1:8000/v1/completions", "model": "m",
+            "api_key": "sk-test", "top_k": 5, "parallelism": 3,
+        },
+        "dataset": "/fixed/corpus.jsonl",
+        "workdir": "/fixed/out",
+        "epsilon": 0.25,
+        "truncation_mode": "renormalize",
+        "seed": 7,
+        "template_dir": "/fixed/templates",
+        "max_tokens": 16,
+        "rouge_threshold": 0.4,
+        "strategy": "gt_max_infogain",
+        "label_kind": "generated",
+        "sample_rep": {"threshold": 0.6, "num_samples": 4, "temperature": 0.7},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert config_hash(load_config(path)) == (
+        "9658a2fbad4fd4d19e9f79cd1feeeb3aa379f31e0519f0103ad9092db2c15103"
+    )
+
+
+def test_numeric_strings_are_converted(tmp_path):
+    path = write_config(
+        tmp_path, backend={"kind": "toy", "fixture": "x", "top_k": "3"}, seed="5"
+    )
+    config = load_config(path)
+    assert config.backend.top_k == 3
+    assert config.seed == 5
+
+
 def test_config_hash_excludes_api_key(tmp_path):
     path = write_config(
         tmp_path,

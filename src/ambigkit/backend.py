@@ -37,7 +37,6 @@ class GenerationParams:
 
     max_tokens: int = 64
     temperature: float = 0.0
-    top_k_logprobs: int = 5
     stop_sequences: tuple[str, ...] = ()
     seed: int | None = None
 
@@ -46,8 +45,6 @@ class GenerationParams:
             raise ValueError("max_tokens must be >= 1")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
-        if self.top_k_logprobs < 1:
-            raise ValueError("top_k_logprobs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,22 +103,14 @@ class ScoringResult:
         return len(self.tokens)
 
 
-@dataclass
-class BackendInfo:
-    """Identity echoed into run manifests."""
-
-    kind: str
-    parallelism: int = 4
-
-
 class Backend(abc.ABC):
     """Shared interface for the toy oracle backend and remote HTTP backends.
 
     Implementations are immutable after construction and safe to share across
-    concurrent workers; in-flight parallelism is bounded by ``info.parallelism``.
+    concurrent workers; in-flight parallelism is bounded by ``parallelism``.
     """
 
-    info: BackendInfo
+    parallelism: int
 
     @abc.abstractmethod
     def generate(self, prompt: str, params: GenerationParams) -> GenerationResult:

@@ -152,12 +152,7 @@ def _backend(config: RunConfig, paths: _Paths):
 
 
 def _greedy_params(config: RunConfig) -> GenerationParams:
-    top_k = config.backend.top_k
-    return GenerationParams(
-        max_tokens=config.max_tokens,
-        temperature=0.0,
-        top_k_logprobs=top_k if top_k else 20,
-    )
+    return GenerationParams(max_tokens=config.max_tokens, temperature=0.0)
 
 
 def _dataset(config: RunConfig) -> list[QASample]:

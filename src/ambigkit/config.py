@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .backend import Backend
 from .entropy import TruncationMode
@@ -39,8 +40,21 @@ class BackendSpec:
             raise ConfigurationError(f"backend top_k must be >= 1, got {self.top_k}")
         if self.kind == "toy" and not self.fixture:
             raise ConfigurationError("toy backend requires a 'fixture' path")
-        if self.kind == "remote" and not self.endpoint:
-            raise ConfigurationError("remote backend requires an 'endpoint' URL")
+        if self.kind == "remote" and not _is_http_url(self.endpoint):
+            raise ConfigurationError(
+                f"remote backend requires an http(s) 'endpoint' URL, got {self.endpoint!r}"
+            )
+
+
+def _is_http_url(value: object) -> bool:
+    if not isinstance(value, str):
+        return False
+    try:
+        parts = urlsplit(value)
+        parts.port  # a malformed port raises ValueError
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 @dataclass(frozen=True)

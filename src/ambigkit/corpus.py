@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .backend import Backend, GenerationParams
-from .errors import ConfigurationError, DataIntegrityError, ParseError, TemplateError
-from .jsonio import read_jsonl, write_jsonl_atomic
+from .errors import ConfigurationError, DataIntegrityError, TemplateError
+from .jsonio import read_jsonl, record_at, typed_field, write_jsonl_atomic
 
 # Trailing characters ignored when parsing one-word verdicts like "Yes.".
 _WORD_PUNCT = ".,!?;:"
@@ -50,21 +50,24 @@ class QASample:
 
 
 def _sample_from_obj(obj: dict, line_number: int) -> QASample:
-    try:
-        sample = QASample(
-            id=str(obj["id"]),
-            question=str(obj["question"]),
-            answers=tuple(str(a) for a in obj.get("answers", [])),
-            gold_ambiguous=obj.get("ambiguous"),
-            source=str(obj.get("source", "")),
+    """An integer id reads as its string form; every other field keeps its
+    JSON type."""
+    with record_at(line_number):
+        sample_id = obj["id"]
+        if type(sample_id) not in (str, int):
+            raise TypeError(
+                f"field 'id' must be a string or an integer, got {sample_id!r:.60}"
+            )
+        ambiguous = obj.get("ambiguous")
+        if ambiguous is not None and type(ambiguous) is not bool:
+            raise TypeError("field 'ambiguous' must be a boolean")
+        return QASample(
+            id=str(sample_id),
+            question=typed_field(obj, "question", str),
+            answers=typed_field(obj, "answers", tuple, ()),
+            gold_ambiguous=ambiguous,
+            source=typed_field(obj, "source", str, ""),
         )
-    except KeyError as exc:
-        raise ParseError(f"missing field {exc}", line_number) from exc
-    if sample.gold_ambiguous is not None and not isinstance(
-        sample.gold_ambiguous, bool
-    ):
-        raise ParseError("field 'ambiguous' must be a boolean", line_number)
-    return sample
 
 
 def load_dataset(path: str | Path) -> list[QASample]:

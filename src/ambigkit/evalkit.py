@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 from .backend import Backend, GenerationParams, bounded_map
 from .corpus import PromptTemplate, QASample, first_word, trim_continuation
 from .errors import BackendError, DataIntegrityError, ParseError
-from .jsonio import read_jsonl, write_jsonl_atomic
+from .jsonio import read_jsonl, record_at, typed_field, write_jsonl_atomic
 from .phrases import AMBIGUITY_MARKERS, FIXED_CLARIFICATIONS
 from .seeding import rng_for
 
@@ -205,14 +205,14 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
     errored sample; ``flags`` is optional; other fields become extras."""
     predictions = []
     for line_number, obj in read_jsonl(path):
-        if "id" not in obj or "prediction" not in obj:
-            raise ParseError("prediction record needs 'id' and 'prediction'", line_number)
-        error = obj.pop("error", None)
-        predictions.append(PredictionRecord(
-            str(obj.pop("id")), str(obj.pop("prediction")),
-            error=None if error is None else str(error),
-            flags=tuple(obj.pop("flags", ())), extras=obj,
-        ))
+        with record_at(line_number):
+            predictions.append(PredictionRecord(
+                typed_field(obj, "id", str), typed_field(obj, "prediction", str),
+                error=typed_field(obj, "error", str, None),
+                flags=typed_field(obj, "flags", tuple, ()),
+                extras={key: value for key, value in obj.items()
+                        if key not in ("id", "prediction", "error", "flags")},
+            ))
     return predictions
 
 
@@ -232,7 +232,7 @@ def _run_prompted(
             return PredictionRecord(sample.id, "", error=str(exc))
         return PredictionRecord(sample.id, trim_continuation(result.text))
 
-    return bounded_map(one, list(samples), backend.info.parallelism)
+    return bounded_map(one, list(samples), backend.parallelism)
 
 
 def run_direct(
@@ -321,7 +321,7 @@ def run_sample_rep(
         )
         return judge_sample_rep(record, threshold, master_seed)
 
-    return bounded_map(one, list(samples), backend.info.parallelism)
+    return bounded_map(one, list(samples), backend.parallelism)
 
 
 def run_self_ask(
@@ -368,7 +368,7 @@ def run_self_ask(
             sample.id, prediction, flags=flags, extras={"answer": answer, "verdict": first}
         )
 
-    return bounded_map(one, list(samples), backend.info.parallelism)
+    return bounded_map(one, list(samples), backend.parallelism)
 
 
 # -- report assembly ---------------------------------------------------------

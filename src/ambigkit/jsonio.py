@@ -5,15 +5,21 @@ never leaves a partial checkpoint behind. Output is UTF-8 with LF line
 endings and insertion-ordered keys, giving byte-stable files for identical
 inputs. A NaN or infinite float is not JSON: writing one raises a
 DataIntegrityError that names the file, and nothing is written.
+
+Readers take each field through ``typed_field``, which checks the field's
+JSON type instead of coercing it, inside ``record_at``, which turns a
+missing or malformed field into a ParseError naming the line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .errors import DataIntegrityError, ParseError
 
@@ -69,3 +75,49 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not isinstance(obj, dict):
                 raise ParseError("record is not a JSON object", line_number)
             yield line_number, obj
+
+
+_REQUIRED = object()
+# Accepted Python types and the name a message gives each field kind. No
+# number kind takes a boolean, although bool is an int.
+_KINDS = {
+    str: ((str,), "a string"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a finite number"),
+    tuple: ((list,), "a list of strings"),
+}
+
+
+def typed_field(obj: dict, key: str, kind: type, default: Any = _REQUIRED) -> Any:
+    """``obj[key]`` checked to be a JSON ``kind``: ``str``, ``int``, ``float``
+    (any finite number, returned as a float) or ``tuple`` (an array of
+    strings, returned as a tuple). An absent key gives ``default``, and
+    KeyError when there is none; a field whose default is None may be null.
+    A value of another type raises TypeError."""
+    if key not in obj and default is not _REQUIRED:
+        return default
+    value = obj[key]
+    if value is None and default is None:
+        return None
+    types, name = _KINDS[kind]
+    if type(value) in types:
+        if kind is str or kind is int:
+            return value
+        if kind is tuple and all(type(item) is str for item in value):
+            return tuple(value)
+        if kind is float and math.isfinite(number := float(value)):
+            return number
+    raise TypeError(f"field {key!r} must be {name}, got {value!r:.60}")
+
+
+@contextlib.contextmanager
+def record_at(line_number: int) -> Iterator[None]:
+    """Read one record: a missing field (KeyError) or a malformed one
+    (TypeError, ValueError, OverflowError) becomes a ParseError naming
+    ``line_number``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"missing field {exc}", line_number) from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(str(exc), line_number) from exc

@@ -25,9 +25,9 @@ from typing import Mapping, Sequence
 from .backend import Backend, GenerationParams, ScoringResult, bounded_map
 from .corpus import PromptTemplate, QASample, trim_continuation
 from .entropy import TruncationMode, Verdict, classify, entropy_profile, info_gain
-from .errors import BackendError, ConfigurationError, DataIntegrityError, ParseError
+from .errors import BackendError, ConfigurationError, DataIntegrityError
 from .evalkit import DEFAULT_ROUGE_THRESHOLD, categorize, clarification_phrase, is_clarification
-from .jsonio import read_jsonl, write_jsonl_atomic
+from .jsonio import read_jsonl, record_at, typed_field, write_jsonl_atomic
 from .phrases import FIXED_CLARIFICATIONS
 from .seeding import derive_seed, rng_for
 
@@ -173,7 +173,7 @@ def stage1_assess(
             ),
         )
 
-    outcomes = bounded_map(one, samples, backend.info.parallelism)
+    outcomes = bounded_map(one, samples, backend.parallelism)
     return StageOnePartition.split(
         [o for o in outcomes if isinstance(o, AssessedSample)],
         [o for o in outcomes if not isinstance(o, AssessedSample)],
@@ -232,7 +232,7 @@ def stage2_disambiguate(
         except BackendError as exc:
             return (sample.id, str(exc))
 
-    outcomes = bounded_map(one, samples, backend.info.parallelism)
+    outcomes = bounded_map(one, samples, backend.parallelism)
     records = [o for o in outcomes if isinstance(o, DisambiguationRecord)]
     errored = [o for o in outcomes if not isinstance(o, DisambiguationRecord)]
     return records, errored
@@ -294,7 +294,7 @@ def label_records(
             record, backend, templates, params, master_seed=master_seed
         )
 
-    return bounded_map(one, records, backend.info.parallelism)
+    return bounded_map(one, records, backend.parallelism)
 
 
 # -- selection and balancing -------------------------------------------------
@@ -439,27 +439,25 @@ def read_partition(
     assessed_samples: list[AssessedSample] = []
     errored: list[tuple[str, str]] = []
     for line_number, obj in read_jsonl(path):
-        sample_id = obj.get("id")
-        if sample_id is None:
-            raise ParseError("missing 'id'", line_number)
-        if "error" in obj:
-            errored.append((str(sample_id), str(obj["error"])))
-            continue
-        sample = samples_by_id.get(str(sample_id))
-        if sample is None:
-            raise DataIntegrityError(
-                f"line {line_number}: sample {sample_id!r} not in the dataset"
-            )
-        try:
-            assessed = AssessedSample(
+        with record_at(line_number):
+            sample_id = typed_field(obj, "id", str)
+            if "error" in obj:
+                errored.append((sample_id, typed_field(obj, "error", str)))
+                continue
+            sample = samples_by_id.get(sample_id)
+            if sample is None:
+                raise DataIntegrityError(
+                    f"line {line_number}: sample {sample_id!r} not in the dataset"
+                )
+            category = typed_field(obj, "category", int)
+            if not 1 <= category <= 5:
+                raise ValueError(f"field 'category' must be 1-5, got {category}")
+            assessed_samples.append(AssessedSample(
                 sample=sample,
-                prediction=str(obj["prediction"]),
-                category=int(obj["category"]),
-                answer_entropy=obj.get("answer_entropy"),
-            )
-        except KeyError as exc:
-            raise ParseError(f"missing field {exc}", line_number) from exc
-        assessed_samples.append(assessed)
+                prediction=typed_field(obj, "prediction", str),
+                category=category,
+                answer_entropy=typed_field(obj, "answer_entropy", float, None),
+            ))
     return StageOnePartition.split(assessed_samples, errored)
 
 
@@ -485,23 +483,17 @@ def write_records(records: Sequence[DisambiguationRecord], path: str | Path) -> 
 def read_records(path: str | Path) -> list[DisambiguationRecord]:
     records = []
     for line_number, obj in read_jsonl(path):
-        try:
-            records.append(
-                DisambiguationRecord(
-                    sample_id=str(obj["id"]),
-                    query_text=str(obj["query"]),
-                    disambig_text=str(obj["disambig"]),
-                    h_query=float(obj["h_query"]),
-                    h_disambig=float(obj["h_disambig"]),
-                    info_gain=float(obj["info_gain"]),
-                    verdict=Verdict(obj["verdict"]),
-                    flags=tuple(obj.get("flags", [])),
-                )
-            )
-        except KeyError as exc:
-            raise ParseError(f"missing field {exc}", line_number) from exc
-        except ValueError as exc:
-            raise ParseError(str(exc), line_number) from exc
+        with record_at(line_number):
+            records.append(DisambiguationRecord(
+                sample_id=typed_field(obj, "id", str),
+                query_text=typed_field(obj, "query", str),
+                disambig_text=typed_field(obj, "disambig", str),
+                h_query=typed_field(obj, "h_query", float),
+                h_disambig=typed_field(obj, "h_disambig", float),
+                info_gain=typed_field(obj, "info_gain", float),
+                verdict=Verdict(obj["verdict"]),
+                flags=typed_field(obj, "flags", tuple, ()),
+            ))
     return records
 
 
@@ -519,17 +511,11 @@ def write_labels(labels: Sequence[ClarifyLabel], path: str | Path) -> None:
 def read_labels(path: str | Path) -> list[ClarifyLabel]:
     labels = []
     for line_number, obj in read_jsonl(path):
-        try:
-            labels.append(
-                ClarifyLabel(
-                    sample_id=str(obj["id"]),
-                    text=str(obj["text"]),
-                    kind=LabelKind(obj["kind"]),
-                    flags=tuple(obj.get("flags", [])),
-                )
-            )
-        except KeyError as exc:
-            raise ParseError(f"missing field {exc}", line_number) from exc
-        except ValueError as exc:
-            raise ParseError(str(exc), line_number) from exc
+        with record_at(line_number):
+            labels.append(ClarifyLabel(
+                sample_id=typed_field(obj, "id", str),
+                text=typed_field(obj, "text", str),
+                kind=LabelKind(obj["kind"]),
+                flags=typed_field(obj, "flags", tuple, ()),
+            ))
     return labels

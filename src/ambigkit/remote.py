@@ -8,7 +8,8 @@ Scoring sends the concatenated context+text with ``echo=true`` and
 ``max_tokens=0``; a returned token belongs to the scored text when its
 character span extends past the context (a straddling token counts as text).
 
-Transport failures are retried with exponential backoff; protocol errors
+Transport failures (a refused or dropped connection, a timeout, a response
+cut off mid-body) are retried with exponential backoff; protocol errors
 never are. Servers cannot expose a distribution for the very first token of
 a sequence (its ``token_logprob`` is null), so scoring with an empty context
 silently skips that position; every other null is a protocol error.
@@ -38,7 +39,6 @@ import requests
 from .backend import (
     NORMALIZATION_TOLERANCE,
     Backend,
-    BackendInfo,
     FinishReason,
     GenerationParams,
     GenerationResult,
@@ -186,9 +186,9 @@ class RemoteCompletionsBackend(Backend):
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._session = session or requests.Session()
-        self._semaphore = threading.Semaphore(max(1, parallelism))
+        self.parallelism = max(1, parallelism)
+        self._semaphore = threading.Semaphore(self.parallelism)
         self.journal = RequestJournal(journal) if journal is not None else None
-        self.info = BackendInfo(kind="remote", parallelism=max(1, parallelism))
 
     def close(self) -> None:
         if self.journal is not None:
@@ -215,7 +215,9 @@ class RemoteCompletionsBackend(Backend):
                         self.endpoint, json=body, headers=self._headers(),
                         timeout=self.timeout,
                     )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+            except (requests.ConnectionError, requests.Timeout,
+                    requests.exceptions.ChunkedEncodingError) as exc:
+                # A response cut off mid-body is a dropped connection too.
                 last_error = exc
             else:
                 if response.status_code in _RETRYABLE_STATUS:
@@ -382,7 +384,7 @@ class RemoteCompletionsBackend(Backend):
             "prompt": prompt,
             "max_tokens": params.max_tokens,
             "temperature": params.temperature,
-            "logprobs": params.top_k_logprobs,
+            "logprobs": self.top_k,
             "echo": False,
         }
         if params.stop_sequences:

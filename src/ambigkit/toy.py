@@ -41,7 +41,6 @@ import yaml
 
 from .backend import (
     Backend,
-    BackendInfo,
     FinishReason,
     GenerationParams,
     GenerationResult,
@@ -167,9 +166,7 @@ class ToyBackend(Backend):
     beyond the requested top-k, greedy ties broken by vocabulary order.
 
     The handle's ``top_k`` governs the alternatives reported by both
-    generation and scoring, so round-trips stay exact;
-    ``GenerationParams.top_k_logprobs`` is a remote-backend control and is
-    not consulted here.
+    generation and scoring, so round-trips stay exact.
     """
 
     def __init__(self, table: NgramTable, top_k: int | None = None, parallelism: int = 4):
@@ -181,7 +178,7 @@ class ToyBackend(Backend):
             )
         self.table = table
         self.top_k = top_k
-        self.info = BackendInfo(kind="toy", parallelism=parallelism)
+        self.parallelism = parallelism
 
     # -- internals ---------------------------------------------------------
 

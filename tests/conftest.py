@@ -42,7 +42,7 @@ def toy_templates():
 
 @pytest.fixture(scope="session")
 def greedy_params() -> GenerationParams:
-    return GenerationParams(max_tokens=8, temperature=0.0, top_k_logprobs=5)
+    return GenerationParams(max_tokens=8, temperature=0.0)
 
 
 def table_path(name: str) -> Path:

@@ -13,7 +13,6 @@ from functools import lru_cache
 
 from ambigkit.backend import (
     Backend,
-    BackendInfo,
     FinishReason,
     GenerationParams,
     GenerationResult,
@@ -90,7 +89,7 @@ class ScriptedBackend(Backend):
         self.sampled = sampled or {}
         self._sample_cursor: dict[str, int] = {}
         self.calls: list[tuple[str, GenerationParams]] = []
-        self.info = BackendInfo(kind="scripted", parallelism=1)
+        self.parallelism = 1
 
     def _lookup(self, prompt: str) -> str:
         if prompt in self.exact:

@@ -21,11 +21,6 @@ def test_params_validate_temperature():
         GenerationParams(temperature=-0.1)
 
 
-def test_params_validate_top_k():
-    with pytest.raises(ValueError):
-        GenerationParams(top_k_logprobs=0)
-
-
 def test_params_validate_max_tokens():
     with pytest.raises(ValueError):
         GenerationParams(max_tokens=0)

@@ -3,7 +3,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -435,7 +439,8 @@ class RefuseQuestion(Backend):
     ``question``, as a server refusing one sample's requests would."""
 
     def __init__(self, inner: Backend, question: str):
-        self.inner, self.question, self.info = inner, question, inner.info
+        self.inner, self.question = inner, question
+        self.parallelism = inner.parallelism
 
     def generate(self, prompt, params):
         if self.question in prompt:
@@ -508,6 +513,67 @@ def test_bad_config_value_exits_2(tmp_path, capsys, patch):
     config = make_config(tmp_path, **patch)
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("endpoint,flag", [
+    (None, "--backend=remote:127.0.0.1:9/v1/completions"),
+    (5, None),
+    ("ftp://127.0.0.1:9/v1/completions", None),
+    ("http:///v1/completions", None),
+    ("http://127.0.0.1:port/v1/completions", None),
+], ids=["flag-no-scheme", "number", "ftp", "no-host", "bad-port"])
+def test_malformed_remote_endpoint_exits_2(tmp_path, capsys, endpoint, flag):
+    patch = {} if endpoint is None else {"backend": {"kind": "remote", "endpoint": endpoint}}
+    config = make_config(tmp_path, **patch)
+    argv = ["--config", str(config), *([flag] if flag else []), "assess"]
+    assert run(*argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def chain_workdir(tmp_path_factory) -> Path:
+    """A workdir holding the toy chain's checkpoints up to labels.jsonl, and
+    predictions_direct.jsonl."""
+    tmp_path = tmp_path_factory.mktemp("chain")
+    config = make_config(tmp_path)
+    for command in (["assess"], ["detect"], ["label"], ["eval", "--strategy", "direct"]):
+        assert run("--config", str(config), *command) == 0
+    return workdir_of(config)
+
+
+@pytest.mark.parametrize("name,patch,command", [
+    ("assess.jsonl", {"category": "x"}, ["detect"]),
+    ("assess.jsonl", {"category": 9}, ["detect"]),
+    ("assess.jsonl", {"prediction": None}, ["detect"]),
+    ("records.jsonl", {"h_query": None}, ["label"]),
+    ("records.jsonl", {"flags": "abc"}, ["label"]),
+    ("labels.jsonl", {"flags": "abc"}, ["emit"]),
+    ("labels.jsonl", {"flags": 5}, ["emit"]),
+    ("predictions_direct.jsonl", {"flags": "abc"},
+     ["eval", "--predictions", "predictions_direct.jsonl"]),
+], ids=["category-text", "category-9", "prediction-null", "h_query-null",
+        "records-flags-text", "labels-flags-text", "labels-flags-number",
+        "predictions-flags-text"])
+def test_mistyped_checkpoint_field_exits_4(tmp_path, capsys, chain_workdir,
+                                          name, patch, command):
+    config = make_config(tmp_path)
+    out = workdir_of(config)
+    shutil.copytree(chain_workdir, out)
+    first, *rest = (out / name).read_text().splitlines(keepends=True)
+    (out / name).write_text(json.dumps({**json.loads(first), **patch}) + "\n" + "".join(rest))
+    argv = [str(out / arg) if arg.endswith(".jsonl") else arg for arg in command]
+    assert run("--config", str(config), *argv) == 4
+    assert "line 1" in capsys.readouterr().err
+
+
+def test_cli_import_loads_neither_toy_backend_nor_yaml():
+    src = Path(ambigkit.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = ("import sys, ambigkit.cli; "
+             "print(sorted({'ambigkit.toy', 'yaml'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 # -- pinned toy-chain bytes -----------------------------------------------------------

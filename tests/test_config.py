@@ -182,5 +182,5 @@ def test_make_backend_builds_toy():
     )
     backend = make_backend(spec)
     assert isinstance(backend, ToyBackend)
-    assert backend.info.parallelism == 3
+    assert backend.parallelism == 3
     assert backend.top_k == 4  # defaults to the full vocabulary

@@ -74,6 +74,33 @@ def test_malformed_line_reports_line_number(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("patch", [
+    {"answers": "paris"},
+    {"answers": [["x"]]},
+    {"answers": [5]},
+    {"id": None},
+    {"id": True},
+    {"id": ["a"]},
+    {"id": {"a": 1}},
+    {"question": None},
+], ids=["answers-string", "answer-list", "answer-number", "id-null", "id-bool",
+        "id-list", "id-object", "question-null"])
+def test_mistyped_field_is_parse_error(tmp_path, patch):
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [
+        json.dumps({"id": "a", "question": "q?", "answers": ["x"]}),
+        json.dumps({"id": "b", "question": "q?", "answers": ["x"], **patch}),
+    ])
+    with pytest.raises(ParseError, match="line 2"):
+        load_dataset(path)
+
+
+def test_integer_id_loads_as_its_string_form(tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [json.dumps({"id": 7, "question": "q?", "answers": ["x"]})])
+    assert load_dataset(path)[0].id == "7"
+
+
 def test_duplicate_ids_rejected(tmp_path):
     path = tmp_path / "d.jsonl"
     record = json.dumps({"id": "a", "question": "q?", "answers": ["x"]})

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ambigkit.backend import Backend, BackendInfo
+from ambigkit.backend import Backend
 from ambigkit.corpus import QASample
 from ambigkit.entropy import TruncationMode, Verdict, classify
 from ambigkit.errors import ConfigurationError, TransportError
@@ -106,7 +106,7 @@ class FailingBackend(Backend):
     def __init__(self, inner, poison: str):
         self.inner = inner
         self.poison = poison
-        self.info = BackendInfo(kind="failing", parallelism=1)
+        self.parallelism = 1
 
     def generate(self, prompt, params):
         if self.poison in prompt:

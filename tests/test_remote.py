@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import re
+import socket
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -159,10 +160,9 @@ def make_backend(server, **kwargs) -> RemoteCompletionsBackend:
 
 
 def test_generate_wire_format_and_parsing(stub_server):
-    backend = make_backend(stub_server, api_key="sk-secret")
+    backend = make_backend(stub_server, api_key="sk-secret", top_k=2)
     params = GenerationParams(
-        max_tokens=12, temperature=0.0, top_k_logprobs=2,
-        stop_sequences=("\n",), seed=7,
+        max_tokens=12, temperature=0.0, stop_sequences=("\n",), seed=7,
     )
     result = backend.generate("Q: capital of France?\nA:", params)
     assert result.text == " Paris"
@@ -180,6 +180,13 @@ def test_generate_wire_format_and_parsing(stub_server):
     assert body["seed"] == 7
     headers = stub_server.state.headers[-1]
     assert headers.get("Authorization") == "Bearer sk-secret"
+
+
+def test_backend_top_k_sets_logprobs_for_generation_and_scoring(stub_server):
+    backend = make_backend(stub_server, top_k=7)
+    backend.generate("hello", GenerationParams())
+    backend.score("cat sat", context="the hungry ")
+    assert [body["logprobs"] for body in stub_server.state.requests] == [7, 7]
 
 
 def test_generate_requires_prompt(stub_server):
@@ -228,6 +235,57 @@ def test_transport_error_reports_attempts():
     with pytest.raises(TransportError) as excinfo:
         backend.generate("hello", GenerationParams())
     assert excinfo.value.attempts == 3
+
+
+def _serve_cut_off_responses(listener: socket.socket, head: bytes, body: bytes,
+                             connections: list, stop: threading.Event) -> None:
+    """Answer every request with ``head`` and the start of ``body``, then
+    close the connection before the body is complete."""
+    listener.settimeout(0.05)
+    while not stop.is_set():
+        try:
+            conn, _ = listener.accept()
+        except socket.timeout:
+            continue
+        connections.append(conn)
+        with conn, conn.makefile("rb") as request:
+            conn.settimeout(5)
+            length = 0
+            while (line := request.readline()) not in (b"\r\n", b""):
+                if line.lower().startswith(b"content-length:"):
+                    length = int(line.split(b":")[1])
+            request.read(length)
+            conn.sendall(head + body[: len(body) // 2])
+
+
+@pytest.mark.parametrize("framing", ["chunked", "content-length"])
+def test_response_cut_off_mid_body_is_retried_as_transport_error(framing):
+    body = json.dumps({"choices": [{"text": " Paris"}]}).encode()
+    if framing == "chunked":
+        head = b"Transfer-Encoding: chunked\r\n\r\n"
+        body = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+    else:
+        head = b"Content-Length: %d\r\n\r\n" % len(body)
+    head = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n" + head
+    connections: list = []
+    stop = threading.Event()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        server = threading.Thread(target=_serve_cut_off_responses, daemon=True,
+                                  args=(listener, head, body, connections, stop))
+        server.start()
+        host, port = listener.getsockname()
+        backend = RemoteCompletionsBackend(
+            f"http://{host}:{port}/v1/completions", "m", backoff_base=0.001, timeout=5
+        )
+        try:
+            with pytest.raises(TransportError) as excinfo:
+                backend.generate("hello", GenerationParams())
+        finally:
+            stop.set()
+            server.join(timeout=5)
+    assert not server.is_alive()
+    assert excinfo.value.attempts == 3
+    assert len(connections) == 3
 
 
 def test_malformed_payload_is_protocol_error_and_not_retried(stub_server):

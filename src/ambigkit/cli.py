@@ -24,10 +24,11 @@ import argparse
 import contextlib
 import csv
 import io
-import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
 
 from .backend import Backend, GenerationParams
 from .config import RunConfig, apply_overrides, config_hash, load_config, make_backend
@@ -47,7 +48,6 @@ from .errors import (
     BackendError,
     ConfigurationError,
     DataIntegrityError,
-    ParseError,
 )
 from .evalkit import (
     PredictionRecord,
@@ -61,7 +61,14 @@ from .evalkit import (
     run_self_ask,
     write_predictions,
 )
-from .jsonio import write_json_atomic, write_jsonl_atomic, write_text_atomic
+from .jsonio import (
+    read_json_object,
+    record_at,
+    typed_field,
+    write_json_atomic,
+    write_jsonl_atomic,
+    write_text_atomic,
+)
 from .pipeline import (
     LabelKind,
     StageOnePartition,
@@ -69,6 +76,7 @@ from .pipeline import (
     read_labels,
     read_partition,
     read_records,
+    read_selection,
     select_and_balance,
     stage1_assess,
     stage2_disambiguate,
@@ -76,6 +84,7 @@ from .pipeline import (
     write_labels,
     write_partition,
     write_records,
+    write_selection,
 )
 from .sft import emit as sft_emit
 from .sft import verify as sft_verify
@@ -89,7 +98,7 @@ EXIT_BACKEND = 3
 EXIT_INTEGRITY = 4
 
 
-def _fail_if_total_outage(processed: int, errored: list | tuple) -> None:
+def _fail_if_total_outage(processed: int, errored: Sequence[tuple[str, str]]) -> None:
     # Per-sample backend failures are tolerated and excluded; a run where
     # nothing succeeded is a backend failure, not a result.
     if errored and processed == 0:
@@ -124,6 +133,8 @@ def _load_run(args) -> tuple[RunConfig, _Paths]:
         load_config(args.config),
         seed=args.seed, epsilon=args.epsilon, backend=args.backend, out=args.out,
     )
+    if getattr(args, "kind", None):  # label --kind
+        config = replace(config, label_kind=LabelKind(args.kind))
     return config, _Paths(config)
 
 
@@ -136,19 +147,12 @@ def _start(args) -> tuple[RunConfig, _Paths, dict[str, PromptTemplate]]:
     return config, paths, load_templates(config.template_dir)
 
 
-@contextlib.contextmanager
-def _backend(config: RunConfig, paths: _Paths):
-    """The command's backend. A remote one journals its deterministic
-    requests in the workdir, so no stage or rerun sends one twice; the toy
-    backend is the in-process oracle and has nothing to save."""
-    if config.backend.kind == "remote":
-        backend = make_backend(config.backend, journal=paths.journal)
-    else:
-        backend = make_backend(config.backend)
-    try:
-        yield backend
-    finally:
-        backend.close()
+def _backend(config: RunConfig, paths: _Paths) -> contextlib.closing[Backend]:
+    """The command's backend, closed on leaving the ``with``. A remote one
+    journals its deterministic requests in the workdir, so no stage or rerun
+    sends one twice; the toy backend is the in-process oracle and ignores the
+    journal."""
+    return contextlib.closing(make_backend(config.backend, journal=paths.journal))
 
 
 def _greedy_params(config: RunConfig) -> GenerationParams:
@@ -169,7 +173,7 @@ def _read_partition(config: RunConfig, paths: _Paths) -> StageOnePartition:
 def _write_manifest(config: RunConfig, paths: _Paths,
                     templates: dict[str, PromptTemplate], command: str,
                     outputs: list[str], extra: dict,
-                    backend: Backend | None = None) -> None:
+                    backend: Backend | None) -> None:
     backend_entry = {"kind": config.backend.kind}
     journal = getattr(backend, "journal", None)
     if journal is not None:
@@ -191,112 +195,111 @@ def _write_manifest(config: RunConfig, paths: _Paths,
     write_json_atomic(paths.workdir / f"manifest_{command}.json", manifest)
 
 
+class _Stage(NamedTuple):
+    """What a stage body hands back to ``_run_stage``: each output path with
+    the function that writes it there, the manifest's summary fields, the
+    line to print, and how many samples succeeded and which errored."""
+
+    writes: list[tuple[Path, Callable[[Path], object]]]
+    summary: dict
+    message: str
+    processed: int = 0
+    errored: Sequence[tuple[str, str]] = ()
+
+
+def _run_stage(args, command: str, body, *, uses_backend: bool = True) -> int:
+    """Run a stage command. ``body(args, config, paths, templates, backend)``
+    reads the inputs and runs the stage. Around it, this opens and closes the
+    backend (none when the stage does not use one), refuses a total outage
+    before anything is written, then writes the outputs,
+    ``manifest_<command>.json`` and the body's line."""
+    config, paths, templates = _start(args)
+    with (_backend(config, paths) if uses_backend else contextlib.nullcontext()) as backend:
+        stage = body(args, config, paths, templates, backend)
+    _fail_if_total_outage(stage.processed, stage.errored)
+    for path, write in stage.writes:
+        write(path)
+    _write_manifest(config, paths, templates, command,
+                    [str(path) for path, _ in stage.writes], stage.summary, backend)
+    print(stage.message)
+    return EXIT_OK
+
+
 # -- commands ------------------------------------------------------------------
 
 
-def cmd_assess(args) -> int:
-    config, paths, templates = _start(args)
+def _assess(args, config, paths, templates, backend) -> _Stage:
     samples = _dataset(config)
-    with _backend(config, paths) as backend:
-        partition = stage1_assess(
-            samples, backend, templates, _greedy_params(config),
-            mode=config.truncation_mode, rouge_threshold=config.rouge_threshold,
-        )
-    _fail_if_total_outage(
-        len(partition.correct) + len(partition.incorrect), partition.errored
+    partition = stage1_assess(
+        samples, backend, templates, _greedy_params(config),
+        mode=config.truncation_mode, rouge_threshold=config.rouge_threshold,
     )
-    write_partition(partition, paths.assess)
-    _write_manifest(config, paths, templates, "assess", [str(paths.assess)],
-                    {"correct": len(partition.correct),
-                     "incorrect": len(partition.incorrect),
-                     "errored": len(partition.errored)}, backend)
-    print(
-        f"assessed {len(samples)} samples: {len(partition.correct)} correct, "
-        f"{len(partition.incorrect)} incorrect, {len(partition.errored)} errored"
+    correct, incorrect = len(partition.correct), len(partition.incorrect)
+    return _Stage(
+        [(paths.assess, lambda path: write_partition(partition, path))],
+        {"correct": correct, "incorrect": incorrect, "errored": len(partition.errored)},
+        f"assessed {len(samples)} samples: {correct} correct, "
+        f"{incorrect} incorrect, {len(partition.errored)} errored",
+        correct + incorrect, partition.errored,
     )
-    return EXIT_OK
 
 
-def cmd_detect(args) -> int:
-    config, paths, templates = _start(args)
+def _detect(args, config, paths, templates, backend) -> _Stage:
     partition = _read_partition(config, paths)
-    with _backend(config, paths) as backend:
-        records, errored = stage2_disambiguate(
-            [a.sample for a in partition.incorrect], backend, templates,
-            _greedy_params(config), mode=config.truncation_mode, epsilon=config.epsilon,
-        )
-    _fail_if_total_outage(len(records), errored)
-    write_records(records, paths.records)
-    ambiguous = sum(1 for r in records if r.verdict.value == "perceived_ambiguous")
-    _write_manifest(config, paths, templates, "detect", [str(paths.records)],
-                    {"records": len(records), "perceived_ambiguous": ambiguous,
-                     "errored": len(errored)}, backend)
-    print(
-        f"disambiguated {len(records)} samples at epsilon={config.epsilon}: "
-        f"{ambiguous} perceived ambiguous, {len(errored)} errored"
+    records, errored = stage2_disambiguate(
+        [a.sample for a in partition.incorrect], backend, templates,
+        _greedy_params(config), mode=config.truncation_mode, epsilon=config.epsilon,
     )
-    return EXIT_OK
+    ambiguous = sum(1 for r in records if r.verdict.value == "perceived_ambiguous")
+    return _Stage(
+        [(paths.records, lambda path: write_records(records, path))],
+        {"records": len(records), "perceived_ambiguous": ambiguous,
+         "errored": len(errored)},
+        f"disambiguated {len(records)} samples at epsilon={config.epsilon}: "
+        f"{ambiguous} perceived ambiguous, {len(errored)} errored",
+        len(records), errored,
+    )
 
 
-def cmd_label(args) -> int:
-    config, paths, templates = _start(args)
-    if args.kind:
-        config = replace(config, label_kind=LabelKind(args.kind))
+def _label(args, config, paths, templates, backend) -> _Stage:
     partition = _read_partition(config, paths)
     records = read_records(paths.require(paths.records, "detect"))
     selection = select_and_balance(
         partition, records, config.strategy, config.epsilon, config.seed
     )
-    with _backend(config, paths) as backend:
-        labels = label_records(
-            selection.ambiguous, config.label_kind, backend, templates,
-            _greedy_params(config), master_seed=config.seed,
-        )
-    write_labels(labels, paths.labels)
-    write_json_atomic(
-        paths.selection,
-        {
-            "strategy": selection.strategy.value,
-            "epsilon": selection.epsilon,
-            "correct_ids": [a.sample.id for a in selection.correct],
-            "ambiguous_ids": [r.sample_id for r in selection.ambiguous],
-        },
+    labels = label_records(
+        selection.ambiguous, config.label_kind, backend, templates,
+        _greedy_params(config), master_seed=config.seed,
     )
-    _write_manifest(config, paths, templates, "label",
-                    [str(paths.labels), str(paths.selection)],
-                    {"labeled": len(labels)}, backend)
-    print(
+    return _Stage(
+        [(paths.labels, lambda path: write_labels(labels, path)),
+         (paths.selection, lambda path: write_selection(selection, path))],
+        {"labeled": len(labels)},
         f"selected {len(selection.correct)} correct + "
         f"{len(selection.ambiguous)} ambiguous ({config.strategy.value}); "
-        f"labeled with kind={config.label_kind.value}"
+        f"labeled with kind={config.label_kind.value}",
     )
-    return EXIT_OK
 
 
-def cmd_emit(args) -> int:
-    config, paths, templates = _start(args)
+def _emit(args, config, paths, templates, backend) -> _Stage:
     partition = _read_partition(config, paths)
-    records = {r.sample_id: r for r in read_records(paths.require(paths.records, "detect"))}
+    records = read_records(paths.require(paths.records, "detect"))
     labels = {
         label.sample_id: label
         for label in read_labels(paths.require(paths.labels, "label"))
     }
-    selection_file = paths.require(paths.selection, "label")
-    selection_obj = json.loads(selection_file.read_text(encoding="utf-8"))
-    assessed = partition.assessed_by_id()
-    try:
-        correct = [assessed[i] for i in selection_obj["correct_ids"]]
-        ambiguous = [records[i] for i in selection_obj["ambiguous_ids"]]
-    except KeyError as exc:
-        raise DataIntegrityError(f"selection references unknown sample {exc}") from exc
-    count = sft_emit(
-        correct, ambiguous, labels, templates["direct"], paths.sft,
-        master_seed=config.seed,
+    correct, ambiguous = read_selection(
+        paths.require(paths.selection, "label"), partition, records
     )
-    _write_manifest(config, paths, templates, "emit", [str(paths.sft)],
-                    {"records": count})
-    print(f"emitted {count} training records to {paths.sft}")
-    return EXIT_OK
+    # sft_emit writes one record per selected sample, or refuses.
+    count = len(correct) + len(ambiguous)
+    return _Stage(
+        [(paths.sft, lambda path: sft_emit(
+            correct, ambiguous, labels, templates["direct"], path, master_seed=config.seed,
+        ))],
+        {"records": count},
+        f"emitted {count} training records to {paths.sft}",
+    )
 
 
 def cmd_verify(args) -> int:
@@ -310,24 +313,50 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_INTEGRITY
 
 
-def _run_strategy(config: RunConfig, backend: Backend, strategy: str, samples,
-                  templates: dict[str, PromptTemplate]) -> list[PredictionRecord]:
-    params = _greedy_params(config)
-    if strategy == "direct":
-        return run_direct(samples, backend, templates, params)
-    if strategy == "ambig_aware":
-        return run_ambig_aware(samples, backend, templates, params)
-    if strategy == "sample_rep":
-        return run_sample_rep(
-            samples, backend, templates, params,
-            threshold=config.sample_rep.threshold,
-            num_samples=config.sample_rep.num_samples,
-            temperature=config.sample_rep.temperature,
-            master_seed=config.seed,
-        )
-    if strategy == "self_ask":
-        return run_self_ask(samples, backend, templates, params, master_seed=config.seed)
-    raise ConfigurationError(f"unknown eval strategy {strategy!r}")
+# Each eval strategy's predictions, from the config and the arguments every
+# run_* function takes. The lambdas look the run functions up when called,
+# so they stay patchable on this module.
+_STRATEGIES = {
+    "direct": lambda config, *run: run_direct(*run),
+    "ambig_aware": lambda config, *run: run_ambig_aware(*run),
+    "sample_rep": lambda config, *run: run_sample_rep(
+        *run,
+        threshold=config.sample_rep.threshold,
+        num_samples=config.sample_rep.num_samples,
+        temperature=config.sample_rep.temperature,
+        master_seed=config.seed,
+    ),
+    "self_ask": lambda config, *run: run_self_ask(*run, master_seed=config.seed),
+}
+
+
+def _eval_report(args, config: RunConfig, paths: _Paths, samples: list[QASample],
+                 predictions: list[PredictionRecord], name: str) -> tuple[Path, dict, str]:
+    """Where the report on ``predictions`` goes, its contents and its line."""
+    report = evaluate(samples, predictions, config.rouge_threshold)
+    out = Path(args.report) if args.report else paths.workdir / f"eval_{name}.json"
+    report_obj = report.to_obj({
+        "epsilon": config.epsilon,
+        "truncation_mode": config.truncation_mode.value,
+        "rouge_threshold": config.rouge_threshold,
+        "seed": config.seed,
+        "strategy": name,
+    })
+    return out, report_obj, f"F1_u: {report.f1_u:.4f}  F1_a: {report.f1_a:.4f}  ({out})"
+
+
+def _eval_strategy(name, args, config, paths, templates, backend) -> _Stage:
+    samples = _dataset(config)
+    predictions = _STRATEGIES[name](config, samples, backend, templates, _greedy_params(config))
+    errored = [(p.sample_id, p.error) for p in predictions if p.error is not None]
+    out, report_obj, message = _eval_report(args, config, paths, samples, predictions, name)
+    return _Stage(
+        [(paths.workdir / f"predictions_{name}.jsonl",
+          lambda path: write_predictions(predictions, path)),
+         (out, lambda path: write_json_atomic(path, report_obj))],
+        {"predictions": len(predictions), "errored": len(errored)},
+        message, len(predictions) - len(errored), errored,
+    )
 
 
 def _aggregate_reports(report_paths: list[Path]) -> dict:
@@ -337,14 +366,10 @@ def _aggregate_reports(report_paths: list[Path]) -> dict:
     for path in report_paths:
         if not path.is_file():
             raise ConfigurationError(f"report file not found: {path}")
-        try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc.msg}") from exc
-        for key in values:
-            if key not in obj:
-                raise ParseError(f"{path}: report lacks {key!r}")
-            values[key].append(float(obj[key]))
+        obj = read_json_object(path)
+        with record_at(path):
+            for key, vals in values.items():
+                vals.append(typed_field(obj, key, float))
     # Population standard deviation, defined for a single run as 0.
     return {
         "n": len(report_paths),
@@ -369,6 +394,9 @@ def cmd_eval(args) -> int:
             f"({out})"
         )
         return EXIT_OK
+    if not (args.compare or args.predictions):
+        name = args.strategy or "direct"
+        return _run_stage(args, f"eval_{name}", partial(_eval_strategy, name))
     config, paths, templates = _start(args)
     samples = _dataset(config)
     if args.compare:
@@ -378,44 +406,17 @@ def cmd_eval(args) -> int:
                                config.rouge_threshold).per_sample}
             for p in args.compare
         )
-        rate = mcr(before, after)
-        report_obj = {
-            "mcr": rate,
-            "before_correct": sum(1 for c in before.values() if c == 3),
-            "shifted": sum(
-                1 for sid, c in before.items() if c == 3 and after[sid] == 5
-            ),
-        }
+        regression = mcr(before, after)
         out = Path(args.report) if args.report else paths.workdir / "eval_compare.json"
-        write_json_atomic(out, report_obj)
+        write_json_atomic(out, asdict(regression))
+        rate = regression.mcr
         print(f"MCR: {'n/a' if rate is None else f'{rate:.4f}'} ({out})")
         return EXIT_OK
-
-    if args.predictions:
-        predictions = read_predictions(Path(args.predictions))
-        name = "predictions"
-    else:
-        name = args.strategy or "direct"
-        with _backend(config, paths) as backend:
-            predictions = _run_strategy(config, backend, name, samples, templates)
-        errored = [(p.sample_id, p.error) for p in predictions if p.error is not None]
-        _fail_if_total_outage(len(predictions) - len(errored), errored)
-        write_predictions(predictions, paths.workdir / f"predictions_{name}.jsonl")
-    report = evaluate(samples, predictions, config.rouge_threshold)
-    out = Path(args.report) if args.report else paths.workdir / f"eval_{name}.json"
-    write_json_atomic(
-        out,
-        report.to_obj(
-            {
-                "epsilon": config.epsilon,
-                "truncation_mode": config.truncation_mode.value,
-                "rouge_threshold": config.rouge_threshold,
-                "seed": config.seed,
-                "strategy": name,
-            }
-        ),
+    out, report_obj, message = _eval_report(
+        args, config, paths, samples, read_predictions(Path(args.predictions)), "predictions"
     )
-    print(f"F1_u: {report.f1_u:.4f}  F1_a: {report.f1_a:.4f}  ({out})")
+    write_json_atomic(out, report_obj)
+    print(message)
     return EXIT_OK
 
 
@@ -463,43 +464,40 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_ambiguate(args) -> int:
-    config, paths, templates = _start(args)
-    samples = _dataset(config)
+def _ambiguate(args, config, paths, templates, backend) -> _Stage:
     params = _greedy_params(config)
     accepted: list[QASample] = []
     rejects: list[dict] = []
-    with _backend(config, paths) as backend:
-        for sample in samples:
-            candidate = ambiguate(sample, backend, templates["ambiguate"], params)
-            if candidate is None:
-                rejects.append({"id": sample.id, "reason": "empty_generation"})
-                continue
-            if not validate_ambiguation(
-                candidate, backend, templates["ambiguation_validation"], params
-            ):
-                rejects.append({"id": sample.id, "reason": "validation_failed",
-                                "candidate": candidate})
-                continue
-            accepted.append(
-                QASample(
-                    id=sample.id,
-                    question=candidate,
-                    answers=sample.answers,
-                    gold_ambiguous=True,
-                    source=sample.source,
-                )
+    for sample in _dataset(config):
+        candidate = ambiguate(sample, backend, templates["ambiguate"], params)
+        if candidate is None:
+            rejects.append({"id": sample.id, "reason": "empty_generation"})
+            continue
+        if not validate_ambiguation(
+            candidate, backend, templates["ambiguation_validation"], params
+        ):
+            rejects.append({"id": sample.id, "reason": "validation_failed",
+                            "candidate": candidate})
+            continue
+        accepted.append(
+            QASample(
+                id=sample.id,
+                question=candidate,
+                answers=sample.answers,
+                gold_ambiguous=True,
+                source=sample.source,
             )
+        )
     if args.allowlist:
         accepted = filter_allowlist(accepted, args.allowlist)
     out = paths.workdir / "ambiguated.jsonl"
-    write_jsonl_atomic(out, (sample_to_obj(s) for s in accepted))
-    rejects_path = paths.workdir / "ambiguate_rejects.jsonl"
-    write_jsonl_atomic(rejects_path, rejects)
-    _write_manifest(config, paths, templates, "ambiguate", [str(out), str(rejects_path)],
-                    {"accepted": len(accepted), "rejected": len(rejects)}, backend)
-    print(f"ambiguated {len(accepted)} samples ({len(rejects)} rejected) -> {out}")
-    return EXIT_OK
+    return _Stage(
+        [(out, lambda path: write_jsonl_atomic(path, (sample_to_obj(s) for s in accepted))),
+         (paths.workdir / "ambiguate_rejects.jsonl",
+          lambda path: write_jsonl_atomic(path, rejects))],
+        {"accepted": len(accepted), "rejected": len(rejects)},
+        f"ambiguated {len(accepted)} samples ({len(rejects)} rejected) -> {out}",
+    )
 
 
 # -- parser ----------------------------------------------------------------------
@@ -540,9 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="run a baseline or score predictions")
     ev_mode = ev.add_mutually_exclusive_group()
-    ev_mode.add_argument("--strategy",
-                         choices=["direct", "ambig_aware", "sample_rep", "self_ask"],
-                         default=None,
+    ev_mode.add_argument("--strategy", choices=list(_STRATEGIES), default=None,
                          help="inference-only baseline to run (default: direct)")
     ev_mode.add_argument("--predictions", default=None,
                          help="score an external predictions JSONL instead")
@@ -570,14 +566,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS = {
-    "assess": cmd_assess,
-    "detect": cmd_detect,
-    "label": cmd_label,
-    "emit": cmd_emit,
+    "assess": partial(_run_stage, command="assess", body=_assess),
+    "detect": partial(_run_stage, command="detect", body=_detect),
+    "label": partial(_run_stage, command="label", body=_label),
+    "emit": partial(_run_stage, command="emit", body=_emit, uses_backend=False),
     "verify": cmd_verify,
     "eval": cmd_eval,
     "sweep": cmd_sweep,
-    "ambiguate": cmd_ambiguate,
+    "ambiguate": partial(_run_stage, command="ambiguate", body=_ambiguate),
 }
 
 

@@ -153,11 +153,21 @@ def f1_ambig(counts: OutcomeCounts) -> float:
     return _harmonic(precision, recall)
 
 
-def mcr(before: Mapping[str, int], after: Mapping[str, int]) -> float | None:
+@dataclass(frozen=True)
+class Regression:
+    """The regression rate of one run against another, and the two counts it
+    is the ratio of."""
+
+    mcr: float | None
+    before_correct: int
+    shifted: int
+
+
+def mcr(before: Mapping[str, int], after: Mapping[str, int]) -> Regression:
     """Fraction of before-correct unambiguous samples (category 3) that
     regressed to wrong clarification requests (category 5).
 
-    Returns None when no sample was in category 3 before.
+    The rate is None when no sample was in category 3 before.
     """
     if set(before) != set(after):
         missing = set(before).symmetric_difference(after)
@@ -165,10 +175,8 @@ def mcr(before: Mapping[str, int], after: Mapping[str, int]) -> float | None:
             f"before/after runs cover different sample ids: {sorted(missing)[:5]}"
         )
     base = [sid for sid, cat in before.items() if cat == 3]
-    if not base:
-        return None
     shifted = sum(1 for sid in base if after[sid] == 5)
-    return shifted / len(base)
+    return Regression(shifted / len(base) if base else None, len(base), shifted)
 
 
 def clarification_phrase(master_seed: int, purpose: str, sample_id: str) -> str:

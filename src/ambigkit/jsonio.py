@@ -8,7 +8,8 @@ DataIntegrityError that names the file, and nothing is written.
 
 Readers take each field through ``typed_field``, which checks the field's
 JSON type instead of coercing it, inside ``record_at``, which turns a
-missing or malformed field into a ParseError naming the line.
+missing or malformed field into a ParseError naming the line, or the file
+for a file that is one JSON object (``read_json_object``).
 """
 
 from __future__ import annotations
@@ -77,6 +78,18 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield line_number, obj
 
 
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object that is the whole of ``path``. A file that is not
+    JSON, or holds another JSON value, raises ParseError naming it."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: not a JSON object")
+    return obj
+
+
 _REQUIRED = object()
 # Accepted Python types and the name a message gives each field kind. No
 # number kind takes a boolean, although bool is an int.
@@ -111,13 +124,14 @@ def typed_field(obj: dict, key: str, kind: type, default: Any = _REQUIRED) -> An
 
 
 @contextlib.contextmanager
-def record_at(line_number: int) -> Iterator[None]:
+def record_at(where: int | str | Path) -> Iterator[None]:
     """Read one record: a missing field (KeyError) or a malformed one
     (TypeError, ValueError, OverflowError) becomes a ParseError naming
-    ``line_number``."""
+    ``where``, a line number or the file the record is."""
+    line, prefix = (where, "") if isinstance(where, int) else (None, f"{where}: ")
     try:
         yield
     except KeyError as exc:
-        raise ParseError(f"missing field {exc}", line_number) from exc
+        raise ParseError(f"{prefix}missing field {exc}", line) from exc
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(str(exc), line_number) from exc
+        raise ParseError(f"{prefix}{exc}", line) from exc

@@ -27,7 +27,14 @@ from .corpus import PromptTemplate, QASample, trim_continuation
 from .entropy import TruncationMode, Verdict, classify, entropy_profile, info_gain
 from .errors import BackendError, ConfigurationError, DataIntegrityError
 from .evalkit import DEFAULT_ROUGE_THRESHOLD, categorize, clarification_phrase, is_clarification
-from .jsonio import read_jsonl, record_at, typed_field, write_jsonl_atomic
+from .jsonio import (
+    read_json_object,
+    read_jsonl,
+    record_at,
+    typed_field,
+    write_json_atomic,
+    write_jsonl_atomic,
+)
 from .phrases import FIXED_CLARIFICATIONS
 from .seeding import derive_seed, rng_for
 
@@ -519,3 +526,33 @@ def read_labels(path: str | Path) -> list[ClarifyLabel]:
                 flags=typed_field(obj, "flags", tuple, ()),
             ))
     return labels
+
+
+def write_selection(selection: Selection, path: str | Path) -> None:
+    write_json_atomic(path, {
+        "strategy": selection.strategy.value,
+        "epsilon": selection.epsilon,
+        "correct_ids": [a.sample.id for a in selection.correct],
+        "ambiguous_ids": [r.sample_id for r in selection.ambiguous],
+    })
+
+
+def read_selection(
+    path: str | Path,
+    partition: StageOnePartition,
+    records: Sequence[DisambiguationRecord],
+) -> tuple[list[AssessedSample], list[DisambiguationRecord]]:
+    """The correct and ambiguous halves of the selection written to ``path``,
+    its ids resolved against the stage-1 partition and the stage-2 records.
+    The strategy and epsilon it also records are provenance, not read."""
+    obj = read_json_object(path)
+    with record_at(path):
+        correct_ids = typed_field(obj, "correct_ids", tuple)
+        ambiguous_ids = typed_field(obj, "ambiguous_ids", tuple)
+    assessed = partition.assessed_by_id()
+    records_by_id = {r.sample_id: r for r in records}
+    try:
+        return ([assessed[i] for i in correct_ids],
+                [records_by_id[i] for i in ambiguous_ids])
+    except KeyError as exc:
+        raise DataIntegrityError(f"{path}: selection references unknown sample {exc}") from exc

@@ -185,6 +185,8 @@ class RemoteCompletionsBackend(Backend):
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
+        # A session the caller passed in is the caller's to close.
+        self._owns_session = session is None
         self._session = session or requests.Session()
         self.parallelism = max(1, parallelism)
         self._semaphore = threading.Semaphore(self.parallelism)
@@ -193,6 +195,8 @@ class RemoteCompletionsBackend(Backend):
     def close(self) -> None:
         if self.journal is not None:
             self.journal.close()
+        if self._owns_session:
+            self._session.close()
 
     # -- transport -----------------------------------------------------------
 

@@ -171,7 +171,7 @@ def test_criterion_5_metric_fixtures():
 
     before = {f"s{i}": 3 for i in range(100)}
     after = {f"s{i}": 5 if i < 7 else 3 for i in range(100)}
-    assert mcr(before, after) == 0.07
+    assert mcr(before, after).mcr == 0.07
     ok(5, "F1 fixtures 0.8000/0.6667; clarification-free run scores F1a 0.00; "
           "7/100 regression rate is exactly 0.0700")
 

@@ -357,6 +357,21 @@ def test_eval_aggregate_missing_metric_is_parse_error(tmp_path):
     assert run("--config", str(config), "eval", "--aggregate", str(bad)) == 4
 
 
+@pytest.mark.parametrize("body", [
+    '{"f1_u": "x", "f1_a": 0.5}',
+    '{"f1_u": null, "f1_a": 0.5}',
+    '5',
+    '{"f1_u": NaN, "f1_a": 0.5}',
+    '{"f1_u": true, "f1_a": 0.5}',
+], ids=["text", "null", "not-an-object", "nan", "boolean"])
+def test_eval_aggregate_mistyped_report_exits_4(tmp_path, capsys, body):
+    config = make_config(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(body)
+    assert run("--config", str(config), "eval", "--aggregate", str(bad)) == 4
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_sweep_sample_rep_thresholds(tmp_path):
     config = make_config(tmp_path)
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 0
@@ -455,7 +470,7 @@ class RefuseQuestion(Backend):
 def s1_refused(monkeypatch):
     real = ambigkit.cli.make_backend
     monkeypatch.setattr(ambigkit.cli, "make_backend",
-                        lambda spec: RefuseQuestion(real(spec), "q1a q1b"))
+                        lambda spec, **kw: RefuseQuestion(real(spec, **kw), "q1a q1b"))
 
 
 def test_eval_predictions_rescore_keeps_errored_samples(tmp_path, s1_refused):
@@ -490,12 +505,13 @@ def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch):
     real = ambigkit.cli.make_backend
     # Every prompt contains the empty question, so every call is refused.
     monkeypatch.setattr(ambigkit.cli, "make_backend",
-                        lambda spec: RefuseQuestion(real(spec), ""))
+                        lambda spec, **kw: RefuseQuestion(real(spec, **kw), ""))
     config = make_config(tmp_path)
     out = workdir_of(config)
     assert run("--config", str(config), "eval", "--strategy", "direct") == 3
     assert not (out / "eval_direct.json").exists()
     assert not (out / "predictions_direct.jsonl").exists()
+    assert not (out / "manifest_eval_direct.json").exists()
 
 
 @pytest.mark.parametrize("patch", [
@@ -566,6 +582,21 @@ def test_mistyped_checkpoint_field_exits_4(tmp_path, capsys, chain_workdir,
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [
+    '{not json',
+    '[1,2]',
+    '{"correct_ids": 5, "ambiguous_ids": []}',
+    '{"correct_ids": []}',
+], ids=["not-json", "not-an-object", "ids-not-a-list", "ids-missing"])
+def test_malformed_selection_exits_4(tmp_path, capsys, chain_workdir, body):
+    config = make_config(tmp_path)
+    out = workdir_of(config)
+    shutil.copytree(chain_workdir, out)
+    (out / "selection.json").write_text(body)
+    assert run("--config", str(config), "emit") == 4
+    assert str(out / "selection.json") in capsys.readouterr().err
+
+
 def test_cli_import_loads_neither_toy_backend_nor_yaml():
     src = Path(ambigkit.cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -592,6 +623,10 @@ PINNED_OUTPUTS = {
     "manifest_assess.json": "dd32d645b89240ecee0b5250e759525e81441bf16ebbe906d59a3b5c65c099ec",
     "manifest_detect.json": "050cf3e39a899d275f97f4f5ff2e8377abe090bb418d3255f9b8b68be29a6c92",
     "manifest_emit.json": "38661b4b38b61c7cfd7024e53bee667eae0fd5d25522f83562b62189886c27c5",
+    "manifest_eval_ambig_aware.json": "521f263c33500203d13205c0da644aaf88e0b28c0459c88572facd2debe66bed",
+    "manifest_eval_direct.json": "4c29e0f5431a0ca367bee94593b8e09f998f11348b24360973b88fc0a516d966",
+    "manifest_eval_sample_rep.json": "d730eb1aa283c1d6c8bd4253f8f7e6f4ba31d2fe746ca5059a6428fe85841254",
+    "manifest_eval_self_ask.json": "1b1528fb64006c0c1be8d84c819fb25880cf7ceecf78812bad9bd954ef94fd5b",
     "manifest_label.json": "e574a1ca6c2106bccb4dd323d988e742403578d07185b84c4460f3d582a95f59",
     "predictions_ambig_aware.jsonl": "3ca3cecf9e657ac3e2a3b28893d3e6db0c9342b7ca9260ed0fbcf1ec7b1abd94",
     "predictions_direct.jsonl": "eb5095f8abcbc723803ca764b07393f6c8ed3cedcdb16f1e91ee944b08244829",

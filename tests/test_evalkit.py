@@ -210,28 +210,28 @@ def test_counts_reject_negative():
 def test_mcr_seven_of_hundred():
     before = {f"s{i}": 3 for i in range(100)}
     after = {f"s{i}": 5 if i < 7 else 3 for i in range(100)}
-    assert mcr(before, after) == 0.07
+    assert mcr(before, after).mcr == 0.07
 
 
 def test_mcr_no_shifts():
     before = {"a": 3, "b": 4}
     after = {"a": 3, "b": 5}  # b was not category 3 before
-    assert mcr(before, after) == 0.0
+    assert mcr(before, after).mcr == 0.0
 
 
 def test_mcr_all_shift():
     before = {"a": 3, "b": 3}
     after = {"a": 5, "b": 5}
-    assert mcr(before, after) == 1.0
+    assert mcr(before, after).mcr == 1.0
 
 
 def test_mcr_self_comparison_is_zero():
     run = {"a": 3, "b": 1, "c": 4}
-    assert mcr(run, run) == 0.0
+    assert mcr(run, run).mcr == 0.0
 
 
 def test_mcr_undefined_without_before_correct():
-    assert mcr({"a": 1}, {"a": 2}) is None
+    assert mcr({"a": 1}, {"a": 2}).mcr is None
 
 
 def test_mcr_id_mismatch_rejected():

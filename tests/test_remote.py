@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+import requests
 
 from ambigkit.backend import FinishReason, GenerationParams
 from ambigkit.cli import main
@@ -149,6 +150,7 @@ def stub_server():
     yield server
     server.shutdown()
     thread.join(timeout=5)
+    server.server_close()
 
 
 def make_backend(server, **kwargs) -> RemoteCompletionsBackend:
@@ -341,6 +343,32 @@ def test_debug_log_redacts_api_key(stub_server, caplog):
     joined = "\n".join(record.getMessage() for record in caplog.records)
     assert "sk-verysecret" not in joined
     assert "Bearer ***" in joined
+
+
+class RecordingSession(requests.Session):
+    def __init__(self):
+        super().__init__()
+        self.closed = False
+
+    def close(self):
+        self.closed = True
+        super().close()
+
+
+def test_close_closes_the_session_the_backend_created(monkeypatch):
+    monkeypatch.setattr(requests, "Session", RecordingSession)
+    backend = RemoteCompletionsBackend("http://127.0.0.1:9/v1/completions", "m")
+    backend.close()
+    assert backend._session.closed
+
+
+def test_close_leaves_a_callers_session_open():
+    session = RecordingSession()
+    backend = RemoteCompletionsBackend("http://127.0.0.1:9/v1/completions", "m",
+                                       session=session)
+    backend.close()
+    assert not session.closed
+    session.close()
 
 
 # -- realized-token consistency and non-finite constants -------------------------
@@ -545,6 +573,8 @@ def test_eval_direct_after_assess_sends_no_requests(stub_server, tmp_path):
     assert len(stub_server.state.requests) == sent
     manifest = json.loads((out / "manifest_assess.json").read_text())
     assert manifest["backend"] == {"kind": "remote", "journal": {"hits": 0, "misses": 9}}
+    manifest = json.loads((out / "manifest_eval_direct.json").read_text())
+    assert manifest["backend"] == {"kind": "remote", "journal": {"hits": 9, "misses": 0}}
 
 
 def test_remote_chain_rerun_is_served_from_the_journal(stub_server, tmp_path):

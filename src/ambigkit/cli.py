@@ -41,7 +41,6 @@ from .corpus import (
     load_templates,
     sample_to_obj,
     template_fingerprints,
-    validate_ambiguation,
 )
 from .errors import (
     AmbigkitError,
@@ -465,29 +464,7 @@ def cmd_sweep(args) -> int:
 
 
 def _ambiguate(args, config, paths, templates, backend) -> _Stage:
-    params = _greedy_params(config)
-    accepted: list[QASample] = []
-    rejects: list[dict] = []
-    for sample in _dataset(config):
-        candidate = ambiguate(sample, backend, templates["ambiguate"], params)
-        if candidate is None:
-            rejects.append({"id": sample.id, "reason": "empty_generation"})
-            continue
-        if not validate_ambiguation(
-            candidate, backend, templates["ambiguation_validation"], params
-        ):
-            rejects.append({"id": sample.id, "reason": "validation_failed",
-                            "candidate": candidate})
-            continue
-        accepted.append(
-            QASample(
-                id=sample.id,
-                question=candidate,
-                answers=sample.answers,
-                gold_ambiguous=True,
-                source=sample.source,
-            )
-        )
+    accepted, rejects = ambiguate(_dataset(config), backend, templates, _greedy_params(config))
     if args.allowlist:
         accepted = filter_allowlist(accepted, args.allowlist)
     out = paths.workdir / "ambiguated.jsonl"

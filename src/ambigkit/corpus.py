@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .backend import Backend, GenerationParams
+from .backend import Backend, GenerationParams, bounded_map
 from .errors import ConfigurationError, DataIntegrityError, TemplateError
 from .jsonio import read_jsonl, record_at, typed_field, write_jsonl_atomic
 
@@ -217,31 +217,33 @@ def first_word(text: str) -> str:
 
 
 def ambiguate(
-    sample: QASample,
+    samples: Sequence[QASample],
     backend: Backend,
-    template: PromptTemplate,
+    templates: Mapping[str, PromptTemplate],
     params: GenerationParams,
-) -> str | None:
-    """Generate one ambiguated rewrite of the question, or None if the model
-    produced nothing usable."""
-    if not sample.question:
-        raise ValueError("sample question must be non-empty")
-    result = backend.generate(template.render(question=sample.question), params)
-    candidate = trim_continuation(result.text)
-    return candidate or None
+) -> tuple[list[QASample], list[dict]]:
+    """Rewrite each question into an ambiguated candidate. A sample whose
+    validator reply starts with "yes" (case-insensitive) is accepted as
+    gold-ambiguous, with the candidate as its question; any other is a
+    ``{"id", "reason"}`` reject: ``empty_generation``, or
+    ``validation_failed`` with its ``candidate``. Both lists keep input
+    order. Up to ``backend.parallelism`` samples run at once; a backend
+    failure propagates."""
+    rewrite, validator = templates["ambiguate"], templates["ambiguation_validation"]
 
+    def one(sample: QASample) -> QASample | dict:
+        result = backend.generate(rewrite.render(question=sample.question), params)
+        candidate = trim_continuation(result.text)
+        if not candidate:
+            return {"id": sample.id, "reason": "empty_generation"}
+        reply = backend.generate(validator.render(candidate=candidate), params)
+        if first_word(trim_continuation(reply.text)) != "yes":
+            return {"id": sample.id, "reason": "validation_failed", "candidate": candidate}
+        return replace(sample, question=candidate, gold_ambiguous=True)
 
-def validate_ambiguation(
-    candidate: str,
-    backend: Backend,
-    template: PromptTemplate,
-    params: GenerationParams,
-) -> bool:
-    """True iff the validator's first word is "yes" (case-insensitive)."""
-    if not candidate:
-        raise ValueError("candidate must be non-empty")
-    result = backend.generate(template.render(candidate=candidate), params)
-    return first_word(trim_continuation(result.text)) == "yes"
+    outcomes = bounded_map(one, samples, backend.parallelism)
+    return ([o for o in outcomes if isinstance(o, QASample)],
+            [o for o in outcomes if not isinstance(o, QASample)])
 
 
 def filter_allowlist(

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from .backend import Backend, GenerationParams, bounded_map
 from .corpus import PromptTemplate, QASample, first_word, trim_continuation
-from .errors import BackendError, DataIntegrityError, ParseError
+from .errors import BackendError, DataIntegrityError
 from .jsonio import read_jsonl, record_at, typed_field, write_jsonl_atomic
 from .phrases import AMBIGUITY_MARKERS, FIXED_CLARIFICATIONS
 from .seeding import rng_for
@@ -199,11 +199,12 @@ class PredictionRecord:
 
 
 def write_predictions(predictions: Sequence[PredictionRecord], path: str | Path) -> None:
-    """One JSON line per record: id, prediction, the error if any, then the
-    extras. Flags are not written."""
+    """One JSON line per record: id, prediction, the error and the flags if
+    any, then the extras."""
     write_jsonl_atomic(path, (
         {"id": p.sample_id, "prediction": p.prediction,
-         **({"error": p.error} if p.error else {}), **p.extras}
+         **({"error": p.error} if p.error else {}),
+         **({"flags": p.flags} if p.flags else {}), **p.extras}
         for p in predictions
     ))
 
@@ -275,11 +276,9 @@ def judge_sample_rep(
     """
     if record.error is not None:
         return record
-    try:
-        consistency = float(record.extras["consistency"])
-        greedy = str(record.extras["greedy"])
-    except KeyError as exc:
-        raise ParseError(f"sample-rep record {record.sample_id!r} lacks {exc}") from exc
+    with record_at(f"sample-rep record {record.sample_id!r}"):
+        consistency = typed_field(record.extras, "consistency", float)
+        greedy = typed_field(record.extras, "greedy", str)
     ambiguous = consistency < threshold
     prediction = (clarification_phrase(master_seed, "sample_rep_phrase", record.sample_id)
                   if ambiguous else greedy)

@@ -214,30 +214,21 @@ def stage2_disambiguate(
             result = backend.generate(template.render(question=sample.question), params)
             disambig = trim_continuation(result.text)
             profile_q = entropy_profile(backend.score(sample.question, ""), mode)
-            if not disambig:
-                return DisambiguationRecord(
-                    sample_id=sample.id,
-                    query_text=sample.question,
-                    disambig_text="",
-                    h_query=profile_q.average_entropy,
-                    h_disambig=profile_q.average_entropy,
-                    info_gain=0.0,
-                    verdict=Verdict.PERCEIVED_UNAMBIGUOUS,
-                    flags=(EMPTY_DISAMBIGUATION_FLAG,),
-                )
-            profile_d = entropy_profile(backend.score(disambig, ""), mode)
-            gain = info_gain(profile_q, profile_d)
-            return DisambiguationRecord(
-                sample_id=sample.id,
-                query_text=sample.question,
-                disambig_text=disambig,
-                h_query=profile_q.average_entropy,
-                h_disambig=profile_d.average_entropy,
-                info_gain=gain,
-                verdict=classify(gain, epsilon),
-            )
+            profile_d = (entropy_profile(backend.score(disambig, ""), mode)
+                         if disambig else profile_q)
         except BackendError as exc:
             return (sample.id, str(exc))
+        gain = info_gain(profile_q, profile_d)
+        return DisambiguationRecord(
+            sample_id=sample.id,
+            query_text=sample.question,
+            disambig_text=disambig,
+            h_query=profile_q.average_entropy,
+            h_disambig=profile_d.average_entropy,
+            info_gain=gain,
+            verdict=classify(gain, epsilon) if disambig else Verdict.PERCEIVED_UNAMBIGUOUS,
+            flags=() if disambig else (EMPTY_DISAMBIGUATION_FLAG,),
+        )
 
     outcomes = bounded_map(one, samples, backend.parallelism)
     records = [o for o in outcomes if isinstance(o, DisambiguationRecord)]
@@ -264,19 +255,21 @@ def stage3_generated_label(
 ) -> ClarifyLabel:
     """Model-generated clarification request naming the ambiguity's source.
 
-    Outputs that do not read as a clarification request fall back to a fixed
-    phrase and are flagged.
+    A record without a rewrite, and an output that does not read as a
+    clarification request, fall back to a flagged fixed phrase; the first
+    makes no backend call and is also flagged ``empty_disambiguation``.
     """
-    if not record.disambig_text:
-        raise ValueError(f"record {record.sample_id} has an empty disambiguation")
-    prompt = templates["clarification"].render(
-        question=record.query_text, disambiguation=record.disambig_text
-    )
-    text = trim_continuation(backend.generate(prompt, params).text)
-    if text and is_clarification(text):
-        return ClarifyLabel(sample_id=record.sample_id, text=text, kind=LabelKind.GENERATED)
-    return replace(stage3_fixed_label(record.sample_id, master_seed),
-                   flags=(FALLBACK_FIXED_FLAG,))
+    if record.disambig_text:
+        prompt = templates["clarification"].render(
+            question=record.query_text, disambiguation=record.disambig_text
+        )
+        text = trim_continuation(backend.generate(prompt, params).text)
+        if text and is_clarification(text):
+            return ClarifyLabel(sample_id=record.sample_id, text=text, kind=LabelKind.GENERATED)
+        flags = (FALLBACK_FIXED_FLAG,)
+    else:
+        flags = (FALLBACK_FIXED_FLAG, EMPTY_DISAMBIGUATION_FLAG)
+    return replace(stage3_fixed_label(record.sample_id, master_seed), flags=flags)
 
 
 def label_records(
@@ -288,20 +281,16 @@ def label_records(
     *,
     master_seed: int,
 ) -> list[ClarifyLabel]:
-    """Label every record; generated labeling degrades to a flagged fixed
-    phrase for records without a usable rewrite."""
+    """Label every record, generated labels up to ``backend.parallelism`` at
+    a time."""
     if kind is LabelKind.FIXED:
         return [stage3_fixed_label(r.sample_id, master_seed) for r in records]
-
-    def one(record: DisambiguationRecord) -> ClarifyLabel:
-        if not record.disambig_text:
-            return replace(stage3_fixed_label(record.sample_id, master_seed),
-                           flags=(FALLBACK_FIXED_FLAG, EMPTY_DISAMBIGUATION_FLAG))
-        return stage3_generated_label(
+    return bounded_map(
+        lambda record: stage3_generated_label(
             record, backend, templates, params, master_seed=master_seed
-        )
-
-    return bounded_map(one, records, backend.parallelism)
+        ),
+        records, backend.parallelism,
+    )
 
 
 # -- selection and balancing -------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .corpus import PromptTemplate, load_templates
 from .errors import DataIntegrityError
-from .jsonio import read_jsonl, write_jsonl_atomic
+from .jsonio import read_jsonl, typed_field, write_jsonl_atomic
 from .phrases import FIXED_CLARIFICATIONS
 from .pipeline import AssessedSample, ClarifyLabel, DisambiguationRecord, LabelKind
 from .seeding import derive_seed
@@ -166,28 +166,33 @@ def verify(path: str | Path, answer_cue: str | None = None) -> VerifyReport:
         if missing:
             fail(f"missing field(s): {', '.join(missing)}")
             continue
-        record_id = str(obj["id"])
+        try:
+            record_id, prompt, completion, source = (
+                typed_field(obj, key, str) for key in ("id", "prompt", "completion", "source")
+            )
+            kind = typed_field(obj, "clarify_kind", str, None)
+        except TypeError as exc:
+            fail(str(exc))
+            continue
         if record_id in seen_ids:
             fail(f"duplicate id {record_id!r}")
         seen_ids.add(record_id)
-        source = obj["source"]
         if source not in ("correct", "ambig"):
             fail(f"bad source {source!r}")
             continue
         per_source[source] += 1
-        kind = obj.get("clarify_kind")
         if source == "ambig":
             if kind not in ("fixed", "generated"):
                 fail(f"ambiguous record needs clarify_kind, got {kind!r}")
             else:
                 per_kind[kind] += 1
-                if kind == "fixed" and obj["completion"] not in FIXED_CLARIFICATIONS:
+                if kind == "fixed" and completion not in FIXED_CLARIFICATIONS:
                     fail("fixed completion is not one of the canonical phrases")
         elif kind is not None:
             fail(f"correct record must not carry clarify_kind, got {kind!r}")
-        if not obj["completion"]:
+        if not completion:
             fail("empty completion")
-        if not str(obj["prompt"]).endswith(answer_cue):
+        if not prompt.endswith(answer_cue):
             fail(f"prompt does not end with the answer cue {answer_cue!r}")
     if per_source.get("correct", 0) != per_source.get("ambig", 0):
         failures.append(

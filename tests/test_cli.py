@@ -8,6 +8,8 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -386,6 +388,28 @@ def test_sweep_sample_rep_thresholds(tmp_path):
     assert rows[0]["f1_a"] == rows[1]["f1_a"]
 
 
+@pytest.mark.parametrize("field,value", [
+    ("consistency", "abc"),
+    ("consistency", None),
+    ("consistency", True),
+    ("consistency", float("nan")),
+    ("greedy", 5),
+], ids=["consistency-text", "consistency-null", "consistency-boolean",
+        "consistency-nan", "greedy-number"])
+def test_sweep_sample_rep_mistyped_field_exits_4(tmp_path, capsys, field, value):
+    config = make_config(tmp_path)
+    assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 0
+    predictions = workdir_of(config) / "predictions_sample_rep.jsonl"
+    first, *rest = predictions.read_text().splitlines(keepends=True)
+    row = {**json.loads(first), field: value}
+    predictions.write_text(json.dumps(row) + "\n" + "".join(rest))
+    capsys.readouterr()
+    assert run("--config", str(config), "sweep", "--sample-rep", str(predictions)) == 4
+    err = capsys.readouterr().err
+    assert f"sample-rep record {row['id']!r}" in err
+    assert repr(field) in err
+
+
 def test_ambiguate_command(tmp_path):
     config = make_config(tmp_path, dataset=str(FIXTURES / "ambiguate_input.jsonl"))
     assert run("--config", str(config), "ambiguate") == 0
@@ -407,6 +431,57 @@ def test_ambiguate_with_allowlist(tmp_path):
                "--allowlist", str(empty_allow)) == 0
     accepted = (workdir_of(config) / "ambiguated.jsonl").read_text().splitlines()
     assert accepted == []
+
+
+class PeakInFlight(Backend):
+    """Wraps a backend, holds each generation briefly and records the peak
+    number of generations in flight."""
+
+    def __init__(self, inner: Backend):
+        self.inner, self.parallelism = inner, inner.parallelism
+        self.lock = threading.Lock()
+        self.in_flight = self.peak = 0
+
+    def generate(self, prompt, params):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(0.05)
+            return self.inner.generate(prompt, params)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+    def score(self, text, context=""):
+        return self.inner.score(text, context)
+
+
+def test_ambiguate_runs_parallelism_samples_at_once(tmp_path, monkeypatch):
+    real = ambigkit.cli.make_backend
+    backends = []
+
+    def make_backend(spec, **kw):
+        backends.append(PeakInFlight(real(spec, **kw)))
+        return backends[-1]
+
+    monkeypatch.setattr(ambigkit.cli, "make_backend", make_backend)
+    config = make_config(tmp_path, dataset=str(FIXTURES / "ambiguate_input.jsonl"),
+                         backend={"parallelism": 3})
+    assert run("--config", str(config), "ambiguate") == 0
+    assert [b.peak for b in backends] == [3]
+
+
+def test_ambiguate_backend_failure_exits_3_and_writes_nothing(tmp_path, monkeypatch):
+    real = ambigkit.cli.make_backend
+    monkeypatch.setattr(ambigkit.cli, "make_backend",
+                        lambda spec, **kw: RefuseQuestion(real(spec, **kw), "q2a q2b"))
+    config = make_config(tmp_path, dataset=str(FIXTURES / "ambiguate_input.jsonl"))
+    assert run("--config", str(config), "ambiguate") == 3
+    out = workdir_of(config)
+    assert not (out / "ambiguated.jsonl").exists()
+    assert not (out / "ambiguate_rejects.jsonl").exists()
+    assert not (out / "manifest_ambiguate.json").exists()
 
 
 def test_label_kind_flag_overrides_config(tmp_path):
@@ -639,6 +714,14 @@ PINNED_OUTPUTS = {
 }
 
 
+# The same for the files `ambiguate` writes on tests/fixtures/ambiguate_input.jsonl.
+PINNED_AMBIGUATE_OUTPUTS = {
+    "ambiguate_rejects.jsonl": "143927138c15b9eb42b2bb7300df8b11b4ce79fc7033f94e7e082eebb42d4e7e",
+    "ambiguated.jsonl": "882f34a7b42dfd55f9cb40cd6b00553305c0476bf14859687bbb7ec07a57ba64",
+    "manifest_ambiguate.json": "ca599de4402d36dd2db2f31cb6ed803b2a9568dc65fe81bf2b9b1d805cbecabd",
+}
+
+
 def _pinned_bytes(path: Path, out: Path) -> bytes:
     if not path.name.startswith("manifest_"):
         return path.read_bytes()
@@ -667,3 +750,16 @@ def test_toy_chain_outputs_are_pinned(tmp_path):
         for path in sorted(out.iterdir())
     }
     assert digests == PINNED_OUTPUTS
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_ambiguate_outputs_are_pinned(tmp_path, parallelism):
+    config = make_config(tmp_path, dataset=str(FIXTURES / "ambiguate_input.jsonl"),
+                         backend={"parallelism": parallelism})
+    out = workdir_of(config)
+    assert run("--config", str(config), "ambiguate") == 0
+    digests = {
+        path.name: hashlib.sha256(_pinned_bytes(path, out)).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+    assert digests == PINNED_AMBIGUATE_OUTPUTS

@@ -17,7 +17,6 @@ from ambigkit.corpus import (
     save_dataset,
     template_fingerprints,
     trim_continuation,
-    validate_ambiguation,
 )
 from ambigkit.errors import (
     ConfigurationError,
@@ -222,18 +221,24 @@ def q(question, sid="a1", ambiguous=False, answers=("g",)):
 
 
 def test_ambiguate_returns_trimmed_candidate(toy_templates):
-    template = toy_templates["ambiguate"]
-    prompt = template.render(question="Who wrote the novel?")
-    backend = ScriptedBackend(exact={prompt: " Who wrote a novel? \nJunk"})
-    result = ambiguate(q("Who wrote the novel?"), backend, template,
-                       GenerationParams())
-    assert result == "Who wrote a novel?"
+    prompt = toy_templates["ambiguate"].render(question="Who wrote the novel?")
+    backend = ScriptedBackend(exact={prompt: " Who wrote a novel? \nJunk"},
+                              default="Yes")
+    sample = q("Who wrote the novel?")
+    accepted, rejects = ambiguate([sample], backend, toy_templates,
+                                  GenerationParams())
+    assert accepted == [QASample(id="a1", question="Who wrote a novel?",
+                                 answers=("g",), gold_ambiguous=True)]
+    assert rejects == []
 
 
 def test_ambiguate_discards_empty_generation(toy_templates):
-    template = toy_templates["ambiguate"]
     backend = ScriptedBackend(default="")
-    assert ambiguate(q("Whatever?"), backend, template, GenerationParams()) is None
+    accepted, rejects = ambiguate([q("Whatever?")], backend, toy_templates,
+                                  GenerationParams())
+    assert accepted == []
+    assert rejects == [{"id": "a1", "reason": "empty_generation"}]
+    assert len(backend.calls) == 1  # no validation without a candidate
 
 
 @pytest.mark.parametrize(
@@ -248,17 +253,32 @@ def test_ambiguate_discards_empty_generation(toy_templates):
     ],
 )
 def test_validate_ambiguation_first_word_rule(toy_templates, reply, expected):
-    template = toy_templates["ambiguation_validation"]
-    backend = ScriptedBackend(default=reply)
-    assert validate_ambiguation("candidate?", backend, template,
-                                GenerationParams()) is expected
+    prompt = toy_templates["ambiguate"].render(question="q?")
+    backend = ScriptedBackend(exact={prompt: "candidate?"}, default=reply)
+    accepted, rejects = ambiguate([q("q?")], backend, toy_templates,
+                                  GenerationParams())
+    if expected:
+        assert [(s.question, s.gold_ambiguous) for s in accepted] == [("candidate?", True)]
+        assert rejects == []
+    else:
+        assert accepted == []
+        assert rejects == [{"id": "a1", "reason": "validation_failed",
+                            "candidate": "candidate?"}]
 
 
-def test_validate_requires_candidate(toy_templates):
-    with pytest.raises(ValueError):
-        validate_ambiguation("", ScriptedBackend(),
-                             toy_templates["ambiguation_validation"],
-                             GenerationParams())
+def test_ambiguate_keeps_input_order(toy_templates):
+    samples = [q(f"q{i}?", sid=f"s{i}") for i in range(6)]
+    # Even samples rewrite to nothing; odd ones are validated.
+    rules = [(f"q{i}?", "" if i % 2 == 0 else f"amb{i}?") for i in range(6)]
+    backend = ScriptedBackend(rules=[("amb1?", "No"), *rules], default="Yes")
+    backend.parallelism = 3
+    accepted, rejects = ambiguate(samples, backend, toy_templates,
+                                  GenerationParams())
+    assert [s.id for s in accepted] == ["s3", "s5"]
+    assert [(r["id"], r["reason"]) for r in rejects] == [
+        ("s0", "empty_generation"), ("s1", "validation_failed"),
+        ("s2", "empty_generation"), ("s4", "empty_generation"),
+    ]
 
 
 def test_allowlist_filter(tmp_path, corpus_samples):

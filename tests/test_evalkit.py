@@ -18,11 +18,13 @@ from ambigkit.evalkit import (
     f1_unambig,
     is_clarification,
     mcr,
+    read_predictions,
     rouge_l,
     run_ambig_aware,
     run_direct,
     run_sample_rep,
     run_self_ask,
+    write_predictions,
 )
 from ambigkit.phrases import FIXED_CLARIFICATIONS
 
@@ -413,3 +415,17 @@ def test_evaluate_counts_errored_separately():
     assert report.counts.errored == 1
     assert report.counts.c3 == 1
     assert report.counts.ambiguous_total == 0
+
+
+def test_predictions_round_trip_keeps_flags(tmp_path):
+    predictions = [
+        PredictionRecord("a", "x", flags=("unparseable_verdict",), extras={"k": 1}),
+        PredictionRecord("b", "", error="refused"),
+        PredictionRecord("c", "y"),
+    ]
+    path = tmp_path / "predictions.jsonl"
+    write_predictions(predictions, path)
+    assert read_predictions(path) == predictions
+    assert path.read_text().splitlines()[0] == (
+        '{"id": "a", "prediction": "x", "flags": ["unparseable_verdict"], "k": 1}'
+    )

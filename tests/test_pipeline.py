@@ -15,6 +15,7 @@ from ambigkit.pipeline import (
     EMPTY_DISAMBIGUATION_FLAG,
     FALLBACK_FIXED_FLAG,
     AssessedSample,
+    ClarifyLabel,
     DisambiguationRecord,
     LabelKind,
     SelectionStrategy,
@@ -250,16 +251,20 @@ def test_generated_label_falls_back_when_not_clarifying(records, corpus_backend,
     assert label.text == stage3_fixed_label("s4", master_seed=0).text
 
 
-def test_generated_label_requires_rewrite(corpus_backend, toy_templates,
-                                          greedy_params):
+def test_generated_label_requires_rewrite(toy_templates, greedy_params):
     record = DisambiguationRecord(
         sample_id="x", query_text="q", disambig_text="", h_query=1.0,
         h_disambig=1.0, info_gain=0.0, verdict=Verdict.PERCEIVED_UNAMBIGUOUS,
         flags=(EMPTY_DISAMBIGUATION_FLAG,),
     )
-    with pytest.raises(ValueError):
-        stage3_generated_label(record, corpus_backend, toy_templates,
-                               greedy_params, master_seed=0)
+    backend = ScriptedBackend()
+    label = stage3_generated_label(record, backend, toy_templates,
+                                   greedy_params, master_seed=0)
+    assert label == ClarifyLabel(
+        sample_id="x", text=stage3_fixed_label("x", master_seed=0).text,
+        kind=LabelKind.FIXED, flags=(FALLBACK_FIXED_FLAG, EMPTY_DISAMBIGUATION_FLAG),
+    )
+    assert backend.calls == []
 
 
 def test_label_records_handles_empty_rewrites(toy_templates, greedy_params):

@@ -157,6 +157,26 @@ def test_verify_flags_corrupted_completion(tmp_path):
     assert "completion" in message
 
 
+@pytest.mark.parametrize("source,patch,field", [
+    ("correct", {"completion": ["paris"]}, "completion"),
+    ("correct", {"completion": {"x": 1}}, "completion"),
+    ("correct", {"id": None}, "id"),
+    ("correct", {"prompt": 5}, "prompt"),
+    ("correct", {"source": 1}, "source"),
+    ("ambig", {"clarify_kind": 1}, "clarify_kind"),
+], ids=["completion-list", "completion-object", "id-null", "prompt-number",
+        "source-number", "clarify_kind-number"])
+def test_verify_flags_mistyped_field(tmp_path, source, patch, field):
+    path = emit_small(tmp_path)
+    lines = path.read_text().splitlines()
+    index = next(i for i, l in enumerate(lines) if json.loads(l)["source"] == source)
+    lines[index] = json.dumps({**json.loads(lines[index]), **patch})
+    path.write_text("".join(l + "\n" for l in lines))
+    report = verify(path)
+    [message] = [m for n, m in report.failures if n == index + 1]
+    assert f"field {field!r}" in message
+
+
 def test_verify_flags_imbalance(tmp_path):
     path = emit_small(tmp_path)
     lines = path.read_text().splitlines()

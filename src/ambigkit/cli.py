@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import csv
 import io
+import math
 import sys
 from dataclasses import asdict, replace
 from functools import partial
@@ -36,9 +37,9 @@ from .corpus import (
     PromptTemplate,
     QASample,
     ambiguate,
-    filter_allowlist,
     load_dataset,
     load_templates,
+    read_allowlist,
     sample_to_obj,
     template_fingerprints,
 )
@@ -158,14 +159,8 @@ def _greedy_params(config: RunConfig) -> GenerationParams:
     return GenerationParams(max_tokens=config.max_tokens, temperature=0.0)
 
 
-def _dataset(config: RunConfig) -> list[QASample]:
-    if not Path(config.dataset).is_file():
-        raise ConfigurationError(f"dataset file not found: {config.dataset}")
-    return load_dataset(config.dataset)
-
-
 def _read_partition(config: RunConfig, paths: _Paths) -> StageOnePartition:
-    samples_by_id = {s.id: s for s in _dataset(config)}
+    samples_by_id = {s.id: s for s in load_dataset(config.dataset)}
     return read_partition(paths.require(paths.assess, "assess"), samples_by_id)
 
 
@@ -228,7 +223,7 @@ def _run_stage(args, command: str, body, *, uses_backend: bool = True) -> int:
 
 
 def _assess(args, config, paths, templates, backend) -> _Stage:
-    samples = _dataset(config)
+    samples = load_dataset(config.dataset)
     partition = stage1_assess(
         samples, backend, templates, _greedy_params(config),
         mode=config.truncation_mode, rouge_threshold=config.rouge_threshold,
@@ -345,7 +340,7 @@ def _eval_report(args, config: RunConfig, paths: _Paths, samples: list[QASample]
 
 
 def _eval_strategy(name, args, config, paths, templates, backend) -> _Stage:
-    samples = _dataset(config)
+    samples = load_dataset(config.dataset)
     predictions = _STRATEGIES[name](config, samples, backend, templates, _greedy_params(config))
     errored = [(p.sample_id, p.error) for p in predictions if p.error is not None]
     out, report_obj, message = _eval_report(args, config, paths, samples, predictions, name)
@@ -363,8 +358,6 @@ def _aggregate_reports(report_paths: list[Path]) -> dict:
 
     values: dict[str, list[float]] = {"f1_u": [], "f1_a": []}
     for path in report_paths:
-        if not path.is_file():
-            raise ConfigurationError(f"report file not found: {path}")
         obj = read_json_object(path)
         with record_at(path):
             for key, vals in values.items():
@@ -397,7 +390,7 @@ def cmd_eval(args) -> int:
         name = args.strategy or "direct"
         return _run_stage(args, f"eval_{name}", partial(_eval_strategy, name))
     config, paths, templates = _start(args)
-    samples = _dataset(config)
+    samples = load_dataset(config.dataset)
     if args.compare:
         before, after = (
             {o.sample_id: o.category
@@ -426,6 +419,8 @@ def _parse_floats(text: str, what: str) -> list[float]:
         raise ConfigurationError(f"bad {what} list: {text!r}") from exc
     if not values:
         raise ConfigurationError(f"empty {what} list")
+    if not all(map(math.isfinite, values)):
+        raise ConfigurationError(f"{what} values must be finite, got {text!r}")
     return values
 
 
@@ -437,7 +432,7 @@ def cmd_sweep(args) -> int:
         thresholds = _parse_floats(
             args.thresholds or "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0", "threshold"
         )
-        samples = _dataset(config)
+        samples = load_dataset(config.dataset)
         recorded = read_predictions(Path(args.sample_rep))
         writer.writerow(["threshold", "f1_u", "f1_a"])
         for threshold in thresholds:
@@ -463,10 +458,19 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _ambiguate(args, config, paths, templates, backend) -> _Stage:
-    accepted, rejects = ambiguate(_dataset(config), backend, templates, _greedy_params(config))
-    if args.allowlist:
-        accepted = filter_allowlist(accepted, args.allowlist)
+def cmd_ambiguate(args) -> int:
+    # The allowlist is read before the backend opens, so a bad one costs no
+    # backend call.
+    allowed = read_allowlist(args.allowlist) if args.allowlist else None
+    return _run_stage(args, "ambiguate", partial(_ambiguate, allowed))
+
+
+def _ambiguate(allowed, args, config, paths, templates, backend) -> _Stage:
+    accepted, rejects = ambiguate(
+        load_dataset(config.dataset), backend, templates, _greedy_params(config)
+    )
+    if allowed is not None:
+        accepted = [s for s in accepted if s.id in allowed]
     out = paths.workdir / "ambiguated.jsonl"
     return _Stage(
         [(out, lambda path: write_jsonl_atomic(path, (sample_to_obj(s) for s in accepted))),
@@ -550,7 +554,7 @@ _HANDLERS = {
     "verify": cmd_verify,
     "eval": cmd_eval,
     "sweep": cmd_sweep,
-    "ambiguate": partial(_run_stage, command="ambiguate", body=_ambiguate),
+    "ambiguate": cmd_ambiguate,
 }
 
 

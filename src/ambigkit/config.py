@@ -16,8 +16,9 @@ from urllib.parse import urlsplit
 
 from .backend import Backend
 from .entropy import TruncationMode
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataIntegrityError
 from .evalkit import DEFAULT_ROUGE_THRESHOLD
+from .jsonio import read_json_object
 from .pipeline import LabelKind, SelectionStrategy
 
 
@@ -66,6 +67,10 @@ class SampleRepConfig:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.threshold):
+            raise ConfigurationError(
+                f"sample_rep threshold must be finite, got {self.threshold}"
+            )
         if self.num_samples < 1:
             raise ConfigurationError("sample_rep num_samples must be >= 1")
         if not self.temperature >= 0:
@@ -127,14 +132,10 @@ def _section(cls, obj: object, where: str, convert: dict):
 def load_config(path: str | Path) -> RunConfig:
     """Load, validate, and path-resolve a JSON config file."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigurationError(f"config file not found: {path}")
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigurationError("config must be a JSON object")
+        obj = read_json_object(path)
+    except DataIntegrityError as exc:  # not UTF-8, not JSON or not an object
+        raise ConfigurationError(f"bad config: {exc}") from exc
     if "dataset" not in obj:
         raise ConfigurationError("config requires a 'dataset' path")
 

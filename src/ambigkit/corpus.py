@@ -18,11 +18,11 @@ import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .backend import Backend, GenerationParams, bounded_map
-from .errors import ConfigurationError, DataIntegrityError, TemplateError
-from .jsonio import read_jsonl, record_at, typed_field, write_jsonl_atomic
+from .errors import DataIntegrityError, TemplateError
+from .jsonio import input_file, read_jsonl, record_at, typed_field
 
 # Trailing characters ignored when parsing one-word verdicts like "Yes.".
 _WORD_PUNCT = ".,!?;:"
@@ -95,10 +95,6 @@ def sample_to_obj(sample: QASample) -> dict:
         obj["ambiguous"] = sample.gold_ambiguous
     obj["source"] = sample.source
     return obj
-
-
-def save_dataset(samples: Iterable[QASample], path: str | Path) -> None:
-    write_jsonl_atomic(path, (sample_to_obj(s) for s in samples))
 
 
 def trim_continuation(text: str) -> str:
@@ -192,9 +188,8 @@ def load_templates(directory: str | Path | None = None) -> dict[str, PromptTempl
     templates: dict[str, PromptTemplate] = {}
     for name, slots in TEMPLATE_SLOTS.items():
         path = base / f"{name}.txt"
-        if not path.is_file():
-            raise ConfigurationError(f"template file not found: {path}")
-        body = path.read_text(encoding="utf-8")
+        with input_file(path):
+            body = path.read_text(encoding="utf-8")
         if body.endswith("\n"):
             body = body[:-1]
         templates[name] = PromptTemplate(name=name, body=body, slots=slots)
@@ -246,11 +241,8 @@ def ambiguate(
             [o for o in outcomes if not isinstance(o, QASample)])
 
 
-def filter_allowlist(
-    samples: Sequence[QASample], allowlist_path: str | Path
-) -> list[QASample]:
-    """Keep only samples whose id appears in the allowlist file (one id per
-    line), preserving input order. Stands in for a human-validation pass."""
-    with open(allowlist_path, "r", encoding="utf-8") as fh:
-        allowed = {line.strip() for line in fh if line.strip()}
-    return [s for s in samples if s.id in allowed]
+def read_allowlist(path: str | Path) -> frozenset[str]:
+    """The sample ids listed in an allowlist file, one per line. Keeping only
+    these stands in for a human-validation pass."""
+    with input_file(path), open(path, "r", encoding="utf-8") as fh:
+        return frozenset(line.strip() for line in fh if line.strip())

@@ -120,10 +120,6 @@ class OutcomeCounts:
         if min(self.c1, self.c2, self.c3, self.c4, self.c5, self.errored) < 0:
             raise DataIntegrityError("outcome counts must be non-negative")
 
-    @property
-    def ambiguous_total(self) -> int:
-        return self.c1 + self.c2
-
 
 def _harmonic(precision: float, recall: float) -> float:
     if precision + recall == 0:

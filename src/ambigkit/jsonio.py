@@ -6,10 +6,13 @@ endings and insertion-ordered keys, giving byte-stable files for identical
 inputs. A NaN or infinite float is not JSON: writing one raises a
 DataIntegrityError that names the file, and nothing is written.
 
-Readers take each field through ``typed_field``, which checks the field's
-JSON type instead of coercing it, inside ``record_at``, which turns a
-missing or malformed field into a ParseError naming the line, or the file
-for a file that is one JSON object (``read_json_object``).
+Every reader reads its file inside ``input_file``: a file that cannot be
+read raises a ConfigurationError and one that is not UTF-8 a ParseError,
+each naming the file. Readers take each field through ``typed_field``,
+which checks the field's JSON type instead of coercing it, inside
+``record_at``, which turns a missing or malformed field into a ParseError
+naming the line, or the file for a file that is one JSON object
+(``read_json_object``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from .errors import DataIntegrityError, ParseError
+from .errors import ConfigurationError, DataIntegrityError, ParseError
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -63,9 +66,22 @@ def write_json_atomic(path: str | Path, obj: object) -> None:
     write_text_atomic(path, _dump_to(path, obj, indent=2) + "\n")
 
 
+@contextlib.contextmanager
+def input_file(path: str | Path) -> Iterator[None]:
+    """Read the input file ``path``: an OSError (a missing file, say) becomes
+    a ConfigurationError and a UnicodeDecodeError a ParseError, each naming
+    ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, object) pairs; malformed lines raise ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with input_file(path), open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -81,9 +97,11 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 def read_json_object(path: str | Path) -> dict:
     """The JSON object that is the whole of ``path``. A file that is not
     JSON, or holds another JSON value, raises ParseError naming it."""
+    with input_file(path):
+        text = Path(path).read_text(encoding="utf-8")
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: not a JSON object")

@@ -36,7 +36,7 @@ from .jsonio import (
     write_jsonl_atomic,
 )
 from .phrases import FIXED_CLARIFICATIONS
-from .seeding import derive_seed, rng_for
+from .seeding import derive_seed
 
 EMPTY_DISAMBIGUATION_FLAG = "empty_disambiguation"
 FALLBACK_FIXED_FLAG = "fallback_fixed"
@@ -85,10 +85,6 @@ class StageOnePartition:
             incorrect=tuple(a for a in assessed if a.category not in (1, 3)),
             errored=tuple(errored),
         )
-
-    @property
-    def categories(self) -> dict[str, int]:
-        return {a.sample.id: a.category for a in self.correct + self.incorrect}
 
     def assessed_by_id(self) -> dict[str, AssessedSample]:
         return {a.sample.id: a for a in self.correct + self.incorrect}
@@ -307,25 +303,6 @@ def _perceived_ambiguous(
     ]
 
 
-def _gold_ambiguous_pool(
-    records: Sequence[DisambiguationRecord],
-    assessed: Mapping[str, AssessedSample],
-    strategy: SelectionStrategy,
-) -> list[DisambiguationRecord]:
-    pool = []
-    for record in records:
-        entry = assessed.get(record.sample_id)
-        gold = entry.sample.gold_ambiguous if entry is not None else None
-        if gold is None:
-            raise ConfigurationError(
-                f"strategy {strategy.value} requires gold ambiguity labels; "
-                f"sample {record.sample_id!r} has none"
-            )
-        if gold:
-            pool.append(record)
-    return pool
-
-
 def select_and_balance(
     partition: StageOnePartition,
     records: Sequence[DisambiguationRecord],
@@ -335,68 +312,60 @@ def select_and_balance(
 ) -> Selection:
     """Pick the ambiguous half per the strategy and balance both halves.
 
-    The perceived-ambiguity strategy ignores gold labels entirely. The
-    ablation and subset strategies draw from the gold-ambiguous records and
-    select as many samples as the perceived-ambiguity pool holds, so every
-    strategy trains on the same budget. If the correct half is larger it is
-    subsampled (seeded, keyed by sample id); if smaller, the ambiguous
-    ranking is truncated to match, largest-gain first for the
-    perceived-ambiguity strategy and by each strategy's own order otherwise.
+    The pool is the perceived-ambiguous records for ``apa_infogain``, which
+    ignores gold labels entirely, and the gold-ambiguous records for every
+    other strategy. The pool is sorted by the strategy's key and cut to the
+    perceived-ambiguous count, so every strategy trains on the same budget;
+    ``gt_random``'s key is a seeded draw per sample id. Both halves are then
+    cut to the smaller one's size: the ambiguous half keeps its first
+    records, the correct half a seeded subset (keyed by sample id) in its
+    own order.
     """
-    perceived = sorted(
-        _perceived_ambiguous(records, epsilon), key=lambda r: -r.info_gain
-    )
+    perceived = _perceived_ambiguous(records, epsilon)
+    assessed = partition.assessed_by_id()
     if strategy is SelectionStrategy.APA_INFOGAIN:
-        ranked = perceived
+        pool = perceived
     else:
-        budget = len(perceived)
-        assessed = partition.assessed_by_id()
-        pool = _gold_ambiguous_pool(records, assessed, strategy)
-        if strategy is SelectionStrategy.GT_MAX_INFOGAIN:
-            ranked = sorted(pool, key=lambda r: -r.info_gain)[:budget]
-        elif strategy is SelectionStrategy.GT_MIN_INFOGAIN:
-            ranked = sorted(pool, key=lambda r: r.info_gain)[:budget]
-        elif strategy is SelectionStrategy.GT_RANDOM:
-            shuffled = list(pool)
-            rng_for(master_seed, strategy.value).shuffle(shuffled)
-            ranked = shuffled[:budget]
-        elif strategy is SelectionStrategy.ANSWER_ENTROPY:
-            missing = [r.sample_id for r in pool if assessed[r.sample_id].answer_entropy is None]
-            if missing:
+        pool = []
+        for record in records:
+            entry = assessed.get(record.sample_id)
+            gold = entry.sample.gold_ambiguous if entry is not None else None
+            if gold is None:
                 raise ConfigurationError(
-                    f"answer entropy missing for sample(s): {missing[:5]}"
+                    f"strategy {strategy.value} requires gold ambiguity labels; "
+                    f"sample {record.sample_id!r} has none"
                 )
-            ranked = sorted(pool, key=lambda r: -assessed[r.sample_id].answer_entropy)[:budget]
-        else:  # pragma: no cover - enum is exhaustive
-            raise ConfigurationError(f"unknown strategy {strategy}")
-
+            if gold:
+                pool.append(record)
+    if strategy is SelectionStrategy.ANSWER_ENTROPY:
+        missing = [r.sample_id for r in pool if assessed[r.sample_id].answer_entropy is None]
+        if missing:
+            raise ConfigurationError(f"answer entropy missing for sample(s): {missing[:5]}")
+    rank_key = {
+        SelectionStrategy.APA_INFOGAIN: lambda r: -r.info_gain,
+        SelectionStrategy.GT_MAX_INFOGAIN: lambda r: -r.info_gain,
+        SelectionStrategy.GT_MIN_INFOGAIN: lambda r: r.info_gain,
+        SelectionStrategy.GT_RANDOM: lambda r: derive_seed(master_seed, "gt_random", r.sample_id),
+        SelectionStrategy.ANSWER_ENTROPY: lambda r: -assessed[r.sample_id].answer_entropy,
+    }[strategy]
+    ranked = sorted(pool, key=rank_key)[:len(perceived)]
     if not ranked:
         raise ConfigurationError(
             "no ambiguous samples were selected; lower epsilon "
             f"(currently {epsilon}) or check the detection records"
         )
 
-    n = len(partition.correct)
-    m = len(ranked)
-    if n > m:
-        keep = {
-            a.sample.id
-            for a in sorted(
-                partition.correct,
-                key=lambda a: derive_seed(master_seed, "balance_correct", a.sample.id),
-            )[:m]
-        }
-        correct_final = tuple(a for a in partition.correct if a.sample.id in keep)
-        ambiguous_final = tuple(ranked)
-    elif n < m:
-        correct_final = partition.correct
-        ambiguous_final = tuple(ranked[:n])
-    else:
-        correct_final = partition.correct
-        ambiguous_final = tuple(ranked)
+    size = min(len(partition.correct), len(ranked))
+    correct = partition.correct
+    if len(correct) > size:  # a smaller correct half is kept whole, undrawn
+        keep = set(sorted(
+            (a.sample.id for a in correct),
+            key=lambda sample_id: derive_seed(master_seed, "balance_correct", sample_id),
+        )[:size])
+        correct = tuple(a for a in correct if a.sample.id in keep)
     return Selection(
-        correct=correct_final,
-        ambiguous=ambiguous_final,
+        correct=correct,
+        ambiguous=tuple(ranked[:size]),
         strategy=strategy,
         epsilon=epsilon,
     )

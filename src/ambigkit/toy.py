@@ -47,7 +47,8 @@ from .backend import (
     ScoringResult,
     TokenDistribution,
 )
-from .errors import DataIntegrityError, NormalizationError, VocabularyError
+from .errors import DataIntegrityError, NormalizationError, ParseError, VocabularyError
+from .jsonio import input_file
 
 _VECTOR_SUM_TOLERANCE = 1e-12
 
@@ -129,8 +130,11 @@ def _parse_prob(value: object, where: str) -> float:
 
 def load_ngram_table(path: str | Path) -> NgramTable:
     """Load and validate a table fixture from a YAML file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+    with input_file(path), open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ParseError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataIntegrityError(f"{path}: fixture must be a mapping")
     try:
@@ -141,6 +145,8 @@ def load_ngram_table(path: str | Path) -> NgramTable:
         rows = doc.get("rows", {}) or {}
     except KeyError as exc:
         raise DataIntegrityError(f"{path}: missing fixture key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataIntegrityError(f"{path}: bad fixture value: {exc}") from exc
     index = {tok: i for i, tok in enumerate(vocabulary)}
     tables: dict[tuple[str, ...], tuple[float, ...]] = {}
     for key, sparse in rows.items():
@@ -276,8 +282,3 @@ class ToyBackend(Backend):
             out.append(self._distribution_for(vector, token, piece))
             seen.append(token)
         return ScoringResult(tokens=tuple(out))
-
-
-def as_backend(table: NgramTable, top_k: int | None = None) -> ToyBackend:
-    """Wrap a table as a Backend; ``top_k=None`` means full vocabulary."""
-    return ToyBackend(table, top_k=top_k)

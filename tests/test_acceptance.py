@@ -41,7 +41,7 @@ from ambigkit.pipeline import (
     sweep_epsilon,
 )
 from ambigkit.sft import verify as sft_verify
-from ambigkit.toy import as_backend, load_ngram_table
+from ambigkit.toy import ToyBackend, load_ngram_table
 
 from conftest import FIXTURES, table_path
 from helpers import ScriptedBackend, rouge_oracle, table_entropies
@@ -70,7 +70,7 @@ def test_criterion_1_entropy_oracle():
     positions = 0
     for name, texts in cases:
         table = load_ngram_table(table_path(name))
-        backend = as_backend(table)  # full top-k
+        backend = ToyBackend(table)  # full top-k
         for text in texts:
             profile = entropy_profile(backend.score(text, ""), TruncationMode.EXACT)
             oracle = table_entropies(table, text)
@@ -78,7 +78,7 @@ def test_criterion_1_entropy_oracle():
             for got, want in zip(profile.per_token_entropy, oracle):
                 assert abs(got - want) <= 1e-12
                 positions += 1
-    uniform = as_backend(load_ngram_table(table_path("uniform4")))
+    uniform = ToyBackend(load_ngram_table(table_path("uniform4")))
     profile = entropy_profile(uniform.score("a", ""), TruncationMode.EXACT)
     assert abs(profile.average_entropy - math.log(4)) <= 1e-12
     elapsed = time.monotonic() - started
@@ -91,7 +91,7 @@ def test_criterion_1_entropy_oracle():
 
 
 def test_criterion_2_info_gain_identities():
-    backend = as_backend(load_ngram_table(table_path("bigram_ab")))
+    backend = ToyBackend(load_ngram_table(table_path("bigram_ab")))
     a = entropy_profile(backend.score("a b a", ""), TruncationMode.EXACT)
     b = entropy_profile(backend.score("a b a", ""), TruncationMode.EXACT)
     assert info_gain(a, b) == 0.0
@@ -159,7 +159,7 @@ def test_criterion_5_metric_fixtures():
     assert abs(f1_ambig(OutcomeCounts(c1=30, c2=20, c5=10)) - 0.6667) <= 1e-4
 
     samples = load_dataset(FIXTURES / "direct_eval.jsonl")
-    backend = as_backend(load_ngram_table(table_path("corpus_world")))
+    backend = ToyBackend(load_ngram_table(table_path("corpus_world")))
     from ambigkit.corpus import load_templates
 
     templates = load_templates(FIXTURES / "toy_templates")

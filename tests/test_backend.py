@@ -11,7 +11,7 @@ from ambigkit.backend import (
     bounded_map,
 )
 from ambigkit.errors import NormalizationError
-from ambigkit.toy import as_backend, load_ngram_table
+from ambigkit.toy import ToyBackend, load_ngram_table
 
 from conftest import table_path
 
@@ -88,7 +88,7 @@ def test_distribution_tolerates_float_fuzz():
 def test_realized_token_listed_when_probable():
     # With top_k=2 on the (0.5, 0.3, 0.15, 0.05) vector, any realized token
     # with probability above the 2nd alternative's must be listed.
-    backend = as_backend(load_ngram_table(table_path("skewed")), top_k=2)
+    backend = ToyBackend(load_ngram_table(table_path("skewed")), top_k=2)
     dist = backend.score("p", "").tokens[0]
     listed = {t for t, _ in dist.top_alternatives}
     k_th = min(math.exp(lp) for _, lp in dist.top_alternatives)

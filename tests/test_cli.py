@@ -19,6 +19,7 @@ from ambigkit.backend import Backend
 from ambigkit.cli import main
 from ambigkit.errors import TransportError
 from ambigkit.sft import verify as sft_verify
+from ambigkit.toy import ToyBackend
 
 from conftest import FIXTURES
 
@@ -433,6 +434,22 @@ def test_ambiguate_with_allowlist(tmp_path):
     assert accepted == []
 
 
+def test_ambiguate_allowlist_keeps_listed_ids_in_input_order(tmp_path):
+    # Three samples the toy world accepts; the allowlist names two of them in
+    # reverse input order, plus an id that is not in the dataset.
+    s1 = json.loads((FIXTURES / "ambiguate_input.jsonl").read_text().splitlines()[0])
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(json.dumps({**s1, "id": i}) + "\n" for i in ("a", "b", "c")))
+    allow = tmp_path / "allow.txt"
+    allow.write_text("c\nnobody\na\n")
+    config = make_config(tmp_path, dataset=str(dataset))
+    assert run("--config", str(config), "ambiguate", "--allowlist", str(allow)) == 0
+    out = workdir_of(config)
+    accepted = [json.loads(l) for l in (out / "ambiguated.jsonl").read_text().splitlines()]
+    assert [r["id"] for r in accepted] == ["a", "c"]
+    assert (out / "ambiguate_rejects.jsonl").read_text() == ""
+
+
 class PeakInFlight(Backend):
     """Wraps a backend, holds each generation briefly and records the peak
     number of generations in flight."""
@@ -598,12 +615,79 @@ def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch):
     {"backend": {"top_k": 99}},  # the fixture's vocabulary has 65 tokens
     {"sample_rep": {"threshold": 0.5, "num_samples": 0, "temperature": 1.0}},
     {"sample_rep": {"threshold": 0.5, "num_samples": 10, "temperature": -1.0}},
+    {"sample_rep": {"threshold": float("nan")}},
+    {"sample_rep": {"threshold": float("inf")}},
 ], ids=["epsilon-text", "epsilon-null", "epsilon-list", "top_k-0", "top_k-negative",
-        "top_k-over-vocabulary", "num_samples-0", "temperature-negative"])
+        "top_k-over-vocabulary", "num_samples-0", "temperature-negative",
+        "threshold-nan", "threshold-inf"])
 def test_bad_config_value_exits_2(tmp_path, capsys, patch):
     config = make_config(tmp_path, **patch)
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,grid", [
+    ("--thresholds", "nan"),
+    ("--thresholds", "0.5,inf"),
+    ("--thresholds", "-inf"),
+    ("--epsilons", "nan"),
+], ids=["thresholds-nan", "thresholds-inf", "thresholds-negative-inf", "epsilons-nan"])
+def test_non_finite_sweep_grid_exits_2(tmp_path, capsys, flag, grid):
+    config = make_config(tmp_path)
+    assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 0
+    out = workdir_of(config)
+    sample_rep = ["--sample-rep", str(out / "predictions_sample_rep.jsonl")]
+    argv = [*(sample_rep if flag == "--thresholds" else []), f"{flag}={grid}"]
+    assert run("--config", str(config), "sweep", *argv) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not list(out.glob("*_sweep.csv"))
+
+
+NOT_UTF8 = b'{"id": "s1", "question": "caf\xe9"}\n'
+
+
+@pytest.mark.parametrize("content,patch,command,code", [
+    (None, {}, ["ambiguate", "--allowlist", "FILE"], 2),
+    (None, {}, ["eval", "--predictions", "FILE"], 2),
+    (None, {}, ["eval", "--compare", "FILE", "FILE"], 2),
+    (None, {}, ["eval", "--aggregate", "FILE"], 2),
+    (None, {}, ["sweep", "--sample-rep", "FILE"], 2),
+    (None, {}, ["verify", "FILE"], 2),
+    (None, {"dataset": "FILE"}, ["assess"], 2),
+    (None, {"backend": {"fixture": "FILE"}}, ["assess"], 2),
+    (NOT_UTF8, {"dataset": "FILE"}, ["assess"], 4),
+    (NOT_UTF8, {}, ["eval", "--predictions", "FILE"], 4),
+    (NOT_UTF8, {}, ["verify", "FILE"], 4),
+    (NOT_UTF8, {}, ["--config", "FILE", "assess"], 2),
+    (b"order: [2,\n", {"backend": {"fixture": "FILE"}}, ["assess"], 4),
+    (b"order: two\n", {"backend": {"fixture": "FILE"}}, ["assess"], 4),
+], ids=["allowlist", "predictions", "compare", "aggregate", "sample-rep", "verify",
+        "dataset", "fixture", "dataset-not-utf8", "predictions-not-utf8",
+        "verify-not-utf8", "config-not-utf8", "fixture-not-yaml", "fixture-bad-order"])
+def test_unreadable_input_file_exits_2_or_4(tmp_path, capsys, monkeypatch,
+                                           content, patch, command, code):
+    """A missing file (content None) exits 2, and a file that is not UTF-8
+    or a malformed fixture exits 4, except a config, which exits 2. Each
+    names the file, and none makes a backend call."""
+    target = tmp_path / "input"
+    if content is not None:
+        target.write_bytes(content)
+
+    def fill(value):
+        return str(target) if value == "FILE" else value
+
+    config = make_config(tmp_path, **{
+        key: {k: fill(v) for k, v in value.items()} if isinstance(value, dict) else fill(value)
+        for key, value in patch.items()
+    })
+
+    def no_call(self, *args, **kwargs):
+        raise AssertionError("backend called")
+
+    monkeypatch.setattr(ToyBackend, "generate", no_call)
+    monkeypatch.setattr(ToyBackend, "score", no_call)
+    assert run("--config", str(config), *map(fill, command)) == code
+    assert str(target) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("endpoint,flag", [
@@ -670,6 +754,27 @@ def test_malformed_selection_exits_4(tmp_path, capsys, chain_workdir, body):
     (out / "selection.json").write_text(body)
     assert run("--config", str(config), "emit") == 4
     assert str(out / "selection.json") in capsys.readouterr().err
+
+
+# SHA-256 of the selection.json that `label` writes for each strategy on the
+# toy chain's checkpoints.
+PINNED_SELECTIONS = {
+    "apa_infogain": "eda5bf87430d2797c33934c33ec81be6d611b1177eccea435174984206ea8dbf",
+    "gt_random": "cae7c7190c184f03dca6638fe4a95b25b9b543db879296d0cd37389e6badf789",
+    "gt_max_infogain": "a0e82449aa85d263b0235942b75094c3187bd13d251544db89f073137b2f396c",
+    "gt_min_infogain": "8858000a10f72a9754d18fb6872ba965617a8d3385b45f607e45be1b3b77b985",
+    "answer_entropy": "e853728ce31be3c24d895ce2411911add21743058f46240b538bb33ad7bfac6d",
+}
+
+
+@pytest.mark.parametrize("strategy", list(PINNED_SELECTIONS))
+def test_selection_is_pinned_for_every_strategy(tmp_path, chain_workdir, strategy):
+    config = make_config(tmp_path, strategy=strategy)
+    out = workdir_of(config)
+    shutil.copytree(chain_workdir, out)
+    assert run("--config", str(config), "label") == 0
+    digest = hashlib.sha256((out / "selection.json").read_bytes()).hexdigest()
+    assert digest == PINNED_SELECTIONS[strategy]
 
 
 def test_cli_import_loads_neither_toy_backend_nor_yaml():

@@ -11,10 +11,10 @@ from ambigkit.corpus import (
     PromptTemplate,
     QASample,
     ambiguate,
-    filter_allowlist,
     load_dataset,
     load_templates,
-    save_dataset,
+    read_allowlist,
+    sample_to_obj,
     template_fingerprints,
     trim_continuation,
 )
@@ -24,6 +24,7 @@ from ambigkit.errors import (
     ParseError,
     TemplateError,
 )
+from ambigkit.jsonio import write_jsonl_atomic
 
 from helpers import ScriptedBackend
 
@@ -110,7 +111,7 @@ def test_duplicate_ids_rejected(tmp_path):
 
 def test_save_load_round_trip(tmp_path, corpus_samples):
     path = tmp_path / "round.jsonl"
-    save_dataset(corpus_samples, path)
+    write_jsonl_atomic(path, (sample_to_obj(s) for s in corpus_samples))
     assert load_dataset(path) == corpus_samples
 
 
@@ -179,6 +180,13 @@ def test_marker_must_appear_exactly_once():
 
 def test_missing_template_file_is_config_error(tmp_path):
     with pytest.raises(ConfigurationError):
+        load_templates(tmp_path)
+
+
+def test_template_file_not_utf8_is_parse_error(tmp_path):
+    (tmp_path / "direct.txt").write_bytes(b"Q: <question>\nA:")
+    (tmp_path / "disambiguation.txt").write_bytes(b"caf\xe9 <question>")
+    with pytest.raises(ParseError, match="disambiguation.txt"):
         load_templates(tmp_path)
 
 
@@ -281,8 +289,7 @@ def test_ambiguate_keeps_input_order(toy_templates):
     ]
 
 
-def test_allowlist_filter(tmp_path, corpus_samples):
+def test_allowlist_filter(tmp_path):
     path = tmp_path / "allow.txt"
     path.write_text("s3\ns1\n\n", encoding="utf-8")
-    kept = filter_allowlist(corpus_samples, path)
-    assert [s.id for s in kept] == ["s1", "s3"]  # input order preserved
+    assert read_allowlist(path) == {"s1", "s3"}

@@ -17,7 +17,7 @@ from ambigkit.entropy import (
     token_entropy,
 )
 from ambigkit.errors import ConfigurationError, EmptyInputError, NormalizationError
-from ambigkit.toy import as_backend, load_ngram_table
+from ambigkit.toy import ToyBackend, load_ngram_table
 
 from conftest import table_path
 from helpers import table_entropies
@@ -78,7 +78,7 @@ def test_exact_mode_rejects_tail():
 
 
 def test_profile_average_is_mean():
-    backend = as_backend(load_ngram_table(table_path("bigram_ab")))
+    backend = ToyBackend(load_ngram_table(table_path("bigram_ab")))
     profile = entropy_profile(backend.score("a b a", ""), TruncationMode.EXACT)
     assert profile.token_count == 3
     assert profile.average_entropy == pytest.approx(
@@ -87,7 +87,7 @@ def test_profile_average_is_mean():
 
 
 def test_single_token_profile_equals_its_entropy():
-    backend = as_backend(load_ngram_table(table_path("bigram_ab")))
+    backend = ToyBackend(load_ngram_table(table_path("bigram_ab")))
     profile = entropy_profile(backend.score("a", ""), TruncationMode.EXACT)
     assert profile.average_entropy == profile.per_token_entropy[0]
 
@@ -111,7 +111,7 @@ def test_empty_scoring_rejected():
 )
 def test_profile_matches_table_oracle(table_name, text):
     table = load_ngram_table(table_path(table_name))
-    backend = as_backend(table)  # full top-k
+    backend = ToyBackend(table)  # full top-k
     profile = entropy_profile(backend.score(text, ""), TruncationMode.EXACT)
     expected = table_entropies(table, text)
     assert len(profile.per_token_entropy) == len(expected)
@@ -130,7 +130,7 @@ def profile(values, mode=TruncationMode.EXACT):
 
 
 def test_identical_profiles_zero_gain():
-    backend = as_backend(load_ngram_table(table_path("bigram_ab")))
+    backend = ToyBackend(load_ngram_table(table_path("bigram_ab")))
     a = entropy_profile(backend.score("a b", ""), TruncationMode.EXACT)
     b = entropy_profile(backend.score("a b", ""), TruncationMode.EXACT)
     assert info_gain(a, b) == 0.0
@@ -185,7 +185,7 @@ def test_uniform_query_vs_one_hot_rewrite_gains_ln4():
             ("d1",): vector({"d2": 1.0}),
         },
     )
-    backend = as_backend(table)
+    backend = ToyBackend(table)
     h_query = entropy_profile(backend.score("u1 u2", ""), TruncationMode.EXACT)
     h_rewrite = entropy_profile(backend.score("d1 d2", "c0"), TruncationMode.EXACT)
     gain = info_gain(h_query, h_rewrite)

@@ -414,7 +414,7 @@ def test_evaluate_counts_errored_separately():
     report = evaluate(samples, predictions)
     assert report.counts.errored == 1
     assert report.counts.c3 == 1
-    assert report.counts.ambiguous_total == 0
+    assert report.counts.c1 + report.counts.c2 == 0
 
 
 def test_predictions_round_trip_keeps_flags(tmp_path):

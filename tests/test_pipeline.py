@@ -67,7 +67,8 @@ def records(assessed, corpus_backend, toy_templates, greedy_params):
 
 
 def test_stage1_categories(assessed):
-    assert assessed.categories == EXPECTED_CATEGORIES
+    categories = {a.sample.id: a.category for a in assessed.correct + assessed.incorrect}
+    assert categories == EXPECTED_CATEGORIES
 
 
 def test_stage1_partition_membership(assessed):
@@ -436,6 +437,25 @@ def test_gt_random_is_seeded_subset_of_gold_pool():
         r.sample_id for r in second.ambiguous
     ]
     assert {r.sample_id for r in first.ambiguous} <= gold
+
+
+def test_gt_random_draws_per_sample_id():
+    # Six perceived-ambiguous and six other gold-ambiguous records: a gold
+    # pool of 12 over a budget of 6, with correct samples to spare.
+    gains = {**{f"p{i}": 0.5 for i in range(6)}, **{f"u{i}": 0.05 for i in range(6)}}
+
+    def picks(gains: dict[str, float], seed: int) -> list[str]:
+        partition, records = build_world(20, gains)
+        selection = select_and_balance(partition, records, SelectionStrategy.GT_RANDOM,
+                                       0.1, master_seed=seed)
+        return [r.sample_id for r in selection.ambiguous]
+
+    for seed in range(5):
+        chosen = picks(gains, seed)
+        assert len(chosen) == 6
+        assert picks(dict(reversed(gains.items())), seed) == chosen
+        grown = picks({**gains, "extra": 0.05}, seed)
+        assert len(set(chosen) - set(grown)) <= 1
 
 
 def test_answer_entropy_strategy_ranks_by_score():

@@ -6,7 +6,7 @@ import pytest
 
 from ambigkit.backend import FinishReason, GenerationParams
 from ambigkit.errors import DataIntegrityError, NormalizationError, VocabularyError
-from ambigkit.toy import NgramTable, ToyBackend, as_backend, load_ngram_table
+from ambigkit.toy import NgramTable, ToyBackend, load_ngram_table
 
 from conftest import table_path
 
@@ -62,14 +62,14 @@ def test_context_length_must_match_order():
 
 
 def test_full_top_k_has_zero_tail(bigram):
-    backend = as_backend(bigram)  # top_k = |V|
+    backend = ToyBackend(bigram)  # top_k = |V|
     result = backend.score("a b", "")
     for dist in result.tokens:
         assert dist.tail_mass == 0.0
 
 
 def test_top_k_two_tail_mass():
-    backend = as_backend(load_ngram_table(table_path("skewed")), top_k=2)
+    backend = ToyBackend(load_ngram_table(table_path("skewed")), top_k=2)
     # First position distribution is (0.5, 0.3, 0.15, 0.05).
     dist = backend.score("p", "").tokens[0]
     assert len(dist.top_alternatives) == 2
@@ -77,7 +77,7 @@ def test_top_k_two_tail_mass():
 
 
 def test_greedy_tie_breaks_by_vocabulary_order():
-    backend = as_backend(load_ngram_table(table_path("greedy_tie")))
+    backend = ToyBackend(load_ngram_table(table_path("greedy_tie")))
     # "zz" precedes "aa" in the vocabulary, so it wins the 0.5/0.5 tie.
     result = backend.generate("t", GenerationParams(max_tokens=3))
     assert result.text == "zz"
@@ -85,7 +85,7 @@ def test_greedy_tie_breaks_by_vocabulary_order():
 
 
 def test_greedy_modal_chain_stops():
-    backend = as_backend(load_ngram_table(table_path("arithmetic")))
+    backend = ToyBackend(load_ngram_table(table_path("arithmetic")))
     result = backend.generate("2+2=", GenerationParams(max_tokens=8))
     assert result.text == "4"
     assert result.finish_reason is FinishReason.STOP
@@ -97,7 +97,7 @@ def test_empty_prompt_rejected(corpus_backend):
 
 
 def test_seeded_sampling_deterministic():
-    backend = as_backend(load_ngram_table(table_path("bigram_ab")))
+    backend = ToyBackend(load_ngram_table(table_path("bigram_ab")))
     params = GenerationParams(max_tokens=6, temperature=1.0, seed=7)
     first = backend.generate("a", params)
     second = backend.generate("a", params)
@@ -108,14 +108,14 @@ def test_seeded_sampling_deterministic():
 
 
 def test_generation_token_texts_concatenate_to_text():
-    backend = as_backend(load_ngram_table(table_path("onehot_chain")))
+    backend = ToyBackend(load_ngram_table(table_path("onehot_chain")))
     result = backend.generate("go", GenerationParams(max_tokens=8))
     assert result.text == "left then right"
     assert "".join(t.token_text for t in result.tokens) == result.text
 
 
 def test_score_round_trips_generation_logprobs(bigram):
-    backend = as_backend(bigram)
+    backend = ToyBackend(bigram)
     params = GenerationParams(max_tokens=5, temperature=1.0, seed=3)
     generated = backend.generate("a", params)
     assert generated.text
@@ -133,7 +133,7 @@ def test_score_token_count_matches_tokenizer(corpus_backend):
 
 
 def test_score_reads_tables_directly(bigram):
-    result = as_backend(bigram).score("a b", "")
+    result = ToyBackend(bigram).score("a b", "")
     assert result.token_count == 2
     assert result.tokens[0].token_logprob == pytest.approx(math.log(0.5), abs=1e-15)
     assert result.tokens[1].token_logprob == pytest.approx(math.log(0.6), abs=1e-15)
@@ -146,7 +146,7 @@ def test_scoring_is_pure(corpus_backend):
 
 
 def test_zero_probability_continuation_rejected(bigram):
-    backend = as_backend(bigram)
+    backend = ToyBackend(bigram)
     with pytest.raises(NormalizationError):
         backend.score("<s>", "a")  # p(<s> | a) = 0
 
@@ -159,7 +159,7 @@ def test_stop_sequence_token(corpus_backend):
 
 
 def test_max_tokens_exhaustion_reports_length():
-    backend = as_backend(load_ngram_table(table_path("onehot_chain")))
+    backend = ToyBackend(load_ngram_table(table_path("onehot_chain")))
     result = backend.generate("go", GenerationParams(max_tokens=2))
     assert result.text == "left then"
     assert result.finish_reason is FinishReason.LENGTH

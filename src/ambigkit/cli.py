@@ -303,7 +303,8 @@ def cmd_verify(args) -> int:
     report = sft_verify(target, answer_cue=templates["direct"].answer_cue)
     print(f"verify {target}: {report.summary()}")
     for line_number, message in report.failures:
-        print(f"  line {line_number}: {message}", file=sys.stderr)
+        print(f"  line {line_number}: {message}" if line_number else f"  {message}",
+              file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_INTEGRITY
 
 

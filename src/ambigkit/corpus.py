@@ -49,10 +49,10 @@ class QASample:
             )
 
 
-def _sample_from_obj(obj: dict, line_number: int) -> QASample:
+def _sample_from_obj(obj: dict, path: str | Path, line_number: int) -> QASample:
     """An integer id reads as its string form; every other field keeps its
     JSON type."""
-    with record_at(line_number):
+    with record_at(path, line_number):
         sample_id = obj["id"]
         if type(sample_id) not in (str, int):
             raise TypeError(
@@ -75,10 +75,10 @@ def load_dataset(path: str | Path) -> list[QASample]:
     samples: list[QASample] = []
     seen: set[str] = set()
     for line_number, obj in read_jsonl(path):
-        sample = _sample_from_obj(obj, line_number)
+        sample = _sample_from_obj(obj, path, line_number)
         if sample.id in seen:
             raise DataIntegrityError(
-                f"line {line_number}: duplicate sample id {sample.id!r}"
+                f"{path} line {line_number}: duplicate sample id {sample.id!r}"
             )
         seen.add(sample.id)
         samples.append(sample)

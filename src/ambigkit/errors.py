@@ -46,13 +46,17 @@ class DataIntegrityError(AmbigkitError):
 
 
 class ParseError(DataIntegrityError):
-    """A serialized record could not be parsed."""
+    """A serialized record could not be parsed. The message starts with
+    where: ``<where> line <n>: ``, or either part alone."""
 
-    def __init__(self, message: str, line_number: int | None = None):
+    def __init__(self, message: str, line_number: int | None = None,
+                 where: object = None):
+        place = [] if where is None else [str(where)]
         if line_number is not None:
-            message = f"line {line_number}: {message}"
+            place.append(f"line {line_number}")
+        if place:
+            message = f"{' '.join(place)}: {message}"
         super().__init__(message)
-        self.line_number = line_number
 
 
 class TemplateError(DataIntegrityError):

@@ -210,7 +210,7 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
     errored sample; ``flags`` is optional; other fields become extras."""
     predictions = []
     for line_number, obj in read_jsonl(path):
-        with record_at(line_number):
+        with record_at(path, line_number):
             predictions.append(PredictionRecord(
                 typed_field(obj, "id", str), typed_field(obj, "prediction", str),
                 error=typed_field(obj, "error", str, None),

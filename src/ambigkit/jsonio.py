@@ -11,8 +11,8 @@ read raises a ConfigurationError and one that is not UTF-8 a ParseError,
 each naming the file. Readers take each field through ``typed_field``,
 which checks the field's JSON type instead of coercing it, inside
 ``record_at``, which turns a missing or malformed field into a ParseError
-naming the line, or the file for a file that is one JSON object
-(``read_json_object``).
+naming the file and the line, or the file alone for a file that is one
+JSON object (``read_json_object``).
 """
 
 from __future__ import annotations
@@ -76,11 +76,12 @@ def input_file(path: str | Path) -> Iterator[None]:
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        raise ParseError(f"not UTF-8 text ({exc.reason})", where=path) from exc
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, object) pairs; malformed lines raise ParseError."""
+    """Yield (line_number, object) pairs; a malformed line raises a
+    ParseError naming ``path`` and the line."""
     with input_file(path), open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
@@ -88,9 +89,9 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_number) from exc
+                raise ParseError(f"invalid JSON: {exc.msg}", line_number, path) from exc
             if not isinstance(obj, dict):
-                raise ParseError("record is not a JSON object", line_number)
+                raise ParseError("record is not a JSON object", line_number, path)
             yield line_number, obj
 
 
@@ -102,9 +103,9 @@ def read_json_object(path: str | Path) -> dict:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+        raise ParseError(f"invalid JSON: {exc}", where=path) from exc
     if not isinstance(obj, dict):
-        raise ParseError(f"{path}: not a JSON object")
+        raise ParseError("not a JSON object", where=path)
     return obj
 
 
@@ -142,14 +143,13 @@ def typed_field(obj: dict, key: str, kind: type, default: Any = _REQUIRED) -> An
 
 
 @contextlib.contextmanager
-def record_at(where: int | str | Path) -> Iterator[None]:
+def record_at(where: str | Path, line_number: int | None = None) -> Iterator[None]:
     """Read one record: a missing field (KeyError) or a malformed one
     (TypeError, ValueError, OverflowError) becomes a ParseError naming
-    ``where``, a line number or the file the record is."""
-    line, prefix = (where, "") if isinstance(where, int) else (None, f"{where}: ")
+    ``where`` (the record's file, or what the record is) and its line."""
     try:
         yield
     except KeyError as exc:
-        raise ParseError(f"{prefix}missing field {exc}", line) from exc
+        raise ParseError(f"missing field {exc}", line_number, where) from exc
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{prefix}{exc}", line) from exc
+        raise ParseError(str(exc), line_number, where) from exc

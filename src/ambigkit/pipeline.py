@@ -404,7 +404,7 @@ def read_partition(
     assessed_samples: list[AssessedSample] = []
     errored: list[tuple[str, str]] = []
     for line_number, obj in read_jsonl(path):
-        with record_at(line_number):
+        with record_at(path, line_number):
             sample_id = typed_field(obj, "id", str)
             if "error" in obj:
                 errored.append((sample_id, typed_field(obj, "error", str)))
@@ -412,7 +412,7 @@ def read_partition(
             sample = samples_by_id.get(sample_id)
             if sample is None:
                 raise DataIntegrityError(
-                    f"line {line_number}: sample {sample_id!r} not in the dataset"
+                    f"{path} line {line_number}: sample {sample_id!r} not in the dataset"
                 )
             category = typed_field(obj, "category", int)
             if not 1 <= category <= 5:
@@ -448,7 +448,7 @@ def write_records(records: Sequence[DisambiguationRecord], path: str | Path) -> 
 def read_records(path: str | Path) -> list[DisambiguationRecord]:
     records = []
     for line_number, obj in read_jsonl(path):
-        with record_at(line_number):
+        with record_at(path, line_number):
             records.append(DisambiguationRecord(
                 sample_id=typed_field(obj, "id", str),
                 query_text=typed_field(obj, "query", str),
@@ -476,7 +476,7 @@ def write_labels(labels: Sequence[ClarifyLabel], path: str | Path) -> None:
 def read_labels(path: str | Path) -> list[ClarifyLabel]:
     labels = []
     for line_number, obj in read_jsonl(path):
-        with record_at(line_number):
+        with record_at(path, line_number):
             labels.append(ClarifyLabel(
                 sample_id=typed_field(obj, "id", str),
                 text=typed_field(obj, "text", str),

@@ -8,11 +8,13 @@ Scoring sends the concatenated context+text with ``echo=true`` and
 ``max_tokens=0``; a returned token belongs to the scored text when its
 character span extends past the context (a straddling token counts as text).
 
-Transport failures (a refused or dropped connection, a timeout, a response
-cut off mid-body) are retried with exponential backoff; protocol errors
-never are. Servers cannot expose a distribution for the very first token of
-a sequence (its ``token_logprob`` is null), so scoring with an empty context
-silently skips that position; every other null is a protocol error.
+Requests go out over the standard library's ``http.client``, on a pool of
+up to ``parallelism`` keep-alive connections. Transport failures (a refused
+or dropped connection, a timeout, a response cut off mid-body) are retried
+with exponential backoff; protocol errors never are. Servers cannot expose a
+distribution for the very first token of a sequence (its ``token_logprob`` is
+null), so scoring with an empty context silently skips that position; every
+other null is a protocol error.
 
 JSON has no non-finite numbers, but decoders accept the bare constants. A
 payload holding ``NaN`` or ``Infinity`` is a protocol error; ``-Infinity`` is
@@ -26,15 +28,18 @@ and greedy or seeded generation) at most once; see ``RequestJournal``.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import math
+import queue
+import ssl
 import threading
 import time
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
-
-import requests
+from urllib.parse import urlsplit
 
 from .backend import (
     NORMALIZATION_TOLERANCE,
@@ -69,6 +74,10 @@ def _parse_constant(name: str) -> float:
 def _decode(data: bytes | str) -> Any:
     """``json.loads`` under this module's rule for non-finite constants."""
     return json.loads(data, parse_constant=_parse_constant)
+
+
+def _excerpt(content: bytes) -> str:
+    return content[:_EXCERPT_LIMIT].decode("utf-8", "replace")
 
 
 def _number(value: Any) -> float:
@@ -175,7 +184,6 @@ class RemoteCompletionsBackend(Backend):
         timeout: float = 60.0,
         max_attempts: int = 3,
         backoff_base: float = 0.5,
-        session: requests.Session | None = None,
         journal: str | Path | None = None,
     ):
         self.endpoint = endpoint
@@ -185,63 +193,87 @@ class RemoteCompletionsBackend(Backend):
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        # A session the caller passed in is the caller's to close.
-        self._owns_session = session is None
-        self._session = session or requests.Session()
         self.parallelism = max(1, parallelism)
-        self._semaphore = threading.Semaphore(self.parallelism)
         self.journal = RequestJournal(journal) if journal is not None else None
+        self._headers = {"Content-Type": "application/json"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+        url = urlsplit(endpoint)
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        connect = http.client.HTTPConnection
+        if url.scheme == "https":
+            connect = partial(http.client.HTTPSConnection,
+                              context=ssl.create_default_context())
+        self._connections = [connect(url.hostname, url.port, timeout=timeout)
+                             for _ in range(self.parallelism)]
+        # One slot per connection. Taking a slot is what bounds the requests
+        # in flight; last in, first out keeps the warmest connections busy.
+        self._slots: queue.LifoQueue = queue.LifoQueue()
+        for connection in self._connections:
+            self._slots.put(connection)
 
     def close(self) -> None:
         if self.journal is not None:
             self.journal.close()
-        if self._owns_session:
-            self._session.close()
+        for connection in self._connections:
+            connection.close()
 
     # -- transport -----------------------------------------------------------
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        return headers
+    def _send(self, connection: http.client.HTTPConnection,
+              data: bytes) -> http.client.HTTPResponse:
+        connection.request("POST", self._target, data, self._headers)
+        return connection.getresponse()
+
+    def _exchange(self, data: bytes) -> tuple[int, bytes]:
+        """POST ``data`` on a pooled connection; the response's status and
+        body. A connection that has opened (``sock`` set) stays open for the
+        next call unless the server closes it."""
+        connection = self._slots.get()
+        try:
+            reused = connection.sock is not None
+            try:
+                response = self._send(connection, data)
+            except (BrokenPipeError, ConnectionResetError):
+                # http.client.RemoteDisconnected is a ConnectionResetError.
+                if not reused:
+                    raise
+                # The server closed the idle keep-alive connection before any
+                # response byte: send again, once, on a fresh one.
+                connection.close()
+                response = self._send(connection, data)
+            return response.status, response.read()
+        except BaseException:
+            connection.close()  # leaves it idle, to open again on next use
+            raise
+        finally:
+            self._slots.put(connection)
 
     def _post(self, body: dict[str, Any]) -> tuple[Any, str]:
         """The decoded payload of the server's answer, and its text."""
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("request %s body=%s auth=%s", self.endpoint, body,
                          "Bearer ***" if self.api_key else "none")
+        data = json.dumps(body).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(1, self.max_attempts + 1):
             try:
-                with self._semaphore:
-                    response = self._session.post(
-                        self.endpoint, json=body, headers=self._headers(),
-                        timeout=self.timeout,
-                    )
-            except (requests.ConnectionError, requests.Timeout,
-                    requests.exceptions.ChunkedEncodingError) as exc:
-                # A response cut off mid-body is a dropped connection too.
+                status, content = self._exchange(data)
+            except (OSError, http.client.HTTPException) as exc:
+                # A refused or dropped connection, a timeout, and a response
+                # cut off mid-body (IncompleteRead) alike.
                 last_error = exc
             else:
-                if response.status_code in _RETRYABLE_STATUS:
-                    last_error = ProtocolError(
-                        f"retryable HTTP {response.status_code}",
-                        response.text[:_EXCERPT_LIMIT],
-                    )
-                elif response.status_code != 200:
-                    raise ProtocolError(
-                        f"HTTP {response.status_code}", response.text[:_EXCERPT_LIMIT]
-                    )
+                if status in _RETRYABLE_STATUS:
+                    last_error = ProtocolError(f"retryable HTTP {status}", _excerpt(content))
+                elif status != 200:
+                    raise ProtocolError(f"HTTP {status}", _excerpt(content))
                 else:
                     try:
-                        text = response.content.decode(
-                            json.detect_encoding(response.content))
+                        text = content.decode(json.detect_encoding(content))
                         payload = _decode(text)
                     except ValueError as exc:
-                        raise ProtocolError(
-                            "response is not JSON", response.text[:_EXCERPT_LIMIT]
-                        ) from exc
+                        raise ProtocolError("response is not JSON", _excerpt(content)) from exc
                     if logger.isEnabledFor(logging.DEBUG):
                         logger.debug("response %s", str(payload)[:_EXCERPT_LIMIT * 4])
                     return payload, text

@@ -116,7 +116,9 @@ def emit(
 
 @dataclass
 class VerifyReport:
-    """Re-parse result for an exported training file."""
+    """Re-parse result for an exported training file. Each failure is a line
+    number and a message; line 0 marks a failure of the whole file (one that
+    does not parse, or unbalanced halves)."""
 
     total: int
     per_source: Counter
@@ -155,7 +157,7 @@ def verify(path: str | Path, answer_cue: str | None = None) -> VerifyReport:
     try:
         entries = list(read_jsonl(path))
     except DataIntegrityError as exc:
-        return VerifyReport(0, Counter(), Counter(), [(getattr(exc, "line_number", 0) or 0, str(exc))])
+        return VerifyReport(0, Counter(), Counter(), [(0, str(exc))])
     for line_number, obj in entries:
         total += 1
 

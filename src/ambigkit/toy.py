@@ -134,7 +134,7 @@ def load_ngram_table(path: str | Path) -> NgramTable:
         try:
             doc = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
-            raise ParseError(f"{path}: not valid YAML: {exc}") from exc
+            raise ParseError(f"not valid YAML: {exc}", where=path) from exc
     if not isinstance(doc, dict):
         raise DataIntegrityError(f"{path}: fixture must be a mapping")
     try:
@@ -147,12 +147,17 @@ def load_ngram_table(path: str | Path) -> NgramTable:
         raise DataIntegrityError(f"{path}: missing fixture key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DataIntegrityError(f"{path}: bad fixture value: {exc}") from exc
+    if not isinstance(rows, dict):
+        raise DataIntegrityError(f"{path}: fixture rows must be a mapping")
     index = {tok: i for i, tok in enumerate(vocabulary)}
     tables: dict[tuple[str, ...], tuple[float, ...]] = {}
     for key, sparse in rows.items():
+        sparse = sparse or {}
+        if not isinstance(sparse, dict):
+            raise DataIntegrityError(f"{path}: fixture row {key!r} must be a mapping")
         context = tuple(str(key).split())
         vector = [0.0] * len(vocabulary)
-        for token, prob in (sparse or {}).items():
+        for token, prob in sparse.items():
             token = str(token)
             if token not in index:
                 raise VocabularyError(token)

@@ -7,9 +7,14 @@ recursive memoized implementation with exact rational arithmetic.
 
 from __future__ import annotations
 
+import json
 import math
+import threading
+import time
 from fractions import Fraction
 from functools import lru_cache
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable
 
 from ambigkit.backend import (
     Backend,
@@ -122,3 +127,78 @@ class ScriptedBackend(Backend):
 
     def score(self, text: str, context: str = "") -> ScoringResult:
         raise NotImplementedError("scripted backend does not score")
+
+
+class LoopbackServer:
+    """An HTTP/1.1 keep-alive server on 127.0.0.1, one thread per connection.
+
+    Each POST is answered with status 200 and the bytes ``answer`` returns
+    for the decoded request body. The server counts requests, the most in
+    flight at once, and connections the client closed (an EOF where a
+    request line was due). With ``close_after_reply`` it closes each
+    connection after its first answer without sending ``Connection: close``,
+    as a server whose idle timeout expired does. Use it as a context manager.
+    """
+
+    def __init__(self, answer: Callable[[dict], bytes], *, close_after_reply: bool = False):
+        self.answer = answer
+        self.requests = 0
+        self.max_in_flight = 0
+        self.client_closes = 0
+        self._in_flight = 0
+        self._lock = threading.Lock()
+        owner = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            timeout = 10
+
+            def log_message(self, *args):
+                pass
+
+            def handle_one_request(self):
+                super().handle_one_request()
+                if not self.raw_requestline:
+                    with owner._lock:
+                        owner.client_closes += 1
+
+            def do_POST(self):
+                with owner._lock:
+                    owner.requests += 1
+                    owner._in_flight += 1
+                    owner.max_in_flight = max(owner.max_in_flight, owner._in_flight)
+                try:
+                    body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                    data = owner.answer(body)
+                finally:
+                    with owner._lock:
+                        owner._in_flight -= 1
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+                self.close_connection = close_after_reply
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        host, port = self._server.server_address
+        self.endpoint = f"http://{host}:{port}/v1/completions"
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        kwargs={"poll_interval": 0.05}, daemon=True)
+
+    def __enter__(self) -> "LoopbackServer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._server.shutdown()
+        self._thread.join(timeout=5)
+        self._server.server_close()
+        assert not self._thread.is_alive()
+
+    def wait_for_client_closes(self, count: int, timeout: float = 5.0) -> int:
+        """``client_closes`` once it reaches ``count``, or when ``timeout`` ends."""
+        deadline = time.monotonic() + timeout
+        while self.client_closes < count and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return self.client_closes

@@ -302,6 +302,16 @@ def test_eval_compare_reports_mcr(tmp_path):
     assert report["shifted"] == 7
 
 
+def test_eval_compare_names_the_file_with_the_torn_line(tmp_path, capsys):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    lines = "".join(json.dumps({"id": f"s{i}", "prediction": "x"}) + "\n" for i in range(1, 10))
+    good.write_text(lines)
+    bad.write_text(lines + "{bad")
+    config = make_config(tmp_path)
+    assert run("--config", str(config), "eval", "--compare", str(good), str(bad)) == 4
+    assert f"{bad} line 10: invalid JSON" in capsys.readouterr().err
+
+
 def test_sweep_epsilon_grid(tmp_path):
     config = make_config(tmp_path)
     run("--config", str(config), "assess")
@@ -644,6 +654,7 @@ def test_non_finite_sweep_grid_exits_2(tmp_path, capsys, flag, grid):
 
 
 NOT_UTF8 = b'{"id": "s1", "question": "caf\xe9"}\n'
+TABLE_HEAD = b"order: 2\nbegin_marker: <s>\nend_marker: </s>\nvocabulary: [a, b]\n"
 
 
 @pytest.mark.parametrize("content,patch,command,code", [
@@ -661,9 +672,12 @@ NOT_UTF8 = b'{"id": "s1", "question": "caf\xe9"}\n'
     (NOT_UTF8, {}, ["--config", "FILE", "assess"], 2),
     (b"order: [2,\n", {"backend": {"fixture": "FILE"}}, ["assess"], 4),
     (b"order: two\n", {"backend": {"fixture": "FILE"}}, ["assess"], 4),
+    (TABLE_HEAD + b"rows: [1, 2]\n", {"backend": {"fixture": "FILE"}}, ["assess"], 4),
+    (TABLE_HEAD + b"rows: {a: [b]}\n", {"backend": {"fixture": "FILE"}}, ["assess"], 4),
 ], ids=["allowlist", "predictions", "compare", "aggregate", "sample-rep", "verify",
         "dataset", "fixture", "dataset-not-utf8", "predictions-not-utf8",
-        "verify-not-utf8", "config-not-utf8", "fixture-not-yaml", "fixture-bad-order"])
+        "verify-not-utf8", "config-not-utf8", "fixture-not-yaml", "fixture-bad-order",
+        "fixture-rows-list", "fixture-row-list"])
 def test_unreadable_input_file_exits_2_or_4(tmp_path, capsys, monkeypatch,
                                            content, patch, command, code):
     """A missing file (content None) exits 2, and a file that is not UTF-8
@@ -688,6 +702,19 @@ def test_unreadable_input_file_exits_2_or_4(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(ToyBackend, "score", no_call)
     assert run("--config", str(config), *map(fill, command)) == code
     assert str(target) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content,message", [
+    (NOT_UTF8, "{path}: not UTF-8 text"),
+    (b'{"id": "s1"}\n{torn', "{path} line 2: invalid JSON"),
+], ids=["not-utf8", "torn-line"])
+def test_verify_prints_a_file_failure_without_line_0(tmp_path, capsys, content, message):
+    path = tmp_path / "sft.jsonl"
+    path.write_bytes(content)
+    assert run("--config", str(make_config(tmp_path)), "verify", str(path)) == 4
+    err = capsys.readouterr().err
+    assert f"  {message.format(path=path)}" in err
+    assert "line 0" not in err
 
 
 @pytest.mark.parametrize("endpoint,flag", [
@@ -782,6 +809,18 @@ def test_cli_import_loads_neither_toy_backend_nor_yaml():
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = ("import sys, ambigkit.cli; "
              "print(sorted({'ambigkit.toy', 'yaml'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
+def test_remote_backend_loads_no_http_library():
+    src = Path(ambigkit.cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = ("import sys, ambigkit.cli\n"
+             "from ambigkit.config import BackendSpec, make_backend\n"
+             "make_backend(BackendSpec(kind='remote', endpoint='https://127.0.0.1:9/v1')).close()\n"
+             "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"

@@ -7,18 +7,21 @@ import re
 import socket
 import sys
 import threading
+import time
+import types
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
-import requests
 
-from ambigkit.backend import FinishReason, GenerationParams
+from ambigkit import remote
+from ambigkit.backend import FinishReason, GenerationParams, bounded_map
 from ambigkit.cli import main
 from ambigkit.errors import CapabilityError, ProtocolError, TransportError
 from ambigkit.remote import RemoteCompletionsBackend, RequestJournal
 
 from conftest import FIXTURES
+from helpers import LoopbackServer
 
 LN = math.log
 
@@ -345,30 +348,81 @@ def test_debug_log_redacts_api_key(stub_server, caplog):
     assert "Bearer ***" in joined
 
 
-class RecordingSession(requests.Session):
-    def __init__(self):
-        super().__init__()
-        self.closed = False
-
-    def close(self):
-        self.closed = True
-        super().close()
+# -- the connection pool ----------------------------------------------------------
 
 
-def test_close_closes_the_session_the_backend_created(monkeypatch):
-    monkeypatch.setattr(requests, "Session", RecordingSession)
-    backend = RemoteCompletionsBackend("http://127.0.0.1:9/v1/completions", "m")
-    backend.close()
-    assert backend._session.closed
+def paris(body: dict) -> bytes:
+    """A completion of one token, " Paris", whatever the request."""
+    return json.dumps({"choices": [{"text": " Paris", "finish_reason": "stop", "logprobs": {
+        "tokens": [" Paris"], "token_logprobs": [LN(0.6)],
+        "top_logprobs": [{" Paris": LN(0.6), "<alt>": LN(0.3)}], "text_offset": [0]}}]}).encode()
 
 
-def test_close_leaves_a_callers_session_open():
-    session = RecordingSession()
-    backend = RemoteCompletionsBackend("http://127.0.0.1:9/v1/completions", "m",
-                                       session=session)
-    backend.close()
-    assert not session.closed
-    session.close()
+def generate_all(backend: RemoteCompletionsBackend, prompts: list[str], workers: int) -> list:
+    return bounded_map(lambda prompt: backend.generate(prompt, GenerationParams()),
+                       prompts, workers)
+
+
+def test_close_closes_every_pooled_connection():
+    barrier = threading.Barrier(3, timeout=5)
+
+    def answer(body: dict) -> bytes:
+        barrier.wait()  # three requests in flight at once hold three connections
+        return paris(body)
+
+    with LoopbackServer(answer) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=3)
+        results = generate_all(backend, ["a", "b", "c"], 3)
+        assert [result.text for result in results] == [" Paris"] * 3
+        assert server.client_closes == 0  # kept alive
+        backend.close()
+        assert server.wait_for_client_closes(3) == 3
+
+
+def test_requests_in_flight_never_exceed_parallelism():
+    def answer(body: dict) -> bytes:
+        time.sleep(0.02)
+        return paris(body)
+
+    with LoopbackServer(answer) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=2)
+        try:
+            results = generate_all(backend, [f"q{i}" for i in range(12)], 6)
+        finally:
+            backend.close()
+    assert [result.text for result in results] == [" Paris"] * 12
+    assert server.requests == 12
+    assert server.max_in_flight == 2
+
+
+def test_connection_the_server_closed_is_sent_again_without_backoff(monkeypatch):
+    def no_sleep(seconds: float) -> None:
+        raise AssertionError(f"backed off {seconds} s")
+
+    monkeypatch.setattr(remote, "time", types.SimpleNamespace(sleep=no_sleep))
+    with LoopbackServer(paris, close_after_reply=True) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=1)
+        try:
+            for _ in range(2):
+                assert backend.generate("hello", GenerationParams()).text == " Paris"
+        finally:
+            backend.close()
+    assert server.requests == 2
+
+
+def test_https_endpoint_speaks_tls():
+    # A plain HTTP server fails the TLS handshake, and never sees a POST:
+    # a transport error, retried.
+    with LoopbackServer(paris) as server:
+        backend = RemoteCompletionsBackend(server.endpoint.replace("http:", "https:"), "m",
+                                           backoff_base=0.001, timeout=5)
+        try:
+            with pytest.raises(TransportError) as excinfo:
+                backend.generate("hello", GenerationParams())
+        finally:
+            backend.close()
+    assert excinfo.value.attempts == 3
+    assert server.requests == 0
 
 
 # -- realized-token consistency and non-finite constants -------------------------

@@ -3,9 +3,10 @@
 Payloads start from a well-formed ``choices[0].logprobs`` block and take up
 to three random damages: wrong array lengths, nulls, bad offsets, non-finite
 constants, junk values and realized/alternative mismatches. Each one, served
-as the server's JSON text, must end as a valid result, a ProtocolError or a
-CapabilityError; and a valid result served again from the journal must equal
-the network-served one.
+as the server's JSON text by a loopback server through the real transport,
+must end as a valid result, a ProtocolError or a CapabilityError; and a valid
+result served again from the journal, with no request to the server, must
+equal the network-served one.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
@@ -22,33 +24,28 @@ from ambigkit.backend import GenerationParams, GenerationResult, ScoringResult
 from ambigkit.errors import CapabilityError, ProtocolError
 from ambigkit.remote import RemoteCompletionsBackend
 
-ENDPOINT = "http://127.0.0.1:9/v1/completions"  # never contacted: sessions are fakes
+from helpers import LoopbackServer
+
 FIELDS = ("tokens", "token_logprobs", "top_logprobs", "text_offset")
 JUNK = st.sampled_from([None, math.nan, math.inf, -math.inf, 0.5, 800.0, -1e-300,
                         10 ** 400, "x", True, [], {}, -1, 1.5])
 
 
-class _Response:
-    status_code = 200
+class Served:
+    """The payload text the loopback server answers every request with."""
 
-    def __init__(self, content: bytes):
-        self.content = content
-        self.text = content.decode("utf-8", "replace")
+    content = b""
 
-
-class ServingSession:
-    """Answers every post with the same payload text."""
-
-    def __init__(self, content: bytes):
-        self.content = content
-
-    def post(self, *args, **kwargs):
-        return _Response(self.content)
+    def answer(self, body: dict) -> bytes:
+        return self.content
 
 
-class RefusingSession:
-    def post(self, *args, **kwargs):
-        raise AssertionError("a journaled request reached the network")
+@pytest.fixture(scope="module")
+def served():
+    served = Served()
+    with LoopbackServer(served.answer) as server:
+        served.server = server
+        yield served
 
 
 @st.composite
@@ -137,12 +134,12 @@ def _check(result) -> None:
           suppress_health_check=[HealthCheck.too_slow])
 @given(payload=payloads(), scoring=st.booleans(),
        context=st.sampled_from(["", "a", "ab b"]))
-def test_payload_ends_in_result_or_backend_error(payload, scoring, context):
-    content = json.dumps(payload).encode()  # NaN and infinities as bare constants
+def test_payload_ends_in_result_or_backend_error(served, payload, scoring, context):
+    served.content = json.dumps(payload).encode()  # NaN and infinities as bare constants
+    endpoint = served.server.endpoint
     with tempfile.TemporaryDirectory() as tmp:
         journal = Path(tmp) / "journal.jsonl"
-        network = RemoteCompletionsBackend(
-            ENDPOINT, "m", session=ServingSession(content), journal=journal)
+        network = RemoteCompletionsBackend(endpoint, "m", journal=journal)
         try:
             result = _call(network, scoring, context)
         except (ProtocolError, CapabilityError) as exc:
@@ -153,8 +150,9 @@ def test_payload_ends_in_result_or_backend_error(payload, scoring, context):
             network.close()
         event("valid result")
         _check(result)
-        replay = RemoteCompletionsBackend(
-            ENDPOINT, "m", session=RefusingSession(), journal=journal)
+        sent = served.server.requests
+        replay = RemoteCompletionsBackend(endpoint, "m", journal=journal)
         assert _call(replay, scoring, context) == result
         assert (replay.journal.hits, replay.journal.misses) == (1, 0)
+        assert served.server.requests == sent  # the replay reached no network
         replay.close()

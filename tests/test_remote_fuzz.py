@@ -11,6 +11,7 @@ equal the network-served one.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import tempfile
@@ -27,8 +28,10 @@ from ambigkit.remote import RemoteCompletionsBackend
 from helpers import LoopbackServer
 
 FIELDS = ("tokens", "token_logprobs", "top_logprobs", "text_offset")
+# Each draw is a fresh copy: a shared ``[]`` or ``{}`` mutated by one damage would
+# leak into later examples and could even be set inside itself.
 JUNK = st.sampled_from([None, math.nan, math.inf, -math.inf, 0.5, 800.0, -1e-300,
-                        10 ** 400, "x", True, [], {}, -1, 1.5])
+                        10 ** 400, "x", True, [], {}, -1, 1.5]).map(copy.deepcopy)
 
 
 class Served:

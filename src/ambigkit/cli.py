@@ -43,6 +43,7 @@ from .corpus import (
     sample_to_obj,
     template_fingerprints,
 )
+from .entropy import Verdict
 from .errors import (
     AmbigkitError,
     BackendError,
@@ -244,7 +245,7 @@ def _detect(args, config, paths, templates, backend) -> _Stage:
         [a.sample for a in partition.incorrect], backend, templates,
         _greedy_params(config), mode=config.truncation_mode, epsilon=config.epsilon,
     )
-    ambiguous = sum(1 for r in records if r.verdict.value == "perceived_ambiguous")
+    ambiguous = sum(1 for r in records if r.verdict is Verdict.PERCEIVED_AMBIGUOUS)
     return _Stage(
         [(paths.records, lambda path: write_records(records, path))],
         {"records": len(records), "perceived_ambiguous": ambiguous,

@@ -204,6 +204,13 @@ def template_fingerprints(templates: Mapping[str, PromptTemplate]) -> dict[str, 
     }
 
 
+def reply(backend: Backend, template: PromptTemplate, params: GenerationParams,
+          **slots: str) -> str:
+    """The model's reply to ``template`` filled with ``slots``: the generated
+    continuation, cut by ``trim_continuation``."""
+    return trim_continuation(backend.generate(template.render(**slots), params).text)
+
+
 def first_word(text: str) -> str:
     """Lowercased first word without trailing punctuation: the one-word
     verdict of a validator or self-ask reply."""
@@ -227,12 +234,10 @@ def ambiguate(
     rewrite, validator = templates["ambiguate"], templates["ambiguation_validation"]
 
     def one(sample: QASample) -> QASample | dict:
-        result = backend.generate(rewrite.render(question=sample.question), params)
-        candidate = trim_continuation(result.text)
+        candidate = reply(backend, rewrite, params, question=sample.question)
         if not candidate:
             return {"id": sample.id, "reason": "empty_generation"}
-        reply = backend.generate(validator.render(candidate=candidate), params)
-        if first_word(trim_continuation(reply.text)) != "yes":
+        if first_word(reply(backend, validator, params, candidate=candidate)) != "yes":
             return {"id": sample.id, "reason": "validation_failed", "candidate": candidate}
         return replace(sample, question=candidate, gold_ambiguous=True)
 

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .backend import Backend, GenerationParams, bounded_map
-from .corpus import PromptTemplate, QASample, first_word, trim_continuation
+from .corpus import PromptTemplate, QASample, first_word, reply
 from .errors import BackendError, DataIntegrityError
 from .jsonio import read_jsonl, record_at, typed_field, write_jsonl_atomic
 from .phrases import AMBIGUITY_MARKERS, FIXED_CLARIFICATIONS
@@ -232,10 +232,10 @@ def _run_prompted(
 ) -> list[PredictionRecord]:
     def one(sample: QASample) -> PredictionRecord:
         try:
-            result = backend.generate(template.render(question=sample.question), params)
+            prediction = reply(backend, template, params, question=sample.question)
         except BackendError as exc:
             return PredictionRecord(sample.id, "", error=str(exc))
-        return PredictionRecord(sample.id, trim_continuation(result.text))
+        return PredictionRecord(sample.id, prediction)
 
     return bounded_map(one, list(samples), backend.parallelism)
 
@@ -306,14 +306,13 @@ def run_sample_rep(
     greedy_params = replace(params, temperature=0.0, seed=None)
 
     def one(sample: QASample) -> PredictionRecord:
-        prompt = template.render(question=sample.question)
         try:
-            greedy = trim_continuation(backend.generate(prompt, greedy_params).text)
+            greedy = reply(backend, template, greedy_params, question=sample.question)
             matches = 0
             for draw in range(num_samples):
                 seed = rng_for(master_seed, "sample_rep_draw", sample.id, draw).randrange(2**31)
                 sampled_params = replace(params, temperature=temperature, seed=seed)
-                sampled = trim_continuation(backend.generate(prompt, sampled_params).text)
+                sampled = reply(backend, template, sampled_params, question=sample.question)
                 if sampled.lower() == greedy.lower():
                     matches += 1
         except BackendError as exc:
@@ -345,17 +344,9 @@ def run_self_ask(
 
     def one(sample: QASample) -> PredictionRecord:
         try:
-            answer = trim_continuation(
-                backend.generate(
-                    templates["direct"].render(question=sample.question), params
-                ).text
-            )
-            verdict_text = trim_continuation(
-                backend.generate(
-                    templates["self_ask"].render(question=sample.question, answer=answer),
-                    params,
-                ).text
-            )
+            answer = reply(backend, templates["direct"], params, question=sample.question)
+            verdict_text = reply(backend, templates["self_ask"], params,
+                                 question=sample.question, answer=answer)
         except BackendError as exc:
             return PredictionRecord(sample.id, "", error=str(exc))
         first = first_word(verdict_text)

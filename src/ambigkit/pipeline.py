@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .backend import Backend, GenerationParams, ScoringResult, bounded_map
-from .corpus import PromptTemplate, QASample, trim_continuation
+from .corpus import PromptTemplate, QASample, reply, trim_continuation
 from .entropy import TruncationMode, Verdict, classify, entropy_profile, info_gain
 from .errors import BackendError, ConfigurationError, DataIntegrityError
 from .evalkit import DEFAULT_ROUGE_THRESHOLD, categorize, clarification_phrase, is_clarification
@@ -207,8 +207,7 @@ def stage2_disambiguate(
 
     def one(sample: QASample):
         try:
-            result = backend.generate(template.render(question=sample.question), params)
-            disambig = trim_continuation(result.text)
+            disambig = reply(backend, template, params, question=sample.question)
             profile_q = entropy_profile(backend.score(sample.question, ""), mode)
             profile_d = (entropy_profile(backend.score(disambig, ""), mode)
                          if disambig else profile_q)
@@ -256,10 +255,8 @@ def stage3_generated_label(
     makes no backend call and is also flagged ``empty_disambiguation``.
     """
     if record.disambig_text:
-        prompt = templates["clarification"].render(
-            question=record.query_text, disambiguation=record.disambig_text
-        )
-        text = trim_continuation(backend.generate(prompt, params).text)
+        text = reply(backend, templates["clarification"], params,
+                     question=record.query_text, disambiguation=record.disambig_text)
         if text and is_clarification(text):
             return ClarifyLabel(sample_id=record.sample_id, text=text, kind=LabelKind.GENERATED)
         flags = (FALLBACK_FIXED_FLAG,)

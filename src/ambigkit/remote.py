@@ -60,7 +60,11 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
+# The retry policy: up to _MAX_ATTEMPTS attempts in all, sleeping
+# _BACKOFF_BASE_S before the second and doubling the sleep each time after.
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
+_MAX_ATTEMPTS = 3
+_BACKOFF_BASE_S = 0.5
 _EXCERPT_LIMIT = 200
 _FINISH_REASONS = {"stop": FinishReason.STOP, "length": FinishReason.LENGTH}
 
@@ -182,8 +186,6 @@ class RemoteCompletionsBackend(Backend):
         top_k: int = 20,
         parallelism: int = 4,
         timeout: float = 60.0,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
         journal: str | Path | None = None,
     ):
         self.endpoint = endpoint
@@ -191,8 +193,6 @@ class RemoteCompletionsBackend(Backend):
         self.api_key = api_key
         self.top_k = top_k
         self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         self.parallelism = max(1, parallelism)
         self.journal = RequestJournal(journal) if journal is not None else None
         self._headers = {"Content-Type": "application/json"}
@@ -256,7 +256,7 @@ class RemoteCompletionsBackend(Backend):
                          "Bearer ***" if self.api_key else "none")
         data = json.dumps(body).encode("utf-8")
         last_error: Exception | None = None
-        for attempt in range(1, self.max_attempts + 1):
+        for attempt in range(1, _MAX_ATTEMPTS + 1):
             try:
                 status, content = self._exchange(data)
             except (OSError, http.client.HTTPException) as exc:
@@ -277,9 +277,9 @@ class RemoteCompletionsBackend(Backend):
                     if logger.isEnabledFor(logging.DEBUG):
                         logger.debug("response %s", str(payload)[:_EXCERPT_LIMIT * 4])
                     return payload, text
-            if attempt < self.max_attempts:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
-        raise TransportError(f"backend unreachable: {last_error}", self.max_attempts)
+            if attempt < _MAX_ATTEMPTS:
+                time.sleep(_BACKOFF_BASE_S * (2 ** (attempt - 1)))
+        raise TransportError(f"backend unreachable: {last_error}", _MAX_ATTEMPTS)
 
     def _complete(self, body: dict[str, Any], parse: Callable[[Any], Any],
                   deterministic: bool) -> Any:

@@ -156,8 +156,12 @@ def stub_server():
     server.server_close()
 
 
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    monkeypatch.setattr(remote, "_BACKOFF_BASE_S", 0.001)
+
+
 def make_backend(server, **kwargs) -> RemoteCompletionsBackend:
-    kwargs.setdefault("backoff_base", 0.001)
     host, port = server.server_address
     return RemoteCompletionsBackend(
         f"http://{host}:{port}/v1/completions", "test-model", **kwargs
@@ -235,7 +239,7 @@ def test_retry_then_success(stub_server):
 
 def test_transport_error_reports_attempts():
     backend = RemoteCompletionsBackend(
-        "http://127.0.0.1:9/v1/completions", "m", backoff_base=0.001, timeout=0.2
+        "http://127.0.0.1:9/v1/completions", "m", timeout=0.2
     )
     with pytest.raises(TransportError) as excinfo:
         backend.generate("hello", GenerationParams())
@@ -280,7 +284,7 @@ def test_response_cut_off_mid_body_is_retried_as_transport_error(framing):
         server.start()
         host, port = listener.getsockname()
         backend = RemoteCompletionsBackend(
-            f"http://{host}:{port}/v1/completions", "m", backoff_base=0.001, timeout=5
+            f"http://{host}:{port}/v1/completions", "m", timeout=5
         )
         try:
             with pytest.raises(TransportError) as excinfo:
@@ -415,7 +419,7 @@ def test_https_endpoint_speaks_tls():
     # a transport error, retried.
     with LoopbackServer(paris) as server:
         backend = RemoteCompletionsBackend(server.endpoint.replace("http:", "https:"), "m",
-                                           backoff_base=0.001, timeout=5)
+                                           timeout=5)
         try:
             with pytest.raises(TransportError) as excinfo:
                 backend.generate("hello", GenerationParams())
@@ -473,7 +477,7 @@ def journaled(stub_server, tmp_path):
     def make(path: str = "/v1/completions", **kwargs) -> RemoteCompletionsBackend:
         host, port = stub_server.server_address
         made.append(RemoteCompletionsBackend(
-            f"http://{host}:{port}{path}", "test-model", backoff_base=0.001,
+            f"http://{host}:{port}{path}", "test-model",
             journal=tmp_path / "journal.jsonl", **kwargs))
         return made[-1]
 
@@ -629,6 +633,20 @@ def test_eval_direct_after_assess_sends_no_requests(stub_server, tmp_path):
     assert manifest["backend"] == {"kind": "remote", "journal": {"hits": 0, "misses": 9}}
     manifest = json.loads((out / "manifest_eval_direct.json").read_text())
     assert manifest["backend"] == {"kind": "remote", "journal": {"hits": 9, "misses": 0}}
+
+
+@pytest.mark.parametrize("strategy, sent", [("sample_rep", 27), ("self_ask", 9)])
+def test_eval_after_assess_reuses_the_journal(stub_server, tmp_path, strategy, sent):
+    # Each strategy's greedy direct answer is the request assess already sent.
+    config, out = remote_config(stub_server, tmp_path)
+    cli(config, "assess")
+    assert len(stub_server.state.requests) == 9
+    cli(config, "eval", "--strategy", strategy)
+    assert len(stub_server.state.requests) == 9 + sent
+    manifest = json.loads((out / "manifest_assess.json").read_text())
+    assert manifest["backend"] == {"kind": "remote", "journal": {"hits": 0, "misses": 9}}
+    manifest = json.loads((out / f"manifest_eval_{strategy}.json").read_text())
+    assert manifest["backend"] == {"kind": "remote", "journal": {"hits": 9, "misses": sent}}
 
 
 def test_remote_chain_rerun_is_served_from_the_journal(stub_server, tmp_path):

@@ -11,7 +11,8 @@ character span extends past the context (a straddling token counts as text).
 Requests go out over the standard library's ``http.client``, on a pool of
 up to ``parallelism`` keep-alive connections. Transport failures (a refused
 or dropped connection, a timeout, a response cut off mid-body) are retried
-with exponential backoff; protocol errors never are. Servers cannot expose a
+with exponential backoff, during which the sample gives its ``bounded_map``
+slot to another; protocol errors never are. Servers cannot expose a
 distribution for the very first token of a sequence (its ``token_logprob`` is
 null), so scoring with an empty context silently skips that position; every
 other null is a protocol error.
@@ -49,6 +50,7 @@ from .backend import (
     GenerationResult,
     ScoringResult,
     TokenDistribution,
+    slot_lent,
 )
 from .errors import (
     BackendError,
@@ -192,7 +194,6 @@ class RemoteCompletionsBackend(Backend):
         self.model = model
         self.api_key = api_key
         self.top_k = top_k
-        self.timeout = timeout
         self.parallelism = max(1, parallelism)
         self.journal = RequestJournal(journal) if journal is not None else None
         self._headers = {"Content-Type": "application/json"}
@@ -278,7 +279,10 @@ class RemoteCompletionsBackend(Backend):
                         logger.debug("response %s", str(payload)[:_EXCERPT_LIMIT * 4])
                     return payload, text
             if attempt < _MAX_ATTEMPTS:
-                time.sleep(_BACKOFF_BASE_S * (2 ** (attempt - 1)))
+                # The connection is back in the pool, and the sample's map
+                # slot goes to another sample until the next attempt.
+                with slot_lent():
+                    time.sleep(_BACKOFF_BASE_S * (2 ** (attempt - 1)))
         raise TransportError(f"backend unreachable: {last_error}", _MAX_ATTEMPTS)
 
     def _complete(self, body: dict[str, Any], parse: Callable[[Any], Any],

@@ -132,15 +132,17 @@ class ScriptedBackend(Backend):
 class LoopbackServer:
     """An HTTP/1.1 keep-alive server on 127.0.0.1, one thread per connection.
 
-    Each POST is answered with status 200 and the bytes ``answer`` returns
-    for the decoded request body. The server counts requests, the most in
-    flight at once, and connections the client closed (an EOF where a
-    request line was due). With ``close_after_reply`` it closes each
-    connection after its first answer without sending ``Connection: close``,
-    as a server whose idle timeout expired does. Use it as a context manager.
+    Each POST is answered with the bytes ``answer`` returns for the decoded
+    request body, with status 200, or with the ``(status, bytes)`` pair it
+    returns. The server counts requests, the most in flight at once, and
+    connections the client closed (an EOF where a request line was due).
+    With ``close_after_reply`` it closes each connection after its first
+    answer without sending ``Connection: close``, as a server whose idle
+    timeout expired does. Use it as a context manager.
     """
 
-    def __init__(self, answer: Callable[[dict], bytes], *, close_after_reply: bool = False):
+    def __init__(self, answer: Callable[[dict], bytes | tuple[int, bytes]], *,
+                 close_after_reply: bool = False):
         self.answer = answer
         self.requests = 0
         self.max_in_flight = 0
@@ -173,7 +175,8 @@ class LoopbackServer:
                 finally:
                     with owner._lock:
                         owner._in_flight -= 1
-                self.send_response(200)
+                status, data = data if isinstance(data, tuple) else (200, data)
+                self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import types
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -399,6 +400,40 @@ def test_requests_in_flight_never_exceed_parallelism():
     assert server.max_in_flight == 2
 
 
+def test_backoff_gives_the_sample_slot_to_another_sample(monkeypatch):
+    # Two slots: a and b are refused once each, and their backoffs end only
+    # once c is answered, which needs a slot one of them lent.
+    lock = threading.Lock()
+    seen: Counter = Counter()
+    c_answered = threading.Event()
+
+    def answer(body: dict):
+        prompt = body["prompt"]
+        with lock:
+            seen[prompt] += 1
+            first = seen[prompt] == 1
+        if prompt in ("a", "b") and first:
+            return 503, b"overloaded"
+        if prompt == "c":
+            c_answered.set()
+        return paris(body)
+
+    def sleep(seconds: float) -> None:
+        if not c_answered.wait(timeout=5):
+            raise AssertionError("c was not answered while a backoff held its slot")
+
+    monkeypatch.setattr(remote, "time", types.SimpleNamespace(sleep=sleep))
+    with LoopbackServer(answer) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=2)
+        try:
+            results = generate_all(backend, ["a", "b", "c", "d"], 2)
+        finally:
+            backend.close()
+    assert [result.text for result in results] == [" Paris"] * 4
+    assert seen == {"a": 2, "b": 2, "c": 1, "d": 1}
+    assert server.max_in_flight <= 2
+
+
 def test_connection_the_server_closed_is_sent_again_without_backoff(monkeypatch):
     def no_sleep(seconds: float) -> None:
         raise AssertionError(f"backed off {seconds} s")
@@ -647,6 +682,22 @@ def test_eval_after_assess_reuses_the_journal(stub_server, tmp_path, strategy, s
     assert manifest["backend"] == {"kind": "remote", "journal": {"hits": 0, "misses": 9}}
     manifest = json.loads((out / f"manifest_eval_{strategy}.json").read_text())
     assert manifest["backend"] == {"kind": "remote", "journal": {"hits": 9, "misses": sent}}
+
+
+def test_retried_sample_leaves_the_checkpoint_bytes_unchanged(stub_server, tmp_path,
+                                                             monkeypatch):
+    # The first request is refused once; during its backoff the other
+    # samples run on, so it answers out of order.
+    monkeypatch.setattr(remote, "_BACKOFF_BASE_S", 0.05)
+    clean, clean_out = remote_config(stub_server, tmp_path, out="clean")
+    cli(clean, "assess")
+    assert len(stub_server.state.requests) == 9
+    stub_server.state.fail_first = 1
+    faulty, faulty_out = remote_config(stub_server, tmp_path, out="faulty")
+    cli(faulty, "assess")
+    assert len(stub_server.state.requests) == 9 + 10
+    assert ((faulty_out / "assess.jsonl").read_bytes()
+            == (clean_out / "assess.jsonl").read_bytes())
 
 
 def test_remote_chain_rerun_is_served_from_the_journal(stub_server, tmp_path):

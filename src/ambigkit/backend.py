@@ -9,10 +9,8 @@ natural-log (nats) everywhere; no base conversion is ever applied.
 from __future__ import annotations
 
 import abc
-import contextlib
 import enum
 import math
-import threading
 from dataclasses import dataclass
 
 from .errors import NormalizationError
@@ -22,9 +20,10 @@ from .errors import NormalizationError
 NORMALIZATION_TOLERANCE = 1e-6
 _SIGN_TOLERANCE = 1e-9
 
-# Pool threads per slot in bounded_map: an item that lends its slot while it
-# waits leaves a thread free to start another item in that slot.
-_THREADS_PER_SLOT = 2
+# Pool threads per worker in bounded_map: a sample that sleeps in a retry
+# backoff holds a thread but no connection, so a spare thread lets another
+# sample use that connection meanwhile.
+_THREADS_PER_WORKER = 2
 
 
 class FinishReason(enum.Enum):
@@ -114,9 +113,9 @@ class Backend(abc.ABC):
 
     Implementations are immutable after construction and safe to share across
     concurrent workers. Callers map samples with ``bounded_map(fn, samples,
-    backend.parallelism)``, so at most ``parallelism`` samples work at once;
-    a backend that waits between attempts of a call does so inside
-    ``slot_lent()``.
+    backend.parallelism)``, which starts up to ``2 × parallelism`` samples at
+    once; a remote backend bounds its requests in flight to ``parallelism``
+    with its connection pool.
     """
 
     parallelism: int
@@ -140,52 +139,19 @@ class Backend(abc.ABC):
         """Release what the backend holds open; the default holds nothing."""
 
 
-# The slot semaphore of the bounded_map pool this thread belongs to; unset on
-# every other thread.
-_item = threading.local()
-
-
-@contextlib.contextmanager
-def slot_lent():
-    """Inside the block, the calling ``bounded_map`` item gives its slot to
-    another item, and takes a slot back on leaving. For a wait that uses no
-    shared resource, such as a retry backoff. Outside a pooled item it does
-    nothing."""
-    slots = getattr(_item, "slots", None)
-    if slots is None:
-        yield
-        return
-    slots.release()
-    try:
-        yield
-    finally:
-        slots.acquire()
-
-
 def bounded_map(fn, items, max_workers: int) -> list:
-    """Order-preserving map over ``items``: at most ``max_workers`` items work
-    at once, each holding one of ``max_workers`` slots.
+    """Order-preserving map over ``items`` on ``_THREADS_PER_WORKER *
+    max_workers`` threads, which take items in input order.
 
-    ``_THREADS_PER_SLOT * max_workers`` threads take items in input order, so
-    while an item waits inside ``slot_lent()``, another starts in its slot.
-    With one worker or one item the map runs serially on the calling thread.
-    Exceptions propagate; callers that tolerate per-item failures catch them
-    inside ``fn``.
+    The map bounds no backend traffic: a remote backend's connection pool
+    does. With one worker or one item the map runs serially on the calling
+    thread. Exceptions propagate; callers that tolerate per-item failures
+    catch them inside ``fn``.
     """
     items = list(items)
     if max_workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     from concurrent.futures import ThreadPoolExecutor
 
-    slots = threading.Semaphore(max_workers)
-
-    def claim() -> None:
-        _item.slots = slots
-
-    def run(item):
-        with slots:
-            return fn(item)
-
-    with ThreadPoolExecutor(max_workers=_THREADS_PER_SLOT * max_workers,
-                            initializer=claim) as pool:
-        return list(pool.map(run, items))
+    with ThreadPoolExecutor(max_workers=_THREADS_PER_WORKER * max_workers) as pool:
+        return list(pool.map(fn, items))

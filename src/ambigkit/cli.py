@@ -338,7 +338,9 @@ def _eval_report(args, config: RunConfig, paths: _Paths, samples: list[QASample]
         "seed": config.seed,
         "strategy": name,
     })
-    return out, report_obj, f"F1_u: {report.f1_u:.4f}  F1_a: {report.f1_a:.4f}  ({out})"
+    left_out = report.counts.errored
+    note = f"  {left_out} errored, left out of F1" if left_out else ""
+    return out, report_obj, f"F1_u: {report.f1_u:.4f}  F1_a: {report.f1_a:.4f}{note}  ({out})"
 
 
 def _eval_strategy(name, args, config, paths, templates, backend) -> _Stage:
@@ -427,6 +429,11 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    # A grid given for the other sweep is an error, not something to ignore.
+    if args.sample_rep and args.epsilons is not None:
+        raise ConfigurationError("--epsilons applies only without --sample-rep")
+    if not args.sample_rep and args.thresholds is not None:
+        raise ConfigurationError("--thresholds applies only with --sample-rep")
     config, paths = _load_run(args)
     buffer = io.StringIO()
     writer = csv.writer(buffer)

@@ -229,8 +229,8 @@ def ambiguate(
     gold-ambiguous, with the candidate as its question; any other is a
     ``{"id", "reason"}`` reject: ``empty_generation``, or
     ``validation_failed`` with its ``candidate``. Both lists keep input
-    order. Up to ``backend.parallelism`` samples work at once (see
-    ``bounded_map``); a backend failure propagates."""
+    order. Samples are mapped with ``bounded_map`` over
+    ``backend.parallelism``; a backend failure propagates."""
     rewrite, validator = templates["ambiguate"], templates["ambiguation_validation"]
 
     def one(sample: QASample) -> QASample | dict:

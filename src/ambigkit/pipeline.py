@@ -274,8 +274,8 @@ def label_records(
     *,
     master_seed: int,
 ) -> list[ClarifyLabel]:
-    """Label every record, generated labels up to ``backend.parallelism`` at
-    a time (see ``bounded_map``)."""
+    """Label every record; generated labels are mapped with ``bounded_map``
+    over ``backend.parallelism``."""
     if kind is LabelKind.FIXED:
         return [stage3_fixed_label(r.sample_id, master_seed) for r in records]
     return bounded_map(

@@ -9,13 +9,13 @@ Scoring sends the concatenated context+text with ``echo=true`` and
 character span extends past the context (a straddling token counts as text).
 
 Requests go out over the standard library's ``http.client``, on a pool of
-up to ``parallelism`` keep-alive connections. Transport failures (a refused
-or dropped connection, a timeout, a response cut off mid-body) are retried
-with exponential backoff, during which the sample gives its ``bounded_map``
-slot to another; protocol errors never are. Servers cannot expose a
-distribution for the very first token of a sequence (its ``token_logprob`` is
-null), so scoring with an empty context silently skips that position; every
-other null is a protocol error.
+up to ``parallelism`` keep-alive connections; the pool is the one bound on
+requests in flight. Transport failures (a refused or dropped connection, a
+timeout, a response cut off mid-body) are retried with exponential backoff,
+during which the connection serves other samples; protocol errors never are.
+Servers cannot expose a distribution for the very first token of a sequence
+(its ``token_logprob`` is null), so scoring with an empty context silently
+skips that position; every other null is a protocol error.
 
 JSON has no non-finite numbers, but decoders accept the bare constants. A
 payload holding ``NaN`` or ``Infinity`` is a protocol error; ``-Infinity`` is
@@ -50,7 +50,6 @@ from .backend import (
     GenerationResult,
     ScoringResult,
     TokenDistribution,
-    slot_lent,
 )
 from .errors import (
     BackendError,
@@ -279,10 +278,9 @@ class RemoteCompletionsBackend(Backend):
                         logger.debug("response %s", str(payload)[:_EXCERPT_LIMIT * 4])
                     return payload, text
             if attempt < _MAX_ATTEMPTS:
-                # The connection is back in the pool, and the sample's map
-                # slot goes to another sample until the next attempt.
-                with slot_lent():
-                    time.sleep(_BACKOFF_BASE_S * (2 ** (attempt - 1)))
+                # The connection is back in the pool, so another sample's
+                # request uses it during the backoff.
+                time.sleep(_BACKOFF_BASE_S * (2 ** (attempt - 1)))
         raise TransportError(f"backend unreachable: {last_error}", _MAX_ATTEMPTS)
 
     def _complete(self, body: dict[str, Any], parse: Callable[[Any], Any],

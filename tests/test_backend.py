@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 
 import pytest
 
@@ -11,7 +10,6 @@ from ambigkit.backend import (
     ScoringResult,
     TokenDistribution,
     bounded_map,
-    slot_lent,
 )
 from ambigkit.errors import NormalizationError
 from ambigkit.toy import ToyBackend, load_ngram_table
@@ -113,59 +111,19 @@ def test_bounded_map_serial_path():
     assert bounded_map(str, [1], max_workers=8) == ["1"]
 
 
-def test_bounded_map_lends_slots_within_its_bounds():
-    # "holding": items outside a lent block; "started": items begun, not ended.
+def test_bounded_map_runs_two_threads_per_worker():
+    # Six items meet at the barrier only if six run at once; no more than six
+    # threads may run them.
+    barrier = threading.Barrier(6, timeout=5)
     lock = threading.Lock()
-    now = {"holding": 0, "started": 0}
-    peak = dict(now)
     threads = set()
 
-    def count(name: str, step: int) -> None:
-        with lock:
-            now[name] += step
-            peak[name] = max(peak[name], now[name])
-            threads.add(threading.get_ident())
-
     def item(x: int) -> int:
-        count("started", 1)
-        count("holding", 1)
-        time.sleep(0.001)
-        count("holding", -1)  # before the slot is lent, so no count overlaps
-        with slot_lent():
-            time.sleep(0.02)
-        count("holding", 1)  # the slot is taken back
-        time.sleep(0.001)
-        count("holding", -1)
-        count("started", -1)
+        with lock:
+            threads.add(threading.get_ident())
+        barrier.wait()
         return x * x
 
-    items = list(range(20))
+    items = list(range(18))
     assert bounded_map(item, items, 3) == [x * x for x in items]
-    assert peak["holding"] <= 3
-    assert peak["started"] > 3  # lent slots started further items
     assert len(threads) <= 6
-
-
-def test_nested_bounded_map_restores_the_outer_slot():
-    # Two slots and four outer items: all four meet at the barrier only if
-    # each lends its slot after its own nested map has ended.
-    barrier = threading.Barrier(4, timeout=5)
-
-    def outer(x: int) -> int:
-        inner = bounded_map(lambda y: x + y, [0, 1, 2], 2)
-        with slot_lent():
-            barrier.wait()
-        return sum(inner)
-
-    assert bounded_map(outer, range(4), 2) == [3 * x + 3 for x in range(4)]
-
-
-def test_slot_lent_outside_a_pooled_item_does_nothing():
-    with slot_lent():
-        pass
-
-    def lent(x: int) -> int:
-        with slot_lent():
-            return x
-
-    assert bounded_map(lent, [1, 2], 1) == [1, 2]

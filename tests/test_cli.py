@@ -588,6 +588,23 @@ def test_eval_predictions_rescore_keeps_errored_samples(tmp_path, s1_refused):
         assert rescored[key] == original[key]
 
 
+def test_eval_line_says_errored_samples_were_left_out(tmp_path, capsys, s1_refused):
+    config = make_config(tmp_path)
+    predictions = workdir_of(config) / "predictions_direct.jsonl"
+    assert run("--config", str(config), "eval", "--strategy", "direct") == 0
+    assert run("--config", str(config), "eval", "--predictions", str(predictions)) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "F1_u" in line]
+    assert len(lines) == 2
+    assert all("1 errored, left out of F1" in line for line in lines)
+
+
+def test_eval_line_names_no_errored_samples_when_none_errored(tmp_path, capsys):
+    config = make_config(tmp_path)
+    assert run("--config", str(config), "eval", "--strategy", "direct") == 0
+    [line] = [line for line in capsys.readouterr().out.splitlines() if "F1_u" in line]
+    assert "errored" not in line
+
+
 def test_sweep_sample_rep_leaves_errored_samples_out(tmp_path, s1_refused):
     config = make_config(tmp_path)
     out = workdir_of(config)
@@ -650,6 +667,24 @@ def test_non_finite_sweep_grid_exits_2(tmp_path, capsys, flag, grid):
     argv = [*(sample_rep if flag == "--thresholds" else []), f"{flag}={grid}"]
     assert run("--config", str(config), "sweep", *argv) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert not list(out.glob("*_sweep.csv"))
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--thresholds", "0.5"], "--thresholds"),
+    (["--sample-rep", "PREDICTIONS", "--epsilons", "0.3"], "--epsilons"),
+], ids=["thresholds-without-sample-rep", "epsilons-with-sample-rep"])
+def test_sweep_flag_of_the_other_sweep_exits_2(tmp_path, capsys, argv, flag):
+    config = make_config(tmp_path)
+    # With both sweeps' inputs in place, nothing but the stray flag can fail.
+    for command in (["assess"], ["detect"], ["eval", "--strategy", "sample_rep"]):
+        assert run("--config", str(config), *command) == 0
+    out = workdir_of(config)
+    predictions = str(out / "predictions_sample_rep.jsonl")
+    argv = [predictions if arg == "PREDICTIONS" else arg for arg in argv]
+    assert run("--config", str(config), "sweep", *argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and flag in err
     assert not list(out.glob("*_sweep.csv"))
 
 

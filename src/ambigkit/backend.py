@@ -21,9 +21,11 @@ NORMALIZATION_TOLERANCE = 1e-6
 _SIGN_TOLERANCE = 1e-9
 
 # Pool threads per worker in bounded_map: a sample that sleeps in a retry
-# backoff holds a thread but no connection, so a spare thread lets another
-# sample use that connection meanwhile.
-_THREADS_PER_WORKER = 2
+# backoff holds a thread but no connection, so spare threads let other
+# samples use that connection meanwhile. With four per worker, `parallelism`
+# samples can still run while up to 3 × `parallelism` samples back off, as a
+# burst of refused requests at the head of a map does.
+_THREADS_PER_WORKER = 4
 
 
 class FinishReason(enum.Enum):
@@ -113,7 +115,7 @@ class Backend(abc.ABC):
 
     Implementations are immutable after construction and safe to share across
     concurrent workers. Callers map samples with ``bounded_map(fn, samples,
-    backend.parallelism)``, which starts up to ``2 × parallelism`` samples at
+    backend.parallelism)``, which starts up to ``4 × parallelism`` samples at
     once; a remote backend bounds its requests in flight to ``parallelism``
     with its connection pool.
     """
@@ -144,7 +146,8 @@ def bounded_map(fn, items, max_workers: int) -> list:
     max_workers`` threads, which take items in input order.
 
     The map bounds no backend traffic: a remote backend's connection pool
-    does. With one worker or one item the map runs serially on the calling
+    does. The spare threads keep that pool busy while samples wait out retry
+    backoffs. With one worker or one item the map runs serially on the calling
     thread. Exceptions propagate; callers that tolerate per-item failures
     catch them inside ``fn``.
     """

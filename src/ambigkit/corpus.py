@@ -230,7 +230,9 @@ def ambiguate(
     ``{"id", "reason"}`` reject: ``empty_generation``, or
     ``validation_failed`` with its ``candidate``. Both lists keep input
     order. Samples are mapped with ``bounded_map`` over
-    ``backend.parallelism``; a backend failure propagates."""
+    ``backend.parallelism``, which starts up to four times that many; the
+    backend bounds its own requests in flight. A backend failure
+    propagates."""
     rewrite, validator = templates["ambiguate"], templates["ambiguation_validation"]
 
     def one(sample: QASample) -> QASample | dict:

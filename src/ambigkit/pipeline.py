@@ -275,7 +275,8 @@ def label_records(
     master_seed: int,
 ) -> list[ClarifyLabel]:
     """Label every record; generated labels are mapped with ``bounded_map``
-    over ``backend.parallelism``."""
+    over ``backend.parallelism``, which starts up to four times that many
+    records while the backend bounds its own requests in flight."""
     if kind is LabelKind.FIXED:
         return [stage3_fixed_label(r.sample_id, master_seed) for r in records]
     return bounded_map(

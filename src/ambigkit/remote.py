@@ -13,6 +13,8 @@ up to ``parallelism`` keep-alive connections; the pool is the one bound on
 requests in flight. Transport failures (a refused or dropped connection, a
 timeout, a response cut off mid-body) are retried with exponential backoff,
 during which the connection serves other samples; protocol errors never are.
+A retry whose backoff has ended takes the next free connection, ahead of
+first attempts that queued meanwhile.
 Servers cannot expose a distribution for the very first token of a sequence
 (its ``token_logprob`` is null), so scoring with an empty context silently
 skips that position; every other null is a protocol error.
@@ -29,11 +31,12 @@ and greedy or seeded generation) at most once; see ``RequestJournal``.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import http.client
+import itertools
 import json
 import logging
 import math
-import queue
 import ssl
 import threading
 import time
@@ -175,6 +178,63 @@ class RequestJournal:
                 self._file = None
 
 
+class _Waiter:
+    """A caller waiting for a connection; ``handed`` is set once it has one."""
+
+    __slots__ = ("handed", "connection")
+
+    def __init__(self):
+        self.handed = threading.Event()
+        self.connection: http.client.HTTPConnection | None = None
+
+
+class _ConnectionPool:
+    """Lends out a fixed set of connections, one caller each; taking one is
+    what bounds the requests in flight.
+
+    A returned connection goes straight to a waiting caller: retries first,
+    then the others in arrival order. Only when nobody waits is it kept idle,
+    last in, first out, so the warmest connections stay busy. Handing it over
+    directly wakes exactly one caller and loses no wake-up.
+    """
+
+    def __init__(self, connections: list[http.client.HTTPConnection]):
+        self._lock = threading.Lock()
+        self._idle = list(connections)
+        self._waiting: list[tuple[bool, int, _Waiter]] = []
+        self._tickets = itertools.count()
+
+    def take(self, retry: bool) -> http.client.HTTPConnection:
+        with self._lock:
+            if self._idle:
+                return self._idle.pop()
+            waiter = _Waiter()
+            entry = (not retry, next(self._tickets), waiter)
+            heapq.heappush(self._waiting, entry)
+        try:
+            waiter.handed.wait()
+        except BaseException:
+            # Interrupted: leave the queue, or give back what was handed over.
+            with self._lock:
+                handed = waiter.connection
+                if handed is None:
+                    self._waiting.remove(entry)
+                    heapq.heapify(self._waiting)
+            if handed is not None:
+                self.give(handed)
+            raise
+        return waiter.connection
+
+    def give(self, connection: http.client.HTTPConnection) -> None:
+        with self._lock:
+            if not self._waiting:
+                self._idle.append(connection)
+                return
+            waiter = heapq.heappop(self._waiting)[2]
+            waiter.connection = connection
+        waiter.handed.set()
+
+
 class RemoteCompletionsBackend(Backend):
     """HTTP client for a completions endpoint with echo+logprobs support."""
 
@@ -206,11 +266,7 @@ class RemoteCompletionsBackend(Backend):
                               context=ssl.create_default_context())
         self._connections = [connect(url.hostname, url.port, timeout=timeout)
                              for _ in range(self.parallelism)]
-        # One slot per connection. Taking a slot is what bounds the requests
-        # in flight; last in, first out keeps the warmest connections busy.
-        self._slots: queue.LifoQueue = queue.LifoQueue()
-        for connection in self._connections:
-            self._slots.put(connection)
+        self._pool = _ConnectionPool(self._connections)
 
     def close(self) -> None:
         if self.journal is not None:
@@ -225,11 +281,12 @@ class RemoteCompletionsBackend(Backend):
         connection.request("POST", self._target, data, self._headers)
         return connection.getresponse()
 
-    def _exchange(self, data: bytes) -> tuple[int, bytes]:
-        """POST ``data`` on a pooled connection; the response's status and
-        body. A connection that has opened (``sock`` set) stays open for the
-        next call unless the server closes it."""
-        connection = self._slots.get()
+    def _exchange(self, data: bytes, retry: bool) -> tuple[int, bytes]:
+        """POST ``data`` on a pooled connection, taken ahead of first
+        attempts if ``retry``; the response's status and body. A connection
+        that has opened (``sock`` set) stays open for the next call unless
+        the server closes it."""
+        connection = self._pool.take(retry)
         try:
             reused = connection.sock is not None
             try:
@@ -247,7 +304,7 @@ class RemoteCompletionsBackend(Backend):
             connection.close()  # leaves it idle, to open again on next use
             raise
         finally:
-            self._slots.put(connection)
+            self._pool.give(connection)
 
     def _post(self, body: dict[str, Any]) -> tuple[Any, str]:
         """The decoded payload of the server's answer, and its text."""
@@ -258,7 +315,7 @@ class RemoteCompletionsBackend(Backend):
         last_error: Exception | None = None
         for attempt in range(1, _MAX_ATTEMPTS + 1):
             try:
-                status, content = self._exchange(data)
+                status, content = self._exchange(data, attempt > 1)
             except (OSError, http.client.HTTPException) as exc:
                 # A refused or dropped connection, a timeout, and a response
                 # cut off mid-body (IncompleteRead) alike.
@@ -279,7 +336,8 @@ class RemoteCompletionsBackend(Backend):
                     return payload, text
             if attempt < _MAX_ATTEMPTS:
                 # The connection is back in the pool, so another sample's
-                # request uses it during the backoff.
+                # request uses it during the backoff; the retry then goes
+                # ahead of the requests that queued meanwhile.
                 time.sleep(_BACKOFF_BASE_S * (2 ** (attempt - 1)))
         raise TransportError(f"backend unreachable: {last_error}", _MAX_ATTEMPTS)
 

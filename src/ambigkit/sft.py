@@ -118,7 +118,7 @@ def emit(
 class VerifyReport:
     """Re-parse result for an exported training file. Each failure is a line
     number and a message; line 0 marks a failure of the whole file (one that
-    does not parse, or unbalanced halves)."""
+    does not parse, holds no records, or has unbalanced halves)."""
 
     total: int
     per_source: Counter
@@ -158,6 +158,8 @@ def verify(path: str | Path, answer_cue: str | None = None) -> VerifyReport:
         entries = list(read_jsonl(path))
     except DataIntegrityError as exc:
         return VerifyReport(0, Counter(), Counter(), [(0, str(exc))])
+    if not entries:  # emit never writes an empty file
+        return VerifyReport(0, Counter(), Counter(), [(0, f"{path}: no records")])
     for line_number, obj in entries:
         total += 1
 

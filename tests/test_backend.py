@@ -111,10 +111,10 @@ def test_bounded_map_serial_path():
     assert bounded_map(str, [1], max_workers=8) == ["1"]
 
 
-def test_bounded_map_runs_two_threads_per_worker():
-    # Six items meet at the barrier only if six run at once; no more than six
-    # threads may run them.
-    barrier = threading.Barrier(6, timeout=5)
+def test_bounded_map_runs_four_threads_per_worker():
+    # Twelve items meet at the barrier only if twelve run at once; no more
+    # than twelve threads may run them.
+    barrier = threading.Barrier(12, timeout=5)
     lock = threading.Lock()
     threads = set()
 
@@ -124,6 +124,6 @@ def test_bounded_map_runs_two_threads_per_worker():
         barrier.wait()
         return x * x
 
-    items = list(range(18))
+    items = list(range(36))
     assert bounded_map(item, items, 3) == [x * x for x in items]
-    assert len(threads) <= 6
+    assert len(threads) <= 12

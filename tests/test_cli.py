@@ -742,7 +742,8 @@ def test_unreadable_input_file_exits_2_or_4(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("content,message", [
     (NOT_UTF8, "{path}: not UTF-8 text"),
     (b'{"id": "s1"}\n{torn', "{path} line 2: invalid JSON"),
-], ids=["not-utf8", "torn-line"])
+    (b"", "{path}: no records"),
+], ids=["not-utf8", "torn-line", "empty"])
 def test_verify_prints_a_file_failure_without_line_0(tmp_path, capsys, content, message):
     path = tmp_path / "sft.jsonl"
     path.write_bytes(content)

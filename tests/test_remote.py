@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import random
 import re
 import socket
 import sys
@@ -432,6 +433,169 @@ def test_backoff_gives_the_sample_slot_to_another_sample(monkeypatch):
     assert [result.text for result in results] == [" Paris"] * 4
     assert seen == {"a": 2, "b": 2, "c": 1, "d": 1}
     assert server.max_in_flight <= 2
+
+
+def test_retry_takes_the_next_free_connection_before_queued_requests(monkeypatch):
+    # One connection. a is refused once; during its backoff b holds the
+    # connection and c and d queue for it. When b is answered, a's retry goes
+    # next, although c and d were waiting before its backoff ended.
+    lock = threading.Lock()
+    order: list[str] = []
+    backing_off, backoff_over = threading.Event(), threading.Event()
+    b_arrived, release_b = threading.Event(), threading.Event()
+
+    def answer(body: dict):
+        prompt = body["prompt"]
+        with lock:
+            order.append(prompt)
+            refuse = order == ["a"]
+        if refuse:
+            return 503, b"overloaded"
+        if prompt == "b":
+            b_arrived.set()
+            release_b.wait(timeout=5)
+        return paris(body)
+
+    def sleep(seconds: float) -> None:
+        backing_off.set()
+        backoff_over.wait(timeout=5)
+
+    monkeypatch.setattr(remote, "time", types.SimpleNamespace(sleep=sleep))
+    with LoopbackServer(answer) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=1)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                def send(prompt: str):
+                    return pool.submit(backend.generate, prompt, GenerationParams())
+
+                calls = [send("a")]
+                assert backing_off.wait(timeout=5)
+                calls.append(send("b"))
+                assert b_arrived.wait(timeout=5)
+                calls += [send("c"), send("d")]
+                time.sleep(0.2)  # c and d queue for the connection b holds
+                backoff_over.set()
+                time.sleep(0.2)  # a's retry queues too
+                release_b.set()
+                results = [call.result(timeout=10) for call in calls]
+        finally:
+            backoff_over.set()
+            release_b.set()
+            backend.close()
+    assert [result.text for result in results] == [" Paris"] * 4
+    assert order[:3] == ["a", "b", "a"], order
+
+
+def test_backoffs_at_the_head_of_a_map_leave_every_connection_busy(monkeypatch):
+    # Parallelism 2: the first three samples are refused once, and their
+    # backoffs end only once the server holds two other requests at once.
+    lock = threading.Lock()
+    seen: Counter = Counter()
+    in_flight = 0
+    two_at_once = threading.Event()
+
+    def answer(body: dict):
+        nonlocal in_flight
+        prompt = body["prompt"]
+        with lock:
+            seen[prompt] += 1
+            if prompt in ("a", "b", "c") and seen[prompt] == 1:
+                return 503, b"overloaded"
+            in_flight += 1
+            if in_flight == 2:
+                two_at_once.set()
+        try:
+            two_at_once.wait(timeout=1)
+            return paris(body)
+        finally:
+            with lock:
+                in_flight -= 1
+
+    def sleep(seconds: float) -> None:
+        if not two_at_once.wait(timeout=5):
+            raise AssertionError("a connection idled while three samples backed off")
+
+    monkeypatch.setattr(remote, "time", types.SimpleNamespace(sleep=sleep))
+    prompts = list("abcdefghijk")
+    with LoopbackServer(answer) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=2)
+        try:
+            results = generate_all(backend, prompts, 2)
+        finally:
+            backend.close()
+    assert [result.text for result in results] == [" Paris"] * len(prompts)
+    assert seen == {prompt: 2 if prompt in "abc" else 1 for prompt in prompts}
+    assert server.max_in_flight <= 2
+
+
+def test_pool_hands_off_every_connection_under_random_refusals():
+    # 16 threads share 3 connections while the server refuses at random (at
+    # most twice per prompt, so every call succeeds). Afterwards three
+    # requests must still reach the server at once: no connection leaked.
+    rng = random.Random(7)
+    lock = threading.Lock()
+    refused: Counter = Counter()
+    barrier = threading.Barrier(3, timeout=5)
+
+    def answer(body: dict):
+        prompt = body["prompt"]
+        if prompt.startswith("after"):
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                return 400, b"fewer than three requests in flight"
+            return paris(body)
+        with lock:
+            refuse = refused[prompt] < 2 and rng.random() < 0.3
+            refused[prompt] += refuse
+            delay = rng.random() * 0.002
+        time.sleep(delay)
+        return (503, b"overloaded") if refuse else paris(body)
+
+    prompts = [f"q{i}" for i in range(48)]
+    with LoopbackServer(answer) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=3)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                results = list(pool.map(
+                    lambda prompt: backend.generate(prompt, GenerationParams()),
+                    prompts, timeout=60))
+                assert server.max_in_flight <= 3
+                after = list(pool.map(
+                    lambda prompt: backend.generate(prompt, GenerationParams()),
+                    ["after0", "after1", "after2"], timeout=10))
+        finally:
+            backend.close()
+    assert [result.text for result in results + after] == [" Paris"] * 51
+    assert sum(refused.values()) > 0
+    assert server.requests == 51 + sum(refused.values())
+
+
+@pytest.mark.parametrize("handed", [False, True], ids=["while-waiting", "after-hand-off"])
+def test_interrupted_waiter_strands_no_connection(monkeypatch, handed):
+    connection = object()
+    pool = remote._ConnectionPool([connection])
+    assert pool.take(retry=False) is connection
+
+    class Interrupted:
+        def wait(self):
+            if handed:
+                pool.give(connection)  # the holder returns it to this waiter
+            raise KeyboardInterrupt
+
+        def set(self):
+            pass
+
+    def init(waiter):
+        waiter.handed = Interrupted()
+        waiter.connection = None
+
+    monkeypatch.setattr(remote._Waiter, "__init__", init)
+    with pytest.raises(KeyboardInterrupt):
+        pool.take(retry=True)
+    if not handed:
+        pool.give(connection)
+    assert (pool._idle, pool._waiting) == ([connection], [])
 
 
 def test_connection_the_server_closed_is_sent_again_without_backoff(monkeypatch):

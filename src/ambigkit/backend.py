@@ -59,9 +59,9 @@ class TokenDistribution:
     """Next-token distribution information at one position.
 
     ``top_alternatives`` lists (token_text, logprob) pairs in descending
-    probability; ``tail_mass`` is the probability not covered by them. The
-    realized token need not be modal, but appears among the alternatives
-    whenever its probability exceeds the k-th alternative's.
+    probability, at least one; ``tail_mass`` is the probability not covered
+    by them. The realized token need not be modal, but appears among the
+    alternatives whenever its probability exceeds the k-th alternative's.
     """
 
     token_text: str
@@ -77,6 +77,8 @@ class TokenDistribution:
             )
         if not self.tail_mass >= -_SIGN_TOLERANCE:
             raise NormalizationError(f"tail_mass must be >= 0, got {self.tail_mass}")
+        if not self.top_alternatives:
+            raise NormalizationError("distribution lists no alternatives")
         covered = math.fsum(math.exp(lp) for _, lp in self.top_alternatives)
         total = covered + self.tail_mass
         if not abs(total - 1.0) <= NORMALIZATION_TOLERANCE:

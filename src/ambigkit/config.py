@@ -6,6 +6,7 @@ config can travel with its fixtures. Flag overrides win over file values.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
 import math
@@ -129,6 +130,18 @@ def _section(cls, obj: object, where: str, convert: dict):
     return cls(**values)
 
 
+def _member(cls: type[enum.Enum]):
+    """Converter to the member of ``cls`` with the given value; a bad value's
+    message lists the allowed ones."""
+    def convert(value):
+        try:
+            return cls(value)
+        except ValueError:
+            allowed = ", ".join(member.value for member in cls)
+            raise ValueError(f"{value!r} is not one of {allowed}") from None
+    return convert
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Load, validate, and path-resolve a JSON config file."""
     path = Path(path)
@@ -161,13 +174,13 @@ def load_config(path: str | Path) -> RunConfig:
         "dataset": relative_str,
         "workdir": relative_str,
         "epsilon": float,
-        "truncation_mode": TruncationMode,
+        "truncation_mode": _member(TruncationMode),
         "seed": int,
         "template_dir": relative,
         "max_tokens": int,
         "rouge_threshold": float,
-        "strategy": SelectionStrategy,
-        "label_kind": LabelKind,
+        "strategy": _member(SelectionStrategy),
+        "label_kind": _member(LabelKind),
         "sample_rep": partial(_section, SampleRepConfig, where="sample_rep", convert={
             "threshold": float, "num_samples": int, "temperature": float,
         }),

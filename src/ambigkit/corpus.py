@@ -72,17 +72,8 @@ def _sample_from_obj(obj: dict, path: str | Path, line_number: int) -> QASample:
 
 def load_dataset(path: str | Path) -> list[QASample]:
     """Order-preserving JSONL load; duplicate ids are rejected."""
-    samples: list[QASample] = []
-    seen: set[str] = set()
-    for line_number, obj in read_jsonl(path):
-        sample = _sample_from_obj(obj, path, line_number)
-        if sample.id in seen:
-            raise DataIntegrityError(
-                f"{path} line {line_number}: duplicate sample id {sample.id!r}"
-            )
-        seen.add(sample.id)
-        samples.append(sample)
-    return samples
+    return [_sample_from_obj(obj, path, line_number)
+            for line_number, obj in read_jsonl(path, unique_ids=True)]
 
 
 def sample_to_obj(sample: QASample) -> dict:

@@ -3,9 +3,9 @@ threshold verdict.
 
 All entropies are natural-log (nats). The per-position entropy is
 -sum(p * ln p) over the distribution's effective support, with 0 * ln 0
-treated as 0. Remote backends only expose the top-k alternatives, so three
-truncation policies are provided; entropies are comparable only within one
-mode, which every profile and report records.
+treated as 0. Remote backends only expose the top-k alternatives, so two
+truncation policies are provided. Every structural check of a distribution
+lives in ``TokenDistribution``; here only exact mode's tail bound is checked.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ class TruncationMode(enum.Enum):
     """How to treat probability mass beyond the listed top-k alternatives.
 
     TAIL_LUMP folds the uncovered mass into one pseudo-token (default).
-    RENORMALIZE rescales the listed alternatives to sum to one.
     EXACT requires the listed alternatives to cover everything (tail below
-    1e-9); reserved for full-vocabulary oracle backends.
+    1e-9); reserved for full-vocabulary oracle backends. Wherever EXACT
+    succeeds, TAIL_LUMP differs from it by at most -t ln t <= 2.1e-8 nats.
     """
 
     TAIL_LUMP = "tail_lump"
-    RENORMALIZE = "renormalize"
     EXACT = "exact"
 
 
@@ -46,7 +45,6 @@ class EntropyProfile:
     per_token_entropy: tuple[float, ...]
     average_entropy: float
     token_count: int
-    truncation_mode: TruncationMode
 
 
 def _plogp(p: float) -> float:
@@ -55,25 +53,14 @@ def _plogp(p: float) -> float:
 
 def token_entropy(dist: TokenDistribution, mode: TruncationMode) -> float:
     """Entropy in nats of one position's distribution under ``mode``."""
-    if dist.tail_mass < -_TAIL_TOLERANCE:
-        raise NormalizationError(f"negative tail_mass {dist.tail_mass}")
-    probs = dist.alternative_probs()
-    if not probs:
-        raise NormalizationError("distribution lists no alternatives")
+    if mode is TruncationMode.EXACT and dist.tail_mass >= _TAIL_TOLERANCE:
+        raise NormalizationError(
+            f"exact mode requires tail_mass < {_TAIL_TOLERANCE}, got {dist.tail_mass}"
+        )
+    entropy = math.fsum(_plogp(p) for p in dist.alternative_probs())
     if mode is TruncationMode.EXACT:
-        if dist.tail_mass >= _TAIL_TOLERANCE:
-            raise NormalizationError(
-                f"exact mode requires tail_mass < {_TAIL_TOLERANCE}, "
-                f"got {dist.tail_mass}"
-            )
-        return math.fsum(_plogp(p) for p in probs)
-    if mode is TruncationMode.TAIL_LUMP:
-        return math.fsum(_plogp(p) for p in probs) + _plogp(max(dist.tail_mass, 0.0))
-    # RENORMALIZE
-    total = math.fsum(probs)
-    if total <= 0.0:
-        raise NormalizationError("alternatives carry no probability mass")
-    return math.fsum(_plogp(p / total) for p in probs)
+        return entropy
+    return entropy + _plogp(max(dist.tail_mass, 0.0))
 
 
 def entropy_profile(scoring: ScoringResult, mode: TruncationMode) -> EntropyProfile:
@@ -85,18 +72,11 @@ def entropy_profile(scoring: ScoringResult, mode: TruncationMode) -> EntropyProf
         per_token_entropy=entropies,
         average_entropy=math.fsum(entropies) / len(entropies),
         token_count=len(entropies),
-        truncation_mode=mode,
     )
 
 
 def info_gain(h_query: EntropyProfile, h_disambig: EntropyProfile) -> float:
     """Average-entropy difference query minus disambiguation; may be negative."""
-    if h_query.truncation_mode is not h_disambig.truncation_mode:
-        raise ConfigurationError(
-            "cannot compare entropy profiles computed under different "
-            f"truncation modes ({h_query.truncation_mode.value} vs "
-            f"{h_disambig.truncation_mode.value})"
-        )
     return h_query.average_entropy - h_disambig.average_entropy
 
 

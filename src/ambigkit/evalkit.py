@@ -209,7 +209,7 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
     """Read a predictions file. A line with a non-null ``error`` is an
     errored sample; ``flags`` is optional; other fields become extras."""
     predictions = []
-    for line_number, obj in read_jsonl(path):
+    for line_number, obj in read_jsonl(path, unique_ids=True):
         with record_at(path, line_number):
             predictions.append(PredictionRecord(
                 typed_field(obj, "id", str), typed_field(obj, "prediction", str),

@@ -12,7 +12,9 @@ each naming the file. Readers take each field through ``typed_field``,
 which checks the field's JSON type instead of coercing it, inside
 ``record_at``, which turns a missing or malformed field into a ParseError
 naming the file and the line, or the file alone for a file that is one
-JSON object (``read_json_object``).
+JSON object (``read_json_object``). Every file keyed by sample id is read
+with ``read_jsonl(path, unique_ids=True)``, so a repeated id is a
+ParseError too.
 """
 
 from __future__ import annotations
@@ -79,9 +81,12 @@ def input_file(path: str | Path) -> Iterator[None]:
         raise ParseError(f"not UTF-8 text ({exc.reason})", where=path) from exc
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+def read_jsonl(path: str | Path, *, unique_ids: bool = False) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, object) pairs; a malformed line raises a
-    ParseError naming ``path`` and the line."""
+    ParseError naming ``path`` and the line. With ``unique_ids``, so does a
+    line whose string or integer ``id`` an earlier line already had, an
+    integer counting as its string form."""
+    seen: set[str] = set()
     with input_file(path), open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             if not line.strip():
@@ -92,6 +97,11 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 raise ParseError(f"invalid JSON: {exc.msg}", line_number, path) from exc
             if not isinstance(obj, dict):
                 raise ParseError("record is not a JSON object", line_number, path)
+            if unique_ids and type(obj.get("id")) in (str, int):
+                record_id = str(obj["id"])
+                if record_id in seen:
+                    raise ParseError(f"duplicate id {record_id!r}", line_number, path)
+                seen.add(record_id)
             yield line_number, obj
 
 

@@ -401,7 +401,7 @@ def read_partition(
 ) -> StageOnePartition:
     assessed_samples: list[AssessedSample] = []
     errored: list[tuple[str, str]] = []
-    for line_number, obj in read_jsonl(path):
+    for line_number, obj in read_jsonl(path, unique_ids=True):
         with record_at(path, line_number):
             sample_id = typed_field(obj, "id", str)
             if "error" in obj:
@@ -445,7 +445,7 @@ def write_records(records: Sequence[DisambiguationRecord], path: str | Path) -> 
 
 def read_records(path: str | Path) -> list[DisambiguationRecord]:
     records = []
-    for line_number, obj in read_jsonl(path):
+    for line_number, obj in read_jsonl(path, unique_ids=True):
         with record_at(path, line_number):
             records.append(DisambiguationRecord(
                 sample_id=typed_field(obj, "id", str),
@@ -473,7 +473,7 @@ def write_labels(labels: Sequence[ClarifyLabel], path: str | Path) -> None:
 
 def read_labels(path: str | Path) -> list[ClarifyLabel]:
     labels = []
-    for line_number, obj in read_jsonl(path):
+    for line_number, obj in read_jsonl(path, unique_ids=True):
         with record_at(path, line_number):
             labels.append(ClarifyLabel(
                 sample_id=typed_field(obj, "id", str),

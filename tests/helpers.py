@@ -154,6 +154,10 @@ class LoopbackServer:
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
             timeout = 10
+            # The headers and the body go out in two sends; with Nagle's
+            # algorithm on, each answer on a kept-alive connection would
+            # wait for the client's delayed ACK.
+            disable_nagle_algorithm = True
 
             def log_message(self, *args):
                 pass

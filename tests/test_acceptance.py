@@ -110,7 +110,6 @@ def _random_profile(rng: random.Random) -> EntropyProfile:
         per_token_entropy=values,
         average_entropy=math.fsum(values) / len(values),
         token_count=len(values),
-        truncation_mode=TruncationMode.EXACT,
     )
 
 

@@ -57,6 +57,17 @@ def test_distribution_rejects_negative_tail():
         )
 
 
+def test_distribution_rejects_empty_alternatives():
+    # Normalized (the tail carries all the mass), but no entropy rests on it.
+    with pytest.raises(NormalizationError, match="no alternatives"):
+        TokenDistribution(
+            token_text="a",
+            token_logprob=math.log(0.5),
+            top_alternatives=(),
+            tail_mass=1.0,
+        )
+
+
 @pytest.mark.parametrize(
     "token_logprob, alternatives, tail_mass",
     [

@@ -118,6 +118,28 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert run("--config", str(config), "assess") == 2
 
 
+@pytest.mark.parametrize("checkpoint, command", [
+    ("assess.jsonl", ("detect",)),
+    ("records.jsonl", ("label",)),
+    ("labels.jsonl", ("emit",)),
+    ("predictions_direct.jsonl", ("eval", "--predictions")),
+])
+def test_repeated_checkpoint_line_exits_4(tmp_path, capsys, checkpoint, command):
+    config = make_config(tmp_path)
+    run_chain(config)
+    assert run("--config", str(config), "eval", "--strategy", "direct") == 0
+    path = workdir_of(config) / checkpoint
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines) + lines[0])
+    if command[0] == "eval":
+        command += (str(path),)
+    capsys.readouterr()
+    assert run("--config", str(config), *command) == 4
+    record_id = json.loads(lines[0])["id"]
+    assert (f"{path} line {len(lines) + 1}: duplicate id {record_id!r}"
+            in capsys.readouterr().err)
+
+
 def test_unreachable_backend_exits_3(tmp_path):
     config = make_config(tmp_path)
     code = run(
@@ -644,9 +666,10 @@ def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch):
     {"sample_rep": {"threshold": 0.5, "num_samples": 10, "temperature": -1.0}},
     {"sample_rep": {"threshold": float("nan")}},
     {"sample_rep": {"threshold": float("inf")}},
+    {"truncation_mode": "renormalize"},
 ], ids=["epsilon-text", "epsilon-null", "epsilon-list", "top_k-0", "top_k-negative",
         "top_k-over-vocabulary", "num_samples-0", "temperature-negative",
-        "threshold-nan", "threshold-inf"])
+        "threshold-nan", "threshold-inf", "truncation_mode-renormalize"])
 def test_bad_config_value_exits_2(tmp_path, capsys, patch):
     config = make_config(tmp_path, **patch)
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 2

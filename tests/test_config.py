@@ -74,14 +74,22 @@ def test_dataset_required(tmp_path):
 
 
 def test_bad_truncation_mode_rejected(tmp_path):
-    path = write_config(tmp_path, truncation_mode="sideways")
-    with pytest.raises(ConfigurationError):
-        load_config(path)
+    for mode in ("sideways", "renormalize"):
+        path = write_config(tmp_path, truncation_mode=mode)
+        with pytest.raises(ConfigurationError,
+                           match=f"'{mode}' is not one of tail_lump, exact"):
+            load_config(path)
 
 
 def test_bad_strategy_rejected(tmp_path):
     path = write_config(tmp_path, strategy="magic")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="'magic' is not one of apa_infogain, "):
+        load_config(path)
+
+
+def test_bad_label_kind_rejected(tmp_path):
+    path = write_config(tmp_path, label_kind="typed")
+    with pytest.raises(ConfigurationError, match="'typed' is not one of fixed, generated"):
         load_config(path)
 
 
@@ -137,7 +145,7 @@ def test_config_hash_is_pinned(tmp_path):
         "dataset": "/fixed/corpus.jsonl",
         "workdir": "/fixed/out",
         "epsilon": 0.25,
-        "truncation_mode": "renormalize",
+        "truncation_mode": "exact",
         "seed": 7,
         "template_dir": "/fixed/templates",
         "max_tokens": 16,
@@ -149,7 +157,7 @@ def test_config_hash_is_pinned(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     assert config_hash(load_config(path)) == (
-        "9658a2fbad4fd4d19e9f79cd1feeeb3aa379f31e0519f0103ad9092db2c15103"
+        "630122f315d674bb2de7838cf0c9c9fb23ecee5f5a83dd8acb01d2dfcffdf9b4"
     )
 
 

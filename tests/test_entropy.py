@@ -62,15 +62,6 @@ def test_tail_lump_counts_tail_as_pseudo_token():
     )
 
 
-def test_renormalize_rescales_alternatives():
-    dist = dist_from_probs([0.5, 0.3], tail=0.2)
-    p1, p2 = 0.5 / 0.8, 0.3 / 0.8
-    expected = -(p1 * math.log(p1) + p2 * math.log(p2))
-    assert token_entropy(dist, TruncationMode.RENORMALIZE) == pytest.approx(
-        expected, abs=1e-12
-    )
-
-
 def test_exact_mode_rejects_tail():
     dist = dist_from_probs([0.5, 0.3], tail=0.2)
     with pytest.raises(NormalizationError):
@@ -119,13 +110,12 @@ def test_profile_matches_table_oracle(table_name, text):
         assert got == pytest.approx(want, abs=1e-12)
 
 
-def profile(values, mode=TruncationMode.EXACT):
+def profile(values):
     values = tuple(values)
     return EntropyProfile(
         per_token_entropy=values,
         average_entropy=math.fsum(values) / len(values),
         token_count=len(values),
-        truncation_mode=mode,
     )
 
 
@@ -142,11 +132,6 @@ def test_gain_is_plain_subtraction():
 
 def test_negative_gain_allowed():
     assert info_gain(profile([0.2]), profile([0.5])) < 0
-
-
-def test_mode_mismatch_rejected():
-    with pytest.raises(ConfigurationError):
-        info_gain(profile([1.0]), profile([1.0], mode=TruncationMode.TAIL_LUMP))
 
 
 def test_classify_strict_threshold():
@@ -215,6 +200,15 @@ def test_tail_lump_bounded_by_support_size(probs, tail):
     h = token_entropy(dist, TruncationMode.TAIL_LUMP)
     atoms = len(probs) + (1 if tail > 0 else 0)
     assert h <= math.log(atoms) + 1e-9 if atoms > 1 else h <= 1e-12
+
+
+@given(prob_vectors, st.floats(min_value=0.0, max_value=1e-9, exclude_max=True))
+def test_tail_lump_within_bound_of_exact(probs, tail):
+    # Wherever exact mode accepts a tail t, tail_lump adds only -t ln t.
+    dist = dist_from_probs_with_tail([p * (1 - tail) for p in probs], tail)
+    exact = token_entropy(dist, TruncationMode.EXACT)
+    lumped = token_entropy(dist, TruncationMode.TAIL_LUMP)
+    assert 0.0 <= lumped - exact <= 2.1e-8
 
 
 def dist_from_probs_with_tail(probs, tail):

@@ -60,6 +60,15 @@ def echo_logprobs(prompt: str, top_k: int, drop: tuple[str, ...] = ()) -> dict:
     return payload
 
 
+def generation_logprobs(tokens: list[str]) -> dict:
+    return {
+        "tokens": tokens,
+        "token_logprobs": [LN(0.6)] * len(tokens),
+        "top_logprobs": [{token: LN(0.6), "<alt>": LN(0.3)} for token in tokens],
+        "text_offset": list(range(len(tokens))),
+    }
+
+
 class StubState:
     def __init__(self):
         self.requests: list[dict] = []
@@ -110,14 +119,7 @@ class StubHandler(BaseHTTPRequestHandler):
             text = next((answer for q, answer in state.answers.items()
                          if q in body["prompt"]), state.completion_text)
             tokens = tokenize(text)
-            logprobs = {
-                "tokens": tokens,
-                "token_logprobs": [LN(0.6)] * len(tokens),
-                "top_logprobs": [
-                    {token: LN(0.6), "<alt>": LN(0.3)} for token in tokens
-                ],
-                "text_offset": list(range(len(tokens))),
-            }
+            logprobs = generation_logprobs(tokens)
             if state.mode == "nan_logprobs":
                 # Serialised as the bare NaN token, which JSON decoders accept.
                 logprobs["token_logprobs"] = [math.nan] * len(tokens)
@@ -794,8 +796,13 @@ def remote_config(server, tmp_path, out: str = "out"):
     host, port = server.server_address
     server.state.answers = {"q1a q1b": " ans1"}
     server.state.completion_text = " the capital city"
+    return endpoint_config(f"http://{host}:{port}/v1/completions", tmp_path, out)
+
+
+def endpoint_config(endpoint: str, tmp_path, out: str = "out"):
+    """The toy CLI config pointed at ``endpoint``, and its workdir."""
     config = json.loads((FIXTURES / "toy_config.json").read_text())
-    config["backend"] = {"kind": "remote", "endpoint": f"http://{host}:{port}/v1/completions",
+    config["backend"] = {"kind": "remote", "endpoint": endpoint,
                          "model": "test-model", "top_k": 5, "parallelism": 2}
     config["dataset"] = str(FIXTURES / "corpus.jsonl")
     config["template_dir"] = str(FIXTURES / "toy_templates")
@@ -862,6 +869,34 @@ def test_retried_sample_leaves_the_checkpoint_bytes_unchanged(stub_server, tmp_p
     assert len(stub_server.state.requests) == 9 + 10
     assert ((faulty_out / "assess.jsonl").read_bytes()
             == (clean_out / "assess.jsonl").read_bytes())
+
+
+def test_position_without_alternatives_errors_only_its_sample(tmp_path):
+    # One scored position of s3's question lists no alternatives: a protocol
+    # error for s3, while detect writes the other samples' records.
+    def answer(body: dict) -> bytes:
+        if body["echo"]:
+            text = body["prompt"]
+            logprobs = echo_logprobs(text, body["logprobs"])
+            if text == "q3a q3b":
+                logprobs["top_logprobs"][1] = {}
+        else:
+            text = " ans1" if "q1a q1b" in body["prompt"] else " the capital city"
+            logprobs = generation_logprobs(tokenize(text))
+        choice = {"text": text, "finish_reason": "stop", "logprobs": logprobs}
+        return json.dumps({"choices": [choice]}).encode()
+
+    with LoopbackServer(answer) as server:
+        config, out = endpoint_config(server.endpoint, tmp_path)
+        cli(config, "assess")
+        assessed = [json.loads(line) for line in (out / "assess.jsonl").read_text().splitlines()]
+        incorrect = {a["id"] for a in assessed if a["category"] not in (1, 3)}
+        assert "s3" in incorrect
+        cli(config, "detect")
+    records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+    assert {r["id"] for r in records} == incorrect - {"s3"}
+    manifest = json.loads((out / "manifest_detect.json").read_text())
+    assert (manifest["records"], manifest["errored"]) == (len(incorrect) - 1, 1)
 
 
 def test_remote_chain_rerun_is_served_from_the_journal(stub_server, tmp_path):

@@ -127,6 +127,7 @@ def _call(backend: RemoteCompletionsBackend, scoring: bool, context: str):
 def _check(result) -> None:
     assert isinstance(result, (GenerationResult, ScoringResult))
     for dist in result.tokens:
+        assert dist.top_alternatives
         assert math.isfinite(dist.token_logprob) and dist.token_logprob <= 1e-9
         assert all(math.isfinite(lp) for _, lp in dist.top_alternatives)
         listed = dict(dist.top_alternatives).get(dist.token_text)

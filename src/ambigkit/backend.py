@@ -149,13 +149,9 @@ def bounded_map(fn, items, max_workers: int) -> list:
 
     The map bounds no backend traffic: a remote backend's connection pool
     does. The spare threads keep that pool busy while samples wait out retry
-    backoffs. With one worker or one item the map runs serially on the calling
-    thread. Exceptions propagate; callers that tolerate per-item failures
-    catch them inside ``fn``.
+    backoffs, at every parallelism. Exceptions propagate; callers that
+    tolerate per-item failures catch them inside ``fn``.
     """
-    items = list(items)
-    if max_workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=_THREADS_PER_WORKER * max_workers) as pool:

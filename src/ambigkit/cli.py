@@ -157,7 +157,10 @@ def _backend(config: RunConfig, paths: _Paths) -> contextlib.closing[Backend]:
 
 
 def _greedy_params(config: RunConfig) -> GenerationParams:
-    return GenerationParams(max_tokens=config.max_tokens, temperature=0.0)
+    # Every reply is cut at its first newline (``corpus.trim_continuation``),
+    # so the server may stop there instead of decoding the next few-shot block.
+    return GenerationParams(max_tokens=config.max_tokens, temperature=0.0,
+                            stop_sequences=("\n",))
 
 
 def _read_partition(config: RunConfig, paths: _Paths) -> StageOnePartition:

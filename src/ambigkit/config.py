@@ -142,6 +142,16 @@ def _member(cls: type[enum.Enum]):
     return convert
 
 
+def _number(kind: type):
+    """Converter to ``kind`` (int or float) that refuses a boolean, which
+    both would otherwise take as 1 or 0."""
+    def convert(value):
+        if isinstance(value, bool):
+            raise TypeError(f"expected a number, got {value!r}")
+        return kind(value)
+    return convert
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Load, validate, and path-resolve a JSON config file."""
     path = Path(path)
@@ -165,24 +175,25 @@ def load_config(path: str | Path) -> RunConfig:
     # An absent backend section is an empty one, and the default workdir is
     # relative to the config file like a given one.
     obj = {"backend": {}, "workdir": RunConfig.workdir, **obj}
+    to_int, to_float = _number(int), _number(float)
     return _section(RunConfig, obj, "config", {
         "backend": partial(_section, BackendSpec, where="backend", convert={
             "fixture": relative,
-            "top_k": lambda value: None if value is None else int(value),
-            "parallelism": int,
+            "top_k": lambda value: None if value is None else to_int(value),
+            "parallelism": to_int,
         }),
         "dataset": relative_str,
         "workdir": relative_str,
-        "epsilon": float,
+        "epsilon": to_float,
         "truncation_mode": _member(TruncationMode),
-        "seed": int,
+        "seed": to_int,
         "template_dir": relative,
-        "max_tokens": int,
-        "rouge_threshold": float,
+        "max_tokens": to_int,
+        "rouge_threshold": to_float,
         "strategy": _member(SelectionStrategy),
         "label_kind": _member(LabelKind),
         "sample_rep": partial(_section, SampleRepConfig, where="sample_rep", convert={
-            "threshold": float, "num_samples": int, "temperature": float,
+            "threshold": to_float, "num_samples": to_int, "temperature": to_float,
         }),
     })
 

@@ -667,9 +667,17 @@ def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch):
     {"sample_rep": {"threshold": float("nan")}},
     {"sample_rep": {"threshold": float("inf")}},
     {"truncation_mode": "renormalize"},
+    {"epsilon": True},
+    {"rouge_threshold": False},
+    {"seed": True},
+    {"backend": {"top_k": True}},
+    {"backend": {"parallelism": True}},
+    {"sample_rep": {"threshold": True}},
 ], ids=["epsilon-text", "epsilon-null", "epsilon-list", "top_k-0", "top_k-negative",
         "top_k-over-vocabulary", "num_samples-0", "temperature-negative",
-        "threshold-nan", "threshold-inf", "truncation_mode-renormalize"])
+        "threshold-nan", "threshold-inf", "truncation_mode-renormalize",
+        "epsilon-true", "rouge_threshold-false", "seed-true", "top_k-true",
+        "parallelism-true", "threshold-true"])
 def test_bad_config_value_exits_2(tmp_path, capsys, patch):
     config = make_config(tmp_path, **patch)
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 2

@@ -21,8 +21,9 @@ from ambigkit.backend import FinishReason, GenerationParams, bounded_map
 from ambigkit.cli import main
 from ambigkit.errors import CapabilityError, ProtocolError, TransportError
 from ambigkit.remote import RemoteCompletionsBackend, RequestJournal
+from ambigkit.toy import NgramTable, ToyBackend, load_ngram_table
 
-from conftest import FIXTURES
+from conftest import FIXTURES, TABLES
 from helpers import LoopbackServer
 
 LN = math.log
@@ -403,9 +404,11 @@ def test_requests_in_flight_never_exceed_parallelism():
     assert server.max_in_flight == 2
 
 
-def test_backoff_gives_the_sample_slot_to_another_sample(monkeypatch):
-    # Two slots: a and b are refused once each, and their backoffs end only
-    # once c is answered, which needs a slot one of them lent.
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_backoff_gives_the_sample_slot_to_another_sample(monkeypatch, parallelism):
+    # a and b are refused once each, and their backoffs end only once c is
+    # answered, which needs a connection one of them lent. With parallelism 1
+    # the one connection serves c while a and b back off.
     lock = threading.Lock()
     seen: Counter = Counter()
     c_answered = threading.Event()
@@ -427,14 +430,14 @@ def test_backoff_gives_the_sample_slot_to_another_sample(monkeypatch):
 
     monkeypatch.setattr(remote, "time", types.SimpleNamespace(sleep=sleep))
     with LoopbackServer(answer) as server:
-        backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=2)
+        backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=parallelism)
         try:
-            results = generate_all(backend, ["a", "b", "c", "d"], 2)
+            results = generate_all(backend, ["a", "b", "c", "d"], parallelism)
         finally:
             backend.close()
     assert [result.text for result in results] == [" Paris"] * 4
     assert seen == {"a": 2, "b": 2, "c": 1, "d": 1}
-    assert server.max_in_flight <= 2
+    assert server.max_in_flight <= parallelism
 
 
 def test_retry_takes_the_next_free_connection_before_queued_requests(monkeypatch):
@@ -921,6 +924,77 @@ def test_remote_chain_rerun_is_served_from_the_journal(stub_server, tmp_path):
         cli(fresh, *command)
     assert {name: (fresh_out / name).read_bytes() for name in CHECKPOINTS} == cold
     assert all(deterministic(body) for body in stub_server.state.requests)
+    # Generation asks the server to stop where the reply is cut; scoring
+    # generates nothing.
+    assert all(body.get("stop") == (None if body["echo"] else ["\n"])
+               for body in stub_server.state.requests)
+
+
+# -- conformance with the toy oracle ----------------------------------------------
+
+
+def toy_completions(table: NgramTable):
+    """A LoopbackServer answer that computes each completion with a
+    ToyBackend on ``table``, listing the request's ``logprobs`` alternatives.
+    Echo scoring reports every word with its character offset, the first one
+    included, as the toy backend scores it; generation honours the request's
+    ``max_tokens``, ``temperature``, ``seed`` and ``stop``."""
+    def answer(body: dict) -> bytes:
+        backend = ToyBackend(table, top_k=body["logprobs"])
+        prompt = body["prompt"]
+        if body["echo"]:
+            words = list(re.finditer(r"\S+", prompt))
+            text, finish = prompt, "length"
+            tokens = [word.group() for word in words]
+            offsets = [word.start() for word in words]
+            distributions = backend.score(prompt).tokens
+        else:
+            result = backend.generate(prompt, GenerationParams(
+                max_tokens=body["max_tokens"], temperature=body["temperature"],
+                stop_sequences=tuple(body.get("stop", ())), seed=body.get("seed")))
+            text, finish = result.text, result.finish_reason.value
+            tokens = [distribution.token_text for distribution in result.tokens]
+            offsets = [len(prompt) + len("".join(tokens[:i])) for i in range(len(tokens))]
+            distributions = result.tokens
+        logprobs = {"tokens": tokens,
+                    "token_logprobs": [d.token_logprob for d in distributions],
+                    "top_logprobs": [dict(d.top_alternatives) for d in distributions],
+                    "text_offset": offsets}
+        choice = {"text": text, "finish_reason": finish, "logprobs": logprobs}
+        return json.dumps({"choices": [choice]}).encode()
+
+    return answer
+
+
+def test_remote_chain_writes_the_toy_chain_bytes(tmp_path):
+    # The toy CLI config, once on the toy backend and once through the remote
+    # client to a server that computes the same table; in exact mode, with
+    # every alternative listed, both write the same checkpoints.
+    table_path = TABLES / "corpus_world.yaml"
+    table = load_ngram_table(table_path)
+    config = json.loads((FIXTURES / "toy_config.json").read_text())
+    config["backend"]["fixture"] = str(table_path)
+    config["dataset"] = str(FIXTURES / "corpus.jsonl")
+    config["template_dir"] = str(FIXTURES / "toy_templates")
+    commands = [("assess",), ("detect",), ("label", "--kind", "generated"), ("emit",),
+                *(("eval", "--strategy", strategy)
+                  for strategy in ("direct", "ambig_aware", "sample_rep", "self_ask"))]
+    with LoopbackServer(toy_completions(table)) as server:
+        backends = {"toy": config["backend"],
+                    "remote": {"kind": "remote", "endpoint": server.endpoint, "model": "toy",
+                               "top_k": len(table.vocabulary), "parallelism": 2}}
+        for name, backend in backends.items():
+            path = tmp_path / f"config_{name}.json"
+            path.write_text(json.dumps({**config, "backend": backend,
+                                        "workdir": str(tmp_path / name)}))
+            for command in commands:
+                cli(path, *command)
+    names = ["assess.jsonl", "records.jsonl", "labels.jsonl", "selection.json", "sft.jsonl",
+             *(path.name for path in (tmp_path / "toy").glob("predictions_*.jsonl"))]
+    assert len(names) == 9
+    for name in names:
+        expected = (tmp_path / "toy" / name).read_bytes()
+        assert (tmp_path / "remote" / name).read_bytes() == expected, name
 
 
 def test_journal_counts_and_lines_survive_concurrent_workers(tmp_path):

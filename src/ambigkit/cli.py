@@ -91,6 +91,7 @@ from .sft import emit as sft_emit
 from .sft import verify as sft_verify
 
 DEFAULT_EPSILON_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
+DEFAULT_THRESHOLD_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -302,7 +303,7 @@ def _emit(args, config, paths, templates, backend) -> _Stage:
 
 def cmd_verify(args) -> int:
     config, paths = _load_run(args)
-    target = Path(args.path) if args.path else paths.require(paths.sft, "emit")
+    target = Path(args.path) if args.path is not None else paths.require(paths.sft, "emit")
     templates = load_templates(config.template_dir)
     report = sft_verify(target, answer_cue=templates["direct"].answer_cue)
     print(f"verify {target}: {report.summary()}")
@@ -333,7 +334,7 @@ def _eval_report(args, config: RunConfig, paths: _Paths, samples: list[QASample]
                  predictions: list[PredictionRecord], name: str) -> tuple[Path, dict, str]:
     """Where the report on ``predictions`` goes, its contents and its line."""
     report = evaluate(samples, predictions, config.rouge_threshold)
-    out = Path(args.report) if args.report else paths.workdir / f"eval_{name}.json"
+    out = paths.workdir / f"eval_{name}.json" if args.report is None else Path(args.report)
     report_obj = report.to_obj({
         "epsilon": config.epsilon,
         "truncation_mode": config.truncation_mode.value,
@@ -381,10 +382,10 @@ def _aggregate_reports(report_paths: list[Path]) -> dict:
 
 
 def cmd_eval(args) -> int:
-    if args.aggregate:
+    if args.aggregate is not None:
         config, paths = _load_run(args)
         summary = _aggregate_reports([Path(p) for p in args.aggregate])
-        out = Path(args.report) if args.report else paths.workdir / "eval_aggregate.json"
+        out = paths.workdir / "eval_aggregate.json" if args.report is None else Path(args.report)
         write_json_atomic(out, summary)
         print(
             f"aggregated {summary['n']} reports: "
@@ -393,12 +394,12 @@ def cmd_eval(args) -> int:
             f"({out})"
         )
         return EXIT_OK
-    if not (args.compare or args.predictions):
+    if args.compare is None and args.predictions is None:
         name = args.strategy or "direct"
         return _run_stage(args, f"eval_{name}", partial(_eval_strategy, name))
     config, paths, templates = _start(args)
     samples = load_dataset(config.dataset)
-    if args.compare:
+    if args.compare is not None:
         before, after = (
             {o.sample_id: o.category
              for o in evaluate(samples, read_predictions(Path(p)),
@@ -406,7 +407,7 @@ def cmd_eval(args) -> int:
             for p in args.compare
         )
         regression = mcr(before, after)
-        out = Path(args.report) if args.report else paths.workdir / "eval_compare.json"
+        out = paths.workdir / "eval_compare.json" if args.report is None else Path(args.report)
         write_json_atomic(out, asdict(regression))
         rate = regression.mcr
         print(f"MCR: {'n/a' if rate is None else f'{rate:.4f}'} ({out})")
@@ -419,7 +420,10 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _parse_floats(text: str, what: str) -> list[float]:
+def _grid(text: str | None, default: tuple[float, ...], what: str) -> list[float]:
+    """The comma-separated ``what`` values in ``text``, or ``default``."""
+    if text is None:
+        return list(default)
     try:
         values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
@@ -433,17 +437,15 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     # A grid given for the other sweep is an error, not something to ignore.
-    if args.sample_rep and args.epsilons is not None:
+    if args.sample_rep is not None and args.epsilons is not None:
         raise ConfigurationError("--epsilons applies only without --sample-rep")
-    if not args.sample_rep and args.thresholds is not None:
+    if args.sample_rep is None and args.thresholds is not None:
         raise ConfigurationError("--thresholds applies only with --sample-rep")
     config, paths = _load_run(args)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    if args.sample_rep:
-        thresholds = _parse_floats(
-            args.thresholds or "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0", "threshold"
-        )
+    if args.sample_rep is not None:
+        thresholds = _grid(args.thresholds, DEFAULT_THRESHOLD_GRID, "threshold")
         samples = load_dataset(config.dataset)
         recorded = read_predictions(Path(args.sample_rep))
         writer.writerow(["threshold", "f1_u", "f1_a"])
@@ -453,17 +455,13 @@ def cmd_sweep(args) -> int:
             writer.writerow([threshold, f"{report.f1_u:.6f}", f"{report.f1_a:.6f}"])
         default_out = paths.workdir / "sample_rep_sweep.csv"
     else:
-        epsilons = (
-            _parse_floats(args.epsilons, "epsilon")
-            if args.epsilons
-            else list(DEFAULT_EPSILON_GRID)
-        )
+        epsilons = _grid(args.epsilons, DEFAULT_EPSILON_GRID, "epsilon")
         records = read_records(paths.require(paths.records, "detect"))
         writer.writerow(["epsilon", "pool_size"])
         for epsilon, size in sweep_epsilon(records, epsilons):
             writer.writerow([epsilon, size])
         default_out = paths.workdir / "epsilon_sweep.csv"
-    out = Path(args.out_csv) if args.out_csv else default_out
+    out = Path(args.out_csv) if args.out_csv is not None else default_out
     write_text_atomic(out, buffer.getvalue())
     print(buffer.getvalue().rstrip("\n"))
     print(f"wrote {out}")
@@ -473,7 +471,7 @@ def cmd_sweep(args) -> int:
 def cmd_ambiguate(args) -> int:
     # The allowlist is read before the backend opens, so a bad one costs no
     # backend call.
-    allowed = read_allowlist(args.allowlist) if args.allowlist else None
+    allowed = read_allowlist(args.allowlist) if args.allowlist is not None else None
     return _run_stage(args, "ambiguate", partial(_ambiguate, allowed))
 
 
@@ -496,6 +494,17 @@ def _ambiguate(allowed, args, config, paths, templates, backend) -> _Stage:
 # -- parser ----------------------------------------------------------------------
 
 
+def _given(text: str) -> str:
+    """A flag's value; an empty one is refused rather than read as absent."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
+def _listed(grid: tuple[float, ...]) -> str:
+    return ",".join(map(str, grid))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ambigkit",
@@ -504,15 +513,15 @@ def build_parser() -> argparse.ArgumentParser:
             "labeled training data, and evaluate ambiguity handling."
         ),
     )
-    parser.add_argument("--config", default="ambigkit.json",
+    parser.add_argument("--config", type=_given, default="ambigkit.json",
                         help="path to the JSON run configuration")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the master seed")
     parser.add_argument("--epsilon", type=float, default=None,
                         help="override the information-gain threshold")
-    parser.add_argument("--backend", default=None,
+    parser.add_argument("--backend", type=_given, default=None,
                         help="override the backend: toy:<fixture> or remote:<endpoint>")
-    parser.add_argument("--out", default=None,
+    parser.add_argument("--out", type=_given, default=None,
                         help="override the working/output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -526,34 +535,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("emit", help="export the balanced training JSONL")
 
     verify = sub.add_parser("verify", help="re-check an exported training file")
-    verify.add_argument("path", nargs="?", default=None,
+    verify.add_argument("path", nargs="?", type=_given, default=None,
                         help="file to verify (default: workdir/sft.jsonl)")
 
     ev = sub.add_parser("eval", help="run a baseline or score predictions")
     ev_mode = ev.add_mutually_exclusive_group()
     ev_mode.add_argument("--strategy", choices=list(_STRATEGIES), default=None,
                          help="inference-only baseline to run (default: direct)")
-    ev_mode.add_argument("--predictions", default=None,
+    ev_mode.add_argument("--predictions", type=_given, default=None,
                          help="score an external predictions JSONL instead")
-    ev_mode.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+    ev_mode.add_argument("--compare", nargs=2, type=_given, metavar=("BEFORE", "AFTER"),
                          default=None,
                          help="two prediction files; reports the regression rate")
-    ev_mode.add_argument("--aggregate", nargs="+", metavar="REPORT", default=None,
+    ev_mode.add_argument("--aggregate", nargs="+", type=_given, metavar="REPORT", default=None,
                          help="mean/stddev of F1 scores over report files")
-    ev.add_argument("--report", default=None, help="report output path")
+    ev.add_argument("--report", type=_given, default=None, help="report output path")
 
     sweep = sub.add_parser("sweep", help="threshold sweeps as CSV")
-    sweep.add_argument("--epsilons", default=None,
-                       help="comma-separated epsilon grid (default 0.1,0.3,0.5,0.7,0.9)")
-    sweep.add_argument("--sample-rep", dest="sample_rep", default=None,
+    sweep.add_argument("--epsilons", type=_given, default=None,
+                       help="comma-separated epsilon grid "
+                            f"(default {_listed(DEFAULT_EPSILON_GRID)})")
+    sweep.add_argument("--sample-rep", dest="sample_rep", type=_given, default=None,
                        help="sweep sample-rep thresholds over this predictions file")
-    sweep.add_argument("--thresholds", default=None,
-                       help="comma-separated sample-rep thresholds")
-    sweep.add_argument("--out-csv", dest="out_csv", default=None,
+    sweep.add_argument("--thresholds", type=_given, default=None,
+                       help="comma-separated sample-rep thresholds "
+                            f"(default {_listed(DEFAULT_THRESHOLD_GRID)})")
+    sweep.add_argument("--out-csv", dest="out_csv", type=_given, default=None,
                        help="CSV output path")
 
     amb = sub.add_parser("ambiguate", help="construct ambiguated questions")
-    amb.add_argument("--allowlist", default=None,
+    amb.add_argument("--allowlist", type=_given, default=None,
                      help="keep only ids listed in this file (one per line)")
     return parser
 

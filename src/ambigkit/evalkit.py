@@ -413,6 +413,10 @@ def evaluate(
     missing = [s.id for s in samples if s.id not in by_id]
     if missing:
         raise DataIntegrityError(f"predictions missing for sample(s): {missing[:5]}")
+    known = {s.id for s in samples}
+    unknown = [sample_id for sample_id in by_id if sample_id not in known]
+    if unknown:
+        raise DataIntegrityError(f"predictions for sample(s) not in the dataset: {unknown[:5]}")
     tallies = {1: 0, 2: 0, 3: 0, 4: 0, 5: 0}
     errored = 0
     outcomes: list[PerSampleOutcome] = []

@@ -317,17 +317,23 @@ def select_and_balance(
     ``gt_random``'s key is a seeded draw per sample id. Both halves are then
     cut to the smaller one's size: the ambiguous half keeps its first
     records, the correct half a seeded subset (keyed by sample id) in its
-    own order.
+    own order. A record for a sample outside the partition's incorrect split
+    (left over from another run) is a DataIntegrityError.
     """
+    assessed = {a.sample.id: a for a in partition.incorrect}
+    foreign = [r.sample_id for r in records if r.sample_id not in assessed]
+    if foreign:
+        raise DataIntegrityError(
+            f"detection records for sample(s) not in the incorrect split: {foreign[:5]}; "
+            "run `ambigkit detect` again"
+        )
     perceived = _perceived_ambiguous(records, epsilon)
-    assessed = partition.assessed_by_id()
     if strategy is SelectionStrategy.APA_INFOGAIN:
         pool = perceived
     else:
         pool = []
         for record in records:
-            entry = assessed.get(record.sample_id)
-            gold = entry.sample.gold_ambiguous if entry is not None else None
+            gold = assessed[record.sample_id].sample.gold_ambiguous
             if gold is None:
                 raise ConfigurationError(
                     f"strategy {strategy.value} requires gold ambiguity labels; "

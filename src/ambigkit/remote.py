@@ -14,7 +14,7 @@ requests in flight. Transport failures (a refused or dropped connection, a
 timeout, a response cut off mid-body) are retried with exponential backoff,
 during which the connection serves other samples; protocol errors never are.
 A retry whose backoff has ended takes the next free connection, ahead of
-first attempts that queued meanwhile.
+first attempts that queued meanwhile; first attempts keep no arrival order.
 Servers cannot expose a distribution for the very first token of a sequence
 (its ``token_logprob`` is null), so scoring with an empty context silently
 skips that position; every other null is a protocol error.
@@ -31,9 +31,7 @@ and greedy or seeded generation) at most once; see ``RequestJournal``.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import http.client
-import itertools
 import json
 import logging
 import math
@@ -178,61 +176,38 @@ class RequestJournal:
                 self._file = None
 
 
-class _Waiter:
-    """A caller waiting for a connection; ``handed`` is set once it has one."""
-
-    __slots__ = ("handed", "connection")
-
-    def __init__(self):
-        self.handed = threading.Event()
-        self.connection: http.client.HTTPConnection | None = None
-
-
 class _ConnectionPool:
     """Lends out a fixed set of connections, one caller each; taking one is
     what bounds the requests in flight.
 
-    A returned connection goes straight to a waiting caller: retries first,
-    then the others in arrival order. Only when nobody waits is it kept idle,
-    last in, first out, so the warmest connections stay busy. Handing it over
-    directly wakes exactly one caller and loses no wake-up.
+    A retry whose backoff has ended takes the next free connection ahead of
+    every first attempt; first attempts are served in no particular order.
+    Idle connections are reused last in, first out, so the warmest ones stay
+    busy.
     """
 
     def __init__(self, connections: list[http.client.HTTPConnection]):
-        self._lock = threading.Lock()
+        self._ready = threading.Condition()
         self._idle = list(connections)
-        self._waiting: list[tuple[bool, int, _Waiter]] = []
-        self._tickets = itertools.count()
+        self._retries_waiting = 0
 
     def take(self, retry: bool) -> http.client.HTTPConnection:
-        with self._lock:
-            if self._idle:
-                return self._idle.pop()
-            waiter = _Waiter()
-            entry = (not retry, next(self._tickets), waiter)
-            heapq.heappush(self._waiting, entry)
-        try:
-            waiter.handed.wait()
-        except BaseException:
-            # Interrupted: leave the queue, or give back what was handed over.
-            with self._lock:
-                handed = waiter.connection
-                if handed is None:
-                    self._waiting.remove(entry)
-                    heapq.heapify(self._waiting)
-            if handed is not None:
-                self.give(handed)
-            raise
-        return waiter.connection
+        # Retries go first: served in turn with first attempts, remote-flaky's
+        # samples_per_s median fell 3.6% (11.26 -> 10.85 on 2 vCPUs).
+        with self._ready:
+            self._retries_waiting += retry
+            try:
+                self._ready.wait_for(lambda: self._idle and (retry or not self._retries_waiting))
+            finally:
+                self._retries_waiting -= retry
+                if retry and not self._retries_waiting:
+                    self._ready.notify_all()  # first attempts held back by retries
+            return self._idle.pop()
 
     def give(self, connection: http.client.HTTPConnection) -> None:
-        with self._lock:
-            if not self._waiting:
-                self._idle.append(connection)
-                return
-            waiter = heapq.heappop(self._waiting)[2]
-            waiter.connection = connection
-        waiter.handed.set()
+        with self._ready:
+            self._idle.append(connection)
+            self._ready.notify_all()
 
 
 class RemoteCompletionsBackend(Backend):

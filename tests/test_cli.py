@@ -719,6 +719,73 @@ def test_sweep_flag_of_the_other_sweep_exits_2(tmp_path, capsys, argv, flag):
     assert not list(out.glob("*_sweep.csv"))
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["ambiguate", "--allowlist", ""], "--allowlist"),
+    (["eval", "--predictions", ""], "--predictions"),
+    (["eval", "--report", ""], "--report"),
+    (["sweep", "--epsilons", ""], "--epsilons"),
+    (["sweep", "--sample-rep", "PREDICTIONS", "--thresholds", ""], "--thresholds"),
+    (["sweep", "--sample-rep", ""], "--sample-rep"),
+    (["sweep", "--out-csv", ""], "--out-csv"),
+    (["--out", "", "assess"], "--out"),
+    (["verify", ""], "path"),
+], ids=["allowlist", "predictions", "report", "epsilons", "thresholds", "sample-rep",
+        "out-csv", "out", "verify-path"])
+def test_empty_flag_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)  # where an empty path would resolve
+    config = make_config(tmp_path)
+    # With every input in place, an empty flag read as absent would succeed.
+    run_chain(config)
+    assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 0
+    out = workdir_of(config)
+    before = sorted(tmp_path.rglob("*"))
+    argv = [str(out / "predictions_sample_rep.jsonl") if arg == "PREDICTIONS" else arg
+            for arg in argv]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run("--config", str(config), *argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must not be empty" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("mode", ["predictions", "compare", "sample-rep"])
+def test_predictions_for_samples_not_in_the_dataset_exit_4(tmp_path, capsys, mode):
+    config = make_config(tmp_path)
+    assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 0
+    out = workdir_of(config)
+    recorded = out / "predictions_sample_rep.jsonl"
+    extra = tmp_path / "extra.jsonl"
+    stray = {**json.loads(recorded.read_text().splitlines()[0]), "id": "not-in-dataset"}
+    extra.write_text(recorded.read_text() + json.dumps(stray) + "\n")
+    argv = {
+        "predictions": ["eval", "--predictions", str(extra)],
+        "compare": ["eval", "--compare", str(recorded), str(extra)],
+        "sample-rep": ["sweep", "--sample-rep", str(extra)],
+    }[mode]
+    written = sorted(out.iterdir())
+    capsys.readouterr()
+    assert run("--config", str(config), *argv) == 4
+    assert "not-in-dataset" in capsys.readouterr().err
+    assert sorted(out.iterdir()) == written
+
+
+@pytest.mark.parametrize("strategy", ["apa_infogain", "gt_max_infogain"])
+def test_label_refuses_records_outside_the_assessed_split(tmp_path, capsys, strategy):
+    config = make_config(tmp_path, strategy=strategy)
+    for command in ("assess", "detect"):
+        assert run("--config", str(config), command) == 0
+    records = workdir_of(config) / "records.jsonl"
+    stray = {**json.loads(records.read_text().splitlines()[0]), "id": "foreign"}
+    with open(records, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(stray) + "\n")
+    capsys.readouterr()
+    assert run("--config", str(config), "label") == 4
+    err = capsys.readouterr().err
+    assert "'foreign'" in err and "run `ambigkit detect` again" in err
+    assert not (workdir_of(config) / "labels.jsonl").exists()
+
+
 NOT_UTF8 = b'{"id": "s1", "question": "caf\xe9"}\n'
 TABLE_HEAD = b"order: 2\nbegin_marker: <s>\nend_marker: </s>\nvocabulary: [a, b]\n"
 

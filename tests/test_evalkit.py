@@ -405,6 +405,13 @@ def test_evaluate_rejects_missing_predictions(corpus_samples):
         evaluate(corpus_samples, [PredictionRecord("s1", "x")])
 
 
+def test_evaluate_rejects_predictions_for_samples_not_in_the_dataset():
+    samples = [sample(False, ["gold"], sid="e1")]
+    predictions = [PredictionRecord("e1", "gold"), PredictionRecord("not-in-dataset", "x")]
+    with pytest.raises(DataIntegrityError, match="not-in-dataset"):
+        evaluate(samples, predictions)
+
+
 def test_evaluate_counts_errored_separately():
     samples = [sample(False, ["gold"], sid="e1"), sample(True, sid="e2")]
     predictions = [

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ambigkit.backend import Backend
 from ambigkit.corpus import QASample
 from ambigkit.entropy import TruncationMode, Verdict, classify
-from ambigkit.errors import ConfigurationError, TransportError
+from ambigkit.errors import ConfigurationError, DataIntegrityError, TransportError
 from ambigkit.phrases import FIXED_CLARIFICATIONS
 from ambigkit.pipeline import (
     EMPTY_DISAMBIGUATION_FLAG,
@@ -384,6 +384,16 @@ def test_empty_pool_is_actionable_error():
     with pytest.raises(ConfigurationError, match="epsilon"):
         select_and_balance(partition, records, SelectionStrategy.APA_INFOGAIN,
                            0.9, master_seed=1)
+
+
+@pytest.mark.parametrize("strategy", [SelectionStrategy.APA_INFOGAIN,
+                                      SelectionStrategy.GT_MAX_INFOGAIN])
+@pytest.mark.parametrize("stray", ["foreign", "c0000"], ids=["unknown", "correct"])
+def test_record_outside_the_incorrect_split_is_an_integrity_error(strategy, stray):
+    partition, records = build_world(3, {"a": 0.5, "b": 0.6})
+    with pytest.raises(DataIntegrityError, match=f"'{stray}'.*run `ambigkit detect` again"):
+        select_and_balance(partition, [*records, make_record(stray, 0.9)], strategy,
+                           0.1, master_seed=1)
 
 
 def test_gt_min_matches_sort_oracle():

@@ -582,25 +582,53 @@ def test_interrupted_waiter_strands_no_connection(monkeypatch, handed):
     pool = remote._ConnectionPool([connection])
     assert pool.take(retry=False) is connection
 
-    class Interrupted:
-        def wait(self):
-            if handed:
-                pool.give(connection)  # the holder returns it to this waiter
-            raise KeyboardInterrupt
+    def interrupted(timeout=None):
+        if handed:
+            pool.give(connection)  # the holder returns it during the wait
+        raise KeyboardInterrupt
 
-        def set(self):
-            pass
-
-    def init(waiter):
-        waiter.handed = Interrupted()
-        waiter.connection = None
-
-    monkeypatch.setattr(remote._Waiter, "__init__", init)
+    monkeypatch.setattr(pool._ready, "wait", interrupted)
     with pytest.raises(KeyboardInterrupt):
         pool.take(retry=True)
     if not handed:
         pool.give(connection)
-    assert (pool._idle, pool._waiting) == ([connection], [])
+    assert pool._retries_waiting == 0
+
+    def blocked(timeout=None):
+        raise AssertionError("a first attempt blocked on an idle connection")
+
+    monkeypatch.setattr(pool._ready, "wait", blocked)
+    assert pool.take(retry=False) is connection
+
+
+def test_interrupted_retry_releases_the_first_attempt_it_held_back(monkeypatch):
+    connection = object()
+    pool = remote._ConnectionPool([connection])
+    assert pool.take(retry=False) is connection
+    taken = []
+    first = threading.Thread(target=lambda: taken.append(pool.take(retry=False)), daemon=True)
+    first.start()
+    deadline = time.monotonic() + 5
+    while not pool._ready._waiters and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert pool._ready._waiters, "the first attempt never waited"
+    real_wait = pool._ready.wait
+
+    def wait(timeout=None):
+        if threading.current_thread() is first:
+            return real_wait(timeout)
+        pool.give(connection)
+        # The first attempt wakes, finds a retry still waiting and waits
+        # again; only the retry leaving can let it take the idle connection.
+        real_wait(0.2)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pool._ready, "wait", wait)
+    with pytest.raises(KeyboardInterrupt):
+        pool.take(retry=True)
+    first.join(timeout=5)
+    assert not first.is_alive(), "the first attempt still waits beside an idle connection"
+    assert taken == [connection]
 
 
 def test_connection_the_server_closed_is_sent_again_without_backoff(monkeypatch):

@@ -11,14 +11,12 @@ from __future__ import annotations
 import abc
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NormalizationError
 
-# Tolerance on |sum(probs) + tail_mass - 1| for a distribution to count as
-# normalized, and on logprob/tail sign checks.
-NORMALIZATION_TOLERANCE = 1e-6
-_SIGN_TOLERANCE = 1e-9
+NORMALIZATION_TOLERANCE = 1e-6  # how far a listed mass may exceed 1
+_SIGN_TOLERANCE = 1e-9  # how far a realized logprob may exceed 0
 
 # Pool threads per worker in bounded_map: a sample that sleeps in a retry
 # backoff holds a thread but no connection, so spare threads let other
@@ -58,16 +56,18 @@ class GenerationParams:
 class TokenDistribution:
     """Next-token distribution information at one position.
 
-    ``top_alternatives`` lists (token_text, logprob) pairs in descending
-    probability, at least one; ``tail_mass`` is the probability not covered
-    by them. The realized token need not be modal, but appears among the
+    ``top_alternatives`` lists (token_text, logprob) pairs, at least one,
+    stored in descending logprob, ties by token. ``tail_mass`` is derived, 1
+    minus their mass floored at 0, so equal listings give equal tails on
+    every backend; a mass above 1 + NORMALIZATION_TOLERANCE, or NaN, is
+    refused. The realized token need not be modal, but appears among the
     alternatives whenever its probability exceeds the k-th alternative's.
     """
 
     token_text: str
     token_logprob: float
     top_alternatives: tuple[tuple[str, float], ...]
-    tail_mass: float
+    tail_mass: float = field(init=False)
 
     def __post_init__(self) -> None:
         # Written so that NaN fails every check.
@@ -75,17 +75,16 @@ class TokenDistribution:
             raise NormalizationError(
                 f"token_logprob must be <= 0, got {self.token_logprob}"
             )
-        if not self.tail_mass >= -_SIGN_TOLERANCE:
-            raise NormalizationError(f"tail_mass must be >= 0, got {self.tail_mass}")
         if not self.top_alternatives:
             raise NormalizationError("distribution lists no alternatives")
-        covered = math.fsum(math.exp(lp) for _, lp in self.top_alternatives)
-        total = covered + self.tail_mass
-        if not abs(total - 1.0) <= NORMALIZATION_TOLERANCE:
+        ranked = tuple(sorted(self.top_alternatives, key=lambda kv: (-kv[1], kv[0])))
+        covered = math.fsum(math.exp(lp) for _, lp in ranked)
+        if not covered <= 1.0 + NORMALIZATION_TOLERANCE:
             raise NormalizationError(
-                f"alternative mass {covered:.9f} + tail {self.tail_mass:.9f} "
-                f"= {total:.9f}, not 1 within {NORMALIZATION_TOLERANCE}"
+                f"alternative mass {covered:.9f} exceeds 1 + {NORMALIZATION_TOLERANCE}"
             )
+        object.__setattr__(self, "top_alternatives", ranked)
+        object.__setattr__(self, "tail_mass", max(0.0, 1.0 - covered))
 
     def alternative_probs(self) -> list[float]:
         """Probabilities of the listed alternatives, in listed order."""

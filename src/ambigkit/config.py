@@ -74,9 +74,9 @@ class SampleRepConfig:
             )
         if self.num_samples < 1:
             raise ConfigurationError("sample_rep num_samples must be >= 1")
-        if not self.temperature >= 0:
+        if not self.temperature > 0:  # at 0 every draw is the greedy reply
             raise ConfigurationError(
-                f"sample_rep temperature must be >= 0, got {self.temperature}"
+                f"sample_rep temperature must be > 0, got {self.temperature}"
             )
 
 

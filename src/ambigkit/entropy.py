@@ -60,7 +60,7 @@ def token_entropy(dist: TokenDistribution, mode: TruncationMode) -> float:
     entropy = math.fsum(_plogp(p) for p in dist.alternative_probs())
     if mode is TruncationMode.EXACT:
         return entropy
-    return entropy + _plogp(max(dist.tail_mass, 0.0))
+    return entropy + _plogp(dist.tail_mass)
 
 
 def entropy_profile(scoring: ScoringResult, mode: TruncationMode) -> EntropyProfile:

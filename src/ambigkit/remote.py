@@ -106,10 +106,11 @@ class RequestJournal:
     body, which holds the model, prompt and every decoding parameter; the API
     key stays out of it. Each line of the file is ``<key>\\t<response>``, the
     response body as the server sent it, its line breaks made spaces. Loading
-    keeps every line's raw text and decodes a line only when a request uses
-    it; a later line wins over an earlier one. A line that does not decode (a
-    torn tail after a crash) or no longer passes the parser's checks counts as
-    a miss, and the request goes to the network again.
+    indexes where each line's response lies in the file; a response is read
+    and decoded only when a request uses it, and a later line wins over an
+    earlier one. A line that does not decode (a torn tail after a crash) or no
+    longer passes the parser's checks counts as a miss, and the request goes
+    to the network again.
     """
 
     def __init__(self, path: str | Path):
@@ -118,19 +119,20 @@ class RequestJournal:
         self.misses = 0
         self._lock = threading.Lock()
         self._file = None
-        self._entries: dict[str, str] = {}
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            data = b""
-        self._torn_tail = bool(data) and not data.endswith(b"\n")
-        for line in data.split(b"\n"):
-            key, sep, raw = line.partition(b"\t")
-            if sep:
-                try:
-                    self._entries[key.decode("ascii")] = raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    continue  # a torn tail that cut a character
+        self._entries: dict[bytes, tuple[int, int]] = {}  # key -> (offset, length)
+        line, start = b"\n", 0
+        if self.path.exists():
+            with open(self.path, "rb") as fh:
+                for line in fh:
+                    self._index(line, start)
+                    start += len(line)
+        self._torn_tail = not line.endswith(b"\n")
+
+    def _index(self, line: bytes, start: int) -> None:
+        """Record where the response of ``line``, found at ``start``, lies."""
+        key, sep, raw = line.partition(b"\t")
+        if sep:
+            self._entries[key] = (start + len(key) + 1, len(raw.rstrip(b"\n")))
 
     @staticmethod
     def key(endpoint: str, body: dict[str, Any]) -> str:
@@ -140,11 +142,13 @@ class RequestJournal:
     def lookup(self, key: str, parse: Callable[[Any], Any]) -> Any | None:
         """``parse`` of the journaled payload for ``key``, or None on a miss."""
         result = None
-        raw = self._entries.get(key)
-        if raw is not None:
+        where = self._entries.get(key.encode("ascii"))
+        if where is not None:
             try:
-                result = parse(_decode(raw))
-            except (ValueError, BackendError) as exc:
+                with open(self.path, "rb") as fh:
+                    fh.seek(where[0])
+                    result = parse(_decode(fh.read(where[1]).decode("utf-8")))
+            except (OSError, ValueError, BackendError) as exc:
                 logger.warning("journal %s: entry %s unusable (%s); requesting again",
                                self.path, key[:12], exc)
         with self._lock:
@@ -159,15 +163,17 @@ class RequestJournal:
         # text is whitespace between tokens. Re-encoding the payload instead
         # would cost more than the rest of the client's work on a call.
         raw = text.replace("\r", " ").replace("\n", " ")
+        line = f"{key}\t{raw}\n".encode("utf-8")
         with self._lock:
             if self._file is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._file = open(self.path, "a", encoding="utf-8", newline="\n")
+                self._file = open(self.path, "ab")
                 if self._torn_tail:
-                    self._file.write("\n")
-            self._file.write(f"{key}\t{raw}\n")
+                    self._file.write(b"\n")
+            self._file.write(line)
             self._file.flush()
-            self._entries[key] = raw
+            # Appends go to the end of the file, wherever it is now.
+            self._index(line, self._file.tell() - len(line))
 
     def close(self) -> None:
         with self._lock:
@@ -386,15 +392,9 @@ class RemoteCompletionsBackend(Backend):
                 f"backend distribution invalid: token {token!r} has logprob {realized} "
                 f"but {listed} in its own top_logprobs entry"
             )
-        ranked = sorted(alternatives.items(), key=lambda kv: (-kv[1], kv[0]))
         try:
-            tail = max(0.0, 1.0 - math.fsum(math.exp(lp) for _, lp in ranked))
-            return TokenDistribution(
-                token_text=token,
-                token_logprob=realized,
-                top_alternatives=tuple(ranked),
-                tail_mass=tail,
-            )
+            return TokenDistribution(token_text=token, token_logprob=realized,
+                                     top_alternatives=tuple(alternatives.items()))
         except (NormalizationError, OverflowError) as exc:
             raise ProtocolError(f"backend distribution invalid: {exc}") from exc
 

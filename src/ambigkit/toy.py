@@ -2,9 +2,12 @@
 
 The model is a fully explicit n-gram table over a small vocabulary:
 whitespace tokenization, implicit begin/end markers, and a uniform fallback
-for unseen contexts. Every distribution it reports is the stored probability
-vector verbatim (never truncated internally), so entropy computed downstream
-can be checked against direct summation over the table.
+for unseen contexts. Every distribution it reports lists the natural logs
+of the stored probabilities of the top-k tokens (ties in vocabulary order,
+zeros dropped), never truncated further, so entropy computed downstream can
+be checked against direct summation over the table. The tail is derived by
+``TokenDistribution`` from the listed logprobs, as for a remote server's
+answer, so a server that lists these logprobs yields equal distributions.
 
 Fixture files are YAML documents::
 
@@ -211,18 +214,12 @@ class ToyBackend(Backend):
             )
         ranked = sorted(range(len(vector)), key=lambda i: (-vector[i], i))[: self.top_k]
         # Zero-probability entries can enter the top-k when it exceeds the
-        # support; drop them so log stays finite. Their mass (zero) still
-        # reconciles with the tail.
-        ranked = [i for i in ranked if vector[i] > 0]
+        # support; drop them so log stays finite.
         alternatives = tuple(
-            (self.table.vocabulary[i], math.log(vector[i])) for i in ranked
+            (self.table.vocabulary[i], math.log(vector[i])) for i in ranked if vector[i] > 0
         )
-        tail = max(0.0, 1.0 - math.fsum(vector[i] for i in ranked))
         return TokenDistribution(
-            token_text=piece,
-            token_logprob=math.log(p),
-            top_alternatives=alternatives,
-            tail_mass=tail,
+            token_text=piece, token_logprob=math.log(p), top_alternatives=alternatives
         )
 
     def _choose(
@@ -239,7 +236,9 @@ class ToyBackend(Backend):
             acc += w
             if draw < acc:
                 return self.table.vocabulary[i]
-        return self.table.vocabulary[len(vector) - 1]
+        # Rounding, or a temperature low enough to underflow every weight, can
+        # leave the draw at the total: the last token of nonzero probability.
+        return self.table.vocabulary[max(i for i, p in enumerate(vector) if p > 0)]
 
     # -- Backend API -------------------------------------------------------
 

@@ -119,7 +119,6 @@ class ScriptedBackend(Backend):
             token_text=text or " ",
             token_logprob=0.0,
             top_alternatives=((text or " ", 0.0),),
-            tail_mass=0.0,
         )
         return GenerationResult(
             text=text, tokens=(dist,), finish_reason=FinishReason.STOP

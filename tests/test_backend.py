@@ -27,14 +27,29 @@ def test_params_validate_max_tokens():
         GenerationParams(max_tokens=0)
 
 
-def test_distribution_requires_normalization():
-    with pytest.raises(NormalizationError):
+def test_distribution_refuses_listed_mass_above_one():
+    with pytest.raises(NormalizationError, match="exceeds 1 +"):
         TokenDistribution(
             token_text="a",
             token_logprob=math.log(0.5),
-            top_alternatives=(("a", math.log(0.5)),),
-            tail_mass=0.0,  # covered mass is only 0.5
+            top_alternatives=(("a", math.log(0.5)), ("b", math.log(0.5 + 2e-6))),
         )
+
+
+def test_distribution_derives_its_tail_and_order():
+    within = TokenDistribution(
+        token_text="a",
+        token_logprob=math.log(0.5),
+        top_alternatives=(("a", math.log(0.5)), ("b", math.log(0.5 + 5e-7))),
+    )
+    assert within.tail_mass == 0.0
+    dist = TokenDistribution(
+        token_text="b",
+        token_logprob=math.log(0.2),
+        top_alternatives=(("c", math.log(0.2)), ("a", math.log(0.3)), ("b", math.log(0.2))),
+    )
+    assert [token for token, _ in dist.top_alternatives] == ["a", "b", "c"]
+    assert dist.tail_mass == pytest.approx(0.3, abs=1e-15)
 
 
 def test_distribution_rejects_positive_logprob():
@@ -43,17 +58,6 @@ def test_distribution_rejects_positive_logprob():
             token_text="a",
             token_logprob=0.2,
             top_alternatives=(("a", 0.0),),
-            tail_mass=0.0,
-        )
-
-
-def test_distribution_rejects_negative_tail():
-    with pytest.raises(NormalizationError):
-        TokenDistribution(
-            token_text="a",
-            token_logprob=0.0,
-            top_alternatives=(("a", 0.0),),
-            tail_mass=-0.5,
         )
 
 
@@ -64,26 +68,23 @@ def test_distribution_rejects_empty_alternatives():
             token_text="a",
             token_logprob=math.log(0.5),
             top_alternatives=(),
-            tail_mass=1.0,
         )
 
 
 @pytest.mark.parametrize(
-    "token_logprob, alternatives, tail_mass",
+    "token_logprob, alternatives",
     [
-        (math.nan, (("a", 0.0),), 0.0),
-        (math.log(0.5), (("a", math.log(0.5)), ("b", math.nan)), 0.5),
-        (0.0, (("a", 0.0),), math.nan),
+        (math.nan, (("a", 0.0),)),
+        (math.log(0.5), (("a", math.log(0.5)), ("b", math.nan))),
     ],
-    ids=["token_logprob", "alternative", "tail_mass"],
+    ids=["token_logprob", "alternative"],
 )
-def test_distribution_rejects_nan(token_logprob, alternatives, tail_mass):
+def test_distribution_rejects_nan(token_logprob, alternatives):
     with pytest.raises(NormalizationError):
         TokenDistribution(
             token_text="a",
             token_logprob=token_logprob,
             top_alternatives=alternatives,
-            tail_mass=tail_mass,
         )
 
 
@@ -92,7 +93,6 @@ def test_distribution_tolerates_float_fuzz():
         token_text="a",
         token_logprob=math.log(0.7),
         top_alternatives=(("a", math.log(0.7)), ("b", math.log(0.3))),
-        tail_mass=0.0,
     )
     assert dist.alternative_probs() == pytest.approx([0.7, 0.3], abs=1e-12)
 

@@ -664,6 +664,7 @@ def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch):
     {"backend": {"top_k": 99}},  # the fixture's vocabulary has 65 tokens
     {"sample_rep": {"threshold": 0.5, "num_samples": 0, "temperature": 1.0}},
     {"sample_rep": {"threshold": 0.5, "num_samples": 10, "temperature": -1.0}},
+    {"sample_rep": {"threshold": 0.5, "num_samples": 10, "temperature": 0.0}},
     {"sample_rep": {"threshold": float("nan")}},
     {"sample_rep": {"threshold": float("inf")}},
     {"truncation_mode": "renormalize"},
@@ -674,7 +675,7 @@ def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch):
     {"backend": {"parallelism": True}},
     {"sample_rep": {"threshold": True}},
 ], ids=["epsilon-text", "epsilon-null", "epsilon-list", "top_k-0", "top_k-negative",
-        "top_k-over-vocabulary", "num_samples-0", "temperature-negative",
+        "top_k-over-vocabulary", "num_samples-0", "temperature-negative", "temperature-zero",
         "threshold-nan", "threshold-inf", "truncation_mode-renormalize",
         "epsilon-true", "rouge_threshold-false", "seed-true", "top_k-true",
         "parallelism-true", "threshold-true"])

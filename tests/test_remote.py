@@ -9,6 +9,7 @@ import socket
 import sys
 import threading
 import time
+import tracemalloc
 import types
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -813,6 +814,25 @@ def test_journal_line_with_non_finite_constant_is_a_miss(stub_server, tmp_path, 
     assert (rerun.journal.hits, rerun.journal.misses) == (0, 1)
 
 
+def test_loading_a_journal_leaves_the_responses_on_disk(tmp_path):
+    # 2,000 entries of about 9.8 KB each, 19.6 MB in all.
+    path = tmp_path / "journal.jsonl"
+    keys = [f"{i:064x}" for i in range(2000)]
+    with open(path, "w", encoding="utf-8") as fh:
+        for key in keys:
+            fh.write(f'{key}\t{{"choices": [{{"text": "{key * 152}"}}]}}\n')
+    tracemalloc.start()
+    try:
+        journal = RequestJournal(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    key = keys[-1]
+    assert journal.lookup(key, lambda payload: payload) == {"choices": [{"text": key * 152}]}
+    assert (journal.hits, journal.misses) == (1, 0)
+
+
 # -- the journal across CLI commands ---------------------------------------------
 
 CHECKPOINTS = ("assess.jsonl", "records.jsonl", "labels.jsonl", "selection.json",
@@ -994,14 +1014,43 @@ def toy_completions(table: NgramTable):
     return answer
 
 
-def test_remote_chain_writes_the_toy_chain_bytes(tmp_path):
+def test_client_distribution_equals_the_toy_distribution_on_every_fixture():
+    # Every fixture row and the uniform fallback, every drawable token, every
+    # top_k: the client's distribution of what a server lists for the toy's
+    # distribution is the toy's distribution, tail and order included.
+    client = RemoteCompletionsBackend("http://127.0.0.1:9/v1/completions", "toy")
+    compared = 0
+    try:
+        for path in sorted(TABLES.glob("*.yaml")):
+            table = load_ngram_table(path)
+            size = len(table.vocabulary)
+            vectors = [*table.conditional_probs.values(), (1.0 / size,) * size]
+            for top_k in range(1, size + 1):
+                toy = ToyBackend(table, top_k=top_k)
+                for vector in vectors:
+                    for token, p in zip(table.vocabulary, vector):
+                        if p > 0:
+                            expected = toy._distribution_for(vector, token, token)
+                            listed = json.loads(json.dumps(
+                                [expected.token_logprob, dict(expected.top_alternatives)]))
+                            assert client._distribution(token, *listed) == expected, (
+                                path.name, top_k, token)
+                            compared += 1
+    finally:
+        client.close()
+    assert compared == 13338
+
+
+@pytest.mark.parametrize("mode", ["exact", "tail_lump"])
+def test_remote_chain_writes_the_toy_chain_bytes(tmp_path, mode):
     # The toy CLI config, once on the toy backend and once through the remote
-    # client to a server that computes the same table; in exact mode, with
-    # every alternative listed, both write the same checkpoints.
+    # client to a server that computes the same table; in either truncation
+    # mode, with every alternative listed, both write the same checkpoints.
     table_path = TABLES / "corpus_world.yaml"
     table = load_ngram_table(table_path)
     config = json.loads((FIXTURES / "toy_config.json").read_text())
     config["backend"]["fixture"] = str(table_path)
+    config["truncation_mode"] = mode
     config["dataset"] = str(FIXTURES / "corpus.jsonl")
     config["template_dir"] = str(FIXTURES / "toy_templates")
     commands = [("assess",), ("detect",), ("label", "--kind", "generated"), ("emit",),

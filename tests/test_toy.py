@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -105,6 +106,22 @@ def test_seeded_sampling_deterministic():
     assert [t.token_logprob for t in first.tokens] == [
         t.token_logprob for t in second.tokens
     ]
+
+
+def test_sampling_never_draws_a_zero_probability_token(monkeypatch):
+    # The token after ten of probability 0.1 has probability zero; a draw
+    # left at the total takes the last of the ten.
+    vocabulary = ("<s>", "</s>", *(f"t{i}" for i in range(10)), "z")
+    vector = (0.0, 0.0, *[0.1] * 10, 0.0)
+    backend = ToyBackend(NgramTable(vocabulary=vocabulary, order=1, begin_marker="<s>",
+                                    end_marker="</s>", conditional_probs={(): vector}))
+    # A temperature this low underflows every weight.
+    underflow = GenerationParams(max_tokens=1, temperature=1e-4, seed=0)
+    assert backend.generate("t0", underflow).text == "t9"
+    # The ten weights accumulate to 1 - 2**-53, which the top draw reaches.
+    monkeypatch.setattr(random.Random, "random", lambda self: 1.0 - 2.0**-53)
+    top_draw = GenerationParams(max_tokens=1, temperature=1.0, seed=0)
+    assert backend.generate("t0", top_draw).text == "t9"
 
 
 def test_generation_token_texts_concatenate_to_text():

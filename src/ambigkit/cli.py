@@ -15,7 +15,8 @@ Commands::
 
 Global flags (before the command): --config, --seed, --epsilon, --backend,
 --out. Exit codes: 0 ok, 2 configuration error, 3 backend error,
-4 data-integrity error.
+4 data-integrity error. Every command runs through ``_run_stage``: it prints
+the effective seed and writes a manifest into the working directory.
 """
 
 from __future__ import annotations
@@ -100,17 +101,6 @@ EXIT_BACKEND = 3
 EXIT_INTEGRITY = 4
 
 
-def _fail_if_total_outage(processed: int, errored: Sequence[tuple[str, str]]) -> None:
-    # Per-sample backend failures are tolerated and excluded; a run where
-    # nothing succeeded is a backend failure, not a result.
-    if errored and processed == 0:
-        first_error = errored[0][1]
-        raise BackendError(
-            f"every backend call failed ({len(errored)} samples); first error: "
-            f"{first_error}"
-        )
-
-
 class _Paths:
     def __init__(self, config: RunConfig):
         workdir = Path(config.workdir)
@@ -130,23 +120,17 @@ class _Paths:
         return path
 
 
-def _load_run(args) -> tuple[RunConfig, _Paths]:
+def _start(args) -> tuple[RunConfig, _Paths, dict[str, PromptTemplate]]:
+    """Setup of every command: the effective config, the seed line, the
+    checkpoint paths and the command's one template load."""
     config = apply_overrides(
         load_config(args.config),
         seed=args.seed, epsilon=args.epsilon, backend=args.backend, out=args.out,
     )
     if getattr(args, "kind", None):  # label --kind
         config = replace(config, label_kind=LabelKind(args.kind))
-    return config, _Paths(config)
-
-
-def _start(args) -> tuple[RunConfig, _Paths, dict[str, PromptTemplate]]:
-    """Setup of every command that runs a stage or scores predictions: the
-    effective config, the seed line, the checkpoint paths and the command's
-    one template load."""
-    config, paths = _load_run(args)
     print(f"effective seed: {config.seed}")
-    return config, paths, load_templates(config.template_dir)
+    return config, _Paths(config), load_templates(config.template_dir)
 
 
 def _backend(config: RunConfig, paths: _Paths) -> contextlib.closing[Backend]:
@@ -169,10 +153,23 @@ def _read_partition(config: RunConfig, paths: _Paths) -> StageOnePartition:
     return read_partition(paths.require(paths.assess, "assess"), samples_by_id)
 
 
-def _write_manifest(config: RunConfig, paths: _Paths,
-                    templates: dict[str, PromptTemplate], command: str,
-                    outputs: list[str], extra: dict,
-                    backend: Backend | None) -> None:
+class _Stage(NamedTuple):
+    """What a stage body hands back to ``_run_stage``: each output path with
+    the function that writes it there, the manifest's summary fields, the
+    line to print (or a function that gives it once the outputs are
+    written), how many samples succeeded and which errored, and the exit
+    code."""
+
+    writes: list[tuple[Path, Callable[[Path], object]]]
+    summary: dict
+    message: str | Callable[[], str]
+    processed: int = 0
+    errored: Sequence[tuple[str, str]] = ()
+    exit_code: int = EXIT_OK
+
+
+def _write_manifest(config: RunConfig, paths: _Paths, templates: dict[str, PromptTemplate],
+                    command: str, stage: _Stage, backend: Backend | None) -> None:
     backend_entry = {"kind": config.backend.kind}
     journal = getattr(backend, "journal", None)
     if journal is not None:
@@ -188,40 +185,31 @@ def _write_manifest(config: RunConfig, paths: _Paths,
         "backend": backend_entry,
         "dataset": config.dataset,
         "template_hashes": template_fingerprints(templates),
-        "outputs": outputs,
-        **extra,
+        "outputs": [str(path) for path, _ in stage.writes],
+        **stage.summary,
     }
     write_json_atomic(paths.workdir / f"manifest_{command}.json", manifest)
 
 
-class _Stage(NamedTuple):
-    """What a stage body hands back to ``_run_stage``: each output path with
-    the function that writes it there, the manifest's summary fields, the
-    line to print, and how many samples succeeded and which errored."""
-
-    writes: list[tuple[Path, Callable[[Path], object]]]
-    summary: dict
-    message: str
-    processed: int = 0
-    errored: Sequence[tuple[str, str]] = ()
-
-
 def _run_stage(args, command: str, body, *, uses_backend: bool = True) -> int:
-    """Run a stage command. ``body(args, config, paths, templates, backend)``
-    reads the inputs and runs the stage. Around it, this opens and closes the
-    backend (none when the stage does not use one), refuses a total outage
+    """Run a command. ``body(args, config, paths, templates, backend)`` reads
+    the inputs and does the work. Around it, this opens and closes the
+    backend (none when the body does not use one), refuses a total outage
     before anything is written, then writes the outputs,
     ``manifest_<command>.json`` and the body's line."""
     config, paths, templates = _start(args)
     with (_backend(config, paths) if uses_backend else contextlib.nullcontext()) as backend:
         stage = body(args, config, paths, templates, backend)
-    _fail_if_total_outage(stage.processed, stage.errored)
+    # Per-sample backend failures are tolerated and excluded; a run where
+    # nothing succeeded is a backend failure, not a result.
+    if stage.errored and stage.processed == 0:
+        raise BackendError(f"every backend call failed ({len(stage.errored)} samples); "
+                           f"first error: {stage.errored[0][1]}")
     for path, write in stage.writes:
         write(path)
-    _write_manifest(config, paths, templates, command,
-                    [str(path) for path, _ in stage.writes], stage.summary, backend)
-    print(stage.message)
-    return EXIT_OK
+    _write_manifest(config, paths, templates, command, stage, backend)
+    print(stage.message() if callable(stage.message) else stage.message)
+    return stage.exit_code
 
 
 # -- commands ------------------------------------------------------------------
@@ -301,16 +289,15 @@ def _emit(args, config, paths, templates, backend) -> _Stage:
     )
 
 
-def cmd_verify(args) -> int:
-    config, paths = _load_run(args)
+def _verify(args, config, paths, templates, backend) -> _Stage:
     target = Path(args.path) if args.path is not None else paths.require(paths.sft, "emit")
-    templates = load_templates(config.template_dir)
     report = sft_verify(target, answer_cue=templates["direct"].answer_cue)
-    print(f"verify {target}: {report.summary()}")
     for line_number, message in report.failures:
         print(f"  line {line_number}: {message}" if line_number else f"  {message}",
               file=sys.stderr)
-    return EXIT_OK if report.ok else EXIT_INTEGRITY
+    return _Stage([], {"path": str(target), **report.counts()},
+                  f"verify {target}: {report.summary()}",
+                  exit_code=EXIT_OK if report.ok else EXIT_INTEGRITY)
 
 
 # Each eval strategy's predictions, from the config and the arguments every
@@ -320,45 +307,54 @@ _STRATEGIES = {
     "direct": lambda config, *run: run_direct(*run),
     "ambig_aware": lambda config, *run: run_ambig_aware(*run),
     "sample_rep": lambda config, *run: run_sample_rep(
-        *run,
-        threshold=config.sample_rep.threshold,
-        num_samples=config.sample_rep.num_samples,
-        temperature=config.sample_rep.temperature,
-        master_seed=config.seed,
-    ),
+        *run, **asdict(config.sample_rep), master_seed=config.seed),
     "self_ask": lambda config, *run: run_self_ask(*run, master_seed=config.seed),
 }
 
 
-def _eval_report(args, config: RunConfig, paths: _Paths, samples: list[QASample],
-                 predictions: list[PredictionRecord], name: str) -> tuple[Path, dict, str]:
-    """Where the report on ``predictions`` goes, its contents and its line."""
+def _eval_stage(args, config: RunConfig, paths: _Paths, samples: list[QASample],
+                predictions: list[PredictionRecord], name: str, writes=()) -> _Stage:
+    """``writes``, then the report on ``predictions``, and its line."""
     report = evaluate(samples, predictions, config.rouge_threshold)
-    out = paths.workdir / f"eval_{name}.json" if args.report is None else Path(args.report)
+    out = Path(args.report or paths.workdir / f"eval_{name}.json")
     report_obj = report.to_obj({
-        "epsilon": config.epsilon,
-        "truncation_mode": config.truncation_mode.value,
-        "rouge_threshold": config.rouge_threshold,
-        "seed": config.seed,
-        "strategy": name,
+        "epsilon": config.epsilon, "truncation_mode": config.truncation_mode.value,
+        "rouge_threshold": config.rouge_threshold, "seed": config.seed, "strategy": name,
     })
     left_out = report.counts.errored
     note = f"  {left_out} errored, left out of F1" if left_out else ""
-    return out, report_obj, f"F1_u: {report.f1_u:.4f}  F1_a: {report.f1_a:.4f}{note}  ({out})"
+    return _Stage(
+        [*writes, (out, lambda path: write_json_atomic(path, report_obj))],
+        {"predictions": len(predictions), "errored": left_out},
+        f"F1_u: {report.f1_u:.4f}  F1_a: {report.f1_a:.4f}{note}  ({out})",
+    )
 
 
 def _eval_strategy(name, args, config, paths, templates, backend) -> _Stage:
     samples = load_dataset(config.dataset)
     predictions = _STRATEGIES[name](config, samples, backend, templates, _greedy_params(config))
     errored = [(p.sample_id, p.error) for p in predictions if p.error is not None]
-    out, report_obj, message = _eval_report(args, config, paths, samples, predictions, name)
-    return _Stage(
-        [(paths.workdir / f"predictions_{name}.jsonl",
-          lambda path: write_predictions(predictions, path)),
-         (out, lambda path: write_json_atomic(path, report_obj))],
-        {"predictions": len(predictions), "errored": len(errored)},
-        message, len(predictions) - len(errored), errored,
-    )
+    stage = _eval_stage(args, config, paths, samples, predictions, name, [
+        (paths.workdir / f"predictions_{name}.jsonl",
+         lambda path: write_predictions(predictions, path))])
+    return stage._replace(processed=len(predictions) - len(errored), errored=errored)
+
+
+def _eval_predictions(args, config, paths, templates, backend) -> _Stage:
+    return _eval_stage(args, config, paths, load_dataset(config.dataset),
+                       read_predictions(Path(args.predictions)), "predictions")
+
+
+def _eval_compare(args, config, paths, templates, backend) -> _Stage:
+    samples = load_dataset(config.dataset)
+    before, after = ({o.sample_id: o.category for o in evaluate(
+        samples, read_predictions(Path(p)), config.rouge_threshold).per_sample}
+        for p in args.compare)
+    regression = asdict(mcr(before, after))
+    out = Path(args.report or paths.workdir / "eval_compare.json")
+    rate = "n/a" if regression["mcr"] is None else f"{regression['mcr']:.4f}"
+    return _Stage([(out, lambda path: write_json_atomic(path, regression))],
+                  regression, f"MCR: {rate} ({out})")
 
 
 def _aggregate_reports(report_paths: list[Path]) -> dict:
@@ -371,53 +367,31 @@ def _aggregate_reports(report_paths: list[Path]) -> dict:
             for key, vals in values.items():
                 vals.append(typed_field(obj, key, float))
     # Population standard deviation, defined for a single run as 0.
-    return {
-        "n": len(report_paths),
-        **{
-            key: {"mean": statistics.fmean(vals),
-                  "stddev": statistics.pstdev(vals)}
-            for key, vals in values.items()
-        },
-    }
+    return {"n": len(report_paths),
+            **{key: {"mean": statistics.fmean(vals), "stddev": statistics.pstdev(vals)}
+               for key, vals in values.items()}}
+
+
+def _eval_aggregate(args, config, paths, templates, backend) -> _Stage:
+    summary = _aggregate_reports([Path(p) for p in args.aggregate])
+    out = Path(args.report or paths.workdir / "eval_aggregate.json")
+    return _Stage(
+        [(out, lambda path: write_json_atomic(path, summary))],
+        {"reports": len(args.aggregate)},
+        lambda: f"aggregated {summary['n']} reports: " + "".join(
+            f"{label} {summary[key]['mean']:.4f} ({summary[key]['stddev']:.4f})  "
+            for key, label in (("f1_u", "F1_u"), ("f1_a", "F1_a"))) + f"({out})",
+    )
 
 
 def cmd_eval(args) -> int:
-    if args.aggregate is not None:
-        config, paths = _load_run(args)
-        summary = _aggregate_reports([Path(p) for p in args.aggregate])
-        out = paths.workdir / "eval_aggregate.json" if args.report is None else Path(args.report)
-        write_json_atomic(out, summary)
-        print(
-            f"aggregated {summary['n']} reports: "
-            f"F1_u {summary['f1_u']['mean']:.4f} ({summary['f1_u']['stddev']:.4f})  "
-            f"F1_a {summary['f1_a']['mean']:.4f} ({summary['f1_a']['stddev']:.4f})  "
-            f"({out})"
-        )
-        return EXIT_OK
-    if args.compare is None and args.predictions is None:
-        name = args.strategy or "direct"
-        return _run_stage(args, f"eval_{name}", partial(_eval_strategy, name))
-    config, paths, templates = _start(args)
-    samples = load_dataset(config.dataset)
-    if args.compare is not None:
-        before, after = (
-            {o.sample_id: o.category
-             for o in evaluate(samples, read_predictions(Path(p)),
-                               config.rouge_threshold).per_sample}
-            for p in args.compare
-        )
-        regression = mcr(before, after)
-        out = paths.workdir / "eval_compare.json" if args.report is None else Path(args.report)
-        write_json_atomic(out, asdict(regression))
-        rate = regression.mcr
-        print(f"MCR: {'n/a' if rate is None else f'{rate:.4f}'} ({out})")
-        return EXIT_OK
-    out, report_obj, message = _eval_report(
-        args, config, paths, samples, read_predictions(Path(args.predictions)), "predictions"
-    )
-    write_json_atomic(out, report_obj)
-    print(message)
-    return EXIT_OK
+    # The modes that score recorded results need no backend.
+    for mode, body in (("predictions", _eval_predictions), ("compare", _eval_compare),
+                       ("aggregate", _eval_aggregate)):
+        if getattr(args, mode) is not None:
+            return _run_stage(args, f"eval_{mode}", body, uses_backend=False)
+    name = args.strategy or "direct"
+    return _run_stage(args, f"eval_{name}", partial(_eval_strategy, name))
 
 
 def _grid(text: str | None, default: tuple[float, ...], what: str) -> list[float]:
@@ -435,47 +409,47 @@ def _grid(text: str | None, default: tuple[float, ...], what: str) -> list[float
     return values
 
 
-def cmd_sweep(args) -> int:
-    # A grid given for the other sweep is an error, not something to ignore.
-    if args.sample_rep is not None and args.epsilons is not None:
-        raise ConfigurationError("--epsilons applies only without --sample-rep")
-    if args.sample_rep is None and args.thresholds is not None:
-        raise ConfigurationError("--thresholds applies only with --sample-rep")
-    config, paths = _load_run(args)
+def _sweep_stage(args, default_out: Path, rows: list, summary: dict) -> _Stage:
+    """Write ``rows`` as CSV to ``--out-csv`` or ``default_out``; print them."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    if args.sample_rep is not None:
-        thresholds = _grid(args.thresholds, DEFAULT_THRESHOLD_GRID, "threshold")
-        samples = load_dataset(config.dataset)
-        recorded = read_predictions(Path(args.sample_rep))
-        writer.writerow(["threshold", "f1_u", "f1_a"])
-        for threshold in thresholds:
-            predictions = [judge_sample_rep(p, threshold, config.seed) for p in recorded]
-            report = evaluate(samples, predictions, config.rouge_threshold)
-            writer.writerow([threshold, f"{report.f1_u:.6f}", f"{report.f1_a:.6f}"])
-        default_out = paths.workdir / "sample_rep_sweep.csv"
-    else:
-        epsilons = _grid(args.epsilons, DEFAULT_EPSILON_GRID, "epsilon")
-        records = read_records(paths.require(paths.records, "detect"))
-        writer.writerow(["epsilon", "pool_size"])
-        for epsilon, size in sweep_epsilon(records, epsilons):
-            writer.writerow([epsilon, size])
-        default_out = paths.workdir / "epsilon_sweep.csv"
-    out = Path(args.out_csv) if args.out_csv is not None else default_out
-    write_text_atomic(out, buffer.getvalue())
-    print(buffer.getvalue().rstrip("\n"))
-    print(f"wrote {out}")
-    return EXIT_OK
+    csv.writer(buffer).writerows(rows)
+    text = buffer.getvalue()
+    out = Path(args.out_csv or default_out)
+    return _Stage([(out, lambda path: write_text_atomic(path, text))],
+                  {**summary, "points": len(rows) - 1},
+                  text.rstrip("\n") + f"\nwrote {out}")
 
 
-def cmd_ambiguate(args) -> int:
-    # The allowlist is read before the backend opens, so a bad one costs no
-    # backend call.
+def _sweep_epsilon(args, config, paths, templates, backend) -> _Stage:
+    # A grid given for the other sweep is an error, not something to ignore.
+    if args.thresholds is not None:
+        raise ConfigurationError("--thresholds applies only with --sample-rep")
+    epsilons = _grid(args.epsilons, DEFAULT_EPSILON_GRID, "epsilon")
+    records = read_records(paths.require(paths.records, "detect"))
+    return _sweep_stage(args, paths.workdir / "epsilon_sweep.csv",
+                        [["epsilon", "pool_size"], *sweep_epsilon(records, epsilons)],
+                        {"records": len(records)})
+
+
+def _sweep_sample_rep(args, config, paths, templates, backend) -> _Stage:
+    if args.epsilons is not None:
+        raise ConfigurationError("--epsilons applies only without --sample-rep")
+    thresholds = _grid(args.thresholds, DEFAULT_THRESHOLD_GRID, "threshold")
+    samples = load_dataset(config.dataset)
+    recorded = read_predictions(Path(args.sample_rep))
+    rows = [["threshold", "f1_u", "f1_a"]]
+    for threshold in thresholds:
+        predictions = [judge_sample_rep(p, threshold, config.seed) for p in recorded]
+        report = evaluate(samples, predictions, config.rouge_threshold)
+        rows.append([threshold, f"{report.f1_u:.6f}", f"{report.f1_a:.6f}"])
+    return _sweep_stage(args, paths.workdir / "sample_rep_sweep.csv", rows,
+                        {"predictions": len(recorded)})
+
+
+def _ambiguate(args, config, paths, templates, backend) -> _Stage:
+    # The allowlist is read before the first backend call, so a bad one
+    # costs none.
     allowed = read_allowlist(args.allowlist) if args.allowlist is not None else None
-    return _run_stage(args, "ambiguate", partial(_ambiguate, allowed))
-
-
-def _ambiguate(allowed, args, config, paths, templates, backend) -> _Stage:
     accepted, rejects = ambiguate(
         load_dataset(config.dataset), backend, templates, _greedy_params(config)
     )
@@ -545,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev_mode.add_argument("--predictions", type=_given, default=None,
                          help="score an external predictions JSONL instead")
     ev_mode.add_argument("--compare", nargs=2, type=_given, metavar=("BEFORE", "AFTER"),
-                         default=None,
                          help="two prediction files; reports the regression rate")
     ev_mode.add_argument("--aggregate", nargs="+", type=_given, metavar="REPORT", default=None,
                          help="mean/stddev of F1 scores over report files")
@@ -574,10 +547,12 @@ _HANDLERS = {
     "detect": partial(_run_stage, command="detect", body=_detect),
     "label": partial(_run_stage, command="label", body=_label),
     "emit": partial(_run_stage, command="emit", body=_emit, uses_backend=False),
-    "verify": cmd_verify,
+    "verify": partial(_run_stage, command="verify", body=_verify, uses_backend=False),
     "eval": cmd_eval,
-    "sweep": cmd_sweep,
-    "ambiguate": cmd_ambiguate,
+    "sweep": lambda args: _run_stage(args, *(
+        ("sweep_epsilon", _sweep_epsilon) if args.sample_rep is None
+        else ("sweep_sample_rep", _sweep_sample_rep)), uses_backend=False),
+    "ambiguate": partial(_run_stage, command="ambiguate", body=_ambiguate),
 }
 
 

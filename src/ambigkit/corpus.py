@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .backend import Backend, GenerationParams, bounded_map
 from .errors import DataIntegrityError, TemplateError
-from .jsonio import input_file, read_jsonl, record_at, typed_field
+from .jsonio import has_surrogate, input_file, read_jsonl, record_at, typed_field
 
 # Trailing characters ignored when parsing one-word verdicts like "Yes.".
 _WORD_PUNCT = ".,!?;:"
@@ -58,6 +58,8 @@ def _sample_from_obj(obj: dict, path: str | Path, line_number: int) -> QASample:
             raise TypeError(
                 f"field 'id' must be a string or an integer, got {sample_id!r:.60}"
             )
+        if type(sample_id) is str and has_surrogate(sample_id):
+            raise ValueError("field 'id' holds an unpaired surrogate")
         ambiguous = obj.get("ambiguous")
         if ambiguous is not None and type(ambiguous) is not bool:
             raise TypeError("field 'ambiguous' must be a boolean")

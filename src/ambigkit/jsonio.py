@@ -4,12 +4,15 @@ All writers go through a temp-file-then-rename step so a failing command
 never leaves a partial checkpoint behind. Output is UTF-8 with LF line
 endings and insertion-ordered keys, giving byte-stable files for identical
 inputs. A NaN or infinite float is not JSON: writing one raises a
-DataIntegrityError that names the file, and nothing is written.
+DataIntegrityError that names the file, and nothing is written. A path
+that cannot be written (``output_file``) raises a ConfigurationError that
+names it, and no temporary file is left.
 
 Every reader reads its file inside ``input_file``: a file that cannot be
 read raises a ConfigurationError and one that is not UTF-8 a ParseError,
 each naming the file. Readers take each field through ``typed_field``,
-which checks the field's JSON type instead of coercing it, inside
+which checks the field's JSON type instead of coercing it, and refuses a
+string holding an unpaired surrogate, which no UTF-8 file can hold, inside
 ``record_at``, which turns a missing or malformed field into a ParseError
 naming the file and the line, or the file alone for a file that is one
 JSON object (``read_json_object``). Every file keyed by sample id is read
@@ -23,6 +26,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -32,16 +36,17 @@ from .errors import ConfigurationError, DataIntegrityError, ParseError
 
 def write_text_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with output_file(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
 def dump_json(obj: object, **kwargs) -> str:
@@ -79,6 +84,19 @@ def input_file(path: str | Path) -> Iterator[None]:
         raise ConfigurationError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", where=path) from exc
+
+
+@contextlib.contextmanager
+def output_file(path: str | Path) -> Iterator[None]:
+    """Write ``path``: an OSError becomes a ConfigurationError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+# An unpaired surrogate: JSON can spell one ("\\ud800"), no UTF-8 file can hold it.
+has_surrogate = re.compile("[\ud800-\udfff]").search
 
 
 def read_jsonl(path: str | Path, *, unique_ids: bool = False) -> Iterator[tuple[int, dict]]:
@@ -135,7 +153,8 @@ def typed_field(obj: dict, key: str, kind: type, default: Any = _REQUIRED) -> An
     (any finite number, returned as a float) or ``tuple`` (an array of
     strings, returned as a tuple). An absent key gives ``default``, and
     KeyError when there is none; a field whose default is None may be null.
-    A value of another type raises TypeError."""
+    A value of another type raises TypeError, and a string that holds an
+    unpaired surrogate ValueError."""
     if key not in obj and default is not _REQUIRED:
         return default
     value = obj[key]
@@ -143,12 +162,17 @@ def typed_field(obj: dict, key: str, kind: type, default: Any = _REQUIRED) -> An
         return None
     types, name = _KINDS[kind]
     if type(value) in types:
-        if kind is str or kind is int:
+        if kind is int:
             return value
-        if kind is tuple and all(type(item) is str for item in value):
-            return tuple(value)
-        if kind is float and math.isfinite(number := float(value)):
-            return number
+        if kind is float:
+            if math.isfinite(number := float(value)):
+                return number
+        else:
+            strings = (value,) if kind is str else value
+            if all(type(item) is str for item in strings):
+                if any(map(has_surrogate, strings)):
+                    raise ValueError(f"field {key!r} holds an unpaired surrogate")
+                return value if kind is str else tuple(value)
     raise TypeError(f"field {key!r} must be {name}, got {value!r:.60}")
 
 

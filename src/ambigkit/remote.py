@@ -59,6 +59,7 @@ from .errors import (
     ProtocolError,
     TransportError,
 )
+from .jsonio import has_surrogate, output_file
 
 logger = logging.getLogger(__name__)
 
@@ -166,8 +167,9 @@ class RequestJournal:
         line = f"{key}\t{raw}\n".encode("utf-8")
         with self._lock:
             if self._file is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._file = open(self.path, "ab")
+                with output_file(self.path):
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
+                    self._file = open(self.path, "ab")
                 if self._torn_tail:
                     self._file.write(b"\n")
             self._file.write(line)
@@ -414,6 +416,8 @@ class RemoteCompletionsBackend(Backend):
         text = choice.get("text")
         if not isinstance(text, str):
             raise ProtocolError("choice has no text")
+        if any(map(has_surrogate, (text, *tokens))):
+            raise ProtocolError("generated text holds an unpaired surrogate")
         return GenerationResult(
             text=text, tokens=tuple(distributions), finish_reason=finish
         )

@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 from .corpus import PromptTemplate, load_templates
 from .errors import DataIntegrityError
 from .jsonio import read_jsonl, typed_field, write_jsonl_atomic
-from .phrases import FIXED_CLARIFICATIONS
 from .pipeline import AssessedSample, ClarifyLabel, DisambiguationRecord, LabelKind
 from .seeding import derive_seed
 
@@ -34,7 +33,8 @@ class Source(enum.Enum):
 
 @dataclass(frozen=True)
 class SftRecord:
-    """One exported training pair with provenance."""
+    """One exported training pair with provenance. An ambiguous record's
+    completion is a valid clarification label of its kind."""
 
     id: str
     prompt: str
@@ -50,6 +50,21 @@ class SftRecord:
                 f"record {self.id}: clarify_kind must be present exactly for "
                 "ambiguous records"
             )
+        if self.clarify_kind is not None:
+            ClarifyLabel(self.id, self.completion, self.clarify_kind)
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> SftRecord:
+        """The record on one exported line. A missing field raises KeyError,
+        a mistyped one TypeError, a bad source or kind ValueError."""
+        kind = typed_field(obj, "clarify_kind", str, None)
+        return cls(
+            id=typed_field(obj, "id", str),
+            prompt=typed_field(obj, "prompt", str),
+            completion=typed_field(obj, "completion", str),
+            source=Source(typed_field(obj, "source", str)),
+            clarify_kind=None if kind is None else LabelKind(kind),
+        )
 
     def to_obj(self) -> dict:
         return {
@@ -59,6 +74,10 @@ class SftRecord:
             "source": self.source.value,
             "clarify_kind": self.clarify_kind.value if self.clarify_kind else None,
         }
+
+
+def _unbalanced(correct: int, ambiguous: int) -> str:
+    return f"unbalanced halves: {correct} correct vs {ambiguous} ambiguous"
 
 
 def emit(
@@ -77,10 +96,7 @@ def emit(
     depend on input order and changes only with the seed.
     """
     if len(correct) != len(ambiguous):
-        raise DataIntegrityError(
-            f"halves must be balanced: {len(correct)} correct vs "
-            f"{len(ambiguous)} ambiguous"
-        )
+        raise DataIntegrityError(_unbalanced(len(correct), len(ambiguous)))
     records: list[SftRecord] = []
     for assessed in correct:
         sample = assessed.sample
@@ -129,81 +145,56 @@ class VerifyReport:
     def ok(self) -> bool:
         return not self.failures
 
+    def counts(self) -> dict[str, int]:
+        return {
+            "records": self.total,
+            **{source.value: self.per_source[source.value] for source in Source},
+            **{kind.value: self.per_kind[kind.value] for kind in LabelKind},
+            "failures": len(self.failures),
+        }
+
     def summary(self) -> str:
-        parts = [
-            f"{self.total} records",
-            f"correct={self.per_source.get('correct', 0)}",
-            f"ambig={self.per_source.get('ambig', 0)}",
-            f"fixed={self.per_kind.get('fixed', 0)}",
-            f"generated={self.per_kind.get('generated', 0)}",
-            f"failures={len(self.failures)}",
-        ]
-        return ", ".join(parts)
+        (_, total), *rest = self.counts().items()
+        return ", ".join([f"{total} records", *(f"{key}={n}" for key, n in rest)])
 
 
 def verify(path: str | Path, answer_cue: str | None = None) -> VerifyReport:
-    """Re-check every line of an exported file against the format invariants.
+    """Re-read an exported file: every line must build an ``SftRecord`` with
+    a new id and a prompt ending in the answer cue, and the halves must
+    match. A bad line gives one failure, its first.
 
     ``answer_cue`` defaults to the packaged direct template's cue; pass the
     run's own cue when a custom template directory was used.
     """
     if answer_cue is None:
         answer_cue = load_templates()["direct"].answer_cue
-    failures: list[tuple[int, str]] = []
-    per_source: Counter = Counter()
-    per_kind: Counter = Counter()
-    seen_ids: set[str] = set()
-    total = 0
     try:
         entries = list(read_jsonl(path))
     except DataIntegrityError as exc:
         return VerifyReport(0, Counter(), Counter(), [(0, str(exc))])
     if not entries:  # emit never writes an empty file
         return VerifyReport(0, Counter(), Counter(), [(0, f"{path}: no records")])
+    failures: list[tuple[int, str]] = []
+    per_source: Counter = Counter()
+    per_kind: Counter = Counter()
+    seen_ids: set[str] = set()
     for line_number, obj in entries:
-        total += 1
-
-        def fail(message: str) -> None:
-            failures.append((line_number, message))
-
-        missing = [k for k in ("id", "prompt", "completion", "source") if k not in obj]
-        if missing:
-            fail(f"missing field(s): {', '.join(missing)}")
-            continue
+        if obj.get("source") in [source.value for source in Source]:
+            per_source[obj["source"]] += 1
         try:
-            record_id, prompt, completion, source = (
-                typed_field(obj, key, str) for key in ("id", "prompt", "completion", "source")
-            )
-            kind = typed_field(obj, "clarify_kind", str, None)
-        except TypeError as exc:
-            fail(str(exc))
+            record = SftRecord.from_obj(obj)
+        except (KeyError, TypeError, ValueError, DataIntegrityError) as exc:
+            message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+            failures.append((line_number, message))
             continue
-        if record_id in seen_ids:
-            fail(f"duplicate id {record_id!r}")
-        seen_ids.add(record_id)
-        if source not in ("correct", "ambig"):
-            fail(f"bad source {source!r}")
-            continue
-        per_source[source] += 1
-        if source == "ambig":
-            if kind not in ("fixed", "generated"):
-                fail(f"ambiguous record needs clarify_kind, got {kind!r}")
-            else:
-                per_kind[kind] += 1
-                if kind == "fixed" and completion not in FIXED_CLARIFICATIONS:
-                    fail("fixed completion is not one of the canonical phrases")
-        elif kind is not None:
-            fail(f"correct record must not carry clarify_kind, got {kind!r}")
-        if not completion:
-            fail("empty completion")
-        if not prompt.endswith(answer_cue):
-            fail(f"prompt does not end with the answer cue {answer_cue!r}")
-    if per_source.get("correct", 0) != per_source.get("ambig", 0):
-        failures.append(
-            (
-                0,
-                f"unbalanced halves: {per_source.get('correct', 0)} correct vs "
-                f"{per_source.get('ambig', 0)} ambig",
-            )
-        )
-    return VerifyReport(total, per_source, per_kind, failures)
+        if record.clarify_kind is not None:
+            per_kind[record.clarify_kind.value] += 1
+        if record.id in seen_ids:
+            failures.append((line_number, f"duplicate id {record.id!r}"))
+        elif not record.prompt.endswith(answer_cue):
+            failures.append((line_number,
+                             f"prompt does not end with the answer cue {answer_cue!r}"))
+        seen_ids.add(record.id)
+    if per_source["correct"] != per_source["ambig"]:
+        failures.append((0, _unbalanced(per_source["correct"], per_source["ambig"])))
+    return VerifyReport(len(entries), per_source, per_kind, failures)

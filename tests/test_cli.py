@@ -169,6 +169,95 @@ def test_verify_clean_exits_0(tmp_path):
     assert run("--config", str(config), "verify") == 0
 
 
+# Each command that reads recorded results, the commands that make its
+# inputs, and its manifest. OUT stands for the workdir.
+MANIFEST_COMMANDS = {
+    "verify": ([["detect"], ["label"], ["emit"]], ["verify"], "verify"),
+    "sweep-epsilon": ([["detect"]], ["sweep"], "sweep_epsilon"),
+    "sweep-sample-rep": ([["eval", "--strategy", "sample_rep"]],
+                         ["sweep", "--sample-rep", "OUT/predictions_sample_rep.jsonl"],
+                         "sweep_sample_rep"),
+    "eval-predictions": ([["eval", "--strategy", "direct"]],
+                         ["eval", "--predictions", "OUT/predictions_direct.jsonl"],
+                         "eval_predictions"),
+    "eval-compare": ([["eval", "--strategy", "direct"], ["eval", "--strategy", "sample_rep"]],
+                     ["eval", "--compare", "OUT/predictions_direct.jsonl",
+                      "OUT/predictions_sample_rep.jsonl"],
+                     "eval_compare"),
+    "eval-aggregate": ([["eval", "--strategy", "direct"], ["eval", "--strategy", "sample_rep"]],
+                       ["eval", "--aggregate", "OUT/eval_direct.json",
+                        "OUT/eval_sample_rep.json"],
+                       "eval_aggregate"),
+}
+
+
+@pytest.mark.parametrize("mode", list(MANIFEST_COMMANDS))
+def test_every_command_writes_its_manifest(tmp_path, capsys, mode):
+    inputs, argv, command = MANIFEST_COMMANDS[mode]
+    config = make_config(tmp_path)
+    out = workdir_of(config)
+    for step in (["assess"], *inputs):
+        assert run("--config", str(config), *step) == 0, step
+    before = {path.name for path in out.iterdir()}
+    capsys.readouterr()
+    argv = [arg.replace("OUT", str(out)) for arg in argv]
+    assert run("--config", str(config), *argv) == 0
+    assert "effective seed: 0" in capsys.readouterr().out
+    manifest = json.loads((out / f"manifest_{command}.json").read_text())
+    assess = json.loads((out / "manifest_assess.json").read_text())
+    assert manifest["command"] == command
+    for key in ("config_hash", "seed", "template_hashes"):
+        assert manifest[key] == assess[key], key
+    written = {path.name for path in out.iterdir()} - before - {f"manifest_{command}.json"}
+    assert [Path(path).parent for path in manifest["outputs"]] == [out] * len(written)
+    assert {Path(path).name for path in manifest["outputs"]} == written
+
+
+def test_verify_manifest_records_failures(tmp_path):
+    config = make_config(tmp_path)
+    sft_path = run_chain(config)
+    rows = sft_path.read_text().splitlines()
+    rows[0] = json.dumps({**json.loads(rows[0]), "completion": ""})
+    sft_path.write_text("".join(r + "\n" for r in rows))
+    manifest_path = workdir_of(config) / "manifest_verify.json"
+    for argv in ([], [str(sft_path)]):
+        manifest_path.unlink(missing_ok=True)
+        assert run("--config", str(config), "verify", *argv) == 4
+        manifest = json.loads(manifest_path.read_text())
+        assert (manifest["path"], manifest["records"], manifest["failures"]) == (
+            str(sft_path), 4, 1)
+        assert manifest["outputs"] == []
+
+
+def test_unpaired_surrogate_in_a_dataset_id_exits_4(tmp_path, capsys):
+    rows = [json.loads(line) for line in (FIXTURES / "corpus.jsonl").read_text().splitlines()]
+    rows[0]["id"] = "s1\ud800"
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    config = make_config(tmp_path, dataset=str(dataset))
+    assert run("--config", str(config), "assess") == 4
+    assert f"{dataset} line 1: field 'id' holds an unpaired surrogate" in capsys.readouterr().err
+    assert not (workdir_of(config) / "assess.jsonl").exists()
+
+
+@pytest.mark.parametrize("inputs,argv,target", [
+    ([], ["eval", "--strategy", "direct", "--report", "DIR"], "DIR"),
+    ([["assess"], ["detect"]], ["sweep", "--out-csv", "FILE/x.csv"], "FILE/x.csv"),
+    ([], ["--out", "FILE/sub", "assess"], "FILE/sub/assess.jsonl"),
+], ids=["report-is-a-directory", "out-csv-under-a-file", "workdir-under-a-file"])
+def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, inputs, argv, target):
+    config = make_config(tmp_path)
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "FILE").write_text("")
+    for step in inputs:
+        assert run("--config", str(config), *step) == 0, step
+    capsys.readouterr()
+    argv = [str(tmp_path / arg) if arg.startswith(("DIR", "FILE")) else arg for arg in argv]
+    assert run("--config", str(config), *argv) == 2
+    assert f"configuration error: cannot write {tmp_path / target}: " in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_failed_label_leaves_no_partial_checkpoint(tmp_path):
     config = make_config(tmp_path, epsilon=0.9)
     assert run("--config", str(config), "assess") == 0
@@ -977,11 +1066,14 @@ PINNED_OUTPUTS = {
     "manifest_assess.json": "dd32d645b89240ecee0b5250e759525e81441bf16ebbe906d59a3b5c65c099ec",
     "manifest_detect.json": "050cf3e39a899d275f97f4f5ff2e8377abe090bb418d3255f9b8b68be29a6c92",
     "manifest_emit.json": "38661b4b38b61c7cfd7024e53bee667eae0fd5d25522f83562b62189886c27c5",
+    "manifest_eval_compare.json": "f1d1fdf9178af0927768ad56167f99a7bc887b2efd31e690cdf5e12f6832b191",
     "manifest_eval_ambig_aware.json": "521f263c33500203d13205c0da644aaf88e0b28c0459c88572facd2debe66bed",
     "manifest_eval_direct.json": "4c29e0f5431a0ca367bee94593b8e09f998f11348b24360973b88fc0a516d966",
     "manifest_eval_sample_rep.json": "d730eb1aa283c1d6c8bd4253f8f7e6f4ba31d2fe746ca5059a6428fe85841254",
     "manifest_eval_self_ask.json": "1b1528fb64006c0c1be8d84c819fb25880cf7ceecf78812bad9bd954ef94fd5b",
     "manifest_label.json": "e574a1ca6c2106bccb4dd323d988e742403578d07185b84c4460f3d582a95f59",
+    "manifest_sweep_epsilon.json": "a281fcaf4856c0dbd061f6a388698aebaecbc853300be643b35454353ec40126",
+    "manifest_sweep_sample_rep.json": "bd9cbd0f0f4d3db7215d47795dd60c84a90f6d72dafc1a559336f20c86bc836d",
     "predictions_ambig_aware.jsonl": "3ca3cecf9e657ac3e2a3b28893d3e6db0c9342b7ca9260ed0fbcf1ec7b1abd94",
     "predictions_direct.jsonl": "eb5095f8abcbc723803ca764b07393f6c8ed3cedcdb16f1e91ee944b08244829",
     "predictions_sample_rep.jsonl": "9a63f74ce697caa757f3ee6f4e6269cdb5554005f8006317a57759b7d4ad1e99",

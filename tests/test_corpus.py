@@ -95,6 +95,22 @@ def test_mistyped_field_is_parse_error(tmp_path, patch):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("patch,field", [
+    ({"id": "b\ud800"}, "id"),
+    ({"question": "q\udfff?"}, "question"),
+    ({"answers": ["x", "\ud800y"]}, "answers"),
+], ids=["id", "question", "answers"])
+def test_unpaired_surrogate_is_parse_error(tmp_path, patch, field):
+    # Valid JSON, but no UTF-8 checkpoint could hold the decoded string.
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [
+        json.dumps({"id": "a", "question": "q?", "answers": ["x"]}),
+        json.dumps({"id": "b", "question": "q?", "answers": ["x"], **patch}),
+    ])
+    with pytest.raises(ParseError, match=f"line 2: field '{field}' holds an unpaired surrogate"):
+        load_dataset(path)
+
+
 def test_integer_id_loads_as_its_string_form(tmp_path):
     path = tmp_path / "d.jsonl"
     write_lines(path, [json.dumps({"id": 7, "question": "q?", "answers": ["x"]})])

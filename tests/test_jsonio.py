@@ -6,8 +6,14 @@ import pytest
 
 import ambigkit.cli
 from ambigkit.cli import main
-from ambigkit.errors import DataIntegrityError
-from ambigkit.jsonio import dump_json, write_json_atomic, write_jsonl_atomic
+from ambigkit.errors import ConfigurationError, DataIntegrityError
+from ambigkit.jsonio import (
+    dump_json,
+    typed_field,
+    write_json_atomic,
+    write_jsonl_atomic,
+    write_text_atomic,
+)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -37,3 +43,20 @@ def test_nan_reaching_a_checkpoint_exits_4(tmp_path, monkeypatch, capsys):
                  "--report", str(report)]) == 4
     assert "agg.json" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("kind,value", [(str, "a\ud800"), (tuple, ["a", "\udc00"])],
+                         ids=["string", "string-list"])
+def test_typed_field_refuses_an_unpaired_surrogate(kind, value):
+    with pytest.raises(ValueError, match="field 'x' holds an unpaired surrogate"):
+        typed_field({"x": value}, "x", kind)
+
+
+@pytest.mark.parametrize("target", ["taken", "file/sub.json"], ids=["directory", "under-a-file"])
+def test_unwritable_path_is_a_configuration_error_naming_it(tmp_path, target):
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "file").write_text("")
+    path = tmp_path / target
+    with pytest.raises(ConfigurationError, match=f"cannot write {path}: "):
+        write_text_atomic(path, "x")
+    assert not list(tmp_path.rglob("*.tmp"))

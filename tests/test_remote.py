@@ -20,7 +20,7 @@ import pytest
 from ambigkit import remote
 from ambigkit.backend import FinishReason, GenerationParams, bounded_map
 from ambigkit.cli import main
-from ambigkit.errors import CapabilityError, ProtocolError, TransportError
+from ambigkit.errors import CapabilityError, ConfigurationError, ProtocolError, TransportError
 from ambigkit.remote import RemoteCompletionsBackend, RequestJournal
 from ambigkit.toy import NgramTable, ToyBackend, load_ngram_table
 
@@ -948,6 +948,31 @@ def test_position_without_alternatives_errors_only_its_sample(tmp_path):
     assert {r["id"] for r in records} == incorrect - {"s3"}
     manifest = json.loads((out / "manifest_detect.json").read_text())
     assert (manifest["records"], manifest["errored"]) == (len(incorrect) - 1, 1)
+
+
+def test_unpaired_surrogate_in_generated_text_errors_only_its_sample(tmp_path):
+    # s2's answer decodes to a string no UTF-8 checkpoint can hold.
+    def answer(body: dict) -> bytes:
+        text = " ans\ud800" if "q2a q2b" in body["prompt"] else " the capital city"
+        choice = {"text": text, "finish_reason": "stop",
+                  "logprobs": generation_logprobs(tokenize(text))}
+        return json.dumps({"choices": [choice]}).encode()
+
+    with LoopbackServer(answer) as server:
+        config, out = endpoint_config(server.endpoint, tmp_path)
+        cli(config, "assess")
+    assessed = map(json.loads, (out / "assess.jsonl").read_text().splitlines())
+    errored = {a["id"]: a["error"] for a in assessed if "error" in a}
+    assert errored == {"s2": "generated text holds an unpaired surrogate"}
+    assert json.loads((out / "manifest_assess.json").read_text())["errored"] == 1
+
+
+def test_journal_that_cannot_be_written_is_a_configuration_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    journal = RequestJournal(tmp_path / "file" / "journal.jsonl")
+    with pytest.raises(ConfigurationError, match=f"cannot write {tmp_path / 'file'}"):
+        journal.append("key", "{}")
+    journal.close()
 
 
 def test_remote_chain_rerun_is_served_from_the_journal(stub_server, tmp_path):

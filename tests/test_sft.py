@@ -177,6 +177,21 @@ def test_verify_flags_mistyped_field(tmp_path, source, patch, field):
     assert f"field {field!r}" in message
 
 
+def test_verify_gives_one_failure_per_bad_line(tmp_path):
+    # An empty fixed completion is also not a canonical phrase: the line
+    # still fails once, and its source still counts.
+    path = emit_small(tmp_path)
+    lines = path.read_text().splitlines()
+    index = next(i for i, l in enumerate(lines) if json.loads(l)["source"] == "ambig")
+    lines[index] = json.dumps({**json.loads(lines[index]), "completion": ""})
+    path.write_text("".join(l + "\n" for l in lines))
+    report = verify(path)
+    [(line_number, message)] = report.failures
+    assert line_number == index + 1
+    assert "empty completion" in message
+    assert report.per_source["ambig"] == report.per_source["correct"] == 5
+
+
 def test_verify_flags_imbalance(tmp_path):
     path = emit_small(tmp_path)
     lines = path.read_text().splitlines()

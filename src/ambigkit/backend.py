@@ -48,8 +48,8 @@ class GenerationParams:
     def __post_init__(self) -> None:
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
 
 
 @dataclass(frozen=True)

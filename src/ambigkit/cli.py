@@ -27,13 +27,13 @@ import csv
 import io
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .backend import Backend, GenerationParams
-from .config import RunConfig, apply_overrides, config_hash, load_config, make_backend
+from .config import RunConfig, config_hash, load_config, make_backend
 from .corpus import (
     PromptTemplate,
     QASample,
@@ -64,6 +64,7 @@ from .evalkit import (
     write_predictions,
 )
 from .jsonio import (
+    output_file,
     read_json_object,
     record_at,
     typed_field,
@@ -72,7 +73,6 @@ from .jsonio import (
     write_text_atomic,
 )
 from .pipeline import (
-    LabelKind,
     StageOnePartition,
     label_records,
     read_labels,
@@ -123,12 +123,9 @@ class _Paths:
 def _start(args) -> tuple[RunConfig, _Paths, dict[str, PromptTemplate]]:
     """Setup of every command: the effective config, the seed line, the
     checkpoint paths and the command's one template load."""
-    config = apply_overrides(
-        load_config(args.config),
-        seed=args.seed, epsilon=args.epsilon, backend=args.backend, out=args.out,
-    )
-    if getattr(args, "kind", None):  # label --kind
-        config = replace(config, label_kind=LabelKind(args.kind))
+    # The flags that set a config value, each under the setting's name.
+    config = load_config(args.config, {key: getattr(args, key, None) for key in (
+        "seed", "epsilon", "workdir", "backend", "label_kind")})
     print(f"effective seed: {config.seed}")
     return config, _Paths(config), load_templates(config.template_dir)
 
@@ -193,11 +190,13 @@ def _write_manifest(config: RunConfig, paths: _Paths, templates: dict[str, Promp
 
 def _run_stage(args, command: str, body, *, uses_backend: bool = True) -> int:
     """Run a command. ``body(args, config, paths, templates, backend)`` reads
-    the inputs and does the work. Around it, this opens and closes the
-    backend (none when the body does not use one), refuses a total outage
-    before anything is written, then writes the outputs,
-    ``manifest_<command>.json`` and the body's line."""
+    the inputs and does the work. Around it, this makes the workdir, opens and
+    closes the backend (none when the body does not use one), refuses a total
+    outage or an output that cannot be written before writing anything, then
+    writes the outputs, ``manifest_<command>.json`` and the body's line."""
     config, paths, templates = _start(args)
+    with output_file(paths.workdir):
+        paths.workdir.mkdir(parents=True, exist_ok=True)
     with (_backend(config, paths) if uses_backend else contextlib.nullcontext()) as backend:
         stage = body(args, config, paths, templates, backend)
     # Per-sample backend failures are tolerated and excluded; a run where
@@ -205,6 +204,11 @@ def _run_stage(args, command: str, body, *, uses_backend: bool = True) -> int:
     if stage.errored and stage.processed == 0:
         raise BackendError(f"every backend call failed ({len(stage.errored)} samples); "
                            f"first error: {stage.errored[0][1]}")
+    for path, _ in stage.writes:
+        with output_file(path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+        if path.is_dir():
+            raise ConfigurationError(f"cannot write {path}: Is a directory")
     for path, write in stage.writes:
         write(path)
     _write_manifest(config, paths, templates, command, stage, backend)
@@ -495,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the information-gain threshold")
     parser.add_argument("--backend", type=_given, default=None,
                         help="override the backend: toy:<fixture> or remote:<endpoint>")
-    parser.add_argument("--out", type=_given, default=None,
+    parser.add_argument("--out", dest="workdir", metavar="OUT", type=_given, default=None,
                         help="override the working/output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -503,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("detect", help="stage 2: measure perceived ambiguity of incorrect samples")
 
     label = sub.add_parser("label", help="stage 3: select, balance, and label")
-    label.add_argument("--kind", choices=["fixed", "generated"], default=None,
-                       help="override the clarification label kind")
+    label.add_argument("--kind", dest="label_kind", choices=["fixed", "generated"],
+                       default=None, help="override the clarification label kind")
 
     sub.add_parser("emit", help="export the balanced training JSONL")
 

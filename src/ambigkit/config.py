@@ -1,7 +1,8 @@
-"""Run configuration: one JSON file plus command-line overrides.
+"""Run configuration: one JSON file plus command-line flags.
 
 Paths inside the file resolve relative to the file's own directory, so a
-config can travel with its fixtures. Flag overrides win over file values.
+config can travel with its fixtures. A flag replaces the file's value before
+conversion, so both pass the same checks.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -74,9 +75,9 @@ class SampleRepConfig:
             )
         if self.num_samples < 1:
             raise ConfigurationError("sample_rep num_samples must be >= 1")
-        if not self.temperature > 0:  # at 0 every draw is the greedy reply
+        if not 0 < self.temperature < math.inf:  # at 0 every draw is the greedy reply
             raise ConfigurationError(
-                f"sample_rep temperature must be > 0, got {self.temperature}"
+                f"sample_rep temperature must be finite and > 0, got {self.temperature}"
             )
 
 
@@ -100,6 +101,10 @@ class RunConfig:
             raise ConfigurationError(f"epsilon must be finite, got {self.epsilon}")
         if self.max_tokens < 1:
             raise ConfigurationError("max_tokens must be >= 1")
+        if not 0 <= self.rouge_threshold < 1:  # NaN included
+            raise ConfigurationError(
+                f"rouge_threshold must lie in [0, 1), got {self.rouge_threshold}"
+            )
 
 
 def config_hash(config: RunConfig) -> str:
@@ -144,16 +149,36 @@ def _member(cls: type[enum.Enum]):
 
 def _number(kind: type):
     """Converter to ``kind`` (int or float) that refuses a boolean, which
-    both would otherwise take as 1 or 0."""
+    both would otherwise take as 1 or 0, and to int a float that is not a
+    whole number, which int() would truncate or fail on."""
     def convert(value):
         if isinstance(value, bool):
             raise TypeError(f"expected a number, got {value!r}")
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"expected a whole number, got {value!r}")
         return kind(value)
     return convert
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Load, validate, and path-resolve a JSON config file."""
+def _backend_flag(section: object, value: str) -> object:
+    """``section`` with ``--backend`` (``toy:<fixture>`` or
+    ``remote:<endpoint>``) applied; the file's other backend keys stay."""
+    kind, _, rest = value.partition(":")
+    key = {"toy": "fixture", "remote": "endpoint"}.get(kind)
+    if key is None or not rest:
+        raise ConfigurationError("backend override must look like toy:<fixture> "
+                                 f"or remote:<endpoint>, got {value!r}")
+    if not isinstance(section, dict):  # refused as it would be without the flag
+        return section
+    rest = str(Path(rest).resolve()) if kind == "toy" else rest
+    return {**section, "kind": kind, "fixture": None, "endpoint": None, key: rest}
+
+
+def load_config(path: str | Path, flags: dict | None = None) -> RunConfig:
+    """Load, validate, and path-resolve a JSON config file. ``flags`` maps a
+    setting name to its command-line value, None if not given; each given one
+    replaces the file's value before conversion, so both pass the same checks.
+    A flag's path resolves against the working directory, not the file's."""
     path = Path(path)
     try:
         obj = read_json_object(path)
@@ -175,6 +200,12 @@ def load_config(path: str | Path) -> RunConfig:
     # An absent backend section is an empty one, and the default workdir is
     # relative to the config file like a given one.
     obj = {"backend": {}, "workdir": RunConfig.workdir, **obj}
+    given = {key: value for key, value in (flags or {}).items() if value is not None}
+    if "backend" in given:
+        given["backend"] = _backend_flag(obj["backend"], given["backend"])
+    if "workdir" in given:
+        given["workdir"] = str(Path(given["workdir"]).resolve())
+    obj.update(given)
     to_int, to_float = _number(int), _number(float)
     return _section(RunConfig, obj, "config", {
         "backend": partial(_section, BackendSpec, where="backend", convert={
@@ -196,44 +227,6 @@ def load_config(path: str | Path) -> RunConfig:
             "threshold": to_float, "num_samples": to_int, "temperature": to_float,
         }),
     })
-
-
-def apply_overrides(
-    config: RunConfig,
-    *,
-    seed: int | None = None,
-    epsilon: float | None = None,
-    backend: str | None = None,
-    out: str | None = None,
-) -> RunConfig:
-    """Apply flag overrides; flags win over file values.
-
-    ``backend`` takes the form ``toy:<fixture-path>`` or
-    ``remote:<endpoint-url>``.
-    """
-    if seed is not None:
-        config = replace(config, seed=seed)
-    if epsilon is not None:
-        config = replace(config, epsilon=epsilon)
-    if out is not None:
-        config = replace(config, workdir=str(Path(out).resolve()))
-    if backend is not None:
-        kind, sep, rest = backend.partition(":")
-        if not sep or not rest:
-            raise ConfigurationError(
-                "backend override must look like toy:<fixture> or remote:<endpoint>"
-            )
-        if kind == "toy":
-            spec = replace(
-                config.backend, kind="toy", fixture=str(Path(rest).resolve()),
-                endpoint=None,
-            )
-        elif kind == "remote":
-            spec = replace(config.backend, kind="remote", endpoint=rest, fixture=None)
-        else:
-            raise ConfigurationError(f"unknown backend kind {kind!r}")
-        config = replace(config, backend=spec)
-    return config
 
 
 def make_backend(spec: BackendSpec, *, journal: str | Path | None = None) -> Backend:

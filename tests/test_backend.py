@@ -22,6 +22,13 @@ def test_params_validate_temperature():
         GenerationParams(temperature=-0.1)
 
 
+@pytest.mark.parametrize("temperature", [math.nan, math.inf])
+def test_params_refuse_a_non_finite_temperature(temperature):
+    # A remote request would carry it as a bare NaN or Infinity, not JSON.
+    with pytest.raises(ValueError, match="temperature must be finite"):
+        GenerationParams(temperature=temperature)
+
+
 def test_params_validate_max_tokens():
     with pytest.raises(ValueError):
         GenerationParams(max_tokens=0)

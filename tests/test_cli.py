@@ -243,7 +243,7 @@ def test_unpaired_surrogate_in_a_dataset_id_exits_4(tmp_path, capsys):
 @pytest.mark.parametrize("inputs,argv,target", [
     ([], ["eval", "--strategy", "direct", "--report", "DIR"], "DIR"),
     ([["assess"], ["detect"]], ["sweep", "--out-csv", "FILE/x.csv"], "FILE/x.csv"),
-    ([], ["--out", "FILE/sub", "assess"], "FILE/sub/assess.jsonl"),
+    ([], ["--out", "FILE/sub", "assess"], "FILE/sub"),
 ], ids=["report-is-a-directory", "out-csv-under-a-file", "workdir-under-a-file"])
 def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, inputs, argv, target):
     config = make_config(tmp_path)
@@ -256,6 +256,20 @@ def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, inputs, argv, tar
     assert run("--config", str(config), *argv) == 2
     assert f"configuration error: cannot write {tmp_path / target}: " in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.tmp"))
+    # Every output is checked before the first is written.
+    assert not (workdir_of(config) / "predictions_direct.jsonl").exists()
+
+
+def test_workdir_under_a_file_exits_2_before_any_backend_call(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(ambigkit.cli, "make_backend",
+                        lambda spec, **kw: built.append(spec))
+    config = make_config(tmp_path)
+    (tmp_path / "FILE").write_text("")
+    argv = ["--out", str(tmp_path / "FILE" / "sub"), "eval", "--strategy", "direct"]
+    assert run("--config", str(config), *argv) == 2
+    assert f"cannot write {tmp_path / 'FILE' / 'sub'}: " in capsys.readouterr().err
+    assert built == []
 
 
 def test_failed_label_leaves_no_partial_checkpoint(tmp_path):
@@ -622,6 +636,42 @@ def test_ambiguate_backend_failure_exits_3_and_writes_nothing(tmp_path, monkeypa
     assert not (out / "manifest_ambiguate.json").exists()
 
 
+@pytest.mark.parametrize("argv,patch", [
+    (["--seed", "7", "assess"], {"seed": 7}),
+    (["--epsilon", "0.7", "assess"], {"epsilon": 0.7}),
+    (["--out", "elsewhere", "assess"], {"workdir": "CWD/elsewhere"}),
+    (["--backend", "toy:world.yaml", "assess"],
+     {"backend": {"kind": "toy", "fixture": "CWD/world.yaml", "endpoint": None}}),
+    (["--backend", "remote:http://127.0.0.1:9/v1/completions", "assess"],
+     {"backend": {"kind": "remote", "endpoint": "http://127.0.0.1:9/v1/completions",
+                  "fixture": None}}),
+    (["label", "--kind", "generated"], {"label_kind": "generated"}),
+], ids=["seed", "epsilon", "out", "backend-toy", "backend-remote", "label-kind"])
+def test_flag_gives_the_config_its_file_value_gives(tmp_path, monkeypatch, argv, patch):
+    monkeypatch.chdir(tmp_path)  # where a flag's relative path resolves
+
+    def resolved(value):
+        if isinstance(value, dict):
+            return {key: resolved(item) for key, item in value.items()}
+        return value.replace("CWD", str(tmp_path.resolve())) if isinstance(value, str) else value
+
+    flagged = ambigkit.cli._start(
+        ambigkit.cli.build_parser().parse_args(["--config", str(make_config(tmp_path)), *argv])
+    )[0]
+    from_file = ambigkit.cli.load_config(make_config(tmp_path, **resolved(patch)))
+    assert flagged == from_file
+    assert ambigkit.cli.config_hash(flagged) == ambigkit.cli.config_hash(from_file)
+
+
+def test_non_finite_epsilon_flag_exits_2_as_the_file_value_does(tmp_path, capsys):
+    config = make_config(tmp_path)
+    assert run("--config", str(config), "--epsilon", "nan", "assess") == 2
+    flagged = capsys.readouterr().err
+    assert run("--config", str(make_config(tmp_path, epsilon=float("nan"))), "assess") == 2
+    assert flagged == capsys.readouterr().err == (
+        "configuration error: epsilon must be finite, got nan\n")
+
+
 def test_label_kind_flag_overrides_config(tmp_path):
     config = make_config(tmp_path)
     assert run("--config", str(config), "assess") == 0
@@ -763,11 +813,24 @@ def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch):
     {"backend": {"top_k": True}},
     {"backend": {"parallelism": True}},
     {"sample_rep": {"threshold": True}},
+    {"seed": 3.5},
+    {"backend": {"parallelism": 2.7}},
+    {"sample_rep": {"num_samples": 10.5}},
+    {"seed": float("inf")},
+    {"rouge_threshold": float("nan")},
+    {"rouge_threshold": float("inf")},
+    {"rouge_threshold": -1},
+    {"rouge_threshold": 1.5},
+    {"rouge_threshold": 1},  # no answer scores strictly above 1
+    {"sample_rep": {"temperature": float("inf")}},
 ], ids=["epsilon-text", "epsilon-null", "epsilon-list", "top_k-0", "top_k-negative",
         "top_k-over-vocabulary", "num_samples-0", "temperature-negative", "temperature-zero",
         "threshold-nan", "threshold-inf", "truncation_mode-renormalize",
         "epsilon-true", "rouge_threshold-false", "seed-true", "top_k-true",
-        "parallelism-true", "threshold-true"])
+        "parallelism-true", "threshold-true", "seed-fraction", "parallelism-fraction",
+        "num_samples-fraction", "seed-infinity", "rouge_threshold-nan", "rouge_threshold-inf",
+        "rouge_threshold-negative", "rouge_threshold-above-1", "rouge_threshold-1",
+        "temperature-inf"])
 def test_bad_config_value_exits_2(tmp_path, capsys, patch):
     config = make_config(tmp_path, **patch)
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 2

@@ -7,7 +7,6 @@ import pytest
 
 from ambigkit.config import (
     BackendSpec,
-    apply_overrides,
     config_hash,
     load_config,
     make_backend,
@@ -105,8 +104,8 @@ def test_backend_spec_validation():
 
 
 def test_overrides_win(tmp_path):
-    config = load_config(write_config(tmp_path))
-    updated = apply_overrides(config, seed=9, epsilon=0.7, out=str(tmp_path / "o2"))
+    updated = load_config(write_config(tmp_path),
+                          {"seed": 9, "epsilon": 0.7, "workdir": str(tmp_path / "o2")})
     assert updated.seed == 9
     assert updated.epsilon == 0.7
     assert updated.workdir == str((tmp_path / "o2").resolve())
@@ -115,20 +114,20 @@ def test_overrides_win(tmp_path):
 
 
 def test_backend_override_parsing(tmp_path):
-    config = load_config(write_config(tmp_path))
-    toy = apply_overrides(config, backend="toy:/somewhere/world.yaml")
+    path = write_config(tmp_path)
+    toy = load_config(path, {"backend": "toy:/somewhere/world.yaml"})
     assert toy.backend.kind == "toy"
     assert toy.backend.fixture == "/somewhere/world.yaml"
-    remote = apply_overrides(config, backend="remote:http://h:1/v1/completions")
+    remote = load_config(path, {"backend": "remote:http://h:1/v1/completions"})
     assert remote.backend.kind == "remote"
     assert remote.backend.endpoint == "http://h:1/v1/completions"
     with pytest.raises(ConfigurationError):
-        apply_overrides(config, backend="smoke-signals")
+        load_config(path, {"backend": "smoke-signals"})
 
 
 def test_config_hash_tracks_content(tmp_path):
     a = load_config(write_config(tmp_path))
-    b = apply_overrides(a, epsilon=0.9)
+    b = load_config(write_config(tmp_path), {"epsilon": 0.9})
     assert config_hash(a) == config_hash(a)
     assert config_hash(a) != config_hash(b)
 
@@ -159,6 +158,37 @@ def test_config_hash_is_pinned(tmp_path):
     assert config_hash(load_config(path)) == (
         "630122f315d674bb2de7838cf0c9c9fb23ecee5f5a83dd8acb01d2dfcffdf9b4"
     )
+
+
+def test_backend_flag_does_not_mend_a_backend_that_is_not_an_object(tmp_path):
+    path = write_config(tmp_path, backend=["toy"])
+    with pytest.raises(ConfigurationError, match="'backend' must be an object"):
+        load_config(path, {"backend": "toy:/somewhere/world.yaml"})
+
+
+def test_a_flag_replaces_the_file_value_unchecked(tmp_path):
+    # Only the effective config is converted and checked.
+    path = write_config(tmp_path, seed="not a number", epsilon=float("nan"))
+    config = load_config(path, {"seed": 4, "epsilon": 0.5})
+    assert (config.seed, config.epsilon) == (4, 0.5)
+
+
+@pytest.mark.parametrize("value,seed", [(3, 3), (3.0, 3), ("3", 3), (-2.0, -2)])
+def test_integer_setting_takes_a_whole_number(tmp_path, value, seed):
+    assert load_config(write_config(tmp_path, seed=value)).seed == seed
+
+
+@pytest.mark.parametrize(
+    "value", [3.5, -0.5, float("inf"), float("-inf"), float("nan"), "3.5"],
+    ids=["fraction", "negative-fraction", "inf", "-inf", "nan", "text-fraction"])
+def test_integer_setting_refuses_anything_else_naming_the_key(tmp_path, value):
+    with pytest.raises(ConfigurationError, match="bad config value for 'seed'"):
+        load_config(write_config(tmp_path, seed=value))
+
+
+@pytest.mark.parametrize("value", [0.0, 0.3, 0.999])
+def test_rouge_threshold_in_range_loads(tmp_path, value):
+    assert load_config(write_config(tmp_path, rouge_threshold=value)).rouge_threshold == value
 
 
 def test_numeric_strings_are_converted(tmp_path):

@@ -153,13 +153,12 @@ def _read_partition(config: RunConfig, paths: _Paths) -> StageOnePartition:
 class _Stage(NamedTuple):
     """What a stage body hands back to ``_run_stage``: each output path with
     the function that writes it there, the manifest's summary fields, the
-    line to print (or a function that gives it once the outputs are
-    written), how many samples succeeded and which errored, and the exit
-    code."""
+    line to print, how many samples succeeded and which errored, and the
+    exit code."""
 
     writes: list[tuple[Path, Callable[[Path], object]]]
     summary: dict
-    message: str | Callable[[], str]
+    message: str
     processed: int = 0
     errored: Sequence[tuple[str, str]] = ()
     exit_code: int = EXIT_OK
@@ -212,7 +211,7 @@ def _run_stage(args, command: str, body, *, uses_backend: bool = True) -> int:
     for path, write in stage.writes:
         write(path)
     _write_manifest(config, paths, templates, command, stage, backend)
-    print(stage.message() if callable(stage.message) else stage.message)
+    print(stage.message)
     return stage.exit_code
 
 
@@ -370,6 +369,8 @@ def _aggregate_reports(report_paths: list[Path]) -> dict:
         with record_at(path):
             for key, vals in values.items():
                 vals.append(typed_field(obj, key, float))
+                if not 0 <= vals[-1] <= 1:
+                    raise ValueError(f"field {key!r} must lie in [0, 1], got {vals[-1]}")
     # Population standard deviation, defined for a single run as 0.
     return {"n": len(report_paths),
             **{key: {"mean": statistics.fmean(vals), "stddev": statistics.pstdev(vals)}
@@ -382,7 +383,7 @@ def _eval_aggregate(args, config, paths, templates, backend) -> _Stage:
     return _Stage(
         [(out, lambda path: write_json_atomic(path, summary))],
         {"reports": len(args.aggregate)},
-        lambda: f"aggregated {summary['n']} reports: " + "".join(
+        f"aggregated {summary['n']} reports: " + "".join(
             f"{label} {summary[key]['mean']:.4f} ({summary[key]['stddev']:.4f})  "
             for key, label in (("f1_u", "F1_u"), ("f1_a", "F1_a"))) + f"({out})",
     )

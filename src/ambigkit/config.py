@@ -188,14 +188,14 @@ def load_config(path: str | Path, flags: dict | None = None) -> RunConfig:
         raise ConfigurationError("config requires a 'dataset' path")
 
     def relative(value):
-        """A path relative to the config file's directory; None stays None."""
-        if value is None:
-            return None
+        """A path string relative to the config file's directory."""
+        if not isinstance(value, str):
+            raise TypeError(f"expected a path string, got {value!r}")
         value = Path(value)
         return str(value if value.is_absolute() else (path.parent / value).resolve())
 
-    def relative_str(value):
-        return relative(str(value))
+    def optional(convert):
+        return lambda value: None if value is None else convert(value)
 
     # An absent backend section is an empty one, and the default workdir is
     # relative to the config file like a given one.
@@ -209,16 +209,16 @@ def load_config(path: str | Path, flags: dict | None = None) -> RunConfig:
     to_int, to_float = _number(int), _number(float)
     return _section(RunConfig, obj, "config", {
         "backend": partial(_section, BackendSpec, where="backend", convert={
-            "fixture": relative,
-            "top_k": lambda value: None if value is None else to_int(value),
+            "fixture": optional(relative),
+            "top_k": optional(to_int),
             "parallelism": to_int,
         }),
-        "dataset": relative_str,
-        "workdir": relative_str,
+        "dataset": relative,
+        "workdir": relative,
         "epsilon": to_float,
         "truncation_mode": _member(TruncationMode),
         "seed": to_int,
-        "template_dir": relative,
+        "template_dir": optional(relative),
         "max_tokens": to_int,
         "rouge_threshold": to_float,
         "strategy": _member(SelectionStrategy),

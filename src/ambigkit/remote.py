@@ -5,8 +5,12 @@ servers: the request carries ``{model, prompt, max_tokens, temperature,
 logprobs, echo, stop, seed}`` and each choice returns per-token arrays
 ``tokens``, ``token_logprobs``, ``top_logprobs`` and ``text_offset``.
 Scoring sends the concatenated context+text with ``echo=true`` and
-``max_tokens=0``; a returned token belongs to the scored text when its
-character span extends past the context (a straddling token counts as text).
+``max_tokens=0``. A returned token spans from its ``text_offset`` to the
+next token's (the prompt's end for the last), but no further than its
+spelling: a byte token (``bytes:\\xNN``) is wider than its byte, and a
+server may leave whitespace to no token. A token belongs to the scored text
+when its span starts at or after the context's end or extends past it (a
+straddling token counts as text); decreasing offsets are a protocol error.
 
 Requests go out over the standard library's ``http.client``, on a pool of
 up to ``parallelism`` keep-alive connections; the pool is the one bound on
@@ -107,11 +111,12 @@ class RequestJournal:
     body, which holds the model, prompt and every decoding parameter; the API
     key stays out of it. Each line of the file is ``<key>\\t<response>``, the
     response body as the server sent it, its line breaks made spaces. Loading
-    indexes where each line's response lies in the file; a response is read
-    and decoded only when a request uses it, and a later line wins over an
-    earlier one. A line that does not decode (a torn tail after a crash) or no
-    longer passes the parser's checks counts as a miss, and the request goes
-    to the network again.
+    indexes where each line lies; each lookup and each append opens the file
+    and closes it again. A line is read and decoded only when a request uses
+    it, and a later line wins over an earlier one. A line that no longer
+    holds its key (the file was replaced), does not decode (a torn tail after
+    a crash) or fails the parser's checks is a miss: the request goes to the
+    network again. A failed append is a ConfigurationError naming the file.
     """
 
     def __init__(self, path: str | Path):
@@ -119,7 +124,6 @@ class RequestJournal:
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
-        self._file = None
         self._entries: dict[bytes, tuple[int, int]] = {}  # key -> (offset, length)
         line, start = b"\n", 0
         if self.path.exists():
@@ -130,10 +134,10 @@ class RequestJournal:
         self._torn_tail = not line.endswith(b"\n")
 
     def _index(self, line: bytes, start: int) -> None:
-        """Record where the response of ``line``, found at ``start``, lies."""
-        key, sep, raw = line.partition(b"\t")
+        """Record that ``line`` lies at ``start``."""
+        key, sep, _ = line.partition(b"\t")
         if sep:
-            self._entries[key] = (start + len(key) + 1, len(raw.rstrip(b"\n")))
+            self._entries[key] = (start, len(line))
 
     @staticmethod
     def key(endpoint: str, body: dict[str, Any]) -> str:
@@ -148,7 +152,10 @@ class RequestJournal:
             try:
                 with open(self.path, "rb") as fh:
                     fh.seek(where[0])
-                    result = parse(_decode(fh.read(where[1]).decode("utf-8")))
+                    found, _, raw = fh.read(where[1]).partition(b"\t")
+                if found != key.encode("ascii"):
+                    raise ValueError("the line there holds another key")
+                result = parse(_decode(raw.decode("utf-8")))
             except (OSError, ValueError, BackendError) as exc:
                 logger.warning("journal %s: entry %s unusable (%s); requesting again",
                                self.path, key[:12], exc)
@@ -165,23 +172,13 @@ class RequestJournal:
         # would cost more than the rest of the client's work on a call.
         raw = text.replace("\r", " ").replace("\n", " ")
         line = f"{key}\t{raw}\n".encode("utf-8")
-        with self._lock:
-            if self._file is None:
-                with output_file(self.path):
-                    self.path.parent.mkdir(parents=True, exist_ok=True)
-                    self._file = open(self.path, "ab")
-                if self._torn_tail:
-                    self._file.write(b"\n")
-            self._file.write(line)
-            self._file.flush()
-            # Appends go to the end of the file, wherever it is now.
-            self._index(line, self._file.tell() - len(line))
-
-    def close(self) -> None:
-        with self._lock:
-            if self._file is not None:
-                self._file.close()
-                self._file = None
+        with self._lock, output_file(self.path):
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "ab") as fh:
+                fh.write(b"\n" * self._torn_tail + line)
+                end = fh.tell()  # appends go to the end, wherever it is now
+            self._torn_tail = False
+            self._index(line, end - len(line))
 
 
 class _ConnectionPool:
@@ -252,8 +249,6 @@ class RemoteCompletionsBackend(Backend):
         self._pool = _ConnectionPool(self._connections)
 
     def close(self) -> None:
-        if self.journal is not None:
-            self.journal.close()
         for connection in self._connections:
             connection.close()
 
@@ -422,16 +417,18 @@ class RemoteCompletionsBackend(Backend):
             text=text, tokens=tuple(distributions), finish_reason=finish
         )
 
-    def _parse_scoring(self, payload: Any, boundary: int) -> ScoringResult:
+    def _parse_scoring(self, payload: Any, boundary: int, length: int) -> ScoringResult:
         choice = self._choice(payload)
         tokens, token_logprobs, tops, offsets = self._logprobs(
             choice, ("tokens", "token_logprobs", "top_logprobs", "text_offset"))
+        if not all(type(offset) is int and offset >= before  # all() stops at a non-int
+                   for before, offset in zip([0, *offsets], offsets)):
+            raise ProtocolError(f"text_offset {str(offsets)[:_EXCERPT_LIMIT]} is not "
+                                "a non-decreasing list of character indices")
         distributions = []
-        for token, lp, top, offset in zip(tokens, token_logprobs, tops, offsets):
-            if type(offset) is not int or offset < 0:
-                raise ProtocolError(f"text_offset {str(offset)[:_EXCERPT_LIMIT]!r} "
-                                    f"of token {token!r} is not a character index")
-            if offset + len(token) <= boundary:
+        ends = [*offsets[1:], length]
+        for token, lp, top, offset, end in zip(tokens, token_logprobs, tops, offsets, ends):
+            if offset < boundary and min(end, offset + len(token)) <= boundary:
                 continue  # entirely inside the context
             if lp is None or top is None:
                 if offset == 0:
@@ -480,7 +477,7 @@ class RemoteCompletionsBackend(Backend):
             "logprobs": self.top_k,
             "echo": True,
         }
-        boundary = len(context)
+        boundary, length = len(context), len(body["prompt"])
         return self._complete(
-            body, lambda payload: self._parse_scoring(payload, boundary), True
+            body, lambda payload: self._parse_scoring(payload, boundary, length), True
         )

@@ -501,13 +501,20 @@ def test_eval_aggregate_missing_metric_is_parse_error(tmp_path):
     '5',
     '{"f1_u": NaN, "f1_a": 0.5}',
     '{"f1_u": true, "f1_a": 0.5}',
-], ids=["text", "null", "not-an-object", "nan", "boolean"])
+    '{"f1_u": 7.5, "f1_a": 0.5}',
+    '{"f1_u": 0.5, "f1_a": -0.25}',
+    '{"f1_u": 1e308, "f1_a": 0.5}',
+], ids=["text", "null", "not-an-object", "nan", "boolean", "above-1", "below-0", "huge"])
 def test_eval_aggregate_mistyped_report_exits_4(tmp_path, capsys, body):
     config = make_config(tmp_path)
     bad = tmp_path / "bad.json"
     bad.write_text(body)
-    assert run("--config", str(config), "eval", "--aggregate", str(bad)) == 4
-    assert str(bad) in capsys.readouterr().err
+    # Twice: two huge values would overflow the mean.
+    assert run("--config", str(config), "eval", "--aggregate", str(bad), str(bad)) == 4
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    if body.startswith("{"):
+        assert "field 'f1_" in err
 
 
 def test_sweep_sample_rep_thresholds(tmp_path):
@@ -823,6 +830,10 @@ def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch):
     {"rouge_threshold": 1.5},
     {"rouge_threshold": 1},  # no answer scores strictly above 1
     {"sample_rep": {"temperature": float("inf")}},
+    {"workdir": None},
+    {"dataset": None},
+    {"workdir": 7},
+    {"dataset": 7},
 ], ids=["epsilon-text", "epsilon-null", "epsilon-list", "top_k-0", "top_k-negative",
         "top_k-over-vocabulary", "num_samples-0", "temperature-negative", "temperature-zero",
         "threshold-nan", "threshold-inf", "truncation_mode-renormalize",
@@ -830,11 +841,16 @@ def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch):
         "parallelism-true", "threshold-true", "seed-fraction", "parallelism-fraction",
         "num_samples-fraction", "seed-infinity", "rouge_threshold-nan", "rouge_threshold-inf",
         "rouge_threshold-negative", "rouge_threshold-above-1", "rouge_threshold-1",
-        "temperature-inf"])
+        "temperature-inf", "workdir-null", "dataset-null", "workdir-number",
+        "dataset-number"])
 def test_bad_config_value_exits_2(tmp_path, capsys, patch):
     config = make_config(tmp_path, **patch)
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    if {"workdir", "dataset"} & set(patch):
+        assert f"{next(iter(patch))!r}" in err
+        assert not (tmp_path / "None").exists()
 
 
 @pytest.mark.parametrize("flag,grid", [

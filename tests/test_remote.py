@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import errno
+import io
 import json
 import logging
 import math
@@ -233,6 +235,46 @@ def test_score_skips_sequence_initial_null(stub_server):
 def test_score_single_initial_token_is_capability_error(stub_server):
     with pytest.raises(CapabilityError):
         make_backend(stub_server).score("the", context="")
+
+
+def score_echoed(context: str, text: str, tokens: list[str], offsets: list) -> list[str]:
+    """The tokens the client scores when the server echoes ``context + text``
+    as ``tokens`` at ``offsets``, the first with no distribution."""
+    def answer(body: dict) -> bytes:
+        logprobs = {"tokens": tokens, "text_offset": offsets,
+                    "token_logprobs": [None] + [LN(0.6)] * (len(tokens) - 1),
+                    "top_logprobs": [None] + [{token: LN(0.6)} for token in tokens[1:]]}
+        choice = {"text": body["prompt"], "finish_reason": "length", "logprobs": logprobs}
+        return json.dumps({"choices": [choice]}).encode()
+
+    with LoopbackServer(answer) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m")
+        try:
+            return [dist.token_text for dist in backend.score(text, context=context).tokens]
+        finally:
+            backend.close()
+
+
+@pytest.mark.parametrize("context,text,tokens,offsets,scored", [
+    # The server spells the two bytes of "é" as byte tokens, each wider than
+    # the character it covers: both lie inside the context.
+    ("café ", "ok", ["caf", "bytes:\\xc3", "bytes:\\xa9", " ok"], [0, 3, 3, 4], [" ok"]),
+    # A token that covers no character, at the boundary, starts the text.
+    ("the", " cat", ["the", "", " cat"], [0, 3, 3], ["", " cat"]),
+    # Word tokens that leave the whitespace between them to no token: the
+    # context's last word ends where its spelling does, at the boundary.
+    ("a the", " cat", ["a", "the", "cat"], [0, 2, 6], ["cat"]),
+], ids=["byte-tokens", "empty-token-at-boundary", "whitespace-between-words"])
+def test_score_reads_each_token_extent_from_the_offsets(context, text, tokens, offsets,
+                                                          scored):
+    assert score_echoed(context, text, tokens, offsets) == scored
+
+
+@pytest.mark.parametrize("offsets", [[0, 4, 3], [0, -1, 4], [0, 4, "8"]],
+                         ids=["decreasing", "negative", "text"])
+def test_score_offsets_out_of_order_are_a_protocol_error(offsets):
+    with pytest.raises(ProtocolError, match="text_offset"):
+        score_echoed("the ", "cat sat", ["the", " cat", " sat"], offsets)
 
 
 def test_retry_then_success(stub_server):
@@ -972,7 +1014,47 @@ def test_journal_that_cannot_be_written_is_a_configuration_error(tmp_path):
     journal = RequestJournal(tmp_path / "file" / "journal.jsonl")
     with pytest.raises(ConfigurationError, match=f"cannot write {tmp_path / 'file'}"):
         journal.append("key", "{}")
-    journal.close()
+
+
+class FullDisk(io.BytesIO):
+    """A file that opens but takes no bytes, as on a full disk."""
+
+    def write(self, data: bytes) -> int:
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_journal_write_that_fails_is_a_configuration_error(monkeypatch, tmp_path):
+    journal = RequestJournal(tmp_path / "journal.jsonl")
+    journal.append("a" * 64, "{}")
+    monkeypatch.setattr(remote, "open", lambda *args: FullDisk(), raising=False)
+    with pytest.raises(ConfigurationError, match=f"cannot write {tmp_path / 'journal.jsonl'}: "
+                                                 "No space left on device"):
+        journal.append("b" * 64, "{}")
+
+
+def test_journal_write_that_fails_exits_2_naming_the_journal(stub_server, tmp_path,
+                                                             monkeypatch, capsys):
+    config, out = remote_config(stub_server, tmp_path)
+    monkeypatch.setattr(remote, "open", lambda *args: FullDisk(), raising=False)
+    assert main(["--config", str(config), "assess"]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out / 'backend_journal.jsonl'}: No space left on device" in err
+    assert not (out / "assess.jsonl").exists()
+
+
+def test_journal_line_replaced_under_its_offset_is_a_miss(tmp_path, caplog):
+    # Two lines of one length swap places after the journal indexed them:
+    # each key's offset now holds the other key's line.
+    path = tmp_path / "journal.jsonl"
+    keys = [f"{i:064x}" for i in (1, 2)]
+    lines = [f'{key}\t{{"choices": [{{"text": "{key}"}}]}}\n' for key in keys]
+    path.write_text("".join(lines))
+    journal = RequestJournal(path)
+    path.write_text("".join(reversed(lines)))
+    with caplog.at_level(logging.WARNING, logger="ambigkit.remote"):
+        assert [journal.lookup(key, lambda payload: payload) for key in keys] == [None, None]
+    assert (journal.hits, journal.misses) == (0, 2)
+    assert "holds another key" in caplog.text
 
 
 def test_remote_chain_rerun_is_served_from_the_journal(stub_server, tmp_path):
@@ -1115,7 +1197,6 @@ def test_journal_counts_and_lines_survive_concurrent_workers(tmp_path):
             list(pool.map(work, keys * 2, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-        journal.close()
     assert journal.hits + journal.misses == 2 * len(keys)
     lines = path.read_text().splitlines()
     assert len(lines) == journal.misses

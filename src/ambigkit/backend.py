@@ -1,7 +1,11 @@
 """Uniform text-generation and teacher-forced scoring interface.
 
-A backend produces, for every generated or scored position, the model's
-next-token distribution information: the realized token's logprob, the top-k
+A backend has one model call, ``complete``: it continues a prompt and, when
+asked, also echoes the distributions of the prompt's characters from a given
+index to its end. Generation is ``complete`` without echo; scoring is
+``complete`` with ``max_tokens`` 0 and the echo starting at the context's end.
+Every generated or echoed position carries the model's next-token
+distribution information: the realized token's logprob, the top-k
 alternatives, and the probability mass not covered by them. All logprobs are
 natural-log (nats) everywhere; no base conversion is ever applied.
 """
@@ -34,10 +38,11 @@ class FinishReason(enum.Enum):
 
 @dataclass(frozen=True)
 class GenerationParams:
-    """Decoding choices for one generation call.
+    """Decoding choices for one completion call.
 
     temperature 0 means greedy decoding. ``seed`` makes sampled decoding
-    reproducible where the backend honors it.
+    reproducible where the backend honors it. ``max_tokens`` 0 asks for no
+    continuation, as scoring does.
     """
 
     max_tokens: int = 64
@@ -46,8 +51,8 @@ class GenerationParams:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
+        if self.max_tokens < 0:
+            raise ValueError("max_tokens must be >= 0")
         if not 0 <= self.temperature < math.inf:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
 
@@ -93,11 +98,13 @@ class TokenDistribution:
 
 @dataclass(frozen=True)
 class GenerationResult:
-    """A model continuation plus per-token distribution data."""
+    """A model continuation plus per-token distribution data, and the
+    distributions of the echoed part of the prompt, if any."""
 
     text: str
     tokens: tuple[TokenDistribution, ...]
     finish_reason: FinishReason
+    echoed: tuple[TokenDistribution, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -124,19 +131,27 @@ class Backend(abc.ABC):
     parallelism: int
 
     @abc.abstractmethod
+    def complete(self, prompt: str, params: GenerationParams, *,
+                 echo_from: int | None = None) -> GenerationResult:
+        """Continue ``prompt`` by up to ``params.max_tokens`` tokens. With
+        ``echo_from``, also return in ``echoed`` one TokenDistribution per
+        token of ``prompt[echo_from:]``, teacher-forced after
+        ``prompt[:echo_from]``."""
+
     def generate(self, prompt: str, params: GenerationParams) -> GenerationResult:
-        """Continue ``prompt`` and return the continuation with token data.
+        """Continue ``prompt``. Raises ValueError on an empty prompt."""
+        if not prompt:
+            raise ValueError("prompt must be non-empty")
+        return self.complete(prompt, params)
 
-        Raises ValueError on an empty prompt.
-        """
-
-    @abc.abstractmethod
     def score(self, text: str, context: str = "") -> ScoringResult:
-        """Teacher-force ``text`` after ``context`` and return one
-        TokenDistribution per token of ``text`` only.
-
-        Raises ValueError on empty text.
-        """
+        """One TokenDistribution per token of ``text``, teacher-forced after
+        ``context``. Raises ValueError on empty text."""
+        if not text:
+            raise ValueError("text must be non-empty")
+        # An integer 0, as scoring bodies carry it: journal keys hash the bytes.
+        params = GenerationParams(max_tokens=0, temperature=0)
+        return ScoringResult(self.complete(context + text, params, echo_from=len(context)).echoed)
 
     def close(self) -> None:
         """Release what the backend holds open; the default holds nothing."""

@@ -198,10 +198,12 @@ def stage2_disambiguate(
     """Self-disambiguate each query and measure the information gain.
 
     Both the query and its rewrite are scored as bare sentences against an
-    empty prefix, so the two entropies are computed under identical
-    conditioning. An empty rewrite yields a record with zero gain, an
-    unambiguous verdict, and the ``empty_disambiguation`` flag. Backend
-    failures are returned separately as (sample_id, error) pairs.
+    empty prefix. The toy backend scores every token of each; a remote
+    server gives a sequence's first token no distribution, so there the
+    first token of both is skipped, and a one-token rewrite errors its
+    sample. An empty rewrite yields a record with zero gain, an unambiguous
+    verdict, and the ``empty_disambiguation`` flag. Backend failures are
+    returned separately as (sample_id, error) pairs.
     """
     template = templates["disambiguation"]
 

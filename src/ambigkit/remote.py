@@ -1,16 +1,20 @@
 """Remote completions-style HTTP backend.
 
 Speaks the JSON completions protocol served by mainstream open inference
-servers: the request carries ``{model, prompt, max_tokens, temperature,
-logprobs, echo, stop, seed}`` and each choice returns per-token arrays
-``tokens``, ``token_logprobs``, ``top_logprobs`` and ``text_offset``.
-Scoring sends the concatenated context+text with ``echo=true`` and
-``max_tokens=0``. A returned token spans from its ``text_offset`` to the
-next token's (the prompt's end for the last), but no further than its
+servers. ``complete`` is one request, carrying ``{model, prompt, max_tokens,
+temperature, logprobs, echo, stop, seed}``; each choice returns per-token
+arrays ``tokens``, ``token_logprobs``, ``top_logprobs`` and ``text_offset``.
+With ``echo`` off every returned token is generated. With it on, the text is
+the prompt and then the continuation, and the tokens starting before the
+prompt's end are the prompt's (all of them, when no token was asked for).
+Scoring is ``complete`` with ``max_tokens=0`` and echo on from the context's
+end: its body is context+text with ``echo=true``, ``max_tokens=0`` and the
+integer temperature 0. An echoed token spans from its ``text_offset`` to the
+next one's (the prompt's end for the last), but no further than its
 spelling: a byte token (``bytes:\\xNN``) is wider than its byte, and a
-server may leave whitespace to no token. A token belongs to the scored text
-when its span starts at or after the context's end or extends past it (a
-straddling token counts as text); decreasing offsets are a protocol error.
+server may leave whitespace to no token. It is returned when its span starts
+at or after ``echo_from`` or extends past it (a straddling token counts);
+decreasing offsets are a protocol error.
 
 Requests go out over the standard library's ``http.client``, on a pool of
 up to ``parallelism`` keep-alive connections; the pool is the one bound on
@@ -20,7 +24,7 @@ during which the connection serves other samples; protocol errors never are.
 A retry whose backoff has ended takes the next free connection, ahead of
 first attempts that queued meanwhile; first attempts keep no arrival order.
 Servers cannot expose a distribution for the very first token of a sequence
-(its ``token_logprob`` is null), so scoring with an empty context silently
+(its ``token_logprob`` is null), so an echo from the prompt's start silently
 skips that position; every other null is a protocol error.
 
 JSON has no non-finite numbers, but decoders accept the bare constants. A
@@ -42,6 +46,7 @@ import math
 import ssl
 import threading
 import time
+from bisect import bisect_left
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable
@@ -53,7 +58,6 @@ from .backend import (
     FinishReason,
     GenerationParams,
     GenerationResult,
-    ScoringResult,
     TokenDistribution,
 )
 from .errors import (
@@ -319,22 +323,6 @@ class RemoteCompletionsBackend(Backend):
                 time.sleep(_BACKOFF_BASE_S * (2 ** (attempt - 1)))
         raise TransportError(f"backend unreachable: {last_error}", _MAX_ATTEMPTS)
 
-    def _complete(self, body: dict[str, Any], parse: Callable[[Any], Any],
-                  deterministic: bool) -> Any:
-        """Send ``body`` and ``parse`` the payload. A deterministic request is
-        looked up in the journal first, and journaled once it parsed."""
-        key = None
-        if deterministic and self.journal is not None:
-            key = RequestJournal.key(self.endpoint, body)
-            result = self.journal.lookup(key, parse)
-            if result is not None:
-                return result
-        payload, text = self._post(body)
-        result = parse(payload)
-        if key is not None:
-            self.journal.append(key, text)
-        return result
-
     # -- payload parsing -------------------------------------------------------
 
     def _choice(self, payload: Any) -> dict:
@@ -395,89 +383,88 @@ class RemoteCompletionsBackend(Backend):
         except (NormalizationError, OverflowError) as exc:
             raise ProtocolError(f"backend distribution invalid: {exc}") from exc
 
-    def _parse_generation(self, payload: Any) -> GenerationResult:
+    def _parse(self, payload: Any, prompt: str, params: GenerationParams,
+               echo_from: int | None) -> GenerationResult:
+        """The completion in ``payload``, the answer to ``prompt`` sent with
+        ``params`` and, unless ``echo_from`` is None, with echo on."""
         choice = self._choice(payload)
-        tokens, token_logprobs, tops = self._logprobs(
-            choice, ("tokens", "token_logprobs", "top_logprobs"))
-        distributions = []
-        for token, lp, top in zip(tokens, token_logprobs, tops):
+        fields = ("tokens", "token_logprobs", "top_logprobs", "text_offset")
+        tokens, token_logprobs, tops, *offsets = self._logprobs(
+            choice, fields if echo_from is not None else fields[:3])
+        echoed = []
+        first_generated = 0  # with echo off, every returned token is generated
+        if echo_from is not None:
+            [offsets] = offsets
+            if not all(type(offset) is int and offset >= before  # all() stops at a non-int
+                       for before, offset in zip([0, *offsets], offsets)):
+                raise ProtocolError(f"text_offset {str(offsets)[:_EXCERPT_LIMIT]} is not "
+                                    "a non-decreasing list of character indices")
+            first_generated = (bisect_left(offsets, len(prompt)) if params.max_tokens
+                               else len(offsets))
+            ends = [*offsets[1:first_generated], len(prompt)]
+            for token, lp, top, offset, end in zip(tokens, token_logprobs, tops, offsets, ends):
+                if offset < echo_from and min(end, offset + len(token)) <= echo_from:
+                    continue  # entirely inside the context
+                if lp is None or top is None:
+                    if offset == 0:
+                        # Sequence-initial token: no conditional distribution
+                        # exists at the backend's begin-of-sequence position.
+                        continue
+                    raise ProtocolError(
+                        f"null logprob data for scored token {token!r} at offset {offset}")
+                echoed.append(self._distribution(token, lp, top))
+            if not echoed:
+                raise CapabilityError("backend produced no scorable positions for the text; "
+                                      "it may be a single sequence-initial token")
+        generated = []
+        for token, lp, top in list(zip(tokens, token_logprobs, tops))[first_generated:]:
             if lp is None:
                 raise ProtocolError(f"null token_logprob for generated token {token!r}")
-            distributions.append(self._distribution(token, lp, top))
-        reason = choice.get("finish_reason")
-        if not isinstance(reason, str):
-            reason = None  # an unhashable value cannot be looked up
-        finish = _FINISH_REASONS.get(reason, FinishReason.ERROR)
-        text = choice.get("text")
-        if not isinstance(text, str):
-            raise ProtocolError("choice has no text")
-        if any(map(has_surrogate, (text, *tokens))):
+            generated.append(self._distribution(token, lp, top))
+        reason = choice.get("finish_reason")  # an unhashable value cannot be looked up
+        finish = _FINISH_REASONS.get(reason if isinstance(reason, str) else None,
+                                     FinishReason.ERROR)
+        text = ""
+        if params.max_tokens:  # a request for no tokens has no continuation to read
+            text = choice.get("text")
+            if not isinstance(text, str):
+                raise ProtocolError("choice has no text")
+            if echo_from is not None:
+                if not text.startswith(prompt):
+                    raise ProtocolError("echoed text does not start with the prompt")
+                text = text[len(prompt):]
+        if any(map(has_surrogate, (text, *tokens[first_generated:]))):
             raise ProtocolError("generated text holds an unpaired surrogate")
-        return GenerationResult(
-            text=text, tokens=tuple(distributions), finish_reason=finish
-        )
-
-    def _parse_scoring(self, payload: Any, boundary: int, length: int) -> ScoringResult:
-        choice = self._choice(payload)
-        tokens, token_logprobs, tops, offsets = self._logprobs(
-            choice, ("tokens", "token_logprobs", "top_logprobs", "text_offset"))
-        if not all(type(offset) is int and offset >= before  # all() stops at a non-int
-                   for before, offset in zip([0, *offsets], offsets)):
-            raise ProtocolError(f"text_offset {str(offsets)[:_EXCERPT_LIMIT]} is not "
-                                "a non-decreasing list of character indices")
-        distributions = []
-        ends = [*offsets[1:], length]
-        for token, lp, top, offset, end in zip(tokens, token_logprobs, tops, offsets, ends):
-            if offset < boundary and min(end, offset + len(token)) <= boundary:
-                continue  # entirely inside the context
-            if lp is None or top is None:
-                if offset == 0:
-                    # Sequence-initial token: no conditional distribution
-                    # exists at the backend's begin-of-sequence position.
-                    continue
-                raise ProtocolError(
-                    f"null logprob data for scored token {token!r} at offset {offset}"
-                )
-            distributions.append(self._distribution(token, lp, top))
-        if not distributions:
-            raise CapabilityError(
-                "backend produced no scorable positions for the text; it may "
-                "be a single sequence-initial token"
-            )
-        return ScoringResult(tokens=tuple(distributions))
+        return GenerationResult(text=text, tokens=tuple(generated),
+                                finish_reason=finish, echoed=tuple(echoed))
 
     # -- Backend API -----------------------------------------------------------
 
-    def generate(self, prompt: str, params: GenerationParams) -> GenerationResult:
-        if not prompt:
-            raise ValueError("prompt must be non-empty")
+    def complete(self, prompt: str, params: GenerationParams, *,
+                 echo_from: int | None = None) -> GenerationResult:
         body: dict[str, Any] = {
             "model": self.model,
             "prompt": prompt,
             "max_tokens": params.max_tokens,
             "temperature": params.temperature,
             "logprobs": self.top_k,
-            "echo": False,
+            "echo": echo_from is not None,
         }
         if params.stop_sequences:
             body["stop"] = list(params.stop_sequences)
         if params.seed is not None:
             body["seed"] = params.seed
-        deterministic = params.temperature == 0 or params.seed is not None
-        return self._complete(body, self._parse_generation, deterministic)
-
-    def score(self, text: str, context: str = "") -> ScoringResult:
-        if not text:
-            raise ValueError("text must be non-empty")
-        body: dict[str, Any] = {
-            "model": self.model,
-            "prompt": context + text,
-            "max_tokens": 0,
-            "temperature": 0,
-            "logprobs": self.top_k,
-            "echo": True,
-        }
-        boundary, length = len(context), len(body["prompt"])
-        return self._complete(
-            body, lambda payload: self._parse_scoring(payload, boundary, length), True
-        )
+        parse = partial(self._parse, prompt=prompt, params=params, echo_from=echo_from)
+        # A deterministic request is looked up in the journal first, and
+        # journaled once it parsed.
+        key = None
+        if self.journal is not None and (params.temperature == 0 or params.seed is not None):
+            key = RequestJournal.key(self.endpoint, body)
+            result = self.journal.lookup(key, parse)
+            if result is not None:
+                return result
+        payload, text = self._post(body)
+        result = parse(payload)
+        if key is not None:
+            self.journal.append(key, text)
+        return result

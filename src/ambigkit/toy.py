@@ -26,9 +26,10 @@ either as numbers or as "p/q" fraction strings; omitted tokens have
 probability zero. Contexts absent from ``rows`` fall back to the uniform
 vector over the vocabulary.
 
-Unlike subword backends, the toy model tokenizes ``context`` and ``text``
-independently in ``score``; tokens are single-space separated, which keeps
-detokenization byte-reversible.
+Unlike subword backends, the toy model tokenizes the prompt's context
+(``prompt[:echo_from]``) and its echoed text (``prompt[echo_from:]``)
+independently in ``complete``; tokens are single-space separated, which
+keeps detokenization byte-reversible.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .backend import (
     FinishReason,
     GenerationParams,
     GenerationResult,
-    ScoringResult,
     TokenDistribution,
 )
 from .errors import DataIntegrityError, NormalizationError, ParseError, VocabularyError
@@ -242,15 +242,24 @@ class ToyBackend(Backend):
 
     # -- Backend API -------------------------------------------------------
 
-    def generate(self, prompt: str, params: GenerationParams) -> GenerationResult:
-        if not prompt:
-            raise ValueError("prompt must be non-empty")
-        prompt_tokens = self._tokenize(prompt)
-        for token in prompt_tokens:
+    def complete(self, prompt: str, params: GenerationParams, *,
+                 echo_from: int | None = None) -> GenerationResult:
+        split = len(prompt) if echo_from is None else echo_from
+        tokens, text_tokens = self._tokenize(prompt[:split]), self._tokenize(prompt[split:])
+        if echo_from is not None and not text_tokens:
+            raise ValueError("text tokenizes to nothing")
+        for token in tokens + text_tokens:
             if token not in self.table.token_index:
                 raise VocabularyError(token)
+        # An echoed token is spelled as in the whole prompt, wherever the
+        # echo starts: the prompt's first token bare, every later one after
+        # a space.
+        echoed = []
+        for token in text_tokens:
+            vector = self.table.next_distribution(self._window(tokens))
+            echoed.append(self._distribution_for(vector, token, " " + token if tokens else token))
+            tokens.append(token)
         rng = random.Random(params.seed)
-        tokens = list(prompt_tokens)
         out: list[TokenDistribution] = []
         pieces: list[str] = []
         finish = FinishReason.LENGTH
@@ -264,25 +273,5 @@ class ToyBackend(Backend):
             out.append(self._distribution_for(vector, choice, piece))
             pieces.append(piece)
             tokens.append(choice)
-        return GenerationResult(
-            text="".join(pieces), tokens=tuple(out), finish_reason=finish
-        )
-
-    def score(self, text: str, context: str = "") -> ScoringResult:
-        if not text:
-            raise ValueError("text must be non-empty")
-        context_tokens = self._tokenize(context)
-        text_tokens = self._tokenize(text)
-        if not text_tokens:
-            raise ValueError("text tokenizes to nothing")
-        for token in context_tokens + text_tokens:
-            if token not in self.table.token_index:
-                raise VocabularyError(token)
-        seen = list(context_tokens)
-        out: list[TokenDistribution] = []
-        for pos, token in enumerate(text_tokens):
-            vector = self.table.next_distribution(self._window(seen))
-            piece = token if pos == 0 else " " + token
-            out.append(self._distribution_for(vector, token, piece))
-            seen.append(token)
-        return ScoringResult(tokens=tuple(out))
+        return GenerationResult(text="".join(pieces), tokens=tuple(out),
+                                finish_reason=finish, echoed=tuple(echoed))

@@ -21,7 +21,6 @@ from ambigkit.backend import (
     FinishReason,
     GenerationParams,
     GenerationResult,
-    ScoringResult,
     TokenDistribution,
 )
 from ambigkit.toy import NgramTable
@@ -104,9 +103,10 @@ class ScriptedBackend(Backend):
                 return reply
         return self.default
 
-    def generate(self, prompt: str, params: GenerationParams) -> GenerationResult:
-        if not prompt:
-            raise ValueError("prompt must be non-empty")
+    def complete(self, prompt: str, params: GenerationParams, *,
+                 echo_from: int | None = None) -> GenerationResult:
+        if echo_from is not None:
+            raise NotImplementedError("scripted backend does not score")
         self.calls.append((prompt, params))
         if params.temperature > 0 and prompt in self.sampled:
             outputs = self.sampled[prompt]
@@ -123,9 +123,6 @@ class ScriptedBackend(Backend):
         return GenerationResult(
             text=text, tokens=(dist,), finish_reason=FinishReason.STOP
         )
-
-    def score(self, text: str, context: str = "") -> ScoringResult:
-        raise NotImplementedError("scripted backend does not score")
 
 
 class LoopbackServer:
@@ -144,6 +141,7 @@ class LoopbackServer:
                  close_after_reply: bool = False):
         self.answer = answer
         self.requests = 0
+        self.bodies: list[bytes] = []
         self.max_in_flight = 0
         self.client_closes = 0
         self._in_flight = 0
@@ -168,13 +166,14 @@ class LoopbackServer:
                         owner.client_closes += 1
 
             def do_POST(self):
+                raw = self.rfile.read(int(self.headers["Content-Length"]))
                 with owner._lock:
                     owner.requests += 1
+                    owner.bodies.append(raw)
                     owner._in_flight += 1
                     owner.max_in_flight = max(owner.max_in_flight, owner._in_flight)
                 try:
-                    body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-                    data = owner.answer(body)
+                    data = owner.answer(json.loads(raw))
                 finally:
                     with owner._lock:
                         owner._in_flight -= 1

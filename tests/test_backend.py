@@ -31,7 +31,8 @@ def test_params_refuse_a_non_finite_temperature(temperature):
 
 def test_params_validate_max_tokens():
     with pytest.raises(ValueError):
-        GenerationParams(max_tokens=0)
+        GenerationParams(max_tokens=-1)
+    assert GenerationParams(max_tokens=0).max_tokens == 0  # scoring asks for no tokens
 
 
 def test_distribution_refuses_listed_mass_above_one():

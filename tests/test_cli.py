@@ -593,27 +593,24 @@ def test_ambiguate_allowlist_keeps_listed_ids_in_input_order(tmp_path):
 
 
 class PeakInFlight(Backend):
-    """Wraps a backend, holds each generation briefly and records the peak
-    number of generations in flight."""
+    """Wraps a backend, holds each call briefly and records the peak number
+    of calls in flight."""
 
     def __init__(self, inner: Backend):
         self.inner, self.parallelism = inner, inner.parallelism
         self.lock = threading.Lock()
         self.in_flight = self.peak = 0
 
-    def generate(self, prompt, params):
+    def complete(self, prompt, params, *, echo_from=None):
         with self.lock:
             self.in_flight += 1
             self.peak = max(self.peak, self.in_flight)
         try:
             time.sleep(0.05)
-            return self.inner.generate(prompt, params)
+            return self.inner.complete(prompt, params, echo_from=echo_from)
         finally:
             with self.lock:
                 self.in_flight -= 1
-
-    def score(self, text, context=""):
-        return self.inner.score(text, context)
 
 
 def test_ambiguate_runs_parallelism_samples_at_once(tmp_path, monkeypatch):
@@ -727,13 +724,10 @@ class RefuseQuestion(Backend):
         self.inner, self.question = inner, question
         self.parallelism = inner.parallelism
 
-    def generate(self, prompt, params):
-        if self.question in prompt:
+    def complete(self, prompt, params, *, echo_from=None):
+        if echo_from is None and self.question in prompt:
             raise TransportError(f"refused {self.question!r}", 1)
-        return self.inner.generate(prompt, params)
-
-    def score(self, text, context=""):
-        return self.inner.score(text, context)
+        return self.inner.complete(prompt, params, echo_from=echo_from)
 
 
 @pytest.fixture()

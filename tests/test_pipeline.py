@@ -110,13 +110,10 @@ class FailingBackend(Backend):
         self.poison = poison
         self.parallelism = 1
 
-    def generate(self, prompt, params):
-        if self.poison in prompt:
+    def complete(self, prompt, params, *, echo_from=None):
+        if echo_from is None and self.poison in prompt:
             raise TransportError("injected outage", attempts=3)
-        return self.inner.generate(prompt, params)
-
-    def score(self, text, context=""):
-        return self.inner.score(text, context)
+        return self.inner.complete(prompt, params, echo_from=echo_from)
 
 
 def test_stage1_errored_samples_excluded(corpus_samples, corpus_backend,

@@ -5,9 +5,11 @@ import io
 import json
 import logging
 import math
+import os
 import random
 import re
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -16,8 +18,11 @@ import types
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambigkit import remote
 from ambigkit.backend import FinishReason, GenerationParams, bounded_map
@@ -1085,40 +1090,125 @@ def test_remote_chain_rerun_is_served_from_the_journal(stub_server, tmp_path):
                for body in stub_server.state.requests)
 
 
+def test_killed_assess_resumes_from_the_journal(tmp_path):
+    # The server answers the first k requests and holds the rest; the run is
+    # killed once its journal holds k lines. The rerun sends only the other
+    # requests and writes what a run never killed writes.
+    answer, k = toy_completions(load_ngram_table(TABLES / "corpus_world.yaml")), 4
+    lock, served, release = threading.Lock(), [0], threading.Event()
+
+    def hold_after_k(body: dict) -> bytes:
+        with lock:
+            served[0] += 1
+            held = served[0] > k
+        if held:
+            release.wait(60)
+        return answer(body)
+
+    with LoopbackServer(answer) as server:
+        clean, clean_out = endpoint_config(server.endpoint, tmp_path, "clean")
+        cli(clean, "assess")
+        total = server.requests
+    assert total == 9
+    with LoopbackServer(hold_after_k) as server:
+        config, out = endpoint_config(server.endpoint, tmp_path, "resumed")
+        env = {**os.environ, "PYTHONPATH": str(Path(remote.__file__).resolve().parents[1])}
+        run = subprocess.Popen([sys.executable, "-m", "ambigkit.cli", "--config", str(config),
+                                "assess"], env=env, stdout=subprocess.DEVNULL,
+                               stderr=subprocess.DEVNULL)
+        journal = out / "backend_journal.jsonl"
+        deadline = time.monotonic() + 60
+        try:
+            while (not journal.exists() or journal.read_bytes().count(b"\n") < k) \
+                    and run.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            run.kill()
+            run.wait(timeout=30)
+            release.set()
+        assert journal.read_bytes().count(b"\n") == k
+        assert not (out / "assess.jsonl").exists()
+        sent = server.requests
+        cli(config, "assess")
+        assert server.requests - sent == total - k
+    manifest = json.loads((out / "manifest_assess.json").read_text())
+    assert manifest["backend"]["journal"] == {"hits": k, "misses": total - k}
+    assert (out / "assess.jsonl").read_bytes() == (clean_out / "assess.jsonl").read_bytes()
+
+
 # -- conformance with the toy oracle ----------------------------------------------
 
 
 def toy_completions(table: NgramTable):
-    """A LoopbackServer answer that computes each completion with a
-    ToyBackend on ``table``, listing the request's ``logprobs`` alternatives.
-    Echo scoring reports every word with its character offset, the first one
-    included, as the toy backend scores it; generation honours the request's
-    ``max_tokens``, ``temperature``, ``seed`` and ``stop``."""
+    """A LoopbackServer answer that computes each completion with
+    ``ToyBackend.complete`` on ``table``, listing the request's ``logprobs``
+    alternatives and honouring its ``max_tokens``, ``temperature``, ``seed``
+    and ``stop``. With echo, the text is the prompt and then the
+    continuation, and the tokens start with every word of the prompt as the
+    toy scores it, the first one's distribution included: the first word
+    bare at its start, every later one from the space before it."""
     def answer(body: dict) -> bytes:
-        backend = ToyBackend(table, top_k=body["logprobs"])
         prompt = body["prompt"]
-        if body["echo"]:
-            words = list(re.finditer(r"\S+", prompt))
-            text, finish = prompt, "length"
-            tokens = [word.group() for word in words]
-            offsets = [word.start() for word in words]
-            distributions = backend.score(prompt).tokens
-        else:
-            result = backend.generate(prompt, GenerationParams(
-                max_tokens=body["max_tokens"], temperature=body["temperature"],
-                stop_sequences=tuple(body.get("stop", ())), seed=body.get("seed")))
-            text, finish = result.text, result.finish_reason.value
-            tokens = [distribution.token_text for distribution in result.tokens]
-            offsets = [len(prompt) + len("".join(tokens[:i])) for i in range(len(tokens))]
-            distributions = result.tokens
-        logprobs = {"tokens": tokens,
+        params = GenerationParams(
+            max_tokens=body["max_tokens"], temperature=body["temperature"],
+            stop_sequences=tuple(body.get("stop", ())), seed=body.get("seed"))
+        result = ToyBackend(table, top_k=body["logprobs"]).complete(
+            prompt, params, echo_from=0 if body["echo"] else None)
+        starts = [word.start() for word in re.finditer(r"\S+", prompt)]
+        offsets = [start - (i > 0) for i, start in enumerate(starts)] if body["echo"] else []
+        text = prompt + result.text if body["echo"] else result.text
+        at = len(prompt)
+        for distribution in result.tokens:
+            offsets.append(at)
+            at += len(distribution.token_text)
+        distributions = (*result.echoed, *result.tokens)
+        logprobs = {"tokens": [d.token_text for d in distributions],
                     "token_logprobs": [d.token_logprob for d in distributions],
                     "top_logprobs": [dict(d.top_alternatives) for d in distributions],
                     "text_offset": offsets}
-        choice = {"text": text, "finish_reason": finish, "logprobs": logprobs}
+        choice = {"text": text, "finish_reason": result.finish_reason.value,
+                  "logprobs": logprobs}
         return json.dumps({"choices": [choice]}).encode()
 
     return answer
+
+
+def test_request_bodies_and_journal_keys_are_pinned(tmp_path):
+    # A journal keeps serving across versions only while each request's
+    # body, and so its key, stays the same: scoring sends the integer
+    # temperature 0 and max_tokens 0, generation the parameters as given.
+    bodies = [
+        b'{"model": "m", "prompt": "a", "max_tokens": 4, "temperature": 0.0, '
+        b'"logprobs": 3, "echo": false, "stop": ["\\n"]}',
+        b'{"model": "m", "prompt": "a b", "max_tokens": 3, "temperature": 0.8, '
+        b'"logprobs": 3, "echo": false, "seed": 5}',
+        b'{"model": "m", "prompt": "a b", "max_tokens": 0, "temperature": 0, '
+        b'"logprobs": 3, "echo": true}',
+        b'{"model": "m", "prompt": "a b a", "max_tokens": 0, "temperature": 0, '
+        b'"logprobs": 3, "echo": true}',
+    ]
+    keys = ["97cb4c55ab64ba5e80490a2eb098467dd3ba185c429fee952055469870e69653",
+            "cff9b9761eaf2c7c40924ae200b1185cf20f51d7067dcdd1b83ef039adaccc66",
+            "2913f60ec4a9b6ddcb517228a0922802e1b190af69d3c8f545d7b23f0852a0f4",
+            "84da27d33433bde8231b45c03429980215cd847c1554b9328b2ae006c0b7b0ed"]
+    table = load_ngram_table(TABLES / "bigram_ab.yaml")
+    with LoopbackServer(toy_completions(table)) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m", top_k=3,
+                                           journal=tmp_path / "journal.jsonl")
+        try:
+            backend.generate("a", GenerationParams(max_tokens=4, stop_sequences=("\n",)))
+            backend.generate("a b", GenerationParams(max_tokens=3, temperature=0.8, seed=5))
+            backend.score("a b")
+            backend.score("b a", context="a ")
+        finally:
+            backend.close()
+        endpoint = server.endpoint
+    assert server.bodies == bodies
+    journaled = [line.partition("\t")[0]
+                 for line in (tmp_path / "journal.jsonl").read_text().splitlines()]
+    assert journaled == [RequestJournal.key(endpoint, json.loads(body)) for body in bodies]
+    fixed = "http://127.0.0.1:9/v1/completions"
+    assert [RequestJournal.key(fixed, json.loads(body)) for body in bodies] == keys
 
 
 def test_client_distribution_equals_the_toy_distribution_on_every_fixture():
@@ -1146,6 +1236,58 @@ def test_client_distribution_equals_the_toy_distribution_on_every_fixture():
     finally:
         client.close()
     assert compared == 13338
+
+
+@st.composite
+def toy_requests(draw):
+    """A bigram table over a few words, non-ASCII ones among them, some
+    contexts left to the uniform fallback; a prompt of its words; an
+    ``echo_from`` on a word boundary, or None; a top_k in [1, V]; and greedy
+    or seeded decoding of up to four tokens, maybe with a stop word."""
+    words = draw(st.lists(st.sampled_from(["a", "bb", "é", "日本", "ßo", "ñu"]),
+                          min_size=2, max_size=4, unique=True))
+    vocabulary = ("<s>", *words, "</s>")
+    vectors = {}
+    for context in ("<s>", *words):
+        if draw(st.integers(0, 3)):  # else the uniform fallback
+            weights = [0, *draw(st.lists(st.integers(1, 4), min_size=len(words),
+                                         max_size=len(words))), draw(st.integers(0, 3))]
+            vectors[(context,)] = tuple(w / sum(weights) for w in weights)
+    table = NgramTable(vocabulary=vocabulary, order=2, begin_marker="<s>",
+                       end_marker="</s>", conditional_probs=vectors)
+    prompt = " ".join(draw(st.lists(st.sampled_from(words), min_size=1, max_size=4)))
+    starts = [word.start() for word in re.finditer(r"\S+", prompt)]
+    echo_from = draw(st.sampled_from([None, 0, *starts[1:], *(s - 1 for s in starts[1:])]))
+    temperature = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    params = GenerationParams(
+        max_tokens=draw(st.integers(0, 4)), temperature=temperature,
+        stop_sequences=draw(st.sampled_from([(), *((word,) for word in words)])),
+        seed=draw(st.integers(0, 2**31)) if temperature else None)
+    return table, prompt, echo_from, draw(st.integers(1, len(vocabulary))), params
+
+
+@pytest.fixture(scope="module")
+def toy_server():
+    """A LoopbackServer answering through ``toy_completions`` on the table
+    last set as its ``table``."""
+    with LoopbackServer(lambda body: toy_completions(server.table)(body)) as server:
+        yield server
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=toy_requests())
+def test_client_completion_equals_the_toy_completion(toy_server, case):
+    # Served the toy's answer, the client returns the toy's completion: the
+    # same echoed and generated distributions, text and finish reason.
+    table, prompt, echo_from, top_k, params = case
+    toy_server.table = table
+    client = RemoteCompletionsBackend(toy_server.endpoint, "toy", top_k=top_k)
+    try:
+        completion = client.complete(prompt, params, echo_from=echo_from)
+    finally:
+        client.close()
+    assert completion == ToyBackend(table, top_k=top_k).complete(prompt, params,
+                                                                 echo_from=echo_from)
 
 
 @pytest.mark.parametrize("mode", ["exact", "tail_lump"])

@@ -1,9 +1,10 @@
 """QA dataset I/O, prompt templates, and automated question ambiguation.
 
 Datasets are JSONL files with one object per line:
-``{"id", "question", "answers", "ambiguous", "source"}``. ``answers`` may be
-empty only for ambiguous samples; ``ambiguous`` is optional (absent when no
-gold ambiguity label exists).
+``{"id", "question", "answers", "ambiguous", "source"}``. The question and
+every answer must hold more than whitespace. ``answers`` may be empty only
+for ambiguous samples; ``ambiguous`` is optional (absent when no gold
+ambiguity label exists).
 
 Prompt templates are plain-text assets with literal ``<slot>`` markers and
 are substituted verbatim, with no escaping and no recursion. The packaged
@@ -41,8 +42,10 @@ class QASample:
     def __post_init__(self) -> None:
         if not self.id:
             raise DataIntegrityError("sample id must be non-empty")
-        if not self.question:
-            raise DataIntegrityError(f"sample {self.id}: question must be non-empty")
+        if not self.question.strip():
+            raise DataIntegrityError(f"sample {self.id}: question must not be blank")
+        if not all(answer.strip() for answer in self.answers):
+            raise DataIntegrityError(f"sample {self.id}: an answer must not be blank")
         if self.gold_ambiguous is False and not self.answers:
             raise DataIntegrityError(
                 f"sample {self.id}: unambiguous samples need at least one answer"
@@ -223,9 +226,7 @@ def ambiguate(
     ``{"id", "reason"}`` reject: ``empty_generation``, or
     ``validation_failed`` with its ``candidate``. Both lists keep input
     order. Samples are mapped with ``bounded_map`` over
-    ``backend.parallelism``, which starts up to four times that many; the
-    backend bounds its own requests in flight. A backend failure
-    propagates."""
+    ``backend.parallelism``. A backend failure propagates."""
     rewrite, validator = templates["ambiguate"], templates["ambiguation_validation"]
 
     def one(sample: QASample) -> QASample | dict:

@@ -14,14 +14,20 @@ Answer matching uses the longest-common-subsequence F-measure over
 normalized word tokens, with a strict ``> threshold`` correctness rule
 (default 0.3). Clarification detection is a case-insensitive substring scan
 over the canonical marker list.
+
+Each baseline maps one body per sample with ``bounded_map``, in input order.
+A sample any of whose requests raises BackendError gets an errored record
+(an empty prediction and the error's message) and the run goes on;
+``evaluate`` counts it as errored and leaves it out of F1.
 """
 
 from __future__ import annotations
 
 import string
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .backend import Backend, GenerationParams, bounded_map
 from .corpus import PromptTemplate, QASample, first_word, reply
@@ -224,20 +230,28 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
 # -- baseline runners --------------------------------------------------------
 
 
-def _run_prompted(
+def _run_each(
     samples: Sequence[QASample],
     backend: Backend,
-    template: PromptTemplate,
-    params: GenerationParams,
+    predict: Callable[[QASample], PredictionRecord],
 ) -> list[PredictionRecord]:
+    """``predict`` each sample under the failure rule in the module docstring."""
+
     def one(sample: QASample) -> PredictionRecord:
         try:
-            prediction = reply(backend, template, params, question=sample.question)
+            return predict(sample)
         except BackendError as exc:
             return PredictionRecord(sample.id, "", error=str(exc))
-        return PredictionRecord(sample.id, prediction)
 
     return bounded_map(one, list(samples), backend.parallelism)
+
+
+def _clarify_or_answer(
+    answer: str, ambiguous: bool, master_seed: int, purpose: str, sample_id: str
+) -> str:
+    """A sample judged ambiguous gets its seeded clarification phrase under
+    ``purpose``; any other keeps its answer."""
+    return clarification_phrase(master_seed, purpose, sample_id) if ambiguous else answer
 
 
 def run_direct(
@@ -247,7 +261,8 @@ def run_direct(
     params: GenerationParams,
 ) -> list[PredictionRecord]:
     """Plain QA prompting; never requests clarification by construction."""
-    return _run_prompted(samples, backend, templates["direct"], params)
+    return _run_each(samples, backend, lambda sample: PredictionRecord(
+        sample.id, reply(backend, templates["direct"], params, question=sample.question)))
 
 
 def run_ambig_aware(
@@ -257,7 +272,9 @@ def run_ambig_aware(
     params: GenerationParams,
 ) -> list[PredictionRecord]:
     """QA prompting with an explicit escape instruction for ambiguous input."""
-    return _run_prompted(samples, backend, templates["ambiguity_aware"], params)
+    return _run_each(samples, backend, lambda sample: PredictionRecord(
+        sample.id, reply(backend, templates["ambiguity_aware"], params,
+                         question=sample.question)))
 
 
 def judge_sample_rep(
@@ -276,8 +293,8 @@ def judge_sample_rep(
         consistency = typed_field(record.extras, "consistency", float)
         greedy = typed_field(record.extras, "greedy", str)
     ambiguous = consistency < threshold
-    prediction = (clarification_phrase(master_seed, "sample_rep_phrase", record.sample_id)
-                  if ambiguous else greedy)
+    prediction = _clarify_or_answer(greedy, ambiguous, master_seed, "sample_rep_phrase",
+                                    record.sample_id)
     return replace(record, prediction=prediction,
                    extras={**record.extras, "ambiguous": ambiguous})
 
@@ -306,24 +323,21 @@ def run_sample_rep(
     greedy_params = replace(params, temperature=0.0, seed=None)
 
     def one(sample: QASample) -> PredictionRecord:
-        try:
-            greedy = reply(backend, template, greedy_params, question=sample.question)
-            matches = 0
-            for draw in range(num_samples):
-                seed = rng_for(master_seed, "sample_rep_draw", sample.id, draw).randrange(2**31)
-                sampled_params = replace(params, temperature=temperature, seed=seed)
-                sampled = reply(backend, template, sampled_params, question=sample.question)
-                if sampled.lower() == greedy.lower():
-                    matches += 1
-        except BackendError as exc:
-            return PredictionRecord(sample.id, "", error=str(exc))
+        greedy = reply(backend, template, greedy_params, question=sample.question)
+        matches = 0
+        for draw in range(num_samples):
+            seed = rng_for(master_seed, "sample_rep_draw", sample.id, draw).randrange(2**31)
+            sampled_params = replace(params, temperature=temperature, seed=seed)
+            sampled = reply(backend, template, sampled_params, question=sample.question)
+            if sampled.lower() == greedy.lower():
+                matches += 1
         record = PredictionRecord(
             sample.id, greedy,
             extras={"consistency": matches / num_samples, "greedy": greedy},
         )
         return judge_sample_rep(record, threshold, master_seed)
 
-    return bounded_map(one, list(samples), backend.parallelism)
+    return _run_each(samples, backend, one)
 
 
 def run_self_ask(
@@ -343,26 +357,16 @@ def run_self_ask(
     """
 
     def one(sample: QASample) -> PredictionRecord:
-        try:
-            answer = reply(backend, templates["direct"], params, question=sample.question)
-            verdict_text = reply(backend, templates["self_ask"], params,
-                                 question=sample.question, answer=answer)
-        except BackendError as exc:
-            return PredictionRecord(sample.id, "", error=str(exc))
-        first = first_word(verdict_text)
-        flags: tuple[str, ...] = ()
-        if first == "ambiguous":
-            prediction = clarification_phrase(master_seed, "self_ask_phrase", sample.id)
-        elif first == "unambiguous":
-            prediction = answer
-        else:
-            prediction = answer
-            flags = ("unparseable_verdict",)
-        return PredictionRecord(
-            sample.id, prediction, flags=flags, extras={"answer": answer, "verdict": first}
-        )
+        answer = reply(backend, templates["direct"], params, question=sample.question)
+        verdict = first_word(reply(backend, templates["self_ask"], params,
+                                   question=sample.question, answer=answer))
+        prediction = _clarify_or_answer(answer, verdict == "ambiguous", master_seed,
+                                        "self_ask_phrase", sample.id)
+        flags = () if verdict in ("ambiguous", "unambiguous") else ("unparseable_verdict",)
+        return PredictionRecord(sample.id, prediction, flags=flags,
+                                extras={"answer": answer, "verdict": verdict})
 
-    return bounded_map(one, list(samples), backend.parallelism)
+    return _run_each(samples, backend, one)
 
 
 # -- report assembly ---------------------------------------------------------
@@ -417,25 +421,19 @@ def evaluate(
     unknown = [sample_id for sample_id in by_id if sample_id not in known]
     if unknown:
         raise DataIntegrityError(f"predictions for sample(s) not in the dataset: {unknown[:5]}")
-    tallies = {1: 0, 2: 0, 3: 0, 4: 0, 5: 0}
-    errored = 0
     outcomes: list[PerSampleOutcome] = []
     for sample in samples:
         record = by_id[sample.id]
         if record.error is not None:
-            errored += 1
             outcomes.append(
                 PerSampleOutcome(sample.id, None, None, record.prediction, record.error)
             )
             continue
         category = categorize(sample, record.prediction, threshold)
-        tallies[category] += 1
         rouge = rouge_l(record.prediction, sample.answers) if sample.answers else None
         outcomes.append(PerSampleOutcome(sample.id, category, rouge, record.prediction))
-    counts = OutcomeCounts(
-        c1=tallies[1], c2=tallies[2], c3=tallies[3], c4=tallies[4], c5=tallies[5],
-        errored=errored,
-    )
+    tallies = Counter(outcome.category for outcome in outcomes)  # None: errored
+    counts = OutcomeCounts(*(tallies[c] for c in range(1, 6)), errored=tallies[None])
     return EvalReport(
         counts=counts,
         f1_u=f1_unambig(counts),

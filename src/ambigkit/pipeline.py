@@ -277,8 +277,7 @@ def label_records(
     master_seed: int,
 ) -> list[ClarifyLabel]:
     """Label every record; generated labels are mapped with ``bounded_map``
-    over ``backend.parallelism``, which starts up to four times that many
-    records while the backend bounds its own requests in flight."""
+    over ``backend.parallelism``."""
     if kind is LabelKind.FIXED:
         return [stage3_fixed_label(r.sample_id, master_seed) for r in records]
     return bounded_map(
@@ -319,8 +318,9 @@ def select_and_balance(
     ``gt_random``'s key is a seeded draw per sample id. Both halves are then
     cut to the smaller one's size: the ambiguous half keeps its first
     records, the correct half a seeded subset (keyed by sample id) in its
-    own order. A record for a sample outside the partition's incorrect split
-    (left over from another run) is a DataIntegrityError.
+    own order. An empty ambiguous pool or correct split is a
+    ConfigurationError. A record for a sample outside the partition's
+    incorrect split (left over from another run) is a DataIntegrityError.
     """
     assessed = {a.sample.id: a for a in partition.incorrect}
     foreign = [r.sample_id for r in records if r.sample_id not in assessed]
@@ -361,6 +361,11 @@ def select_and_balance(
             f"(currently {epsilon}) or check the detection records"
         )
 
+    if not partition.correct:
+        raise ConfigurationError(
+            "the correct split is empty: stage 1 answered no sample correctly, so "
+            "nothing balances the ambiguous half; check the dataset's answers"
+        )
     size = min(len(partition.correct), len(ranked))
     correct = partition.correct
     if len(correct) > size:  # a smaller correct half is kept whole, undrawn

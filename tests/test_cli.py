@@ -717,16 +717,21 @@ def test_manifests_record_config_hash(tmp_path):
 
 
 class RefuseQuestion(Backend):
-    """Wraps a backend and refuses every generation whose prompt contains
-    ``question``, as a server refusing one sample's requests would."""
+    """Wraps a backend and refuses the generations whose prompt contains
+    ``question``, as a server refusing one sample's requests would: every
+    one, or with ``nth`` only the nth of them (from 1). ``seen`` counts
+    them."""
 
-    def __init__(self, inner: Backend, question: str):
-        self.inner, self.question = inner, question
+    def __init__(self, inner: Backend, question: str, nth: int | None = None):
+        self.inner, self.question, self.nth = inner, question, nth
         self.parallelism = inner.parallelism
+        self.seen = 0
 
     def complete(self, prompt, params, *, echo_from=None):
         if echo_from is None and self.question in prompt:
-            raise TransportError(f"refused {self.question!r}", 1)
+            self.seen += 1
+            if self.nth in (None, self.seen):
+                raise TransportError(f"refused {self.question!r}", 1)
         return self.inner.complete(prompt, params, echo_from=echo_from)
 
 
@@ -735,6 +740,39 @@ def s1_refused(monkeypatch):
     real = ambigkit.cli.make_backend
     monkeypatch.setattr(ambigkit.cli, "make_backend",
                         lambda spec, **kw: RefuseQuestion(real(spec, **kw), "q1a q1b"))
+
+
+# The request each strategy's s1 loses: its only one, the third seeded draw
+# after the greedy answer (sample_rep), or the verification after the answer
+# (self_ask). A sample's requests go out one after another.
+@pytest.mark.parametrize("strategy, nth", [
+    ("direct", 1), ("ambig_aware", 1), ("sample_rep", 4), ("self_ask", 2),
+])
+def test_a_sample_refused_partway_errs_alone(tmp_path, monkeypatch, strategy, nth):
+    name = f"predictions_{strategy}.jsonl"
+    (tmp_path / "clean").mkdir()
+    clean = make_config(tmp_path / "clean")
+    assert run("--config", str(clean), "eval", "--strategy", strategy) == 0
+    real, backends = ambigkit.cli.make_backend, []
+
+    def refusing(spec, **kw):
+        backends.append(RefuseQuestion(real(spec, **kw), "q1a q1b", nth))
+        return backends[-1]
+
+    monkeypatch.setattr(ambigkit.cli, "make_backend", refusing)
+    (tmp_path / "refused").mkdir()
+    refused = make_config(tmp_path / "refused")
+    assert run("--config", str(refused), "eval", "--strategy", strategy) == 0
+    assert [b.seen for b in backends] == [nth]  # s1 sent nothing after the refusal
+    clean_lines = (workdir_of(clean) / name).read_bytes().splitlines()
+    refused_lines = (workdir_of(refused) / name).read_bytes().splitlines()
+    assert len(refused_lines) == len(clean_lines) == 9
+    for clean_line, refused_line in zip(clean_lines, refused_lines):
+        if json.loads(clean_line)["id"] == "s1":
+            error = "refused 'q1a q1b' (after 1 attempts)"
+            assert json.loads(refused_line) == {"id": "s1", "prediction": "", "error": error}
+        else:
+            assert refused_line == clean_line
 
 
 def test_eval_predictions_rescore_keeps_errored_samples(tmp_path, s1_refused):

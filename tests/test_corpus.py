@@ -58,6 +58,20 @@ def test_unambiguous_needs_answers(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("patch, field", [
+    ({"question": "  \t "}, "question"),
+    ({"answers": ["", "ans"]}, "an answer"),
+], ids=["question", "answer"])
+def test_blank_text_is_refused_naming_the_sample(tmp_path, patch, field):
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [
+        json.dumps({"id": "a", "question": "qa?", "answers": ["x"]}),
+        json.dumps({"id": "b", "question": "qb?", "answers": ["y"], **patch}),
+    ])
+    with pytest.raises(DataIntegrityError, match=f"sample b: {field} must not be blank"):
+        load_dataset(path)
+
+
 def test_empty_file_is_empty_list(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text("", encoding="utf-8")

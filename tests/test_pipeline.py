@@ -383,6 +383,13 @@ def test_empty_pool_is_actionable_error():
                            0.9, master_seed=1)
 
 
+def test_empty_correct_split_is_actionable_error():
+    partition, records = build_world(0, {"a": 0.5, "b": 0.6})
+    with pytest.raises(ConfigurationError, match="correct split is empty"):
+        select_and_balance(partition, records, SelectionStrategy.APA_INFOGAIN,
+                           0.1, master_seed=1)
+
+
 @pytest.mark.parametrize("strategy", [SelectionStrategy.APA_INFOGAIN,
                                       SelectionStrategy.GT_MAX_INFOGAIN])
 @pytest.mark.parametrize("stray", ["foreign", "c0000"], ids=["unknown", "correct"])

@@ -1090,11 +1090,15 @@ def test_remote_chain_rerun_is_served_from_the_journal(stub_server, tmp_path):
                for body in stub_server.state.requests)
 
 
-def test_killed_assess_resumes_from_the_journal(tmp_path):
-    # The server answers the first k requests and holds the rest; the run is
-    # killed once its journal holds k lines. The rerun sends only the other
-    # requests and writes what a run never killed writes.
-    answer, k = toy_completions(load_ngram_table(TABLES / "corpus_world.yaml")), 4
+def kill_and_resume(tmp_path, command: tuple[str, ...], stage: str, output: str,
+                    k: int, torn: bool = False) -> int:
+    """Run ``command`` cleanly, then again against a server that answers the
+    first k requests and holds the rest, killing the run once its journal
+    holds k lines; with ``torn``, cut the journal's last line partway. The
+    rerun must send only the requests the journal cannot answer, count its
+    hits in ``manifest_<stage>.json`` and write the clean run's ``output``.
+    Returns the clean run's request count."""
+    answer = toy_completions(load_ngram_table(TABLES / "corpus_world.yaml"))
     lock, served, release = threading.Lock(), [0], threading.Event()
 
     def hold_after_k(body: dict) -> bytes:
@@ -1107,14 +1111,13 @@ def test_killed_assess_resumes_from_the_journal(tmp_path):
 
     with LoopbackServer(answer) as server:
         clean, clean_out = endpoint_config(server.endpoint, tmp_path, "clean")
-        cli(clean, "assess")
+        cli(clean, *command)
         total = server.requests
-    assert total == 9
     with LoopbackServer(hold_after_k) as server:
         config, out = endpoint_config(server.endpoint, tmp_path, "resumed")
         env = {**os.environ, "PYTHONPATH": str(Path(remote.__file__).resolve().parents[1])}
         run = subprocess.Popen([sys.executable, "-m", "ambigkit.cli", "--config", str(config),
-                                "assess"], env=env, stdout=subprocess.DEVNULL,
+                                *command], env=env, stdout=subprocess.DEVNULL,
                                stderr=subprocess.DEVNULL)
         journal = out / "backend_journal.jsonl"
         deadline = time.monotonic() + 60
@@ -1127,13 +1130,28 @@ def test_killed_assess_resumes_from_the_journal(tmp_path):
             run.wait(timeout=30)
             release.set()
         assert journal.read_bytes().count(b"\n") == k
-        assert not (out / "assess.jsonl").exists()
+        assert not (out / output).exists()
+        if torn:  # the last line's key survives, its response is cut short
+            lines = journal.read_bytes().splitlines(keepends=True)
+            journal.write_bytes(b"".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])
         sent = server.requests
-        cli(config, "assess")
-        assert server.requests - sent == total - k
-    manifest = json.loads((out / "manifest_assess.json").read_text())
-    assert manifest["backend"]["journal"] == {"hits": k, "misses": total - k}
-    assert (out / "assess.jsonl").read_bytes() == (clean_out / "assess.jsonl").read_bytes()
+        cli(config, *command)
+        assert server.requests - sent == total - k + torn
+    manifest = json.loads((out / f"manifest_{stage}.json").read_text())
+    assert manifest["backend"]["journal"] == {"hits": k - torn, "misses": total - k + torn}
+    assert (out / output).read_bytes() == (clean_out / output).read_bytes()
+    return total
+
+
+def test_killed_assess_resumes_from_the_journal(tmp_path):
+    assert kill_and_resume(tmp_path, ("assess",), "assess", "assess.jsonl", k=4) == 9
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn-last-line"])
+def test_killed_sample_rep_eval_resumes_from_the_journal(tmp_path, torn):
+    # A greedy request and three seeded draws per sample, every one journaled.
+    assert kill_and_resume(tmp_path, ("eval", "--strategy", "sample_rep"), "eval_sample_rep",
+                           "predictions_sample_rep.jsonl", k=13, torn=torn) == 36
 
 
 # -- conformance with the toy oracle ----------------------------------------------

@@ -310,7 +310,7 @@ _STRATEGIES = {
     "direct": lambda config, *run: run_direct(*run),
     "ambig_aware": lambda config, *run: run_ambig_aware(*run),
     "sample_rep": lambda config, *run: run_sample_rep(
-        *run, **asdict(config.sample_rep), master_seed=config.seed),
+        *run, config.sample_rep, master_seed=config.seed),
     "self_ask": lambda config, *run: run_self_ask(*run, master_seed=config.seed),
 }
 

@@ -247,7 +247,7 @@ def make_backend(spec: BackendSpec, *, journal: str | Path | None = None) -> Bac
         spec.endpoint,
         spec.model or "default",
         api_key=spec.api_key,
-        top_k=spec.top_k or 20,
+        top_k=spec.top_k,
         parallelism=spec.parallelism,
         journal=journal,
     )

@@ -27,7 +27,7 @@ import string
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .backend import Backend, GenerationParams, bounded_map
 from .corpus import PromptTemplate, QASample, first_word, reply
@@ -35,6 +35,9 @@ from .errors import BackendError, DataIntegrityError
 from .jsonio import read_jsonl, record_at, typed_field, write_jsonl_atomic
 from .phrases import AMBIGUITY_MARKERS, FIXED_CLARIFICATIONS
 from .seeding import rng_for
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import SampleRepConfig
 
 DEFAULT_ROUGE_THRESHOLD = 0.3
 
@@ -304,38 +307,35 @@ def run_sample_rep(
     backend: Backend,
     templates: Mapping[str, PromptTemplate],
     params: GenerationParams,
+    settings: SampleRepConfig,
     *,
-    threshold: float,
-    num_samples: int = 10,
-    temperature: float = 1.0,
-    master_seed: int = 0,
+    master_seed: int,
 ) -> list[PredictionRecord]:
     """Consistency of sampled generations against the greedy one.
 
-    ``consistency`` is the fraction of the sampled generations that equal the
-    greedy generation after trimming and lowercasing; ``judge_sample_rep``
-    turns it into the prediction. The raw consistency and greedy answer ride
-    along in ``extras`` so thresholds can be swept without re-generating.
+    ``consistency`` is the fraction of the ``settings.num_samples`` draws at
+    ``settings.temperature`` that equal the greedy generation after trimming
+    and lowercasing; ``judge_sample_rep`` turns it into the prediction at
+    ``settings.threshold``. The raw consistency and greedy answer ride along
+    in ``extras`` so thresholds can be swept without re-generating.
     """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
     template = templates["direct"]
     greedy_params = replace(params, temperature=0.0, seed=None)
 
     def one(sample: QASample) -> PredictionRecord:
         greedy = reply(backend, template, greedy_params, question=sample.question)
         matches = 0
-        for draw in range(num_samples):
+        for draw in range(settings.num_samples):
             seed = rng_for(master_seed, "sample_rep_draw", sample.id, draw).randrange(2**31)
-            sampled_params = replace(params, temperature=temperature, seed=seed)
+            sampled_params = replace(params, temperature=settings.temperature, seed=seed)
             sampled = reply(backend, template, sampled_params, question=sample.question)
             if sampled.lower() == greedy.lower():
                 matches += 1
         record = PredictionRecord(
             sample.id, greedy,
-            extras={"consistency": matches / num_samples, "greedy": greedy},
+            extras={"consistency": matches / settings.num_samples, "greedy": greedy},
         )
-        return judge_sample_rep(record, threshold, master_seed)
+        return judge_sample_rep(record, settings.threshold, master_seed)
 
     return _run_each(samples, backend, one)
 
@@ -346,7 +346,7 @@ def run_self_ask(
     templates: Mapping[str, PromptTemplate],
     params: GenerationParams,
     *,
-    master_seed: int = 0,
+    master_seed: int,
 ) -> list[PredictionRecord]:
     """Two-pass baseline: answer first, then ask the model whether the
     question was ambiguous.

@@ -220,7 +220,10 @@ class _ConnectionPool:
 
 
 class RemoteCompletionsBackend(Backend):
-    """HTTP client for a completions endpoint with echo+logprobs support."""
+    """HTTP client for a completions endpoint with echo+logprobs support.
+
+    Each request asks for ``top_k`` alternatives per position, 20 when it is
+    None."""
 
     def __init__(
         self,
@@ -228,16 +231,18 @@ class RemoteCompletionsBackend(Backend):
         model: str,
         *,
         api_key: str | None = None,
-        top_k: int = 20,
+        top_k: int | None = None,
         parallelism: int = 4,
         timeout: float = 60.0,
         journal: str | Path | None = None,
     ):
+        if parallelism < 1:
+            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
-        self.top_k = top_k
-        self.parallelism = max(1, parallelism)
+        self.top_k = 20 if top_k is None else top_k
+        self.parallelism = parallelism
         self.journal = RequestJournal(journal) if journal is not None else None
         self._headers = {"Content-Type": "application/json"}
         if api_key:

@@ -1,4 +1,4 @@
-"""Independent oracles and test doubles.
+"""Independent oracles, test doubles and the toy CLI config.
 
 The oracles here deliberately avoid the production code paths: the entropy
 oracle reads n-gram table vectors directly, and the LCS oracle is a plain
@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from typing import Callable
 
 from ambigkit.backend import (
@@ -23,7 +24,11 @@ from ambigkit.backend import (
     GenerationResult,
     TokenDistribution,
 )
+from ambigkit.cli import main
+from ambigkit.errors import TransportError
 from ambigkit.toy import NgramTable
+
+from conftest import FIXTURES
 
 
 def table_entropies(table: NgramTable, text: str, context: str = "") -> list[float]:
@@ -125,13 +130,60 @@ class ScriptedBackend(Backend):
         )
 
 
+class RefuseQuestion(Backend):
+    """Wraps a backend and refuses the generations whose prompt contains
+    ``question``, as a server refusing one sample's requests would: every
+    one, or with ``nth`` only the nth of them (from 1). ``seen`` counts
+    them."""
+
+    def __init__(self, inner: Backend, question: str, nth: int | None = None):
+        self.inner, self.question, self.nth = inner, question, nth
+        self.parallelism = inner.parallelism
+        self.seen = 0
+
+    def complete(self, prompt, params, *, echo_from=None):
+        if echo_from is None and self.question in prompt:
+            self.seen += 1
+            if self.nth in (None, self.seen):
+                raise TransportError(f"refused {self.question!r}", 1)
+        return self.inner.complete(prompt, params, echo_from=echo_from)
+
+
+def write_toy_config(path: Path, **patches) -> Path:
+    """Write the toy CLI config (``fixtures/toy_config.json`` with its paths
+    made absolute) to ``path``, and return ``path``. The workdir is ``path``
+    without its suffix. Each patch replaces a top-level value, except that a
+    dict patch updates its section (``backend``, ``sample_rep``) key by key."""
+    config = json.loads((FIXTURES / "toy_config.json").read_text())
+    config["backend"]["fixture"] = str(FIXTURES / config["backend"]["fixture"])
+    for key in ("dataset", "template_dir"):
+        config[key] = str(FIXTURES / config[key])
+    config["workdir"] = str(path.with_suffix(""))
+    for key, value in patches.items():
+        config[key] = {**config[key], **value} if isinstance(value, dict) else value
+    path.write_text(json.dumps(config))
+    return path
+
+
+def workdir_of(config: Path) -> Path:
+    return Path(json.loads(config.read_text())["workdir"])
+
+
+def run_chain(config: Path, *extra: str) -> Path:
+    """Run assess, detect, label and emit on ``config``; the SFT file's path."""
+    for command in ("assess", "detect", "label", "emit"):
+        assert main(["--config", str(config), *extra, command]) == 0
+    return workdir_of(config) / "sft.jsonl"
+
+
 class LoopbackServer:
     """An HTTP/1.1 keep-alive server on 127.0.0.1, one thread per connection.
 
     Each POST is answered with the bytes ``answer`` returns for the decoded
     request body, with status 200, or with the ``(status, bytes)`` pair it
-    returns. The server counts requests, the most in flight at once, and
-    connections the client closed (an EOF where a request line was due).
+    returns. The server keeps each request's raw body in ``bodies`` and its
+    headers in ``headers``, and counts requests, the most in flight at once,
+    and connections the client closed (an EOF where a request line was due).
     With ``close_after_reply`` it closes each connection after its first
     answer without sending ``Connection: close``, as a server whose idle
     timeout expired does. Use it as a context manager.
@@ -142,6 +194,7 @@ class LoopbackServer:
         self.answer = answer
         self.requests = 0
         self.bodies: list[bytes] = []
+        self.headers: list[dict] = []
         self.max_in_flight = 0
         self.client_closes = 0
         self._in_flight = 0
@@ -170,6 +223,7 @@ class LoopbackServer:
                 with owner._lock:
                     owner.requests += 1
                     owner.bodies.append(raw)
+                    owner.headers.append(dict(self.headers))
                     owner._in_flight += 1
                     owner.max_in_flight = max(owner.max_in_flight, owner._in_flight)
                 try:

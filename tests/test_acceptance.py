@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from ambigkit.backend import GenerationParams
+from ambigkit.config import SampleRepConfig
 from ambigkit.entropy import (
     EntropyProfile,
     TruncationMode,
@@ -23,7 +24,6 @@ from ambigkit.entropy import (
     entropy_profile,
     info_gain,
 )
-from ambigkit.cli import main
 from ambigkit.evalkit import (
     OutcomeCounts,
     evaluate,
@@ -44,7 +44,14 @@ from ambigkit.sft import verify as sft_verify
 from ambigkit.toy import ToyBackend, load_ngram_table
 
 from conftest import FIXTURES, table_path
-from helpers import ScriptedBackend, rouge_oracle, table_entropies
+from helpers import (
+    ScriptedBackend,
+    rouge_oracle,
+    run_chain,
+    table_entropies,
+    workdir_of,
+    write_toy_config,
+)
 from test_pipeline import build_world, make_record
 
 EPSILON_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -190,7 +197,7 @@ def test_criterion_6_sample_rep_consistency():
     )
     [record] = run_sample_rep([sample], backend, templates,
                               GenerationParams(max_tokens=8),
-                              threshold=0.5, master_seed=0)
+                              SampleRepConfig(threshold=0.5), master_seed=0)
     assert record.extras["consistency"] == 0.3
     ok(6, "3 of 10 sampled matches yield consistency exactly 0.3")
 
@@ -218,9 +225,7 @@ def test_criterion_7_balancing_rules(tmp_path):
         r.sample_id for r in oracle
     ]
 
-    config = _make_config(tmp_path)
-    _run_chain(config)
-    sft_path = _workdir(config) / "sft.jsonl"
+    sft_path = run_chain(write_toy_config(tmp_path / "config.json"))
     report = sft_verify(sft_path, answer_cue="\nA:")
     assert report.ok
     assert report.per_source["ambig"] == report.per_source["correct"]
@@ -230,27 +235,6 @@ def test_criterion_7_balancing_rules(tmp_path):
 
 
 # -- 8: end-to-end determinism ---------------------------------------------------------
-
-
-def _make_config(tmp_path: Path, name: str = "config.json", **patches) -> Path:
-    config = json.loads((FIXTURES / "toy_config.json").read_text())
-    config["backend"]["fixture"] = str(FIXTURES / "tables" / "corpus_world.yaml")
-    config["dataset"] = str(FIXTURES / "corpus.jsonl")
-    config["template_dir"] = str(FIXTURES / "toy_templates")
-    config["workdir"] = str(tmp_path / (name + ".out"))
-    config.update(patches)
-    path = tmp_path / name
-    path.write_text(json.dumps(config))
-    return path
-
-
-def _workdir(config: Path) -> Path:
-    return Path(json.loads(config.read_text())["workdir"])
-
-
-def _run_chain(config: Path, *extra: str) -> None:
-    for command in ("assess", "detect", "label", "emit"):
-        assert main(["--config", str(config), *extra, command]) == 0
 
 
 def _phrase_assignment(workdir: Path) -> dict[str, str]:
@@ -267,19 +251,19 @@ def _selected_ids(workdir: Path) -> tuple[list[str], list[str]]:
 
 def test_criterion_8_end_to_end_determinism(tmp_path):
     started = time.monotonic()
-    config_a = _make_config(tmp_path, "a.json")
-    config_b = _make_config(tmp_path, "b.json")
-    _run_chain(config_a)
-    _run_chain(config_b)
-    bytes_a = (_workdir(config_a) / "sft.jsonl").read_bytes()
-    bytes_b = (_workdir(config_b) / "sft.jsonl").read_bytes()
+    config_a = write_toy_config(tmp_path / "a.json")
+    config_b = write_toy_config(tmp_path / "b.json")
+    run_chain(config_a)
+    run_chain(config_b)
+    bytes_a = (workdir_of(config_a) / "sft.jsonl").read_bytes()
+    bytes_b = (workdir_of(config_b) / "sft.jsonl").read_bytes()
     assert bytes_a == bytes_b
 
-    config_c = _make_config(tmp_path, "c.json", seed=1)
-    _run_chain(config_c)
-    assert _selected_ids(_workdir(config_a)) == _selected_ids(_workdir(config_c))
-    phrases_a = _phrase_assignment(_workdir(config_a))
-    phrases_c = _phrase_assignment(_workdir(config_c))
+    config_c = write_toy_config(tmp_path / "c.json", seed=1)
+    run_chain(config_c)
+    assert _selected_ids(workdir_of(config_a)) == _selected_ids(workdir_of(config_c))
+    phrases_a = _phrase_assignment(workdir_of(config_a))
+    phrases_c = _phrase_assignment(workdir_of(config_c))
     assert set(phrases_a) == set(phrases_c)
     assert phrases_a != phrases_c
     elapsed = time.monotonic() - started
@@ -293,9 +277,9 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
 
 
 def test_criterion_9_gold_label_invariance(tmp_path):
-    config = _make_config(tmp_path, "orig.json")
-    _run_chain(config)
-    _, ambiguous_original = _selected_ids(_workdir(config))
+    config = write_toy_config(tmp_path / "orig.json")
+    run_chain(config)
+    _, ambiguous_original = _selected_ids(workdir_of(config))
 
     flipped_rows = []
     for line in (FIXTURES / "corpus.jsonl").read_text().splitlines():
@@ -305,10 +289,9 @@ def test_criterion_9_gold_label_invariance(tmp_path):
     flipped_dataset = tmp_path / "flipped.jsonl"
     flipped_dataset.write_text("".join(r + "\n" for r in flipped_rows))
 
-    config_flipped = _make_config(tmp_path, "flip.json",
-                                  dataset=str(flipped_dataset))
-    _run_chain(config_flipped)
-    _, ambiguous_flipped = _selected_ids(_workdir(config_flipped))
+    config_flipped = write_toy_config(tmp_path / "flip.json", dataset=str(flipped_dataset))
+    run_chain(config_flipped)
+    _, ambiguous_flipped = _selected_ids(workdir_of(config_flipped))
     assert ambiguous_original == ambiguous_flipped == ["s3", "s4"]
     ok(9, "flipping every gold ambiguity label leaves the selected ambiguous "
           "id set unchanged (s3, s4)")

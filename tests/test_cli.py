@@ -17,43 +17,19 @@ import pytest
 import ambigkit.cli
 from ambigkit.backend import Backend
 from ambigkit.cli import main
-from ambigkit.errors import TransportError
 from ambigkit.sft import verify as sft_verify
 from ambigkit.toy import ToyBackend
 
 from conftest import FIXTURES
-
-
-def make_config(tmp_path: Path, **patches) -> Path:
-    config = json.loads((FIXTURES / "toy_config.json").read_text())
-    config["backend"]["fixture"] = str(FIXTURES / "tables" / "corpus_world.yaml")
-    config["dataset"] = str(FIXTURES / "corpus.jsonl")
-    config["template_dir"] = str(FIXTURES / "toy_templates")
-    config["workdir"] = str(tmp_path / "out")
-    backend_patches = patches.pop("backend", {})
-    config["backend"].update(backend_patches)
-    config.update(patches)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    return path
+from helpers import RefuseQuestion, run_chain, workdir_of, write_toy_config
 
 
 def run(*argv: str) -> int:
     return main(list(argv))
 
 
-def run_chain(config: Path, *extra: str) -> Path:
-    for command in ("assess", "detect", "label", "emit"):
-        assert run("--config", str(config), *extra, command) == 0
-    return json.loads(config.read_text())["workdir"] / Path("sft.jsonl")
-
-
-def workdir_of(config: Path) -> Path:
-    return Path(json.loads(config.read_text())["workdir"])
-
-
 def test_full_chain_produces_balanced_sft(tmp_path, capsys):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     run_chain(config)
     out = workdir_of(config)
     sft_path = out / "sft.jsonl"
@@ -70,7 +46,7 @@ def test_full_chain_produces_balanced_sft(tmp_path, capsys):
 
 
 def test_selection_checkpoint_contents(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     run_chain(config)
     selection = json.loads((workdir_of(config) / "selection.json").read_text())
     assert selection["ambiguous_ids"] == ["s3", "s4"]  # descending gain
@@ -78,7 +54,7 @@ def test_selection_checkpoint_contents(tmp_path):
 
 
 def test_emit_rerun_byte_identical(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     run_chain(config)
     sft_path = workdir_of(config) / "sft.jsonl"
     first = sft_path.read_bytes()
@@ -87,7 +63,7 @@ def test_emit_rerun_byte_identical(tmp_path):
 
 
 def test_detect_pool_shrinks_with_epsilon(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     assert run("--config", str(config), "assess") == 0
     assert run("--config", str(config), "detect") == 0
     manifest = json.loads(
@@ -104,7 +80,7 @@ def test_detect_pool_shrinks_with_epsilon(tmp_path):
 
 
 def test_missing_checkpoint_names_prerequisite(tmp_path, capsys):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     assert run("--config", str(config), "detect") == 2
     assert "ambigkit assess" in capsys.readouterr().err
 
@@ -114,7 +90,7 @@ def test_missing_config_exits_2(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2(tmp_path):
-    config = make_config(tmp_path, bogus_key=1)
+    config = write_toy_config(tmp_path / "config.json", bogus_key=1)
     assert run("--config", str(config), "assess") == 2
 
 
@@ -125,7 +101,7 @@ def test_unknown_config_key_exits_2(tmp_path):
     ("predictions_direct.jsonl", ("eval", "--predictions")),
 ])
 def test_repeated_checkpoint_line_exits_4(tmp_path, capsys, checkpoint, command):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     run_chain(config)
     assert run("--config", str(config), "eval", "--strategy", "direct") == 0
     path = workdir_of(config) / checkpoint
@@ -141,7 +117,7 @@ def test_repeated_checkpoint_line_exits_4(tmp_path, capsys, checkpoint, command)
 
 
 def test_unreachable_backend_exits_3(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     code = run(
         "--config", str(config),
         "--backend", "remote:http://127.0.0.1:9/v1/completions",
@@ -151,7 +127,7 @@ def test_unreachable_backend_exits_3(tmp_path):
 
 
 def test_verify_corrupted_file_exits_4(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     run_chain(config)
     sft_path = workdir_of(config) / "sft.jsonl"
     rows = sft_path.read_text().splitlines()
@@ -164,7 +140,7 @@ def test_verify_corrupted_file_exits_4(tmp_path):
 
 
 def test_verify_clean_exits_0(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     run_chain(config)
     assert run("--config", str(config), "verify") == 0
 
@@ -194,7 +170,7 @@ MANIFEST_COMMANDS = {
 @pytest.mark.parametrize("mode", list(MANIFEST_COMMANDS))
 def test_every_command_writes_its_manifest(tmp_path, capsys, mode):
     inputs, argv, command = MANIFEST_COMMANDS[mode]
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     out = workdir_of(config)
     for step in (["assess"], *inputs):
         assert run("--config", str(config), *step) == 0, step
@@ -214,7 +190,7 @@ def test_every_command_writes_its_manifest(tmp_path, capsys, mode):
 
 
 def test_verify_manifest_records_failures(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     sft_path = run_chain(config)
     rows = sft_path.read_text().splitlines()
     rows[0] = json.dumps({**json.loads(rows[0]), "completion": ""})
@@ -234,7 +210,7 @@ def test_unpaired_surrogate_in_a_dataset_id_exits_4(tmp_path, capsys):
     rows[0]["id"] = "s1\ud800"
     dataset = tmp_path / "dataset.jsonl"
     dataset.write_text("".join(json.dumps(row) + "\n" for row in rows))
-    config = make_config(tmp_path, dataset=str(dataset))
+    config = write_toy_config(tmp_path / "config.json", dataset=str(dataset))
     assert run("--config", str(config), "assess") == 4
     assert f"{dataset} line 1: field 'id' holds an unpaired surrogate" in capsys.readouterr().err
     assert not (workdir_of(config) / "assess.jsonl").exists()
@@ -246,7 +222,7 @@ def test_unpaired_surrogate_in_a_dataset_id_exits_4(tmp_path, capsys):
     ([], ["--out", "FILE/sub", "assess"], "FILE/sub"),
 ], ids=["report-is-a-directory", "out-csv-under-a-file", "workdir-under-a-file"])
 def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, inputs, argv, target):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     (tmp_path / "DIR").mkdir()
     (tmp_path / "FILE").write_text("")
     for step in inputs:
@@ -264,7 +240,7 @@ def test_workdir_under_a_file_exits_2_before_any_backend_call(tmp_path, capsys, 
     built = []
     monkeypatch.setattr(ambigkit.cli, "make_backend",
                         lambda spec, **kw: built.append(spec))
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     (tmp_path / "FILE").write_text("")
     argv = ["--out", str(tmp_path / "FILE" / "sub"), "eval", "--strategy", "direct"]
     assert run("--config", str(config), *argv) == 2
@@ -273,7 +249,7 @@ def test_workdir_under_a_file_exits_2_before_any_backend_call(tmp_path, capsys, 
 
 
 def test_failed_label_leaves_no_partial_checkpoint(tmp_path):
-    config = make_config(tmp_path, epsilon=0.9)
+    config = write_toy_config(tmp_path / "config.json", epsilon=0.9)
     assert run("--config", str(config), "assess") == 0
     assert run("--config", str(config), "detect") == 0
     # Empty pool at epsilon 0.9: label must fail without leaving artifacts.
@@ -296,14 +272,14 @@ def test_help_enumerates_global_flags(capsys):
 
 
 def test_out_flag_overrides_workdir(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     other = tmp_path / "elsewhere"
     assert run("--config", str(config), "--out", str(other), "assess") == 0
     assert (other / "assess.jsonl").exists()
 
 
 def test_seed_flag_changes_phrase_assignment(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     run_chain(config)
     labels_default = (workdir_of(config) / "labels.jsonl").read_text()
     for command in ("label", "emit"):
@@ -313,7 +289,7 @@ def test_seed_flag_changes_phrase_assignment(tmp_path):
 
 
 def test_eval_modes_mutually_exclusive(tmp_path, capsys):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     with pytest.raises(SystemExit):
         main(["--config", str(config), "eval", "--strategy", "direct",
               "--predictions", "x.jsonl"])
@@ -323,9 +299,8 @@ def test_tail_lump_mode_runs_on_truncated_backend(tmp_path):
     # Default remote-style setup: the backend only exposes the top-2
     # alternatives, so the exact mode is unavailable and the tail lump
     # carries the remaining mass through the whole chain.
-    config = make_config(
-        tmp_path, truncation_mode="tail_lump", backend={"top_k": 2}
-    )
+    config = write_toy_config(tmp_path / "config.json", truncation_mode="tail_lump",
+                              backend={"top_k": 2})
     run_chain(config)
     records = [
         json.loads(l)
@@ -337,7 +312,8 @@ def test_tail_lump_mode_runs_on_truncated_backend(tmp_path):
 
 
 def test_eval_direct_strategy(tmp_path, capsys):
-    config = make_config(tmp_path, dataset=str(FIXTURES / "direct_eval.jsonl"))
+    config = write_toy_config(tmp_path / "config.json",
+                              dataset=str(FIXTURES / "direct_eval.jsonl"))
     assert run("--config", str(config), "eval", "--strategy", "direct") == 0
     out = workdir_of(config)
     report = json.loads((out / "eval_direct.json").read_text())
@@ -349,7 +325,7 @@ def test_eval_direct_strategy(tmp_path, capsys):
 
 
 def test_eval_ambig_aware_strategy(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     assert run("--config", str(config), "eval", "--strategy", "ambig_aware") == 0
     report = json.loads((workdir_of(config) / "eval_ambig_aware.json").read_text())
     assert report["counts"]["c1"] == 4  # every ambiguous sample clarified
@@ -358,7 +334,7 @@ def test_eval_ambig_aware_strategy(tmp_path):
 
 
 def test_eval_sample_rep_on_deterministic_toy(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 0
     rows = [
         json.loads(l)
@@ -369,7 +345,7 @@ def test_eval_sample_rep_on_deterministic_toy(tmp_path):
 
 
 def test_eval_self_ask_strategy(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     assert run("--config", str(config), "eval", "--strategy", "self_ask") == 0
     report = json.loads((workdir_of(config) / "eval_self_ask.json").read_text())
     # The toy verifier says "ambiguous" exactly for clarify-answer samples:
@@ -379,7 +355,7 @@ def test_eval_self_ask_strategy(tmp_path):
 
 
 def test_eval_external_predictions_perfect(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     predictions = tmp_path / "preds.jsonl"
     samples = [json.loads(l) for l in (FIXTURES / "corpus.jsonl").read_text().splitlines()]
     rows = []
@@ -396,7 +372,7 @@ def test_eval_external_predictions_perfect(tmp_path):
 
 
 def test_eval_predictions_schema_error(tmp_path, capsys):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     predictions = tmp_path / "preds.jsonl"
     predictions.write_text('{"id": "s1"}\n')
     assert run("--config", str(config), "eval", "--predictions", str(predictions)) == 4
@@ -418,7 +394,7 @@ def test_eval_compare_reports_mcr(tmp_path):
     before_path.write_text("".join(json.dumps(r) + "\n" for r in before))
     after_path = tmp_path / "after.jsonl"
     after_path.write_text("".join(json.dumps(r) + "\n" for r in after))
-    config = make_config(tmp_path, dataset=str(dataset))
+    config = write_toy_config(tmp_path / "config.json", dataset=str(dataset))
     assert run("--config", str(config), "eval",
                "--compare", str(before_path), str(after_path)) == 0
     report = json.loads((workdir_of(config) / "eval_compare.json").read_text())
@@ -432,13 +408,13 @@ def test_eval_compare_names_the_file_with_the_torn_line(tmp_path, capsys):
     lines = "".join(json.dumps({"id": f"s{i}", "prediction": "x"}) + "\n" for i in range(1, 10))
     good.write_text(lines)
     bad.write_text(lines + "{bad")
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     assert run("--config", str(config), "eval", "--compare", str(good), str(bad)) == 4
     assert f"{bad} line 10: invalid JSON" in capsys.readouterr().err
 
 
 def test_sweep_epsilon_grid(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     run("--config", str(config), "assess")
     run("--config", str(config), "detect")
     assert run("--config", str(config), "sweep") == 0
@@ -451,7 +427,7 @@ def test_sweep_epsilon_grid(tmp_path):
 
 
 def test_sweep_single_epsilon(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     run("--config", str(config), "assess")
     run("--config", str(config), "detect")
     assert run("--config", str(config), "sweep", "--epsilons", "0.25") == 0
@@ -462,7 +438,7 @@ def test_sweep_single_epsilon(tmp_path):
 
 
 def test_sweep_empty_records_all_zero(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     out = workdir_of(config)
     out.mkdir(parents=True)
     (out / "records.jsonl").write_text("")
@@ -473,7 +449,7 @@ def test_sweep_empty_records_all_zero(tmp_path):
 
 
 def test_eval_aggregate_reports_mean_and_stddev(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     reports = []
     for i, (f1u, f1a) in enumerate([(0.2, 0.5), (0.4, 0.7), (0.6, 0.9)]):
         path = tmp_path / f"r{i}.json"
@@ -489,7 +465,7 @@ def test_eval_aggregate_reports_mean_and_stddev(tmp_path):
 
 
 def test_eval_aggregate_missing_metric_is_parse_error(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"f1_u": 0.5}))
     assert run("--config", str(config), "eval", "--aggregate", str(bad)) == 4
@@ -506,7 +482,7 @@ def test_eval_aggregate_missing_metric_is_parse_error(tmp_path):
     '{"f1_u": 1e308, "f1_a": 0.5}',
 ], ids=["text", "null", "not-an-object", "nan", "boolean", "above-1", "below-0", "huge"])
 def test_eval_aggregate_mistyped_report_exits_4(tmp_path, capsys, body):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     bad = tmp_path / "bad.json"
     bad.write_text(body)
     # Twice: two huge values would overflow the mean.
@@ -518,7 +494,7 @@ def test_eval_aggregate_mistyped_report_exits_4(tmp_path, capsys, body):
 
 
 def test_sweep_sample_rep_thresholds(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 0
     predictions = workdir_of(config) / "predictions_sample_rep.jsonl"
     assert run("--config", str(config), "sweep", "--sample-rep", str(predictions),
@@ -540,7 +516,7 @@ def test_sweep_sample_rep_thresholds(tmp_path):
 ], ids=["consistency-text", "consistency-null", "consistency-boolean",
         "consistency-nan", "greedy-number"])
 def test_sweep_sample_rep_mistyped_field_exits_4(tmp_path, capsys, field, value):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 0
     predictions = workdir_of(config) / "predictions_sample_rep.jsonl"
     first, *rest = predictions.read_text().splitlines(keepends=True)
@@ -554,7 +530,8 @@ def test_sweep_sample_rep_mistyped_field_exits_4(tmp_path, capsys, field, value)
 
 
 def test_ambiguate_command(tmp_path):
-    config = make_config(tmp_path, dataset=str(FIXTURES / "ambiguate_input.jsonl"))
+    config = write_toy_config(tmp_path / "config.json",
+                              dataset=str(FIXTURES / "ambiguate_input.jsonl"))
     assert run("--config", str(config), "ambiguate") == 0
     out = workdir_of(config)
     accepted = [json.loads(l) for l in (out / "ambiguated.jsonl").read_text().splitlines()]
@@ -569,7 +546,8 @@ def test_ambiguate_command(tmp_path):
 def test_ambiguate_with_allowlist(tmp_path):
     empty_allow = tmp_path / "allow.txt"
     empty_allow.write_text("nobody\n")
-    config = make_config(tmp_path, dataset=str(FIXTURES / "ambiguate_input.jsonl"))
+    config = write_toy_config(tmp_path / "config.json",
+                              dataset=str(FIXTURES / "ambiguate_input.jsonl"))
     assert run("--config", str(config), "ambiguate",
                "--allowlist", str(empty_allow)) == 0
     accepted = (workdir_of(config) / "ambiguated.jsonl").read_text().splitlines()
@@ -584,7 +562,7 @@ def test_ambiguate_allowlist_keeps_listed_ids_in_input_order(tmp_path):
     dataset.write_text("".join(json.dumps({**s1, "id": i}) + "\n" for i in ("a", "b", "c")))
     allow = tmp_path / "allow.txt"
     allow.write_text("c\nnobody\na\n")
-    config = make_config(tmp_path, dataset=str(dataset))
+    config = write_toy_config(tmp_path / "config.json", dataset=str(dataset))
     assert run("--config", str(config), "ambiguate", "--allowlist", str(allow)) == 0
     out = workdir_of(config)
     accepted = [json.loads(l) for l in (out / "ambiguated.jsonl").read_text().splitlines()]
@@ -622,8 +600,9 @@ def test_ambiguate_runs_parallelism_samples_at_once(tmp_path, monkeypatch):
         return backends[-1]
 
     monkeypatch.setattr(ambigkit.cli, "make_backend", make_backend)
-    config = make_config(tmp_path, dataset=str(FIXTURES / "ambiguate_input.jsonl"),
-                         backend={"parallelism": 3})
+    config = write_toy_config(tmp_path / "config.json",
+                              dataset=str(FIXTURES / "ambiguate_input.jsonl"),
+                              backend={"parallelism": 3})
     assert run("--config", str(config), "ambiguate") == 0
     assert [b.peak for b in backends] == [3]
 
@@ -632,7 +611,8 @@ def test_ambiguate_backend_failure_exits_3_and_writes_nothing(tmp_path, monkeypa
     real = ambigkit.cli.make_backend
     monkeypatch.setattr(ambigkit.cli, "make_backend",
                         lambda spec, **kw: RefuseQuestion(real(spec, **kw), "q2a q2b"))
-    config = make_config(tmp_path, dataset=str(FIXTURES / "ambiguate_input.jsonl"))
+    config = write_toy_config(tmp_path / "config.json",
+                              dataset=str(FIXTURES / "ambiguate_input.jsonl"))
     assert run("--config", str(config), "ambiguate") == 3
     out = workdir_of(config)
     assert not (out / "ambiguated.jsonl").exists()
@@ -659,25 +639,28 @@ def test_flag_gives_the_config_its_file_value_gives(tmp_path, monkeypatch, argv,
             return {key: resolved(item) for key, item in value.items()}
         return value.replace("CWD", str(tmp_path.resolve())) if isinstance(value, str) else value
 
+    config = write_toy_config(tmp_path / "config.json")
     flagged = ambigkit.cli._start(
-        ambigkit.cli.build_parser().parse_args(["--config", str(make_config(tmp_path)), *argv])
+        ambigkit.cli.build_parser().parse_args(["--config", str(config), *argv])
     )[0]
-    from_file = ambigkit.cli.load_config(make_config(tmp_path, **resolved(patch)))
+    from_file = ambigkit.cli.load_config(write_toy_config(tmp_path / "config.json",
+                                                          **resolved(patch)))
     assert flagged == from_file
     assert ambigkit.cli.config_hash(flagged) == ambigkit.cli.config_hash(from_file)
 
 
 def test_non_finite_epsilon_flag_exits_2_as_the_file_value_does(tmp_path, capsys):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     assert run("--config", str(config), "--epsilon", "nan", "assess") == 2
     flagged = capsys.readouterr().err
-    assert run("--config", str(make_config(tmp_path, epsilon=float("nan"))), "assess") == 2
+    assert run("--config", str(write_toy_config(tmp_path / "config.json", epsilon=float("nan"))),
+               "assess") == 2
     assert flagged == capsys.readouterr().err == (
         "configuration error: epsilon must be finite, got nan\n")
 
 
 def test_label_kind_flag_overrides_config(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     assert run("--config", str(config), "assess") == 0
     assert run("--config", str(config), "detect") == 0
     assert run("--config", str(config), "label", "--kind", "generated") == 0
@@ -694,7 +677,7 @@ def test_label_kind_flag_overrides_config(tmp_path):
 
 
 def test_manifests_record_config_hash(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     run_chain(config)
     out = workdir_of(config)
     manifests = sorted(p.name for p in out.glob("manifest_*.json"))
@@ -716,25 +699,6 @@ def test_manifests_record_config_hash(tmp_path):
 # -- errored samples in prediction files ------------------------------------------
 
 
-class RefuseQuestion(Backend):
-    """Wraps a backend and refuses the generations whose prompt contains
-    ``question``, as a server refusing one sample's requests would: every
-    one, or with ``nth`` only the nth of them (from 1). ``seen`` counts
-    them."""
-
-    def __init__(self, inner: Backend, question: str, nth: int | None = None):
-        self.inner, self.question, self.nth = inner, question, nth
-        self.parallelism = inner.parallelism
-        self.seen = 0
-
-    def complete(self, prompt, params, *, echo_from=None):
-        if echo_from is None and self.question in prompt:
-            self.seen += 1
-            if self.nth in (None, self.seen):
-                raise TransportError(f"refused {self.question!r}", 1)
-        return self.inner.complete(prompt, params, echo_from=echo_from)
-
-
 @pytest.fixture()
 def s1_refused(monkeypatch):
     real = ambigkit.cli.make_backend
@@ -750,8 +714,7 @@ def s1_refused(monkeypatch):
 ])
 def test_a_sample_refused_partway_errs_alone(tmp_path, monkeypatch, strategy, nth):
     name = f"predictions_{strategy}.jsonl"
-    (tmp_path / "clean").mkdir()
-    clean = make_config(tmp_path / "clean")
+    clean = write_toy_config(tmp_path / "clean.json")
     assert run("--config", str(clean), "eval", "--strategy", strategy) == 0
     real, backends = ambigkit.cli.make_backend, []
 
@@ -760,8 +723,7 @@ def test_a_sample_refused_partway_errs_alone(tmp_path, monkeypatch, strategy, nt
         return backends[-1]
 
     monkeypatch.setattr(ambigkit.cli, "make_backend", refusing)
-    (tmp_path / "refused").mkdir()
-    refused = make_config(tmp_path / "refused")
+    refused = write_toy_config(tmp_path / "refused.json")
     assert run("--config", str(refused), "eval", "--strategy", strategy) == 0
     assert [b.seen for b in backends] == [nth]  # s1 sent nothing after the refusal
     clean_lines = (workdir_of(clean) / name).read_bytes().splitlines()
@@ -776,7 +738,7 @@ def test_a_sample_refused_partway_errs_alone(tmp_path, monkeypatch, strategy, nt
 
 
 def test_eval_predictions_rescore_keeps_errored_samples(tmp_path, s1_refused):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     out = workdir_of(config)
     assert run("--config", str(config), "eval", "--strategy", "direct") == 0
     assert run("--config", str(config), "eval", "--predictions",
@@ -789,7 +751,7 @@ def test_eval_predictions_rescore_keeps_errored_samples(tmp_path, s1_refused):
 
 
 def test_eval_line_says_errored_samples_were_left_out(tmp_path, capsys, s1_refused):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     predictions = workdir_of(config) / "predictions_direct.jsonl"
     assert run("--config", str(config), "eval", "--strategy", "direct") == 0
     assert run("--config", str(config), "eval", "--predictions", str(predictions)) == 0
@@ -799,14 +761,14 @@ def test_eval_line_says_errored_samples_were_left_out(tmp_path, capsys, s1_refus
 
 
 def test_eval_line_names_no_errored_samples_when_none_errored(tmp_path, capsys):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     assert run("--config", str(config), "eval", "--strategy", "direct") == 0
     [line] = [line for line in capsys.readouterr().out.splitlines() if "F1_u" in line]
     assert "errored" not in line
 
 
 def test_sweep_sample_rep_leaves_errored_samples_out(tmp_path, s1_refused):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     out = workdir_of(config)
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 0
     report = json.loads((out / "eval_sample_rep.json").read_text())
@@ -825,7 +787,7 @@ def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch):
     # Every prompt contains the empty question, so every call is refused.
     monkeypatch.setattr(ambigkit.cli, "make_backend",
                         lambda spec, **kw: RefuseQuestion(real(spec, **kw), ""))
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     out = workdir_of(config)
     assert run("--config", str(config), "eval", "--strategy", "direct") == 3
     assert not (out / "eval_direct.json").exists()
@@ -876,7 +838,7 @@ def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch):
         "temperature-inf", "workdir-null", "dataset-null", "workdir-number",
         "dataset-number"])
 def test_bad_config_value_exits_2(tmp_path, capsys, patch):
-    config = make_config(tmp_path, **patch)
+    config = write_toy_config(tmp_path / "config.json", **patch)
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
@@ -892,7 +854,7 @@ def test_bad_config_value_exits_2(tmp_path, capsys, patch):
     ("--epsilons", "nan"),
 ], ids=["thresholds-nan", "thresholds-inf", "thresholds-negative-inf", "epsilons-nan"])
 def test_non_finite_sweep_grid_exits_2(tmp_path, capsys, flag, grid):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 0
     out = workdir_of(config)
     sample_rep = ["--sample-rep", str(out / "predictions_sample_rep.jsonl")]
@@ -907,7 +869,7 @@ def test_non_finite_sweep_grid_exits_2(tmp_path, capsys, flag, grid):
     (["--sample-rep", "PREDICTIONS", "--epsilons", "0.3"], "--epsilons"),
 ], ids=["thresholds-without-sample-rep", "epsilons-with-sample-rep"])
 def test_sweep_flag_of_the_other_sweep_exits_2(tmp_path, capsys, argv, flag):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     # With both sweeps' inputs in place, nothing but the stray flag can fail.
     for command in (["assess"], ["detect"], ["eval", "--strategy", "sample_rep"]):
         assert run("--config", str(config), *command) == 0
@@ -934,7 +896,7 @@ def test_sweep_flag_of_the_other_sweep_exits_2(tmp_path, capsys, argv, flag):
         "out-csv", "out", "verify-path"])
 def test_empty_flag_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, flag):
     monkeypatch.chdir(tmp_path)  # where an empty path would resolve
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     # With every input in place, an empty flag read as absent would succeed.
     run_chain(config)
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 0
@@ -952,7 +914,7 @@ def test_empty_flag_exits_2_naming_it(tmp_path, capsys, monkeypatch, argv, flag)
 
 @pytest.mark.parametrize("mode", ["predictions", "compare", "sample-rep"])
 def test_predictions_for_samples_not_in_the_dataset_exit_4(tmp_path, capsys, mode):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 0
     out = workdir_of(config)
     recorded = out / "predictions_sample_rep.jsonl"
@@ -973,7 +935,7 @@ def test_predictions_for_samples_not_in_the_dataset_exit_4(tmp_path, capsys, mod
 
 @pytest.mark.parametrize("strategy", ["apa_infogain", "gt_max_infogain"])
 def test_label_refuses_records_outside_the_assessed_split(tmp_path, capsys, strategy):
-    config = make_config(tmp_path, strategy=strategy)
+    config = write_toy_config(tmp_path / "config.json", strategy=strategy)
     for command in ("assess", "detect"):
         assert run("--config", str(config), command) == 0
     records = workdir_of(config) / "records.jsonl"
@@ -1024,7 +986,7 @@ def test_unreadable_input_file_exits_2_or_4(tmp_path, capsys, monkeypatch,
     def fill(value):
         return str(target) if value == "FILE" else value
 
-    config = make_config(tmp_path, **{
+    config = write_toy_config(tmp_path / "config.json", **{
         key: {k: fill(v) for k, v in value.items()} if isinstance(value, dict) else fill(value)
         for key, value in patch.items()
     })
@@ -1046,7 +1008,8 @@ def test_unreadable_input_file_exits_2_or_4(tmp_path, capsys, monkeypatch,
 def test_verify_prints_a_file_failure_without_line_0(tmp_path, capsys, content, message):
     path = tmp_path / "sft.jsonl"
     path.write_bytes(content)
-    assert run("--config", str(make_config(tmp_path)), "verify", str(path)) == 4
+    assert run("--config", str(write_toy_config(tmp_path / "config.json")), "verify",
+               str(path)) == 4
     err = capsys.readouterr().err
     assert f"  {message.format(path=path)}" in err
     assert "line 0" not in err
@@ -1061,7 +1024,7 @@ def test_verify_prints_a_file_failure_without_line_0(tmp_path, capsys, content, 
 ], ids=["flag-no-scheme", "number", "ftp", "no-host", "bad-port"])
 def test_malformed_remote_endpoint_exits_2(tmp_path, capsys, endpoint, flag):
     patch = {} if endpoint is None else {"backend": {"kind": "remote", "endpoint": endpoint}}
-    config = make_config(tmp_path, **patch)
+    config = write_toy_config(tmp_path / "config.json", **patch)
     argv = ["--config", str(config), *([flag] if flag else []), "assess"]
     assert run(*argv) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -1072,7 +1035,7 @@ def chain_workdir(tmp_path_factory) -> Path:
     """A workdir holding the toy chain's checkpoints up to labels.jsonl, and
     predictions_direct.jsonl."""
     tmp_path = tmp_path_factory.mktemp("chain")
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     for command in (["assess"], ["detect"], ["label"], ["eval", "--strategy", "direct"]):
         assert run("--config", str(config), *command) == 0
     return workdir_of(config)
@@ -1093,7 +1056,7 @@ def chain_workdir(tmp_path_factory) -> Path:
         "predictions-flags-text"])
 def test_mistyped_checkpoint_field_exits_4(tmp_path, capsys, chain_workdir,
                                           name, patch, command):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     out = workdir_of(config)
     shutil.copytree(chain_workdir, out)
     first, *rest = (out / name).read_text().splitlines(keepends=True)
@@ -1110,7 +1073,7 @@ def test_mistyped_checkpoint_field_exits_4(tmp_path, capsys, chain_workdir,
     '{"correct_ids": []}',
 ], ids=["not-json", "not-an-object", "ids-not-a-list", "ids-missing"])
 def test_malformed_selection_exits_4(tmp_path, capsys, chain_workdir, body):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     out = workdir_of(config)
     shutil.copytree(chain_workdir, out)
     (out / "selection.json").write_text(body)
@@ -1131,7 +1094,7 @@ PINNED_SELECTIONS = {
 
 @pytest.mark.parametrize("strategy", list(PINNED_SELECTIONS))
 def test_selection_is_pinned_for_every_strategy(tmp_path, chain_workdir, strategy):
-    config = make_config(tmp_path, strategy=strategy)
+    config = write_toy_config(tmp_path / "config.json", strategy=strategy)
     out = workdir_of(config)
     shutil.copytree(chain_workdir, out)
     assert run("--config", str(config), "label") == 0
@@ -1214,7 +1177,7 @@ def _pinned_bytes(path: Path, out: Path) -> bytes:
 
 
 def test_toy_chain_outputs_are_pinned(tmp_path):
-    config = make_config(tmp_path)
+    config = write_toy_config(tmp_path / "config.json")
     out = workdir_of(config)
     commands = [
         ["assess"], ["detect"], ["label", "--kind", "generated"], ["emit"],
@@ -1236,8 +1199,9 @@ def test_toy_chain_outputs_are_pinned(tmp_path):
 
 @pytest.mark.parametrize("parallelism", [1, 4])
 def test_ambiguate_outputs_are_pinned(tmp_path, parallelism):
-    config = make_config(tmp_path, dataset=str(FIXTURES / "ambiguate_input.jsonl"),
-                         backend={"parallelism": parallelism})
+    config = write_toy_config(tmp_path / "config.json",
+                              dataset=str(FIXTURES / "ambiguate_input.jsonl"),
+                              backend={"parallelism": parallelism})
     out = workdir_of(config)
     assert run("--config", str(config), "ambiguate") == 0
     digests = {

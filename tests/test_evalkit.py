@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ambigkit.backend import GenerationParams
+from ambigkit.config import SampleRepConfig
 from ambigkit.corpus import QASample, load_dataset, load_templates
 from ambigkit.errors import DataIntegrityError
 from ambigkit.evalkit import (
@@ -298,7 +299,7 @@ def test_sample_rep_three_of_ten(toy_templates):
     backend = _sample_rep_backend(toy_templates, s.question, "gold answer", outputs)
     [record] = run_sample_rep(
         [s], backend, toy_templates, GenerationParams(max_tokens=8),
-        threshold=0.5, master_seed=0,
+        SampleRepConfig(threshold=0.5), master_seed=0,
     )
     assert record.extras["consistency"] == 0.3
     assert record.extras["ambiguous"] is True
@@ -311,7 +312,7 @@ def test_sample_rep_match_is_case_insensitive(toy_templates):
     backend = _sample_rep_backend(toy_templates, s.question, "gold answer", outputs)
     [record] = run_sample_rep(
         [s], backend, toy_templates, GenerationParams(max_tokens=8),
-        threshold=0.5, master_seed=0,
+        SampleRepConfig(threshold=0.5), master_seed=0,
     )
     assert record.extras["consistency"] == 1.0
     assert record.prediction == "gold answer"
@@ -321,7 +322,7 @@ def test_sample_rep_deterministic_toy_consistency_one(corpus_backend, toy_templa
                                                       corpus_samples):
     records = run_sample_rep(
         corpus_samples[:3], corpus_backend, toy_templates,
-        GenerationParams(max_tokens=8), threshold=0.5, master_seed=0,
+        GenerationParams(max_tokens=8), SampleRepConfig(threshold=0.5), master_seed=0,
     )
     assert all(r.extras["consistency"] == 1.0 for r in records)
     assert all(r.extras["ambiguous"] is False for r in records)
@@ -351,7 +352,7 @@ def test_sample_rep_threshold_sweep_picks_best(toy_templates):
                             default="gold")
         records = run_sample_rep(samples, b, templates,
                                  GenerationParams(max_tokens=8),
-                                 threshold=threshold, master_seed=0)
+                                 SampleRepConfig(threshold=threshold), master_seed=0)
         return evaluate(samples, records).f1_a
 
     scores = {t / 10: f1a_at(t / 10) for t in range(1, 11)}

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ambigkit.backend import Backend
 from ambigkit.corpus import QASample
 from ambigkit.entropy import TruncationMode, Verdict, classify
-from ambigkit.errors import ConfigurationError, DataIntegrityError, TransportError
+from ambigkit.errors import ConfigurationError, DataIntegrityError
 from ambigkit.phrases import FIXED_CLARIFICATIONS
 from ambigkit.pipeline import (
     EMPTY_DISAMBIGUATION_FLAG,
@@ -37,7 +36,7 @@ from ambigkit.pipeline import (
 from ambigkit.toy import ToyBackend, load_ngram_table
 
 from conftest import table_path
-from helpers import ScriptedBackend, table_average_entropy
+from helpers import RefuseQuestion, ScriptedBackend, table_average_entropy
 
 MODE = TruncationMode.EXACT
 
@@ -102,23 +101,9 @@ def test_stage1_records_answer_entropy(assessed):
         assert a.answer_entropy == 0.0
 
 
-class FailingBackend(Backend):
-    """Delegates to a toy backend but fails for marked questions."""
-
-    def __init__(self, inner, poison: str):
-        self.inner = inner
-        self.poison = poison
-        self.parallelism = 1
-
-    def complete(self, prompt, params, *, echo_from=None):
-        if echo_from is None and self.poison in prompt:
-            raise TransportError("injected outage", attempts=3)
-        return self.inner.complete(prompt, params, echo_from=echo_from)
-
-
 def test_stage1_errored_samples_excluded(corpus_samples, corpus_backend,
                                          toy_templates, greedy_params):
-    backend = FailingBackend(corpus_backend, poison="q5a")
+    backend = RefuseQuestion(corpus_backend, "q5a")
     partition = stage1_assess(
         corpus_samples, backend, toy_templates, greedy_params, mode=MODE
     )
@@ -197,7 +182,7 @@ def test_stage2_identical_rewrite_zero_gain(toy_templates, greedy_params):
 
 def test_stage2_backend_failure_reported(corpus_samples, corpus_backend,
                                          toy_templates, greedy_params):
-    backend = FailingBackend(corpus_backend, poison="q3a")
+    backend = RefuseQuestion(corpus_backend, "q3a")
     incorrect = [s for s in corpus_samples if s.id in ("s3", "s4")]
     records, errored = stage2_disambiguate(
         incorrect, backend, toy_templates, greedy_params, mode=MODE, epsilon=0.1
@@ -545,7 +530,7 @@ def test_partition_round_trip(tmp_path, assessed, corpus_samples):
 
 def test_partition_round_trip_with_errored(tmp_path, corpus_samples, corpus_backend,
                                            toy_templates, greedy_params):
-    backend = FailingBackend(corpus_backend, poison="q7a")
+    backend = RefuseQuestion(corpus_backend, "q7a")
     partition = stage1_assess(corpus_samples, backend, toy_templates,
                               greedy_params, mode=MODE)
     assert partition.errored

@@ -17,8 +17,8 @@ import tracemalloc
 import types
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
+from urllib.parse import urljoin
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +31,8 @@ from ambigkit.errors import CapabilityError, ConfigurationError, ProtocolError, 
 from ambigkit.remote import RemoteCompletionsBackend, RequestJournal
 from ambigkit.toy import NgramTable, ToyBackend, load_ngram_table
 
-from conftest import FIXTURES, TABLES
-from helpers import LoopbackServer
+from conftest import TABLES
+from helpers import LoopbackServer, workdir_of, write_toy_config
 
 LN = math.log
 
@@ -79,94 +79,76 @@ def generation_logprobs(tokens: list[str]) -> dict:
 
 
 class StubState:
+    """The stub server's ``answer``: it keeps each decoded request in
+    ``requests``, refuses the first ``fail_first`` with 503, and shapes the
+    rest by ``mode``."""
+
     def __init__(self):
         self.requests: list[dict] = []
-        self.headers: list[dict] = []
         self.fail_first = 0
         # ok | malformed | no_logprobs | no_choices | nan_logprobs | inf_logprobs
-        # | neg_inf_alternative
+        # | neg_inf_alternative | no_text_offset
         self.mode = "ok"
         self.completion_text = " Paris"
         # Prompt substring -> completion text, taking precedence over
         # completion_text.
         self.answers: dict[str, str] = {}
         self.finish_reason = "stop"
+        self._lock = threading.Lock()  # the server answers concurrently
 
-
-class StubHandler(BaseHTTPRequestHandler):
-    def log_message(self, *args):
-        pass
-
-    def do_POST(self):
-        state: StubState = self.server.state
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length))
-        state.requests.append(body)
-        state.headers.append(dict(self.headers))
-        if state.fail_first > 0:
-            state.fail_first -= 1
-            self.send_response(503)
-            self.end_headers()
-            self.wfile.write(b"overloaded")
-            return
-        if state.mode == "malformed":
-            self.send_response(200)
-            self.end_headers()
-            self.wfile.write(b"{not json")
-            return
-        if state.mode == "no_choices":
-            self._reply({"object": "text_completion"})
-            return
+    def __call__(self, body: dict) -> bytes | tuple[int, bytes]:
+        with self._lock:
+            self.requests.append(body)
+            refused = self.fail_first > 0
+            self.fail_first -= refused
+        if refused:
+            return 503, b"overloaded"
+        if self.mode == "malformed":
+            return b"{not json"
+        if self.mode == "no_choices":
+            return json.dumps({"object": "text_completion"}).encode()
         if body.get("echo"):
             logprobs = echo_logprobs(
                 body["prompt"], body.get("logprobs", 5),
-                drop=("text_offset",) if state.mode == "no_text_offset" else (),
+                drop=("text_offset",) if self.mode == "no_text_offset" else (),
             )
             choice = {"text": body["prompt"], "finish_reason": "stop",
-                      "logprobs": None if state.mode == "no_logprobs" else logprobs}
+                      "logprobs": None if self.mode == "no_logprobs" else logprobs}
         else:
-            text = next((answer for q, answer in state.answers.items()
-                         if q in body["prompt"]), state.completion_text)
+            text = next((answer for q, answer in self.answers.items()
+                         if q in body["prompt"]), self.completion_text)
             tokens = tokenize(text)
             logprobs = generation_logprobs(tokens)
-            if state.mode == "nan_logprobs":
+            if self.mode == "nan_logprobs":
                 # Serialised as the bare NaN token, which JSON decoders accept.
                 logprobs["token_logprobs"] = [math.nan] * len(tokens)
                 logprobs["top_logprobs"] = [{token: math.nan} for token in tokens]
-            if state.mode == "inf_logprobs":
+            if self.mode == "inf_logprobs":
                 # Serialised as the bare Infinity token.
                 logprobs["token_logprobs"] = [math.inf] * len(tokens)
-            if state.mode == "neg_inf_alternative":
+            if self.mode == "neg_inf_alternative":
                 # A zero-probability alternative, serialised as -Infinity.
                 for top in logprobs["top_logprobs"]:
                     top["<never>"] = -math.inf
             choice = {
                 "text": text,
-                "finish_reason": state.finish_reason,
-                "logprobs": None if state.mode == "no_logprobs" else logprobs,
+                "finish_reason": self.finish_reason,
+                "logprobs": None if self.mode == "no_logprobs" else logprobs,
             }
-        self._reply({"choices": [choice]})
-
-    def _reply(self, payload: dict):
-        data = json.dumps(payload).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        return json.dumps({"choices": [choice]}).encode()
 
 
 @pytest.fixture()
 def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), StubHandler)
-    server.state = StubState()
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
-                              daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    thread.join(timeout=5)
-    server.server_close()
+    """A LoopbackServer answering through its ``state``, a StubState. Every
+    backend ``make_backend`` made for it is closed at teardown: a pooled
+    connection left open would leak its socket."""
+    state = StubState()
+    with LoopbackServer(state) as server:
+        server.state, server.backends = state, []
+        yield server
+        for backend in server.backends:
+            backend.close()
 
 
 @pytest.fixture(autouse=True)
@@ -174,11 +156,11 @@ def fast_backoff(monkeypatch):
     monkeypatch.setattr(remote, "_BACKOFF_BASE_S", 0.001)
 
 
-def make_backend(server, **kwargs) -> RemoteCompletionsBackend:
-    host, port = server.server_address
-    return RemoteCompletionsBackend(
-        f"http://{host}:{port}/v1/completions", "test-model", **kwargs
-    )
+def make_backend(server, path: str = "/v1/completions", **kwargs) -> RemoteCompletionsBackend:
+    """A client of the ``stub_server`` at ``path``, closed at its teardown."""
+    server.backends.append(RemoteCompletionsBackend(
+        urljoin(server.endpoint, path), "test-model", **kwargs))
+    return server.backends[-1]
 
 
 def test_generate_wire_format_and_parsing(stub_server):
@@ -200,7 +182,7 @@ def test_generate_wire_format_and_parsing(stub_server):
     assert body["echo"] is False
     assert body["stop"] == ["\n"]
     assert body["seed"] == 7
-    headers = stub_server.state.headers[-1]
+    headers = stub_server.headers[-1]
     assert headers.get("Authorization") == "Bearer sk-secret"
 
 
@@ -288,6 +270,11 @@ def test_retry_then_success(stub_server):
     result = backend.generate("hello", GenerationParams())
     assert result.text == " Paris"
     assert len(stub_server.state.requests) == 3
+
+
+def test_parallelism_below_1_is_refused():
+    with pytest.raises(ValueError, match="parallelism must be >= 1, got 0"):
+        RemoteCompletionsBackend("http://127.0.0.1:9/v1/completions", "m", parallelism=0)
 
 
 def test_transport_error_reports_attempts():
@@ -751,19 +738,9 @@ def test_minus_infinity_alternative_is_dropped(stub_server):
 
 @pytest.fixture()
 def journaled(stub_server, tmp_path):
-    """Makes stub backends that journal in one file; closes them at teardown."""
-    made: list[RemoteCompletionsBackend] = []
-
-    def make(path: str = "/v1/completions", **kwargs) -> RemoteCompletionsBackend:
-        host, port = stub_server.server_address
-        made.append(RemoteCompletionsBackend(
-            f"http://{host}:{port}{path}", "test-model",
-            journal=tmp_path / "journal.jsonl", **kwargs))
-        return made[-1]
-
-    yield make
-    for backend in made:
-        backend.close()
+    """Makes stub backends that journal in one file."""
+    return lambda *args, **kwargs: make_backend(
+        stub_server, *args, journal=tmp_path / "journal.jsonl", **kwargs)
 
 
 def test_journal_serves_repeated_deterministic_requests(stub_server, tmp_path, journaled):
@@ -891,26 +868,18 @@ def remote_config(server, tmp_path, out: str = "out"):
     """The toy CLI config pointed at the stub. The stub answers s1 correctly
     and every other prompt with three tokens, so every disambiguation is
     scorable; epsilon -1 makes every scored sample perceived ambiguous."""
-    host, port = server.server_address
     server.state.answers = {"q1a q1b": " ans1"}
     server.state.completion_text = " the capital city"
-    return endpoint_config(f"http://{host}:{port}/v1/completions", tmp_path, out)
+    return endpoint_config(server.endpoint, tmp_path, out)
 
 
 def endpoint_config(endpoint: str, tmp_path, out: str = "out"):
-    """The toy CLI config pointed at ``endpoint``, and its workdir."""
-    config = json.loads((FIXTURES / "toy_config.json").read_text())
-    config["backend"] = {"kind": "remote", "endpoint": endpoint,
-                         "model": "test-model", "top_k": 5, "parallelism": 2}
-    config["dataset"] = str(FIXTURES / "corpus.jsonl")
-    config["template_dir"] = str(FIXTURES / "toy_templates")
-    config["workdir"] = str(tmp_path / out)
-    config["epsilon"] = -1.0
-    config["truncation_mode"] = "tail_lump"  # the stub leaves 0.1 in the tail
-    config["sample_rep"]["num_samples"] = 3
-    path = tmp_path / f"config_{out}.json"
-    path.write_text(json.dumps(config))
-    return path, tmp_path / out
+    """The toy CLI config pointed at ``endpoint``, and its workdir ``out``."""
+    path = write_toy_config(
+        tmp_path / f"{out}.json", epsilon=-1.0, sample_rep={"num_samples": 3},
+        truncation_mode="tail_lump",  # the stub leaves 0.1 in the tail
+        backend={"kind": "remote", "endpoint": endpoint, "model": "test-model", "top_k": 5})
+    return path, workdir_of(path)
 
 
 def cli(config, *argv) -> None:
@@ -1091,54 +1060,75 @@ def test_remote_chain_rerun_is_served_from_the_journal(stub_server, tmp_path):
 
 
 def kill_and_resume(tmp_path, command: tuple[str, ...], stage: str, output: str,
-                    k: int, torn: bool = False) -> int:
-    """Run ``command`` cleanly, then again against a server that answers the
-    first k requests and holds the rest, killing the run once its journal
-    holds k lines; with ``torn``, cut the journal's last line partway. The
-    rerun must send only the requests the journal cannot answer, count its
-    hits in ``manifest_<stage>.json`` and write the clean run's ``output``.
-    Returns the clean run's request count."""
+                    k: int, torn: bool = False, *, prerequisites: tuple = (),
+                    stray: bool = False) -> int:
+    """Run ``prerequisites`` and ``command`` cleanly. Then, in a second
+    workdir, run the prerequisites and ``command`` again against a server
+    that answers the command's first k requests and holds the rest, killing
+    the run once its journal holds k lines of the command's own. With
+    ``torn``, cut the journal's last line partway; with ``stray``, leave a
+    half-written temporary file of ``output`` in the workdir. The rerun must
+    send only the requests the journal cannot answer, count its hits in
+    ``manifest_<stage>.json`` and write the clean run's ``output``. Returns
+    the command's request count in the clean run."""
     answer = toy_completions(load_ngram_table(TABLES / "corpus_world.yaml"))
-    lock, served, release = threading.Lock(), [0], threading.Event()
+    lock, left, release = threading.Lock(), [math.inf], threading.Event()
 
     def hold_after_k(body: dict) -> bytes:
         with lock:
-            served[0] += 1
-            held = served[0] > k
+            left[0] -= 1
+            held = left[0] < 0
         if held:
             release.wait(60)
         return answer(body)
 
+    def lines(journal: Path) -> int:
+        return journal.read_bytes().count(b"\n") if journal.exists() else 0
+
     with LoopbackServer(answer) as server:
         clean, clean_out = endpoint_config(server.endpoint, tmp_path, "clean")
+        for prerequisite in prerequisites:
+            cli(clean, *prerequisite)
+        before = server.requests
         cli(clean, *command)
-        total = server.requests
+        total = server.requests - before
+    # The command's requests that the prerequisites had already journaled.
+    hits = json.loads((clean_out / f"manifest_{stage}.json").read_text())["backend"]
+    hits = hits["journal"]["hits"]
     with LoopbackServer(hold_after_k) as server:
         config, out = endpoint_config(server.endpoint, tmp_path, "resumed")
+        for prerequisite in prerequisites:
+            cli(config, *prerequisite)
+        journal = out / "backend_journal.jsonl"
+        journaled = lines(journal) + k
+        left[0] = k
         env = {**os.environ, "PYTHONPATH": str(Path(remote.__file__).resolve().parents[1])}
         run = subprocess.Popen([sys.executable, "-m", "ambigkit.cli", "--config", str(config),
                                 *command], env=env, stdout=subprocess.DEVNULL,
                                stderr=subprocess.DEVNULL)
-        journal = out / "backend_journal.jsonl"
         deadline = time.monotonic() + 60
         try:
-            while (not journal.exists() or journal.read_bytes().count(b"\n") < k) \
-                    and run.poll() is None and time.monotonic() < deadline:
+            while lines(journal) < journaled and run.poll() is None \
+                    and time.monotonic() < deadline:
                 time.sleep(0.01)
         finally:
             run.kill()
             run.wait(timeout=30)
             release.set()
-        assert journal.read_bytes().count(b"\n") == k
+        assert lines(journal) == journaled
         assert not (out / output).exists()
         if torn:  # the last line's key survives, its response is cut short
-            lines = journal.read_bytes().splitlines(keepends=True)
-            journal.write_bytes(b"".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])
+            cut = journal.read_bytes().splitlines(keepends=True)
+            journal.write_bytes(b"".join(cut[:-1]) + cut[-1][:len(cut[-1]) // 2])
+        if stray:  # a checkpoint write the kill cut short
+            clean_bytes = (clean_out / output).read_bytes()
+            (out / f".{output}.killed.tmp").write_bytes(clean_bytes[:len(clean_bytes) // 2])
         sent = server.requests
         cli(config, *command)
         assert server.requests - sent == total - k + torn
     manifest = json.loads((out / f"manifest_{stage}.json").read_text())
-    assert manifest["backend"]["journal"] == {"hits": k - torn, "misses": total - k + torn}
+    assert manifest["backend"]["journal"] == {"hits": hits + k - torn,
+                                              "misses": total - k + torn}
     assert (out / output).read_bytes() == (clean_out / output).read_bytes()
     return total
 
@@ -1147,11 +1137,30 @@ def test_killed_assess_resumes_from_the_journal(tmp_path):
     assert kill_and_resume(tmp_path, ("assess",), "assess", "assess.jsonl", k=4) == 9
 
 
+def test_killed_assess_with_a_torn_last_line_resumes_from_the_journal(tmp_path):
+    assert kill_and_resume(tmp_path, ("assess",), "assess", "assess.jsonl", k=4, torn=True) == 9
+
+
 @pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn-last-line"])
 def test_killed_sample_rep_eval_resumes_from_the_journal(tmp_path, torn):
     # A greedy request and three seeded draws per sample, every one journaled.
     assert kill_and_resume(tmp_path, ("eval", "--strategy", "sample_rep"), "eval_sample_rep",
                            "predictions_sample_rep.jsonl", k=13, torn=torn) == 36
+
+
+@pytest.mark.parametrize("torn, stray", [(False, False), (True, False), (False, True)],
+                         ids=["whole", "torn-last-line", "stray-tmp"])
+def test_killed_detect_resumes_from_the_journal(tmp_path, torn, stray):
+    # Each incorrect sample's disambiguation and its two scorings.
+    assert kill_and_resume(tmp_path, ("detect",), "detect", "records.jsonl", k=7, torn=torn,
+                           prerequisites=(("assess",),), stray=stray) == 21
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn-last-line"])
+def test_killed_generated_label_resumes_from_the_journal(tmp_path, torn):
+    # One clarification request for each of the two ambiguous samples selected.
+    assert kill_and_resume(tmp_path, ("label", "--kind", "generated"), "label", "labels.jsonl",
+                           k=1, torn=torn, prerequisites=(("assess",), ("detect",))) == 2
 
 
 # -- conformance with the toy oracle ----------------------------------------------
@@ -1313,24 +1322,16 @@ def test_remote_chain_writes_the_toy_chain_bytes(tmp_path, mode):
     # The toy CLI config, once on the toy backend and once through the remote
     # client to a server that computes the same table; in either truncation
     # mode, with every alternative listed, both write the same checkpoints.
-    table_path = TABLES / "corpus_world.yaml"
-    table = load_ngram_table(table_path)
-    config = json.loads((FIXTURES / "toy_config.json").read_text())
-    config["backend"]["fixture"] = str(table_path)
-    config["truncation_mode"] = mode
-    config["dataset"] = str(FIXTURES / "corpus.jsonl")
-    config["template_dir"] = str(FIXTURES / "toy_templates")
+    table = load_ngram_table(TABLES / "corpus_world.yaml")
     commands = [("assess",), ("detect",), ("label", "--kind", "generated"), ("emit",),
                 *(("eval", "--strategy", strategy)
                   for strategy in ("direct", "ambig_aware", "sample_rep", "self_ask"))]
     with LoopbackServer(toy_completions(table)) as server:
-        backends = {"toy": config["backend"],
-                    "remote": {"kind": "remote", "endpoint": server.endpoint, "model": "toy",
-                               "top_k": len(table.vocabulary), "parallelism": 2}}
+        backends = {"toy": {}, "remote": {"kind": "remote", "endpoint": server.endpoint,
+                                          "model": "toy", "top_k": len(table.vocabulary)}}
         for name, backend in backends.items():
-            path = tmp_path / f"config_{name}.json"
-            path.write_text(json.dumps({**config, "backend": backend,
-                                        "workdir": str(tmp_path / name)}))
+            path = write_toy_config(tmp_path / f"{name}.json", truncation_mode=mode,
+                                    backend=backend)
             for command in commands:
                 cli(path, *command)
     names = ["assess.jsonl", "records.jsonl", "labels.jsonl", "selection.json", "sft.jsonl",

@@ -163,8 +163,8 @@ def bounded_map(fn, items, max_workers: int) -> list:
 
     The map bounds no backend traffic: a remote backend's connection pool
     does. The spare threads keep that pool busy while samples wait out retry
-    backoffs, at every parallelism. Exceptions propagate; callers that
-    tolerate per-item failures catch them inside ``fn``.
+    backoffs, at every parallelism. Exceptions propagate;
+    ``evalkit.run_each`` is the caller that tolerates failed samples.
     """
     from concurrent.futures import ThreadPoolExecutor
 

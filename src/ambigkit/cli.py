@@ -30,7 +30,7 @@ import sys
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .backend import Backend, GenerationParams
 from .config import RunConfig, config_hash, load_config, make_backend
@@ -153,14 +153,11 @@ def _read_partition(config: RunConfig, paths: _Paths) -> StageOnePartition:
 class _Stage(NamedTuple):
     """What a stage body hands back to ``_run_stage``: each output path with
     the function that writes it there, the manifest's summary fields, the
-    line to print, how many samples succeeded and which errored, and the
-    exit code."""
+    line to print, and the exit code."""
 
     writes: list[tuple[Path, Callable[[Path], object]]]
     summary: dict
     message: str
-    processed: int = 0
-    errored: Sequence[tuple[str, str]] = ()
     exit_code: int = EXIT_OK
 
 
@@ -190,19 +187,16 @@ def _write_manifest(config: RunConfig, paths: _Paths, templates: dict[str, Promp
 def _run_stage(args, command: str, body, *, uses_backend: bool = True) -> int:
     """Run a command. ``body(args, config, paths, templates, backend)`` reads
     the inputs and does the work. Around it, this makes the workdir, opens and
-    closes the backend (none when the body does not use one), refuses a total
-    outage or an output that cannot be written before writing anything, then
-    writes the outputs, ``manifest_<command>.json`` and the body's line."""
+    closes the backend (none when the body does not use one), refuses an
+    output that cannot be written before writing anything, then writes the
+    outputs, ``manifest_<command>.json`` and the body's line. A body that
+    raises (a total outage included, see ``evalkit.run_each``) writes
+    nothing."""
     config, paths, templates = _start(args)
     with output_file(paths.workdir):
         paths.workdir.mkdir(parents=True, exist_ok=True)
     with (_backend(config, paths) if uses_backend else contextlib.nullcontext()) as backend:
         stage = body(args, config, paths, templates, backend)
-    # Per-sample backend failures are tolerated and excluded; a run where
-    # nothing succeeded is a backend failure, not a result.
-    if stage.errored and stage.processed == 0:
-        raise BackendError(f"every backend call failed ({len(stage.errored)} samples); "
-                           f"first error: {stage.errored[0][1]}")
     for path, _ in stage.writes:
         with output_file(path):
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -230,7 +224,6 @@ def _assess(args, config, paths, templates, backend) -> _Stage:
         {"correct": correct, "incorrect": incorrect, "errored": len(partition.errored)},
         f"assessed {len(samples)} samples: {correct} correct, "
         f"{incorrect} incorrect, {len(partition.errored)} errored",
-        correct + incorrect, partition.errored,
     )
 
 
@@ -247,7 +240,6 @@ def _detect(args, config, paths, templates, backend) -> _Stage:
          "errored": len(errored)},
         f"disambiguated {len(records)} samples at epsilon={config.epsilon}: "
         f"{ambiguous} perceived ambiguous, {len(errored)} errored",
-        len(records), errored,
     )
 
 
@@ -336,11 +328,9 @@ def _eval_stage(args, config: RunConfig, paths: _Paths, samples: list[QASample],
 def _eval_strategy(name, args, config, paths, templates, backend) -> _Stage:
     samples = load_dataset(config.dataset)
     predictions = _STRATEGIES[name](config, samples, backend, templates, _greedy_params(config))
-    errored = [(p.sample_id, p.error) for p in predictions if p.error is not None]
-    stage = _eval_stage(args, config, paths, samples, predictions, name, [
+    return _eval_stage(args, config, paths, samples, predictions, name, [
         (paths.workdir / f"predictions_{name}.jsonl",
          lambda path: write_predictions(predictions, path))])
-    return stage._replace(processed=len(predictions) - len(errored), errored=errored)
 
 
 def _eval_predictions(args, config, paths, templates, backend) -> _Stage:

@@ -15,10 +15,11 @@ normalized word tokens, with a strict ``> threshold`` correctness rule
 (default 0.3). Clarification detection is a case-insensitive substring scan
 over the canonical marker list.
 
-Each baseline maps one body per sample with ``bounded_map``, in input order.
-A sample any of whose requests raises BackendError gets an errored record
-(an empty prediction and the error's message) and the run goes on;
-``evaluate`` counts it as errored and leaves it out of F1.
+``run_each`` maps one body per sample with ``bounded_map``, in input order,
+for the four baselines and for stages 1 and 2 of ``pipeline``. A sample any
+of whose requests raises BackendError comes back ``Errored`` and the run goes
+on; when every sample errored, the run raises BackendError. A baseline's
+errored record (empty prediction, the error's message) is left out of F1.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import string
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .backend import Backend, GenerationParams, bounded_map
 from .corpus import PromptTemplate, QASample, first_word, reply
@@ -76,14 +77,9 @@ def rouge_l(prediction: str, references: Sequence[str]) -> float:
     best = 0.0
     for reference in references:
         ref_tokens = _normalize_tokens(reference)
-        if not pred_tokens or not ref_tokens:
-            continue
-        lcs = _lcs_length(pred_tokens, ref_tokens)
-        if lcs == 0:
-            continue
-        precision = lcs / len(pred_tokens)
-        recall = lcs / len(ref_tokens)
-        best = max(best, 2 * precision * recall / (precision + recall))
+        if pred_tokens and ref_tokens:
+            lcs = _lcs_length(pred_tokens, ref_tokens)
+            best = max(best, _harmonic(lcs / len(pred_tokens), lcs / len(ref_tokens)))
     return best
 
 
@@ -233,20 +229,35 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
 # -- baseline runners --------------------------------------------------------
 
 
-def _run_each(
-    samples: Sequence[QASample],
-    backend: Backend,
-    predict: Callable[[QASample], PredictionRecord],
-) -> list[PredictionRecord]:
-    """``predict`` each sample under the failure rule in the module docstring."""
+class Errored(NamedTuple):
+    """A sample whose backend calls failed, with the error's message."""
 
-    def one(sample: QASample) -> PredictionRecord:
+    sample_id: str
+    error: str
+
+
+def run_each(samples: Sequence[QASample], backend: Backend, fn: Callable) -> list:
+    """``fn`` of each sample, or its ``Errored``, under the failure rule in the
+    module docstring. Any other exception propagates."""
+
+    def one(sample: QASample):
         try:
-            return predict(sample)
+            return fn(sample)
         except BackendError as exc:
-            return PredictionRecord(sample.id, "", error=str(exc))
+            return Errored(sample.id, str(exc))
 
-    return bounded_map(one, list(samples), backend.parallelism)
+    outcomes = bounded_map(one, list(samples), backend.parallelism)
+    if outcomes and all(isinstance(o, Errored) for o in outcomes):
+        raise BackendError(f"every backend call failed ({len(outcomes)} samples); "
+                           f"first error: {outcomes[0].error}")
+    return outcomes
+
+
+def _run_each(samples: Sequence[QASample], backend: Backend,
+              predict: Callable[[QASample], PredictionRecord]) -> list[PredictionRecord]:
+    """``run_each`` with an errored sample's record in its place."""
+    return [PredictionRecord(o.sample_id, "", error=o.error) if isinstance(o, Errored) else o
+            for o in run_each(samples, backend, predict)]
 
 
 def _clarify_or_answer(

@@ -10,6 +10,8 @@ rewrites whose gain strictly exceeds epsilon mark the query as perceived
 ambiguous. Stage 3 attaches a clarification-request label, either one of the
 six canonical phrases or a model-generated request naming the ambiguity.
 Selection then balances the correct and ambiguous halves to equal size.
+Stages 1 and 2 map their samples under ``evalkit.run_each``'s failure rule;
+generated labels tolerate no failed sample.
 
 All randomness is derived per (master seed, purpose, sample id), so runs are
 byte-reproducible and insensitive to dataset growth.
@@ -25,8 +27,15 @@ from typing import Mapping, Sequence
 from .backend import Backend, GenerationParams, ScoringResult, bounded_map
 from .corpus import PromptTemplate, QASample, reply, trim_continuation
 from .entropy import TruncationMode, Verdict, classify, entropy_profile, info_gain
-from .errors import BackendError, ConfigurationError, DataIntegrityError
-from .evalkit import DEFAULT_ROUGE_THRESHOLD, categorize, clarification_phrase, is_clarification
+from .errors import ConfigurationError, DataIntegrityError
+from .evalkit import (
+    DEFAULT_ROUGE_THRESHOLD,
+    Errored,
+    categorize,
+    clarification_phrase,
+    is_clarification,
+    run_each,
+)
 from .jsonio import (
     read_json_object,
     read_jsonl,
@@ -73,17 +82,16 @@ class StageOnePartition:
 
     correct: tuple[AssessedSample, ...]
     incorrect: tuple[AssessedSample, ...]
-    errored: tuple[tuple[str, str], ...] = ()
+    errored: tuple[Errored, ...] = ()
 
     @classmethod
-    def split(
-        cls, assessed: Sequence[AssessedSample], errored: Sequence[tuple[str, str]]
-    ) -> StageOnePartition:
+    def split(cls, outcomes: Sequence[AssessedSample | Errored]) -> StageOnePartition:
         """Categories 1 and 3 are correct, every other category incorrect."""
+        assessed = [o for o in outcomes if not isinstance(o, Errored)]
         return cls(
             correct=tuple(a for a in assessed if a.category in (1, 3)),
             incorrect=tuple(a for a in assessed if a.category not in (1, 3)),
-            errored=tuple(errored),
+            errored=tuple(o for o in outcomes if isinstance(o, Errored)),
         )
 
     def assessed_by_id(self) -> dict[str, AssessedSample]:
@@ -158,11 +166,8 @@ def stage1_assess(
     """
     template = templates["direct"]
 
-    def one(sample: QASample):
-        try:
-            result = backend.generate(template.render(question=sample.question), params)
-        except BackendError as exc:
-            return (sample.id, str(exc))
+    def one(sample: QASample) -> AssessedSample:
+        result = backend.generate(template.render(question=sample.question), params)
         prediction = trim_continuation(result.text)
         category = categorize(sample, prediction, rouge_threshold)
         return AssessedSample(
@@ -176,11 +181,7 @@ def stage1_assess(
             ),
         )
 
-    outcomes = bounded_map(one, samples, backend.parallelism)
-    return StageOnePartition.split(
-        [o for o in outcomes if isinstance(o, AssessedSample)],
-        [o for o in outcomes if not isinstance(o, AssessedSample)],
-    )
+    return StageOnePartition.split(run_each(samples, backend, one))
 
 
 # -- stage 2 -----------------------------------------------------------------
@@ -194,7 +195,7 @@ def stage2_disambiguate(
     *,
     mode: TruncationMode,
     epsilon: float,
-) -> tuple[list[DisambiguationRecord], list[tuple[str, str]]]:
+) -> tuple[list[DisambiguationRecord], list[Errored]]:
     """Self-disambiguate each query and measure the information gain.
 
     Both the query and its rewrite are scored as bare sentences against an
@@ -202,19 +203,16 @@ def stage2_disambiguate(
     server gives a sequence's first token no distribution, so there the
     first token of both is skipped, and a one-token rewrite errors its
     sample. An empty rewrite yields a record with zero gain, an unambiguous
-    verdict, and the ``empty_disambiguation`` flag. Backend failures are
-    returned separately as (sample_id, error) pairs.
+    verdict, and the ``empty_disambiguation`` flag. The errored samples are
+    returned separately.
     """
     template = templates["disambiguation"]
 
-    def one(sample: QASample):
-        try:
-            disambig = reply(backend, template, params, question=sample.question)
-            profile_q = entropy_profile(backend.score(sample.question, ""), mode)
-            profile_d = (entropy_profile(backend.score(disambig, ""), mode)
-                         if disambig else profile_q)
-        except BackendError as exc:
-            return (sample.id, str(exc))
+    def one(sample: QASample) -> DisambiguationRecord:
+        disambig = reply(backend, template, params, question=sample.question)
+        profile_q = entropy_profile(backend.score(sample.question, ""), mode)
+        profile_d = (entropy_profile(backend.score(disambig, ""), mode)
+                     if disambig else profile_q)
         gain = info_gain(profile_q, profile_d)
         return DisambiguationRecord(
             sample_id=sample.id,
@@ -227,10 +225,9 @@ def stage2_disambiguate(
             flags=() if disambig else (EMPTY_DISAMBIGUATION_FLAG,),
         )
 
-    outcomes = bounded_map(one, samples, backend.parallelism)
-    records = [o for o in outcomes if isinstance(o, DisambiguationRecord)]
-    errored = [o for o in outcomes if not isinstance(o, DisambiguationRecord)]
-    return records, errored
+    outcomes = run_each(samples, backend, one)
+    return ([o for o in outcomes if not isinstance(o, Errored)],
+            [o for o in outcomes if isinstance(o, Errored)])
 
 
 # -- stage 3 -----------------------------------------------------------------
@@ -412,13 +409,12 @@ def write_partition(partition: StageOnePartition, path: str | Path) -> None:
 def read_partition(
     path: str | Path, samples_by_id: Mapping[str, QASample]
 ) -> StageOnePartition:
-    assessed_samples: list[AssessedSample] = []
-    errored: list[tuple[str, str]] = []
+    outcomes: list[AssessedSample | Errored] = []
     for line_number, obj in read_jsonl(path, unique_ids=True):
         with record_at(path, line_number):
             sample_id = typed_field(obj, "id", str)
             if "error" in obj:
-                errored.append((sample_id, typed_field(obj, "error", str)))
+                outcomes.append(Errored(sample_id, typed_field(obj, "error", str)))
                 continue
             sample = samples_by_id.get(sample_id)
             if sample is None:
@@ -428,13 +424,13 @@ def read_partition(
             category = typed_field(obj, "category", int)
             if not 1 <= category <= 5:
                 raise ValueError(f"field 'category' must be 1-5, got {category}")
-            assessed_samples.append(AssessedSample(
+            outcomes.append(AssessedSample(
                 sample=sample,
                 prediction=typed_field(obj, "prediction", str),
                 category=category,
                 answer_entropy=typed_field(obj, "answer_entropy", float, None),
             ))
-    return StageOnePartition.split(assessed_samples, errored)
+    return StageOnePartition.split(outcomes)
 
 
 def write_records(records: Sequence[DisambiguationRecord], path: str | Path) -> None:

@@ -236,12 +236,13 @@ class RemoteCompletionsBackend(Backend):
         timeout: float = 60.0,
         journal: str | Path | None = None,
     ):
-        if parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+        self.top_k = 20 if top_k is None else top_k
+        for name, value in (("top_k", self.top_k), ("parallelism", parallelism)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
-        self.top_k = 20 if top_k is None else top_k
         self.parallelism = parallelism
         self.journal = RequestJournal(journal) if journal is not None else None
         self._headers = {"Content-Type": "application/json"}

@@ -782,17 +782,25 @@ def test_sweep_sample_rep_leaves_errored_samples_out(tmp_path, s1_refused):
     assert row["f1_a"] == f"{report['f1_a']:.6f}"
 
 
-def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch):
+# Every command that tolerates failed samples.
+@pytest.mark.parametrize("argv", [
+    ["assess"], ["detect"],
+    *(["eval", "--strategy", strategy]
+      for strategy in ("direct", "ambig_aware", "sample_rep", "self_ask")),
+], ids=lambda argv: "-".join(argv[::2]))
+def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
+    config = write_toy_config(tmp_path / "config.json")
+    out = workdir_of(config)
+    if argv == ["detect"]:
+        assert run("--config", str(config), "assess") == 0
+    before = sorted(out.glob("*"))  # no outputs, no manifest, no temporary files
     real = ambigkit.cli.make_backend
     # Every prompt contains the empty question, so every call is refused.
     monkeypatch.setattr(ambigkit.cli, "make_backend",
                         lambda spec, **kw: RefuseQuestion(real(spec, **kw), ""))
-    config = write_toy_config(tmp_path / "config.json")
-    out = workdir_of(config)
-    assert run("--config", str(config), "eval", "--strategy", "direct") == 3
-    assert not (out / "eval_direct.json").exists()
-    assert not (out / "predictions_direct.jsonl").exists()
-    assert not (out / "manifest_eval_direct.json").exists()
+    assert run("--config", str(config), *argv) == 3
+    assert "every backend call failed (" in capsys.readouterr().err
+    assert sorted(out.glob("*")) == before
 
 
 @pytest.mark.parametrize("patch", [

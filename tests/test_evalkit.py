@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from ambigkit.backend import GenerationParams
 from ambigkit.config import SampleRepConfig
 from ambigkit.corpus import QASample, load_dataset, load_templates
-from ambigkit.errors import DataIntegrityError
+from ambigkit.errors import BackendError, DataIntegrityError, TransportError
 from ambigkit.evalkit import (
+    Errored,
     OutcomeCounts,
     PredictionRecord,
     categorize,
@@ -23,6 +24,7 @@ from ambigkit.evalkit import (
     rouge_l,
     run_ambig_aware,
     run_direct,
+    run_each,
     run_sample_rep,
     run_self_ask,
     write_predictions,
@@ -240,6 +242,52 @@ def test_mcr_undefined_without_before_correct():
 def test_mcr_id_mismatch_rejected():
     with pytest.raises(DataIntegrityError):
         mcr({"a": 3}, {"b": 3})
+
+
+# -- the per-sample runner -------------------------------------------------------
+
+
+def raising(errors: dict):
+    """A per-sample body that raises ``errors[sample id]`` if there is one and
+    returns the id otherwise."""
+
+    def fn(s: QASample) -> str:
+        if s.id in errors:
+            raise errors[s.id]
+        return s.id
+
+    return fn
+
+
+def refused(*sample_ids: str) -> dict:
+    return {sid: TransportError(f"refused {sid}", 1) for sid in sample_ids}
+
+
+def test_run_each_keeps_input_order_with_errored_in_place():
+    samples = [sample(False, sid=f"x{i}") for i in range(7)]
+    outcomes = run_each(samples, ScriptedBackend(), raising(refused("x2", "x5")))
+    assert outcomes == ["x0", "x1", Errored("x2", "refused x2 (after 1 attempts)"),
+                        "x3", "x4", Errored("x5", "refused x5 (after 1 attempts)"), "x6"]
+    sample_id, error = outcomes[2]  # unpacks like an (id, message) pair
+    assert (sample_id, error) == ("x2", "refused x2 (after 1 attempts)")
+
+
+def test_run_each_total_outage_raises_with_the_sample_count():
+    samples = [sample(False, sid=f"x{i}") for i in range(3)]
+    with pytest.raises(BackendError, match=r"every backend call failed \(3 samples\); "
+                                           r"first error: refused x0 \(after 1 attempts\)"):
+        run_each(samples, ScriptedBackend(), raising(refused("x0", "x1", "x2")))
+
+
+def test_run_each_on_no_samples_is_no_outage():
+    assert run_each([], ScriptedBackend(), raising({})) == []
+
+
+def test_run_each_propagates_a_non_backend_error():
+    samples = [sample(False, sid=f"x{i}") for i in range(3)]
+    errors = {**refused("x0"), "x1": DataIntegrityError("bad record x1")}
+    with pytest.raises(DataIntegrityError, match="bad record x1"):
+        run_each(samples, ScriptedBackend(), raising(errors))
 
 
 # -- baseline runners -------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ambigkit.corpus import QASample
 from ambigkit.entropy import TruncationMode, Verdict, classify
-from ambigkit.errors import ConfigurationError, DataIntegrityError
+from ambigkit.errors import BackendError, ConfigurationError, DataIntegrityError
 from ambigkit.phrases import FIXED_CLARIFICATIONS
 from ambigkit.pipeline import (
     EMPTY_DISAMBIGUATION_FLAG,
@@ -113,6 +113,15 @@ def test_stage1_errored_samples_excluded(corpus_samples, corpus_backend,
     assert len(ids) == 8  # every sample lands in exactly one bucket
 
 
+def test_stage1_total_outage_raises(corpus_samples, corpus_backend, toy_templates,
+                                    greedy_params):
+    # Every prompt contains the empty question, so every sample fails.
+    backend = RefuseQuestion(corpus_backend, "")
+    with pytest.raises(BackendError, match=r"every backend call failed \(9 samples\); "
+                                           r"first error: refused ''"):
+        stage1_assess(corpus_samples, backend, toy_templates, greedy_params, mode=MODE)
+
+
 # -- stage 2 -------------------------------------------------------------------
 
 
@@ -189,6 +198,15 @@ def test_stage2_backend_failure_reported(corpus_samples, corpus_backend,
     )
     assert [r.sample_id for r in records] == ["s4"]
     assert [sid for sid, _ in errored] == ["s3"]
+
+
+def test_stage2_total_outage_raises(corpus_samples, corpus_backend, toy_templates,
+                                    greedy_params):
+    backend = RefuseQuestion(corpus_backend, "")
+    incorrect = [s for s in corpus_samples if s.id in ("s3", "s4")]
+    with pytest.raises(BackendError, match=r"every backend call failed \(2 samples\)"):
+        stage2_disambiguate(incorrect, backend, toy_templates, greedy_params,
+                            mode=MODE, epsilon=0.1)
 
 
 # -- stage 3 -------------------------------------------------------------------

@@ -277,6 +277,13 @@ def test_parallelism_below_1_is_refused():
         RemoteCompletionsBackend("http://127.0.0.1:9/v1/completions", "m", parallelism=0)
 
 
+@pytest.mark.parametrize("top_k", [0, -3])
+def test_top_k_below_1_is_refused(top_k):
+    # It would go out as the request's "logprobs".
+    with pytest.raises(ValueError, match=f"top_k must be >= 1, got {top_k}"):
+        RemoteCompletionsBackend("http://127.0.0.1:9/v1/completions", "m", top_k=top_k)
+
+
 def test_transport_error_reports_attempts():
     backend = RemoteCompletionsBackend(
         "http://127.0.0.1:9/v1/completions", "m", timeout=0.2

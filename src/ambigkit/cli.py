@@ -231,11 +231,11 @@ def _detect(args, config, paths, templates, backend) -> _Stage:
     partition = _read_partition(config, paths)
     records, errored = stage2_disambiguate(
         [a.sample for a in partition.incorrect], backend, templates,
-        _greedy_params(config), mode=config.truncation_mode, epsilon=config.epsilon,
+        _greedy_params(config), mode=config.truncation_mode,
     )
-    ambiguous = sum(1 for r in records if r.verdict is Verdict.PERCEIVED_AMBIGUOUS)
+    ambiguous = sum(r.verdict_at(config.epsilon) is Verdict.PERCEIVED_AMBIGUOUS for r in records)
     return _Stage(
-        [(paths.records, lambda path: write_records(records, path))],
+        [(paths.records, lambda path: write_records(records, path, config.epsilon))],
         {"records": len(records), "perceived_ambiguous": ambiguous,
          "errored": len(errored)},
         f"disambiguated {len(records)} samples at epsilon={config.epsilon}: "

@@ -5,13 +5,13 @@ export.
 Stage 1 partitions a dataset by whether the model already handles each
 sample (categories 1 and 3 are correct; 2, 4 and 5 are incorrect; backend
 failures are excluded as errored). Stage 2 lets the model rewrite each
-incorrect query more specifically and measures the average-entropy drop;
-rewrites whose gain strictly exceeds epsilon mark the query as perceived
-ambiguous. Stage 3 attaches a clarification-request label, either one of the
-six canonical phrases or a model-generated request naming the ambiguity.
-Selection then balances the correct and ambiguous halves to equal size.
-Stages 1 and 2 map their samples under ``evalkit.run_each``'s failure rule;
-generated labels tolerate no failed sample.
+incorrect query more specifically and only measures the average-entropy
+drop; ``DisambiguationRecord.verdict_at`` alone decides the verdict. Stage 3
+attaches a clarification-request label, either one of the six canonical
+phrases or a model-generated request naming the ambiguity. Selection then
+balances the correct and ambiguous halves to equal size. Stages 1 and 2 map
+their samples under ``evalkit.run_each``'s failure rule; generated labels
+tolerate no failed sample.
 
 All randomness is derived per (master seed, purpose, sample id), so runs are
 byte-reproducible and insensitive to dataset growth.
@@ -94,13 +94,10 @@ class StageOnePartition:
             errored=tuple(o for o in outcomes if isinstance(o, Errored)),
         )
 
-    def assessed_by_id(self) -> dict[str, AssessedSample]:
-        return {a.sample.id: a for a in self.correct + self.incorrect}
-
 
 @dataclass(frozen=True)
 class DisambiguationRecord:
-    """Stage-2 outcome: the rewrite, both entropies, and the verdict."""
+    """Stage-2 measurement: the rewrite and both entropies."""
 
     sample_id: str
     query_text: str
@@ -108,7 +105,6 @@ class DisambiguationRecord:
     h_query: float
     h_disambig: float
     info_gain: float
-    verdict: Verdict
     flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -117,6 +113,12 @@ class DisambiguationRecord:
                 f"record {self.sample_id}: info_gain {self.info_gain!r} != "
                 f"h_query - h_disambig"
             )
+
+    def verdict_at(self, epsilon: float) -> Verdict:
+        """Ambiguous iff the record has a rewrite whose gain strictly exceeds epsilon."""
+        if EMPTY_DISAMBIGUATION_FLAG in self.flags:
+            return Verdict.PERCEIVED_UNAMBIGUOUS
+        return classify(self.info_gain, epsilon)
 
 
 @dataclass(frozen=True)
@@ -194,17 +196,17 @@ def stage2_disambiguate(
     params: GenerationParams,
     *,
     mode: TruncationMode,
-    epsilon: float,
 ) -> tuple[list[DisambiguationRecord], list[Errored]]:
-    """Self-disambiguate each query and measure the information gain.
+    """Self-disambiguate each query and measure the information gain; this
+    stage only measures, and ``DisambiguationRecord.verdict_at`` decides.
 
     Both the query and its rewrite are scored as bare sentences against an
     empty prefix. The toy backend scores every token of each; a remote
     server gives a sequence's first token no distribution, so there the
     first token of both is skipped, and a one-token rewrite errors its
-    sample. An empty rewrite yields a record with zero gain, an unambiguous
-    verdict, and the ``empty_disambiguation`` flag. The errored samples are
-    returned separately.
+    sample. An empty rewrite yields a record with zero gain and the
+    ``empty_disambiguation`` flag, unambiguous at every epsilon. The errored
+    samples are returned separately.
     """
     template = templates["disambiguation"]
 
@@ -221,7 +223,6 @@ def stage2_disambiguate(
             h_query=profile_q.average_entropy,
             h_disambig=profile_d.average_entropy,
             info_gain=gain,
-            verdict=classify(gain, epsilon) if disambig else Verdict.PERCEIVED_UNAMBIGUOUS,
             flags=() if disambig else (EMPTY_DISAMBIGUATION_FLAG,),
         )
 
@@ -291,12 +292,7 @@ def label_records(
 def _perceived_ambiguous(
     records: Sequence[DisambiguationRecord], epsilon: float
 ) -> list[DisambiguationRecord]:
-    return [
-        r
-        for r in records
-        if EMPTY_DISAMBIGUATION_FLAG not in r.flags
-        and classify(r.info_gain, epsilon) is Verdict.PERCEIVED_AMBIGUOUS
-    ]
+    return [r for r in records if r.verdict_at(epsilon) is Verdict.PERCEIVED_AMBIGUOUS]
 
 
 def select_and_balance(
@@ -314,9 +310,9 @@ def select_and_balance(
     perceived-ambiguous count, so every strategy trains on the same budget;
     ``gt_random``'s key is a seeded draw per sample id. Both halves are then
     cut to the smaller one's size: the ambiguous half keeps its first
-    records, the correct half a seeded subset (keyed by sample id) in its
-    own order. An empty ambiguous pool or correct split is a
-    ConfigurationError. A record for a sample outside the partition's
+    records, the correct half a seeded subset (keyed by sample id) of the
+    answered correct samples, in their own order. An empty pool or no such
+    correct sample is a ConfigurationError; a record from outside the
     incorrect split (left over from another run) is a DataIntegrityError.
     """
     assessed = {a.sample.id: a for a in partition.incorrect}
@@ -358,13 +354,13 @@ def select_and_balance(
             f"(currently {epsilon}) or check the detection records"
         )
 
-    if not partition.correct:
+    correct = tuple(a for a in partition.correct if a.sample.answers)
+    if not correct:
         raise ConfigurationError(
-            "the correct split is empty: stage 1 answered no sample correctly, so "
-            "nothing balances the ambiguous half; check the dataset's answers"
-        )
-    size = min(len(partition.correct), len(ranked))
-    correct = partition.correct
+            ("no sample in the correct split has a gold answer to train on" if partition.correct
+             else "the correct split is empty: stage 1 answered no sample correctly")
+            + ", so nothing balances the ambiguous half; check the dataset's answers")
+    size = min(len(correct), len(ranked))
     if len(correct) > size:  # a smaller correct half is kept whole, undrawn
         keep = set(sorted(
             (a.sample.id for a in correct),
@@ -433,7 +429,8 @@ def read_partition(
     return StageOnePartition.split(outcomes)
 
 
-def write_records(records: Sequence[DisambiguationRecord], path: str | Path) -> None:
+def write_records(records: Sequence[DisambiguationRecord], path: str | Path,
+                  epsilon: float) -> None:
     write_jsonl_atomic(
         path,
         (
@@ -444,7 +441,7 @@ def write_records(records: Sequence[DisambiguationRecord], path: str | Path) -> 
                 "h_query": r.h_query,
                 "h_disambig": r.h_disambig,
                 "info_gain": r.info_gain,
-                "verdict": r.verdict.value,
+                "verdict": r.verdict_at(epsilon).value,
                 "flags": list(r.flags),
             }
             for r in records
@@ -453,9 +450,12 @@ def write_records(records: Sequence[DisambiguationRecord], path: str | Path) -> 
 
 
 def read_records(path: str | Path) -> list[DisambiguationRecord]:
+    """The records in ``path``. A missing or unknown verdict is refused, but
+    the verdict (at detect's epsilon) is provenance, not read: see verdict_at."""
     records = []
     for line_number, obj in read_jsonl(path, unique_ids=True):
         with record_at(path, line_number):
+            Verdict(obj["verdict"])
             records.append(DisambiguationRecord(
                 sample_id=typed_field(obj, "id", str),
                 query_text=typed_field(obj, "query", str),
@@ -463,7 +463,6 @@ def read_records(path: str | Path) -> list[DisambiguationRecord]:
                 h_query=typed_field(obj, "h_query", float),
                 h_disambig=typed_field(obj, "h_disambig", float),
                 info_gain=typed_field(obj, "info_gain", float),
-                verdict=Verdict(obj["verdict"]),
                 flags=typed_field(obj, "flags", tuple, ()),
             ))
     return records
@@ -507,17 +506,18 @@ def read_selection(
     partition: StageOnePartition,
     records: Sequence[DisambiguationRecord],
 ) -> tuple[list[AssessedSample], list[DisambiguationRecord]]:
-    """The correct and ambiguous halves of the selection written to ``path``,
-    its ids resolved against the stage-1 partition and the stage-2 records.
+    """The correct and ambiguous halves of the selection written to ``path``:
+    correct ids resolved in the correct split, ambiguous ids in the records.
     The strategy and epsilon it also records are provenance, not read."""
     obj = read_json_object(path)
     with record_at(path):
         correct_ids = typed_field(obj, "correct_ids", tuple)
         ambiguous_ids = typed_field(obj, "ambiguous_ids", tuple)
-    assessed = partition.assessed_by_id()
+    correct_by_id = {a.sample.id: a for a in partition.correct}
     records_by_id = {r.sample_id: r for r in records}
     try:
-        return ([assessed[i] for i in correct_ids],
+        return ([correct_by_id[i] for i in correct_ids],
                 [records_by_id[i] for i in ambiguous_ids])
     except KeyError as exc:
-        raise DataIntegrityError(f"{path}: selection references unknown sample {exc}") from exc
+        raise DataIntegrityError(f"{path}: selection names sample {exc} outside its half "
+                                 "(the correct split or the detection records)") from exc

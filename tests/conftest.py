@@ -16,11 +16,6 @@ TABLES = FIXTURES / "tables"
 
 
 @pytest.fixture(scope="session")
-def fixtures_dir() -> Path:
-    return FIXTURES
-
-
-@pytest.fixture(scope="session")
 def corpus_table():
     return load_ngram_table(TABLES / "corpus_world.yaml")
 
@@ -47,8 +42,3 @@ def greedy_params() -> GenerationParams:
 
 def table_path(name: str) -> Path:
     return TABLES / f"{name}.yaml"
-
-
-@pytest.fixture(scope="session")
-def tables_dir() -> Path:
-    return TABLES

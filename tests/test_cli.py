@@ -1049,29 +1049,51 @@ def chain_workdir(tmp_path_factory) -> Path:
     return workdir_of(config)
 
 
+def patched_chain(tmp_path: Path, chain_workdir: Path, name: str, patch: dict):
+    """A config whose workdir is a copy of ``chain_workdir`` with ``patch``
+    applied to the first line of ``name``, and that line as it was."""
+    config = write_toy_config(tmp_path / "config.json")
+    out = workdir_of(config)
+    shutil.copytree(chain_workdir, out)
+    first, *rest = (out / name).read_text().splitlines(keepends=True)
+    (out / name).write_text(json.dumps({**json.loads(first), **patch}) + "\n" + "".join(rest))
+    return config, json.loads(first)
+
+
 @pytest.mark.parametrize("name,patch,command", [
     ("assess.jsonl", {"category": "x"}, ["detect"]),
     ("assess.jsonl", {"category": 9}, ["detect"]),
     ("assess.jsonl", {"prediction": None}, ["detect"]),
     ("records.jsonl", {"h_query": None}, ["label"]),
     ("records.jsonl", {"flags": "abc"}, ["label"]),
+    ("records.jsonl", {"verdict": "maybe"}, ["label"]),
+    ("assess.jsonl", {"id": "nope"}, ["detect"]),
     ("labels.jsonl", {"flags": "abc"}, ["emit"]),
     ("labels.jsonl", {"flags": 5}, ["emit"]),
     ("predictions_direct.jsonl", {"flags": "abc"},
      ["eval", "--predictions", "predictions_direct.jsonl"]),
 ], ids=["category-text", "category-9", "prediction-null", "h_query-null",
-        "records-flags-text", "labels-flags-text", "labels-flags-number",
-        "predictions-flags-text"])
+        "records-flags-text", "records-verdict-unknown", "assess-id-not-in-dataset",
+        "labels-flags-text", "labels-flags-number", "predictions-flags-text"])
 def test_mistyped_checkpoint_field_exits_4(tmp_path, capsys, chain_workdir,
                                           name, patch, command):
-    config = write_toy_config(tmp_path / "config.json")
+    config, _ = patched_chain(tmp_path, chain_workdir, name, patch)
     out = workdir_of(config)
-    shutil.copytree(chain_workdir, out)
-    first, *rest = (out / name).read_text().splitlines(keepends=True)
-    (out / name).write_text(json.dumps({**json.loads(first), **patch}) + "\n" + "".join(rest))
     argv = [str(out / arg) if arg.endswith(".jsonl") else arg for arg in command]
     assert run("--config", str(config), *argv) == 4
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,patch,command,message", [
+    ("records.jsonl", {"info_gain": 0.0}, ["label"],
+     "record {id}: info_gain 0.0 != h_query - h_disambig"),
+    ("labels.jsonl", {"text": ""}, ["emit"], "label for {id}: empty text"),
+], ids=["records-info-gain-not-the-difference", "labels-text-empty"])
+def test_inconsistent_checkpoint_record_exits_4_naming_the_sample(
+        tmp_path, capsys, chain_workdir, name, patch, command, message):
+    config, first = patched_chain(tmp_path, chain_workdir, name, patch)
+    assert run("--config", str(config), *command) == 4
+    assert message.format(id=first["id"]) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body", [
@@ -1079,7 +1101,11 @@ def test_mistyped_checkpoint_field_exits_4(tmp_path, capsys, chain_workdir,
     '[1,2]',
     '{"correct_ids": 5, "ambiguous_ids": []}',
     '{"correct_ids": []}',
-], ids=["not-json", "not-an-object", "ids-not-a-list", "ids-missing"])
+    # s5 is incorrect (category 4): its gold answer is no correct pair.
+    '{"correct_ids": ["s1", "s5"], "ambiguous_ids": ["s3", "s4"]}',
+    '{"correct_ids": ["s1", "nope"], "ambiguous_ids": ["s3", "s4"]}',
+], ids=["not-json", "not-an-object", "ids-not-a-list", "ids-missing",
+        "correct-id-in-the-incorrect-split", "unknown-id"])
 def test_malformed_selection_exits_4(tmp_path, capsys, chain_workdir, body):
     config = write_toy_config(tmp_path / "config.json")
     out = workdir_of(config)
@@ -1087,6 +1113,22 @@ def test_malformed_selection_exits_4(tmp_path, capsys, chain_workdir, body):
     (out / "selection.json").write_text(body)
     assert run("--config", str(config), "emit") == 4
     assert str(out / "selection.json") in capsys.readouterr().err
+
+
+def test_correct_sample_without_an_answer_is_left_out_of_the_correct_half(tmp_path):
+    # s2 is gold ambiguous, so it may have no answer, and the model clarifies
+    # it: category 1, in the correct split, with nothing to train on.
+    samples = [json.loads(line) for line in (FIXTURES / "corpus.jsonl").read_text().splitlines()]
+    for sample in samples:
+        if sample["id"] == "s2":
+            sample["answers"] = []
+    dataset = tmp_path / "corpus.jsonl"
+    dataset.write_text("".join(json.dumps(sample) + "\n" for sample in samples))
+    config = write_toy_config(tmp_path / "config.json", dataset=str(dataset))
+    run_chain(config)
+    selection = json.loads((workdir_of(config) / "selection.json").read_text())
+    assert selection["correct_ids"] == ["s1"]
+    assert run("--config", str(config), "verify") == 0
 
 
 # SHA-256 of the selection.json that `label` writes for each strategy on the

@@ -31,6 +31,7 @@ from ambigkit.evalkit import (
 )
 from ambigkit.phrases import FIXED_CLARIFICATIONS
 
+from conftest import FIXTURES
 from helpers import ScriptedBackend, rouge_oracle
 
 
@@ -293,9 +294,8 @@ def test_run_each_propagates_a_non_backend_error():
 # -- baseline runners -------------------------------------------------------------
 
 
-def test_run_direct_on_toy_corpus(corpus_backend, toy_templates, greedy_params,
-                                  fixtures_dir):
-    samples = load_dataset(fixtures_dir / "direct_eval.jsonl")
+def test_run_direct_on_toy_corpus(corpus_backend, toy_templates, greedy_params):
+    samples = load_dataset(FIXTURES / "direct_eval.jsonl")
     predictions = run_direct(samples, corpus_backend, toy_templates, greedy_params)
     assert [p.prediction for p in predictions] == [
         "ans1", "ans3", "ans4", "ans5", "ans7", "ans8",

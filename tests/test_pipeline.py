@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ambigkit.corpus import QASample
-from ambigkit.entropy import TruncationMode, Verdict, classify
+from ambigkit.entropy import TruncationMode, Verdict
 from ambigkit.errors import BackendError, ConfigurationError, DataIntegrityError
 from ambigkit.phrases import FIXED_CLARIFICATIONS
 from ambigkit.pipeline import (
@@ -56,7 +57,7 @@ def assessed(corpus_samples, corpus_backend, toy_templates, greedy_params):
 def records(assessed, corpus_backend, toy_templates, greedy_params):
     records, errored = stage2_disambiguate(
         [a.sample for a in assessed.incorrect], corpus_backend, toy_templates,
-        greedy_params, mode=MODE, epsilon=0.1,
+        greedy_params, mode=MODE,
     )
     assert errored == []
     return records
@@ -148,7 +149,7 @@ def test_stage2_gains_match_table_oracle(records, corpus_table):
 
 
 def test_stage2_verdicts_at_default_epsilon(records):
-    verdicts = {r.sample_id: r.verdict for r in records}
+    verdicts = {r.sample_id: r.verdict_at(0.1) for r in records}
     ambiguous = {sid for sid, v in verdicts.items() if v is Verdict.PERCEIVED_AMBIGUOUS}
     assert ambiguous == {"s3", "s4", "s5"}
 
@@ -167,26 +168,40 @@ def test_stage2_empty_disambiguation_flagged(corpus_samples, corpus_backend,
     templates["disambiguation"] = toy_templates["ambiguate"]
     s5 = [s for s in corpus_samples if s.id == "s5"]
     records, errored = stage2_disambiguate(
-        s5, corpus_backend, templates, greedy_params, mode=MODE, epsilon=0.1
+        s5, corpus_backend, templates, greedy_params, mode=MODE
     )
     assert errored == []
     [record] = records
     assert record.disambig_text == ""
-    assert record.verdict is Verdict.PERCEIVED_UNAMBIGUOUS
+    assert record.verdict_at(0.1) is Verdict.PERCEIVED_UNAMBIGUOUS
     assert EMPTY_DISAMBIGUATION_FLAG in record.flags
     assert record.info_gain == 0.0
+
+
+def test_empty_rewrite_is_unambiguous_at_a_negative_epsilon(
+        tmp_path, corpus_samples, corpus_backend, toy_templates, greedy_params):
+    # Its zero gain exceeds -1, so only the empty_disambiguation flag decides.
+    templates = {**toy_templates, "disambiguation": toy_templates["ambiguate"]}
+    s5 = [s for s in corpus_samples if s.id == "s5"]
+    records, _ = stage2_disambiguate(s5, corpus_backend, templates, greedy_params, mode=MODE)
+    [record] = records
+    assert record.verdict_at(-1.0) is Verdict.PERCEIVED_UNAMBIGUOUS
+    path = tmp_path / "records.jsonl"
+    write_records(records, path, -1.0)
+    assert json.loads(path.read_text())["verdict"] == "perceived_unambiguous"
+    assert sweep_epsilon(records, [-1.0]) == [(-1.0, 0)]
 
 
 def test_stage2_identical_rewrite_zero_gain(toy_templates, greedy_params):
     backend = ToyBackend(load_ngram_table(table_path("echo_disambig")))
     sample = QASample(id="e1", question="xa xb", answers=("g",), gold_ambiguous=True)
     records, _ = stage2_disambiguate(
-        [sample], backend, toy_templates, greedy_params, mode=MODE, epsilon=0.1
+        [sample], backend, toy_templates, greedy_params, mode=MODE
     )
     [record] = records
     assert record.disambig_text == record.query_text
     assert record.info_gain == 0.0
-    assert record.verdict is Verdict.PERCEIVED_UNAMBIGUOUS
+    assert record.verdict_at(0.1) is Verdict.PERCEIVED_UNAMBIGUOUS
 
 
 def test_stage2_backend_failure_reported(corpus_samples, corpus_backend,
@@ -194,7 +209,7 @@ def test_stage2_backend_failure_reported(corpus_samples, corpus_backend,
     backend = RefuseQuestion(corpus_backend, "q3a")
     incorrect = [s for s in corpus_samples if s.id in ("s3", "s4")]
     records, errored = stage2_disambiguate(
-        incorrect, backend, toy_templates, greedy_params, mode=MODE, epsilon=0.1
+        incorrect, backend, toy_templates, greedy_params, mode=MODE
     )
     assert [r.sample_id for r in records] == ["s4"]
     assert [sid for sid, _ in errored] == ["s3"]
@@ -206,7 +221,7 @@ def test_stage2_total_outage_raises(corpus_samples, corpus_backend, toy_template
     incorrect = [s for s in corpus_samples if s.id in ("s3", "s4")]
     with pytest.raises(BackendError, match=r"every backend call failed \(2 samples\)"):
         stage2_disambiguate(incorrect, backend, toy_templates, greedy_params,
-                            mode=MODE, epsilon=0.1)
+                            mode=MODE)
 
 
 # -- stage 3 -------------------------------------------------------------------
@@ -255,8 +270,7 @@ def test_generated_label_falls_back_when_not_clarifying(records, corpus_backend,
 def test_generated_label_requires_rewrite(toy_templates, greedy_params):
     record = DisambiguationRecord(
         sample_id="x", query_text="q", disambig_text="", h_query=1.0,
-        h_disambig=1.0, info_gain=0.0, verdict=Verdict.PERCEIVED_UNAMBIGUOUS,
-        flags=(EMPTY_DISAMBIGUATION_FLAG,),
+        h_disambig=1.0, info_gain=0.0, flags=(EMPTY_DISAMBIGUATION_FLAG,),
     )
     backend = ScriptedBackend()
     label = stage3_generated_label(record, backend, toy_templates,
@@ -271,8 +285,7 @@ def test_generated_label_requires_rewrite(toy_templates, greedy_params):
 def test_label_records_handles_empty_rewrites(toy_templates, greedy_params):
     record = DisambiguationRecord(
         sample_id="x", query_text="q", disambig_text="", h_query=1.0,
-        h_disambig=1.0, info_gain=0.0, verdict=Verdict.PERCEIVED_UNAMBIGUOUS,
-        flags=(EMPTY_DISAMBIGUATION_FLAG,),
+        h_disambig=1.0, info_gain=0.0, flags=(EMPTY_DISAMBIGUATION_FLAG,),
     )
     [label] = label_records([record], LabelKind.GENERATED, ScriptedBackend(),
                             toy_templates, greedy_params, master_seed=0)
@@ -296,11 +309,10 @@ def make_assessed(sid: str, category: int, ambiguous: bool = False,
     )
 
 
-def make_record(sid: str, gain: float, epsilon: float = 0.1) -> DisambiguationRecord:
+def make_record(sid: str, gain: float) -> DisambiguationRecord:
     return DisambiguationRecord(
         sample_id=sid, query_text=f"question {sid}", disambig_text=f"rewrite {sid}",
         h_query=gain, h_disambig=0.0, info_gain=gain,
-        verdict=classify(gain, epsilon),
     )
 
 
@@ -389,6 +401,19 @@ def test_empty_pool_is_actionable_error():
 def test_empty_correct_split_is_actionable_error():
     partition, records = build_world(0, {"a": 0.5, "b": 0.6})
     with pytest.raises(ConfigurationError, match="correct split is empty"):
+        select_and_balance(partition, records, SelectionStrategy.APA_INFOGAIN,
+                           0.1, master_seed=1)
+
+
+def test_correct_split_without_an_answer_is_actionable_error():
+    partition, records = build_world(0, {"a": 0.5, "b": 0.6})
+    # A gold-ambiguous sample may have no answer; clarifying it is category 1.
+    unanswered = AssessedSample(sample=QASample(id="u", question="q", answers=(),
+                                                gold_ambiguous=True),
+                                prediction="p", category=1)
+    partition = StageOnePartition(correct=(unanswered,), incorrect=partition.incorrect)
+    with pytest.raises(ConfigurationError,
+                       match="no sample in the correct split has a gold answer"):
         select_and_balance(partition, records, SelectionStrategy.APA_INFOGAIN,
                            0.1, master_seed=1)
 
@@ -561,7 +586,7 @@ def test_partition_round_trip_with_errored(tmp_path, corpus_samples, corpus_back
 
 def test_records_round_trip(tmp_path, records):
     path = tmp_path / "records.jsonl"
-    write_records(records, path)
+    write_records(records, path, 0.1)
     assert read_records(path) == records
 
 
@@ -580,7 +605,7 @@ def test_stage_chain_byte_reproducible(tmp_path, corpus_samples, corpus_backend,
                                   greedy_params, mode=MODE)
         records, _ = stage2_disambiguate(
             [a.sample for a in partition.incorrect], corpus_backend, toy_templates,
-            greedy_params, mode=MODE, epsilon=0.1,
+            greedy_params, mode=MODE,
         )
         selection = select_and_balance(
             partition, records, SelectionStrategy.APA_INFOGAIN, 0.1, master_seed=11
@@ -588,7 +613,7 @@ def test_stage_chain_byte_reproducible(tmp_path, corpus_samples, corpus_backend,
         labels = label_records(selection.ambiguous, LabelKind.FIXED, corpus_backend,
                                toy_templates, greedy_params, master_seed=11)
         write_partition(partition, out_dir / "assess.jsonl")
-        write_records(records, out_dir / "records.jsonl")
+        write_records(records, out_dir / "records.jsonl", 0.1)
         write_labels(labels, out_dir / "labels.jsonl")
         return [
             (out_dir / name).read_bytes()

@@ -740,6 +740,53 @@ def test_minus_infinity_alternative_is_dropped(stub_server):
     assert dist.tail_mass == pytest.approx(0.1, abs=1e-12)
 
 
+def one_choice(text: str, tokens: list[str], token_logprobs: list, offsets: list[int]) -> bytes:
+    """A payload of one choice whose every position with a logprob lists its
+    own token at that logprob. A logprob given as a string goes into the JSON
+    as it is written."""
+    tops = [None if lp is None else {token: lp} for token, lp in zip(tokens, token_logprobs)]
+    logprobs = {"tokens": tokens, "token_logprobs": token_logprobs, "top_logprobs": tops,
+                "text_offset": offsets}
+    data = json.dumps({"choices": [{"text": text, "finish_reason": "stop", "logprobs": logprobs}]})
+    for lp in token_logprobs:
+        if isinstance(lp, str):
+            data = data.replace(json.dumps(lp), lp)
+    return data.encode()
+
+
+def generate_hello(backend: RemoteCompletionsBackend):
+    return backend.generate("hello", GenerationParams())
+
+
+@pytest.mark.parametrize("answer,call,message", [
+    (lambda body: (400, b'{"error": "bad request"}'), generate_hello, "HTTP 400"),
+    # "the " is the context: " cat" straddles its end, " sat" lies past it.
+    (lambda body: one_choice("the cat sat", ["the", " cat", " sat"], [None, LN(0.6), None],
+                             [0, 3, 7]),
+     lambda backend: backend.score("cat sat", context="the "),
+     "null logprob data for scored token ' sat' at offset 7"),
+    (lambda body: one_choice("The cat sat", ["the", " cat", " sat"],
+                             [None, LN(0.6), LN(0.6)], [0, 3, 7]),
+     lambda backend: backend.complete("the cat", GenerationParams(max_tokens=1), echo_from=4),
+     "echoed text does not start with the prompt"),
+    # JSON decodes 1e400 as inf; a 401-digit integer overflows a float.
+    (lambda body: one_choice(" Paris", [" Paris"], ["1e400"], [0]), generate_hello,
+     "token ' Paris': backend distribution invalid: logprob inf"),
+    (lambda body: one_choice(" Paris", [" Paris"], [str(-10 ** 400)], [0]), generate_hello,
+     "token ' Paris': logprob -10{400} is out of range"),
+], ids=["http-400", "null-logprob-past-offset-0", "echoed-text-without-the-prompt",
+        "logprob-1e400", "logprob-401-digits"])
+def test_wire_refusal_is_a_protocol_error_after_one_request(answer, call, message):
+    with LoopbackServer(answer) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m")
+        try:
+            with pytest.raises(ProtocolError, match=message):
+                call(backend)
+        finally:
+            backend.close()
+    assert server.requests == 1
+
+
 # -- request journal -------------------------------------------------------------
 
 

@@ -14,7 +14,6 @@ from ambigkit.pipeline import (
     LabelKind,
     stage3_fixed_label,
 )
-from ambigkit.entropy import Verdict
 from ambigkit.sft import SftRecord, Source, emit, verify
 
 TEMPLATES = load_templates()
@@ -37,7 +36,6 @@ def ambig_record(i: int) -> DisambiguationRecord:
     return DisambiguationRecord(
         sample_id=sid, query_text=f"ambiguous {sid}?", disambig_text=f"specific {sid}?",
         h_query=1.0, h_disambig=0.2, info_gain=0.8,
-        verdict=Verdict.PERCEIVED_AMBIGUOUS,
     )
 
 

@@ -45,12 +45,7 @@ from .corpus import (
     template_fingerprints,
 )
 from .entropy import Verdict
-from .errors import (
-    AmbigkitError,
-    BackendError,
-    ConfigurationError,
-    DataIntegrityError,
-)
+from .errors import BackendError, ConfigurationError, DataIntegrityError
 from .evalkit import (
     PredictionRecord,
     evaluate,
@@ -95,7 +90,6 @@ DEFAULT_EPSILON_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_THRESHOLD_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 EXIT_OK = 0
-EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_INTEGRITY = 4
@@ -287,9 +281,8 @@ def _emit(args, config, paths, templates, backend) -> _Stage:
 def _verify(args, config, paths, templates, backend) -> _Stage:
     target = Path(args.path) if args.path is not None else paths.require(paths.sft, "emit")
     report = sft_verify(target, answer_cue=templates["direct"].answer_cue)
-    for line_number, message in report.failures:
-        print(f"  line {line_number}: {message}" if line_number else f"  {message}",
-              file=sys.stderr)
+    for message in report.failures:
+        print(f"  {message}", file=sys.stderr)
     return _Stage([], {"path": str(target), **report.counts()},
                   f"verify {target}: {report.summary()}",
                   exit_code=EXIT_OK if report.ok else EXIT_INTEGRITY)
@@ -564,9 +557,6 @@ def main(argv: list[str] | None = None) -> int:
     except DataIntegrityError as exc:
         print(f"data integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except AmbigkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -178,7 +178,9 @@ def _packaged_template_dir() -> Path:
 def load_templates(directory: str | Path | None = None) -> dict[str, PromptTemplate]:
     """Load the canonical template set from ``directory`` (packaged default).
 
-    A template body is its file content minus one trailing newline.
+    A template body is its file content minus one trailing newline. A body
+    without each of its slot markers exactly once is refused with a
+    ParseError naming its file.
     """
     base = Path(directory) if directory is not None else _packaged_template_dir()
     templates: dict[str, PromptTemplate] = {}
@@ -188,7 +190,8 @@ def load_templates(directory: str | Path | None = None) -> dict[str, PromptTempl
             body = path.read_text(encoding="utf-8")
         if body.endswith("\n"):
             body = body[:-1]
-        templates[name] = PromptTemplate(name=name, body=body, slots=slots)
+        with record_at(path):
+            templates[name] = PromptTemplate(name=name, body=body, slots=slots)
     return templates
 
 

@@ -51,8 +51,6 @@ def _normalize_tokens(text: str) -> list[str]:
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     # Two-row dynamic program; O(len(a) * len(b)) time, O(len(b)) space.
-    if not a or not b:
-        return 0
     prev = [0] * (len(b) + 1)
     for x in a:
         curr = [0]

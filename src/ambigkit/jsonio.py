@@ -13,10 +13,11 @@ read raises a ConfigurationError and one that is not UTF-8 a ParseError,
 each naming the file. Readers take each field through ``typed_field``,
 which checks the field's JSON type instead of coercing it, and refuses a
 string holding an unpaired surrogate, which no UTF-8 file can hold, inside
-``record_at``, which turns a missing or malformed field into a ParseError
-naming the file and the line, or the file alone for a file that is one
-JSON object (``read_json_object``). Every file keyed by sample id is read
-with ``read_jsonl(path, unique_ids=True)``, so a repeated id is a
+``record_at``, which turns a missing or malformed field, or a record that
+breaks its own invariant, into a ParseError naming the file and the line,
+or the file alone for a file that is one JSON object (``read_json_object``)
+or one document (a toy fixture, a template). Every file keyed by sample id
+is read with ``read_jsonl(path, unique_ids=True)``, so a repeated id is a
 ParseError too.
 """
 
@@ -178,12 +179,16 @@ def typed_field(obj: dict, key: str, kind: type, default: Any = _REQUIRED) -> An
 
 @contextlib.contextmanager
 def record_at(where: str | Path, line_number: int | None = None) -> Iterator[None]:
-    """Read one record: a missing field (KeyError) or a malformed one
-    (TypeError, ValueError, OverflowError) becomes a ParseError naming
-    ``where`` (the record's file, or what the record is) and its line."""
+    """Read one record: a missing field (KeyError), a malformed one
+    (TypeError, ValueError, OverflowError) or a record that breaks its own
+    invariant (DataIntegrityError) becomes a ParseError naming ``where`` (the
+    record's file, or what the record is) and its line, with the original
+    error as its cause. A ParseError, already placed, passes unchanged."""
     try:
         yield
+    except ParseError:
+        raise
     except KeyError as exc:
         raise ParseError(f"missing field {exc}", line_number, where) from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, DataIntegrityError) as exc:
         raise ParseError(str(exc), line_number, where) from exc

@@ -306,7 +306,8 @@ def select_and_balance(
 
     The pool is the perceived-ambiguous records for ``apa_infogain``, which
     ignores gold labels entirely, and the gold-ambiguous records for every
-    other strategy. The pool is sorted by the strategy's key and cut to the
+    other strategy. The pool is sorted by the strategy's key, ties by sample
+    id so that the records' order does not matter, and cut to the
     perceived-ambiguous count, so every strategy trains on the same budget;
     ``gt_random``'s key is a seeded draw per sample id. Both halves are then
     cut to the smaller one's size: the ambiguous half keeps its first
@@ -347,7 +348,7 @@ def select_and_balance(
         SelectionStrategy.GT_RANDOM: lambda r: derive_seed(master_seed, "gt_random", r.sample_id),
         SelectionStrategy.ANSWER_ENTROPY: lambda r: -assessed[r.sample_id].answer_entropy,
     }[strategy]
-    ranked = sorted(pool, key=rank_key)[:len(perceived)]
+    ranked = sorted(pool, key=lambda r: (rank_key(r), r.sample_id))[:len(perceived)]
     if not ranked:
         raise ConfigurationError(
             "no ambiguous samples were selected; lower epsilon "
@@ -414,9 +415,7 @@ def read_partition(
                 continue
             sample = samples_by_id.get(sample_id)
             if sample is None:
-                raise DataIntegrityError(
-                    f"{path} line {line_number}: sample {sample_id!r} not in the dataset"
-                )
+                raise DataIntegrityError(f"sample {sample_id!r} not in the dataset")
             category = typed_field(obj, "category", int)
             if not 1 <= category <= 5:
                 raise ValueError(f"field 'category' must be 1-5, got {category}")
@@ -510,14 +509,14 @@ def read_selection(
     correct ids resolved in the correct split, ambiguous ids in the records.
     The strategy and epsilon it also records are provenance, not read."""
     obj = read_json_object(path)
+    correct_by_id = {a.sample.id: a for a in partition.correct}
+    records_by_id = {r.sample_id: r for r in records}
     with record_at(path):
         correct_ids = typed_field(obj, "correct_ids", tuple)
         ambiguous_ids = typed_field(obj, "ambiguous_ids", tuple)
-    correct_by_id = {a.sample.id: a for a in partition.correct}
-    records_by_id = {r.sample_id: r for r in records}
-    try:
-        return ([correct_by_id[i] for i in correct_ids],
-                [records_by_id[i] for i in ambiguous_ids])
-    except KeyError as exc:
-        raise DataIntegrityError(f"{path}: selection names sample {exc} outside its half "
-                                 "(the correct split or the detection records)") from exc
+        try:
+            return ([correct_by_id[i] for i in correct_ids],
+                    [records_by_id[i] for i in ambiguous_ids])
+        except KeyError as exc:
+            raise DataIntegrityError(f"selection names sample {exc} outside its half "
+                                     "(the correct split or the detection records)") from exc

@@ -20,8 +20,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import PromptTemplate, load_templates
-from .errors import DataIntegrityError
-from .jsonio import read_jsonl, typed_field, write_jsonl_atomic
+from .errors import DataIntegrityError, ParseError
+from .jsonio import read_jsonl, record_at, typed_field, write_jsonl_atomic
 from .pipeline import AssessedSample, ClarifyLabel, DisambiguationRecord, LabelKind
 from .seeding import derive_seed
 
@@ -132,14 +132,13 @@ def emit(
 
 @dataclass
 class VerifyReport:
-    """Re-parse result for an exported training file. Each failure is a line
-    number and a message; line 0 marks a failure of the whole file (one that
-    does not parse, holds no records, or has unbalanced halves)."""
+    """Re-parse result for an exported training file. Each failure is a
+    message naming the file, and the line for a failure of one line."""
 
     total: int
     per_source: Counter
     per_kind: Counter
-    failures: list[tuple[int, str]]
+    failures: list[str]
 
     @property
     def ok(self) -> bool:
@@ -170,11 +169,11 @@ def verify(path: str | Path, answer_cue: str | None = None) -> VerifyReport:
         answer_cue = load_templates()["direct"].answer_cue
     try:
         entries = list(read_jsonl(path))
+        if not entries:  # emit never writes an empty file
+            raise ParseError("no records", where=path)
     except DataIntegrityError as exc:
-        return VerifyReport(0, Counter(), Counter(), [(0, str(exc))])
-    if not entries:  # emit never writes an empty file
-        return VerifyReport(0, Counter(), Counter(), [(0, f"{path}: no records")])
-    failures: list[tuple[int, str]] = []
+        return VerifyReport(0, Counter(), Counter(), [str(exc)])
+    failures: list[str] = []
     per_source: Counter = Counter()
     per_kind: Counter = Counter()
     seen_ids: set[str] = set()
@@ -182,19 +181,18 @@ def verify(path: str | Path, answer_cue: str | None = None) -> VerifyReport:
         if obj.get("source") in [source.value for source in Source]:
             per_source[obj["source"]] += 1
         try:
-            record = SftRecord.from_obj(obj)
-        except (KeyError, TypeError, ValueError, DataIntegrityError) as exc:
-            message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-            failures.append((line_number, message))
-            continue
-        if record.clarify_kind is not None:
-            per_kind[record.clarify_kind.value] += 1
-        if record.id in seen_ids:
-            failures.append((line_number, f"duplicate id {record.id!r}"))
-        elif not record.prompt.endswith(answer_cue):
-            failures.append((line_number,
-                             f"prompt does not end with the answer cue {answer_cue!r}"))
-        seen_ids.add(record.id)
+            with record_at(path, line_number):
+                record = SftRecord.from_obj(obj)
+                if record.clarify_kind is not None:
+                    per_kind[record.clarify_kind.value] += 1
+                if record.id in seen_ids:
+                    raise ValueError(f"duplicate id {record.id!r}")
+                seen_ids.add(record.id)
+                if not record.prompt.endswith(answer_cue):
+                    raise ValueError(f"prompt does not end with the answer cue {answer_cue!r}")
+        except ParseError as exc:
+            failures.append(str(exc))
     if per_source["correct"] != per_source["ambig"]:
-        failures.append((0, _unbalanced(per_source["correct"], per_source["ambig"])))
+        unbalanced = _unbalanced(per_source["correct"], per_source["ambig"])
+        failures.append(str(ParseError(unbalanced, where=path)))
     return VerifyReport(len(entries), per_source, per_kind, failures)

@@ -24,7 +24,8 @@ Row keys are the (order-1) context tokens joined by single spaces (the empty
 string for a unigram table); row values map tokens to probabilities, given
 either as numbers or as "p/q" fraction strings; omitted tokens have
 probability zero. Contexts absent from ``rows`` fall back to the uniform
-vector over the vocabulary.
+vector over the vocabulary. A fixture that is not such a document, or whose
+table breaks one of these rules, is refused with a ParseError naming it.
 
 Unlike subword backends, the toy model tokenizes the prompt's context
 (``prompt[:echo_from]``) and its echoed text (``prompt[echo_from:]``)
@@ -51,7 +52,7 @@ from .backend import (
     TokenDistribution,
 )
 from .errors import DataIntegrityError, NormalizationError, ParseError, VocabularyError
-from .jsonio import input_file
+from .jsonio import input_file, record_at
 
 _VECTOR_SUM_TOLERANCE = 1e-12
 
@@ -138,41 +139,37 @@ def load_ngram_table(path: str | Path) -> NgramTable:
             doc = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ParseError(f"not valid YAML: {exc}", where=path) from exc
-    if not isinstance(doc, dict):
-        raise DataIntegrityError(f"{path}: fixture must be a mapping")
-    try:
+    with record_at(path):
+        if not isinstance(doc, dict):
+            raise TypeError("fixture must be a mapping")
         order = int(doc["order"])
         begin = str(doc["begin_marker"])
         end = str(doc["end_marker"])
         vocabulary = tuple(str(t) for t in doc["vocabulary"])
         rows = doc.get("rows", {}) or {}
-    except KeyError as exc:
-        raise DataIntegrityError(f"{path}: missing fixture key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DataIntegrityError(f"{path}: bad fixture value: {exc}") from exc
-    if not isinstance(rows, dict):
-        raise DataIntegrityError(f"{path}: fixture rows must be a mapping")
-    index = {tok: i for i, tok in enumerate(vocabulary)}
-    tables: dict[tuple[str, ...], tuple[float, ...]] = {}
-    for key, sparse in rows.items():
-        sparse = sparse or {}
-        if not isinstance(sparse, dict):
-            raise DataIntegrityError(f"{path}: fixture row {key!r} must be a mapping")
-        context = tuple(str(key).split())
-        vector = [0.0] * len(vocabulary)
-        for token, prob in sparse.items():
-            token = str(token)
-            if token not in index:
-                raise VocabularyError(token)
-            vector[index[token]] = _parse_prob(prob, f"row {key!r}")
-        tables[context] = tuple(vector)
-    return NgramTable(
-        vocabulary=vocabulary,
-        order=order,
-        begin_marker=begin,
-        end_marker=end,
-        conditional_probs=tables,
-    )
+        if not isinstance(rows, dict):
+            raise TypeError("fixture rows must be a mapping")
+        index = {tok: i for i, tok in enumerate(vocabulary)}
+        tables: dict[tuple[str, ...], tuple[float, ...]] = {}
+        for key, sparse in rows.items():
+            sparse = sparse or {}
+            if not isinstance(sparse, dict):
+                raise TypeError(f"fixture row {key!r} must be a mapping")
+            context = tuple(str(key).split())
+            vector = [0.0] * len(vocabulary)
+            for token, prob in sparse.items():
+                token = str(token)
+                if token not in index:
+                    raise VocabularyError(token)
+                vector[index[token]] = _parse_prob(prob, f"row {key!r}")
+            tables[context] = tuple(vector)
+        return NgramTable(
+            vocabulary=vocabulary,
+            order=order,
+            begin_marker=begin,
+            end_marker=end,
+            conditional_probs=tables,
+        )
 
 
 class ToyBackend(Backend):

@@ -836,6 +836,7 @@ def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch, cap
     {"dataset": None},
     {"workdir": 7},
     {"dataset": 7},
+    {"max_tokens": 0},
 ], ids=["epsilon-text", "epsilon-null", "epsilon-list", "top_k-0", "top_k-negative",
         "top_k-over-vocabulary", "num_samples-0", "temperature-negative", "temperature-zero",
         "threshold-nan", "threshold-inf", "truncation_mode-renormalize",
@@ -844,7 +845,7 @@ def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch, cap
         "num_samples-fraction", "seed-infinity", "rouge_threshold-nan", "rouge_threshold-inf",
         "rouge_threshold-negative", "rouge_threshold-above-1", "rouge_threshold-1",
         "temperature-inf", "workdir-null", "dataset-null", "workdir-number",
-        "dataset-number"])
+        "dataset-number", "max_tokens-0"])
 def test_bad_config_value_exits_2(tmp_path, capsys, patch):
     config = write_toy_config(tmp_path / "config.json", **patch)
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 2
@@ -855,20 +856,23 @@ def test_bad_config_value_exits_2(tmp_path, capsys, patch):
         assert not (tmp_path / "None").exists()
 
 
-@pytest.mark.parametrize("flag,grid", [
-    ("--thresholds", "nan"),
-    ("--thresholds", "0.5,inf"),
-    ("--thresholds", "-inf"),
-    ("--epsilons", "nan"),
-], ids=["thresholds-nan", "thresholds-inf", "thresholds-negative-inf", "epsilons-nan"])
-def test_non_finite_sweep_grid_exits_2(tmp_path, capsys, flag, grid):
+@pytest.mark.parametrize("flag,grid,message", [
+    ("--thresholds", "nan", "must be finite"),
+    ("--thresholds", "0.5,inf", "must be finite"),
+    ("--thresholds", "-inf", "must be finite"),
+    ("--epsilons", "nan", "must be finite"),
+    ("--epsilons", "a", "bad epsilon list: 'a'"),
+    ("--epsilons", ",", "empty epsilon list"),
+], ids=["thresholds-nan", "thresholds-inf", "thresholds-negative-inf", "epsilons-nan",
+        "epsilons-text", "epsilons-empty"])
+def test_non_finite_sweep_grid_exits_2(tmp_path, capsys, flag, grid, message):
     config = write_toy_config(tmp_path / "config.json")
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 0
     out = workdir_of(config)
     sample_rep = ["--sample-rep", str(out / "predictions_sample_rep.jsonl")]
     argv = [*(sample_rep if flag == "--thresholds" else []), f"{flag}={grid}"]
     assert run("--config", str(config), "sweep", *argv) == 2
-    assert "must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not list(out.glob("*_sweep.csv"))
 
 
@@ -1008,6 +1012,62 @@ def test_unreadable_input_file_exits_2_or_4(tmp_path, capsys, monkeypatch,
     assert str(target) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,message", [
+    (json.dumps({"id": "b", "question": " ", "answers": ["y"]}),
+     "sample b: question must not be blank"),
+    (json.dumps({"id": "", "question": "q?", "answers": ["y"]}), "sample id must be non-empty"),
+    (json.dumps({"id": "b", "question": "q?", "answers": ["y"], "ambiguous": "yes"}),
+     "field 'ambiguous' must be a boolean"),
+    ("[1]", "record is not a JSON object"),
+], ids=["blank-question", "empty-id", "ambiguous-text", "not-an-object"])
+def test_bad_dataset_line_exits_4_naming_the_file_and_line(tmp_path, capsys, line, message):
+    # The blank second line is skipped but counted, so the bad line is line 3.
+    first = (FIXTURES / "corpus.jsonl").read_text().splitlines()[0]
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(f"{first}\n\n{line}\n")
+    config = write_toy_config(tmp_path / "config.json", dataset=str(dataset))
+    assert run("--config", str(config), "assess") == 4
+    assert f"{dataset} line 3: {message}" in capsys.readouterr().err
+
+
+TOY_TABLE = {"order": 2, "begin_marker": "<s>", "end_marker": "</s>",
+             "vocabulary": ["<s>", "a", "</s>"], "rows": {"<s>": {"a": 1}, "a": {"</s>": 1}}}
+
+
+@pytest.mark.parametrize("table", [
+    {**TOY_TABLE, "order": 0},
+    {**TOY_TABLE, "vocabulary": ["<s>", "a", "a", "</s>"]},
+    {**TOY_TABLE, "end_marker": "</e>"},
+    {**TOY_TABLE, "rows": {"z": {"a": 1}}},
+    {**TOY_TABLE, "rows": {"<s> a": {"a": 1}}},
+    {**TOY_TABLE, "rows": {"<s>": {"a": 1.5, "</s>": -0.5}}},
+    {**TOY_TABLE, "rows": {"<s>": {"a": "1/0"}}},
+    {**TOY_TABLE, "rows": {"<s>": {"a": [1]}}},
+    [TOY_TABLE],
+    {key: value for key, value in TOY_TABLE.items() if key != "order"},
+    {**TOY_TABLE, "rows": {"<s>": {"zebra": 1}}},
+], ids=["order-0", "repeated-token", "end-marker-not-in-vocabulary",
+        "row-key-not-in-vocabulary", "row-key-too-long", "negative-probability",
+        "probability-division-by-zero", "probability-list", "document-list", "order-missing",
+        "row-token-not-in-vocabulary"])
+def test_malformed_toy_fixture_exits_4_naming_it(tmp_path, capsys, table):
+    fixture = tmp_path / "table.yaml"
+    fixture.write_text(json.dumps(table))  # JSON is YAML
+    config = write_toy_config(tmp_path / "config.json")
+    assert run("--config", str(config), "--backend", f"toy:{fixture}", "assess") == 4
+    assert f"data integrity error: {fixture}: " in capsys.readouterr().err
+
+
+def test_template_without_its_slot_marker_exits_4_naming_the_file(tmp_path, capsys):
+    templates = tmp_path / "templates"
+    shutil.copytree(FIXTURES / "toy_templates", templates)
+    (templates / "direct.txt").write_text("Q: A:")
+    config = write_toy_config(tmp_path / "config.json", template_dir=str(templates))
+    assert run("--config", str(config), "assess") == 4
+    assert (f"{templates / 'direct.txt'}: template 'direct': marker '<question>'"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("content,message", [
     (NOT_UTF8, "{path}: not UTF-8 text"),
     (b'{"id": "s1"}\n{torn', "{path} line 2: invalid JSON"),
@@ -1093,7 +1153,8 @@ def test_inconsistent_checkpoint_record_exits_4_naming_the_sample(
         tmp_path, capsys, chain_workdir, name, patch, command, message):
     config, first = patched_chain(tmp_path, chain_workdir, name, patch)
     assert run("--config", str(config), *command) == 4
-    assert message.format(id=first["id"]) in capsys.readouterr().err
+    where = workdir_of(config) / name
+    assert f"{where} line 1: {message.format(id=first['id'])}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body", [

@@ -220,6 +220,16 @@ def test_template_file_not_utf8_is_parse_error(tmp_path):
         load_templates(tmp_path)
 
 
+def test_template_files_ending_in_a_newline_render_as_the_packaged_ones(tmp_path):
+    packaged = load_templates()
+    for name, template in packaged.items():
+        (tmp_path / f"{name}.txt").write_text(template.body + "\n", encoding="utf-8")
+    custom = load_templates(tmp_path)
+    for name, template in packaged.items():
+        values = {slot: f"[{slot}]" for slot in template.slots}
+        assert custom[name].render(**values) == template.render(**values)
+
+
 def test_answer_cue():
     templates = load_templates()
     assert templates["direct"].answer_cue == "\nAnswer:"

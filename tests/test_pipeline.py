@@ -366,13 +366,24 @@ def test_balance_equal_sizes_keeps_everything():
     assert len(selection.correct) == len(selection.ambiguous) == 4
 
 
-def test_truncation_ties_keep_input_order():
+def test_truncation_ties_break_by_sample_id():
     gains = {"a": 0.5, "b": 0.5, "c": 0.5}
     partition, records = build_world(2, gains)
     selection = select_and_balance(
         partition, records, SelectionStrategy.APA_INFOGAIN, 0.1, master_seed=9
     )
     assert [r.sample_id for r in selection.ambiguous] == ["a", "b"]
+
+
+@pytest.mark.parametrize("strategy", [SelectionStrategy.APA_INFOGAIN,
+                                      SelectionStrategy.ANSWER_ENTROPY], ids=lambda s: s.value)
+def test_tied_selection_does_not_depend_on_record_order(strategy):
+    gains = {"a": 0.5, "b": 0.5, "c": 0.5}
+    partition, records = build_world(2, gains, entropies=dict.fromkeys(gains, 1.0))
+    chosen = [[r.sample_id for r in select_and_balance(
+        partition, order, strategy, 0.1, master_seed=9).ambiguous]
+        for order in (records, records[::-1])]
+    assert chosen == [["a", "b"], ["a", "b"]]
 
 
 def test_apa_selection_ignores_gold_labels():

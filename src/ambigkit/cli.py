@@ -301,9 +301,10 @@ _STRATEGIES = {
 
 
 def _eval_stage(args, config: RunConfig, paths: _Paths, samples: list[QASample],
-                predictions: list[PredictionRecord], name: str, writes=()) -> _Stage:
-    """``writes``, then the report on ``predictions``, and its line."""
-    report = evaluate(samples, predictions, config.rouge_threshold)
+                predictions: list[PredictionRecord], name: str, writes=(),
+                source: Path | None = None) -> _Stage:
+    """``writes``, then the report on ``predictions`` (of file ``source``), and its line."""
+    report = evaluate(samples, predictions, config.rouge_threshold, source)
     out = Path(args.report or paths.workdir / f"eval_{name}.json")
     report_obj = report.to_obj({
         "epsilon": config.epsilon, "truncation_mode": config.truncation_mode.value,
@@ -328,13 +329,14 @@ def _eval_strategy(name, args, config, paths, templates, backend) -> _Stage:
 
 def _eval_predictions(args, config, paths, templates, backend) -> _Stage:
     return _eval_stage(args, config, paths, load_dataset(config.dataset),
-                       read_predictions(Path(args.predictions)), "predictions")
+                       read_predictions(args.predictions), "predictions",
+                       source=args.predictions)
 
 
 def _eval_compare(args, config, paths, templates, backend) -> _Stage:
     samples = load_dataset(config.dataset)
     before, after = ({o.sample_id: o.category for o in evaluate(
-        samples, read_predictions(Path(p)), config.rouge_threshold).per_sample}
+        samples, read_predictions(p), config.rouge_threshold, p).per_sample}
         for p in args.compare)
     regression = asdict(mcr(before, after))
     out = Path(args.report or paths.workdir / "eval_compare.json")
@@ -424,11 +426,11 @@ def _sweep_sample_rep(args, config, paths, templates, backend) -> _Stage:
         raise ConfigurationError("--epsilons applies only without --sample-rep")
     thresholds = _grid(args.thresholds, DEFAULT_THRESHOLD_GRID, "threshold")
     samples = load_dataset(config.dataset)
-    recorded = read_predictions(Path(args.sample_rep))
+    recorded = read_predictions(args.sample_rep)
     rows = [["threshold", "f1_u", "f1_a"]]
     for threshold in thresholds:
         predictions = [judge_sample_rep(p, threshold, config.seed) for p in recorded]
-        report = evaluate(samples, predictions, config.rouge_threshold)
+        report = evaluate(samples, predictions, config.rouge_threshold, args.sample_rep)
         rows.append([threshold, f"{report.f1_u:.6f}", f"{report.f1_a:.6f}"])
     return _sweep_stage(args, paths.workdir / "sample_rep_sweep.csv", rows,
                         {"predictions": len(recorded)})

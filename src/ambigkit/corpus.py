@@ -63,14 +63,11 @@ def _sample_from_obj(obj: dict, path: str | Path, line_number: int) -> QASample:
             )
         if type(sample_id) is str and has_surrogate(sample_id):
             raise ValueError("field 'id' holds an unpaired surrogate")
-        ambiguous = obj.get("ambiguous")
-        if ambiguous is not None and type(ambiguous) is not bool:
-            raise TypeError("field 'ambiguous' must be a boolean")
         return QASample(
             id=str(sample_id),
             question=typed_field(obj, "question", str),
             answers=typed_field(obj, "answers", tuple, ()),
-            gold_ambiguous=ambiguous,
+            gold_ambiguous=typed_field(obj, "ambiguous", bool, None),
             source=typed_field(obj, "source", str, ""),
         )
 

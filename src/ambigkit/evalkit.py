@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .backend import Backend, GenerationParams, bounded_map
 from .corpus import PromptTemplate, QASample, first_word, reply
-from .errors import BackendError, DataIntegrityError
+from .errors import BackendError, DataIntegrityError, ParseError
 from .jsonio import read_jsonl, record_at, typed_field, write_jsonl_atomic
 from .phrases import AMBIGUITY_MARKERS, FIXED_CLARIFICATIONS
 from .seeding import rng_for
@@ -420,16 +420,19 @@ def evaluate(
     samples: Sequence[QASample],
     predictions: Sequence[PredictionRecord],
     threshold: float = DEFAULT_ROUGE_THRESHOLD,
+    source: str | Path | None = None,
 ) -> EvalReport:
-    """Score a prediction set against gold labels and assemble the report."""
+    """Score a prediction set against gold labels and assemble the report. A
+    set whose ids are not the samples' is refused naming ``source``, its file."""
     by_id = {p.sample_id: p for p in predictions}
     missing = [s.id for s in samples if s.id not in by_id]
     if missing:
-        raise DataIntegrityError(f"predictions missing for sample(s): {missing[:5]}")
+        raise ParseError(f"predictions missing for sample(s): {missing[:5]}", where=source)
     known = {s.id for s in samples}
     unknown = [sample_id for sample_id in by_id if sample_id not in known]
     if unknown:
-        raise DataIntegrityError(f"predictions for sample(s) not in the dataset: {unknown[:5]}")
+        raise ParseError(f"predictions for sample(s) not in the dataset: {unknown[:5]}",
+                         where=source)
     outcomes: list[PerSampleOutcome] = []
     for sample in samples:
         record = by_id[sample.id]

@@ -143,6 +143,7 @@ _REQUIRED = object()
 # number kind takes a boolean, although bool is an int.
 _KINDS = {
     str: ((str,), "a string"),
+    bool: ((bool,), "a boolean"),
     int: ((int,), "an integer"),
     float: ((int, float), "a finite number"),
     tuple: ((list,), "a list of strings"),
@@ -150,9 +151,9 @@ _KINDS = {
 
 
 def typed_field(obj: dict, key: str, kind: type, default: Any = _REQUIRED) -> Any:
-    """``obj[key]`` checked to be a JSON ``kind``: ``str``, ``int``, ``float``
-    (any finite number, returned as a float) or ``tuple`` (an array of
-    strings, returned as a tuple). An absent key gives ``default``, and
+    """``obj[key]`` checked to be a JSON ``kind``: ``str``, ``bool``, ``int``,
+    ``float`` (any finite number, returned as a float) or ``tuple`` (an array
+    of strings, returned as a tuple). An absent key gives ``default``, and
     KeyError when there is none; a field whose default is None may be null.
     A value of another type raises TypeError, and a string that holds an
     unpaired surrogate ValueError."""
@@ -163,7 +164,7 @@ def typed_field(obj: dict, key: str, kind: type, default: Any = _REQUIRED) -> An
         return None
     types, name = _KINDS[kind]
     if type(value) in types:
-        if kind is int:
+        if kind in (bool, int):
             return value
         if kind is float:
             if math.isfinite(number := float(value)):

@@ -21,10 +21,14 @@ Fixture files are YAML documents::
       "b":   {"</s>": 1.0}
 
 Row keys are the (order-1) context tokens joined by single spaces (the empty
-string for a unigram table); row values map tokens to probabilities, given
-either as numbers or as "p/q" fraction strings; omitted tokens have
-probability zero. Contexts absent from ``rows`` fall back to the uniform
-vector over the vocabulary. A fixture that is not such a document, or whose
+string for a unigram table); row values map tokens to probabilities; omitted
+tokens have probability zero. Contexts absent from ``rows`` fall back to the
+uniform vector over the vocabulary. Fields are typed as in the dataset
+(``jsonio.typed_field``), never coerced: ``order`` is an integer; markers,
+vocabulary entries, row keys and row tokens are strings, so a YAML word such
+as ``yes``, ``no``, ``on``, ``off`` or ``null``, or a bare number, must be
+quoted to be a token; a probability is a finite number or a "p/q" fraction
+string, never a boolean. A fixture that is not such a document, or whose
 table breaks one of these rules, is refused with a ParseError naming it.
 
 Unlike subword backends, the toy model tokenizes the prompt's context
@@ -52,7 +56,7 @@ from .backend import (
     TokenDistribution,
 )
 from .errors import DataIntegrityError, NormalizationError, ParseError, VocabularyError
-from .jsonio import input_file, record_at
+from .jsonio import input_file, record_at, typed_field
 
 _VECTOR_SUM_TOLERANCE = 1e-12
 
@@ -122,13 +126,11 @@ class NgramTable:
 
 
 def _parse_prob(value: object, where: str) -> float:
-    if isinstance(value, str):
+    if type(value) in (int, float, str):
         try:
             return float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DataIntegrityError(f"bad probability {value!r} in {where}") from exc
-    if isinstance(value, (int, float)):
-        return float(value)
     raise DataIntegrityError(f"bad probability {value!r} in {where}")
 
 
@@ -142,10 +144,7 @@ def load_ngram_table(path: str | Path) -> NgramTable:
     with record_at(path):
         if not isinstance(doc, dict):
             raise TypeError("fixture must be a mapping")
-        order = int(doc["order"])
-        begin = str(doc["begin_marker"])
-        end = str(doc["end_marker"])
-        vocabulary = tuple(str(t) for t in doc["vocabulary"])
+        vocabulary = typed_field(doc, "vocabulary", tuple)
         rows = doc.get("rows", {}) or {}
         if not isinstance(rows, dict):
             raise TypeError("fixture rows must be a mapping")
@@ -153,23 +152,19 @@ def load_ngram_table(path: str | Path) -> NgramTable:
         tables: dict[tuple[str, ...], tuple[float, ...]] = {}
         for key, sparse in rows.items():
             sparse = sparse or {}
+            if type(key) is not str:
+                raise TypeError(f"fixture row key {key!r} must be a string")
             if not isinstance(sparse, dict):
                 raise TypeError(f"fixture row {key!r} must be a mapping")
-            context = tuple(str(key).split())
             vector = [0.0] * len(vocabulary)
             for token, prob in sparse.items():
-                token = str(token)
                 if token not in index:
                     raise VocabularyError(token)
                 vector[index[token]] = _parse_prob(prob, f"row {key!r}")
-            tables[context] = tuple(vector)
-        return NgramTable(
-            vocabulary=vocabulary,
-            order=order,
-            begin_marker=begin,
-            end_marker=end,
-            conditional_probs=tables,
-        )
+            tables[tuple(key.split())] = tuple(vector)
+        return NgramTable(vocabulary, typed_field(doc, "order", int),
+                          typed_field(doc, "begin_marker", str),
+                          typed_field(doc, "end_marker", str), tables)
 
 
 class ToyBackend(Backend):

@@ -413,6 +413,43 @@ def test_eval_compare_names_the_file_with_the_torn_line(tmp_path, capsys):
     assert f"{bad} line 10: invalid JSON" in capsys.readouterr().err
 
 
+def _corpus_predictions(path: Path, ids) -> Path:
+    path.write_text("".join(json.dumps({"id": i, "prediction": "x"}) + "\n" for i in ids))
+    return path
+
+
+@pytest.mark.parametrize("short_first", [False, True], ids=["short-after", "short-before"])
+def test_eval_compare_names_the_file_missing_predictions(tmp_path, capsys, short_first):
+    full = _corpus_predictions(tmp_path / "full.jsonl", (f"s{i}" for i in range(1, 10)))
+    short = _corpus_predictions(tmp_path / "short.jsonl", ["s1"])
+    files = [short, full] if short_first else [full, short]
+    config = write_toy_config(tmp_path / "config.json")
+    assert run("--config", str(config), "eval", "--compare", *map(str, files)) == 4
+    assert f"{short}: predictions missing for sample(s): ['s2'" in capsys.readouterr().err
+
+
+def test_eval_predictions_names_the_file_with_an_unknown_id(tmp_path, capsys):
+    predictions = _corpus_predictions(tmp_path / "preds.jsonl",
+                                      [*(f"s{i}" for i in range(1, 10)), "s99"])
+    config = write_toy_config(tmp_path / "config.json")
+    assert run("--config", str(config), "eval", "--predictions", str(predictions)) == 4
+    assert (f"{predictions}: predictions for sample(s) not in the dataset: ['s99']"
+            in capsys.readouterr().err)
+
+
+def test_sweep_sample_rep_names_the_file_with_an_unknown_id(tmp_path, capsys):
+    config = write_toy_config(tmp_path / "config.json")
+    assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 0
+    predictions = workdir_of(config) / "predictions_sample_rep.jsonl"
+    first = json.loads(predictions.read_text().splitlines()[0])
+    with predictions.open("a") as fh:
+        fh.write(json.dumps({**first, "id": "s99"}) + "\n")
+    capsys.readouterr()
+    assert run("--config", str(config), "sweep", "--sample-rep", str(predictions)) == 4
+    assert (f"{predictions}: predictions for sample(s) not in the dataset: ['s99']"
+            in capsys.readouterr().err)
+
+
 def test_sweep_epsilon_grid(tmp_path):
     config = write_toy_config(tmp_path / "config.json")
     run("--config", str(config), "assess")
@@ -1034,28 +1071,59 @@ TOY_TABLE = {"order": 2, "begin_marker": "<s>", "end_marker": "</s>",
              "vocabulary": ["<s>", "a", "</s>"], "rows": {"<s>": {"a": 1}, "a": {"</s>": 1}}}
 
 
-@pytest.mark.parametrize("table", [
-    {**TOY_TABLE, "order": 0},
-    {**TOY_TABLE, "vocabulary": ["<s>", "a", "a", "</s>"]},
-    {**TOY_TABLE, "end_marker": "</e>"},
-    {**TOY_TABLE, "rows": {"z": {"a": 1}}},
-    {**TOY_TABLE, "rows": {"<s> a": {"a": 1}}},
-    {**TOY_TABLE, "rows": {"<s>": {"a": 1.5, "</s>": -0.5}}},
-    {**TOY_TABLE, "rows": {"<s>": {"a": "1/0"}}},
-    {**TOY_TABLE, "rows": {"<s>": {"a": [1]}}},
-    [TOY_TABLE],
-    {key: value for key, value in TOY_TABLE.items() if key != "order"},
-    {**TOY_TABLE, "rows": {"<s>": {"zebra": 1}}},
+# The YAML fixtures below name a table that JSON cannot: unquoted YAML
+# words and numbers read as booleans and numbers, never as tokens.
+TOY_TABLE_YAML = """\
+order: 2
+begin_marker: "<s>"
+end_marker: "</s>"
+vocabulary: ["<s>", "a", "</s>"{extra}]
+rows:
+  "<s>": {{{row}}}
+"""
+
+
+@pytest.mark.parametrize("table,message", [
+    ({**TOY_TABLE, "order": 0}, ""),
+    ({**TOY_TABLE, "vocabulary": ["<s>", "a", "a", "</s>"]}, ""),
+    ({**TOY_TABLE, "end_marker": "</e>"}, ""),
+    ({**TOY_TABLE, "rows": {"z": {"a": 1}}}, ""),
+    ({**TOY_TABLE, "rows": {"<s> a": {"a": 1}}}, ""),
+    ({**TOY_TABLE, "rows": {"<s>": {"a": 1.5, "</s>": -0.5}}}, ""),
+    ({**TOY_TABLE, "rows": {"<s>": {"a": "1/0"}}}, ""),
+    ({**TOY_TABLE, "rows": {"<s>": {"a": [1]}}}, ""),
+    ([TOY_TABLE], ""),
+    ({key: value for key, value in TOY_TABLE.items() if key != "order"}, ""),
+    ({**TOY_TABLE, "rows": {"<s>": {"zebra": 1}}}, ""),
+    ({**TOY_TABLE, "order": 2.9}, "field 'order' must be an integer, got 2.9"),
+    ({**TOY_TABLE, "order": "2"}, "field 'order' must be an integer, got '2'"),
+    ({**TOY_TABLE, "begin_marker": 1, "vocabulary": ["1", "a", "</s>"],
+      "rows": {"1": {"a": 1}, "a": {"</s>": 1}}},
+     "field 'begin_marker' must be a string, got 1"),
+    (TOY_TABLE_YAML.format(extra=", yes", row="a: 1"),
+     "field 'vocabulary' must be a list of strings"),
+    (TOY_TABLE_YAML.format(extra=', "1"', row="a: 1") + "  1: {a: 1}\n",
+     "fixture row key 1 must be a string"),
+    (TOY_TABLE_YAML.format(extra=', "False"', row="a: 1/2, no: 1/2"),
+     "token not in vocabulary: False"),
+    (TOY_TABLE_YAML.format(extra="", row="a: true"), "bad probability True in row '<s>'"),
+    (TOY_TABLE_YAML.format(extra="", row='a: .nan, "</s>": 1'),
+     "bad probability nan in row '<s>'"),
 ], ids=["order-0", "repeated-token", "end-marker-not-in-vocabulary",
         "row-key-not-in-vocabulary", "row-key-too-long", "negative-probability",
         "probability-division-by-zero", "probability-list", "document-list", "order-missing",
-        "row-token-not-in-vocabulary"])
-def test_malformed_toy_fixture_exits_4_naming_it(tmp_path, capsys, table):
+        "row-token-not-in-vocabulary", "order-fraction", "order-text", "begin-marker-number",
+        "vocabulary-boolean", "row-key-number", "row-token-boolean", "probability-boolean",
+        "probability-nan"])
+def test_malformed_toy_fixture_exits_4_naming_it(tmp_path, capsys, table, message):
+    """Each fixture is refused naming itself, and the field at fault where
+    ``message`` gives it: a fixture whose fields coercion would turn into
+    another table."""
     fixture = tmp_path / "table.yaml"
-    fixture.write_text(json.dumps(table))  # JSON is YAML
+    fixture.write_text(table if isinstance(table, str) else json.dumps(table))  # JSON is YAML
     config = write_toy_config(tmp_path / "config.json")
     assert run("--config", str(config), "--backend", f"toy:{fixture}", "assess") == 4
-    assert f"data integrity error: {fixture}: " in capsys.readouterr().err
+    assert f"data integrity error: {fixture}: {message}" in capsys.readouterr().err
 
 
 def test_template_without_its_slot_marker_exits_4_naming_the_file(tmp_path, capsys):
@@ -1285,6 +1353,33 @@ def _pinned_bytes(path: Path, out: Path) -> bytes:
     text = text.replace(str(out), "<out>").replace(str(FIXTURES), "<fixtures>")
     text = re.sub(r'"config_hash": "[0-9a-f]{64}"', '"config_hash": "<hash>"', text)
     return text.encode("utf-8")
+
+
+def test_build_chain_outputs_depend_on_neither_parallelism_nor_input_order(tmp_path):
+    """The determinism contract: each draw is keyed by seed, purpose and
+    sample id, so neither the number of samples in flight nor the order of
+    the dataset changes what the chain decides or emits."""
+    reversed_dataset = tmp_path / "reversed.jsonl"
+    lines = (FIXTURES / "corpus.jsonl").read_text().splitlines(keepends=True)
+    reversed_dataset.write_text("".join(reversed(lines)))
+    runs = [
+        write_toy_config(tmp_path / "p1.json", backend={"parallelism": 1}),
+        write_toy_config(tmp_path / "p8.json", backend={"parallelism": 8}),
+        write_toy_config(tmp_path / "reversed.json", dataset=str(reversed_dataset)),
+    ]
+    outputs = []
+    for config in runs:
+        sft, out = run_chain(config), workdir_of(config)
+        selection = json.loads((out / "selection.json").read_text())
+        outputs.append((
+            {name: sorted((out / name).read_text().splitlines())
+             for name in ("assess.jsonl", "records.jsonl", "labels.jsonl")},
+            sft.read_bytes(),
+            {key: set(selection[key]) for key in ("correct_ids", "ambiguous_ids")},
+        ))
+    assert outputs[0][1]
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def test_toy_chain_outputs_are_pinned(tmp_path):

@@ -62,3 +62,14 @@ def test_unwritable_path_is_a_configuration_error_naming_it(tmp_path, target):
     with pytest.raises(ConfigurationError, match=f"cannot write {path}: "):
         write_text_atomic(path, "x")
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_typed_field_reads_a_boolean_as_itself(value):
+    assert typed_field({"x": value}, "x", bool) is value
+
+
+@pytest.mark.parametrize("value", [1, "true"], ids=["one", "text"])
+def test_typed_field_refuses_a_boolean_of_another_type(value):
+    with pytest.raises(TypeError, match="field 'x' must be a boolean"):
+        typed_field({"x": value}, "x", bool)

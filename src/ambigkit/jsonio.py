@@ -1,24 +1,23 @@
 """Atomic JSON/JSONL file helpers.
 
-All writers go through a temp-file-then-rename step so a failing command
-never leaves a partial checkpoint behind. Output is UTF-8 with LF line
-endings and insertion-ordered keys, giving byte-stable files for identical
-inputs. A NaN or infinite float is not JSON: writing one raises a
-DataIntegrityError that names the file, and nothing is written. A path
-that cannot be written (``output_file``) raises a ConfigurationError that
-names it, and no temporary file is left.
+Writers write a temp file and rename it, so a failing command leaves no
+partial checkpoint. Output is UTF-8, LF-ended, keys in insertion order, so
+identical inputs give identical bytes. Writing a NaN or infinite float (not
+JSON) raises a DataIntegrityError naming the file and writes nothing. A path
+that cannot be written (``output_file``), say in a missing directory, raises
+a ConfigurationError naming it and leaves no temporary file. No writer makes
+a directory; ``cli._run_stage`` does.
 
 Every reader reads its file inside ``input_file``: a file that cannot be
 read raises a ConfigurationError and one that is not UTF-8 a ParseError,
-each naming the file. Readers take each field through ``typed_field``,
-which checks the field's JSON type instead of coercing it, and refuses a
-string holding an unpaired surrogate, which no UTF-8 file can hold, inside
-``record_at``, which turns a missing or malformed field, or a record that
-breaks its own invariant, into a ParseError naming the file and the line,
-or the file alone for a file that is one JSON object (``read_json_object``)
-or one document (a toy fixture, a template). Every file keyed by sample id
-is read with ``read_jsonl(path, unique_ids=True)``, so a repeated id is a
-ParseError too.
+each naming the file. Readers take each field through ``typed_field``, which
+checks its JSON type instead of coercing it, and refuses a string holding an
+unpaired surrogate, which no UTF-8 file can hold, inside ``record_at``,
+which turns a missing or malformed field, or a record that breaks its own
+invariant, into a ParseError naming the file and the line, or the file alone
+for a file that is one JSON object (``read_json_object``) or one document (a
+toy fixture, a template). Every file keyed by sample id is read with
+``read_jsonl(path, unique_ids=True)``, so a repeated id is a ParseError too.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .errors import ConfigurationError, DataIntegrityError, ParseError
 def write_text_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
     with output_file(path):
-        path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:

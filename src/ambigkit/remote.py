@@ -67,7 +67,7 @@ from .errors import (
     ProtocolError,
     TransportError,
 )
-from .jsonio import has_surrogate, output_file
+from .jsonio import has_surrogate, input_file, output_file
 
 logger = logging.getLogger(__name__)
 
@@ -112,15 +112,16 @@ class RequestJournal:
     """Responses to deterministic requests, kept in an append-only file.
 
     A request's key is the SHA-256 of the endpoint plus the canonical request
-    body, which holds the model, prompt and every decoding parameter; the API
-    key stays out of it. Each line of the file is ``<key>\\t<response>``, the
-    response body as the server sent it, its line breaks made spaces. Loading
-    indexes where each line lies; each lookup and each append opens the file
-    and closes it again. A line is read and decoded only when a request uses
-    it, and a later line wins over an earlier one. A line that no longer
-    holds its key (the file was replaced), does not decode (a torn tail after
-    a crash) or fails the parser's checks is a miss: the request goes to the
-    network again. A failed append is a ConfigurationError naming the file.
+    body (model, prompt, every decoding parameter; not the API key). Each line
+    of the file is ``<key>\\t<response>``, the response body as the server
+    sent it, its line breaks made spaces. Loading indexes where each line
+    lies; each lookup and each append opens and closes the file. A line is
+    read and decoded only when a request uses it; a later line wins. A line
+    that no longer holds its key (the file was replaced), does not decode (a
+    torn tail after a crash) or fails the parser's checks is a miss: the
+    request goes to the network again. The directory must exist (the CLI's
+    workdir does); a load (``input_file``) or append (``output_file``) that
+    fails is a ConfigurationError naming the file.
     """
 
     def __init__(self, path: str | Path):
@@ -131,7 +132,7 @@ class RequestJournal:
         self._entries: dict[bytes, tuple[int, int]] = {}  # key -> (offset, length)
         line, start = b"\n", 0
         if self.path.exists():
-            with open(self.path, "rb") as fh:
+            with input_file(self.path), open(self.path, "rb") as fh:
                 for line in fh:
                     self._index(line, start)
                     start += len(line)
@@ -177,7 +178,6 @@ class RequestJournal:
         raw = text.replace("\r", " ").replace("\n", " ")
         line = f"{key}\t{raw}\n".encode("utf-8")
         with self._lock, output_file(self.path):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "ab") as fh:
                 fh.write(b"\n" * self._torn_tail + line)
                 end = fh.tell()  # appends go to the end, wherever it is now

@@ -182,6 +182,8 @@ class ToyBackend(Backend):
             raise ValueError(
                 f"top_k must be in [1, {len(table.vocabulary)}], got {top_k}"
             )
+        if parallelism < 1:
+            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
         self.table = table
         self.top_k = top_k
         self.parallelism = parallelism

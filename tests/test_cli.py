@@ -236,6 +236,16 @@ def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, inputs, argv, tar
     assert not (workdir_of(config) / "predictions_direct.jsonl").exists()
 
 
+def test_outputs_in_new_nested_directories_are_written(tmp_path):
+    config = write_toy_config(tmp_path / "config.json")
+    report, csv = tmp_path / "a" / "b" / "r.json", tmp_path / "c" / "d" / "x.csv"
+    for step in (["assess"], ["detect"], ["eval", "--strategy", "direct", "--report", str(report)],
+                 ["sweep", "--out-csv", str(csv)]):
+        assert run("--config", str(config), *step) == 0, step
+    assert json.loads(report.read_text())["counts"]
+    assert csv.read_text().startswith("epsilon,pool_size")
+
+
 def test_workdir_under_a_file_exits_2_before_any_backend_call(tmp_path, capsys, monkeypatch):
     built = []
     monkeypatch.setattr(ambigkit.cli, "make_backend",

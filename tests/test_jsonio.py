@@ -47,6 +47,13 @@ def test_nan_reaching_a_checkpoint_exits_4(tmp_path, monkeypatch, capsys):
     assert not report.exists()
 
 
+def test_writer_into_a_missing_directory_makes_none(tmp_path):
+    path = tmp_path / "missing" / "checkpoint.jsonl"
+    with pytest.raises(ConfigurationError, match=f"cannot write {path}: "):
+        write_jsonl_atomic(path, [{"x": 1}])
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("kind,value", [(str, "a\ud800"), (tuple, ["a", "\udc00"])],
                          ids=["string", "string-list"])
 def test_typed_field_refuses_an_unpaired_surrogate(kind, value):

@@ -1044,6 +1044,24 @@ def test_journal_that_cannot_be_written_is_a_configuration_error(tmp_path):
         journal.append("key", "{}")
 
 
+def test_journal_in_a_missing_directory_is_a_configuration_error(tmp_path):
+    path = tmp_path / "missing" / "journal.jsonl"
+    journal = RequestJournal(path)
+    with pytest.raises(ConfigurationError, match=f"cannot write {path}: "):
+        journal.append("a" * 64, "{}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unreadable_journal_exits_2_before_any_request(stub_server, tmp_path, capsys):
+    config, out = remote_config(stub_server, tmp_path)
+    (out / "backend_journal.jsonl").mkdir(parents=True)
+    assert main(["--config", str(config), "assess"]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot read {out / 'backend_journal.jsonl'}: " in err
+    assert stub_server.requests == 0
+    assert not (out / "assess.jsonl").exists()
+
+
 class FullDisk(io.BytesIO):
     """A file that opens but takes no bytes, as on a full disk."""
 

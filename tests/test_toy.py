@@ -69,6 +69,12 @@ def test_full_top_k_has_zero_tail(bigram):
         assert dist.tail_mass == 0.0
 
 
+@pytest.mark.parametrize("parallelism", [0, -1])
+def test_parallelism_below_one_is_refused_when_built(bigram, parallelism):
+    with pytest.raises(ValueError, match=f"parallelism must be >= 1, got {parallelism}"):
+        ToyBackend(bigram, parallelism=parallelism)
+
+
 def test_top_k_two_tail_mass():
     backend = ToyBackend(load_ngram_table(table_path("skewed")), top_k=2)
     # First position distribution is (0.5, 0.3, 0.15, 0.05).

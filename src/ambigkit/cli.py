@@ -44,7 +44,6 @@ from .corpus import (
     sample_to_obj,
     template_fingerprints,
 )
-from .entropy import Verdict
 from .errors import BackendError, ConfigurationError, DataIntegrityError
 from .evalkit import (
     PredictionRecord,
@@ -70,6 +69,7 @@ from .jsonio import (
 from .pipeline import (
     StageOnePartition,
     label_records,
+    perceived_ambiguous,
     read_labels,
     read_partition,
     read_records,
@@ -227,7 +227,7 @@ def _detect(args, config, paths, templates, backend) -> _Stage:
         [a.sample for a in partition.incorrect], backend, templates,
         _greedy_params(config), mode=config.truncation_mode,
     )
-    ambiguous = sum(r.verdict_at(config.epsilon) is Verdict.PERCEIVED_AMBIGUOUS for r in records)
+    ambiguous = len(perceived_ambiguous(records, config.epsilon))
     return _Stage(
         [(paths.records, lambda path: write_records(records, path, config.epsilon))],
         {"records": len(records), "perceived_ambiguous": ambiguous,

@@ -94,10 +94,15 @@ class StageOnePartition:
             errored=tuple(o for o in outcomes if isinstance(o, Errored)),
         )
 
+    @property
+    def trainable(self) -> tuple[AssessedSample, ...]:
+        """The correct samples with a gold answer, the only ones the correct half trains on."""
+        return tuple(a for a in self.correct if a.sample.answers)
+
 
 @dataclass(frozen=True)
 class DisambiguationRecord:
-    """Stage-2 measurement: the rewrite and both entropies."""
+    """Stage-2 measurement: the rewrite (empty if none) and both entropies."""
 
     sample_id: str
     query_text: str
@@ -105,7 +110,6 @@ class DisambiguationRecord:
     h_query: float
     h_disambig: float
     info_gain: float
-    flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if abs(self.info_gain - (self.h_query - self.h_disambig)) > 1e-12:
@@ -116,14 +120,14 @@ class DisambiguationRecord:
 
     def verdict_at(self, epsilon: float) -> Verdict:
         """Ambiguous iff the record has a rewrite whose gain strictly exceeds epsilon."""
-        if EMPTY_DISAMBIGUATION_FLAG in self.flags:
+        if not self.disambig_text:
             return Verdict.PERCEIVED_UNAMBIGUOUS
         return classify(self.info_gain, epsilon)
 
 
 @dataclass(frozen=True)
 class ClarifyLabel:
-    """Stage-3 training label for one ambiguous sample."""
+    """Stage-3 label: a canonical phrase (fixed) or a clarification request (generated)."""
 
     sample_id: str
     text: str
@@ -134,9 +138,9 @@ class ClarifyLabel:
         if not self.text:
             raise DataIntegrityError(f"label for {self.sample_id}: empty text")
         if self.kind is LabelKind.FIXED and self.text not in FIXED_CLARIFICATIONS:
-            raise DataIntegrityError(
-                f"label for {self.sample_id}: fixed label is not canonical"
-            )
+            raise DataIntegrityError(f"label for {self.sample_id}: fixed label is not canonical")
+        if self.kind is LabelKind.GENERATED and not is_clarification(self.text):
+            raise DataIntegrityError(f"label for {self.sample_id}: not a clarification request")
 
 
 @dataclass(frozen=True)
@@ -204,9 +208,8 @@ def stage2_disambiguate(
     empty prefix. The toy backend scores every token of each; a remote
     server gives a sequence's first token no distribution, so there the
     first token of both is skipped, and a one-token rewrite errors its
-    sample. An empty rewrite yields a record with zero gain and the
-    ``empty_disambiguation`` flag, unambiguous at every epsilon. The errored
-    samples are returned separately.
+    sample. An empty rewrite yields a record with zero gain, unambiguous at
+    every epsilon. The errored samples are returned separately.
     """
     template = templates["disambiguation"]
 
@@ -223,7 +226,6 @@ def stage2_disambiguate(
             h_query=profile_q.average_entropy,
             h_disambig=profile_d.average_entropy,
             info_gain=gain,
-            flags=() if disambig else (EMPTY_DISAMBIGUATION_FLAG,),
         )
 
     outcomes = run_each(samples, backend, one)
@@ -250,18 +252,18 @@ def stage3_generated_label(
 ) -> ClarifyLabel:
     """Model-generated clarification request naming the ambiguity's source.
 
-    A record without a rewrite, and an output that does not read as a
-    clarification request, fall back to a flagged fixed phrase; the first
-    makes no backend call and is also flagged ``empty_disambiguation``.
+    A record without a rewrite, and a reply that ``ClarifyLabel`` refuses as
+    a generated label, fall back to a flagged fixed phrase; the first makes
+    no backend call and is also flagged ``empty_disambiguation``.
     """
+    flags = (FALLBACK_FIXED_FLAG, EMPTY_DISAMBIGUATION_FLAG)
     if record.disambig_text:
         text = reply(backend, templates["clarification"], params,
                      question=record.query_text, disambiguation=record.disambig_text)
-        if text and is_clarification(text):
+        try:
             return ClarifyLabel(sample_id=record.sample_id, text=text, kind=LabelKind.GENERATED)
-        flags = (FALLBACK_FIXED_FLAG,)
-    else:
-        flags = (FALLBACK_FIXED_FLAG, EMPTY_DISAMBIGUATION_FLAG)
+        except DataIntegrityError:
+            flags = (FALLBACK_FIXED_FLAG,)
     return replace(stage3_fixed_label(record.sample_id, master_seed), flags=flags)
 
 
@@ -289,7 +291,7 @@ def label_records(
 # -- selection and balancing -------------------------------------------------
 
 
-def _perceived_ambiguous(
+def perceived_ambiguous(
     records: Sequence[DisambiguationRecord], epsilon: float
 ) -> list[DisambiguationRecord]:
     return [r for r in records if r.verdict_at(epsilon) is Verdict.PERCEIVED_AMBIGUOUS]
@@ -323,7 +325,7 @@ def select_and_balance(
             f"detection records for sample(s) not in the incorrect split: {foreign[:5]}; "
             "run `ambigkit detect` again"
         )
-    perceived = _perceived_ambiguous(records, epsilon)
+    perceived = perceived_ambiguous(records, epsilon)
     if strategy is SelectionStrategy.APA_INFOGAIN:
         pool = perceived
     else:
@@ -355,8 +357,7 @@ def select_and_balance(
             f"(currently {epsilon}) or check the detection records"
         )
 
-    correct = tuple(a for a in partition.correct if a.sample.answers)
-    if not correct:
+    if not (correct := partition.trainable):
         raise ConfigurationError(
             ("no sample in the correct split has a gold answer to train on" if partition.correct
              else "the correct split is empty: stage 1 answered no sample correctly")
@@ -382,7 +383,7 @@ def sweep_epsilon(
     """Ambiguous-pool size at each threshold, in the given order."""
     if not epsilons:
         raise ValueError("epsilons must be non-empty")
-    return [(eps, len(_perceived_ambiguous(records, eps))) for eps in epsilons]
+    return [(eps, len(perceived_ambiguous(records, eps))) for eps in epsilons]
 
 
 # -- checkpoint serialization --------------------------------------------------
@@ -441,7 +442,7 @@ def write_records(records: Sequence[DisambiguationRecord], path: str | Path,
                 "h_disambig": r.h_disambig,
                 "info_gain": r.info_gain,
                 "verdict": r.verdict_at(epsilon).value,
-                "flags": list(r.flags),
+                "flags": [] if r.disambig_text else [EMPTY_DISAMBIGUATION_FLAG],
             }
             for r in records
         ),
@@ -449,12 +450,13 @@ def write_records(records: Sequence[DisambiguationRecord], path: str | Path,
 
 
 def read_records(path: str | Path) -> list[DisambiguationRecord]:
-    """The records in ``path``. A missing or unknown verdict is refused, but
-    the verdict (at detect's epsilon) is provenance, not read: see verdict_at."""
+    """The records in ``path``. A bad verdict or flags is refused, but neither is
+    read: verdict_at derives both, from the gain and the rewrite."""
     records = []
     for line_number, obj in read_jsonl(path, unique_ids=True):
         with record_at(path, line_number):
             Verdict(obj["verdict"])
+            typed_field(obj, "flags", tuple, ())
             records.append(DisambiguationRecord(
                 sample_id=typed_field(obj, "id", str),
                 query_text=typed_field(obj, "query", str),
@@ -462,7 +464,6 @@ def read_records(path: str | Path) -> list[DisambiguationRecord]:
                 h_query=typed_field(obj, "h_query", float),
                 h_disambig=typed_field(obj, "h_disambig", float),
                 info_gain=typed_field(obj, "info_gain", float),
-                flags=typed_field(obj, "flags", tuple, ()),
             ))
     return records
 
@@ -506,10 +507,10 @@ def read_selection(
     records: Sequence[DisambiguationRecord],
 ) -> tuple[list[AssessedSample], list[DisambiguationRecord]]:
     """The correct and ambiguous halves of the selection written to ``path``:
-    correct ids resolved in the correct split, ambiguous ids in the records.
-    The strategy and epsilon it also records are provenance, not read."""
+    correct ids resolved in ``partition.trainable``, ambiguous ids in the
+    records. The strategy and epsilon it also records are provenance, not read."""
     obj = read_json_object(path)
-    correct_by_id = {a.sample.id: a for a in partition.correct}
+    correct_by_id = {a.sample.id: a for a in partition.trainable}
     records_by_id = {r.sample_id: r for r in records}
     with record_at(path):
         correct_ids = typed_field(obj, "correct_ids", tuple)
@@ -518,5 +519,5 @@ def read_selection(
             return ([correct_by_id[i] for i in correct_ids],
                     [records_by_id[i] for i in ambiguous_ids])
         except KeyError as exc:
-            raise DataIntegrityError(f"selection names sample {exc} outside its half "
-                                     "(the correct split or the detection records)") from exc
+            raise DataIntegrityError(f"selection names sample {exc} outside its half (the "
+                                     "answered correct samples or the detection records)") from exc

@@ -1226,7 +1226,10 @@ def test_mistyped_checkpoint_field_exits_4(tmp_path, capsys, chain_workdir,
     ("records.jsonl", {"info_gain": 0.0}, ["label"],
      "record {id}: info_gain 0.0 != h_query - h_disambig"),
     ("labels.jsonl", {"text": ""}, ["emit"], "label for {id}: empty text"),
-], ids=["records-info-gain-not-the-difference", "labels-text-empty"])
+    ("labels.jsonl", {"kind": "generated", "text": "Paris"}, ["emit"],
+     "label for {id}: not a clarification request"),
+], ids=["records-info-gain-not-the-difference", "labels-text-empty",
+        "labels-generated-not-a-clarification"])
 def test_inconsistent_checkpoint_record_exits_4_naming_the_sample(
         tmp_path, capsys, chain_workdir, name, patch, command, message):
     config, first = patched_chain(tmp_path, chain_workdir, name, patch)
@@ -1254,20 +1257,36 @@ def test_malformed_selection_exits_4(tmp_path, capsys, chain_workdir, body):
     assert str(out / "selection.json") in capsys.readouterr().err
 
 
-def test_correct_sample_without_an_answer_is_left_out_of_the_correct_half(tmp_path):
-    # s2 is gold ambiguous, so it may have no answer, and the model clarifies
-    # it: category 1, in the correct split, with nothing to train on.
+def unanswered_s2_config(tmp_path: Path) -> Path:
+    """The toy config on a copy of the corpus where s2 has no answer. s2 is
+    gold ambiguous, so it may have none, and the model clarifies it:
+    category 1, in the correct split, with nothing to train on."""
     samples = [json.loads(line) for line in (FIXTURES / "corpus.jsonl").read_text().splitlines()]
     for sample in samples:
         if sample["id"] == "s2":
             sample["answers"] = []
     dataset = tmp_path / "corpus.jsonl"
     dataset.write_text("".join(json.dumps(sample) + "\n" for sample in samples))
-    config = write_toy_config(tmp_path / "config.json", dataset=str(dataset))
+    return write_toy_config(tmp_path / "config.json", dataset=str(dataset))
+
+
+def test_correct_sample_without_an_answer_is_left_out_of_the_correct_half(tmp_path):
+    config = unanswered_s2_config(tmp_path)
     run_chain(config)
     selection = json.loads((workdir_of(config) / "selection.json").read_text())
     assert selection["correct_ids"] == ["s1"]
     assert run("--config", str(config), "verify") == 0
+
+
+def test_selection_naming_an_unanswered_correct_sample_exits_4(tmp_path, capsys):
+    config = unanswered_s2_config(tmp_path)
+    run_chain(config)
+    path = workdir_of(config) / "selection.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "correct_ids": ["s2"]}))
+    capsys.readouterr()
+    assert run("--config", str(config), "emit") == 4
+    err = capsys.readouterr().err
+    assert f"{path}: selection names sample 's2' outside its half" in err
 
 
 # SHA-256 of the selection.json that `label` writes for each strategy on the

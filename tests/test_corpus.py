@@ -189,6 +189,10 @@ def test_slot_value_containing_marker_not_recursed():
     assert rendered == "A <disambiguation> B x C"
 
 
+def test_template_without_slots_renders_its_body():
+    assert PromptTemplate(name="t", body="Say hello.").render() == "Say hello."
+
+
 def test_missing_slot_is_an_error():
     template = load_templates()["clarification"]
     with pytest.raises(TemplateError, match="disambiguation"):

@@ -6,9 +6,10 @@ import pytest
 
 import ambigkit.cli
 from ambigkit.cli import main
-from ambigkit.errors import ConfigurationError, DataIntegrityError
+from ambigkit.errors import ConfigurationError, DataIntegrityError, ParseError
 from ambigkit.jsonio import (
     dump_json,
+    record_at,
     typed_field,
     write_json_atomic,
     write_jsonl_atomic,
@@ -69,6 +70,15 @@ def test_unwritable_path_is_a_configuration_error_naming_it(tmp_path, target):
     with pytest.raises(ConfigurationError, match=f"cannot write {path}: "):
         write_text_atomic(path, "x")
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_record_at_passes_a_placed_parse_error_unchanged():
+    placed = ParseError("bad value", 3, "inner.jsonl")
+    with pytest.raises(ParseError) as excinfo:
+        with record_at("outer.jsonl", 7):
+            raise placed
+    assert excinfo.value is placed
+    assert str(placed) == "inner.jsonl line 3: bad value"
 
 
 @pytest.mark.parametrize("value", [True, False])

@@ -160,7 +160,7 @@ def test_stage2_disambiguation_texts(records):
     assert by_id["s3"].h_disambig < by_id["s3"].h_query
 
 
-def test_stage2_empty_disambiguation_flagged(corpus_samples, corpus_backend,
+def test_stage2_empty_disambiguation_flagged(tmp_path, corpus_samples, corpus_backend,
                                              toy_templates, greedy_params):
     # The G: cue for s5 generates the end marker immediately, producing an
     # empty rewrite.
@@ -174,8 +174,11 @@ def test_stage2_empty_disambiguation_flagged(corpus_samples, corpus_backend,
     [record] = records
     assert record.disambig_text == ""
     assert record.verdict_at(0.1) is Verdict.PERCEIVED_UNAMBIGUOUS
-    assert EMPTY_DISAMBIGUATION_FLAG in record.flags
     assert record.info_gain == 0.0
+    # The record holds no flag; the written line derives it from the rewrite.
+    path = tmp_path / "records.jsonl"
+    write_records(records, path, 0.1)
+    assert json.loads(path.read_text())["flags"] == [EMPTY_DISAMBIGUATION_FLAG]
 
 
 def test_empty_rewrite_is_unambiguous_at_a_negative_epsilon(
@@ -270,7 +273,7 @@ def test_generated_label_falls_back_when_not_clarifying(records, corpus_backend,
 def test_generated_label_requires_rewrite(toy_templates, greedy_params):
     record = DisambiguationRecord(
         sample_id="x", query_text="q", disambig_text="", h_query=1.0,
-        h_disambig=1.0, info_gain=0.0, flags=(EMPTY_DISAMBIGUATION_FLAG,),
+        h_disambig=1.0, info_gain=0.0,
     )
     backend = ScriptedBackend()
     label = stage3_generated_label(record, backend, toy_templates,
@@ -285,7 +288,7 @@ def test_generated_label_requires_rewrite(toy_templates, greedy_params):
 def test_label_records_handles_empty_rewrites(toy_templates, greedy_params):
     record = DisambiguationRecord(
         sample_id="x", query_text="q", disambig_text="", h_query=1.0,
-        h_disambig=1.0, info_gain=0.0, flags=(EMPTY_DISAMBIGUATION_FLAG,),
+        h_disambig=1.0, info_gain=0.0,
     )
     [label] = label_records([record], LabelKind.GENERATED, ScriptedBackend(),
                             toy_templates, greedy_params, master_seed=0)
@@ -599,6 +602,22 @@ def test_records_round_trip(tmp_path, records):
     path = tmp_path / "records.jsonl"
     write_records(records, path, 0.1)
     assert read_records(path) == records
+
+
+@pytest.mark.parametrize("disambig,flags,ambiguous_at", [
+    ("", [], []),
+    ("d", [EMPTY_DISAMBIGUATION_FLAG], [-1.0, 0.0, 0.1, 1.0]),
+], ids=["no-rewrite-unflagged", "rewrite-flagged-empty"])
+def test_read_record_is_judged_by_its_rewrite_and_gain_not_its_flags(
+        tmp_path, disambig, flags, ambiguous_at):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps({
+        "id": "x", "query": "q", "disambig": disambig, "h_query": 2.0, "h_disambig": 0.5,
+        "info_gain": 1.5, "verdict": "perceived_ambiguous", "flags": flags}) + "\n")
+    [record] = read_records(path)
+    epsilons = [-1.0, 0.0, 0.1, 1.0, 1.5, 2.0]
+    assert [eps for eps in epsilons
+            if record.verdict_at(eps) is Verdict.PERCEIVED_AMBIGUOUS] == ambiguous_at
 
 
 def test_labels_round_trip(tmp_path):

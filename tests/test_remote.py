@@ -688,6 +688,33 @@ def test_connection_the_server_closed_is_sent_again_without_backoff(monkeypatch)
     assert server.requests == 2
 
 
+def test_new_connection_the_server_closed_is_retried_after_backoff(monkeypatch):
+    # Unlike an idle keep-alive connection, a fresh one that the server closes
+    # before any response byte is a transport failure like any other.
+    sleeps: list[float] = []
+    monkeypatch.setattr(remote, "time", types.SimpleNamespace(sleep=sleeps.append))
+    connections: list = []
+    stop = threading.Event()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        server = threading.Thread(target=_serve_cut_off_responses, daemon=True,
+                                  args=(listener, b"", b"", connections, stop))
+        server.start()
+        host, port = listener.getsockname()
+        backend = RemoteCompletionsBackend(f"http://{host}:{port}/v1/completions", "m",
+                                           parallelism=1, timeout=5)
+        try:
+            with pytest.raises(TransportError) as excinfo:
+                backend.generate("hello", GenerationParams())
+        finally:
+            backend.close()
+            stop.set()
+            server.join(timeout=5)
+    assert not server.is_alive()
+    assert excinfo.value.attempts == 3
+    assert len(connections) == 3
+    assert sleeps == [remote._BACKOFF_BASE_S, 2 * remote._BACKOFF_BASE_S]
+
+
 def test_https_endpoint_speaks_tls():
     # A plain HTTP server fails the TLS handshake, and never sees a POST:
     # a transport error, retried.
@@ -754,6 +781,14 @@ def one_choice(text: str, tokens: list[str], token_logprobs: list, offsets: list
     return data.encode()
 
 
+def paris_with(text: str | None = " Paris", **logprobs) -> bytes:
+    """The ``paris`` answer with ``text`` and the given ``logprobs`` fields."""
+    payload = json.loads(paris({}))
+    payload["choices"][0]["text"] = text
+    payload["choices"][0]["logprobs"].update(logprobs)
+    return json.dumps(payload).encode()
+
+
 def generate_hello(backend: RemoteCompletionsBackend):
     return backend.generate("hello", GenerationParams())
 
@@ -774,8 +809,14 @@ def generate_hello(backend: RemoteCompletionsBackend):
      "token ' Paris': backend distribution invalid: logprob inf"),
     (lambda body: one_choice(" Paris", [" Paris"], [str(-10 ** 400)], [0]), generate_hello,
      "token ' Paris': logprob -10{400} is out of range"),
+    (lambda body: paris_with(top_logprobs=[None]), generate_hello,
+     "missing top_logprobs for token ' Paris'"),
+    (lambda body: paris_with(tokens=" Paris"), generate_hello,
+     "logprobs 'tokens' is not an array"),
+    (lambda body: paris_with(text=None), generate_hello, "choice has no text"),
 ], ids=["http-400", "null-logprob-past-offset-0", "echoed-text-without-the-prompt",
-        "logprob-1e400", "logprob-401-digits"])
+        "logprob-1e400", "logprob-401-digits", "top-logprobs-null", "tokens-not-an-array",
+        "text-null"])
 def test_wire_refusal_is_a_protocol_error_after_one_request(answer, call, message):
     with LoopbackServer(answer) as server:
         backend = RemoteCompletionsBackend(server.endpoint, "m")

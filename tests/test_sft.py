@@ -110,6 +110,17 @@ def test_emit_rejects_missing_label(tmp_path):
              master_seed=0)
 
 
+def test_emit_refuses_a_correct_sample_without_a_gold_answer(tmp_path):
+    unanswered = AssessedSample(
+        sample=QASample(id="c000", question="question c000?", answers=(), gold_ambiguous=True),
+        prediction="Which one do you mean?", category=1,
+    )
+    ambiguous = [ambig_record(0)]
+    with pytest.raises(DataIntegrityError, match="sample c000: no gold answer to train on"):
+        emit([unanswered], ambiguous, fixed_labels(ambiguous), DIRECT, tmp_path / "x.jsonl",
+             master_seed=0)
+
+
 def test_record_invariants():
     with pytest.raises(DataIntegrityError):
         SftRecord(id="x", prompt="p", completion="", source=Source.CORRECT)
@@ -213,6 +224,19 @@ def test_verify_flags_non_canonical_fixed_phrase(tmp_path):
     path.write_text("".join(l + "\n" for l in lines))
     report = verify(path)
     assert any("canonical" in message for message in report.failures)
+
+
+def test_verify_flags_generated_completion_that_does_not_clarify(tmp_path):
+    path = emit_small(tmp_path)
+    lines = path.read_text().splitlines()
+    index = next(i for i, l in enumerate(lines) if json.loads(l)["source"] == "ambig")
+    lines[index] = json.dumps({**json.loads(lines[index]), "completion": "Paris",
+                               "clarify_kind": "generated"})
+    path.write_text("".join(l + "\n" for l in lines))
+    report = verify(path)
+    [message] = report.failures
+    assert message.startswith(f"{path} line {index + 1}: ")
+    assert "not a clarification request" in message
 
 
 def test_verify_flags_duplicate_ids(tmp_path):

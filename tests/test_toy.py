@@ -62,6 +62,16 @@ def test_context_length_must_match_order():
         )
 
 
+def test_vector_length_must_match_vocabulary():
+    with pytest.raises(DataIntegrityError, match="has 2 entries, expected 3"):
+        NgramTable(("<s>", "a", "</s>"), 2, "<s>", "</s>", {("a",): (0.5, 0.5)})
+
+
+def test_context_of_the_wrong_length_is_refused(bigram):
+    with pytest.raises(DataIntegrityError, match="context length 2 != order-1 = 1"):
+        bigram.next_distribution(("a", "b"))
+
+
 def test_full_top_k_has_zero_tail(bigram):
     backend = ToyBackend(bigram)  # top_k = |V|
     result = backend.score("a b", "")
@@ -101,6 +111,20 @@ def test_greedy_modal_chain_stops():
 def test_empty_prompt_rejected(corpus_backend):
     with pytest.raises(ValueError):
         corpus_backend.generate("", GenerationParams())
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "text must be non-empty"),  # Backend.score's own check
+    ("  ", "text tokenizes to nothing"),
+], ids=["empty", "whitespace"])
+def test_score_refuses_text_without_tokens(bigram, text, message):
+    with pytest.raises(ValueError, match=message):
+        ToyBackend(bigram).score(text)
+
+
+def test_prompt_token_outside_the_vocabulary(bigram):
+    with pytest.raises(VocabularyError, match="zebra"):
+        ToyBackend(bigram).generate("a zebra", GenerationParams())
 
 
 def test_seeded_sampling_deterministic():

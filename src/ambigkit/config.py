@@ -11,9 +11,9 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
-from functools import partial
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 from urllib.parse import urlsplit
 
 from .backend import Backend
@@ -23,11 +23,15 @@ from .evalkit import DEFAULT_ROUGE_THRESHOLD
 from .jsonio import read_json_object
 from .pipeline import LabelKind, SelectionStrategy
 
+# Field metadata of a path setting: a relative one resolves against the
+# config file's directory.
+_PATH = {"path": True}
+
 
 @dataclass(frozen=True)
 class BackendSpec:
     kind: str = "toy"
-    fixture: str | None = None
+    fixture: str | None = field(default=None, metadata=_PATH)
     endpoint: str | None = None
     model: str | None = None
     api_key: str | None = None
@@ -47,6 +51,17 @@ class BackendSpec:
             raise ConfigurationError(
                 f"remote backend requires an http(s) 'endpoint' URL, got {self.endpoint!r}"
             )
+        # http.client fails every request, and not with a BackendError, on a
+        # request target or header it cannot send. Neither message shows the
+        # value: an api_key is a secret.
+        if self.kind == "remote":
+            url = urlsplit(self.endpoint)
+            if not all("!" <= char <= "~" for char in url.path + url.query):
+                raise ConfigurationError("backend 'endpoint' path and query must be "
+                                         "printable ASCII without spaces")
+        if self.api_key is not None and not (self.api_key.isascii()
+                                             and self.api_key.isprintable()):
+            raise ConfigurationError("backend 'api_key' must be printable ASCII")
 
 
 def _is_http_url(value: object) -> bool:
@@ -84,12 +99,12 @@ class SampleRepConfig:
 @dataclass(frozen=True)
 class RunConfig:
     backend: BackendSpec
-    dataset: str
-    workdir: str = "out"
+    dataset: str = field(metadata=_PATH)
+    workdir: str = field(default="out", metadata=_PATH)
     epsilon: float = 0.1
     truncation_mode: TruncationMode = TruncationMode.TAIL_LUMP
     seed: int = 0
-    template_dir: str | None = None
+    template_dir: str | None = field(default=None, metadata=_PATH)
     max_tokens: int = 64
     rouge_threshold: float = DEFAULT_ROUGE_THRESHOLD
     strategy: SelectionStrategy = SelectionStrategy.APA_INFOGAIN
@@ -115,49 +130,60 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _section(cls, obj: object, where: str, convert: dict):
-    """Build one config section from the keys ``obj`` holds, each through
-    its ``convert`` entry if it has one; an absent key takes the dataclass
-    default."""
+# A value that is not a string is named by its JSON type, never shown.
+_JSON_TYPES = {bool: "a boolean", int: "a number", float: "a number",
+               list: "an array", dict: "an object", type(None): "null"}
+
+
+def _section(cls, obj: object, where: str, base: Path):
+    """Build one config section from the keys ``obj`` holds, each converted
+    to its field's declared type, a path field's relative path resolved
+    against ``base``; an absent key takes the dataclass default."""
     if not isinstance(obj, dict):
         raise ConfigurationError(f"'{where}' must be an object")
-    unknown = set(obj) - {f.name for f in fields(cls)}
+    declared = {f.name: f for f in fields(cls)}
+    unknown = set(obj) - set(declared)
     if unknown:
-        raise ConfigurationError(
-            f"unknown {where} key(s): {', '.join(sorted(unknown))}"
-        )
+        raise ConfigurationError(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
+    types = get_type_hints(cls)
     values = {}
     for key, value in obj.items():
         try:
-            values[key] = convert[key](value) if key in convert else value
+            value = _convert(types[key], value, key, base)
+            if declared[key].metadata.get("path") and value is not None:
+                value = Path(value)
+                value = str(value if value.is_absolute() else (base / value).resolve())
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad {where} value for {key!r}: {exc}") from exc
+        values[key] = value
     return cls(**values)
 
 
-def _member(cls: type[enum.Enum]):
-    """Converter to the member of ``cls`` with the given value; a bad value's
-    message lists the allowed ones."""
-    def convert(value):
+def _convert(kind, value: object, key: str, base: Path):
+    """``value`` as the declared type ``kind``, ``X | None`` taking null too.
+    A number is no boolean, which int() and float() take as 1 or 0, and an
+    int a whole one, which int() would truncate; a numeric string converts."""
+    if type(None) in get_args(kind):
+        if value is None:
+            return None
+        (kind,) = set(get_args(kind)) - {type(None)}
+    if is_dataclass(kind):
+        return _section(kind, value, key, base)
+    if issubclass(kind, enum.Enum):
         try:
-            return cls(value)
+            return kind(value)
         except ValueError:
-            allowed = ", ".join(member.value for member in cls)
+            allowed = ", ".join(member.value for member in kind)
             raise ValueError(f"{value!r} is not one of {allowed}") from None
-    return convert
-
-
-def _number(kind: type):
-    """Converter to ``kind`` (int or float) that refuses a boolean, which
-    both would otherwise take as 1 or 0, and to int a float that is not a
-    whole number, which int() would truncate or fail on."""
-    def convert(value):
-        if isinstance(value, bool):
-            raise TypeError(f"expected a number, got {value!r}")
-        if kind is int and isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"expected a whole number, got {value!r}")
-        return kind(value)
-    return convert
+    if kind is str:
+        if not isinstance(value, str):
+            raise TypeError(f"expected a string, got {_JSON_TYPES[type(value)]}")
+        return value
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return kind(value)
 
 
 def _backend_flag(section: object, value: str) -> object:
@@ -187,16 +213,6 @@ def load_config(path: str | Path, flags: dict | None = None) -> RunConfig:
     if "dataset" not in obj:
         raise ConfigurationError("config requires a 'dataset' path")
 
-    def relative(value):
-        """A path string relative to the config file's directory."""
-        if not isinstance(value, str):
-            raise TypeError(f"expected a path string, got {value!r}")
-        value = Path(value)
-        return str(value if value.is_absolute() else (path.parent / value).resolve())
-
-    def optional(convert):
-        return lambda value: None if value is None else convert(value)
-
     # An absent backend section is an empty one, and the default workdir is
     # relative to the config file like a given one.
     obj = {"backend": {}, "workdir": RunConfig.workdir, **obj}
@@ -206,27 +222,7 @@ def load_config(path: str | Path, flags: dict | None = None) -> RunConfig:
     if "workdir" in given:
         given["workdir"] = str(Path(given["workdir"]).resolve())
     obj.update(given)
-    to_int, to_float = _number(int), _number(float)
-    return _section(RunConfig, obj, "config", {
-        "backend": partial(_section, BackendSpec, where="backend", convert={
-            "fixture": optional(relative),
-            "top_k": optional(to_int),
-            "parallelism": to_int,
-        }),
-        "dataset": relative,
-        "workdir": relative,
-        "epsilon": to_float,
-        "truncation_mode": _member(TruncationMode),
-        "seed": to_int,
-        "template_dir": optional(relative),
-        "max_tokens": to_int,
-        "rouge_threshold": to_float,
-        "strategy": _member(SelectionStrategy),
-        "label_kind": _member(LabelKind),
-        "sample_rep": partial(_section, SampleRepConfig, where="sample_rep", convert={
-            "threshold": to_float, "num_samples": to_int, "temperature": to_float,
-        }),
-    })
+    return _section(RunConfig, obj, "config", path.parent)
 
 
 def make_backend(spec: BackendSpec, *, journal: str | Path | None = None) -> Backend:

@@ -34,7 +34,6 @@ class ProtocolError(BackendError):
         if payload_excerpt:
             message = f"{message}; payload excerpt: {payload_excerpt!r}"
         super().__init__(message)
-        self.payload_excerpt = payload_excerpt
 
 
 class CapabilityError(BackendError):
@@ -68,7 +67,6 @@ class VocabularyError(DataIntegrityError):
 
     def __init__(self, token: str):
         super().__init__(f"token not in vocabulary: {token!r}")
-        self.token = token
 
 
 class NormalizationError(DataIntegrityError):

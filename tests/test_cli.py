@@ -884,6 +884,8 @@ def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch, cap
     {"workdir": 7},
     {"dataset": 7},
     {"max_tokens": 0},
+    {"backend": {"model": 5}},
+    {"backend": {"api_key": ["k"]}},
 ], ids=["epsilon-text", "epsilon-null", "epsilon-list", "top_k-0", "top_k-negative",
         "top_k-over-vocabulary", "num_samples-0", "temperature-negative", "temperature-zero",
         "threshold-nan", "threshold-inf", "truncation_mode-renormalize",
@@ -892,7 +894,7 @@ def test_eval_total_outage_exits_3_and_writes_nothing(tmp_path, monkeypatch, cap
         "num_samples-fraction", "seed-infinity", "rouge_threshold-nan", "rouge_threshold-inf",
         "rouge_threshold-negative", "rouge_threshold-above-1", "rouge_threshold-1",
         "temperature-inf", "workdir-null", "dataset-null", "workdir-number",
-        "dataset-number", "max_tokens-0"])
+        "dataset-number", "max_tokens-0", "model-number", "api_key-array"])
 def test_bad_config_value_exits_2(tmp_path, capsys, patch):
     config = write_toy_config(tmp_path / "config.json", **patch)
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 2
@@ -901,6 +903,10 @@ def test_bad_config_value_exits_2(tmp_path, capsys, patch):
     if {"workdir", "dataset"} & set(patch):
         assert f"{next(iter(patch))!r}" in err
         assert not (tmp_path / "None").exists()
+    if {"model", "api_key"} & set(patch.get("backend", {})):
+        [(key, value)] = patch["backend"].items()
+        assert f"bad backend value for {key!r}: expected a string" in err
+        assert repr(value) not in err
 
 
 @pytest.mark.parametrize("flag,grid,message", [
@@ -1174,6 +1180,25 @@ def test_malformed_remote_endpoint_exits_2(tmp_path, capsys, endpoint, flag):
     argv = ["--config", str(config), *([flag] if flag else []), "assess"]
     assert run(*argv) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("api_key", "ключ"),
+    ("api_key", "sk-1\r\nX-Extra: 1"),
+    ("endpoint", "http://127.0.0.1:9/v1/complétions"),
+    ("endpoint", "http://127.0.0.1:9/v1/completions?user=é"),
+], ids=["api_key-not-ascii", "api_key-crlf", "endpoint-path-not-ascii",
+        "endpoint-query-not-ascii"])
+def test_backend_value_http_cannot_send_exits_2(tmp_path, capsys, key, value):
+    # Refused at load, naming the setting but not the value; http.client
+    # would otherwise raise outside BackendError on the first request.
+    backend = {"kind": "remote", "endpoint": "http://127.0.0.1:9/v1/completions", key: value}
+    config = write_toy_config(tmp_path / "config.json", backend=backend)
+    assert run("--config", str(config), "assess") == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: backend {key!r} " in err
+    assert value not in err
+    assert not workdir_of(config).exists()  # stopped before any stage began
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from ambigkit.config import (
     BackendSpec,
+    RunConfig,
+    SampleRepConfig,
     config_hash,
     load_config,
     make_backend,
@@ -153,6 +156,11 @@ def test_config_hash_is_pinned(tmp_path):
         "label_kind": "generated",
         "sample_rep": {"threshold": 0.6, "num_samples": 4, "temperature": 0.7},
     }
+    # Every setting is set, so a new one cannot bypass the digest or the
+    # conversion by its declared type.
+    for section, cls in ((config, RunConfig), (config["backend"], BackendSpec),
+                         (config["sample_rep"], SampleRepConfig)):
+        assert set(section) == {f.name for f in fields(cls)}
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     assert config_hash(load_config(path)) == (

@@ -46,11 +46,15 @@ from .corpus import (
 )
 from .errors import BackendError, ConfigurationError, DataIntegrityError
 from .evalkit import (
+    OutcomeCounts,
     PredictionRecord,
     evaluate,
+    f1_ambig,
+    f1_unambig,
     judge_sample_rep,
     mcr,
     read_predictions,
+    report_obj,
     run_ambig_aware,
     run_direct,
     run_sample_rep,
@@ -304,18 +308,17 @@ def _eval_stage(args, config: RunConfig, paths: _Paths, samples: list[QASample],
                 predictions: list[PredictionRecord], name: str, writes=(),
                 source: Path | None = None) -> _Stage:
     """``writes``, then the report on ``predictions`` (of file ``source``), and its line."""
-    report = evaluate(samples, predictions, config.rouge_threshold, source)
-    out = Path(args.report or paths.workdir / f"eval_{name}.json")
-    report_obj = report.to_obj({
+    report = report_obj(evaluate(samples, predictions, config.rouge_threshold, source), {
         "epsilon": config.epsilon, "truncation_mode": config.truncation_mode.value,
         "rouge_threshold": config.rouge_threshold, "seed": config.seed, "strategy": name,
     })
-    left_out = report.counts.errored
+    out = Path(args.report or paths.workdir / f"eval_{name}.json")
+    left_out = report["counts"]["errored"]
     note = f"  {left_out} errored, left out of F1" if left_out else ""
     return _Stage(
-        [*writes, (out, lambda path: write_json_atomic(path, report_obj))],
+        [*writes, (out, lambda path: write_json_atomic(path, report))],
         {"predictions": len(predictions), "errored": left_out},
-        f"F1_u: {report.f1_u:.4f}  F1_a: {report.f1_a:.4f}{note}  ({out})",
+        f"F1_u: {report['f1_u']:.4f}  F1_a: {report['f1_a']:.4f}{note}  ({out})",
     )
 
 
@@ -335,9 +338,8 @@ def _eval_predictions(args, config, paths, templates, backend) -> _Stage:
 
 def _eval_compare(args, config, paths, templates, backend) -> _Stage:
     samples = load_dataset(config.dataset)
-    before, after = ({o.sample_id: o.category for o in evaluate(
-        samples, read_predictions(p), config.rouge_threshold, p).per_sample}
-        for p in args.compare)
+    before, after = ({row.sample_id: row.category for row in evaluate(
+        samples, read_predictions(p), config.rouge_threshold, p)} for p in args.compare)
     regression = asdict(mcr(before, after))
     out = Path(args.report or paths.workdir / "eval_compare.json")
     rate = "n/a" if regression["mcr"] is None else f"{regression['mcr']:.4f}"
@@ -430,8 +432,9 @@ def _sweep_sample_rep(args, config, paths, templates, backend) -> _Stage:
     rows = [["threshold", "f1_u", "f1_a"]]
     for threshold in thresholds:
         predictions = [judge_sample_rep(p, threshold, config.seed) for p in recorded]
-        report = evaluate(samples, predictions, config.rouge_threshold, args.sample_rep)
-        rows.append([threshold, f"{report.f1_u:.6f}", f"{report.f1_a:.6f}"])
+        counts = OutcomeCounts.of(
+            evaluate(samples, predictions, config.rouge_threshold, args.sample_rep))
+        rows.append([threshold, f"{f1_unambig(counts):.6f}", f"{f1_ambig(counts):.6f}"])
     return _sweep_stage(args, paths.workdir / "sample_rep_sweep.csv", rows,
                         {"predictions": len(recorded)})
 

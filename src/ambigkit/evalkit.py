@@ -1,6 +1,6 @@
 """Evaluation harness: answer matching, clarification detection, the
-five-outcome taxonomy, F1 metrics, regression rate, the prediction-file
-format, and the four inference-only baselines.
+five-outcome taxonomy, the outcome table and its scores (F1, regression
+rate), the prediction-file format, and the four inference-only baselines.
 
 Outcome categories:
 
@@ -28,7 +28,7 @@ import string
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .backend import Backend, GenerationParams, bounded_map
 from .corpus import PromptTemplate, QASample, first_word, reply
@@ -123,6 +123,12 @@ class OutcomeCounts:
         if min(self.c1, self.c2, self.c3, self.c4, self.c5, self.errored) < 0:
             raise DataIntegrityError("outcome counts must be non-negative")
 
+    @classmethod
+    def of(cls, rows: Iterable[PerSampleOutcome]) -> OutcomeCounts:
+        """The rows tallied by category; a row with none counts as errored."""
+        tallies = Counter(row.category for row in rows)
+        return cls(*(tallies[c] for c in range(1, 6)), errored=tallies[None])
+
 
 def _harmonic(precision: float, recall: float) -> float:
     if precision + recall == 0:
@@ -188,7 +194,7 @@ def clarification_phrase(master_seed: int, purpose: str, sample_id: str) -> str:
 
 @dataclass(frozen=True)
 class PredictionRecord:
-    """One sample's final prediction from a baseline run."""
+    """One sample's final prediction from a baseline run; ``error`` is never empty."""
 
     sample_id: str
     prediction: str
@@ -196,13 +202,17 @@ class PredictionRecord:
     flags: tuple[str, ...] = ()
     extras: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.error == "":
+            raise DataIntegrityError("field 'error' must not be empty (null: not errored)")
+
 
 def write_predictions(predictions: Sequence[PredictionRecord], path: str | Path) -> None:
     """One JSON line per record: id, prediction, the error and the flags if
     any, then the extras."""
     write_jsonl_atomic(path, (
         {"id": p.sample_id, "prediction": p.prediction,
-         **({"error": p.error} if p.error else {}),
+         **({"error": p.error} if p.error is not None else {}),
          **({"flags": p.flags} if p.flags else {}), **p.extras}
         for p in predictions
     ))
@@ -228,7 +238,8 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
 
 
 class Errored(NamedTuple):
-    """A sample whose backend calls failed, with the error's message."""
+    """A sample whose backend calls failed, with the error's message (its
+    class name when the message is empty)."""
 
     sample_id: str
     error: str
@@ -242,7 +253,7 @@ def run_each(samples: Sequence[QASample], backend: Backend, fn: Callable) -> lis
         try:
             return fn(sample)
         except BackendError as exc:
-            return Errored(sample.id, str(exc))
+            return Errored(sample.id, str(exc) or type(exc).__name__)
 
     outcomes = bounded_map(one, list(samples), backend.parallelism)
     if outcomes and all(isinstance(o, Errored) for o in outcomes):
@@ -295,14 +306,16 @@ def judge_sample_rep(
     """Apply the sample-rep threshold to a record whose extras carry
     ``consistency`` and ``greedy``.
 
-    A sample is judged ambiguous when consistency falls strictly below
-    ``threshold``; its prediction is then a fixed clarification phrase,
+    A sample is judged ambiguous when consistency (in [0, 1]) falls strictly
+    below ``threshold``; its prediction is then a fixed clarification phrase,
     otherwise the greedy answer. Errored records pass through unchanged.
     """
     if record.error is not None:
         return record
     with record_at(f"sample-rep record {record.sample_id!r}"):
         consistency = typed_field(record.extras, "consistency", float)
+        if not 0 <= consistency <= 1:
+            raise ValueError(f"field 'consistency' must lie in [0, 1], got {consistency}")
         greedy = typed_field(record.extras, "greedy", str)
     ambiguous = consistency < threshold
     prediction = _clarify_or_answer(greedy, ambiguous, master_seed, "sample_rep_phrase",
@@ -378,11 +391,13 @@ def run_self_ask(
     return _run_each(samples, backend, one)
 
 
-# -- report assembly ---------------------------------------------------------
+# -- the outcome table -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PerSampleOutcome:
+    """An outcome-table row; an errored sample has no category or ROUGE-L."""
+
     sample_id: str
     category: int | None
     rouge: float | None
@@ -390,40 +405,15 @@ class PerSampleOutcome:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    counts: OutcomeCounts
-    f1_u: float
-    f1_a: float
-    per_sample: tuple[PerSampleOutcome, ...]
-
-    def to_obj(self, config_echo: Mapping[str, object] | None = None) -> dict:
-        return {
-            "counts": asdict(self.counts),
-            "f1_u": self.f1_u,
-            "f1_a": self.f1_a,
-            "per_sample": [
-                {
-                    "id": o.sample_id,
-                    "category": o.category,
-                    "rouge": o.rouge,
-                    "prediction": o.prediction,
-                    **({"error": o.error} if o.error else {}),
-                }
-                for o in self.per_sample
-            ],
-            "config": dict(config_echo or {}),
-        }
-
-
 def evaluate(
     samples: Sequence[QASample],
     predictions: Sequence[PredictionRecord],
     threshold: float = DEFAULT_ROUGE_THRESHOLD,
     source: str | Path | None = None,
-) -> EvalReport:
-    """Score a prediction set against gold labels and assemble the report. A
-    set whose ids are not the samples' is refused naming ``source``, its file."""
+) -> list[PerSampleOutcome]:
+    """Score a prediction set against gold labels: the outcome table, one row
+    per sample in dataset order. A set whose ids are not the samples' is
+    refused naming ``source``, its file."""
     by_id = {p.sample_id: p for p in predictions}
     missing = [s.id for s in samples if s.id not in by_id]
     if missing:
@@ -433,23 +423,28 @@ def evaluate(
     if unknown:
         raise ParseError(f"predictions for sample(s) not in the dataset: {unknown[:5]}",
                          where=source)
-    outcomes: list[PerSampleOutcome] = []
+    rows = []
     for sample in samples:
         record = by_id[sample.id]
         if record.error is not None:
-            outcomes.append(
-                PerSampleOutcome(sample.id, None, None, record.prediction, record.error)
-            )
+            rows.append(PerSampleOutcome(sample.id, None, None, record.prediction, record.error))
             continue
         category = categorize(sample, record.prediction, threshold)
         rouge = rouge_l(record.prediction, sample.answers) if sample.answers else None
-        outcomes.append(PerSampleOutcome(sample.id, category, rouge, record.prediction))
-    tallies = Counter(outcome.category for outcome in outcomes)  # None: errored
-    counts = OutcomeCounts(*(tallies[c] for c in range(1, 6)), errored=tallies[None])
-    return EvalReport(
-        counts=counts,
-        f1_u=f1_unambig(counts),
-        f1_a=f1_ambig(counts),
-        per_sample=tuple(outcomes),
-    )
+        rows.append(PerSampleOutcome(sample.id, category, rouge, record.prediction))
+    return rows
 
+
+def report_obj(rows: Sequence[PerSampleOutcome], config_echo: Mapping[str, object]) -> dict:
+    """The report ``eval`` writes: the counts, both F1 scores, each row, and
+    the config echo."""
+    counts = OutcomeCounts.of(rows)
+    return {
+        "counts": asdict(counts),
+        "f1_u": f1_unambig(counts),
+        "f1_a": f1_ambig(counts),
+        "per_sample": [{"id": o.sample_id, "category": o.category, "rouge": o.rouge,
+                        "prediction": o.prediction,
+                        **({"error": o.error} if o.error is not None else {})} for o in rows],
+        "config": dict(config_echo),
+    }

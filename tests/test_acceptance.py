@@ -171,9 +171,9 @@ def test_criterion_5_metric_fixtures():
     templates = load_templates(FIXTURES / "toy_templates")
     predictions = run_direct(samples, backend, templates,
                              GenerationParams(max_tokens=8))
-    report = evaluate(samples, predictions)
-    assert report.counts.c1 == 0
-    assert report.f1_a == 0.0
+    counts = OutcomeCounts.of(evaluate(samples, predictions))
+    assert counts.c1 == 0
+    assert f1_ambig(counts) == 0.0
 
     before = {f"s{i}": 3 for i in range(100)}
     after = {f"s{i}": 5 if i < 7 else 3 for i in range(100)}

@@ -389,6 +389,19 @@ def test_eval_predictions_schema_error(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_eval_predictions_refuses_an_empty_error(tmp_path, capsys):
+    # An errored line carries its message; an empty one would be read back as
+    # errored but reported without one.
+    config = write_toy_config(tmp_path / "config.json")
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text('{"id": "s2", "prediction": "y"}\n'
+                           '{"id": "s1", "prediction": "x", "error": ""}\n')
+    assert run("--config", str(config), "eval", "--predictions", str(predictions)) == 4
+    err = capsys.readouterr().err
+    assert f"{predictions} line 2: field " in err and "'error' must not be empty" in err
+    assert not workdir_of(config).joinpath("eval_predictions.json").exists()
+
+
 def test_eval_compare_reports_mcr(tmp_path):
     samples, before, after = [], [], []
     for i in range(100):
@@ -559,9 +572,11 @@ def test_sweep_sample_rep_thresholds(tmp_path):
     ("consistency", None),
     ("consistency", True),
     ("consistency", float("nan")),
+    ("consistency", 5.0),
+    ("consistency", -0.5),
     ("greedy", 5),
 ], ids=["consistency-text", "consistency-null", "consistency-boolean",
-        "consistency-nan", "greedy-number"])
+        "consistency-nan", "consistency-above-one", "consistency-negative", "greedy-number"])
 def test_sweep_sample_rep_mistyped_field_exits_4(tmp_path, capsys, field, value):
     config = write_toy_config(tmp_path / "config.json")
     assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 0
@@ -1434,6 +1449,31 @@ def test_build_chain_outputs_depend_on_neither_parallelism_nor_input_order(tmp_p
     assert outputs[0][1]
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+def test_growing_the_dataset_changes_no_shared_sample_line(tmp_path):
+    """Each draw is keyed by sample id, so samples added to the dataset leave
+    every line of the samples it already held byte-equal."""
+    lines = (FIXTURES / "corpus.jsonl").read_text().splitlines(keepends=True)
+    grown = tmp_path / "grown.jsonl"
+    grown.write_text("".join(lines) + "".join(
+        json.dumps({**json.loads(line), "id": f"new{i}"}) + "\n"
+        for i, line in enumerate(lines[:3])))
+    names = ("assess.jsonl", "records.jsonl", "predictions_sample_rep.jsonl",
+             "predictions_self_ask.jsonl")
+    runs = []
+    for config in (write_toy_config(tmp_path / "base.json"),
+                   write_toy_config(tmp_path / "grown.json", dataset=str(grown))):
+        for command in (["assess"], ["detect"], ["eval", "--strategy", "sample_rep"],
+                        ["eval", "--strategy", "self_ask"]):
+            assert run("--config", str(config), *command) == 0, command
+        runs.append({name: {json.loads(line)["id"]: line for line in
+                            (workdir_of(config) / name).read_text().splitlines()}
+                     for name in names})
+    base, after = runs
+    for name in names:
+        assert len(after[name]) > len(base[name]) > 0, name
+        assert {sid: after[name].get(sid) for sid in base[name]} == base[name], name
 
 
 def test_toy_chain_outputs_are_pinned(tmp_path):

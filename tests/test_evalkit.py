@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from ambigkit.errors import BackendError, DataIntegrityError, TransportError
 from ambigkit.evalkit import (
     Errored,
     OutcomeCounts,
+    PerSampleOutcome,
     PredictionRecord,
     categorize,
     evaluate,
@@ -210,6 +212,20 @@ def test_counts_reject_negative():
         OutcomeCounts(c1=-1)
 
 
+@given(st.lists(st.tuples(st.sampled_from([1, 2, 3, 4, 5, None]), st.integers(0, 3))))
+def test_counts_of_groups_sum_to_counts_of_all_rows(labelled):
+    # Per-group scores (say, per source) rest on this: any partition of the
+    # outcome table tallies to the pooled counts.
+    rows = [PerSampleOutcome(f"r{i}", category, None, "")
+            for i, (category, _) in enumerate(labelled)]
+    groups: dict[int, list[PerSampleOutcome]] = {}
+    for row, (_, group) in zip(rows, labelled):
+        groups.setdefault(group, []).append(row)
+    per_group = [astuple(OutcomeCounts.of(group)) for group in groups.values()]
+    assert OutcomeCounts(*map(sum, zip(*per_group))) == OutcomeCounts.of(rows)
+    assert sum(astuple(OutcomeCounts.of(rows))) == len(rows)
+
+
 # -- regression rate ----------------------------------------------------------------
 
 
@@ -280,6 +296,12 @@ def test_run_each_total_outage_raises_with_the_sample_count():
         run_each(samples, ScriptedBackend(), raising(refused("x0", "x1", "x2")))
 
 
+def test_run_each_names_an_error_without_a_message_by_its_class():
+    samples = [sample(False, sid="x0"), sample(False, sid="x1")]
+    outcomes = run_each(samples, ScriptedBackend(), raising({"x0": BackendError("")}))
+    assert outcomes == [Errored("x0", "BackendError"), "x1"]
+
+
 def test_run_each_on_no_samples_is_no_outage():
     assert run_each([], ScriptedBackend(), raising({})) == []
 
@@ -300,10 +322,10 @@ def test_run_direct_on_toy_corpus(corpus_backend, toy_templates, greedy_params):
     assert [p.prediction for p in predictions] == [
         "ans1", "ans3", "ans4", "ans5", "ans7", "ans8",
     ]
-    report = evaluate(samples, predictions)
-    assert report.counts.c1 == 0
-    assert report.f1_a == 0.0
-    assert report.f1_u > 0.0
+    counts = OutcomeCounts.of(evaluate(samples, predictions))
+    assert counts.c1 == 0
+    assert f1_ambig(counts) == 0.0
+    assert f1_unambig(counts) > 0.0
 
 
 def test_run_ambig_aware_always_clarifies(corpus_backend, toy_templates,
@@ -312,9 +334,9 @@ def test_run_ambig_aware_always_clarifies(corpus_backend, toy_templates,
         corpus_samples, corpus_backend, toy_templates, greedy_params
     )
     assert all(p.prediction == "clarify" for p in predictions)
-    report = evaluate(corpus_samples, predictions)
-    assert report.counts.c3 == 0 and report.f1_u == 0.0
-    assert report.f1_a > 0.0
+    counts = OutcomeCounts.of(evaluate(corpus_samples, predictions))
+    assert counts.c3 == 0 and f1_unambig(counts) == 0.0
+    assert f1_ambig(counts) > 0.0
 
 
 def test_ambiguity_aware_template_contains_escape_instruction():
@@ -401,7 +423,7 @@ def test_sample_rep_threshold_sweep_picks_best(toy_templates):
         records = run_sample_rep(samples, b, templates,
                                  GenerationParams(max_tokens=8),
                                  SampleRepConfig(threshold=threshold), master_seed=0)
-        return evaluate(samples, records).f1_a
+        return f1_ambig(OutcomeCounts.of(evaluate(samples, records)))
 
     scores = {t / 10: f1a_at(t / 10) for t in range(1, 11)}
     best = max(scores, key=scores.get)
@@ -467,10 +489,10 @@ def test_evaluate_counts_errored_separately():
         PredictionRecord("e1", "gold"),
         PredictionRecord("e2", "", error="backend down"),
     ]
-    report = evaluate(samples, predictions)
-    assert report.counts.errored == 1
-    assert report.counts.c3 == 1
-    assert report.counts.c1 + report.counts.c2 == 0
+    counts = OutcomeCounts.of(evaluate(samples, predictions))
+    assert counts.errored == 1
+    assert counts.c3 == 1
+    assert counts.c1 + counts.c2 == 0
 
 
 def test_predictions_round_trip_keeps_flags(tmp_path):

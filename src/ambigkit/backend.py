@@ -61,12 +61,14 @@ class GenerationParams:
 class TokenDistribution:
     """Next-token distribution information at one position.
 
-    ``top_alternatives`` lists (token_text, logprob) pairs, at least one,
-    stored in descending logprob, ties by token. ``tail_mass`` is derived, 1
-    minus their mass floored at 0, so equal listings give equal tails on
-    every backend; a mass above 1 + NORMALIZATION_TOLERANCE, or NaN, is
-    refused. The realized token need not be modal, but appears among the
-    alternatives whenever its probability exceeds the k-th alternative's.
+    ``top_alternatives`` lists (token_text, logprob) pairs, at least one
+    above -inf, stored in descending logprob, ties by token; a -inf one is
+    dropped. ``tail_mass`` is derived, 1 minus their mass floored at 0, so
+    equal listings give equal tails on every backend; a mass above 1 +
+    NORMALIZATION_TOLERANCE, or NaN, is refused. The realized token need not
+    be modal, but appears among the alternatives whenever its probability
+    exceeds the k-th alternative's. Its logprob is above -inf and, where it
+    is listed, within NORMALIZATION_TOLERANCE of its listed one.
     """
 
     token_text: str
@@ -80,9 +82,18 @@ class TokenDistribution:
             raise NormalizationError(
                 f"token_logprob must be <= 0, got {self.token_logprob}"
             )
-        if not self.top_alternatives:
+        if self.token_logprob == -math.inf:
+            raise NormalizationError(f"token {self.token_text!r} has logprob -inf")
+        listed = [(token, lp) for token, lp in self.top_alternatives if lp != -math.inf]
+        if not listed:
             raise NormalizationError("distribution lists no alternatives")
-        ranked = tuple(sorted(self.top_alternatives, key=lambda kv: (-kv[1], kv[0])))
+        own = dict(listed).get(self.token_text)
+        if own is not None and not abs(own - self.token_logprob) <= NORMALIZATION_TOLERANCE:
+            raise NormalizationError(
+                f"token {self.token_text!r} has logprob {self.token_logprob} "
+                f"but {own} in its own top_logprobs entry"
+            )
+        ranked = tuple(sorted(listed, key=lambda kv: (-kv[1], kv[0])))
         covered = math.fsum(math.exp(lp) for _, lp in ranked)
         if not covered <= 1.0 + NORMALIZATION_TOLERANCE:
             raise NormalizationError(

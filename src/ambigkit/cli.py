@@ -41,7 +41,6 @@ from .corpus import (
     load_dataset,
     load_templates,
     read_allowlist,
-    sample_to_obj,
     template_fingerprints,
 )
 from .errors import BackendError, ConfigurationError, DataIntegrityError
@@ -65,6 +64,7 @@ from .jsonio import (
     output_file,
     read_json_object,
     record_at,
+    record_obj,
     typed_field,
     write_json_atomic,
     write_jsonl_atomic,
@@ -450,7 +450,7 @@ def _ambiguate(args, config, paths, templates, backend) -> _Stage:
         accepted = [s for s in accepted if s.id in allowed]
     out = paths.workdir / "ambiguated.jsonl"
     return _Stage(
-        [(out, lambda path: write_jsonl_atomic(path, (sample_to_obj(s) for s in accepted))),
+        [(out, lambda path: write_jsonl_atomic(path, map(record_obj, accepted))),
          (paths.workdir / "ambiguate_rejects.jsonl",
           lambda path: write_jsonl_atomic(path, rejects))],
         {"accepted": len(accepted), "rejected": len(rejects)},

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .backend import Backend, GenerationParams, bounded_map
 from .errors import DataIntegrityError, TemplateError
-from .jsonio import has_surrogate, input_file, read_jsonl, record_at, typed_field
+from .jsonio import input_file, read_jsonl, record_at, record_from
 
 # Trailing characters ignored when parsing one-word verdicts like "Yes.".
 _WORD_PUNCT = ".,!?;:"
@@ -35,8 +35,9 @@ class QASample:
 
     id: str
     question: str
-    answers: tuple[str, ...]
-    gold_ambiguous: bool | None = None
+    answers: tuple[str, ...] = ()
+    gold_ambiguous: bool | None = field(default=None, metadata={"column": "ambiguous",
+                                                                "optional": True})
     source: str = ""
 
     def __post_init__(self) -> None:
@@ -52,42 +53,16 @@ class QASample:
             )
 
 
-def _sample_from_obj(obj: dict, path: str | Path, line_number: int) -> QASample:
-    """An integer id reads as its string form; every other field keeps its
-    JSON type."""
-    with record_at(path, line_number):
-        sample_id = obj["id"]
-        if type(sample_id) not in (str, int):
-            raise TypeError(
-                f"field 'id' must be a string or an integer, got {sample_id!r:.60}"
-            )
-        if type(sample_id) is str and has_surrogate(sample_id):
-            raise ValueError("field 'id' holds an unpaired surrogate")
-        return QASample(
-            id=str(sample_id),
-            question=typed_field(obj, "question", str),
-            answers=typed_field(obj, "answers", tuple, ()),
-            gold_ambiguous=typed_field(obj, "ambiguous", bool, None),
-            source=typed_field(obj, "source", str, ""),
-        )
-
-
 def load_dataset(path: str | Path) -> list[QASample]:
-    """Order-preserving JSONL load; duplicate ids are rejected."""
-    return [_sample_from_obj(obj, path, line_number)
-            for line_number, obj in read_jsonl(path, unique_ids=True)]
-
-
-def sample_to_obj(sample: QASample) -> dict:
-    obj = {
-        "id": sample.id,
-        "question": sample.question,
-        "answers": list(sample.answers),
-    }
-    if sample.gold_ambiguous is not None:
-        obj["ambiguous"] = sample.gold_ambiguous
-    obj["source"] = sample.source
-    return obj
+    """Order-preserving JSONL load; duplicate ids are rejected. An integer id
+    reads as its string form; every other field keeps its JSON type."""
+    samples = []
+    for line_number, obj in read_jsonl(path, unique_ids=True):
+        with record_at(path, line_number):
+            if type(obj.get("id")) is int:
+                obj = {**obj, "id": str(obj["id"])}
+            samples.append(record_from(QASample, obj))
+    return samples
 
 
 def trim_continuation(text: str) -> str:

@@ -33,7 +33,14 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Seque
 from .backend import Backend, GenerationParams, bounded_map
 from .corpus import PromptTemplate, QASample, first_word, reply
 from .errors import BackendError, DataIntegrityError, ParseError
-from .jsonio import read_jsonl, record_at, typed_field, write_jsonl_atomic
+from .jsonio import (
+    read_jsonl,
+    record_at,
+    record_from,
+    record_obj,
+    typed_field,
+    write_jsonl_atomic,
+)
 from .phrases import AMBIGUITY_MARKERS, FIXED_CLARIFICATIONS
 from .seeding import rng_for
 
@@ -196,11 +203,11 @@ def clarification_phrase(master_seed: int, purpose: str, sample_id: str) -> str:
 class PredictionRecord:
     """One sample's final prediction from a baseline run; ``error`` is never empty."""
 
-    sample_id: str
+    sample_id: str = field(metadata={"column": "id"})
     prediction: str
-    error: str | None = None
-    flags: tuple[str, ...] = ()
-    extras: dict = field(default_factory=dict)
+    error: str | None = field(default=None, metadata={"optional": True})
+    flags: tuple[str, ...] = field(default=(), metadata={"optional": True})
+    extras: dict = field(default_factory=dict, metadata={"rest": True})
 
     def __post_init__(self) -> None:
         if self.error == "":
@@ -210,12 +217,7 @@ class PredictionRecord:
 def write_predictions(predictions: Sequence[PredictionRecord], path: str | Path) -> None:
     """One JSON line per record: id, prediction, the error and the flags if
     any, then the extras."""
-    write_jsonl_atomic(path, (
-        {"id": p.sample_id, "prediction": p.prediction,
-         **({"error": p.error} if p.error is not None else {}),
-         **({"flags": p.flags} if p.flags else {}), **p.extras}
-        for p in predictions
-    ))
+    write_jsonl_atomic(path, map(record_obj, predictions))
 
 
 def read_predictions(path: str | Path) -> list[PredictionRecord]:
@@ -224,13 +226,7 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
     predictions = []
     for line_number, obj in read_jsonl(path, unique_ids=True):
         with record_at(path, line_number):
-            predictions.append(PredictionRecord(
-                typed_field(obj, "id", str), typed_field(obj, "prediction", str),
-                error=typed_field(obj, "error", str, None),
-                flags=typed_field(obj, "flags", tuple, ()),
-                extras={key: value for key, value in obj.items()
-                        if key not in ("id", "prediction", "error", "flags")},
-            ))
+            predictions.append(record_from(PredictionRecord, obj))
     return predictions
 
 
@@ -398,11 +394,11 @@ def run_self_ask(
 class PerSampleOutcome:
     """An outcome-table row; an errored sample has no category or ROUGE-L."""
 
-    sample_id: str
+    sample_id: str = field(metadata={"column": "id"})
     category: int | None
     rouge: float | None
     prediction: str
-    error: str | None = None
+    error: str | None = field(default=None, metadata={"optional": True})
 
 
 def evaluate(
@@ -443,8 +439,6 @@ def report_obj(rows: Sequence[PerSampleOutcome], config_echo: Mapping[str, objec
         "counts": asdict(counts),
         "f1_u": f1_unambig(counts),
         "f1_a": f1_ambig(counts),
-        "per_sample": [{"id": o.sample_id, "category": o.category, "rouge": o.rouge,
-                        "prediction": o.prediction,
-                        **({"error": o.error} if o.error is not None else {})} for o in rows],
+        "per_sample": [record_obj(row) for row in rows],
         "config": dict(config_echo),
     }

@@ -1,4 +1,4 @@
-"""Atomic JSON/JSONL file helpers.
+"""Atomic JSON/JSONL file helpers and the record codec.
 
 Writers write a temp file and rename it, so a failing command leaves no
 partial checkpoint. Output is UTF-8, LF-ended, keys in insertion order, so
@@ -18,18 +18,30 @@ invariant, into a ParseError naming the file and the line, or the file alone
 for a file that is one JSON object (``read_json_object``) or one document (a
 toy fixture, a template). Every file keyed by sample id is read with
 ``read_jsonl(path, unique_ids=True)``, so a repeated id is a ParseError too.
+
+A per-sample record dataclass is one line's object, and its fields are the
+line's columns: ``record_obj`` writes one, ``record_from`` reads it back by
+each field's annotation through ``typed_field``, an enum by its value. Field
+metadata, only where a field needs it, says three things: ``column``, the
+JSON name where it is not the field's name; ``optional``, the column is left
+out of a line at the field's default; ``rest``, the field is a dict of the
+line's other keys, written last. A column whose field has a default may be
+absent, and one whose type admits None may be null.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import enum
+import functools
 import json
 import math
 import os
 import re
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 from .errors import ConfigurationError, DataIntegrityError, ParseError
 
@@ -191,3 +203,51 @@ def record_at(where: str | Path, line_number: int | None = None) -> Iterator[Non
         raise ParseError(f"missing field {exc}", line_number, where) from exc
     except (TypeError, ValueError, OverflowError, DataIntegrityError) as exc:
         raise ParseError(str(exc), line_number, where) from exc
+
+
+@functools.cache
+def _columns(cls: type) -> tuple[tuple[dataclasses.Field, str, Any, bool], ...]:
+    """Each field of the record class ``cls`` with its column name, its type
+    (``X | None`` as ``X``, a generic as its origin) and whether it may be None."""
+    types = get_type_hints(cls)
+    columns = []
+    for f in dataclasses.fields(cls):
+        kind, nullable = types[f.name], type(None) in get_args(types[f.name])
+        if nullable:
+            (kind,) = set(get_args(kind)) - {type(None)}
+        columns.append((f, f.metadata.get("column", f.name), get_origin(kind) or kind, nullable))
+    return tuple(columns)
+
+
+def record_obj(record: Any) -> dict:
+    """The dataclass ``record`` as one line's object, its columns in field
+    order: an enum as its value, a tuple as a list."""
+    obj = {}
+    for f, name, _, _ in _columns(type(record)):
+        value = getattr(record, f.name)
+        if f.metadata.get("rest"):
+            obj.update(value)
+        elif not (f.metadata.get("optional") and value == f.default):
+            obj[name] = (value.value if isinstance(value, enum.Enum)
+                         else list(value) if isinstance(value, tuple) else value)
+    return obj
+
+
+def record_from(cls: type, obj: dict) -> Any:
+    """The ``cls`` record that ``obj``, one line's object, holds; read inside
+    ``record_at``. A key that no column names is ignored, unless a field
+    takes the rest."""
+    values, columns = {}, _columns(cls)
+    for f, name, kind, nullable in columns:
+        if f.metadata.get("rest"):
+            named = {column for other, column, _, _ in columns if other is not f}
+            values[f.name] = {key: value for key, value in obj.items() if key not in named}
+            continue
+        default = _REQUIRED if f.default is dataclasses.MISSING else f.default
+        if nullable and obj.get(name, default) is None:
+            values[f.name] = None
+            continue
+        is_enum = issubclass(kind, enum.Enum)
+        value = typed_field(obj, name, str if is_enum else kind, default)
+        values[f.name] = kind(value) if is_enum else value
+    return cls(**values)

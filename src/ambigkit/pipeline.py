@@ -20,7 +20,7 @@ byte-reproducible and insensitive to dataset growth.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -40,6 +40,8 @@ from .jsonio import (
     read_json_object,
     read_jsonl,
     record_at,
+    record_from,
+    record_obj,
     typed_field,
     write_json_atomic,
     write_jsonl_atomic,
@@ -104,9 +106,9 @@ class StageOnePartition:
 class DisambiguationRecord:
     """Stage-2 measurement: the rewrite (empty if none) and both entropies."""
 
-    sample_id: str
-    query_text: str
-    disambig_text: str
+    sample_id: str = field(metadata={"column": "id"})
+    query_text: str = field(metadata={"column": "query"})
+    disambig_text: str = field(metadata={"column": "disambig"})
     h_query: float
     h_disambig: float
     info_gain: float
@@ -129,7 +131,7 @@ class DisambiguationRecord:
 class ClarifyLabel:
     """Stage-3 label: a canonical phrase (fixed) or a clarification request (generated)."""
 
-    sample_id: str
+    sample_id: str = field(metadata={"column": "id"})
     text: str
     kind: LabelKind
     flags: tuple[str, ...] = ()
@@ -431,22 +433,9 @@ def read_partition(
 
 def write_records(records: Sequence[DisambiguationRecord], path: str | Path,
                   epsilon: float) -> None:
-    write_jsonl_atomic(
-        path,
-        (
-            {
-                "id": r.sample_id,
-                "query": r.query_text,
-                "disambig": r.disambig_text,
-                "h_query": r.h_query,
-                "h_disambig": r.h_disambig,
-                "info_gain": r.info_gain,
-                "verdict": r.verdict_at(epsilon).value,
-                "flags": [] if r.disambig_text else [EMPTY_DISAMBIGUATION_FLAG],
-            }
-            for r in records
-        ),
-    )
+    write_jsonl_atomic(path, ({**record_obj(r), "verdict": r.verdict_at(epsilon).value,
+                               "flags": [] if r.disambig_text else [EMPTY_DISAMBIGUATION_FLAG]}
+                              for r in records))
 
 
 def read_records(path: str | Path) -> list[DisambiguationRecord]:
@@ -457,38 +446,19 @@ def read_records(path: str | Path) -> list[DisambiguationRecord]:
         with record_at(path, line_number):
             Verdict(obj["verdict"])
             typed_field(obj, "flags", tuple, ())
-            records.append(DisambiguationRecord(
-                sample_id=typed_field(obj, "id", str),
-                query_text=typed_field(obj, "query", str),
-                disambig_text=typed_field(obj, "disambig", str),
-                h_query=typed_field(obj, "h_query", float),
-                h_disambig=typed_field(obj, "h_disambig", float),
-                info_gain=typed_field(obj, "info_gain", float),
-            ))
+            records.append(record_from(DisambiguationRecord, obj))
     return records
 
 
 def write_labels(labels: Sequence[ClarifyLabel], path: str | Path) -> None:
-    write_jsonl_atomic(
-        path,
-        (
-            {"id": lab.sample_id, "text": lab.text, "kind": lab.kind.value,
-             "flags": list(lab.flags)}
-            for lab in labels
-        ),
-    )
+    write_jsonl_atomic(path, map(record_obj, labels))
 
 
 def read_labels(path: str | Path) -> list[ClarifyLabel]:
     labels = []
     for line_number, obj in read_jsonl(path, unique_ids=True):
         with record_at(path, line_number):
-            labels.append(ClarifyLabel(
-                sample_id=typed_field(obj, "id", str),
-                text=typed_field(obj, "text", str),
-                kind=LabelKind(obj["kind"]),
-                flags=typed_field(obj, "flags", tuple, ()),
-            ))
+            labels.append(record_from(ClarifyLabel, obj))
     return labels
 
 
@@ -508,13 +478,17 @@ def read_selection(
 ) -> tuple[list[AssessedSample], list[DisambiguationRecord]]:
     """The correct and ambiguous halves of the selection written to ``path``:
     correct ids resolved in ``partition.trainable``, ambiguous ids in the
-    records. The strategy and epsilon it also records are provenance, not read."""
+    records; an id named twice is refused. The strategy and epsilon it also
+    records are provenance, not read."""
     obj = read_json_object(path)
     correct_by_id = {a.sample.id: a for a in partition.trainable}
     records_by_id = {r.sample_id: r for r in records}
     with record_at(path):
         correct_ids = typed_field(obj, "correct_ids", tuple)
         ambiguous_ids = typed_field(obj, "ambiguous_ids", tuple)
+        ids = correct_ids + ambiguous_ids
+        if len(set(ids)) < len(ids):
+            raise ValueError(f"duplicate id {next(i for i in ids if ids.count(i) > 1)!r}")
         try:
             return ([correct_by_id[i] for i in correct_ids],
                     [records_by_id[i] for i in ambiguous_ids])

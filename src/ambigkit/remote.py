@@ -28,9 +28,10 @@ Servers cannot expose a distribution for the very first token of a sequence
 skips that position; every other null is a protocol error.
 
 JSON has no non-finite numbers, but decoders accept the bare constants. A
-payload holding ``NaN`` or ``Infinity`` is a protocol error; ``-Infinity`` is
-accepted only as a ``top_logprobs`` value (an alternative of probability 0),
-and that alternative is dropped.
+payload holding ``NaN`` or ``Infinity`` is a protocol error. ``-Infinity``
+reads as -inf, which ``TokenDistribution`` accepts only for an alternative
+(of probability 0) and drops; every refusal of a distribution is a protocol
+error here.
 
 Given a journal file, the backend sends each deterministic request (scoring,
 and greedy or seeded generation) at most once; see ``RequestJournal``.
@@ -53,7 +54,6 @@ from typing import Any, Callable
 from urllib.parse import urlsplit
 
 from .backend import (
-    NORMALIZATION_TOLERANCE,
     Backend,
     FinishReason,
     GenerationParams,
@@ -371,21 +371,13 @@ class RemoteCompletionsBackend(Backend):
             raise ProtocolError(f"missing top_logprobs for token {token!r}")
         try:
             realized = _number(token_logprob)
-            alternatives = {alternative: logprob for alternative, value in top.items()
-                            if (logprob := _number(value)) != -math.inf}
+            alternatives = tuple((alternative, _number(logprob))
+                                 for alternative, logprob in top.items())
         except ProtocolError as exc:
             raise ProtocolError(f"token {token!r}: {exc}") from exc
-        if realized == -math.inf:
-            raise ProtocolError(f"backend distribution invalid: token {token!r} has logprob -inf")
-        listed = alternatives.get(token)
-        if listed is not None and not abs(listed - realized) <= NORMALIZATION_TOLERANCE:
-            raise ProtocolError(
-                f"backend distribution invalid: token {token!r} has logprob {realized} "
-                f"but {listed} in its own top_logprobs entry"
-            )
         try:
             return TokenDistribution(token_text=token, token_logprob=realized,
-                                     top_alternatives=tuple(alternatives.items()))
+                                     top_alternatives=alternatives)
         except (NormalizationError, OverflowError) as exc:
             raise ProtocolError(f"backend distribution invalid: {exc}") from exc
 

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .corpus import PromptTemplate, load_templates
 from .errors import DataIntegrityError, ParseError
-from .jsonio import read_jsonl, record_at, typed_field, write_jsonl_atomic
+from .jsonio import read_jsonl, record_at, record_from, record_obj, write_jsonl_atomic
 from .pipeline import AssessedSample, ClarifyLabel, DisambiguationRecord, LabelKind
 from .seeding import derive_seed
 
@@ -52,28 +52,6 @@ class SftRecord:
             )
         if self.clarify_kind is not None:
             ClarifyLabel(self.id, self.completion, self.clarify_kind)
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> SftRecord:
-        """The record on one exported line. A missing field raises KeyError,
-        a mistyped one TypeError, a bad source or kind ValueError."""
-        kind = typed_field(obj, "clarify_kind", str, None)
-        return cls(
-            id=typed_field(obj, "id", str),
-            prompt=typed_field(obj, "prompt", str),
-            completion=typed_field(obj, "completion", str),
-            source=Source(typed_field(obj, "source", str)),
-            clarify_kind=None if kind is None else LabelKind(kind),
-        )
-
-    def to_obj(self) -> dict:
-        return {
-            "id": self.id,
-            "prompt": self.prompt,
-            "completion": self.completion,
-            "source": self.source.value,
-            "clarify_kind": self.clarify_kind.value if self.clarify_kind else None,
-        }
 
 
 def _unbalanced(correct: int, ambiguous: int) -> str:
@@ -126,7 +104,7 @@ def emit(
             )
         )
     records.sort(key=lambda r: derive_seed(master_seed, "emit_order", r.id))
-    write_jsonl_atomic(path, (r.to_obj() for r in records))
+    write_jsonl_atomic(path, map(record_obj, records))
     return len(records)
 
 
@@ -182,7 +160,7 @@ def verify(path: str | Path, answer_cue: str | None = None) -> VerifyReport:
             per_source[obj["source"]] += 1
         try:
             with record_at(path, line_number):
-                record = SftRecord.from_obj(obj)
+                record = record_from(SftRecord, obj)
                 if record.clarify_kind is not None:
                     per_kind[record.clarify_kind.value] += 1
                 if record.id in seen_ids:

@@ -69,6 +69,27 @@ def test_distribution_rejects_positive_logprob():
         )
 
 
+def test_distribution_refuses_a_realized_token_of_probability_zero():
+    with pytest.raises(NormalizationError, match="token 'a' has logprob -inf"):
+        TokenDistribution("a", -math.inf, (("a", -math.inf), ("b", 0.0)))
+
+
+def test_distribution_refuses_a_realized_token_listed_at_another_logprob():
+    with pytest.raises(NormalizationError, match="own top_logprobs entry"):
+        TokenDistribution("a", math.log(0.9), (("a", math.log(0.1)), ("b", math.log(0.9))))
+    # Within the tolerance the listed logprob is kept.
+    dist = TokenDistribution("a", math.log(0.5), (("a", math.log(0.5) + 1e-7),))
+    assert dist.top_alternatives == (("a", math.log(0.5) + 1e-7),)
+
+
+def test_distribution_drops_alternatives_of_probability_zero():
+    dist = TokenDistribution("a", math.log(0.9), (("b", -math.inf), ("a", math.log(0.9))))
+    assert dist.top_alternatives == (("a", math.log(0.9)),)
+    assert dist.tail_mass == pytest.approx(0.1, abs=1e-15)
+    with pytest.raises(NormalizationError, match="no alternatives"):
+        TokenDistribution("a", math.log(0.5), (("a", -math.inf),))
+
+
 def test_distribution_rejects_empty_alternatives():
     # Normalized (the tail carries all the mass), but no entropy rests on it.
     with pytest.raises(NormalizationError, match="no alternatives"):

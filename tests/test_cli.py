@@ -20,7 +20,7 @@ from ambigkit.cli import main
 from ambigkit.sft import verify as sft_verify
 from ambigkit.toy import ToyBackend
 
-from conftest import FIXTURES
+from conftest import FIXTURES, table_path
 from helpers import RefuseQuestion, run_chain, workdir_of, write_toy_config
 
 
@@ -352,6 +352,22 @@ def test_eval_sample_rep_on_deterministic_toy(tmp_path):
         .read_text().splitlines()
     ]
     assert all(r["consistency"] == 1.0 for r in rows)
+
+
+def test_eval_sample_rep_consistency_is_pinned_where_draws_spread(tmp_path):
+    # Each question's answer is a draw at temperature 1, so every consistency
+    # pins how the sample's draws are seeded: (seed, purpose, id, draw).
+    dataset = tmp_path / "spread.jsonl"
+    dataset.write_text("".join(
+        json.dumps({"id": f"s{i}", "question": f"r{i}a r{i}b", "answers": ["x"],
+                    "ambiguous": i == 3}) + "\n" for i in (1, 2, 3)))
+    config = write_toy_config(tmp_path / "config.json", dataset=str(dataset),
+                              backend={"fixture": str(table_path("sample_rep_spread"))})
+    assert run("--config", str(config), "eval", "--strategy", "sample_rep") == 0
+    rows = [json.loads(line) for line in
+            (workdir_of(config) / "predictions_sample_rep.jsonl").read_text().splitlines()]
+    assert {row["id"]: row["consistency"] for row in rows} == {"s1": 0.7, "s2": 0.7, "s3": 0.6}
+    assert all(row["greedy"] == "x" for row in rows)
 
 
 def test_eval_self_ask_strategy(tmp_path):
@@ -1295,6 +1311,26 @@ def test_malformed_selection_exits_4(tmp_path, capsys, chain_workdir, body):
     (out / "selection.json").write_text(body)
     assert run("--config", str(config), "emit") == 4
     assert str(out / "selection.json") in capsys.readouterr().err
+
+
+def test_selection_naming_an_id_twice_exits_4(tmp_path, capsys, chain_workdir):
+    # Both halves stay two long, so only the repeat is wrong: emitting it
+    # would write an sft.jsonl that verify refuses.
+    config = write_toy_config(tmp_path / "config.json")
+    out = workdir_of(config)
+    shutil.copytree(chain_workdir, out)
+    path = out / "selection.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "correct_ids": ["s1", "s1"]}))
+    assert run("--config", str(config), "emit") == 4
+    assert f"{path}: duplicate id 's1'" in capsys.readouterr().err
+    assert not (out / "sft.jsonl").exists()
+
+
+def test_non_string_label_kind_exits_4_naming_the_line(tmp_path, capsys, chain_workdir):
+    config, _ = patched_chain(tmp_path, chain_workdir, "labels.jsonl", {"kind": 1})
+    assert run("--config", str(config), "emit") == 4
+    where = workdir_of(config) / "labels.jsonl"
+    assert f"{where} line 1: field 'kind' must be a string, got 1" in capsys.readouterr().err
 
 
 def unanswered_s2_config(tmp_path: Path) -> Path:

@@ -14,7 +14,6 @@ from ambigkit.corpus import (
     load_dataset,
     load_templates,
     read_allowlist,
-    sample_to_obj,
     template_fingerprints,
     trim_continuation,
 )
@@ -24,7 +23,7 @@ from ambigkit.errors import (
     ParseError,
     TemplateError,
 )
-from ambigkit.jsonio import write_jsonl_atomic
+from ambigkit.jsonio import record_obj, write_jsonl_atomic
 
 from helpers import ScriptedBackend
 
@@ -141,7 +140,7 @@ def test_duplicate_ids_rejected(tmp_path):
 
 def test_save_load_round_trip(tmp_path, corpus_samples):
     path = tmp_path / "round.jsonl"
-    write_jsonl_atomic(path, (sample_to_obj(s) for s in corpus_samples))
+    write_jsonl_atomic(path, map(record_obj, corpus_samples))
     assert load_dataset(path) == corpus_samples
 
 

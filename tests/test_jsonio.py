@@ -1,20 +1,30 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ambigkit.cli
 from ambigkit.cli import main
+from ambigkit.corpus import QASample
 from ambigkit.errors import ConfigurationError, DataIntegrityError, ParseError
+from ambigkit.evalkit import PerSampleOutcome, PredictionRecord
 from ambigkit.jsonio import (
     dump_json,
     record_at,
+    record_from,
+    record_obj,
     typed_field,
     write_json_atomic,
     write_jsonl_atomic,
     write_text_atomic,
 )
+from ambigkit.phrases import FIXED_CLARIFICATIONS
+from ambigkit.pipeline import ClarifyLabel, DisambiguationRecord, LabelKind
+from ambigkit.sft import SftRecord, Source
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -90,3 +100,93 @@ def test_typed_field_reads_a_boolean_as_itself(value):
 def test_typed_field_refuses_a_boolean_of_another_type(value):
     with pytest.raises(TypeError, match="field 'x' must be a boolean"):
         typed_field({"x": value}, "x", bool)
+
+
+# -- the record codec ----------------------------------------------------------
+
+texts = st.text(max_size=12)
+blank_free = texts.filter(str.strip)
+numbers = st.floats(-1e6, 1e6, allow_nan=False)
+flag_lists = st.lists(texts, max_size=3).map(tuple)
+json_values = st.none() | st.booleans() | st.integers() | numbers | texts
+
+
+@st.composite
+def disambiguation_records(draw):
+    h_query, h_disambig = draw(numbers), draw(numbers)
+    return DisambiguationRecord(draw(texts), draw(texts), draw(texts),
+                                h_query, h_disambig, h_query - h_disambig)
+
+
+@st.composite
+def clarify_labels(draw):
+    kind = draw(st.sampled_from(LabelKind))
+    text = draw(st.sampled_from(FIXED_CLARIFICATIONS) if kind is LabelKind.FIXED
+                else texts.map(lambda t: t + " unclear?"))
+    return ClarifyLabel(draw(texts), text, kind, draw(flag_lists))
+
+
+@st.composite
+def sft_records(draw):
+    label = draw(clarify_labels() | st.none())
+    if label is None:
+        return SftRecord(draw(texts), draw(texts), draw(blank_free), Source.CORRECT)
+    return SftRecord(label.sample_id, draw(texts), label.text, Source.AMBIG, label.kind)
+
+
+@st.composite
+def qa_samples(draw):
+    answers = draw(st.lists(blank_free, max_size=3).map(tuple))
+    ambiguous = draw(st.sampled_from([None, True] + ([False] if answers else [])))
+    return QASample(draw(texts.filter(bool)), draw(blank_free), answers, ambiguous, draw(texts))
+
+
+prediction_records = st.builds(
+    PredictionRecord, texts, texts, error=st.none() | texts.filter(bool), flags=flag_lists,
+    extras=st.dictionaries(texts.filter(lambda key: key not in ("id", "prediction", "error",
+                                                                "flags")),
+                           json_values, max_size=3))
+outcome_rows = st.builds(PerSampleOutcome, texts, st.none() | st.integers(1, 5),
+                         st.none() | st.floats(0, 1), texts, st.none() | texts.filter(bool))
+
+
+@given(st.one_of(disambiguation_records(), clarify_labels(), prediction_records,
+                 sft_records(), qa_samples(), outcome_rows))
+def test_record_codec_round_trips_through_a_json_line(record):
+    obj = record_obj(record)
+    assert record_from(type(record), obj) == record
+    assert record_from(type(record), json.loads(dump_json(obj))) == record
+
+
+def test_record_obj_leaves_optional_columns_out_at_their_default():
+    errored = PredictionRecord("s1", "", error="timeout", flags=("retried",),
+                               extras={"greedy": "x"})
+    assert record_obj(errored) == {"id": "s1", "prediction": "", "error": "timeout",
+                                   "flags": ["retried"], "greedy": "x"}
+    assert record_obj(PredictionRecord("s1", "a")) == {"id": "s1", "prediction": "a"}
+    sample = QASample("s1", "q?", ("a",))
+    assert record_obj(sample) == {"id": "s1", "question": "q?", "answers": ["a"],
+                                  "source": ""}
+    assert record_from(QASample, record_obj(sample)) == sample
+    assert record_obj(PerSampleOutcome("s1", None, None, "", "timeout"))["error"] == "timeout"
+    assert "error" not in record_obj(PerSampleOutcome("s1", 3, 1.0, "a"))
+
+
+@pytest.mark.parametrize("patch,message", [
+    ({"kind": 1}, "field 'kind' must be a string"),
+    ({"kind": "maybe"}, "not a valid LabelKind"),
+    ({"kind": None}, "field 'kind' must be a string"),
+    ({"id": 5}, "field 'id' must be a string"),
+], ids=["kind-number", "kind-unknown", "kind-null", "id-number"])
+def test_record_from_refuses_a_bad_column(patch, message):
+    obj = {"id": "s1", "text": "Your question is not clear.", "kind": "fixed", **patch}
+    with pytest.raises(ParseError, match=f"labels.jsonl line 1: .*{message}"):
+        with record_at("labels.jsonl", 1):
+            record_from(ClarifyLabel, obj)
+
+
+def test_record_from_reads_a_missing_column_by_its_default():
+    obj = {"id": "s1", "text": "Your question is not clear.", "kind": "fixed"}
+    assert record_from(ClarifyLabel, obj).flags == ()
+    with pytest.raises(KeyError, match="kind"):
+        record_from(ClarifyLabel, {"id": "s1", "text": "Your question is not clear."})

@@ -1375,7 +1375,7 @@ def test_client_distribution_equals_the_toy_distribution_on_every_fixture():
                             compared += 1
     finally:
         client.close()
-    assert compared == 13338
+    assert compared == 13637
 
 
 @st.composite

@@ -227,6 +227,10 @@ def _assess(args, config, paths, templates, backend) -> _Stage:
 
 def _detect(args, config, paths, templates, backend) -> _Stage:
     partition = _read_partition(config, paths)
+    if not partition.trainable:  # select_and_balance's refusal, foretold
+        print(f"warning: {paths.assess} holds no correct sample with a gold answer, so "
+              "`label` will refuse this run; only `sweep` can use its records",
+              file=sys.stderr)
     records, errored = stage2_disambiguate(
         [a.sample for a in partition.incorrect], backend, templates,
         _greedy_params(config), mode=config.truncation_mode,

@@ -1,26 +1,26 @@
 """Run configuration: one JSON file plus command-line flags.
 
-Paths inside the file resolve relative to the file's own directory, so a
-config can travel with its fixtures. A flag replaces the file's value before
-conversion, so both pass the same checks.
+``load_config`` reads each section, a dataclass below, with
+``jsonio.record_from``, as every JSON record is read: a bad setting exits 2
+naming the file and the key. Paths inside the file resolve relative to the
+file's own directory, so a config can travel with its fixtures. A flag
+replaces the file's value before it is read, so both pass the same checks.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
 from urllib.parse import urlsplit
 
 from .backend import Backend
 from .entropy import TruncationMode
 from .errors import ConfigurationError, DataIntegrityError
 from .evalkit import DEFAULT_ROUGE_THRESHOLD
-from .jsonio import read_json_object
+from .jsonio import read_json_object, record_at, record_from
 from .pipeline import LabelKind, SelectionStrategy
 
 # Field metadata of a path setting: a relative one resolves against the
@@ -130,60 +130,17 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-# A value that is not a string is named by its JSON type, never shown.
-_JSON_TYPES = {bool: "a boolean", int: "a number", float: "a number",
-               list: "an array", dict: "an object", type(None): "null"}
-
-
-def _section(cls, obj: object, where: str, base: Path):
-    """Build one config section from the keys ``obj`` holds, each converted
-    to its field's declared type, a path field's relative path resolved
-    against ``base``; an absent key takes the dataclass default."""
-    if not isinstance(obj, dict):
-        raise ConfigurationError(f"'{where}' must be an object")
-    declared = {f.name: f for f in fields(cls)}
-    unknown = set(obj) - set(declared)
-    if unknown:
-        raise ConfigurationError(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
-    types = get_type_hints(cls)
-    values = {}
-    for key, value in obj.items():
-        try:
-            value = _convert(types[key], value, key, base)
-            if declared[key].metadata.get("path") and value is not None:
-                value = Path(value)
-                value = str(value if value.is_absolute() else (base / value).resolve())
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad {where} value for {key!r}: {exc}") from exc
-        values[key] = value
-    return cls(**values)
-
-
-def _convert(kind, value: object, key: str, base: Path):
-    """``value`` as the declared type ``kind``, ``X | None`` taking null too.
-    A number is no boolean, which int() and float() take as 1 or 0, and an
-    int a whole one, which int() would truncate; a numeric string converts."""
-    if type(None) in get_args(kind):
-        if value is None:
-            return None
-        (kind,) = set(get_args(kind)) - {type(None)}
-    if is_dataclass(kind):
-        return _section(kind, value, key, base)
-    if issubclass(kind, enum.Enum):
-        try:
-            return kind(value)
-        except ValueError:
-            allowed = ", ".join(member.value for member in kind)
-            raise ValueError(f"{value!r} is not one of {allowed}") from None
-    if kind is str:
-        if not isinstance(value, str):
-            raise TypeError(f"expected a string, got {_JSON_TYPES[type(value)]}")
-        return value
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected a whole number, got {value!r}")
-    return kind(value)
+def _resolved(section, base: Path):
+    """``section`` with each relative path setting resolved against ``base``."""
+    changes = {}
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            changes[f.name] = _resolved(value, base)
+        elif f.metadata.get("path") and value is not None:
+            value = Path(value)
+            changes[f.name] = str(value if value.is_absolute() else (base / value).resolve())
+    return replace(section, **changes)
 
 
 def _backend_flag(section: object, value: str) -> object:
@@ -201,28 +158,25 @@ def _backend_flag(section: object, value: str) -> object:
 
 
 def load_config(path: str | Path, flags: dict | None = None) -> RunConfig:
-    """Load, validate, and path-resolve a JSON config file. ``flags`` maps a
-    setting name to its command-line value, None if not given; each given one
-    replaces the file's value before conversion, so both pass the same checks.
-    A flag's path resolves against the working directory, not the file's."""
+    """Load, validate, and path-resolve a JSON config file: each section is
+    read by ``jsonio.record_from``, and a bad one exits 2 naming the file and
+    the key. ``flags`` maps a setting name to its command-line value, None if
+    not given; each given one replaces the file's value before it is read, so
+    both pass the same checks. A flag's path resolves against the working
+    directory, not the file's."""
     path = Path(path)
     try:
-        obj = read_json_object(path)
-    except DataIntegrityError as exc:  # not UTF-8, not JSON or not an object
+        obj = {"backend": {}, **read_json_object(path)}  # no backend section: an empty one
+        given = {key: value for key, value in (flags or {}).items() if value is not None}
+        if "backend" in given:
+            given["backend"] = _backend_flag(obj["backend"], given["backend"])
+        if "workdir" in given:
+            given["workdir"] = str(Path(given["workdir"]).resolve())
+        with record_at(path):
+            config = record_from(RunConfig, {**obj, **given})
+    except DataIntegrityError as exc:  # not UTF-8, not JSON, or a bad setting
         raise ConfigurationError(f"bad config: {exc}") from exc
-    if "dataset" not in obj:
-        raise ConfigurationError("config requires a 'dataset' path")
-
-    # An absent backend section is an empty one, and the default workdir is
-    # relative to the config file like a given one.
-    obj = {"backend": {}, "workdir": RunConfig.workdir, **obj}
-    given = {key: value for key, value in (flags or {}).items() if value is not None}
-    if "backend" in given:
-        given["backend"] = _backend_flag(obj["backend"], given["backend"])
-    if "workdir" in given:
-        given["workdir"] = str(Path(given["workdir"]).resolve())
-    obj.update(given)
-    return _section(RunConfig, obj, "config", path.parent)
+    return _resolved(config, path.parent)
 
 
 def make_backend(spec: BackendSpec, *, journal: str | Path | None = None) -> Backend:

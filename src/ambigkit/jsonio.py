@@ -13,15 +13,17 @@ read raises a ConfigurationError and one that is not UTF-8 a ParseError,
 each naming the file. Readers take each field through ``typed_field``, which
 checks its JSON type instead of coercing it, and refuses a string holding an
 unpaired surrogate, which no UTF-8 file can hold, inside ``record_at``,
-which turns a missing or malformed field, or a record that breaks its own
-invariant, into a ParseError naming the file and the line, or the file alone
-for a file that is one JSON object (``read_json_object``) or one document (a
-toy fixture, a template). Every file keyed by sample id is read with
-``read_jsonl(path, unique_ids=True)``, so a repeated id is a ParseError too.
+which turns a missing or malformed field, a key that no field names, or a
+record that breaks its own invariant, into a ParseError naming the file and
+the line, or the file alone for a file that is one JSON object (the run
+config, ``read_json_object``) or one document (a toy fixture, a template).
+Every file keyed by sample id is read with ``read_jsonl(path,
+unique_ids=True)``, so a repeated id is a ParseError too.
 
-A per-sample record dataclass is one line's object, and its fields are the
-line's columns: ``record_obj`` writes one, ``record_from`` reads it back by
-each field's annotation through ``typed_field``, an enum by its value. Field
+A record dataclass is one JSON object, and its fields are the object's
+columns: ``record_obj`` writes one, ``record_from`` reads it back by each
+field's annotation through ``typed_field``; no other code reads annotations,
+so a per-sample record and a config section follow the same rules. Field
 metadata, only where a field needs it, says three things: ``column``, the
 JSON name where it is not the field's name; ``optional``, the column is left
 out of a line at the field's default; ``rest``, the field is a dict of the
@@ -41,7 +43,7 @@ import os
 import re
 import tempfile
 from pathlib import Path
-from typing import Any, Iterable, Iterator, get_args, get_origin, get_type_hints
+from typing import Any, Iterable, Iterator, get_args, get_type_hints
 
 from .errors import ConfigurationError, DataIntegrityError, ParseError
 
@@ -154,29 +156,42 @@ _REQUIRED = object()
 _KINDS = {
     str: ((str,), "a string"),
     bool: ((bool,), "a boolean"),
-    int: ((int,), "an integer"),
+    int: ((int, float), "an integer"),
     float: ((int, float), "a finite number"),
     tuple: ((list,), "a list of strings"),
 }
+# How a message names a value it does not show.
+_JSON_TYPES = {bool: "a boolean", int: "a number", float: "a number", str: "a string",
+               list: "an array", dict: "an object", type(None): "null"}
 
 
 def typed_field(obj: dict, key: str, kind: type, default: Any = _REQUIRED) -> Any:
-    """``obj[key]`` checked to be a JSON ``kind``: ``str``, ``bool``, ``int``,
-    ``float`` (any finite number, returned as a float) or ``tuple`` (an array
-    of strings, returned as a tuple). An absent key gives ``default``, and
-    KeyError when there is none; a field whose default is None may be null.
-    A value of another type raises TypeError, and a string that holds an
-    unpaired surrogate ValueError."""
+    """``obj[key]`` checked to be a JSON ``kind``: ``str``, ``bool``, ``int``
+    (a whole number, ``3.0`` too), ``float`` (any finite number, returned as
+    a float), ``tuple`` (an array of strings, returned as a tuple) or an enum
+    (a string naming a member). An absent key gives ``default``, and KeyError
+    when there is none; a field whose default is None may be null. A value of
+    another type raises TypeError naming it, by its JSON type alone for a
+    string field (an ``api_key`` is a secret), and a string that holds an
+    unpaired surrogate, or names no member, ValueError listing the members."""
     if key not in obj and default is not _REQUIRED:
         return default
     value = obj[key]
     if value is None and default is None:
         return None
+    if issubclass(kind, enum.Enum):
+        allowed = [member.value for member in kind]
+        if (text := typed_field(obj, key, str)) not in allowed:
+            raise ValueError(f"field {key!r}: {text!r} is not one of {', '.join(allowed)}")
+        return kind(text)
     types, name = _KINDS[kind]
     if type(value) in types:
-        if kind in (bool, int):
+        if kind is bool:
             return value
-        if kind is float:
+        if kind is int:
+            if type(value) is int or value.is_integer():
+                return int(value)
+        elif kind is float:
             if math.isfinite(number := float(value)):
                 return number
         else:
@@ -185,7 +200,15 @@ def typed_field(obj: dict, key: str, kind: type, default: Any = _REQUIRED) -> An
                 if any(map(has_surrogate, strings)):
                     raise ValueError(f"field {key!r} holds an unpaired surrogate")
                 return value if kind is str else tuple(value)
-    raise TypeError(f"field {key!r} must be {name}, got {value!r:.60}")
+    shown = _JSON_TYPES.get(type(value), "another type") if kind is str else f"{value!r:.60}"
+    raise TypeError(f"field {key!r} must be {name}, got {shown}")
+
+
+def refuse_unknown(keys: Iterable[object]) -> None:
+    """Refuse ``keys``, the keys of a record that no field names: a misspelt
+    optional field would otherwise read as absent."""
+    if keys:
+        raise ValueError(f"unknown field(s) {', '.join(sorted(map(repr, keys)))}")
 
 
 @contextlib.contextmanager
@@ -207,15 +230,21 @@ def record_at(where: str | Path, line_number: int | None = None) -> Iterator[Non
 
 @functools.cache
 def _columns(cls: type) -> tuple[tuple[dataclasses.Field, str, Any, bool], ...]:
-    """Each field of the record class ``cls`` with its column name, its type
-    (``X | None`` as ``X``, a generic as its origin) and whether it may be None."""
+    """Each field of the record class ``cls`` with its column name, its kind
+    (``X | None`` as ``X``) and whether it may be None. A field type that the
+    codec cannot read is a fault of the class, not of a file: NotImplementedError."""
     types = get_type_hints(cls)
     columns = []
     for f in dataclasses.fields(cls):
         kind, nullable = types[f.name], type(None) in get_args(types[f.name])
         if nullable:
             (kind,) = set(get_args(kind)) - {type(None)}
-        columns.append((f, f.metadata.get("column", f.name), get_origin(kind) or kind, nullable))
+        kind = tuple if kind == tuple[str, ...] else kind
+        if not (f.metadata.get("rest") or kind in _KINDS or dataclasses.is_dataclass(kind)
+                or isinstance(kind, type) and issubclass(kind, enum.Enum)):
+            raise NotImplementedError(f"{cls.__name__}.{f.name}: the record codec "
+                                      f"cannot read a {kind!r}")
+        columns.append((f, f.metadata.get("column", f.name), kind, nullable))
     return tuple(columns)
 
 
@@ -235,19 +264,23 @@ def record_obj(record: Any) -> dict:
 
 def record_from(cls: type, obj: dict) -> Any:
     """The ``cls`` record that ``obj``, one line's object, holds; read inside
-    ``record_at``. A key that no column names is ignored, unless a field
-    takes the rest."""
+    ``record_at``. A key that no column names is refused, unless a field takes
+    the rest; a field whose type is a record class reads its own object."""
     values, columns = {}, _columns(cls)
+    named = {name for f, name, _, _ in columns if not f.metadata.get("rest")}
+    other = {key: value for key, value in obj.items() if key not in named}
     for f, name, kind, nullable in columns:
         if f.metadata.get("rest"):
-            named = {column for other, column, _, _ in columns if other is not f}
-            values[f.name] = {key: value for key, value in obj.items() if key not in named}
-            continue
-        default = _REQUIRED if f.default is dataclasses.MISSING else f.default
-        if nullable and obj.get(name, default) is None:
-            values[f.name] = None
-            continue
-        is_enum = issubclass(kind, enum.Enum)
-        value = typed_field(obj, name, str if is_enum else kind, default)
-        values[f.name] = kind(value) if is_enum else value
+            values[f.name], other = other, {}
+        elif name in obj or (f.default is dataclasses.MISSING
+                             and f.default_factory is dataclasses.MISSING):
+            if nullable and obj[name] is None:
+                values[f.name] = None
+            elif dataclasses.is_dataclass(kind):
+                if type(obj[name]) is not dict:
+                    raise TypeError(f"field {name!r} must be an object")
+                values[f.name] = record_from(kind, obj[name])
+            else:
+                values[f.name] = typed_field(obj, name, kind)
+    refuse_unknown(other)
     return cls(**values)

@@ -42,6 +42,7 @@ from .jsonio import (
     record_at,
     record_from,
     record_obj,
+    refuse_unknown,
     typed_field,
     write_json_atomic,
     write_jsonl_atomic,
@@ -413,6 +414,8 @@ def read_partition(
     for line_number, obj in read_jsonl(path, unique_ids=True):
         with record_at(path, line_number):
             sample_id = typed_field(obj, "id", str)
+            refuse_unknown(obj.keys() - ({"id", "error"} if "error" in obj else
+                                         {"id", "category", "prediction", "answer_entropy"}))
             if "error" in obj:
                 outcomes.append(Errored(sample_id, typed_field(obj, "error", str)))
                 continue
@@ -444,8 +447,9 @@ def read_records(path: str | Path) -> list[DisambiguationRecord]:
     records = []
     for line_number, obj in read_jsonl(path, unique_ids=True):
         with record_at(path, line_number):
-            Verdict(obj["verdict"])
-            typed_field(obj, "flags", tuple, ())
+            derived = {key: obj.pop(key) for key in ("verdict", "flags") if key in obj}
+            typed_field(derived, "verdict", Verdict)
+            typed_field(derived, "flags", tuple, ())
             records.append(record_from(DisambiguationRecord, obj))
     return records
 

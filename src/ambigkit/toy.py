@@ -23,8 +23,9 @@ Fixture files are YAML documents::
 Row keys are the (order-1) context tokens joined by single spaces (the empty
 string for a unigram table); row values map tokens to probabilities; omitted
 tokens have probability zero. Contexts absent from ``rows`` fall back to the
-uniform vector over the vocabulary. Fields are typed as in the dataset
-(``jsonio.typed_field``), never coerced: ``order`` is an integer; markers,
+uniform vector over the vocabulary. The document holds these five keys and
+no other. Fields are typed as in the dataset (``jsonio.typed_field``), never
+coerced: ``order`` is a whole number; markers,
 vocabulary entries, row keys and row tokens are strings, so a YAML word such
 as ``yes``, ``no``, ``on``, ``off`` or ``null``, or a bare number, must be
 quoted to be a token; a probability is a finite number or a "p/q" fraction
@@ -56,7 +57,7 @@ from .backend import (
     TokenDistribution,
 )
 from .errors import DataIntegrityError, NormalizationError, ParseError, VocabularyError
-from .jsonio import input_file, record_at, typed_field
+from .jsonio import input_file, record_at, refuse_unknown, typed_field
 
 _VECTOR_SUM_TOLERANCE = 1e-12
 
@@ -144,6 +145,7 @@ def load_ngram_table(path: str | Path) -> NgramTable:
     with record_at(path):
         if not isinstance(doc, dict):
             raise TypeError("fixture must be a mapping")
+        refuse_unknown(doc.keys() - {"order", "begin_marker", "end_marker", "vocabulary", "rows"})
         vocabulary = typed_field(doc, "vocabulary", tuple)
         rows = doc.get("rows", {}) or {}
         if not isinstance(rows, dict):

@@ -94,6 +94,16 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert run("--config", str(config), "assess") == 2
 
 
+@pytest.mark.parametrize("patch,key", [({"epsilom": 0.2}, "epsilom"),
+                                       ({"backend": {"endpiont": "http://h/v1"}}, "endpiont")],
+                         ids=["top-level", "backend"])
+def test_misspelt_config_key_exits_2_naming_it(tmp_path, capsys, monkeypatch, patch, key):
+    config = write_toy_config(tmp_path / "config.json", **patch)
+    monkeypatch.setattr(ambigkit.cli, "make_backend", None)  # no backend is made
+    assert run("--config", str(config), "assess") == 2
+    assert f"bad config: {config}: unknown field(s) {key!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("checkpoint, command", [
     ("assess.jsonl", ("detect",)),
     ("records.jsonl", ("label",)),
@@ -734,7 +744,41 @@ def test_non_finite_epsilon_flag_exits_2_as_the_file_value_does(tmp_path, capsys
     assert run("--config", str(write_toy_config(tmp_path / "config.json", epsilon=float("nan"))),
                "assess") == 2
     assert flagged == capsys.readouterr().err == (
-        "configuration error: epsilon must be finite, got nan\n")
+        f"configuration error: bad config: {config}: "
+        "field 'epsilon' must be a finite number, got nan\n")
+
+
+def test_detect_warns_once_before_calling_when_no_correct_sample_can_train(
+        tmp_path, capsys, monkeypatch):
+    samples = [json.loads(line) for line in (FIXTURES / "corpus.jsonl").read_text().splitlines()]
+    dataset = tmp_path / "corpus.jsonl"  # no prediction is a correct answer or clarification
+    dataset.write_text("".join(json.dumps({**sample, "answers": ["nothing matches this"],
+                                           "ambiguous": False}) + "\n" for sample in samples))
+    config = write_toy_config(tmp_path / "config.json", dataset=str(dataset))
+    assert run("--config", str(config), "assess") == 0
+    assert "0 correct" in capsys.readouterr().out
+    for name in ("generate", "score"):
+        def marked(self, *args, _call=getattr(ToyBackend, name), **kwargs):
+            print("backend call", file=sys.stderr)
+            return _call(self, *args, **kwargs)
+        monkeypatch.setattr(ToyBackend, name, marked)
+    assert run("--config", str(config), "detect") == 0
+    out, err = capsys.readouterr()
+    assert err.count("warning: ") == 1
+    assert err.index("warning: ") < err.index("backend call")
+    assert (f"warning: {workdir_of(config) / 'assess.jsonl'} holds no correct sample with a "
+            "gold answer, so `label` will refuse this run; only `sweep` can use its records"
+            in err)
+    assert out.startswith("effective seed: 0\ndisambiguated ")
+    assert out.count("\n") == 2
+    assert run("--config", str(config), "label") == 2
+
+
+def test_detect_does_not_warn_when_a_correct_sample_can_train(tmp_path, capsys):
+    config = write_toy_config(tmp_path / "config.json")
+    assert run("--config", str(config), "assess") == 0
+    assert run("--config", str(config), "detect") == 0
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_label_kind_flag_overrides_config(tmp_path):
@@ -936,8 +980,8 @@ def test_bad_config_value_exits_2(tmp_path, capsys, patch):
         assert not (tmp_path / "None").exists()
     if {"model", "api_key"} & set(patch.get("backend", {})):
         [(key, value)] = patch["backend"].items()
-        assert f"bad backend value for {key!r}: expected a string" in err
-        assert repr(value) not in err
+        assert f"{config}: field {key!r} must be a string, got a" in err
+        assert repr(value) not in err.replace(str(config), "")
 
 
 @pytest.mark.parametrize("flag,grid,message", [
@@ -1103,7 +1147,9 @@ def test_unreadable_input_file_exits_2_or_4(tmp_path, capsys, monkeypatch,
     (json.dumps({"id": "b", "question": "q?", "answers": ["y"], "ambiguous": "yes"}),
      "field 'ambiguous' must be a boolean"),
     ("[1]", "record is not a JSON object"),
-], ids=["blank-question", "empty-id", "ambiguous-text", "not-an-object"])
+    (json.dumps({"id": "b", "question": "q?", "answers": ["y"], "ambigous": True}),
+     "unknown field(s) 'ambigous'"),
+], ids=["blank-question", "empty-id", "ambiguous-text", "not-an-object", "misspelt-key"])
 def test_bad_dataset_line_exits_4_naming_the_file_and_line(tmp_path, capsys, line, message):
     # The blank second line is skipped but counted, so the bad line is line 3.
     first = (FIXTURES / "corpus.jsonl").read_text().splitlines()[0]
@@ -1142,11 +1188,13 @@ rows:
     ([TOY_TABLE], ""),
     ({key: value for key, value in TOY_TABLE.items() if key != "order"}, ""),
     ({**TOY_TABLE, "rows": {"<s>": {"zebra": 1}}}, ""),
+    ({key: value for key, value in TOY_TABLE.items() if key != "rows"}
+     | {"row": TOY_TABLE["rows"]}, "unknown field(s) 'row'"),
     ({**TOY_TABLE, "order": 2.9}, "field 'order' must be an integer, got 2.9"),
     ({**TOY_TABLE, "order": "2"}, "field 'order' must be an integer, got '2'"),
     ({**TOY_TABLE, "begin_marker": 1, "vocabulary": ["1", "a", "</s>"],
       "rows": {"1": {"a": 1}, "a": {"</s>": 1}}},
-     "field 'begin_marker' must be a string, got 1"),
+     "field 'begin_marker' must be a string, got a number"),
     (TOY_TABLE_YAML.format(extra=", yes", row="a: 1"),
      "field 'vocabulary' must be a list of strings"),
     (TOY_TABLE_YAML.format(extra=', "1"', row="a: 1") + "  1: {a: 1}\n",
@@ -1159,7 +1207,7 @@ rows:
 ], ids=["order-0", "repeated-token", "end-marker-not-in-vocabulary",
         "row-key-not-in-vocabulary", "row-key-too-long", "negative-probability",
         "probability-division-by-zero", "probability-list", "document-list", "order-missing",
-        "row-token-not-in-vocabulary", "order-fraction", "order-text", "begin-marker-number",
+        "row-token-not-in-vocabulary", "rows-misspelt", "order-fraction", "order-text", "begin-marker-number",
         "vocabulary-boolean", "row-key-number", "row-token-boolean", "probability-boolean",
         "probability-nan"])
 def test_malformed_toy_fixture_exits_4_naming_it(tmp_path, capsys, table, message):
@@ -1326,11 +1374,25 @@ def test_selection_naming_an_id_twice_exits_4(tmp_path, capsys, chain_workdir):
     assert not (out / "sft.jsonl").exists()
 
 
+@pytest.mark.parametrize("name,patch,command", [
+    ("labels.jsonl", {"flag": ["fallback_fixed"]}, ["emit"]),
+    ("records.jsonl", {"gain": 0.5}, ["label"]),
+    ("assess.jsonl", {"categroy": 3}, ["detect"]),
+], ids=["labels", "records", "assess"])
+def test_checkpoint_key_no_field_names_exits_4_naming_the_line(
+        tmp_path, capsys, chain_workdir, name, patch, command):
+    config, _ = patched_chain(tmp_path, chain_workdir, name, patch)
+    assert run("--config", str(config), *command) == 4
+    where = workdir_of(config) / name
+    assert f"{where} line 1: unknown field(s) {next(iter(patch))!r}" in capsys.readouterr().err
+
+
 def test_non_string_label_kind_exits_4_naming_the_line(tmp_path, capsys, chain_workdir):
     config, _ = patched_chain(tmp_path, chain_workdir, "labels.jsonl", {"kind": 1})
     assert run("--config", str(config), "emit") == 4
     where = workdir_of(config) / "labels.jsonl"
-    assert f"{where} line 1: field 'kind' must be a string, got 1" in capsys.readouterr().err
+    assert f"{where} line 1: field 'kind' must be a string, got a number" in (
+        capsys.readouterr().err)
 
 
 def unanswered_s2_config(tmp_path: Path) -> Path:

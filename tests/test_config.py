@@ -181,16 +181,16 @@ def test_a_flag_replaces_the_file_value_unchecked(tmp_path):
     assert (config.seed, config.epsilon) == (4, 0.5)
 
 
-@pytest.mark.parametrize("value,seed", [(3, 3), (3.0, 3), ("3", 3), (-2.0, -2)])
+@pytest.mark.parametrize("value,seed", [(3, 3), (3.0, 3), (-2.0, -2)])
 def test_integer_setting_takes_a_whole_number(tmp_path, value, seed):
     assert load_config(write_config(tmp_path, seed=value)).seed == seed
 
 
 @pytest.mark.parametrize(
-    "value", [3.5, -0.5, float("inf"), float("-inf"), float("nan"), "3.5"],
-    ids=["fraction", "negative-fraction", "inf", "-inf", "nan", "text-fraction"])
+    "value", [3.5, -0.5, float("inf"), float("-inf"), float("nan"), "3.5", "3"],
+    ids=["fraction", "negative-fraction", "inf", "-inf", "nan", "text-fraction", "text"])
 def test_integer_setting_refuses_anything_else_naming_the_key(tmp_path, value):
-    with pytest.raises(ConfigurationError, match="bad config value for 'seed'"):
+    with pytest.raises(ConfigurationError, match="run.json: field 'seed' must be an integer"):
         load_config(write_config(tmp_path, seed=value))
 
 
@@ -199,13 +199,14 @@ def test_rouge_threshold_in_range_loads(tmp_path, value):
     assert load_config(write_config(tmp_path, rouge_threshold=value)).rouge_threshold == value
 
 
-def test_numeric_strings_are_converted(tmp_path):
-    path = write_config(
-        tmp_path, backend={"kind": "toy", "fixture": "x", "top_k": "3"}, seed="5"
-    )
-    config = load_config(path)
-    assert config.backend.top_k == 3
-    assert config.seed == 5
+@pytest.mark.parametrize("patch,key", [
+    ({"backend": {"kind": "toy", "fixture": "x", "top_k": "3"}}, "top_k"),
+    ({"epsilon": "0.2"}, "epsilon"),
+], ids=["top_k", "epsilon"])
+def test_numeric_string_setting_is_refused_naming_the_key(tmp_path, patch, key):
+    # A setting keeps its JSON type, as every record field does: no coercion.
+    with pytest.raises(ConfigurationError, match=f"field {key!r} must be an? "):
+        load_config(write_config(tmp_path, **patch))
 
 
 def test_config_hash_excludes_api_key(tmp_path):

@@ -185,6 +185,13 @@ def test_verify_flags_mistyped_field(tmp_path, source, patch, field):
     assert f"field {field!r}" in message
 
 
+def test_verify_flags_a_key_no_field_names(tmp_path):
+    path = emit_small(tmp_path)
+    first, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text(json.dumps({**json.loads(first), "kind": "fixed"}) + "\n" + "".join(rest))
+    assert verify(path).failures == [f"{path} line 1: unknown field(s) 'kind'"]
+
+
 def test_verify_gives_one_failure_per_bad_line(tmp_path):
     # An empty fixed completion is also not a canonical phrase: the line
     # still fails once, and its source still counts.

@@ -232,7 +232,7 @@ def _detect(args, config, paths, templates, backend) -> _Stage:
               "`label` will refuse this run; only `sweep` can use its records",
               file=sys.stderr)
     records, errored = stage2_disambiguate(
-        [a.sample for a in partition.incorrect], backend, templates,
+        [partition.samples[a.sample_id] for a in partition.incorrect], backend, templates,
         _greedy_params(config), mode=config.truncation_mode,
     )
     ambiguous = len(perceived_ambiguous(records, config.epsilon))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -84,13 +83,9 @@ class SampleRepConfig:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.threshold):
-            raise ConfigurationError(
-                f"sample_rep threshold must be finite, got {self.threshold}"
-            )
         if self.num_samples < 1:
             raise ConfigurationError("sample_rep num_samples must be >= 1")
-        if not 0 < self.temperature < math.inf:  # at 0 every draw is the greedy reply
+        if self.temperature <= 0:  # at 0 every draw is the greedy reply
             raise ConfigurationError(
                 f"sample_rep temperature must be finite and > 0, got {self.temperature}"
             )
@@ -112,8 +107,6 @@ class RunConfig:
     sample_rep: SampleRepConfig = field(default_factory=SampleRepConfig)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.epsilon):
-            raise ConfigurationError(f"epsilon must be finite, got {self.epsilon}")
         if self.max_tokens < 1:
             raise ConfigurationError("max_tokens must be >= 1")
         if not 0 <= self.rouge_threshold < 1:  # NaN included

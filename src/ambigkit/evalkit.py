@@ -28,7 +28,7 @@ import string
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .backend import Backend, GenerationParams, bounded_map
 from .corpus import PromptTemplate, QASample, first_word, reply
@@ -233,12 +233,17 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
 # -- baseline runners --------------------------------------------------------
 
 
-class Errored(NamedTuple):
+@dataclass(frozen=True)
+class Errored:
     """A sample whose backend calls failed, with the error's message (its
-    class name when the message is empty)."""
+    class name when the message is empty); the message is never empty."""
 
-    sample_id: str
+    sample_id: str = field(metadata={"column": "id"})
     error: str
+
+    def __post_init__(self) -> None:
+        if not self.error:
+            raise DataIntegrityError("field 'error' must not be empty")
 
 
 def run_each(samples: Sequence[QASample], backend: Backend, fn: Callable) -> list:

@@ -13,6 +13,11 @@ balances the correct and ambiguous halves to equal size. Stages 1 and 2 map
 their samples under ``evalkit.run_each``'s failure rule; generated labels
 tolerate no failed sample.
 
+Every per-sample outcome is a record keyed by its sample id, one line of
+its checkpoint that ``jsonio.record_obj`` writes and ``jsonio.record_from``
+reads; the stage-1 partition carries the dataset by id, for the stages that
+need a sample's question, answers or gold label.
+
 All randomness is derived per (master seed, purpose, sample id), so runs are
 byte-reproducible and insensitive to dataset growth.
 """
@@ -42,7 +47,6 @@ from .jsonio import (
     record_at,
     record_from,
     record_obj,
-    refuse_unknown,
     typed_field,
     write_json_atomic,
     write_jsonl_atomic,
@@ -71,36 +75,44 @@ class SelectionStrategy(enum.Enum):
 
 @dataclass(frozen=True)
 class AssessedSample:
-    """Stage-1 outcome for one sample."""
+    """Stage-1 outcome for one sample: its ``assess.jsonl`` line."""
 
-    sample: QASample
-    prediction: str
+    sample_id: str = field(metadata={"column": "id"})
     category: int
+    prediction: str
     answer_entropy: float | None = None
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.category <= 5:
+            raise DataIntegrityError(f"field 'category' must be 1-5, got {self.category}")
 
 
 @dataclass(frozen=True)
 class StageOnePartition:
-    """Correct/incorrect split of a dataset, with errored samples set aside."""
+    """Correct/incorrect split of the dataset ``samples`` (by id), with
+    errored samples set aside."""
 
+    samples: Mapping[str, QASample]
     correct: tuple[AssessedSample, ...]
     incorrect: tuple[AssessedSample, ...]
     errored: tuple[Errored, ...] = ()
 
     @classmethod
-    def split(cls, outcomes: Sequence[AssessedSample | Errored]) -> StageOnePartition:
+    def split(cls, samples: Mapping[str, QASample],
+              outcomes: Sequence[AssessedSample | Errored]) -> StageOnePartition:
         """Categories 1 and 3 are correct, every other category incorrect."""
         assessed = [o for o in outcomes if not isinstance(o, Errored)]
         return cls(
+            samples,
             correct=tuple(a for a in assessed if a.category in (1, 3)),
             incorrect=tuple(a for a in assessed if a.category not in (1, 3)),
             errored=tuple(o for o in outcomes if isinstance(o, Errored)),
         )
 
     @property
-    def trainable(self) -> tuple[AssessedSample, ...]:
+    def trainable(self) -> tuple[QASample, ...]:
         """The correct samples with a gold answer, the only ones the correct half trains on."""
-        return tuple(a for a in self.correct if a.sample.answers)
+        return tuple(s for a in self.correct if (s := self.samples[a.sample_id]).answers)
 
 
 @dataclass(frozen=True)
@@ -150,7 +162,7 @@ class ClarifyLabel:
 class Selection:
     """Balanced halves feeding the training-set export."""
 
-    correct: tuple[AssessedSample, ...]
+    correct: tuple[QASample, ...]
     ambiguous: tuple[DisambiguationRecord, ...]
     strategy: SelectionStrategy
     epsilon: float
@@ -178,11 +190,10 @@ def stage1_assess(
     def one(sample: QASample) -> AssessedSample:
         result = backend.generate(template.render(question=sample.question), params)
         prediction = trim_continuation(result.text)
-        category = categorize(sample, prediction, rouge_threshold)
         return AssessedSample(
-            sample=sample,
+            sample_id=sample.id,
+            category=categorize(sample, prediction, rouge_threshold),
             prediction=prediction,
-            category=category,
             answer_entropy=(
                 entropy_profile(ScoringResult(result.tokens), mode).average_entropy
                 if result.tokens
@@ -190,7 +201,7 @@ def stage1_assess(
             ),
         )
 
-    return StageOnePartition.split(run_each(samples, backend, one))
+    return StageOnePartition.split({s.id: s for s in samples}, run_each(samples, backend, one))
 
 
 # -- stage 2 -----------------------------------------------------------------
@@ -321,7 +332,7 @@ def select_and_balance(
     correct sample is a ConfigurationError; a record from outside the
     incorrect split (left over from another run) is a DataIntegrityError.
     """
-    assessed = {a.sample.id: a for a in partition.incorrect}
+    assessed = {a.sample_id: a for a in partition.incorrect}
     foreign = [r.sample_id for r in records if r.sample_id not in assessed]
     if foreign:
         raise DataIntegrityError(
@@ -334,7 +345,7 @@ def select_and_balance(
     else:
         pool = []
         for record in records:
-            gold = assessed[record.sample_id].sample.gold_ambiguous
+            gold = partition.samples[record.sample_id].gold_ambiguous
             if gold is None:
                 raise ConfigurationError(
                     f"strategy {strategy.value} requires gold ambiguity labels; "
@@ -368,10 +379,10 @@ def select_and_balance(
     size = min(len(correct), len(ranked))
     if len(correct) > size:  # a smaller correct half is kept whole, undrawn
         keep = set(sorted(
-            (a.sample.id for a in correct),
+            (s.id for s in correct),
             key=lambda sample_id: derive_seed(master_seed, "balance_correct", sample_id),
         )[:size])
-        correct = tuple(a for a in correct if a.sample.id in keep)
+        correct = tuple(s for s in correct if s.id in keep)
     return Selection(
         correct=correct,
         ambiguous=tuple(ranked[:size]),
@@ -393,45 +404,24 @@ def sweep_epsilon(
 
 
 def write_partition(partition: StageOnePartition, path: str | Path) -> None:
-    def lines():
-        for a in partition.correct + partition.incorrect:
-            yield {
-                "id": a.sample.id,
-                "category": a.category,
-                "prediction": a.prediction,
-                "answer_entropy": a.answer_entropy,
-            }
-        for sample_id, error in partition.errored:
-            yield {"id": sample_id, "error": error}
-
-    write_jsonl_atomic(path, lines())
+    write_jsonl_atomic(path, map(record_obj, partition.correct + partition.incorrect
+                                 + partition.errored))
 
 
 def read_partition(
     path: str | Path, samples_by_id: Mapping[str, QASample]
 ) -> StageOnePartition:
+    """The partition written to ``path`` of the dataset ``samples_by_id``: a
+    line with an ``error`` is an errored sample; an id outside the dataset is
+    refused."""
     outcomes: list[AssessedSample | Errored] = []
     for line_number, obj in read_jsonl(path, unique_ids=True):
         with record_at(path, line_number):
-            sample_id = typed_field(obj, "id", str)
-            refuse_unknown(obj.keys() - ({"id", "error"} if "error" in obj else
-                                         {"id", "category", "prediction", "answer_entropy"}))
-            if "error" in obj:
-                outcomes.append(Errored(sample_id, typed_field(obj, "error", str)))
-                continue
-            sample = samples_by_id.get(sample_id)
-            if sample is None:
-                raise DataIntegrityError(f"sample {sample_id!r} not in the dataset")
-            category = typed_field(obj, "category", int)
-            if not 1 <= category <= 5:
-                raise ValueError(f"field 'category' must be 1-5, got {category}")
-            outcomes.append(AssessedSample(
-                sample=sample,
-                prediction=typed_field(obj, "prediction", str),
-                category=category,
-                answer_entropy=typed_field(obj, "answer_entropy", float, None),
-            ))
-    return StageOnePartition.split(outcomes)
+            outcome = record_from(Errored if "error" in obj else AssessedSample, obj)
+            if outcome.sample_id not in samples_by_id:
+                raise DataIntegrityError(f"sample {outcome.sample_id!r} not in the dataset")
+            outcomes.append(outcome)
+    return StageOnePartition.split(samples_by_id, outcomes)
 
 
 def write_records(records: Sequence[DisambiguationRecord], path: str | Path,
@@ -470,7 +460,7 @@ def write_selection(selection: Selection, path: str | Path) -> None:
     write_json_atomic(path, {
         "strategy": selection.strategy.value,
         "epsilon": selection.epsilon,
-        "correct_ids": [a.sample.id for a in selection.correct],
+        "correct_ids": [s.id for s in selection.correct],
         "ambiguous_ids": [r.sample_id for r in selection.ambiguous],
     })
 
@@ -479,13 +469,13 @@ def read_selection(
     path: str | Path,
     partition: StageOnePartition,
     records: Sequence[DisambiguationRecord],
-) -> tuple[list[AssessedSample], list[DisambiguationRecord]]:
+) -> tuple[list[QASample], list[DisambiguationRecord]]:
     """The correct and ambiguous halves of the selection written to ``path``:
     correct ids resolved in ``partition.trainable``, ambiguous ids in the
     records; an id named twice is refused. The strategy and epsilon it also
     records are provenance, not read."""
     obj = read_json_object(path)
-    correct_by_id = {a.sample.id: a for a in partition.trainable}
+    correct_by_id = {s.id: s for s in partition.trainable}
     records_by_id = {r.sample_id: r for r in records}
     with record_at(path):
         correct_ids = typed_field(obj, "correct_ids", tuple)

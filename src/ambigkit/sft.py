@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import PromptTemplate, load_templates
+from .corpus import PromptTemplate, QASample, load_templates
 from .errors import DataIntegrityError, ParseError
 from .jsonio import read_jsonl, record_at, record_from, record_obj, write_jsonl_atomic
-from .pipeline import AssessedSample, ClarifyLabel, DisambiguationRecord, LabelKind
+from .pipeline import ClarifyLabel, DisambiguationRecord, LabelKind
 from .seeding import derive_seed
 
 
@@ -59,7 +59,7 @@ def _unbalanced(correct: int, ambiguous: int) -> str:
 
 
 def emit(
-    correct: Sequence[AssessedSample],
+    correct: Sequence[QASample],
     ambiguous: Sequence[DisambiguationRecord],
     labels: Mapping[str, ClarifyLabel],
     direct_template: PromptTemplate,
@@ -76,8 +76,7 @@ def emit(
     if len(correct) != len(ambiguous):
         raise DataIntegrityError(_unbalanced(len(correct), len(ambiguous)))
     records: list[SftRecord] = []
-    for assessed in correct:
-        sample = assessed.sample
+    for sample in correct:
         if not sample.answers:
             raise DataIntegrityError(f"sample {sample.id}: no gold answer to train on")
         records.append(

@@ -1387,6 +1387,21 @@ def test_checkpoint_key_no_field_names_exits_4_naming_the_line(
     assert f"{where} line 1: unknown field(s) {next(iter(patch))!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,message", [
+    ({"id": "s1", "error": ""}, "field 'error' must not be empty"),
+    ({"id": "nope", "error": "refused"}, "sample 'nope' not in the dataset"),
+], ids=["empty-error", "errored-id-not-in-dataset"])
+def test_bad_errored_assess_line_exits_4_naming_the_line(tmp_path, capsys, chain_workdir,
+                                                         line, message):
+    config = write_toy_config(tmp_path / "config.json")
+    out = workdir_of(config)
+    shutil.copytree(chain_workdir, out)
+    path = out / "assess.jsonl"
+    path.write_text(json.dumps(line) + "\n" + "".join(path.read_text().splitlines(True)[1:]))
+    assert run("--config", str(config), "detect") == 4
+    assert f"{path} line 1: {message}" in capsys.readouterr().err
+
+
 def test_non_string_label_kind_exits_4_naming_the_line(tmp_path, capsys, chain_workdir):
     config, _ = patched_chain(tmp_path, chain_workdir, "labels.jsonl", {"kind": 1})
     assert run("--config", str(config), "emit") == 4

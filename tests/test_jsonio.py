@@ -13,7 +13,7 @@ from ambigkit.cli import main
 from ambigkit.config import BackendSpec, RunConfig, SampleRepConfig
 from ambigkit.corpus import QASample
 from ambigkit.errors import ConfigurationError, DataIntegrityError, ParseError
-from ambigkit.evalkit import PerSampleOutcome, PredictionRecord
+from ambigkit.evalkit import Errored, PerSampleOutcome, PredictionRecord
 from ambigkit.jsonio import (
     _columns,
     dump_json,
@@ -26,7 +26,7 @@ from ambigkit.jsonio import (
     write_text_atomic,
 )
 from ambigkit.phrases import FIXED_CLARIFICATIONS
-from ambigkit.pipeline import ClarifyLabel, DisambiguationRecord, LabelKind
+from ambigkit.pipeline import AssessedSample, ClarifyLabel, DisambiguationRecord, LabelKind
 from ambigkit.sft import SftRecord, Source
 
 
@@ -197,7 +197,8 @@ def test_record_from_reads_a_missing_column_by_its_default():
 
 @pytest.mark.parametrize("cls", [RunConfig, BackendSpec, SampleRepConfig, QASample,
                                  DisambiguationRecord, ClarifyLabel, PredictionRecord,
-                                 SftRecord, PerSampleOutcome], ids=lambda cls: cls.__name__)
+                                 SftRecord, PerSampleOutcome, AssessedSample, Errored],
+                         ids=lambda cls: cls.__name__)
 def test_every_record_class_has_only_field_types_the_codec_reads(cls):
     assert [f for f, *_ in _columns(cls)] == list(dataclasses.fields(cls))
 

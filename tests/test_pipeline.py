@@ -56,7 +56,8 @@ def assessed(corpus_samples, corpus_backend, toy_templates, greedy_params):
 @pytest.fixture(scope="module")
 def records(assessed, corpus_backend, toy_templates, greedy_params):
     records, errored = stage2_disambiguate(
-        [a.sample for a in assessed.incorrect], corpus_backend, toy_templates,
+        [assessed.samples[a.sample_id] for a in assessed.incorrect], corpus_backend,
+        toy_templates,
         greedy_params, mode=MODE,
     )
     assert errored == []
@@ -67,32 +68,32 @@ def records(assessed, corpus_backend, toy_templates, greedy_params):
 
 
 def test_stage1_categories(assessed):
-    categories = {a.sample.id: a.category for a in assessed.correct + assessed.incorrect}
+    categories = {a.sample_id: a.category for a in assessed.correct + assessed.incorrect}
     assert categories == EXPECTED_CATEGORIES
 
 
 def test_stage1_partition_membership(assessed):
-    assert {a.sample.id for a in assessed.correct} == {"s1", "s2"}
-    assert {a.sample.id for a in assessed.incorrect} == {
+    assert {a.sample_id for a in assessed.correct} == {"s1", "s2"}
+    assert {a.sample_id for a in assessed.incorrect} == {
         "s3", "s4", "s5", "s6", "s7", "s8", "s9",
     }
     assert assessed.errored == ()
 
 
 def test_stage1_exact_match_is_correct(assessed):
-    by_id = {a.sample.id: a for a in assessed.correct}
+    by_id = {a.sample_id: a for a in assessed.correct}
     assert by_id["s1"].prediction == "ans1"
     assert by_id["s1"].category == 3
 
 
 def test_stage1_clarification_on_ambiguous_is_correct(assessed):
-    by_id = {a.sample.id: a for a in assessed.correct}
+    by_id = {a.sample_id: a for a in assessed.correct}
     assert by_id["s2"].prediction == "clarify"
     assert by_id["s2"].category == 1
 
 
 def test_stage1_clarification_on_unambiguous_is_category_five(assessed):
-    by_id = {a.sample.id: a for a in assessed.incorrect}
+    by_id = {a.sample_id: a for a in assessed.incorrect}
     assert by_id["s6"].category == 5
 
 
@@ -108,8 +109,8 @@ def test_stage1_errored_samples_excluded(corpus_samples, corpus_backend,
     partition = stage1_assess(
         corpus_samples, backend, toy_templates, greedy_params, mode=MODE
     )
-    assert [sid for sid, _ in partition.errored] == ["s5"]
-    ids = {a.sample.id for a in partition.correct + partition.incorrect}
+    assert [e.sample_id for e in partition.errored] == ["s5"]
+    ids = {a.sample_id for a in partition.correct + partition.incorrect}
     assert "s5" not in ids
     assert len(ids) == 8  # every sample lands in exactly one bucket
 
@@ -215,7 +216,7 @@ def test_stage2_backend_failure_reported(corpus_samples, corpus_backend,
         incorrect, backend, toy_templates, greedy_params, mode=MODE
     )
     assert [r.sample_id for r in records] == ["s4"]
-    assert [sid for sid, _ in errored] == ["s3"]
+    assert [e.sample_id for e in errored] == ["s3"]
 
 
 def test_stage2_total_outage_raises(corpus_samples, corpus_backend, toy_templates,
@@ -304,12 +305,15 @@ def make_sample(sid: str, ambiguous: bool) -> QASample:
                     gold_ambiguous=ambiguous)
 
 
-def make_assessed(sid: str, category: int, ambiguous: bool = False,
+def make_assessed(sid: str, category: int,
                   entropy: float | None = 0.0) -> AssessedSample:
-    return AssessedSample(
-        sample=make_sample(sid, ambiguous), prediction="p", category=category,
-        answer_entropy=entropy,
-    )
+    return AssessedSample(sample_id=sid, category=category, prediction="p",
+                          answer_entropy=entropy)
+
+
+def make_partition(samples, correct, incorrect) -> StageOnePartition:
+    return StageOnePartition({s.id: s for s in samples}, correct=tuple(correct),
+                             incorrect=tuple(incorrect))
 
 
 def make_record(sid: str, gain: float) -> DisambiguationRecord:
@@ -323,13 +327,13 @@ def build_world(n_correct: int, gains: dict[str, float],
                 gold_ambiguous: set[str] | None = None,
                 entropies: dict[str, float | None] | None = None):
     gold_ambiguous = gold_ambiguous if gold_ambiguous is not None else set(gains)
-    correct = tuple(make_assessed(f"c{i:04d}", 3) for i in range(n_correct))
-    incorrect = tuple(
-        make_assessed(sid, 2, ambiguous=sid in gold_ambiguous,
-                      entropy=(entropies or {}).get(sid, 0.0))
-        for sid in gains
+    samples = [*(make_sample(f"c{i:04d}", False) for i in range(n_correct)),
+               *(make_sample(sid, sid in gold_ambiguous) for sid in gains)]
+    partition = make_partition(
+        samples,
+        [make_assessed(f"c{i:04d}", 3) for i in range(n_correct)],
+        [make_assessed(sid, 2, entropy=(entropies or {}).get(sid, 0.0)) for sid in gains],
     )
-    partition = StageOnePartition(correct=correct, incorrect=incorrect)
     records = [make_record(sid, gain) for sid, gain in gains.items()]
     return partition, records
 
@@ -343,8 +347,8 @@ def test_balance_subsamples_correct_when_larger():
     assert len(selection.correct) == 300
     assert len(selection.ambiguous) == 300
     assert {r.sample_id for r in selection.ambiguous} == set(gains)
-    chosen = {a.sample.id for a in selection.correct}
-    assert chosen < {a.sample.id for a in partition.correct}
+    chosen = {s.id for s in selection.correct}
+    assert chosen < {a.sample_id for a in partition.correct}
 
 
 def test_balance_truncates_ambiguous_by_gain_when_smaller():
@@ -422,10 +426,9 @@ def test_empty_correct_split_is_actionable_error():
 def test_correct_split_without_an_answer_is_actionable_error():
     partition, records = build_world(0, {"a": 0.5, "b": 0.6})
     # A gold-ambiguous sample may have no answer; clarifying it is category 1.
-    unanswered = AssessedSample(sample=QASample(id="u", question="q", answers=(),
-                                                gold_ambiguous=True),
-                                prediction="p", category=1)
-    partition = StageOnePartition(correct=(unanswered,), incorrect=partition.incorrect)
+    unanswered = QASample(id="u", question="q", answers=(), gold_ambiguous=True)
+    partition = make_partition([*partition.samples.values(), unanswered],
+                               [make_assessed("u", 1)], partition.incorrect)
     with pytest.raises(ConfigurationError,
                        match="no sample in the correct split has a gold answer"):
         select_and_balance(partition, records, SelectionStrategy.APA_INFOGAIN,
@@ -466,15 +469,13 @@ def test_gt_max_takes_largest():
 
 def test_gt_strategies_require_gold_labels():
     gains = {"a": 0.5, "b": 0.6}
-    correct = tuple(make_assessed(f"c{i}", 3) for i in range(2))
-    incorrect = tuple(
-        AssessedSample(
-            sample=QASample(id=sid, question="q", answers=("g",), gold_ambiguous=None),
-            prediction="p", category=2, answer_entropy=0.0,
-        )
-        for sid in gains
+    partition = make_partition(
+        [*(make_sample(f"c{i}", False) for i in range(2)),
+         *(QASample(id=sid, question="q", answers=("g",), gold_ambiguous=None)
+           for sid in gains)],
+        [make_assessed(f"c{i}", 3) for i in range(2)],
+        [make_assessed(sid, 2) for sid in gains],
     )
-    partition = StageOnePartition(correct=correct, incorrect=incorrect)
     records = [make_record(sid, gain) for sid, gain in gains.items()]
     with pytest.raises(ConfigurationError, match="gold"):
         select_and_balance(partition, records, SelectionStrategy.GT_RANDOM,
@@ -595,7 +596,7 @@ def test_partition_round_trip_with_errored(tmp_path, corpus_samples, corpus_back
     write_partition(partition, path)
     loaded = read_partition(path, {s.id: s for s in corpus_samples})
     assert loaded == partition
-    assert loaded.errored[0][0] == "s7"
+    assert loaded.errored[0].sample_id == "s7"
 
 
 def test_records_round_trip(tmp_path, records):
@@ -634,7 +635,8 @@ def test_stage_chain_byte_reproducible(tmp_path, corpus_samples, corpus_backend,
         partition = stage1_assess(corpus_samples, corpus_backend, toy_templates,
                                   greedy_params, mode=MODE)
         records, _ = stage2_disambiguate(
-            [a.sample for a in partition.incorrect], corpus_backend, toy_templates,
+            [partition.samples[a.sample_id] for a in partition.incorrect], corpus_backend,
+            toy_templates,
             greedy_params, mode=MODE,
         )
         selection = select_and_balance(

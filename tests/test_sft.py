@@ -8,7 +8,6 @@ from ambigkit.corpus import QASample, load_templates
 from ambigkit.errors import DataIntegrityError
 from ambigkit.phrases import FIXED_CLARIFICATIONS
 from ambigkit.pipeline import (
-    AssessedSample,
     ClarifyLabel,
     DisambiguationRecord,
     LabelKind,
@@ -20,15 +19,10 @@ TEMPLATES = load_templates()
 DIRECT = TEMPLATES["direct"]
 
 
-def correct_sample(i: int, answers=None) -> AssessedSample:
+def correct_sample(i: int, answers=None) -> QASample:
     sid = f"c{i:03d}"
-    return AssessedSample(
-        sample=QASample(id=sid, question=f"question {sid}?",
-                        answers=tuple(answers or (f"gold {sid}", "alt")),
-                        gold_ambiguous=False),
-        prediction=f"gold {sid}",
-        category=3,
-    )
+    return QASample(id=sid, question=f"question {sid}?",
+                    answers=tuple(answers or (f"gold {sid}", "alt")), gold_ambiguous=False)
 
 
 def ambig_record(i: int) -> DisambiguationRecord:
@@ -111,10 +105,8 @@ def test_emit_rejects_missing_label(tmp_path):
 
 
 def test_emit_refuses_a_correct_sample_without_a_gold_answer(tmp_path):
-    unanswered = AssessedSample(
-        sample=QASample(id="c000", question="question c000?", answers=(), gold_ambiguous=True),
-        prediction="Which one do you mean?", category=1,
-    )
+    unanswered = QASample(id="c000", question="question c000?", answers=(),
+                          gold_ambiguous=True)
     ambiguous = [ambig_record(0)]
     with pytest.raises(DataIntegrityError, match="sample c000: no gold answer to train on"):
         emit([unanswered], ambiguous, fixed_labels(ambiguous), DIRECT, tmp_path / "x.jsonl",

@@ -10,10 +10,11 @@ Outcome categories:
 4. unambiguous query, non-matching answer (incorrect)
 5. unambiguous query, clarification request (incorrect)
 
-Answer matching uses the longest-common-subsequence F-measure over
-normalized word tokens, with a strict ``> threshold`` correctness rule
-(default 0.3). Clarification detection is a case-insensitive substring scan
-over the canonical marker list.
+One F-measure, ``_f1``, computes ROUGE-L, F1_u and F1_a. Answer matching
+is ROUGE-L, the longest-common-subsequence F-measure over normalized word
+tokens, with a strict ``> threshold`` correctness rule (default 0.3).
+Clarification detection is a case-insensitive substring scan over the
+canonical marker list.
 
 ``run_each`` maps one body per sample with ``bounded_map``, in input order,
 for the four baselines and for stages 1 and 2 of ``pipeline``. A sample any
@@ -27,6 +28,7 @@ from __future__ import annotations
 import string
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -79,13 +81,8 @@ def rouge_l(prediction: str, references: Sequence[str]) -> float:
     if not references:
         raise ValueError("references must be non-empty")
     pred_tokens = _normalize_tokens(prediction)
-    best = 0.0
-    for reference in references:
-        ref_tokens = _normalize_tokens(reference)
-        if pred_tokens and ref_tokens:
-            lcs = _lcs_length(pred_tokens, ref_tokens)
-            best = max(best, _harmonic(lcs / len(pred_tokens), lcs / len(ref_tokens)))
-    return best
+    return max(_f1(_lcs_length(pred_tokens, ref_tokens), len(pred_tokens), len(ref_tokens))
+               for ref_tokens in map(_normalize_tokens, references))
 
 
 def is_clarification(text: str) -> bool:
@@ -137,32 +134,28 @@ class OutcomeCounts:
         return cls(*(tallies[c] for c in range(1, 6)), errored=tallies[None])
 
 
-def _harmonic(precision: float, recall: float) -> float:
+def _f1(hits: int, predicted: int, actual: int) -> float:
+    """The F-measure of ``hits`` among ``predicted`` items and ``actual`` ones:
+    the harmonic mean of precision hits/predicted and recall hits/actual.
+
+    Degenerate ratios (zero denominators) evaluate to 0, matching the
+    convention that a run with no correct answers scores 0.00.
+    """
+    precision = hits / predicted if predicted else 0.0
+    recall = hits / actual if actual else 0.0
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
 
 
 def f1_unambig(counts: OutcomeCounts) -> float:
-    """Unambiguous-prediction F1: precision c3/(c2+c3+c4), recall c3/(c3+c4+c5).
-
-    Degenerate ratios (zero denominators) evaluate to 0, matching the
-    convention that a run with no correct answers scores 0.00.
-    """
-    p_denom = counts.c2 + counts.c3 + counts.c4
-    r_denom = counts.c3 + counts.c4 + counts.c5
-    precision = counts.c3 / p_denom if p_denom else 0.0
-    recall = counts.c3 / r_denom if r_denom else 0.0
-    return _harmonic(precision, recall)
+    """Unambiguous-prediction F1: precision c3/(c2+c3+c4), recall c3/(c3+c4+c5)."""
+    return _f1(counts.c3, counts.c2 + counts.c3 + counts.c4, counts.c3 + counts.c4 + counts.c5)
 
 
 def f1_ambig(counts: OutcomeCounts) -> float:
     """Ambiguity-detection F1: precision c1/(c1+c5), recall c1/(c1+c2)."""
-    p_denom = counts.c1 + counts.c5
-    r_denom = counts.c1 + counts.c2
-    precision = counts.c1 / p_denom if p_denom else 0.0
-    recall = counts.c1 / r_denom if r_denom else 0.0
-    return _harmonic(precision, recall)
+    return _f1(counts.c1, counts.c1 + counts.c5, counts.c1 + counts.c2)
 
 
 @dataclass(frozen=True)
@@ -278,27 +271,22 @@ def _clarify_or_answer(
     return clarification_phrase(master_seed, purpose, sample_id) if ambiguous else answer
 
 
-def run_direct(
+def _run_prompted(
+    template: str,
     samples: Sequence[QASample],
     backend: Backend,
     templates: Mapping[str, PromptTemplate],
     params: GenerationParams,
 ) -> list[PredictionRecord]:
-    """Plain QA prompting; never requests clarification by construction."""
+    """Each sample's reply to the named template filled with its question."""
     return _run_each(samples, backend, lambda sample: PredictionRecord(
-        sample.id, reply(backend, templates["direct"], params, question=sample.question)))
+        sample.id, reply(backend, templates[template], params, question=sample.question)))
 
 
-def run_ambig_aware(
-    samples: Sequence[QASample],
-    backend: Backend,
-    templates: Mapping[str, PromptTemplate],
-    params: GenerationParams,
-) -> list[PredictionRecord]:
-    """QA prompting with an explicit escape instruction for ambiguous input."""
-    return _run_each(samples, backend, lambda sample: PredictionRecord(
-        sample.id, reply(backend, templates["ambiguity_aware"], params,
-                         question=sample.question)))
+# direct: plain QA prompting; never requests clarification by construction.
+run_direct = partial(_run_prompted, "direct")
+# ambig_aware: QA prompting with an explicit escape instruction for ambiguous input.
+run_ambig_aware = partial(_run_prompted, "ambiguity_aware")
 
 
 def judge_sample_rep(

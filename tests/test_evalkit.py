@@ -205,6 +205,15 @@ def test_f1_values_in_unit_interval(c1, c2, c3, c4, c5):
     counts = OutcomeCounts(c1=c1, c2=c2, c3=c3, c4=c4, c5=c5)
     assert 0.0 <= f1_unambig(counts) <= 1.0
     assert 0.0 <= f1_ambig(counts) <= 1.0
+    # Each score is the count form 2·hits/(predicted + actual), and 0 with no hits.
+    for score, hits, predicted, actual in [
+        (f1_unambig(counts), c3, c2 + c3 + c4, c3 + c4 + c5),
+        (f1_ambig(counts), c1, c1 + c5, c1 + c2),
+    ]:
+        if hits:
+            assert score == pytest.approx(2 * hits / (predicted + actual), abs=1e-12)
+        else:
+            assert score == 0.0
 
 
 def test_counts_reject_negative():

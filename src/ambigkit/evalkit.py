@@ -17,10 +17,12 @@ Clarification detection is a case-insensitive substring scan over the
 canonical marker list.
 
 ``run_each`` maps one body per sample with ``bounded_map``, in input order,
-for the four baselines and for stages 1 and 2 of ``pipeline``. A sample any
-of whose requests raises BackendError comes back ``Errored`` and the run goes
-on; when every sample errored, the run raises BackendError. A baseline's
-errored record (empty prediction, the error's message) is left out of F1.
+for the four baselines and for stage 2 of ``pipeline``; stage 1 is the
+direct baseline's outcome table (``run_prompted``, then ``evaluate``). A
+sample any of whose requests raises BackendError comes back ``Errored`` and
+the run goes on; when every sample errored, the run raises BackendError. A
+baseline's errored record (empty prediction, the error's message) is left
+out of F1.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .backend import Backend, GenerationParams, bounded_map
-from .corpus import PromptTemplate, QASample, first_word, reply
+from .backend import Backend, GenerationParams, TokenDistribution, bounded_map
+from .corpus import PromptTemplate, QASample, first_word, reply, trim_continuation
 from .errors import BackendError, DataIntegrityError, ParseError
 from .jsonio import (
     read_jsonl,
@@ -91,10 +93,10 @@ def is_clarification(text: str) -> bool:
     return any(marker in lowered for marker in AMBIGUITY_MARKERS)
 
 
-def categorize(
-    sample: QASample, prediction: str, threshold: float = DEFAULT_ROUGE_THRESHOLD
-) -> int:
-    """Assign one of the five outcome categories.
+def categorize(sample: QASample, prediction: str, rouge: float | None,
+               threshold: float = DEFAULT_ROUGE_THRESHOLD) -> int:
+    """Assign one of the five outcome categories, given the prediction's
+    ROUGE-L against the sample's answers (None when it has none).
 
     The clarification check always precedes answer matching.
     """
@@ -107,7 +109,7 @@ def categorize(
         return 1 if clarifies else 2
     if clarifies:
         return 5
-    if rouge_l(prediction, sample.answers) > threshold:
+    if rouge > threshold:
         return 3
     return 4
 
@@ -256,8 +258,7 @@ def run_each(samples: Sequence[QASample], backend: Backend, fn: Callable) -> lis
     return outcomes
 
 
-def _run_each(samples: Sequence[QASample], backend: Backend,
-              predict: Callable[[QASample], PredictionRecord]) -> list[PredictionRecord]:
+def _run_each(samples: Sequence[QASample], backend: Backend, predict: Callable) -> list:
     """``run_each`` with an errored sample's record in its place."""
     return [PredictionRecord(o.sample_id, "", error=o.error) if isinstance(o, Errored) else o
             for o in run_each(samples, backend, predict)]
@@ -271,22 +272,32 @@ def _clarify_or_answer(
     return clarification_phrase(master_seed, purpose, sample_id) if ambiguous else answer
 
 
-def _run_prompted(
+def run_prompted(
     template: str,
     samples: Sequence[QASample],
     backend: Backend,
     templates: Mapping[str, PromptTemplate],
     params: GenerationParams,
-) -> list[PredictionRecord]:
-    """Each sample's reply to the named template filled with its question."""
-    return _run_each(samples, backend, lambda sample: PredictionRecord(
-        sample.id, reply(backend, templates[template], params, question=sample.question)))
+) -> list[tuple[PredictionRecord, tuple[TokenDistribution, ...]]]:
+    """Each sample's reply to the named template filled with its question:
+    its record, beside the reply's generated tokens (none when it errored)."""
+
+    def one(sample: QASample) -> tuple[PredictionRecord, tuple[TokenDistribution, ...]]:
+        result = backend.generate(templates[template].render(question=sample.question), params)
+        return PredictionRecord(sample.id, trim_continuation(result.text)), result.tokens
+
+    return [(o, ()) if isinstance(o, PredictionRecord) else o
+            for o in _run_each(samples, backend, one)]
+
+
+def _prompted_records(template: str, *run) -> list[PredictionRecord]:
+    return [record for record, _ in run_prompted(template, *run)]
 
 
 # direct: plain QA prompting; never requests clarification by construction.
-run_direct = partial(_run_prompted, "direct")
+run_direct = partial(_prompted_records, "direct")
 # ambig_aware: QA prompting with an explicit escape instruction for ambiguous input.
-run_ambig_aware = partial(_run_prompted, "ambiguity_aware")
+run_ambig_aware = partial(_prompted_records, "ambiguity_aware")
 
 
 def judge_sample_rep(
@@ -418,8 +429,8 @@ def evaluate(
         if record.error is not None:
             rows.append(PerSampleOutcome(sample.id, None, None, record.prediction, record.error))
             continue
-        category = categorize(sample, record.prediction, threshold)
         rouge = rouge_l(record.prediction, sample.answers) if sample.answers else None
+        category = categorize(sample, record.prediction, rouge, threshold)
         rows.append(PerSampleOutcome(sample.id, category, rouge, record.prediction))
     return rows
 

@@ -2,16 +2,17 @@
 clarification labeling, and the selection/balancing that feeds training-set
 export.
 
-Stage 1 partitions a dataset by whether the model already handles each
-sample (categories 1 and 3 are correct; 2, 4 and 5 are incorrect; backend
-failures are excluded as errored). Stage 2 lets the model rewrite each
-incorrect query more specifically and only measures the average-entropy
-drop; ``DisambiguationRecord.verdict_at`` alone decides the verdict. Stage 3
-attaches a clarification-request label, either one of the six canonical
-phrases or a model-generated request naming the ambiguity. Selection then
-balances the correct and ambiguous halves to equal size. Stages 1 and 2 map
-their samples under ``evalkit.run_each``'s failure rule; generated labels
-tolerate no failed sample.
+Stage 1 is the direct baseline's outcome table on the dataset
+(``evalkit.run_prompted`` answers, ``evalkit.evaluate`` grades), split by
+whether the model already handles each sample (categories 1 and 3 are
+correct; 2, 4 and 5 are incorrect; errored rows are set aside). Stage 2 lets
+the model rewrite each incorrect query more specifically and only measures
+the average-entropy drop; ``DisambiguationRecord.verdict_at`` alone decides
+the verdict. Stage 3 attaches a clarification-request label, either one of
+the six canonical phrases or a model-generated request naming the
+ambiguity. Selection then balances the correct and ambiguous halves to
+equal size. Stages 1 and 2 map their samples under ``evalkit.run_each``'s
+failure rule; generated labels tolerate no failed sample.
 
 Every per-sample outcome is a record keyed by its sample id, one line of
 its checkpoint that ``jsonio.record_obj`` writes and ``jsonio.record_from``
@@ -30,16 +31,17 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .backend import Backend, GenerationParams, ScoringResult, bounded_map
-from .corpus import PromptTemplate, QASample, reply, trim_continuation
+from .corpus import PromptTemplate, QASample, reply
 from .entropy import TruncationMode, Verdict, classify, entropy_profile, info_gain
 from .errors import ConfigurationError, DataIntegrityError
 from .evalkit import (
     DEFAULT_ROUGE_THRESHOLD,
     Errored,
-    categorize,
     clarification_phrase,
+    evaluate,
     is_clarification,
     run_each,
+    run_prompted,
 )
 from .jsonio import (
     read_json_object,
@@ -180,28 +182,18 @@ def stage1_assess(
     mode: TruncationMode,
     rouge_threshold: float = DEFAULT_ROUGE_THRESHOLD,
 ) -> StageOnePartition:
-    """Greedy-answer every sample and split by the five-outcome rule.
-
-    The average token entropy of each generated answer is kept alongside, so
-    the answer-entropy selection strategy needs no second pass.
+    """The direct baseline's outcome table on the dataset, split; an errored
+    row becomes ``Errored``. The average token entropy of each generated
+    answer is kept alongside, so the answer-entropy selection strategy needs
+    no second pass.
     """
-    template = templates["direct"]
-
-    def one(sample: QASample) -> AssessedSample:
-        result = backend.generate(template.render(question=sample.question), params)
-        prediction = trim_continuation(result.text)
-        return AssessedSample(
-            sample_id=sample.id,
-            category=categorize(sample, prediction, rouge_threshold),
-            prediction=prediction,
-            answer_entropy=(
-                entropy_profile(ScoringResult(result.tokens), mode).average_entropy
-                if result.tokens
-                else None
-            ),
-        )
-
-    return StageOnePartition.split({s.id: s for s in samples}, run_each(samples, backend, one))
+    answered = run_prompted("direct", samples, backend, templates, params)
+    rows = evaluate(samples, [record for record, _ in answered], rouge_threshold)
+    return StageOnePartition.split({s.id: s for s in samples}, [
+        Errored(row.sample_id, row.error) if row.error is not None else AssessedSample(
+            row.sample_id, row.category, row.prediction,
+            entropy_profile(ScoringResult(tokens), mode).average_entropy if tokens else None)
+        for row, (_, tokens) in zip(rows, answered)])
 
 
 # -- stage 2 -----------------------------------------------------------------

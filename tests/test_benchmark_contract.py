@@ -23,7 +23,9 @@ from ambigkit.config import load_config, make_backend
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
 # Traced names the program no longer has, each an open benchmark repair.
-KNOWN_UNRESOLVED = {("ambigkit.cli", "read_jsonl")}
+# Stage 1 grades through evalkit.evaluate, so its categorize calls are traced
+# by the ambigkit.evalkit patch.
+KNOWN_UNRESOLVED = {("ambigkit.cli", "read_jsonl"), ("ambigkit.pipeline", "categorize")}
 
 
 @pytest.fixture()

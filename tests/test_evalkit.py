@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ambigkit import evalkit
 from ambigkit.backend import GenerationParams
 from ambigkit.config import SampleRepConfig
 from ambigkit.corpus import QASample, load_dataset, load_templates
@@ -127,41 +128,46 @@ def test_every_fixed_phrase_detected():
 # -- categorization ---------------------------------------------------------------
 
 
+def categorized(s: QASample, prediction: str) -> int:
+    """``categorize`` given the prediction's ROUGE-L, as ``evaluate`` passes it."""
+    return categorize(s, prediction, rouge_l(prediction, s.answers))
+
+
 def test_categorize_ambiguous_clarification_is_one():
-    assert categorize(sample(True), "Can you clarify your question?") == 1
+    assert categorized(sample(True), "Can you clarify your question?") == 1
 
 
 def test_categorize_ambiguous_answer_is_two():
-    assert categorize(sample(True), "some guess") == 2
+    assert categorized(sample(True), "some guess") == 2
 
 
 def test_categorize_unambiguous_correct_is_three():
-    assert categorize(sample(False, ["George Washington"]), "george washington") == 3
+    assert categorized(sample(False, ["George Washington"]), "george washington") == 3
 
 
 def test_categorize_unambiguous_wrong_is_four():
-    assert categorize(sample(False, ["paris"]), "london") == 4
+    assert categorized(sample(False, ["paris"]), "london") == 4
 
 
 def test_categorize_unambiguous_clarification_is_five():
-    assert categorize(sample(False), "The question is ambiguous.") == 5
+    assert categorized(sample(False), "The question is ambiguous.") == 5
 
 
 def test_clarification_check_precedes_matching():
     # Prediction contains the gold answer but also a marker: category 5 wins.
-    assert categorize(sample(False, ["doubt"]), "doubt") == 5
+    assert categorized(sample(False, ["doubt"]), "doubt") == 5
 
 
 def test_categorize_requires_gold_label():
     s = QASample(id="u", question="q?", answers=("a",), gold_ambiguous=None)
     with pytest.raises(DataIntegrityError):
-        categorize(s, "a")
+        categorized(s, "a")
 
 
 def test_categorize_total_over_any_string():
     for ambiguous in (True, False):
         for text in ("", "plain", "ambiguous!", "gold"):
-            category = categorize(sample(ambiguous, ["gold"]), text)
+            category = categorized(sample(ambiguous, ["gold"]), text)
             assert category in ((1, 2) if ambiguous else (3, 4, 5))
 
 
@@ -500,6 +506,27 @@ def test_evaluate_counts_errored_separately():
     assert counts.errored == 1
     assert counts.c3 == 1
     assert counts.c1 + counts.c2 == 0
+
+
+def test_evaluate_computes_rouge_once_per_row_with_gold_answers(monkeypatch):
+    calls = []
+
+    def counted(prediction, references):
+        calls.append(prediction)
+        return rouge_l(prediction, references)
+
+    monkeypatch.setattr(evalkit, "rouge_l", counted)
+    samples = [sample(False, ["paris"], sid="u1"), sample(False, ["paris"], sid="u2"),
+               sample(False, sid="u3"), sample(True, ["gold"], sid="a1"),
+               sample(True, (), sid="a2"), sample(False, sid="e1")]
+    predictions = [PredictionRecord("u1", "paris"), PredictionRecord("u2", "london"),
+                   PredictionRecord("u3", "It is ambiguous."), PredictionRecord("a1", "gold"),
+                   PredictionRecord("a2", "gold"), PredictionRecord("e1", "", error="down")]
+    rows = evaluate(samples, predictions)
+    assert [row.category for row in rows] == [3, 4, 5, 2, 2, None]
+    # Every row with gold answers that did not error, and only those, once.
+    assert calls == ["paris", "london", "It is ambiguous.", "gold"]
+    assert [row.rouge is not None for row in rows] == [True] * 4 + [False] * 2
 
 
 def test_predictions_round_trip_keeps_flags(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ambigkit.corpus import QASample
 from ambigkit.entropy import TruncationMode, Verdict
 from ambigkit.errors import BackendError, ConfigurationError, DataIntegrityError
+from ambigkit.evalkit import evaluate, run_direct
 from ambigkit.phrases import FIXED_CLARIFICATIONS
 from ambigkit.pipeline import (
     EMPTY_DISAMBIGUATION_FLAG,
@@ -113,6 +114,21 @@ def test_stage1_errored_samples_excluded(corpus_samples, corpus_backend,
     ids = {a.sample_id for a in partition.correct + partition.incorrect}
     assert "s5" not in ids
     assert len(ids) == 8  # every sample lands in exactly one bucket
+
+
+def test_stage1_is_the_direct_baselines_outcome_table(corpus_samples, corpus_backend,
+                                                      toy_templates, greedy_params):
+    backend = RefuseQuestion(corpus_backend, "q5a")
+    partition = stage1_assess(corpus_samples, backend, toy_templates, greedy_params, mode=MODE)
+    rows = evaluate(corpus_samples,
+                    run_direct(corpus_samples, backend, toy_templates, greedy_params))
+    assessed = partition.correct + partition.incorrect
+    assert ({a.sample_id: (a.category, a.prediction) for a in assessed}
+            == {row.sample_id: (row.category, row.prediction)
+                for row in rows if row.error is None})
+    [errored_row] = [row for row in rows if row.error is not None]
+    assert [e.sample_id for e in partition.errored] == [errored_row.sample_id] == ["s5"]
+    assert partition.errored[0].error == errored_row.error
 
 
 def test_stage1_total_outage_raises(corpus_samples, corpus_backend, toy_templates,

@@ -22,11 +22,13 @@ from .errors import NormalizationError
 NORMALIZATION_TOLERANCE = 1e-6  # how far a listed mass may exceed 1
 _SIGN_TOLERANCE = 1e-9  # how far a realized logprob may exceed 0
 
-# Pool threads per worker in bounded_map: a sample that sleeps in a retry
+# Pool threads per worker in bounded_map: a sample waiting out a retry
 # backoff holds a thread but no connection, so spare threads let other
-# samples use that connection meanwhile. With four per worker, `parallelism`
-# samples can still run while up to 3 × `parallelism` samples back off, as a
-# burst of refused requests at the head of a map does.
+# samples use that connection meanwhile. A backoff ends at the server's next
+# answer to another request, so they matter most while nothing is answered.
+# With four per worker, `parallelism` samples can still run while up to
+# 3 × `parallelism` samples back off, as a burst of refused requests at the
+# head of a map does.
 _THREADS_PER_WORKER = 4
 
 

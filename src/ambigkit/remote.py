@@ -21,8 +21,13 @@ up to ``parallelism`` keep-alive connections; the pool is the one bound on
 requests in flight. Transport failures (a refused or dropped connection, a
 timeout, a response cut off mid-body) are retried with exponential backoff,
 during which the connection serves other samples; protocol errors never are.
-A retry whose backoff has ended takes the next free connection, ahead of
-first attempts that queued meanwhile; first attempts keep no arrival order.
+A backoff ends early at the first answer the pool gets after the failure: any
+response whose status is not retryable, an HTTP 400 as much as a 200. A
+server that answers others is not short of capacity, and the pool still lets
+at most ``parallelism`` requests reach it; only a server that answers nothing
+(dead, or refusing everything) makes each backoff run its full clock. A
+retry whose backoff has ended takes the next free connection, ahead of first
+attempts that queued meanwhile; first attempts keep no arrival order.
 Servers cannot expose a distribution for the very first token of a sequence
 (its ``token_logprob`` is null), so an echo from the prompt's start silently
 skips that position; every other null is a protocol error.
@@ -46,7 +51,6 @@ import logging
 import math
 import ssl
 import threading
-import time
 from bisect import bisect_left
 from functools import partial
 from pathlib import Path
@@ -71,8 +75,9 @@ from .jsonio import has_surrogate, input_file, output_file
 
 logger = logging.getLogger(__name__)
 
-# The retry policy: up to _MAX_ATTEMPTS attempts in all, sleeping
-# _BACKOFF_BASE_S before the second and doubling the sleep each time after.
+# The retry policy: up to _MAX_ATTEMPTS attempts in all, backing off
+# _BACKOFF_BASE_S before the second and doubling the backoff each time after;
+# a backoff ends early at the pool's next answer.
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 _MAX_ATTEMPTS = 3
 _BACKOFF_BASE_S = 0.5
@@ -192,13 +197,15 @@ class _ConnectionPool:
     A retry whose backoff has ended takes the next free connection ahead of
     every first attempt; first attempts are served in no particular order.
     Idle connections are reused last in, first out, so the warmest ones stay
-    busy.
+    busy. ``answers`` counts the connections given back with an answer, a
+    response whose status is not retryable; a backoff waits for the next.
     """
 
     def __init__(self, connections: list[http.client.HTTPConnection]):
         self._ready = threading.Condition()
         self._idle = list(connections)
         self._retries_waiting = 0
+        self.answers = 0
 
     def take(self, retry: bool) -> http.client.HTTPConnection:
         # Retries go first: served in turn with first attempts, remote-flaky's
@@ -213,10 +220,18 @@ class _ConnectionPool:
                     self._ready.notify_all()  # first attempts held back by retries
             return self._idle.pop()
 
-    def give(self, connection: http.client.HTTPConnection) -> None:
+    def give(self, connection: http.client.HTTPConnection, answered: bool = False) -> None:
         with self._ready:
             self._idle.append(connection)
+            self.answers += answered
             self._ready.notify_all()
+
+    def wait_for_answer(self, seconds: float) -> None:
+        """Block until the pool gets an answer after this call, or for
+        ``seconds``, whichever comes first."""
+        with self._ready:
+            seen = self.answers
+            self._ready.wait_for(lambda: self.answers > seen, seconds)
 
 
 class RemoteCompletionsBackend(Backend):
@@ -273,8 +288,10 @@ class RemoteCompletionsBackend(Backend):
         """POST ``data`` on a pooled connection, taken ahead of first
         attempts if ``retry``; the response's status and body. A connection
         that has opened (``sock`` set) stays open for the next call unless
-        the server closes it."""
+        the server closes it. A response whose status is not retryable is
+        counted as an answer as the connection goes back to the pool."""
         connection = self._pool.take(retry)
+        answered = False
         try:
             reused = connection.sock is not None
             try:
@@ -287,12 +304,14 @@ class RemoteCompletionsBackend(Backend):
                 # response byte: send again, once, on a fresh one.
                 connection.close()
                 response = self._send(connection, data)
-            return response.status, response.read()
+            content = response.read()
+            answered = response.status not in _RETRYABLE_STATUS
+            return response.status, content
         except BaseException:
             connection.close()  # leaves it idle, to open again on next use
             raise
         finally:
-            self._pool.give(connection)
+            self._pool.give(connection, answered)
 
     def _post(self, body: dict[str, Any]) -> tuple[Any, str]:
         """The decoded payload of the server's answer, and its text."""
@@ -324,9 +343,10 @@ class RemoteCompletionsBackend(Backend):
                     return payload, text
             if attempt < _MAX_ATTEMPTS:
                 # The connection is back in the pool, so another sample's
-                # request uses it during the backoff; the retry then goes
-                # ahead of the requests that queued meanwhile.
-                time.sleep(_BACKOFF_BASE_S * (2 ** (attempt - 1)))
+                # request uses it during the backoff, and its answer ends the
+                # backoff; the retry then goes ahead of the requests that
+                # queued meanwhile.
+                self._pool.wait_for_answer(_BACKOFF_BASE_S * (2 ** (attempt - 1)))
         raise TransportError(f"backend unreachable: {last_error}", _MAX_ATTEMPTS)
 
     # -- payload parsing -------------------------------------------------------

@@ -176,6 +176,13 @@ def run_chain(config: Path, *extra: str) -> Path:
     return workdir_of(config) / "sft.jsonl"
 
 
+class _Server(ThreadingHTTPServer):
+    # socketserver's listen backlog is 5. A burst of new connections beyond
+    # it, as retries woken together open, could stall about 1 s on a
+    # retried SYN; no test's parallelism comes near 64.
+    request_queue_size = 64
+
+
 class LoopbackServer:
     """An HTTP/1.1 keep-alive server on 127.0.0.1, one thread per connection.
 
@@ -239,7 +246,7 @@ class LoopbackServer:
                 self.wfile.write(data)
                 self.close_connection = close_after_reply
 
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._server = _Server(("127.0.0.1", 0), Handler)
         host, port = self._server.server_address
         self.endpoint = f"http://{host}:{port}/v1/completions"
         self._thread = threading.Thread(target=self._server.serve_forever,

@@ -14,7 +14,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import types
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -466,11 +465,11 @@ def test_backoff_gives_the_sample_slot_to_another_sample(monkeypatch, parallelis
             c_answered.set()
         return paris(body)
 
-    def sleep(seconds: float) -> None:
+    def wait_for_answer(pool, seconds: float) -> None:
         if not c_answered.wait(timeout=5):
             raise AssertionError("c was not answered while a backoff held its slot")
 
-    monkeypatch.setattr(remote, "time", types.SimpleNamespace(sleep=sleep))
+    monkeypatch.setattr(remote._ConnectionPool, "wait_for_answer", wait_for_answer)
     with LoopbackServer(answer) as server:
         backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=parallelism)
         try:
@@ -503,11 +502,11 @@ def test_retry_takes_the_next_free_connection_before_queued_requests(monkeypatch
             release_b.wait(timeout=5)
         return paris(body)
 
-    def sleep(seconds: float) -> None:
+    def wait_for_answer(pool, seconds: float) -> None:
         backing_off.set()
         backoff_over.wait(timeout=5)
 
-    monkeypatch.setattr(remote, "time", types.SimpleNamespace(sleep=sleep))
+    monkeypatch.setattr(remote._ConnectionPool, "wait_for_answer", wait_for_answer)
     with LoopbackServer(answer) as server:
         backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=1)
         try:
@@ -558,11 +557,11 @@ def test_backoffs_at_the_head_of_a_map_leave_every_connection_busy(monkeypatch):
             with lock:
                 in_flight -= 1
 
-    def sleep(seconds: float) -> None:
+    def wait_for_answer(pool, seconds: float) -> None:
         if not two_at_once.wait(timeout=5):
             raise AssertionError("a connection idled while three samples backed off")
 
-    monkeypatch.setattr(remote, "time", types.SimpleNamespace(sleep=sleep))
+    monkeypatch.setattr(remote._ConnectionPool, "wait_for_answer", wait_for_answer)
     prompts = list("abcdefghijk")
     with LoopbackServer(answer) as server:
         backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=2)
@@ -616,6 +615,186 @@ def test_pool_hands_off_every_connection_under_random_refusals():
     assert [result.text for result in results + after] == [" Paris"] * 51
     assert sum(refused.values()) > 0
     assert server.requests == 51 + sum(refused.values())
+
+
+def backing_off(backend: RemoteCompletionsBackend, count: int) -> bool:
+    """Whether, within 5 s, ``count`` callers wait on the pool. With every
+    connection idle, only backoffs do; each has read the answer count."""
+    deadline = time.monotonic() + 5
+    while len(backend._pool._ready._waiters) < count and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return len(backend._pool._ready._waiters) >= count
+
+
+def test_backoffs_end_at_the_next_answer_to_another_request(monkeypatch):
+    # Backoffs of 30 s, parallelism 2. "once" is refused once and "always" on
+    # every attempt; once both back off, 20 other prompts go out, each
+    # answered after 20 ms. Each backoff ends at the next of those answers.
+    monkeypatch.setattr(remote, "_BACKOFF_BASE_S", 30.0)
+    lock = threading.Lock()
+    seen: Counter = Counter()
+
+    def answer(body: dict):
+        prompt = body["prompt"]
+        with lock:
+            seen[prompt] += 1
+            refuse = prompt == "always" or (prompt == "once" and seen[prompt] == 1)
+        if refuse:
+            return 503, b"overloaded"
+        time.sleep(0.02)
+        return paris(body)
+
+    def generate(prompt: str):
+        try:
+            return backend.generate(prompt, GenerationParams()).text
+        except TransportError as exc:
+            return exc
+
+    others = [f"q{i}" for i in range(20)]
+    start = time.monotonic()
+    with LoopbackServer(answer) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=2)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                refused = [pool.submit(generate, prompt) for prompt in ("once", "always")]
+                assert backing_off(backend, 2)
+                answered = list(pool.map(generate, others))
+                once, always = (call.result(timeout=10) for call in refused)
+        finally:
+            backend.close()
+    assert time.monotonic() - start < 5
+    assert once == " Paris" and answered == [" Paris"] * len(others)
+    assert isinstance(always, TransportError) and always.attempts == 3
+    assert seen == {"once": 2, "always": 3, **dict.fromkeys(others, 1)}
+    assert server.max_in_flight <= 2
+
+
+def test_backoffs_run_their_full_clock_while_nothing_answers(monkeypatch):
+    # Every request is refused, so no answer ends a backoff early: each
+    # sample waits base + 2·base before its last attempt fails.
+    base = 0.05
+    monkeypatch.setattr(remote, "_BACKOFF_BASE_S", base)
+
+    def refused_after(prompt: str) -> float:
+        start = time.monotonic()
+        with pytest.raises(TransportError) as excinfo:
+            backend.generate(prompt, GenerationParams())
+        assert excinfo.value.attempts == 3
+        return time.monotonic() - start
+
+    with LoopbackServer(lambda body: (503, b"overloaded")) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=2)
+        try:
+            elapsed = bounded_map(refused_after, ["a", "b", "c", "d"], 2)
+        finally:
+            backend.close()
+    assert server.requests == 12
+    assert backend._pool.answers == 0
+    assert min(elapsed) >= base + 2 * base, elapsed
+
+
+def test_an_http_400_to_another_request_ends_a_backoff(monkeypatch):
+    # An error that is not retried is still an answer: the server has
+    # capacity. a's 30 s backoff ends when the server refuses "bad" for good.
+    monkeypatch.setattr(remote, "_BACKOFF_BASE_S", 30.0)
+    lock = threading.Lock()
+    seen: Counter = Counter()
+
+    def answer(body: dict):
+        prompt = body["prompt"]
+        with lock:
+            seen[prompt] += 1
+            first = seen[prompt] == 1
+        if prompt == "a" and first:
+            return 503, b"overloaded"
+        if prompt == "bad":
+            return 400, b"bad request"
+        return paris(body)
+
+    start = time.monotonic()
+    with LoopbackServer(answer) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=1)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                a = pool.submit(backend.generate, "a", GenerationParams())
+                assert backing_off(backend, 1)
+                with pytest.raises(ProtocolError, match="HTTP 400"):
+                    backend.generate("bad", GenerationParams())
+                assert a.result(timeout=5).text == " Paris"
+        finally:
+            backend.close()
+    assert time.monotonic() - start < 5
+    assert seen == {"a": 2, "bad": 1}
+
+
+def test_pool_counts_every_answer_under_contention(monkeypatch):
+    # 24 threads on 3 connections, with the interpreter switching threads
+    # every microsecond: the pool counts exactly the answers the server gave.
+    monkeypatch.setattr(remote, "_BACKOFF_BASE_S", 0.05)
+    rng = random.Random(11)
+    lock = threading.Lock()
+    refused: Counter = Counter()
+
+    def answer(body: dict):
+        prompt = body["prompt"]
+        with lock:
+            refuse = refused[prompt] < 2 and rng.random() < 0.3
+            refused[prompt] += refuse
+        return (503, b"overloaded") if refuse else paris(body)
+
+    prompts = [f"q{i}" for i in range(96)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with LoopbackServer(answer) as server:
+            backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=3)
+            try:
+                with ThreadPoolExecutor(max_workers=24) as pool:
+                    results = list(pool.map(
+                        lambda prompt: backend.generate(prompt, GenerationParams()),
+                        prompts, timeout=60))
+            finally:
+                backend.close()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [result.text for result in results] == [" Paris"] * len(prompts)
+    assert backend._pool.answers == len(prompts) == server.requests - sum(refused.values())
+
+
+def test_a_journal_hit_does_not_end_a_backoff(monkeypatch, tmp_path):
+    # A journal hit reaches no server, so it says nothing of the server's
+    # capacity: a's backoff runs its full clock across it.
+    base = 0.3
+    monkeypatch.setattr(remote, "_BACKOFF_BASE_S", base)
+    lock = threading.Lock()
+    seen: Counter = Counter()
+
+    def answer(body: dict):
+        with lock:
+            seen[body["prompt"]] += 1
+            refuse = body["prompt"] == "a" and seen["a"] == 1
+        return (503, b"overloaded") if refuse else paris(body)
+
+    def timed(prompt: str) -> tuple[str, float]:
+        start = time.monotonic()
+        text = backend.generate(prompt, GenerationParams()).text
+        return text, time.monotonic() - start
+
+    with LoopbackServer(answer) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=1,
+                                           journal=tmp_path / "journal.jsonl")
+        try:
+            assert backend.generate("j", GenerationParams()).text == " Paris"
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                a = pool.submit(timed, "a")
+                assert backing_off(backend, 1)
+                assert backend.generate("j", GenerationParams()).text == " Paris"
+                assert backend.journal.hits == 1
+                text, elapsed = a.result(timeout=5)
+        finally:
+            backend.close()
+    assert text == " Paris" and elapsed >= base
+    assert seen == {"j": 1, "a": 2}
 
 
 @pytest.mark.parametrize("handed", [False, True], ids=["while-waiting", "after-hand-off"])
@@ -674,10 +853,10 @@ def test_interrupted_retry_releases_the_first_attempt_it_held_back(monkeypatch):
 
 
 def test_connection_the_server_closed_is_sent_again_without_backoff(monkeypatch):
-    def no_sleep(seconds: float) -> None:
+    def no_backoff(pool, seconds: float) -> None:
         raise AssertionError(f"backed off {seconds} s")
 
-    monkeypatch.setattr(remote, "time", types.SimpleNamespace(sleep=no_sleep))
+    monkeypatch.setattr(remote._ConnectionPool, "wait_for_answer", no_backoff)
     with LoopbackServer(paris, close_after_reply=True) as server:
         backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=1)
         try:
@@ -690,9 +869,11 @@ def test_connection_the_server_closed_is_sent_again_without_backoff(monkeypatch)
 
 def test_new_connection_the_server_closed_is_retried_after_backoff(monkeypatch):
     # Unlike an idle keep-alive connection, a fresh one that the server closes
-    # before any response byte is a transport failure like any other.
-    sleeps: list[float] = []
-    monkeypatch.setattr(remote, "time", types.SimpleNamespace(sleep=sleeps.append))
+    # before any response byte is a transport failure like any other. Nothing
+    # answers, so each backoff would run its full clock.
+    waits: list[tuple[float, int]] = []
+    monkeypatch.setattr(remote._ConnectionPool, "wait_for_answer",
+                        lambda pool, seconds: waits.append((seconds, pool.answers)))
     connections: list = []
     stop = threading.Event()
     with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -712,7 +893,7 @@ def test_new_connection_the_server_closed_is_retried_after_backoff(monkeypatch):
     assert not server.is_alive()
     assert excinfo.value.attempts == 3
     assert len(connections) == 3
-    assert sleeps == [remote._BACKOFF_BASE_S, 2 * remote._BACKOFF_BASE_S]
+    assert waits == [(remote._BACKOFF_BASE_S, 0), (2 * remote._BACKOFF_BASE_S, 0)]
 
 
 def test_https_endpoint_speaks_tls():

@@ -24,8 +24,9 @@ _SIGN_TOLERANCE = 1e-9  # how far a realized logprob may exceed 0
 
 # Pool threads per worker in bounded_map: a sample waiting out a retry
 # backoff holds a thread but no connection, so spare threads let other
-# samples use that connection meanwhile. A backoff ends at the server's next
-# answer to another request, so they matter most while nothing is answered.
+# samples use that connection meanwhile. A backoff ends at the server's first
+# answer to a request sent after the failure, so they matter most while no
+# such answer comes: the server is refusing everything, or rate-limiting.
 # With four per worker, `parallelism` samples can still run while up to
 # 3 × `parallelism` samples back off, as a burst of refused requests at the
 # head of a map does.

@@ -21,12 +21,15 @@ up to ``parallelism`` keep-alive connections; the pool is the one bound on
 requests in flight. Transport failures (a refused or dropped connection, a
 timeout, a response cut off mid-body) are retried with exponential backoff,
 during which the connection serves other samples; protocol errors never are.
-A backoff ends early at the first answer the pool gets after the failure: any
-response whose status is not retryable, an HTTP 400 as much as a 200. A
-server that answers others is not short of capacity, and the pool still lets
-at most ``parallelism`` requests reach it; only a server that answers nothing
-(dead, or refusing everything) makes each backoff run its full clock. A
-retry whose backoff has ended takes the next free connection, ahead of first
+A backoff ends early at the first answer to a request the pool lent out after
+the failure: a response whose status is not retryable, an HTTP 400 as much as
+a 200. Such an answer shows the server took on new work since it refused this
+request; an answer to a request it had already taken shows nothing, and a
+server that answers nothing (dead, or refusing everything) makes each backoff
+run its full clock. So does a refusal that says it clears with time: an HTTP
+429 (a rate limit), or any refusal carrying ``Retry-After``; a server that
+rate-limits with a bare 503 can see a retry before its limit resets. A retry
+whose backoff has ended takes the next free connection, ahead of first
 attempts that queued meanwhile; first attempts keep no arrival order.
 Servers cannot expose a distribution for the very first token of a sequence
 (its ``token_logprob`` is null), so an echo from the prompt's start silently
@@ -51,6 +54,7 @@ import logging
 import math
 import ssl
 import threading
+import time
 from bisect import bisect_left
 from functools import partial
 from pathlib import Path
@@ -77,7 +81,8 @@ logger = logging.getLogger(__name__)
 
 # The retry policy: up to _MAX_ATTEMPTS attempts in all, backing off
 # _BACKOFF_BASE_S before the second and doubling the backoff each time after;
-# a backoff ends early at the pool's next answer.
+# a backoff ends early at an answer to a request sent after the failure,
+# unless the refusal said it clears with time.
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 _MAX_ATTEMPTS = 3
 _BACKOFF_BASE_S = 0.5
@@ -197,15 +202,18 @@ class _ConnectionPool:
     A retry whose backoff has ended takes the next free connection ahead of
     every first attempt; first attempts are served in no particular order.
     Idle connections are reused last in, first out, so the warmest ones stay
-    busy. ``answers`` counts the connections given back with an answer, a
-    response whose status is not retryable; a backoff waits for the next.
+    busy. The pool numbers each loan and keeps the highest number given back
+    with an answer, a response whose status is not retryable; a backoff waits
+    for an answer to a loan made after its failure.
     """
 
     def __init__(self, connections: list[http.client.HTTPConnection]):
         self._ready = threading.Condition()
         self._idle = list(connections)
         self._retries_waiting = 0
-        self.answers = 0
+        self._loans = 0
+        self._loan_of: dict[http.client.HTTPConnection, int] = {}
+        self._last_answered = 0  # the highest loan given back with an answer
 
     def take(self, retry: bool) -> http.client.HTTPConnection:
         # Retries go first: served in turn with first attempts, remote-flaky's
@@ -218,20 +226,26 @@ class _ConnectionPool:
                 self._retries_waiting -= retry
                 if retry and not self._retries_waiting:
                     self._ready.notify_all()  # first attempts held back by retries
-            return self._idle.pop()
+            connection = self._idle.pop()
+            self._loans += 1
+            self._loan_of[connection] = self._loans
+            return connection
 
-    def give(self, connection: http.client.HTTPConnection, answered: bool = False) -> None:
+    def give(self, connection: http.client.HTTPConnection, answered: bool = False) -> int:
+        """Take ``connection`` back; the number of loans made so far."""
         with self._ready:
+            loan = self._loan_of.pop(connection, 0)
+            if answered:
+                self._last_answered = max(self._last_answered, loan)
             self._idle.append(connection)
-            self.answers += answered
             self._ready.notify_all()
+            return self._loans
 
-    def wait_for_answer(self, seconds: float) -> None:
-        """Block until the pool gets an answer after this call, or for
-        ``seconds``, whichever comes first."""
+    def wait_for_answer(self, loans: int, seconds: float) -> None:
+        """Block until a loan made after the first ``loans`` is given back
+        with an answer, or for ``seconds``, whichever comes first."""
         with self._ready:
-            seen = self.answers
-            self._ready.wait_for(lambda: self.answers > seen, seconds)
+            self._ready.wait_for(lambda: self._last_answered > loans, seconds)
 
 
 class RemoteCompletionsBackend(Backend):
@@ -284,14 +298,12 @@ class RemoteCompletionsBackend(Backend):
         connection.request("POST", self._target, data, self._headers)
         return connection.getresponse()
 
-    def _exchange(self, data: bytes, retry: bool) -> tuple[int, bytes]:
-        """POST ``data`` on a pooled connection, taken ahead of first
-        attempts if ``retry``; the response's status and body. A connection
-        that has opened (``sock`` set) stays open for the next call unless
-        the server closes it. A response whose status is not retryable is
-        counted as an answer as the connection goes back to the pool."""
-        connection = self._pool.take(retry)
-        answered = False
+    def _exchange(self, connection: http.client.HTTPConnection,
+                  data: bytes) -> tuple[http.client.HTTPResponse, bytes]:
+        """POST ``data`` on ``connection``; the response and its body. A
+        connection that has opened (``sock`` set) stays open for the next call
+        unless the server closes it; one that fails is closed, to open again
+        on next use."""
         try:
             reused = connection.sock is not None
             try:
@@ -304,14 +316,10 @@ class RemoteCompletionsBackend(Backend):
                 # response byte: send again, once, on a fresh one.
                 connection.close()
                 response = self._send(connection, data)
-            content = response.read()
-            answered = response.status not in _RETRYABLE_STATUS
-            return response.status, content
+            return response, response.read()
         except BaseException:
-            connection.close()  # leaves it idle, to open again on next use
+            connection.close()
             raise
-        finally:
-            self._pool.give(connection, answered)
 
     def _post(self, body: dict[str, Any]) -> tuple[Any, str]:
         """The decoded payload of the server's answer, and its text."""
@@ -321,17 +329,29 @@ class RemoteCompletionsBackend(Backend):
         data = json.dumps(body).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(1, _MAX_ATTEMPTS + 1):
+            connection = self._pool.take(retry=attempt > 1)
+            response = None
             try:
-                status, content = self._exchange(data, attempt > 1)
+                response, content = self._exchange(connection, data)
             except (OSError, http.client.HTTPException) as exc:
                 # A refused or dropped connection, a timeout, and a response
                 # cut off mid-body (IncompleteRead) alike.
                 last_error = exc
-            else:
-                if status in _RETRYABLE_STATUS:
-                    last_error = ProtocolError(f"retryable HTTP {status}", _excerpt(content))
-                elif status != 200:
-                    raise ProtocolError(f"HTTP {status}", _excerpt(content))
+            finally:
+                # Given back before the backoff, so another sample's request
+                # uses the connection meanwhile. ``loans`` is read at the
+                # failure: an answer to any later loan ends the backoff.
+                loans = self._pool.give(connection, response is not None
+                                        and response.status not in _RETRYABLE_STATUS)
+            timed = False
+            if response is not None:
+                if response.status in _RETRYABLE_STATUS:
+                    last_error = ProtocolError(f"retryable HTTP {response.status}",
+                                               _excerpt(content))
+                    timed = (response.status == 429
+                             or response.getheader("Retry-After") is not None)
+                elif response.status != 200:
+                    raise ProtocolError(f"HTTP {response.status}", _excerpt(content))
                 else:
                     try:
                         text = content.decode(json.detect_encoding(content))
@@ -342,11 +362,15 @@ class RemoteCompletionsBackend(Backend):
                         logger.debug("response %s", str(payload)[:_EXCERPT_LIMIT * 4])
                     return payload, text
             if attempt < _MAX_ATTEMPTS:
-                # The connection is back in the pool, so another sample's
-                # request uses it during the backoff, and its answer ends the
-                # backoff; the retry then goes ahead of the requests that
-                # queued meanwhile.
-                self._pool.wait_for_answer(_BACKOFF_BASE_S * (2 ** (attempt - 1)))
+                # The retry then goes ahead of the requests that queued
+                # meanwhile.
+                seconds = _BACKOFF_BASE_S * (2 ** (attempt - 1))
+                if timed:
+                    # A rate limit clears with time: an answer to another
+                    # request only spends the capacity that came back.
+                    time.sleep(seconds)
+                else:
+                    self._pool.wait_for_answer(loans, seconds)
         raise TransportError(f"backend unreachable: {last_error}", _MAX_ATTEMPTS)
 
     # -- payload parsing -------------------------------------------------------

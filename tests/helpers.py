@@ -187,8 +187,8 @@ class LoopbackServer:
     """An HTTP/1.1 keep-alive server on 127.0.0.1, one thread per connection.
 
     Each POST is answered with the bytes ``answer`` returns for the decoded
-    request body, with status 200, or with the ``(status, bytes)`` pair it
-    returns. The server keeps each request's raw body in ``bodies`` and its
+    request body, with status 200, or with the ``(status, bytes)`` pair or
+    ``(status, bytes, headers)`` triple it returns. The server keeps each request's raw body in ``bodies`` and its
     headers in ``headers``, and counts requests, the most in flight at once,
     and connections the client closed (an EOF where a request line was due).
     With ``close_after_reply`` it closes each connection after its first
@@ -238,8 +238,10 @@ class LoopbackServer:
                 finally:
                     with owner._lock:
                         owner._in_flight -= 1
-                status, data = data if isinstance(data, tuple) else (200, data)
+                status, data, *headers = data if isinstance(data, tuple) else (200, data)
                 self.send_response(status)
+                for name, value in (headers[0] if headers else {}).items():
+                    self.send_header(name, value)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()

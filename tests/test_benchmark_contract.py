@@ -26,10 +26,6 @@ BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 # Stage 1 grades through evalkit.evaluate, so its categorize calls are traced
 # by the ambigkit.evalkit patch.
 KNOWN_UNRESOLVED = {("ambigkit.cli", "read_jsonl"), ("ambigkit.pipeline", "categorize")}
-# Modules whose ``time`` the tracer swaps for a backoff span but that no longer
-# have one, each an open benchmark repair. A remote backoff waits on the
-# connection pool for the next answer, not in time.sleep.
-KNOWN_UNTIMED = {"ambigkit.remote"}
 
 
 @pytest.fixture()
@@ -81,5 +77,4 @@ def test_every_traced_program_name_resolves(bench_run):
     # and backoff spans replace the remote module's time.
     for module in (pipeline, evalkit):
         inspect.signature(module.bounded_map).bind(print, [], 1)
-    untimed = set() if getattr(remote, "time", None) is time else {remote.__name__}
-    assert untimed == KNOWN_UNTIMED
+    assert remote.time is time

@@ -465,7 +465,7 @@ def test_backoff_gives_the_sample_slot_to_another_sample(monkeypatch, parallelis
             c_answered.set()
         return paris(body)
 
-    def wait_for_answer(pool, seconds: float) -> None:
+    def wait_for_answer(pool, loans: int, seconds: float) -> None:
         if not c_answered.wait(timeout=5):
             raise AssertionError("c was not answered while a backoff held its slot")
 
@@ -502,7 +502,7 @@ def test_retry_takes_the_next_free_connection_before_queued_requests(monkeypatch
             release_b.wait(timeout=5)
         return paris(body)
 
-    def wait_for_answer(pool, seconds: float) -> None:
+    def wait_for_answer(pool, loans: int, seconds: float) -> None:
         backing_off.set()
         backoff_over.wait(timeout=5)
 
@@ -557,7 +557,7 @@ def test_backoffs_at_the_head_of_a_map_leave_every_connection_busy(monkeypatch):
             with lock:
                 in_flight -= 1
 
-    def wait_for_answer(pool, seconds: float) -> None:
+    def wait_for_answer(pool, loans: int, seconds: float) -> None:
         if not two_at_once.wait(timeout=5):
             raise AssertionError("a connection idled while three samples backed off")
 
@@ -619,7 +619,7 @@ def test_pool_hands_off_every_connection_under_random_refusals():
 
 def backing_off(backend: RemoteCompletionsBackend, count: int) -> bool:
     """Whether, within 5 s, ``count`` callers wait on the pool. With every
-    connection idle, only backoffs do; each has read the answer count."""
+    connection idle, only backoffs do."""
     deadline = time.monotonic() + 5
     while len(backend._pool._ready._waiters) < count and time.monotonic() < deadline:
         time.sleep(0.001)
@@ -629,7 +629,8 @@ def backing_off(backend: RemoteCompletionsBackend, count: int) -> bool:
 def test_backoffs_end_at_the_next_answer_to_another_request(monkeypatch):
     # Backoffs of 30 s, parallelism 2. "once" is refused once and "always" on
     # every attempt; once both back off, 20 other prompts go out, each
-    # answered after 20 ms. Each backoff ends at the next of those answers.
+    # answered after 20 ms. Each backoff ends at the first answer to one sent
+    # after its failure.
     monkeypatch.setattr(remote, "_BACKOFF_BASE_S", 30.0)
     lock = threading.Lock()
     seen: Counter = Counter()
@@ -689,13 +690,14 @@ def test_backoffs_run_their_full_clock_while_nothing_answers(monkeypatch):
         finally:
             backend.close()
     assert server.requests == 12
-    assert backend._pool.answers == 0
+    assert backend._pool._last_answered == 0
     assert min(elapsed) >= base + 2 * base, elapsed
 
 
 def test_an_http_400_to_another_request_ends_a_backoff(monkeypatch):
-    # An error that is not retried is still an answer: the server has
-    # capacity. a's 30 s backoff ends when the server refuses "bad" for good.
+    # An error that is not retried is still an answer: the server took on a
+    # request sent after a's failure. a's 30 s backoff ends when the server
+    # refuses "bad" for good.
     monkeypatch.setattr(remote, "_BACKOFF_BASE_S", 30.0)
     lock = threading.Lock()
     seen: Counter = Counter()
@@ -727,9 +729,9 @@ def test_an_http_400_to_another_request_ends_a_backoff(monkeypatch):
     assert seen == {"a": 2, "bad": 1}
 
 
-def test_pool_counts_every_answer_under_contention(monkeypatch):
+def test_pool_numbers_every_loan_under_contention(monkeypatch):
     # 24 threads on 3 connections, with the interpreter switching threads
-    # every microsecond: the pool counts exactly the answers the server gave.
+    # every microsecond: every loan is numbered once and given back.
     monkeypatch.setattr(remote, "_BACKOFF_BASE_S", 0.05)
     rng = random.Random(11)
     lock = threading.Lock()
@@ -758,7 +760,9 @@ def test_pool_counts_every_answer_under_contention(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert [result.text for result in results] == [" Paris"] * len(prompts)
-    assert backend._pool.answers == len(prompts) == server.requests - sum(refused.values())
+    assert len(prompts) == server.requests - sum(refused.values())
+    assert backend._pool._loans == backend._pool._last_answered == server.requests
+    assert not backend._pool._loan_of and server.max_in_flight <= 3
 
 
 def test_a_journal_hit_does_not_end_a_backoff(monkeypatch, tmp_path):
@@ -795,6 +799,116 @@ def test_a_journal_hit_does_not_end_a_backoff(monkeypatch, tmp_path):
             backend.close()
     assert text == " Paris" and elapsed >= base
     assert seen == {"j": 1, "a": 2}
+
+
+@pytest.mark.parametrize("status", [429, 503])
+def test_refusals_for_a_time_window_lose_no_sample(monkeypatch, status):
+    # The server runs two requests at once, each for 0.1 s. One that arrives
+    # while two run overloads it: it refuses that one and every request that
+    # arrives in the next 0.3 s, while the two running are answered. Their
+    # answers, to requests sent before the refusals, end no backoff, so each
+    # sample's retries come after the window as with fixed backoffs; a
+    # retry woken by them would be refused again and its sample lost.
+    monkeypatch.setattr(remote, "_BACKOFF_BASE_S", 0.5)
+    lock = threading.Lock()
+    running = 0
+    refusing_until = 0.0
+
+    def answer(body: dict):
+        nonlocal running, refusing_until
+        with lock:
+            now = time.monotonic()
+            if now < refusing_until:
+                return status, b"overloaded"
+            if running == 2:
+                refusing_until = now + 0.3
+                return status, b"overloaded"
+            running += 1
+        time.sleep(0.1)
+        with lock:
+            running -= 1
+        return paris(body)
+
+    prompts = list("abcdef")
+    with LoopbackServer(answer) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=3)
+        try:
+            results = generate_all(backend, prompts, len(prompts))
+        finally:
+            backend.close()
+    assert [result.text for result in results] == [" Paris"] * len(prompts)
+
+
+@pytest.mark.parametrize("status, headers", [(429, {}), (503, {"Retry-After": "1"})],
+                         ids=["429", "503-retry-after"])
+def test_refusal_that_clears_with_time_runs_its_full_clock(monkeypatch, status, headers):
+    # A rate limit says nothing of the server's capacity for this request once
+    # another is answered: a's backoff runs its full clock across b's answer.
+    base = 0.3
+    monkeypatch.setattr(remote, "_BACKOFF_BASE_S", base)
+    lock = threading.Lock()
+    seen: Counter = Counter()
+    a_refused = threading.Event()
+
+    def answer(body: dict):
+        with lock:
+            seen[body["prompt"]] += 1
+            refuse = body["prompt"] == "a" and seen["a"] == 1
+        if refuse:
+            a_refused.set()
+            return status, b"slow down", headers
+        return paris(body)
+
+    def timed(prompt: str) -> tuple[str, float]:
+        start = time.monotonic()
+        text = backend.generate(prompt, GenerationParams()).text
+        return text, time.monotonic() - start
+
+    with LoopbackServer(answer) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=1)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                a = pool.submit(timed, "a")
+                assert a_refused.wait(timeout=5)
+                assert backend.generate("b", GenerationParams()).text == " Paris"
+                text, elapsed = a.result(timeout=5)
+        finally:
+            backend.close()
+    assert text == " Paris" and elapsed >= base
+    assert seen == {"a": 2, "b": 1}
+
+
+def test_an_answer_between_the_failure_and_the_wait_ends_the_backoff(monkeypatch):
+    # b is sent and answered after a's refusal but before a's backoff begins
+    # to wait. The backoff counts from the failure, so it ends at once.
+    monkeypatch.setattr(remote, "_BACKOFF_BASE_S", 5.0)
+    lock = threading.Lock()
+    seen: Counter = Counter()
+
+    def answer(body: dict):
+        with lock:
+            seen[body["prompt"]] += 1
+            refuse = body["prompt"] == "a" and seen["a"] == 1
+        return (503, b"overloaded") if refuse else paris(body)
+
+    real_wait = remote._ConnectionPool.wait_for_answer
+
+    def wait_for_answer(pool, *args) -> None:
+        with ThreadPoolExecutor(max_workers=1) as other:
+            assert other.submit(backend.generate, "b", GenerationParams()).result(
+                timeout=5).text == " Paris"
+        real_wait(pool, *args)
+
+    monkeypatch.setattr(remote._ConnectionPool, "wait_for_answer", wait_for_answer)
+    start = time.monotonic()
+    with LoopbackServer(answer) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=1)
+        try:
+            assert backend.generate("a", GenerationParams()).text == " Paris"
+        finally:
+            backend.close()
+    assert time.monotonic() - start < 2.5
+    assert seen == {"a": 2, "b": 1}
 
 
 @pytest.mark.parametrize("handed", [False, True], ids=["while-waiting", "after-hand-off"])
@@ -853,7 +967,7 @@ def test_interrupted_retry_releases_the_first_attempt_it_held_back(monkeypatch):
 
 
 def test_connection_the_server_closed_is_sent_again_without_backoff(monkeypatch):
-    def no_backoff(pool, seconds: float) -> None:
+    def no_backoff(pool, loans: int, seconds: float) -> None:
         raise AssertionError(f"backed off {seconds} s")
 
     monkeypatch.setattr(remote._ConnectionPool, "wait_for_answer", no_backoff)
@@ -871,9 +985,9 @@ def test_new_connection_the_server_closed_is_retried_after_backoff(monkeypatch):
     # Unlike an idle keep-alive connection, a fresh one that the server closes
     # before any response byte is a transport failure like any other. Nothing
     # answers, so each backoff would run its full clock.
-    waits: list[tuple[float, int]] = []
+    waits: list[float] = []
     monkeypatch.setattr(remote._ConnectionPool, "wait_for_answer",
-                        lambda pool, seconds: waits.append((seconds, pool.answers)))
+                        lambda pool, loans, seconds: waits.append(seconds))
     connections: list = []
     stop = threading.Event()
     with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -893,7 +1007,7 @@ def test_new_connection_the_server_closed_is_retried_after_backoff(monkeypatch):
     assert not server.is_alive()
     assert excinfo.value.attempts == 3
     assert len(connections) == 3
-    assert waits == [(remote._BACKOFF_BASE_S, 0), (2 * remote._BACKOFF_BASE_S, 0)]
+    assert waits == [remote._BACKOFF_BASE_S, 2 * remote._BACKOFF_BASE_S]
 
 
 def test_https_endpoint_speaks_tls():

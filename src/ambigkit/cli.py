@@ -64,6 +64,7 @@ from .jsonio import (
     output_file,
     read_json_object,
     record_at,
+    record_from,
     record_obj,
     typed_field,
     write_json_atomic,
@@ -71,13 +72,13 @@ from .jsonio import (
     write_text_atomic,
 )
 from .pipeline import (
+    Selection,
     StageOnePartition,
     label_records,
     perceived_ambiguous,
     read_labels,
     read_partition,
     read_records,
-    read_selection,
     select_and_balance,
     stage1_assess,
     stage2_disambiguate,
@@ -85,7 +86,6 @@ from .pipeline import (
     write_labels,
     write_partition,
     write_records,
-    write_selection,
 )
 from .sft import emit as sft_emit
 from .sft import verify as sft_verify
@@ -251,16 +251,17 @@ def _label(args, config, paths, templates, backend) -> _Stage:
     selection = select_and_balance(
         partition, records, config.strategy, config.epsilon, config.seed
     )
+    _, ambiguous = selection.halves(partition, records)
     labels = label_records(
-        selection.ambiguous, config.label_kind, backend, templates,
+        ambiguous, config.label_kind, backend, templates,
         _greedy_params(config), master_seed=config.seed,
     )
     return _Stage(
         [(paths.labels, lambda path: write_labels(labels, path)),
-         (paths.selection, lambda path: write_selection(selection, path))],
+         (paths.selection, lambda path: write_json_atomic(path, record_obj(selection)))],
         {"labeled": len(labels)},
-        f"selected {len(selection.correct)} correct + "
-        f"{len(selection.ambiguous)} ambiguous ({config.strategy.value}); "
+        f"selected {len(selection.correct_ids)} correct + "
+        f"{len(ambiguous)} ambiguous ({config.strategy.value}); "
         f"labeled with kind={config.label_kind.value}",
     )
 
@@ -272,9 +273,10 @@ def _emit(args, config, paths, templates, backend) -> _Stage:
         label.sample_id: label
         for label in read_labels(paths.require(paths.labels, "label"))
     }
-    correct, ambiguous = read_selection(
-        paths.require(paths.selection, "label"), partition, records
-    )
+    path = paths.require(paths.selection, "label")
+    with record_at(path):
+        correct, ambiguous = record_from(Selection, read_json_object(path)).halves(
+            partition, records)
     # sft_emit writes one record per selected sample, or refuses.
     count = len(correct) + len(ambiguous)
     return _Stage(

@@ -11,8 +11,11 @@ the average-entropy drop; ``DisambiguationRecord.verdict_at`` alone decides
 the verdict. Stage 3 attaches a clarification-request label, either one of
 the six canonical phrases or a model-generated request naming the
 ambiguity. Selection then balances the correct and ambiguous halves to
-equal size. Stages 1 and 2 map their samples under ``evalkit.run_each``'s
-failure rule; generated labels tolerate no failed sample.
+equal size. A ``Selection`` names both halves by sample id: ``label`` writes
+it to ``selection.json``, ``emit`` reads it back, and both resolve it into
+samples and records with ``Selection.halves``. Stages 1 and 2 map their
+samples under ``evalkit.run_each``'s failure rule; generated labels tolerate
+no failed sample.
 
 Every per-sample outcome is a record keyed by its sample id, one line of
 its checkpoint that ``jsonio.record_obj`` writes and ``jsonio.record_from``
@@ -44,13 +47,11 @@ from .evalkit import (
     run_prompted,
 )
 from .jsonio import (
-    read_json_object,
     read_jsonl,
     record_at,
     record_from,
     record_obj,
     typed_field,
-    write_json_atomic,
     write_jsonl_atomic,
 )
 from .phrases import FIXED_CLARIFICATIONS
@@ -162,12 +163,32 @@ class ClarifyLabel:
 
 @dataclass(frozen=True)
 class Selection:
-    """Balanced halves feeding the training-set export."""
+    """The balanced halves, by sample id: what ``label`` fixes for ``emit``,
+    and the record ``selection.json`` holds. No id may appear twice."""
 
-    correct: tuple[QASample, ...]
-    ambiguous: tuple[DisambiguationRecord, ...]
     strategy: SelectionStrategy
     epsilon: float
+    correct_ids: tuple[str, ...]
+    ambiguous_ids: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        ids = self.correct_ids + self.ambiguous_ids
+        if len(set(ids)) < len(ids):
+            raise DataIntegrityError(f"duplicate id {next(i for i in ids if ids.count(i) > 1)!r}")
+
+    def halves(self, partition: StageOnePartition, records: Sequence[DisambiguationRecord]
+               ) -> tuple[tuple[QASample, ...], tuple[DisambiguationRecord, ...]]:
+        """The correct samples, resolved in ``partition.trainable``, and the
+        ambiguous records, resolved in ``records``, each in the selection's
+        order; an id outside its half is a DataIntegrityError."""
+        correct_by_id = {s.id: s for s in partition.trainable}
+        records_by_id = {r.sample_id: r for r in records}
+        try:
+            return (tuple(correct_by_id[i] for i in self.correct_ids),
+                    tuple(records_by_id[i] for i in self.ambiguous_ids))
+        except KeyError as exc:
+            raise DataIntegrityError(f"selection names sample {exc} outside its half (the "
+                                     "answered correct samples or the detection records)") from exc
 
 
 # -- stage 1 -----------------------------------------------------------------
@@ -320,9 +341,10 @@ def select_and_balance(
     ``gt_random``'s key is a seeded draw per sample id. Both halves are then
     cut to the smaller one's size: the ambiguous half keeps its first
     records, the correct half a seeded subset (keyed by sample id) of the
-    answered correct samples, in their own order. An empty pool or no such
-    correct sample is a ConfigurationError; a record from outside the
-    incorrect split (left over from another run) is a DataIntegrityError.
+    answered correct samples, in their own order; the selection names both
+    by sample id. An empty pool or no such correct sample is a
+    ConfigurationError; a record from outside the incorrect split (left over
+    from another run) is a DataIntegrityError.
     """
     assessed = {a.sample_id: a for a in partition.incorrect}
     foreign = [r.sample_id for r in records if r.sample_id not in assessed]
@@ -375,12 +397,8 @@ def select_and_balance(
             key=lambda sample_id: derive_seed(master_seed, "balance_correct", sample_id),
         )[:size])
         correct = tuple(s for s in correct if s.id in keep)
-    return Selection(
-        correct=correct,
-        ambiguous=tuple(ranked[:size]),
-        strategy=strategy,
-        epsilon=epsilon,
-    )
+    return Selection(strategy, epsilon, correct_ids=tuple(s.id for s in correct),
+                     ambiguous_ids=tuple(r.sample_id for r in ranked[:size]))
 
 
 def sweep_epsilon(
@@ -446,38 +464,3 @@ def read_labels(path: str | Path) -> list[ClarifyLabel]:
         with record_at(path, line_number):
             labels.append(record_from(ClarifyLabel, obj))
     return labels
-
-
-def write_selection(selection: Selection, path: str | Path) -> None:
-    write_json_atomic(path, {
-        "strategy": selection.strategy.value,
-        "epsilon": selection.epsilon,
-        "correct_ids": [s.id for s in selection.correct],
-        "ambiguous_ids": [r.sample_id for r in selection.ambiguous],
-    })
-
-
-def read_selection(
-    path: str | Path,
-    partition: StageOnePartition,
-    records: Sequence[DisambiguationRecord],
-) -> tuple[list[QASample], list[DisambiguationRecord]]:
-    """The correct and ambiguous halves of the selection written to ``path``:
-    correct ids resolved in ``partition.trainable``, ambiguous ids in the
-    records; an id named twice is refused. The strategy and epsilon it also
-    records are provenance, not read."""
-    obj = read_json_object(path)
-    correct_by_id = {s.id: s for s in partition.trainable}
-    records_by_id = {r.sample_id: r for r in records}
-    with record_at(path):
-        correct_ids = typed_field(obj, "correct_ids", tuple)
-        ambiguous_ids = typed_field(obj, "ambiguous_ids", tuple)
-        ids = correct_ids + ambiguous_ids
-        if len(set(ids)) < len(ids):
-            raise ValueError(f"duplicate id {next(i for i in ids if ids.count(i) > 1)!r}")
-        try:
-            return ([correct_by_id[i] for i in correct_ids],
-                    [records_by_id[i] for i in ambiguous_ids])
-        except KeyError as exc:
-            raise DataIntegrityError(f"selection names sample {exc} outside its half (the "
-                                     "answered correct samples or the detection records)") from exc

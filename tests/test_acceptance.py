@@ -212,18 +212,16 @@ def test_criterion_7_balancing_rules(tmp_path):
     selection = select_and_balance(partition, records,
                                    SelectionStrategy.APA_INFOGAIN, 0.1,
                                    master_seed=3)
-    assert (len(selection.correct), len(selection.ambiguous)) == (300, 300)
+    assert (len(selection.correct_ids), len(selection.ambiguous_ids)) == (300, 300)
 
     gains = {f"r{i:03d}": (i * 53 % 347) / 200 + 0.11 for i in range(350)}
     partition, records = build_world(200, gains)
     selection = select_and_balance(partition, records,
                                    SelectionStrategy.APA_INFOGAIN, 0.1,
                                    master_seed=3)
-    assert (len(selection.correct), len(selection.ambiguous)) == (200, 200)
+    assert (len(selection.correct_ids), len(selection.ambiguous_ids)) == (200, 200)
     oracle = sorted(records, key=lambda r: -r.info_gain)[:200]
-    assert [r.sample_id for r in selection.ambiguous] == [
-        r.sample_id for r in oracle
-    ]
+    assert list(selection.ambiguous_ids) == [r.sample_id for r in oracle]
 
     sft_path = run_chain(write_toy_config(tmp_path / "config.json"))
     report = sft_verify(sft_path, answer_cue="\nA:")

@@ -1342,23 +1342,37 @@ def test_inconsistent_checkpoint_record_exits_4_naming_the_sample(
     assert f"{where} line 1: {message.format(id=first['id'])}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("body", [
-    '{not json',
-    '[1,2]',
-    '{"correct_ids": 5, "ambiguous_ids": []}',
-    '{"correct_ids": []}',
+# A valid strategy and epsilon: each JSON-object body below has one fault,
+# which the message names after the file.
+GOOD_HEAD = '"strategy": "apa_infogain", "epsilon": 0.1'
+
+
+@pytest.mark.parametrize("body,fault", [
+    ('{not json', "invalid JSON"),
+    ('[1,2]', "not a JSON object"),
+    (f'{{{GOOD_HEAD}, "correct_ids": 5, "ambiguous_ids": []}}', "field 'correct_ids' must be"),
+    (f'{{{GOOD_HEAD}, "correct_ids": []}}', "missing field 'ambiguous_ids'"),
     # s5 is incorrect (category 4): its gold answer is no correct pair.
-    '{"correct_ids": ["s1", "s5"], "ambiguous_ids": ["s3", "s4"]}',
-    '{"correct_ids": ["s1", "nope"], "ambiguous_ids": ["s3", "s4"]}',
+    (f'{{{GOOD_HEAD}, "correct_ids": ["s1", "s5"], "ambiguous_ids": ["s3", "s4"]}}',
+     "selection names sample 's5' outside its half"),
+    (f'{{{GOOD_HEAD}, "correct_ids": ["s1", "nope"], "ambiguous_ids": ["s3", "s4"]}}',
+     "selection names sample 'nope' outside its half"),
+    (f'{{{GOOD_HEAD}, "epsilom": 1, "correct_ids": ["s1", "s2"], "ambiguous_ids": ["s3", "s4"]}}',
+     "unknown field(s) 'epsilom'"),
+    ('{"strategy": "plain", "epsilon": 0.1, "correct_ids": ["s1", "s2"], '
+     '"ambiguous_ids": ["s3", "s4"]}', "field 'strategy': 'plain' is not one of"),
+    ('{"strategy": "apa_infogain", "epsilon": "0.1", "correct_ids": ["s1", "s2"], '
+     '"ambiguous_ids": ["s3", "s4"]}', "field 'epsilon' must be a finite number"),
 ], ids=["not-json", "not-an-object", "ids-not-a-list", "ids-missing",
-        "correct-id-in-the-incorrect-split", "unknown-id"])
-def test_malformed_selection_exits_4(tmp_path, capsys, chain_workdir, body):
+        "correct-id-in-the-incorrect-split", "unknown-id", "unknown-key", "unknown-strategy",
+        "epsilon-not-a-number"])
+def test_malformed_selection_exits_4(tmp_path, capsys, chain_workdir, body, fault):
     config = write_toy_config(tmp_path / "config.json")
     out = workdir_of(config)
     shutil.copytree(chain_workdir, out)
     (out / "selection.json").write_text(body)
     assert run("--config", str(config), "emit") == 4
-    assert str(out / "selection.json") in capsys.readouterr().err
+    assert f"{out / 'selection.json'}: {fault}" in capsys.readouterr().err
 
 
 def test_selection_naming_an_id_twice_exits_4(tmp_path, capsys, chain_workdir):

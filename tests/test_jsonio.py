@@ -26,7 +26,13 @@ from ambigkit.jsonio import (
     write_text_atomic,
 )
 from ambigkit.phrases import FIXED_CLARIFICATIONS
-from ambigkit.pipeline import AssessedSample, ClarifyLabel, DisambiguationRecord, LabelKind
+from ambigkit.pipeline import (
+    AssessedSample,
+    ClarifyLabel,
+    DisambiguationRecord,
+    LabelKind,
+    Selection,
+)
 from ambigkit.sft import SftRecord, Source
 
 
@@ -197,7 +203,8 @@ def test_record_from_reads_a_missing_column_by_its_default():
 
 @pytest.mark.parametrize("cls", [RunConfig, BackendSpec, SampleRepConfig, QASample,
                                  DisambiguationRecord, ClarifyLabel, PredictionRecord,
-                                 SftRecord, PerSampleOutcome, AssessedSample, Errored],
+                                 SftRecord, PerSampleOutcome, AssessedSample, Errored,
+                                 Selection],
                          ids=lambda cls: cls.__name__)
 def test_every_record_class_has_only_field_types_the_codec_reads(cls):
     assert [f for f, *_ in _columns(cls)] == list(dataclasses.fields(cls))

@@ -11,6 +11,7 @@ from ambigkit.corpus import QASample
 from ambigkit.entropy import TruncationMode, Verdict
 from ambigkit.errors import BackendError, ConfigurationError, DataIntegrityError
 from ambigkit.evalkit import evaluate, run_direct
+from ambigkit.jsonio import record_from, record_obj
 from ambigkit.phrases import FIXED_CLARIFICATIONS
 from ambigkit.pipeline import (
     EMPTY_DISAMBIGUATION_FLAG,
@@ -19,6 +20,7 @@ from ambigkit.pipeline import (
     ClarifyLabel,
     DisambiguationRecord,
     LabelKind,
+    Selection,
     SelectionStrategy,
     StageOnePartition,
     label_records,
@@ -360,11 +362,10 @@ def test_balance_subsamples_correct_when_larger():
     selection = select_and_balance(
         partition, records, SelectionStrategy.APA_INFOGAIN, 0.1, master_seed=9
     )
-    assert len(selection.correct) == 300
-    assert len(selection.ambiguous) == 300
-    assert {r.sample_id for r in selection.ambiguous} == set(gains)
-    chosen = {s.id for s in selection.correct}
-    assert chosen < {a.sample_id for a in partition.correct}
+    assert len(selection.correct_ids) == 300
+    assert len(selection.ambiguous_ids) == 300
+    assert set(selection.ambiguous_ids) == set(gains)
+    assert set(selection.correct_ids) < {a.sample_id for a in partition.correct}
 
 
 def test_balance_truncates_ambiguous_by_gain_when_smaller():
@@ -373,11 +374,11 @@ def test_balance_truncates_ambiguous_by_gain_when_smaller():
     selection = select_and_balance(
         partition, records, SelectionStrategy.APA_INFOGAIN, 0.1, master_seed=9
     )
-    assert len(selection.correct) == 200
-    assert len(selection.ambiguous) == 200
+    assert len(selection.correct_ids) == 200
+    assert len(selection.ambiguous_ids) == 200
     # Sort oracle: the kept set must be the 200 largest gains (stable ties).
     oracle = sorted(records, key=lambda r: -r.info_gain)[:200]
-    assert [r.sample_id for r in selection.ambiguous] == [r.sample_id for r in oracle]
+    assert list(selection.ambiguous_ids) == [r.sample_id for r in oracle]
 
 
 def test_balance_equal_sizes_keeps_everything():
@@ -386,7 +387,7 @@ def test_balance_equal_sizes_keeps_everything():
     selection = select_and_balance(
         partition, records, SelectionStrategy.APA_INFOGAIN, 0.1, master_seed=9
     )
-    assert len(selection.correct) == len(selection.ambiguous) == 4
+    assert len(selection.correct_ids) == len(selection.ambiguous_ids) == 4
 
 
 def test_truncation_ties_break_by_sample_id():
@@ -395,7 +396,7 @@ def test_truncation_ties_break_by_sample_id():
     selection = select_and_balance(
         partition, records, SelectionStrategy.APA_INFOGAIN, 0.1, master_seed=9
     )
-    assert [r.sample_id for r in selection.ambiguous] == ["a", "b"]
+    assert selection.ambiguous_ids == ("a", "b")
 
 
 @pytest.mark.parametrize("strategy", [SelectionStrategy.APA_INFOGAIN,
@@ -403,10 +404,9 @@ def test_truncation_ties_break_by_sample_id():
 def test_tied_selection_does_not_depend_on_record_order(strategy):
     gains = {"a": 0.5, "b": 0.5, "c": 0.5}
     partition, records = build_world(2, gains, entropies=dict.fromkeys(gains, 1.0))
-    chosen = [[r.sample_id for r in select_and_balance(
-        partition, order, strategy, 0.1, master_seed=9).ambiguous]
-        for order in (records, records[::-1])]
-    assert chosen == [["a", "b"], ["a", "b"]]
+    chosen = [select_and_balance(partition, order, strategy, 0.1, master_seed=9).ambiguous_ids
+              for order in (records, records[::-1])]
+    assert chosen == [("a", "b"), ("a", "b")]
 
 
 def test_apa_selection_ignores_gold_labels():
@@ -419,9 +419,7 @@ def test_apa_selection_ignores_gold_labels():
     chosen_none = select_and_balance(
         partition_none, records, SelectionStrategy.APA_INFOGAIN, 0.1, master_seed=1
     )
-    assert [r.sample_id for r in chosen_all.ambiguous] == [
-        r.sample_id for r in chosen_none.ambiguous
-    ]
+    assert chosen_all.ambiguous_ids == chosen_none.ambiguous_ids
 
 
 def test_empty_pool_is_actionable_error():
@@ -471,7 +469,7 @@ def test_gt_min_matches_sort_oracle():
     )
     # Budget = |perceived ambiguous| = 9 (all but 0.05); capped at n=3.
     oracle = sorted(records, key=lambda r: r.info_gain)[:3]
-    assert [r.sample_id for r in selection.ambiguous] == [r.sample_id for r in oracle]
+    assert list(selection.ambiguous_ids) == [r.sample_id for r in oracle]
 
 
 def test_gt_max_takes_largest():
@@ -480,7 +478,7 @@ def test_gt_max_takes_largest():
     selection = select_and_balance(
         partition, records, SelectionStrategy.GT_MAX_INFOGAIN, 0.1, master_seed=1
     )
-    assert [r.sample_id for r in selection.ambiguous] == ["b", "c"]
+    assert selection.ambiguous_ids == ("b", "c")
 
 
 def test_gt_strategies_require_gold_labels():
@@ -506,10 +504,8 @@ def test_gt_random_is_seeded_subset_of_gold_pool():
                                0.1, master_seed=5)
     second = select_and_balance(partition, records, SelectionStrategy.GT_RANDOM,
                                 0.1, master_seed=5)
-    assert [r.sample_id for r in first.ambiguous] == [
-        r.sample_id for r in second.ambiguous
-    ]
-    assert {r.sample_id for r in first.ambiguous} <= gold
+    assert first.ambiguous_ids == second.ambiguous_ids
+    assert set(first.ambiguous_ids) <= gold
 
 
 def test_gt_random_draws_per_sample_id():
@@ -521,7 +517,7 @@ def test_gt_random_draws_per_sample_id():
         partition, records = build_world(20, gains)
         selection = select_and_balance(partition, records, SelectionStrategy.GT_RANDOM,
                                        0.1, master_seed=seed)
-        return [r.sample_id for r in selection.ambiguous]
+        return list(selection.ambiguous_ids)
 
     for seed in range(5):
         chosen = picks(gains, seed)
@@ -538,7 +534,7 @@ def test_answer_entropy_strategy_ranks_by_score():
     selection = select_and_balance(
         partition, records, SelectionStrategy.ANSWER_ENTROPY, 0.1, master_seed=1
     )
-    assert [r.sample_id for r in selection.ambiguous] == ["b", "c"]
+    assert selection.ambiguous_ids == ("b", "c")
 
 
 def test_answer_entropy_strategy_requires_scores():
@@ -556,7 +552,7 @@ def test_selected_halves_always_equal_sized():
         selection = select_and_balance(
             partition, records, SelectionStrategy.APA_INFOGAIN, 0.1, master_seed=2
         )
-        assert len(selection.correct) == len(selection.ambiguous)
+        assert len(selection.correct_ids) == len(selection.ambiguous_ids)
 
 
 # -- epsilon sweep ------------------------------------------------------------------
@@ -644,6 +640,20 @@ def test_labels_round_trip(tmp_path):
     assert read_labels(path) == labels
 
 
+@pytest.mark.parametrize("strategy", list(SelectionStrategy), ids=lambda s: s.value)
+def test_selection_round_trips_and_resolves_the_same_halves(
+        strategy, assessed, records, corpus_backend, toy_templates, greedy_params):
+    selection = select_and_balance(assessed, records, strategy, 0.1, master_seed=11)
+    loaded = record_from(Selection, record_obj(selection))
+    assert loaded == selection
+    halves = selection.halves(assessed, records)
+    assert loaded.halves(assessed, records) == halves
+    labels = label_records(halves[1], LabelKind.FIXED, corpus_backend, toy_templates,
+                           greedy_params, master_seed=11)
+    assert [label.sample_id for label in labels] == list(selection.ambiguous_ids)
+    assert [s.id for s in halves[0]] == list(selection.correct_ids)
+
+
 def test_stage_chain_byte_reproducible(tmp_path, corpus_samples, corpus_backend,
                                        toy_templates, greedy_params):
     def run(out_dir):
@@ -658,7 +668,8 @@ def test_stage_chain_byte_reproducible(tmp_path, corpus_samples, corpus_backend,
         selection = select_and_balance(
             partition, records, SelectionStrategy.APA_INFOGAIN, 0.1, master_seed=11
         )
-        labels = label_records(selection.ambiguous, LabelKind.FIXED, corpus_backend,
+        _, ambiguous = selection.halves(partition, records)
+        labels = label_records(ambiguous, LabelKind.FIXED, corpus_backend,
                                toy_templates, greedy_params, master_seed=11)
         write_partition(partition, out_dir / "assess.jsonl")
         write_records(records, out_dir / "records.jsonl", 0.1)

@@ -1,4 +1,5 @@
-"""Run configuration: one JSON file plus command-line flags.
+"""Run configuration: one JSON file plus command-line flags. Every setting's
+type and default is declared here, so this module imports no stage module.
 
 ``load_config`` reads each section, a dataclass below, with
 ``jsonio.record_from``, as every JSON record is read: a bad setting exits 2
@@ -9,6 +10,7 @@ replaces the file's value before it is read, so both pass the same checks.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
@@ -18,9 +20,25 @@ from urllib.parse import urlsplit
 from .backend import Backend
 from .entropy import TruncationMode
 from .errors import ConfigurationError, DataIntegrityError
-from .evalkit import DEFAULT_ROUGE_THRESHOLD
 from .jsonio import read_json_object, record_at, record_from
-from .pipeline import LabelKind, SelectionStrategy
+
+DEFAULT_ROUGE_THRESHOLD = 0.3
+
+
+class LabelKind(enum.Enum):
+    FIXED = "fixed"
+    GENERATED = "generated"
+
+
+class SelectionStrategy(enum.Enum):
+    """How the ambiguous half of the training set is chosen."""
+
+    APA_INFOGAIN = "apa_infogain"
+    GT_RANDOM = "gt_random"
+    GT_MAX_INFOGAIN = "gt_max_infogain"
+    GT_MIN_INFOGAIN = "gt_min_infogain"
+    ANSWER_ENTROPY = "answer_entropy"
+
 
 # Field metadata of a path setting: a relative one resolves against the
 # config file's directory.

@@ -32,9 +32,10 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .backend import Backend, GenerationParams, TokenDistribution, bounded_map
+from .config import DEFAULT_ROUGE_THRESHOLD, SampleRepConfig
 from .corpus import PromptTemplate, QASample, first_word, reply, trim_continuation
 from .errors import BackendError, DataIntegrityError, ParseError
 from .jsonio import (
@@ -47,11 +48,6 @@ from .jsonio import (
 )
 from .phrases import AMBIGUITY_MARKERS, FIXED_CLARIFICATIONS
 from .seeding import rng_for
-
-if TYPE_CHECKING:  # config imports this module
-    from .config import SampleRepConfig
-
-DEFAULT_ROUGE_THRESHOLD = 0.3
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 

@@ -28,17 +28,16 @@ byte-reproducible and insensitive to dataset growth.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .backend import Backend, GenerationParams, ScoringResult, bounded_map
+from .config import DEFAULT_ROUGE_THRESHOLD, LabelKind, SelectionStrategy
 from .corpus import PromptTemplate, QASample, reply
 from .entropy import TruncationMode, Verdict, classify, entropy_profile, info_gain
 from .errors import ConfigurationError, DataIntegrityError
 from .evalkit import (
-    DEFAULT_ROUGE_THRESHOLD,
     Errored,
     clarification_phrase,
     evaluate,
@@ -59,21 +58,6 @@ from .seeding import derive_seed
 
 EMPTY_DISAMBIGUATION_FLAG = "empty_disambiguation"
 FALLBACK_FIXED_FLAG = "fallback_fixed"
-
-
-class LabelKind(enum.Enum):
-    FIXED = "fixed"
-    GENERATED = "generated"
-
-
-class SelectionStrategy(enum.Enum):
-    """How the ambiguous half of the training set is chosen."""
-
-    APA_INFOGAIN = "apa_infogain"
-    GT_RANDOM = "gt_random"
-    GT_MAX_INFOGAIN = "gt_max_infogain"
-    GT_MIN_INFOGAIN = "gt_min_infogain"
-    ANSWER_ENTROPY = "answer_entropy"
 
 
 @dataclass(frozen=True)

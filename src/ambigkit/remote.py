@@ -29,8 +29,8 @@ server that answers nothing (dead, or refusing everything) makes each backoff
 run its full clock. So does a refusal that says it clears with time: an HTTP
 429 (a rate limit), or any refusal carrying ``Retry-After``; a server that
 rate-limits with a bare 503 can see a retry before its limit resets. A retry
-whose backoff has ended takes the next free connection, ahead of first
-attempts that queued meanwhile; first attempts keep no arrival order.
+whose backoff has ended takes the next free connection ahead of queued first
+attempts, which keep no order, so that their answers can end its next backoff.
 Servers cannot expose a distribution for the very first token of a sequence
 (its ``token_logprob`` is null), so an echo from the prompt's start silently
 skips that position; every other null is a protocol error.
@@ -216,8 +216,8 @@ class _ConnectionPool:
         self._last_answered = 0  # the highest loan given back with an answer
 
     def take(self, retry: bool) -> http.client.HTTPConnection:
-        # Retries go first: served in turn with first attempts, remote-flaky's
-        # samples_per_s median fell 3.6% (11.26 -> 10.85 on 2 vCPUs).
+        # Retries go first, so first attempts queued meanwhile follow a retry and
+        # can end its next backoff; behind them, that backoff could run its full clock.
         with self._ready:
             self._retries_waiting += retry
             try:

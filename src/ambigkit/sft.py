@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .config import LabelKind
 from .corpus import PromptTemplate, QASample, load_templates
 from .errors import DataIntegrityError, ParseError
 from .jsonio import read_jsonl, record_at, record_from, record_obj, write_jsonl_atomic
-from .pipeline import ClarifyLabel, DisambiguationRecord, LabelKind
+from .pipeline import ClarifyLabel, DisambiguationRecord
 from .seeding import derive_seed
 
 

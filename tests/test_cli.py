@@ -1477,24 +1477,32 @@ def test_selection_is_pinned_for_every_strategy(tmp_path, chain_workdir, strateg
     assert digest == PINNED_SELECTIONS[strategy]
 
 
-def test_cli_import_loads_neither_toy_backend_nor_yaml():
-    src = Path(ambigkit.cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = ("import sys, ambigkit.cli; "
-             "print(sorted({'ambigkit.toy', 'yaml'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+# The benchmark's setup path: what a remote run loads before its first request.
+_REMOTE_SETUP = ("import ambigkit.cli\n"
+                 "from ambigkit.config import load_config, make_backend\n"
+                 "from ambigkit.corpus import load_templates\n"
+                 "config = load_config(sys.argv[1])\n"
+                 "make_backend(config.backend).close()\n"
+                 "load_templates(config.template_dir)\n")
 
 
-def test_remote_backend_loads_no_http_library():
+@pytest.mark.parametrize("steps, unloaded", [
+    ("import ambigkit.cli", ["ambigkit.toy", "yaml"]),
+    (_REMOTE_SETUP, ["requests", "urllib3", "yaml", "ambigkit.toy", "concurrent.futures",
+                     "statistics"]),
+    # config sits below the stages: it declares every setting type it names.
+    ("import ambigkit.config", [f"ambigkit.{name}"
+                                for name in ("corpus", "evalkit", "pipeline", "sft", "cli")]),
+], ids=["cli", "remote-setup", "config"])
+def test_import_loads_no_module_it_does_not_need(tmp_path, steps, unloaded):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"backend": {"kind": "remote",
+                                              "endpoint": "https://127.0.0.1:9/v1"},
+                                  "dataset": "data.jsonl"}))
     src = Path(ambigkit.cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = ("import sys, ambigkit.cli\n"
-             "from ambigkit.config import BackendSpec, make_backend\n"
-             "make_backend(BackendSpec(kind='remote', endpoint='https://127.0.0.1:9/v1')).close()\n"
-             "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+    probe = f"import sys\n{steps}\nprint(sorted(set(sys.argv[2:]) & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe, str(config), *unloaded], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
 

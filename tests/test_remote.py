@@ -429,6 +429,16 @@ def test_close_closes_every_pooled_connection():
         assert server.wait_for_client_closes(3) == 3
 
 
+def test_idle_connections_are_reused_last_in_first_out():
+    with LoopbackServer(paris) as server:
+        backend = RemoteCompletionsBackend(server.endpoint, "m", parallelism=4)
+        for prompt in "abcde":  # one at a time: the warm connection is always idle
+            assert backend.generate(prompt, GenerationParams()).text == " Paris"
+        backend.close()
+        # A second close would be a second connection the pool opened.
+        assert server.wait_for_client_closes(2, timeout=0.5) == 1
+
+
 def test_requests_in_flight_never_exceed_parallelism():
     def answer(body: dict) -> bytes:
         time.sleep(0.02)

@@ -127,10 +127,6 @@ class ScoringResult:
 
     tokens: tuple[TokenDistribution, ...]
 
-    @property
-    def token_count(self) -> int:
-        return len(self.tokens)
-
 
 class Backend(abc.ABC):
     """Shared interface for the toy oracle backend and remote HTTP backends.

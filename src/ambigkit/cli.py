@@ -269,15 +269,16 @@ def _label(args, config, paths, templates, backend) -> _Stage:
 def _emit(args, config, paths, templates, backend) -> _Stage:
     partition = _read_partition(config, paths)
     records = read_records(paths.require(paths.records, "detect"))
-    labels = {
-        label.sample_id: label
-        for label in read_labels(paths.require(paths.labels, "label"))
-    }
+    labels_path = paths.require(paths.labels, "label")
+    labels = {label.sample_id: label for label in read_labels(labels_path)}
     path = paths.require(paths.selection, "label")
     with record_at(path):
         correct, ambiguous = record_from(Selection, read_json_object(path)).halves(
             partition, records)
-    # sft_emit writes one record per selected sample, or refuses.
+    with record_at(labels_path):
+        if unlabelled := [r.sample_id for r in ambiguous if r.sample_id not in labels]:
+            raise DataIntegrityError(f"no clarification label for sample(s) {unlabelled}")
+    # sft_emit writes one record per selected sample.
     count = len(correct) + len(ambiguous)
     return _Stage(
         [(paths.sft, lambda path: sft_emit(

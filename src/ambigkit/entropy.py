@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .backend import ScoringResult, TokenDistribution
-from .errors import ConfigurationError, EmptyInputError, NormalizationError
+from .errors import EmptyInputError, NormalizationError
 
 _TAIL_TOLERANCE = 1e-9
 
@@ -65,7 +65,7 @@ def token_entropy(dist: TokenDistribution, mode: TruncationMode) -> float:
 
 def entropy_profile(scoring: ScoringResult, mode: TruncationMode) -> EntropyProfile:
     """Per-token entropies of a scored text, averaged over its tokens."""
-    if scoring.token_count == 0:
+    if not scoring.tokens:
         raise EmptyInputError("cannot build an entropy profile from zero tokens")
     entropies = tuple(token_entropy(t, mode) for t in scoring.tokens)
     return EntropyProfile(
@@ -82,8 +82,6 @@ def info_gain(h_query: EntropyProfile, h_disambig: EntropyProfile) -> float:
 
 def classify(gain: float, epsilon: float) -> Verdict:
     """Ambiguous iff the gain strictly exceeds epsilon."""
-    if not math.isfinite(epsilon):
-        raise ConfigurationError(f"epsilon must be finite, got {epsilon}")
     if gain > epsilon:
         return Verdict.PERCEIVED_AMBIGUOUS
     return Verdict.PERCEIVED_UNAMBIGUOUS

@@ -145,10 +145,15 @@ class ClarifyLabel:
             raise DataIntegrityError(f"label for {self.sample_id}: not a clarification request")
 
 
+def unbalanced(correct: int, ambiguous: int) -> str:
+    return f"unbalanced halves: {correct} correct vs {ambiguous} ambiguous"
+
+
 @dataclass(frozen=True)
 class Selection:
     """The balanced halves, by sample id: what ``label`` fixes for ``emit``,
-    and the record ``selection.json`` holds. No id may appear twice."""
+    and the record ``selection.json`` holds. The halves are equal in size,
+    and no id may appear twice."""
 
     strategy: SelectionStrategy
     epsilon: float
@@ -159,6 +164,8 @@ class Selection:
         ids = self.correct_ids + self.ambiguous_ids
         if len(set(ids)) < len(ids):
             raise DataIntegrityError(f"duplicate id {next(i for i in ids if ids.count(i) > 1)!r}")
+        if len(self.correct_ids) != len(self.ambiguous_ids):
+            raise DataIntegrityError(unbalanced(len(self.correct_ids), len(self.ambiguous_ids)))
 
     def halves(self, partition: StageOnePartition, records: Sequence[DisambiguationRecord]
                ) -> tuple[tuple[QASample, ...], tuple[DisambiguationRecord, ...]]:
@@ -389,8 +396,6 @@ def sweep_epsilon(
     records: Sequence[DisambiguationRecord], epsilons: Sequence[float]
 ) -> list[tuple[float, int]]:
     """Ambiguous-pool size at each threshold, in the given order."""
-    if not epsilons:
-        raise ValueError("epsilons must be non-empty")
     return [(eps, len(perceived_ambiguous(records, eps))) for eps in epsilons]
 
 

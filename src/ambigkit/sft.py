@@ -23,7 +23,7 @@ from .config import LabelKind
 from .corpus import PromptTemplate, QASample, load_templates
 from .errors import DataIntegrityError, ParseError
 from .jsonio import read_jsonl, record_at, record_from, record_obj, write_jsonl_atomic
-from .pipeline import ClarifyLabel, DisambiguationRecord
+from .pipeline import ClarifyLabel, DisambiguationRecord, unbalanced
 from .seeding import derive_seed
 
 
@@ -55,10 +55,6 @@ class SftRecord:
             ClarifyLabel(self.id, self.completion, self.clarify_kind)
 
 
-def _unbalanced(correct: int, ambiguous: int) -> str:
-    return f"unbalanced halves: {correct} correct vs {ambiguous} ambiguous"
-
-
 def emit(
     correct: Sequence[QASample],
     ambiguous: Sequence[DisambiguationRecord],
@@ -68,18 +64,17 @@ def emit(
     *,
     master_seed: int,
 ) -> int:
-    """Write the balanced training set; returns the record count.
+    """Write the training set of ``Selection.halves``' output, with the
+    label of each ambiguous record in ``labels``; returns the record count.
 
-    Requires equal halves and a label for every ambiguous sample. The line
-    order is a stable shuffle keyed by (seed, sample id), so it does not
-    depend on input order and changes only with the seed.
+    Checks neither: ``Selection`` holds equal halves, the correct half only
+    answered samples (``StageOnePartition.trainable``), and the ``emit``
+    command refuses a missing label where it reads ``labels.jsonl``. The
+    line order is a stable shuffle keyed by (seed, sample id), so it does
+    not depend on input order and changes only with the seed.
     """
-    if len(correct) != len(ambiguous):
-        raise DataIntegrityError(_unbalanced(len(correct), len(ambiguous)))
     records: list[SftRecord] = []
     for sample in correct:
-        if not sample.answers:
-            raise DataIntegrityError(f"sample {sample.id}: no gold answer to train on")
         records.append(
             SftRecord(
                 id=sample.id,
@@ -89,11 +84,7 @@ def emit(
             )
         )
     for record in ambiguous:
-        label = labels.get(record.sample_id)
-        if label is None:
-            raise DataIntegrityError(
-                f"sample {record.sample_id}: no clarification label"
-            )
+        label = labels[record.sample_id]
         records.append(
             SftRecord(
                 id=record.sample_id,
@@ -171,6 +162,6 @@ def verify(path: str | Path, answer_cue: str | None = None) -> VerifyReport:
         except ParseError as exc:
             failures.append(str(exc))
     if per_source["correct"] != per_source["ambig"]:
-        unbalanced = _unbalanced(per_source["correct"], per_source["ambig"])
-        failures.append(str(ParseError(unbalanced, where=path)))
+        failures.append(str(ParseError(unbalanced(per_source["correct"], per_source["ambig"]),
+                                       where=path)))
     return VerifyReport(len(entries), per_source, per_kind, failures)

@@ -7,7 +7,6 @@ import pytest
 
 from ambigkit.backend import (
     GenerationParams,
-    ScoringResult,
     TokenDistribution,
     bounded_map,
 )
@@ -136,10 +135,6 @@ def test_realized_token_listed_when_probable():
     realized_prob = math.exp(dist.token_logprob)
     if realized_prob > k_th:
         assert dist.token_text in listed
-
-
-def test_scoring_result_counts_tokens():
-    assert ScoringResult(tokens=()).token_count == 0
 
 
 def test_bounded_map_preserves_order():

@@ -1363,9 +1363,11 @@ GOOD_HEAD = '"strategy": "apa_infogain", "epsilon": 0.1'
      '"ambiguous_ids": ["s3", "s4"]}', "field 'strategy': 'plain' is not one of"),
     ('{"strategy": "apa_infogain", "epsilon": "0.1", "correct_ids": ["s1", "s2"], '
      '"ambiguous_ids": ["s3", "s4"]}', "field 'epsilon' must be a finite number"),
+    (f'{{{GOOD_HEAD}, "correct_ids": ["s1"], "ambiguous_ids": ["s3", "s4"]}}',
+     "unbalanced halves: 1 correct vs 2 ambiguous"),
 ], ids=["not-json", "not-an-object", "ids-not-a-list", "ids-missing",
         "correct-id-in-the-incorrect-split", "unknown-id", "unknown-key", "unknown-strategy",
-        "epsilon-not-a-number"])
+        "epsilon-not-a-number", "unbalanced"])
 def test_malformed_selection_exits_4(tmp_path, capsys, chain_workdir, body, fault):
     config = write_toy_config(tmp_path / "config.json")
     out = workdir_of(config)
@@ -1373,6 +1375,18 @@ def test_malformed_selection_exits_4(tmp_path, capsys, chain_workdir, body, faul
     (out / "selection.json").write_text(body)
     assert run("--config", str(config), "emit") == 4
     assert f"{out / 'selection.json'}: {fault}" in capsys.readouterr().err
+    assert not (out / "sft.jsonl").exists()
+
+
+def test_selected_sample_without_a_label_exits_4(tmp_path, capsys, chain_workdir):
+    config = write_toy_config(tmp_path / "config.json")
+    out = workdir_of(config)
+    shutil.copytree(chain_workdir, out)
+    path = out / "labels.jsonl"
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+    assert run("--config", str(config), "emit") == 4
+    assert f"{path}: no clarification label for sample(s) ['s4']" in capsys.readouterr().err
+    assert not (out / "sft.jsonl").exists()
 
 
 def test_selection_naming_an_id_twice_exits_4(tmp_path, capsys, chain_workdir):

@@ -16,7 +16,7 @@ from ambigkit.entropy import (
     info_gain,
     token_entropy,
 )
-from ambigkit.errors import ConfigurationError, EmptyInputError, NormalizationError
+from ambigkit.errors import EmptyInputError, NormalizationError
 from ambigkit.toy import ToyBackend, load_ngram_table
 
 from conftest import table_path
@@ -137,11 +137,6 @@ def test_classify_strict_threshold():
     assert classify(0.9, 0.1) is Verdict.PERCEIVED_AMBIGUOUS
     assert classify(0.1, 0.1) is Verdict.PERCEIVED_UNAMBIGUOUS
     assert classify(-0.2, 0.1) is Verdict.PERCEIVED_UNAMBIGUOUS
-
-
-def test_classify_requires_finite_epsilon():
-    with pytest.raises(ConfigurationError):
-        classify(0.5, math.inf)
 
 
 def test_uniform_query_vs_one_hot_rewrite_gains_ln4():

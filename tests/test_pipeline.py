@@ -545,14 +545,20 @@ def test_answer_entropy_strategy_requires_scores():
                            0.1, master_seed=1)
 
 
-def test_selected_halves_always_equal_sized():
+@pytest.mark.parametrize("strategy", list(SelectionStrategy), ids=lambda s: s.value)
+def test_selected_halves_always_equal_sized(strategy):
+    # build_world marks every record gold-ambiguous and gives every sample
+    # an answer entropy, so each strategy has a full pool.
     for n_correct, n_records in [(1, 5), (5, 1), (4, 4), (10, 3)]:
         gains = {f"r{i}": 0.5 + i / 100 for i in range(n_records)}
         partition, records = build_world(n_correct, gains)
-        selection = select_and_balance(
-            partition, records, SelectionStrategy.APA_INFOGAIN, 0.1, master_seed=2
-        )
+        selection = select_and_balance(partition, records, strategy, 0.1, master_seed=2)
         assert len(selection.correct_ids) == len(selection.ambiguous_ids)
+
+
+def test_selection_refuses_unequal_halves():
+    with pytest.raises(DataIntegrityError, match="unbalanced halves: 1 correct vs 0 ambiguous"):
+        Selection(SelectionStrategy.APA_INFOGAIN, 0.1, correct_ids=("c0",), ambiguous_ids=())
 
 
 # -- epsilon sweep ------------------------------------------------------------------
@@ -572,11 +578,6 @@ def test_sweep_all_below_threshold():
 def test_sweep_duplicate_epsilons():
     records = [make_record("a", 0.4)]
     assert sweep_epsilon(records, [0.3, 0.3]) == [(0.3, 1), (0.3, 1)]
-
-
-def test_sweep_requires_epsilons():
-    with pytest.raises(ValueError):
-        sweep_epsilon([], [])
 
 
 @given(st.lists(st.floats(min_value=-1, max_value=2), max_size=30),

@@ -96,11 +96,6 @@ class StageOnePartition:
             errored=tuple(o for o in outcomes if isinstance(o, Errored)),
         )
 
-    @property
-    def trainable(self) -> tuple[QASample, ...]:
-        """The correct samples with a gold answer, the only ones the correct half trains on."""
-        return tuple(s for a in self.correct if (s := self.samples[a.sample_id]).answers)
-
 
 @dataclass(frozen=True)
 class DisambiguationRecord:
@@ -169,17 +164,17 @@ class Selection:
 
     def halves(self, partition: StageOnePartition, records: Sequence[DisambiguationRecord]
                ) -> tuple[tuple[QASample, ...], tuple[DisambiguationRecord, ...]]:
-        """The correct samples, resolved in ``partition.trainable``, and the
+        """The correct samples, resolved in ``partition.correct``, and the
         ambiguous records, resolved in ``records``, each in the selection's
         order; an id outside its half is a DataIntegrityError."""
-        correct_by_id = {s.id: s for s in partition.trainable}
+        correct_by_id = {a.sample_id: partition.samples[a.sample_id] for a in partition.correct}
         records_by_id = {r.sample_id: r for r in records}
         try:
             return (tuple(correct_by_id[i] for i in self.correct_ids),
                     tuple(records_by_id[i] for i in self.ambiguous_ids))
         except KeyError as exc:
             raise DataIntegrityError(f"selection names sample {exc} outside its half (the "
-                                     "answered correct samples or the detection records)") from exc
+                                     "correct split or the detection records)") from exc
 
 
 # -- stage 1 -----------------------------------------------------------------
@@ -332,10 +327,10 @@ def select_and_balance(
     ``gt_random``'s key is a seeded draw per sample id. Both halves are then
     cut to the smaller one's size: the ambiguous half keeps its first
     records, the correct half a seeded subset (keyed by sample id) of the
-    answered correct samples, in their own order; the selection names both
-    by sample id. An empty pool or no such correct sample is a
-    ConfigurationError; a record from outside the incorrect split (left over
-    from another run) is a DataIntegrityError.
+    correct split, in its own order; the selection names both by sample id.
+    An empty pool or correct split is a ConfigurationError; a record from
+    outside the incorrect split (left over from another run) is a
+    DataIntegrityError.
     """
     assessed = {a.sample_id: a for a in partition.incorrect}
     foreign = [r.sample_id for r in records if r.sample_id not in assessed]
@@ -348,16 +343,7 @@ def select_and_balance(
     if strategy is SelectionStrategy.APA_INFOGAIN:
         pool = perceived
     else:
-        pool = []
-        for record in records:
-            gold = partition.samples[record.sample_id].gold_ambiguous
-            if gold is None:
-                raise ConfigurationError(
-                    f"strategy {strategy.value} requires gold ambiguity labels; "
-                    f"sample {record.sample_id!r} has none"
-                )
-            if gold:
-                pool.append(record)
+        pool = [r for r in records if partition.samples[r.sample_id].gold_ambiguous]
     if strategy is SelectionStrategy.ANSWER_ENTROPY:
         missing = [r.sample_id for r in pool if assessed[r.sample_id].answer_entropy is None]
         if missing:
@@ -376,19 +362,18 @@ def select_and_balance(
             f"(currently {epsilon}) or check the detection records"
         )
 
-    if not (correct := partition.trainable):
+    correct = [a.sample_id for a in partition.correct]
+    if not correct:
         raise ConfigurationError(
-            ("no sample in the correct split has a gold answer to train on" if partition.correct
-             else "the correct split is empty: stage 1 answered no sample correctly")
-            + ", so nothing balances the ambiguous half; check the dataset's answers")
+            "the correct split is empty: stage 1 answered no sample correctly, so nothing "
+            "balances the ambiguous half; check the dataset's answers")
     size = min(len(correct), len(ranked))
     if len(correct) > size:  # a smaller correct half is kept whole, undrawn
         keep = set(sorted(
-            (s.id for s in correct),
-            key=lambda sample_id: derive_seed(master_seed, "balance_correct", sample_id),
+            correct, key=lambda sample_id: derive_seed(master_seed, "balance_correct", sample_id),
         )[:size])
-        correct = tuple(s for s in correct if s.id in keep)
-    return Selection(strategy, epsilon, correct_ids=tuple(s.id for s in correct),
+        correct = [sample_id for sample_id in correct if sample_id in keep]
+    return Selection(strategy, epsilon, correct_ids=tuple(correct),
                      ambiguous_ids=tuple(r.sample_id for r in ranked[:size]))
 
 
@@ -411,14 +396,22 @@ def read_partition(
     path: str | Path, samples_by_id: Mapping[str, QASample]
 ) -> StageOnePartition:
     """The partition written to ``path`` of the dataset ``samples_by_id``: a
-    line with an ``error`` is an errored sample; an id outside the dataset is
-    refused."""
+    line with an ``error`` is an errored sample. An id outside the dataset is
+    refused, and so is a category that disagrees with the sample's gold label
+    (categories 1-2 need ``ambiguous: true``), as after a dataset edit."""
     outcomes: list[AssessedSample | Errored] = []
     for line_number, obj in read_jsonl(path, unique_ids=True):
         with record_at(path, line_number):
             outcome = record_from(Errored if "error" in obj else AssessedSample, obj)
             if outcome.sample_id not in samples_by_id:
                 raise DataIntegrityError(f"sample {outcome.sample_id!r} not in the dataset")
+            if isinstance(outcome, AssessedSample):
+                gold = outcome.category <= 2
+                if samples_by_id[outcome.sample_id].gold_ambiguous is not gold:
+                    raise DataIntegrityError(
+                        f"sample {outcome.sample_id!r}: category {outcome.category} needs "
+                        f'"ambiguous": {str(gold).lower()} in the dataset; '
+                        "run `ambigkit assess` again")
             outcomes.append(outcome)
     return StageOnePartition.split(samples_by_id, outcomes)
 

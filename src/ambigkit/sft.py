@@ -1,10 +1,11 @@
 """Training-set export: one (prompt, completion) JSON object per line.
 
 The prompt is the question rendered through the direct template; the
-completion is the first listed gold answer for correct samples and the
-clarification label for ambiguous ones. The file interleaves both halves in
-a stable seeded order and is byte-identical across reruns with the same
-inputs and seed.
+completion is what handling the sample correctly means: the clarification
+label for an ambiguous sample, a canonical clarification for a correct one
+that is gold ambiguous, else the first listed gold answer. The file
+interleaves both halves in a stable seeded order and is byte-identical
+across reruns with the same inputs and seed.
 
 Any external trainer reproduces the intended objective by minimizing
 next-token cross-entropy on the completion tokens only, conditioned on the
@@ -23,7 +24,7 @@ from .config import LabelKind
 from .corpus import PromptTemplate, QASample, load_templates
 from .errors import DataIntegrityError, ParseError
 from .jsonio import read_jsonl, record_at, record_from, record_obj, write_jsonl_atomic
-from .pipeline import ClarifyLabel, DisambiguationRecord, unbalanced
+from .pipeline import ClarifyLabel, DisambiguationRecord, stage3_fixed_label, unbalanced
 from .seeding import derive_seed
 
 
@@ -34,8 +35,9 @@ class Source(enum.Enum):
 
 @dataclass(frozen=True)
 class SftRecord:
-    """One exported training pair with provenance. An ambiguous record's
-    completion is a valid clarification label of its kind."""
+    """One exported training pair with provenance. An ambiguous record has a
+    ``clarify_kind``, a correct one may, and either's completion is then a
+    valid clarification label of that kind."""
 
     id: str
     prompt: str
@@ -46,11 +48,8 @@ class SftRecord:
     def __post_init__(self) -> None:
         if not self.completion:
             raise DataIntegrityError(f"record {self.id}: empty completion")
-        if (self.source is Source.AMBIG) != (self.clarify_kind is not None):
-            raise DataIntegrityError(
-                f"record {self.id}: clarify_kind must be present exactly for "
-                "ambiguous records"
-            )
+        if self.source is Source.AMBIG and self.clarify_kind is None:
+            raise DataIntegrityError(f"record {self.id}: an ambiguous record needs a clarify_kind")
         if self.clarify_kind is not None:
             ClarifyLabel(self.id, self.completion, self.clarify_kind)
 
@@ -67,20 +66,24 @@ def emit(
     """Write the training set of ``Selection.halves``' output, with the
     label of each ambiguous record in ``labels``; returns the record count.
 
-    Checks neither: ``Selection`` holds equal halves, the correct half only
-    answered samples (``StageOnePartition.trainable``), and the ``emit``
-    command refuses a missing label where it reads ``labels.jsonl``. The
-    line order is a stable shuffle keyed by (seed, sample id), so it does
-    not depend on input order and changes only with the seed.
+    A gold-ambiguous correct sample trains on ``stage3_fixed_label``, with no
+    backend call whatever the label kind, every other one on its first gold
+    answer. Checks nothing: ``Selection`` holds equal halves,
+    ``read_partition`` gold labels that agree with the categories, and the
+    ``emit`` command refuses a missing label where it reads ``labels.jsonl``.
+    The line order is a stable shuffle keyed by (seed, sample id), so it
+    does not depend on input order and changes only with the seed.
     """
     records: list[SftRecord] = []
     for sample in correct:
+        label = stage3_fixed_label(sample.id, master_seed) if sample.gold_ambiguous else None
         records.append(
             SftRecord(
                 id=sample.id,
                 prompt=direct_template.render(question=sample.question),
-                completion=sample.answers[0],
+                completion=label.text if label else sample.answers[0],
                 source=Source.CORRECT,
+                clarify_kind=label.kind if label else None,
             )
         )
     for record in ambiguous:

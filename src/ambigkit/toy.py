@@ -25,7 +25,8 @@ string for a unigram table); row values map tokens to probabilities; omitted
 tokens have probability zero. Contexts absent from ``rows`` fall back to the
 uniform vector over the vocabulary. The document holds these five keys and
 no other. Fields are typed as in the dataset (``jsonio.typed_field``), never
-coerced: ``order`` is a whole number; markers,
+coerced: ``rows`` and each row is a mapping, or null for an empty one;
+``order`` is a whole number; markers,
 vocabulary entries, row keys and row tokens are strings, so a YAML word such
 as ``yes``, ``no``, ``on``, ``off`` or ``null``, or a bare number, must be
 quoted to be a token; a probability is a finite number or a "p/q" fraction
@@ -147,13 +148,13 @@ def load_ngram_table(path: str | Path) -> NgramTable:
             raise TypeError("fixture must be a mapping")
         refuse_unknown(doc.keys() - {"order", "begin_marker", "end_marker", "vocabulary", "rows"})
         vocabulary = typed_field(doc, "vocabulary", tuple)
-        rows = doc.get("rows", {}) or {}
+        rows = {} if doc.get("rows") is None else doc["rows"]
         if not isinstance(rows, dict):
             raise TypeError("fixture rows must be a mapping")
         index = {tok: i for i, tok in enumerate(vocabulary)}
         tables: dict[tuple[str, ...], tuple[float, ...]] = {}
         for key, sparse in rows.items():
-            sparse = sparse or {}
+            sparse = {} if sparse is None else sparse
             if type(key) is not str:
                 raise TypeError(f"fixture row key {key!r} must be a string")
             if not isinstance(sparse, dict):

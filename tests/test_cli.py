@@ -17,6 +17,7 @@ import pytest
 import ambigkit.cli
 from ambigkit.backend import Backend
 from ambigkit.cli import main
+from ambigkit.phrases import FIXED_CLARIFICATIONS
 from ambigkit.sft import verify as sft_verify
 from ambigkit.toy import ToyBackend
 
@@ -766,9 +767,8 @@ def test_detect_warns_once_before_calling_when_no_correct_sample_can_train(
     out, err = capsys.readouterr()
     assert err.count("warning: ") == 1
     assert err.index("warning: ") < err.index("backend call")
-    assert (f"warning: {workdir_of(config) / 'assess.jsonl'} holds no correct sample with a "
-            "gold answer, so `label` will refuse this run; only `sweep` can use its records"
-            in err)
+    assert (f"warning: {workdir_of(config) / 'assess.jsonl'} holds no correct sample, so "
+            "`label` will refuse this run; only `sweep` can use its records" in err)
     assert out.startswith("effective seed: 0\ndisambiguated ")
     assert out.count("\n") == 2
     assert run("--config", str(config), "label") == 2
@@ -1204,12 +1204,16 @@ rows:
     (TOY_TABLE_YAML.format(extra="", row="a: true"), "bad probability True in row '<s>'"),
     (TOY_TABLE_YAML.format(extra="", row='a: .nan, "</s>": 1'),
      "bad probability nan in row '<s>'"),
+    ({**TOY_TABLE, "rows": False}, "fixture rows must be a mapping"),
+    ({**TOY_TABLE, "rows": []}, "fixture rows must be a mapping"),
+    ({**TOY_TABLE, "rows": {**TOY_TABLE["rows"], "<s>": False}},
+     "fixture row '<s>' must be a mapping"),
 ], ids=["order-0", "repeated-token", "end-marker-not-in-vocabulary",
         "row-key-not-in-vocabulary", "row-key-too-long", "negative-probability",
         "probability-division-by-zero", "probability-list", "document-list", "order-missing",
         "row-token-not-in-vocabulary", "rows-misspelt", "order-fraction", "order-text", "begin-marker-number",
         "vocabulary-boolean", "row-key-number", "row-token-boolean", "probability-boolean",
-        "probability-nan"])
+        "probability-nan", "rows-false", "rows-list", "row-false"])
 def test_malformed_toy_fixture_exits_4_naming_it(tmp_path, capsys, table, message):
     """Each fixture is refused naming itself, and the field at fault where
     ``message`` gives it: a fixture whose fields coercion would turn into
@@ -1441,7 +1445,7 @@ def test_non_string_label_kind_exits_4_naming_the_line(tmp_path, capsys, chain_w
 def unanswered_s2_config(tmp_path: Path) -> Path:
     """The toy config on a copy of the corpus where s2 has no answer. s2 is
     gold ambiguous, so it may have none, and the model clarifies it:
-    category 1, in the correct split, with nothing to train on."""
+    category 1, in the correct split, training on its clarification."""
     samples = [json.loads(line) for line in (FIXTURES / "corpus.jsonl").read_text().splitlines()]
     for sample in samples:
         if sample["id"] == "s2":
@@ -1451,23 +1455,44 @@ def unanswered_s2_config(tmp_path: Path) -> Path:
     return write_toy_config(tmp_path / "config.json", dataset=str(dataset))
 
 
-def test_correct_sample_without_an_answer_is_left_out_of_the_correct_half(tmp_path):
+def test_correct_sample_without_an_answer_trains_on_its_clarification(tmp_path):
+    """A clarified sample's answers never reach sft.jsonl, so taking them away
+    changes no byte of it."""
+    answered = write_toy_config(tmp_path / "answered.json")
     config = unanswered_s2_config(tmp_path)
-    run_chain(config)
+    sft = run_chain(config)
     selection = json.loads((workdir_of(config) / "selection.json").read_text())
-    assert selection["correct_ids"] == ["s1"]
+    assert selection["correct_ids"] == ["s1", "s2"]
+    assert sft.read_bytes() == run_chain(answered).read_bytes()
     assert run("--config", str(config), "verify") == 0
 
 
-def test_selection_naming_an_unanswered_correct_sample_exits_4(tmp_path, capsys):
-    config = unanswered_s2_config(tmp_path)
-    run_chain(config)
-    path = workdir_of(config) / "selection.json"
-    path.write_text(json.dumps({**json.loads(path.read_text()), "correct_ids": ["s2"]}))
-    capsys.readouterr()
-    assert run("--config", str(config), "emit") == 4
-    err = capsys.readouterr().err
-    assert f"{path}: selection names sample 's2' outside its half" in err
+@pytest.mark.parametrize("sample_id,patch,line,category,gold", [
+    ("s1", {"ambiguous": True}, 1, 3, "false"),
+    ("s2", {"ambiguous": None, "answers": []}, 2, 1, "true"),
+    ("s3", {"ambiguous": None}, 3, 2, "true"),
+], ids=["answered-made-ambiguous", "clarified-unlabelled-unanswered", "incorrect-unlabelled"])
+@pytest.mark.parametrize("command", ["detect", "label", "emit"])
+def test_assess_line_whose_gold_label_changed_exits_4(tmp_path, capsys, chain_workdir, command,
+                                                      sample_id, patch, line, category, gold):
+    """A dataset edited after ``assess`` is refused where assess.jsonl is
+    read: a clarified sample left with no label and no answer never reaches
+    ``emit``, and a gold-label strategy never meets a sample without one."""
+    samples = [json.loads(text) for text in (FIXTURES / "corpus.jsonl").read_text().splitlines()]
+    for sample in samples:
+        if sample["id"] == sample_id:
+            sample.update(patch)  # a None value drops its key
+    dataset = tmp_path / "corpus.jsonl"
+    dataset.write_text("".join(json.dumps({key: value for key, value in sample.items()
+                                           if value is not None}) + "\n" for sample in samples))
+    config = write_toy_config(tmp_path / "config.json", dataset=str(dataset),
+                              strategy="gt_random")
+    shutil.copytree(chain_workdir, workdir_of(config))
+    assert run("--config", str(config), command) == 4
+    assert (f"{workdir_of(config) / 'assess.jsonl'} line {line}: sample {sample_id!r}: "
+            f'category {category} needs "ambiguous": {gold} in the dataset; '
+            "run `ambigkit assess` again") in capsys.readouterr().err
+    assert not (workdir_of(config) / "sft.jsonl").exists()
 
 
 # SHA-256 of the selection.json that `label` writes for each strategy on the
@@ -1489,6 +1514,39 @@ def test_selection_is_pinned_for_every_strategy(tmp_path, chain_workdir, strateg
     assert run("--config", str(config), "label") == 0
     digest = hashlib.sha256((out / "selection.json").read_bytes()).hexdigest()
     assert digest == PINNED_SELECTIONS[strategy]
+
+
+# s2 is gold ambiguous and the model clarifies it (category 1): its line in
+# the toy chain's sft.jsonl, under every strategy and label kind.
+S2_LINE = ('{"id": "s2", "prompt": "Q: q2a q2b\\nA:", "completion": "Please clarify your '
+           'question.", "source": "correct", "clarify_kind": "fixed"}')
+
+
+@pytest.mark.parametrize("kind", ["fixed", "generated"])
+@pytest.mark.parametrize("strategy", list(PINNED_SELECTIONS))
+def test_correct_line_trains_on_what_handling_its_sample_correctly_means(
+        tmp_path, chain_workdir, strategy, kind):
+    """A gold-ambiguous correct sample trains on a canonical clarification,
+    whatever the label kind, and every other correct sample on its first
+    gold answer."""
+    config = write_toy_config(tmp_path / "config.json", strategy=strategy)
+    out = workdir_of(config)
+    shutil.copytree(chain_workdir, out)
+    for command in (["label", "--kind", kind], ["emit"], ["verify"]):
+        assert run("--config", str(config), *command) == 0, command
+    samples = {sample["id"]: sample for sample in map(
+        json.loads, (FIXTURES / "corpus.jsonl").read_text().splitlines())}
+    lines = (out / "sft.jsonl").read_text().splitlines()
+    correct = [row for row in map(json.loads, lines) if row["source"] == "correct"]
+    assert {row["id"] for row in correct} == {"s1", "s2"}
+    for row in correct:
+        sample = samples[row["id"]]
+        if sample["ambiguous"]:
+            assert (row["completion"], row["clarify_kind"]) in (
+                (phrase, "fixed") for phrase in FIXED_CLARIFICATIONS)
+        else:
+            assert (row["completion"], row["clarify_kind"]) == (sample["answers"][0], None)
+    assert S2_LINE in lines
 
 
 # The benchmark's setup path: what a remote run loads before its first request.
@@ -1552,7 +1610,7 @@ PINNED_OUTPUTS = {
     "records.jsonl": "c22247b8ce6c84996fef5ef699b7125f67503eb9772e5b5eff6999a5d9bc1c48",
     "sample_rep_sweep.csv": "4b79ea13f399b2841ed2f09c1c53f5596c68caf00db43e818b987fae690655c0",
     "selection.json": "eda5bf87430d2797c33934c33ec81be6d611b1177eccea435174984206ea8dbf",
-    "sft.jsonl": "ea34cf7c740d7bab1c1318417e9ddf218b970a629fb1157ce92ae5a4843890bf",
+    "sft.jsonl": "99488454d1dca8343a326f4641dff3bd8cb33f347e3d921ac01cfcbe578e2fca",
 }
 
 

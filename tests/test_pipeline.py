@@ -437,16 +437,17 @@ def test_empty_correct_split_is_actionable_error():
                            0.1, master_seed=1)
 
 
-def test_correct_split_without_an_answer_is_actionable_error():
+def test_unanswered_correct_sample_balances_the_ambiguous_half():
     partition, records = build_world(0, {"a": 0.5, "b": 0.6})
-    # A gold-ambiguous sample may have no answer; clarifying it is category 1.
+    # A gold-ambiguous sample may have no answer; clarifying it is category 1,
+    # and it trains on its clarification, so it is as correct as any other.
     unanswered = QASample(id="u", question="q", answers=(), gold_ambiguous=True)
     partition = make_partition([*partition.samples.values(), unanswered],
                                [make_assessed("u", 1)], partition.incorrect)
-    with pytest.raises(ConfigurationError,
-                       match="no sample in the correct split has a gold answer"):
-        select_and_balance(partition, records, SelectionStrategy.APA_INFOGAIN,
-                           0.1, master_seed=1)
+    selection = select_and_balance(partition, records, SelectionStrategy.APA_INFOGAIN,
+                                   0.1, master_seed=1)
+    assert selection.correct_ids == ("u",)
+    assert selection.halves(partition, records)[0] == (unanswered,)
 
 
 @pytest.mark.parametrize("strategy", [SelectionStrategy.APA_INFOGAIN,
@@ -479,21 +480,6 @@ def test_gt_max_takes_largest():
         partition, records, SelectionStrategy.GT_MAX_INFOGAIN, 0.1, master_seed=1
     )
     assert selection.ambiguous_ids == ("b", "c")
-
-
-def test_gt_strategies_require_gold_labels():
-    gains = {"a": 0.5, "b": 0.6}
-    partition = make_partition(
-        [*(make_sample(f"c{i}", False) for i in range(2)),
-         *(QASample(id=sid, question="q", answers=("g",), gold_ambiguous=None)
-           for sid in gains)],
-        [make_assessed(f"c{i}", 3) for i in range(2)],
-        [make_assessed(sid, 2) for sid in gains],
-    )
-    records = [make_record(sid, gain) for sid, gain in gains.items()]
-    with pytest.raises(ConfigurationError, match="gold"):
-        select_and_balance(partition, records, SelectionStrategy.GT_RANDOM,
-                           0.1, master_seed=1)
 
 
 def test_gt_random_is_seeded_subset_of_gold_pool():

@@ -103,13 +103,22 @@ def test_emit_order_does_not_depend_on_input_order(tmp_path):
 
 
 def test_record_invariants():
-    with pytest.raises(DataIntegrityError):
+    phrase = FIXED_CLARIFICATIONS[0]
+    with pytest.raises(DataIntegrityError, match="empty completion"):
         SftRecord(id="x", prompt="p", completion="", source=Source.CORRECT)
-    with pytest.raises(DataIntegrityError):
-        SftRecord(id="x", prompt="p", completion="c", source=Source.AMBIG)
-    with pytest.raises(DataIntegrityError):
-        SftRecord(id="x", prompt="p", completion="c", source=Source.CORRECT,
+    # An ambiguous record needs a kind, even with a canonical phrase.
+    with pytest.raises(DataIntegrityError, match="needs a clarify_kind"):
+        SftRecord(id="x", prompt="p", completion=phrase, source=Source.AMBIG)
+    # A correct record may carry a kind, and then a valid label of that kind.
+    for source in Source:
+        SftRecord(id="x", prompt="p", completion=phrase, source=source,
                   clarify_kind=LabelKind.FIXED)
+        with pytest.raises(DataIntegrityError, match="fixed label is not canonical"):
+            SftRecord(id="x", prompt="p", completion="Paris", source=source,
+                      clarify_kind=LabelKind.FIXED)
+        with pytest.raises(DataIntegrityError, match="not a clarification request"):
+            SftRecord(id="x", prompt="p", completion="Paris", source=source,
+                      clarify_kind=LabelKind.GENERATED)
 
 
 def emit_small(tmp_path, n=5, seed=0):

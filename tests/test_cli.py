@@ -1467,6 +1467,20 @@ def test_correct_sample_without_an_answer_trains_on_its_clarification(tmp_path):
     assert run("--config", str(config), "verify") == 0
 
 
+def test_selection_naming_an_unanswered_correct_sample_exits_4(tmp_path, capsys):
+    """An unanswered correct sample has no detection record, so a selection
+    that names it in the ambiguous half is refused."""
+    config = unanswered_s2_config(tmp_path)
+    run_chain(config)
+    path = workdir_of(config) / "selection.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()),
+                                "correct_ids": ["s1"], "ambiguous_ids": ["s2"]}))
+    capsys.readouterr()
+    assert run("--config", str(config), "emit") == 4
+    err = capsys.readouterr().err
+    assert f"{path}: selection names sample 's2' outside its half" in err
+
+
 @pytest.mark.parametrize("sample_id,patch,line,category,gold", [
     ("s1", {"ambiguous": True}, 1, 3, "false"),
     ("s2", {"ambiguous": None, "answers": []}, 2, 1, "true"),

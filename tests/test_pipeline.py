@@ -482,6 +482,25 @@ def test_gt_max_takes_largest():
     assert selection.ambiguous_ids == ("b", "c")
 
 
+def test_gt_strategies_require_gold_labels(tmp_path):
+    """The gold labels the gt_* strategies select on are checked where
+    assess.jsonl is read, so select_and_balance never meets a sample
+    without one."""
+    gains = {"a": 0.5, "b": 0.6}
+    partition = make_partition(
+        [*(make_sample(f"c{i}", False) for i in range(2)),
+         *(QASample(id=sid, question="q", answers=("g",), gold_ambiguous=None)
+           for sid in gains)],
+        [make_assessed(f"c{i}", 3) for i in range(2)],
+        [make_assessed(sid, 2) for sid in gains],
+    )
+    path = tmp_path / "assess.jsonl"
+    write_partition(partition, path)
+    with pytest.raises(DataIntegrityError,
+                       match="sample 'a': category 2 needs \"ambiguous\": true in the dataset"):
+        read_partition(path, partition.samples)
+
+
 def test_gt_random_is_seeded_subset_of_gold_pool():
     gains = {f"r{i}": 0.2 + i / 100 for i in range(8)}
     gold = {f"r{i}" for i in range(0, 8, 2)}  # only even ids are gold ambiguous

@@ -27,13 +27,12 @@ import csv
 import io
 import math
 import sys
-from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .backend import Backend, GenerationParams
-from .config import RunConfig, config_hash, load_config, make_backend
+from .config import RunConfig, config_hash, load_config, make_backend, recorded
 from .corpus import (
     PromptTemplate,
     QASample,
@@ -159,42 +158,39 @@ class _Stage(NamedTuple):
     exit_code: int = EXIT_OK
 
 
-def _write_manifest(config: RunConfig, paths: _Paths, templates: dict[str, PromptTemplate],
+def _write_manifest(path: Path, config: RunConfig, templates: dict[str, PromptTemplate],
                     command: str, stage: _Stage, backend: Backend | None) -> None:
-    backend_entry = {"kind": config.backend.kind}
     journal = getattr(backend, "journal", None)
-    if journal is not None:
-        backend_entry["journal"] = {"hits": journal.hits, "misses": journal.misses}
-    manifest = {
+    write_json_atomic(path, {
         "command": command,
         "config_hash": config_hash(config),
-        "seed": config.seed,
-        "epsilon": config.epsilon,
-        "truncation_mode": config.truncation_mode.value,
-        "strategy": config.strategy.value,
-        "label_kind": config.label_kind.value,
-        "backend": backend_entry,
-        "dataset": config.dataset,
+        "config": recorded(config),
+        **({} if journal is None else {"journal": {"hits": journal.hits,
+                                                   "misses": journal.misses}}),
         "template_hashes": template_fingerprints(templates),
-        "outputs": [str(path) for path, _ in stage.writes],
+        "outputs": [str(output) for output, _ in stage.writes],
         **stage.summary,
-    }
-    write_json_atomic(paths.workdir / f"manifest_{command}.json", manifest)
+    })
 
 
 def _run_stage(args, command: str, body, *, uses_backend: bool = True) -> int:
     """Run a command. ``body(args, config, paths, templates, backend)`` reads
     the inputs and does the work. Around it, this makes the workdir, opens and
     closes the backend (none when the body does not use one), refuses an
-    output that cannot be written before writing anything, then writes the
-    outputs, ``manifest_<command>.json`` and the body's line. A body that
-    raises (a total outage included, see ``evalkit.run_each``) writes
-    nothing."""
+    output that cannot be written, or two that are one file, the manifest
+    counted, before writing anything, then writes the outputs,
+    ``manifest_<command>.json`` and the body's line. A body that raises (a
+    total outage included, see ``evalkit.run_each``) writes nothing."""
     config, paths, templates = _start(args)
     with output_file(paths.workdir):
         paths.workdir.mkdir(parents=True, exist_ok=True)
     with (_backend(config, paths) if uses_backend else contextlib.nullcontext()) as backend:
         stage = body(args, config, paths, templates, backend)
+    manifest = paths.workdir / f"manifest_{command}.json"
+    targets = [path for path, _ in stage.writes] + [manifest]
+    for i, path in enumerate(targets):
+        if path.resolve() in {other.resolve() for other in targets[:i]}:
+            raise ConfigurationError(f"{command} would write {path} twice")
     for path, _ in stage.writes:
         with output_file(path):
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -202,7 +198,7 @@ def _run_stage(args, command: str, body, *, uses_backend: bool = True) -> int:
             raise ConfigurationError(f"cannot write {path}: Is a directory")
     for path, write in stage.writes:
         write(path)
-    _write_manifest(config, paths, templates, command, stage, backend)
+    _write_manifest(manifest, config, templates, command, stage, backend)
     print(stage.message)
     return stage.exit_code
 
@@ -346,7 +342,7 @@ def _eval_compare(args, config, paths, templates, backend) -> _Stage:
     samples = load_dataset(config.dataset)
     before, after = ({row.sample_id: row.category for row in evaluate(
         samples, read_predictions(p), config.rouge_threshold, p)} for p in args.compare)
-    regression = asdict(mcr(before, after))
+    regression = record_obj(mcr(before, after))
     out = Path(args.report or paths.workdir / "eval_compare.json")
     rate = "n/a" if regression["mcr"] is None else f"{regression['mcr']:.4f}"
     return _Stage([(out, lambda path: write_json_atomic(path, regression))],

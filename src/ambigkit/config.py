@@ -3,9 +3,10 @@ type and default is declared here, so this module imports no stage module.
 
 ``load_config`` reads each section, a dataclass below, with
 ``jsonio.record_from``, as every JSON record is read: a bad setting exits 2
-naming the file and the key. Paths inside the file resolve relative to the
-file's own directory, so a config can travel with its fixtures. A flag
-replaces the file's value before it is read, so both pass the same checks.
+naming the file and the key. Paths inside the file resolve against its
+directory, so a config can travel with its fixtures. A flag replaces the
+file's value before it is read, so both pass the same checks. ``recorded``
+is a run's settings as every manifest writes them and ``config_hash`` hashes.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from urllib.parse import urlsplit
 
 from .backend import Backend
 from .entropy import TruncationMode
 from .errors import ConfigurationError, DataIntegrityError
-from .jsonio import read_json_object, record_at, record_from
+from .jsonio import read_json_object, record_at, record_from, record_obj
 
 DEFAULT_ROUGE_THRESHOLD = 0.3
 
@@ -133,12 +134,16 @@ class RunConfig:
             )
 
 
-def config_hash(config: RunConfig) -> str:
-    """Hash of the effective configuration (API key excluded)."""
-    obj = asdict(config)
+def recorded(config: RunConfig) -> dict:
+    """The config's record without the API key, which is a secret."""
+    obj = record_obj(config)
     del obj["backend"]["api_key"]
-    canonical = json.dumps(obj, sort_keys=True, default=lambda member: member.value)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return obj
+
+
+def config_hash(config: RunConfig) -> str:
+    """SHA-256 of the recorded settings, keys sorted."""
+    return hashlib.sha256(json.dumps(recorded(config), sort_keys=True).encode()).hexdigest()
 
 
 def _resolved(section, base: Path):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import string
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -436,7 +436,7 @@ def report_obj(rows: Sequence[PerSampleOutcome], config_echo: Mapping[str, objec
     the config echo."""
     counts = OutcomeCounts.of(rows)
     return {
-        "counts": asdict(counts),
+        "counts": record_obj(counts),
         "f1_u": f1_unambig(counts),
         "f1_a": f1_ambig(counts),
         "per_sample": [record_obj(row) for row in rows],

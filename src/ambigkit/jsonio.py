@@ -21,14 +21,14 @@ Every file keyed by sample id is read with ``read_jsonl(path,
 unique_ids=True)``, so a repeated id is a ParseError too.
 
 A record dataclass is one JSON object, and its fields are the object's
-columns: ``record_obj`` writes one, ``record_from`` reads it back by each
-field's annotation through ``typed_field``; no other code reads annotations,
-so a per-sample record and a config section follow the same rules. Field
-metadata, only where a field needs it, says three things: ``column``, the
-JSON name where it is not the field's name; ``optional``, the column is left
-out of a line at the field's default; ``rest``, the field is a dict of the
-line's other keys, written last. A column whose field has a default may be
-absent, and one whose type admits None may be null.
+columns: ``record_obj`` writes one, a nested record as its own object, and
+``record_from`` reads it back by each field's annotation through
+``typed_field``; no other code reads annotations, so a per-sample record and
+the run config follow the same rules. Field metadata, where a field needs
+it, says: ``column``, the JSON name where it is not the field's name;
+``optional``, the column is left out at the field's default; ``rest``, the
+field is a dict of the line's other keys, written last. A column whose field
+has a default may be absent, and one whose type admits None may be null.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def _columns(cls: type) -> tuple[tuple[dataclasses.Field, str, Any, bool], ...]:
 
 def record_obj(record: Any) -> dict:
     """The dataclass ``record`` as one line's object, its columns in field
-    order: an enum as its value, a tuple as a list."""
+    order: an enum as its value, a tuple as a list, a record as its object."""
     obj = {}
     for f, name, _, _ in _columns(type(record)):
         value = getattr(record, f.name)
@@ -258,7 +258,8 @@ def record_obj(record: Any) -> dict:
             obj.update(value)
         elif not (f.metadata.get("optional") and value == f.default):
             obj[name] = (value.value if isinstance(value, enum.Enum)
-                         else list(value) if isinstance(value, tuple) else value)
+                         else list(value) if isinstance(value, tuple)
+                         else record_obj(value) if dataclasses.is_dataclass(value) else value)
     return obj
 
 

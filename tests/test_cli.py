@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,8 @@ import pytest
 import ambigkit.cli
 from ambigkit.backend import Backend
 from ambigkit.cli import main
+from ambigkit.config import LabelKind, RunConfig, config_hash, load_config
+from ambigkit.jsonio import record_from
 from ambigkit.phrases import FIXED_CLARIFICATIONS
 from ambigkit.sft import verify as sft_verify
 from ambigkit.toy import ToyBackend
@@ -193,11 +196,27 @@ def test_every_command_writes_its_manifest(tmp_path, capsys, mode):
     manifest = json.loads((out / f"manifest_{command}.json").read_text())
     assess = json.loads((out / "manifest_assess.json").read_text())
     assert manifest["command"] == command
-    for key in ("config_hash", "seed", "template_hashes"):
+    for key in ("config_hash", "config", "template_hashes"):
         assert manifest[key] == assess[key], key
     written = {path.name for path in out.iterdir()} - before - {f"manifest_{command}.json"}
     assert [Path(path).parent for path in manifest["outputs"]] == [out] * len(written)
     assert {Path(path).name for path in manifest["outputs"]} == written
+
+
+@pytest.mark.parametrize("report", [
+    "OUT/predictions_direct.jsonl", "OUT/manifest_eval_direct.json", "predictions_direct.jsonl",
+], ids=["predictions", "manifest", "relative"])
+def test_two_outputs_at_one_path_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys,
+                                                          report):
+    config = write_toy_config(tmp_path / "config.json")
+    out = workdir_of(config)
+    out.mkdir()
+    monkeypatch.chdir(out)  # the relative --report names the predictions file
+    report = report.replace("OUT", str(out))
+    assert run("--config", str(config), "eval", "--strategy", "direct",
+               "--report", report) == 2
+    assert f"eval_direct would write {report} twice" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_verify_manifest_records_failures(tmp_path):
@@ -1595,8 +1614,9 @@ def test_import_loads_no_module_it_does_not_need(tmp_path, steps, unloaded):
 
 # -- pinned toy-chain bytes -----------------------------------------------------------
 
-# SHA-256 of every file the toy chain below writes. Manifests are hashed with
-# the run's directories and its path-dependent config hash masked.
+# SHA-256 of every file the toy chain below writes. A manifest is hashed with
+# the run's directories, in its recorded config and its outputs alike, and the
+# backend's parallelism masked, and so its config hash, which hashes them.
 PINNED_OUTPUTS = {
     "assess.jsonl": "876d9d8ebf6b0ad4fe263dce250127b709edfb55e3248041894dd7b47dcec969",
     "epsilon_sweep.csv": "7a91b9c3788758c750eceae463959492a665fd54c7b85704a9931a9ec519e807",
@@ -1606,17 +1626,17 @@ PINNED_OUTPUTS = {
     "eval_sample_rep.json": "585aa23518b26cde71ade24c708e6d73aeb672f2c6d445f7d46a9eaba42ebda4",
     "eval_self_ask.json": "f9c0644d8b09baa0905a5926c0f1f1b7ca3cebd48407878ff2f2133ae0a6c162",
     "labels.jsonl": "8516ff11234efcf68d7a123e8e1890b9951845ba31572adb930b3ec3a1ec0c66",
-    "manifest_assess.json": "dd32d645b89240ecee0b5250e759525e81441bf16ebbe906d59a3b5c65c099ec",
-    "manifest_detect.json": "050cf3e39a899d275f97f4f5ff2e8377abe090bb418d3255f9b8b68be29a6c92",
-    "manifest_emit.json": "38661b4b38b61c7cfd7024e53bee667eae0fd5d25522f83562b62189886c27c5",
-    "manifest_eval_compare.json": "f1d1fdf9178af0927768ad56167f99a7bc887b2efd31e690cdf5e12f6832b191",
-    "manifest_eval_ambig_aware.json": "521f263c33500203d13205c0da644aaf88e0b28c0459c88572facd2debe66bed",
-    "manifest_eval_direct.json": "4c29e0f5431a0ca367bee94593b8e09f998f11348b24360973b88fc0a516d966",
-    "manifest_eval_sample_rep.json": "d730eb1aa283c1d6c8bd4253f8f7e6f4ba31d2fe746ca5059a6428fe85841254",
-    "manifest_eval_self_ask.json": "1b1528fb64006c0c1be8d84c819fb25880cf7ceecf78812bad9bd954ef94fd5b",
-    "manifest_label.json": "e574a1ca6c2106bccb4dd323d988e742403578d07185b84c4460f3d582a95f59",
-    "manifest_sweep_epsilon.json": "a281fcaf4856c0dbd061f6a388698aebaecbc853300be643b35454353ec40126",
-    "manifest_sweep_sample_rep.json": "bd9cbd0f0f4d3db7215d47795dd60c84a90f6d72dafc1a559336f20c86bc836d",
+    "manifest_assess.json": "09f259964c0d1f94c283366ecde2c5f275a591e56765fe3e7d2137847bccfc16",
+    "manifest_detect.json": "fa7c336606fed5f3368f4806d724deabd449c1581c53902542c004f86022a728",
+    "manifest_emit.json": "04eca81b11a400c5f1d1500cfb1ed632e9e755d06dc1bdbd26865750f012f904",
+    "manifest_eval_compare.json": "c7ea3a6d82f045b27e3dcf3d67a869de2612799c598273b5cb014a2b2345b77c",
+    "manifest_eval_ambig_aware.json": "27d170cf57b6f3db89e973e38809bbe92018a9d6250983fe9bbf2ed8df4cf4e9",
+    "manifest_eval_direct.json": "60df2458716ca33c451fa4dc370c4957fb4f813a18ac4eb7decc6c51ab70d08d",
+    "manifest_eval_sample_rep.json": "c10208d238ea21e7451f04aac1db720deb0e73168c07d85a0bbd958a7faad713",
+    "manifest_eval_self_ask.json": "5901c4c684d8604ef3b22812b54661170f63b7d07031966b3fd21c4879462ced",
+    "manifest_label.json": "38e6e03ea9bbc29c2931f75d544957dfc3b7e55798315112711d4f5b9b3383dd",
+    "manifest_sweep_epsilon.json": "2293cf484aa4db31170db1bd43a0a2879abaefbabbbbe7e60a8fe203021b70b8",
+    "manifest_sweep_sample_rep.json": "cefe61924a1764a60446e6eecb46319a607d16c251c3cd753e94e21293644b5f",
     "predictions_ambig_aware.jsonl": "3ca3cecf9e657ac3e2a3b28893d3e6db0c9342b7ca9260ed0fbcf1ec7b1abd94",
     "predictions_direct.jsonl": "eb5095f8abcbc723803ca764b07393f6c8ed3cedcdb16f1e91ee944b08244829",
     "predictions_sample_rep.jsonl": "9a63f74ce697caa757f3ee6f4e6269cdb5554005f8006317a57759b7d4ad1e99",
@@ -1632,7 +1652,7 @@ PINNED_OUTPUTS = {
 PINNED_AMBIGUATE_OUTPUTS = {
     "ambiguate_rejects.jsonl": "143927138c15b9eb42b2bb7300df8b11b4ce79fc7033f94e7e082eebb42d4e7e",
     "ambiguated.jsonl": "882f34a7b42dfd55f9cb40cd6b00553305c0476bf14859687bbb7ec07a57ba64",
-    "manifest_ambiguate.json": "ca599de4402d36dd2db2f31cb6ed803b2a9568dc65fe81bf2b9b1d805cbecabd",
+    "manifest_ambiguate.json": "6681112df818b28ca1e989415e9fe99ebad19bd7b3ad28d797324c6fefff6404",
 }
 
 
@@ -1642,6 +1662,7 @@ def _pinned_bytes(path: Path, out: Path) -> bytes:
     text = path.read_text(encoding="utf-8")
     text = text.replace(str(out), "<out>").replace(str(FIXTURES), "<fixtures>")
     text = re.sub(r'"config_hash": "[0-9a-f]{64}"', '"config_hash": "<hash>"', text)
+    text = re.sub(r'"parallelism": \d+', '"parallelism": "<n>"', text)
     return text.encode("utf-8")
 
 
@@ -1697,8 +1718,8 @@ def test_growing_the_dataset_changes_no_shared_sample_line(tmp_path):
         assert {sid: after[name].get(sid) for sid in base[name]} == base[name], name
 
 
-def test_toy_chain_outputs_are_pinned(tmp_path):
-    config = write_toy_config(tmp_path / "config.json")
+def run_toy_chain(config: Path) -> Path:
+    """Run every build, eval and sweep command on ``config``; the workdir."""
     out = workdir_of(config)
     commands = [
         ["assess"], ["detect"], ["label", "--kind", "generated"], ["emit"],
@@ -1711,11 +1732,34 @@ def test_toy_chain_outputs_are_pinned(tmp_path):
     ]
     for command in commands:
         assert run("--config", str(config), *command) == 0, command
+    return out
+
+
+def test_toy_chain_outputs_are_pinned(tmp_path):
+    out = run_toy_chain(write_toy_config(tmp_path / "config.json"))
     digests = {
         path.name: hashlib.sha256(_pinned_bytes(path, out)).hexdigest()
         for path in sorted(out.iterdir())
     }
     assert digests == PINNED_OUTPUTS
+
+
+def test_every_manifest_records_the_config_it_hashes(tmp_path):
+    """A manifest's ``config`` reads back as the command's effective config,
+    the API key left out, and ``config_hash`` is the hash of what it reads."""
+    config = write_toy_config(tmp_path / "config.json", backend={"api_key": "sk-toy"})
+    out = run_toy_chain(config)
+    effective = load_config(config)
+    effective = replace(effective, backend=replace(effective.backend, api_key=None))
+    manifests = sorted(out.glob("manifest_*.json"))
+    assert [path.name for path in manifests] == sorted(
+        name for name in PINNED_OUTPUTS if name.startswith("manifest_"))
+    for path in manifests:
+        manifest = json.loads(path.read_text())
+        settings = record_from(RunConfig, manifest["config"])
+        assert settings == (replace(effective, label_kind=LabelKind.GENERATED)
+                            if manifest["command"] == "label" else effective), path.name
+        assert config_hash(settings) == manifest["config_hash"], path.name
 
 
 @pytest.mark.parametrize("parallelism", [1, 4])

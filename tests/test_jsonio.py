@@ -10,10 +10,17 @@ from hypothesis import strategies as st
 
 import ambigkit.cli
 from ambigkit.cli import main
-from ambigkit.config import BackendSpec, RunConfig, SampleRepConfig
+from ambigkit.config import BackendSpec, RunConfig, SampleRepConfig, SelectionStrategy
 from ambigkit.corpus import QASample
+from ambigkit.entropy import TruncationMode
 from ambigkit.errors import ConfigurationError, DataIntegrityError, ParseError
-from ambigkit.evalkit import Errored, PerSampleOutcome, PredictionRecord
+from ambigkit.evalkit import (
+    Errored,
+    OutcomeCounts,
+    PerSampleOutcome,
+    PredictionRecord,
+    Regression,
+)
 from ambigkit.jsonio import (
     _columns,
     dump_json,
@@ -181,6 +188,20 @@ def test_record_obj_leaves_optional_columns_out_at_their_default():
     assert "error" not in record_obj(PerSampleOutcome("s1", 3, 1.0, "a"))
 
 
+def test_run_config_round_trips_as_nested_records():
+    config = RunConfig(
+        BackendSpec("remote", endpoint="http://127.0.0.1:8000/v1/completions", model="m",
+                    api_key="sk-test", top_k=5, parallelism=3),
+        "/fixed/corpus.jsonl", epsilon=0.25, truncation_mode=TruncationMode.EXACT,
+        strategy=SelectionStrategy.GT_MAX_INFOGAIN, label_kind=LabelKind.GENERATED,
+        sample_rep=SampleRepConfig(0.6, 4, 0.7))
+    obj = record_obj(config)
+    assert obj["backend"]["api_key"] == "sk-test"
+    assert obj["sample_rep"] == {"threshold": 0.6, "num_samples": 4, "temperature": 0.7}
+    assert record_from(RunConfig, obj) == config
+    assert record_from(RunConfig, json.loads(dump_json(obj))) == config
+
+
 @pytest.mark.parametrize("patch,message", [
     ({"kind": 1}, "field 'kind' must be a string"),
     ({"kind": "maybe"}, "field 'kind': 'maybe' is not one of fixed, generated"),
@@ -204,7 +225,7 @@ def test_record_from_reads_a_missing_column_by_its_default():
 @pytest.mark.parametrize("cls", [RunConfig, BackendSpec, SampleRepConfig, QASample,
                                  DisambiguationRecord, ClarifyLabel, PredictionRecord,
                                  SftRecord, PerSampleOutcome, AssessedSample, Errored,
-                                 Selection],
+                                 Selection, OutcomeCounts, Regression],
                          ids=lambda cls: cls.__name__)
 def test_every_record_class_has_only_field_types_the_codec_reads(cls):
     assert [f for f, *_ in _columns(cls)] == list(dataclasses.fields(cls))

@@ -1303,9 +1303,9 @@ def test_eval_direct_after_assess_sends_no_requests(stub_server, tmp_path):
     cli(config, "eval", "--strategy", "direct")
     assert len(stub_server.state.requests) == sent
     manifest = json.loads((out / "manifest_assess.json").read_text())
-    assert manifest["backend"] == {"kind": "remote", "journal": {"hits": 0, "misses": 9}}
+    assert manifest["journal"] == {"hits": 0, "misses": 9}
     manifest = json.loads((out / "manifest_eval_direct.json").read_text())
-    assert manifest["backend"] == {"kind": "remote", "journal": {"hits": 9, "misses": 0}}
+    assert manifest["journal"] == {"hits": 9, "misses": 0}
 
 
 @pytest.mark.parametrize("strategy, sent", [("sample_rep", 27), ("self_ask", 9)])
@@ -1317,9 +1317,32 @@ def test_eval_after_assess_reuses_the_journal(stub_server, tmp_path, strategy, s
     cli(config, "eval", "--strategy", strategy)
     assert len(stub_server.state.requests) == 9 + sent
     manifest = json.loads((out / "manifest_assess.json").read_text())
-    assert manifest["backend"] == {"kind": "remote", "journal": {"hits": 0, "misses": 9}}
+    assert manifest["journal"] == {"hits": 0, "misses": 9}
     manifest = json.loads((out / f"manifest_eval_{strategy}.json").read_text())
-    assert manifest["backend"] == {"kind": "remote", "journal": {"hits": 9, "misses": sent}}
+    assert manifest["journal"] == {"hits": 9, "misses": sent}
+
+
+def test_the_api_key_reaches_no_file(stub_server, tmp_path):
+    """Every request carries the key, and no file of the run holds it: not a
+    manifest, which records the backend settings, nor the journal or a
+    checkpoint."""
+    key = "sk-a9c3e1-never-written"
+    config, out = remote_config(stub_server, tmp_path)
+    settings = json.loads(config.read_text())
+    settings["backend"]["api_key"] = key
+    config.write_text(json.dumps(settings))
+    for command in CHAIN:
+        cli(config, *command)
+    assert {headers.get("Authorization") for headers in stub_server.headers} == {
+        f"Bearer {key}"}
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert {"backend_journal.jsonl", *CHECKPOINTS} <= set(files)
+    assert [name for name, data in files.items() if key.encode() in data] == []
+    manifests = [name for name in files if name.startswith("manifest_")]
+    assert len(manifests) == len(CHAIN)
+    for name in manifests:
+        backend = json.loads(files[name])["config"]["backend"]
+        assert (backend["kind"], "api_key" in backend) == ("remote", False), name
 
 
 def test_retried_sample_leaves_the_checkpoint_bytes_unchanged(stub_server, tmp_path,
@@ -1462,7 +1485,7 @@ def test_remote_chain_rerun_is_served_from_the_journal(stub_server, tmp_path):
     assert len(stub_server.state.requests) == sent  # every request is deterministic
     assert {name: (out / name).read_bytes() for name in CHECKPOINTS} == cold
     warm_manifest = json.loads((out / "manifest_detect.json").read_text())
-    journal = warm_manifest.pop("backend").pop("journal")
+    journal = warm_manifest["journal"]
     assert journal["misses"] == 0 and journal["hits"] > 0
     assert warm_manifest["config_hash"] == cold_manifest["config_hash"]
     # A fresh workdir starts cold and writes the same bytes.
@@ -1511,8 +1534,7 @@ def kill_and_resume(tmp_path, command: tuple[str, ...], stage: str, output: str,
         cli(clean, *command)
         total = server.requests - before
     # The command's requests that the prerequisites had already journaled.
-    hits = json.loads((clean_out / f"manifest_{stage}.json").read_text())["backend"]
-    hits = hits["journal"]["hits"]
+    hits = json.loads((clean_out / f"manifest_{stage}.json").read_text())["journal"]["hits"]
     with LoopbackServer(hold_after_k) as server:
         config, out = endpoint_config(server.endpoint, tmp_path, "resumed")
         for prerequisite in prerequisites:
@@ -1545,8 +1567,7 @@ def kill_and_resume(tmp_path, command: tuple[str, ...], stage: str, output: str,
         cli(config, *command)
         assert server.requests - sent == total - k + torn
     manifest = json.loads((out / f"manifest_{stage}.json").read_text())
-    assert manifest["backend"]["journal"] == {"hits": hits + k - torn,
-                                              "misses": total - k + torn}
+    assert manifest["journal"] == {"hits": hits + k - torn, "misses": total - k + torn}
     assert (out / output).read_bytes() == (clean_out / output).read_bytes()
     return total
 

@@ -1620,23 +1620,28 @@ def test_import_loads_no_module_it_does_not_need(tmp_path, steps, unloaded):
 PINNED_OUTPUTS = {
     "assess.jsonl": "876d9d8ebf6b0ad4fe263dce250127b709edfb55e3248041894dd7b47dcec969",
     "epsilon_sweep.csv": "7a91b9c3788758c750eceae463959492a665fd54c7b85704a9931a9ec519e807",
+    "eval_aggregate.json": "5d5f362090c2aea7f8c1654c258c38f7a04ca37511cc18ac87f47e97c8e75fde",
     "eval_ambig_aware.json": "51a8845adba3c04d72b5bd9d38dbcb97c25fb6982a7e5ffe4a7064af58441677",
     "eval_compare.json": "bc38edace147af3d22554585ca93eb2401ee5cbff38f610d9a51aa33ba5c6541",
     "eval_direct.json": "5a2d81de9ec90b36edc46b8757af8c0bb6276f9e4f63b49dabc4f57b7dd6af37",
+    "eval_predictions.json": "0c2ef9dff133cf7f7e119b07ba261f967b7cb7f8473039e57e752be4793703f3",
     "eval_sample_rep.json": "585aa23518b26cde71ade24c708e6d73aeb672f2c6d445f7d46a9eaba42ebda4",
     "eval_self_ask.json": "f9c0644d8b09baa0905a5926c0f1f1b7ca3cebd48407878ff2f2133ae0a6c162",
     "labels.jsonl": "8516ff11234efcf68d7a123e8e1890b9951845ba31572adb930b3ec3a1ec0c66",
     "manifest_assess.json": "09f259964c0d1f94c283366ecde2c5f275a591e56765fe3e7d2137847bccfc16",
     "manifest_detect.json": "fa7c336606fed5f3368f4806d724deabd449c1581c53902542c004f86022a728",
     "manifest_emit.json": "04eca81b11a400c5f1d1500cfb1ed632e9e755d06dc1bdbd26865750f012f904",
+    "manifest_eval_aggregate.json": "66d61f657f9bd096233dc27cad9bd40f9ee308118d386c5008bea79f9ca8a75c",
     "manifest_eval_compare.json": "c7ea3a6d82f045b27e3dcf3d67a869de2612799c598273b5cb014a2b2345b77c",
     "manifest_eval_ambig_aware.json": "27d170cf57b6f3db89e973e38809bbe92018a9d6250983fe9bbf2ed8df4cf4e9",
     "manifest_eval_direct.json": "60df2458716ca33c451fa4dc370c4957fb4f813a18ac4eb7decc6c51ab70d08d",
+    "manifest_eval_predictions.json": "31bfd25536770f17c177ed6f433fe60b87e6a3f2b2528d2cf790171857ad6180",
     "manifest_eval_sample_rep.json": "c10208d238ea21e7451f04aac1db720deb0e73168c07d85a0bbd958a7faad713",
     "manifest_eval_self_ask.json": "5901c4c684d8604ef3b22812b54661170f63b7d07031966b3fd21c4879462ced",
     "manifest_label.json": "38e6e03ea9bbc29c2931f75d544957dfc3b7e55798315112711d4f5b9b3383dd",
     "manifest_sweep_epsilon.json": "2293cf484aa4db31170db1bd43a0a2879abaefbabbbbe7e60a8fe203021b70b8",
     "manifest_sweep_sample_rep.json": "cefe61924a1764a60446e6eecb46319a607d16c251c3cd753e94e21293644b5f",
+    "manifest_verify.json": "c618c9b30e8878687a439527f3637cf8b5196dba7cf9a131204de3c0e51e28cb",
     "predictions_ambig_aware.jsonl": "3ca3cecf9e657ac3e2a3b28893d3e6db0c9342b7ca9260ed0fbcf1ec7b1abd94",
     "predictions_direct.jsonl": "eb5095f8abcbc723803ca764b07393f6c8ed3cedcdb16f1e91ee944b08244829",
     "predictions_sample_rep.jsonl": "9a63f74ce697caa757f3ee6f4e6269cdb5554005f8006317a57759b7d4ad1e99",
@@ -1719,14 +1724,16 @@ def test_growing_the_dataset_changes_no_shared_sample_line(tmp_path):
 
 
 def run_toy_chain(config: Path) -> Path:
-    """Run every build, eval and sweep command on ``config``; the workdir."""
+    """Run every build, verify, eval and sweep command on ``config``; the workdir."""
     out = workdir_of(config)
     commands = [
-        ["assess"], ["detect"], ["label", "--kind", "generated"], ["emit"],
+        ["assess"], ["detect"], ["label", "--kind", "generated"], ["emit"], ["verify"],
         *(["eval", "--strategy", s]
           for s in ("direct", "ambig_aware", "sample_rep", "self_ask")),
+        ["eval", "--predictions", str(out / "predictions_ambig_aware.jsonl")],
         ["eval", "--compare", str(out / "predictions_direct.jsonl"),
          str(out / "predictions_self_ask.jsonl")],
+        ["eval", "--aggregate", str(out / "eval_direct.json"), str(out / "eval_self_ask.json")],
         ["sweep"],
         ["sweep", "--sample-rep", str(out / "predictions_sample_rep.jsonl")],
     ]

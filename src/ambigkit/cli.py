@@ -46,6 +46,7 @@ from .errors import BackendError, ConfigurationError, DataIntegrityError
 from .evalkit import (
     OutcomeCounts,
     PredictionRecord,
+    aggregate_reports,
     evaluate,
     f1_ambig,
     f1_unambig,
@@ -65,7 +66,6 @@ from .jsonio import (
     record_at,
     record_from,
     record_obj,
-    typed_field,
     write_json_atomic,
     write_jsonl_atomic,
     write_text_atomic,
@@ -310,10 +310,7 @@ def _eval_stage(args, config: RunConfig, paths: _Paths, samples: list[QASample],
                 predictions: list[PredictionRecord], name: str, writes=(),
                 source: Path | None = None) -> _Stage:
     """``writes``, then the report on ``predictions`` (of file ``source``), and its line."""
-    report = report_obj(evaluate(samples, predictions, config.rouge_threshold, source), {
-        "epsilon": config.epsilon, "truncation_mode": config.truncation_mode.value,
-        "rouge_threshold": config.rouge_threshold, "seed": config.seed, "strategy": name,
-    })
+    report = report_obj(evaluate(samples, predictions, config.rouge_threshold, source))
     out = Path(args.report or paths.workdir / f"eval_{name}.json")
     left_out = report["counts"]["errored"]
     note = f"  {left_out} errored, left out of F1" if left_out else ""
@@ -349,25 +346,8 @@ def _eval_compare(args, config, paths, templates, backend) -> _Stage:
                   regression, f"MCR: {rate} ({out})")
 
 
-def _aggregate_reports(report_paths: list[Path]) -> dict:
-    import statistics
-
-    values: dict[str, list[float]] = {"f1_u": [], "f1_a": []}
-    for path in report_paths:
-        obj = read_json_object(path)
-        with record_at(path):
-            for key, vals in values.items():
-                vals.append(typed_field(obj, key, float))
-                if not 0 <= vals[-1] <= 1:
-                    raise ValueError(f"field {key!r} must lie in [0, 1], got {vals[-1]}")
-    # Population standard deviation, defined for a single run as 0.
-    return {"n": len(report_paths),
-            **{key: {"mean": statistics.fmean(vals), "stddev": statistics.pstdev(vals)}
-               for key, vals in values.items()}}
-
-
 def _eval_aggregate(args, config, paths, templates, backend) -> _Stage:
-    summary = _aggregate_reports([Path(p) for p in args.aggregate])
+    summary = aggregate_reports([Path(p) for p in args.aggregate])
     out = Path(args.report or paths.workdir / "eval_aggregate.json")
     return _Stage(
         [(out, lambda path: write_json_atomic(path, summary))],

@@ -39,6 +39,7 @@ from .config import DEFAULT_ROUGE_THRESHOLD, SampleRepConfig
 from .corpus import PromptTemplate, QASample, first_word, reply, trim_continuation
 from .errors import BackendError, DataIntegrityError, ParseError
 from .jsonio import (
+    read_json_object,
     read_jsonl,
     record_at,
     record_from,
@@ -431,14 +432,31 @@ def evaluate(
     return rows
 
 
-def report_obj(rows: Sequence[PerSampleOutcome], config_echo: Mapping[str, object]) -> dict:
-    """The report ``eval`` writes: the counts, both F1 scores, each row, and
-    the config echo."""
+def report_obj(rows: Sequence[PerSampleOutcome]) -> dict:
+    """The report ``eval`` writes: the counts, both F1 scores and each row.
+    Its settings are its manifest's."""
     counts = OutcomeCounts.of(rows)
     return {
         "counts": record_obj(counts),
         "f1_u": f1_unambig(counts),
         "f1_a": f1_ambig(counts),
         "per_sample": [record_obj(row) for row in rows],
-        "config": dict(config_echo),
     }
+
+
+def aggregate_reports(paths: Sequence[Path]) -> dict:
+    """The mean and population standard deviation (0 for one report) of each
+    F1 score over the reports at ``paths``; each score must lie in [0, 1]."""
+    import statistics  # only this command needs it
+
+    values: dict[str, list[float]] = {"f1_u": [], "f1_a": []}
+    for path in paths:
+        obj = read_json_object(path)
+        with record_at(path):
+            for key, vals in values.items():
+                vals.append(typed_field(obj, key, float))
+                if not 0 <= vals[-1] <= 1:
+                    raise ValueError(f"field {key!r} must lie in [0, 1], got {vals[-1]}")
+    return {"n": len(paths),
+            **{key: {"mean": statistics.fmean(vals), "stddev": statistics.pstdev(vals)}
+               for key, vals in values.items()}}

@@ -1621,12 +1621,12 @@ PINNED_OUTPUTS = {
     "assess.jsonl": "876d9d8ebf6b0ad4fe263dce250127b709edfb55e3248041894dd7b47dcec969",
     "epsilon_sweep.csv": "7a91b9c3788758c750eceae463959492a665fd54c7b85704a9931a9ec519e807",
     "eval_aggregate.json": "5d5f362090c2aea7f8c1654c258c38f7a04ca37511cc18ac87f47e97c8e75fde",
-    "eval_ambig_aware.json": "51a8845adba3c04d72b5bd9d38dbcb97c25fb6982a7e5ffe4a7064af58441677",
+    "eval_ambig_aware.json": "6305219de4d66597d4dedc5dfcee9cedc9f03d42cadc926d4c72f1935a4b0cf3",
     "eval_compare.json": "bc38edace147af3d22554585ca93eb2401ee5cbff38f610d9a51aa33ba5c6541",
-    "eval_direct.json": "5a2d81de9ec90b36edc46b8757af8c0bb6276f9e4f63b49dabc4f57b7dd6af37",
-    "eval_predictions.json": "0c2ef9dff133cf7f7e119b07ba261f967b7cb7f8473039e57e752be4793703f3",
-    "eval_sample_rep.json": "585aa23518b26cde71ade24c708e6d73aeb672f2c6d445f7d46a9eaba42ebda4",
-    "eval_self_ask.json": "f9c0644d8b09baa0905a5926c0f1f1b7ca3cebd48407878ff2f2133ae0a6c162",
+    "eval_direct.json": "07dab731a230c72ce4e007e52343497c38fc8c89039e92a1f2d8bed4a9985813",
+    "eval_predictions.json": "6305219de4d66597d4dedc5dfcee9cedc9f03d42cadc926d4c72f1935a4b0cf3",
+    "eval_sample_rep.json": "07dab731a230c72ce4e007e52343497c38fc8c89039e92a1f2d8bed4a9985813",
+    "eval_self_ask.json": "66c06fa0de32750b2ffe105143efe7712e09621c484cb4f46822787d0b6c3348",
     "labels.jsonl": "8516ff11234efcf68d7a123e8e1890b9951845ba31572adb930b3ec3a1ec0c66",
     "manifest_assess.json": "09f259964c0d1f94c283366ecde2c5f275a591e56765fe3e7d2137847bccfc16",
     "manifest_detect.json": "fa7c336606fed5f3368f4806d724deabd449c1581c53902542c004f86022a728",
@@ -1767,6 +1767,14 @@ def test_every_manifest_records_the_config_it_hashes(tmp_path):
         assert settings == (replace(effective, label_kind=LabelKind.GENERATED)
                             if manifest["command"] == "label" else effective), path.name
         assert config_hash(settings) == manifest["config_hash"], path.name
+
+
+def test_eval_reports_hold_scores_only(tmp_path):
+    """A report's settings are its manifest's: the report holds none."""
+    out = run_toy_chain(write_toy_config(tmp_path / "config.json"))
+    for name in ("direct", "ambig_aware", "sample_rep", "self_ask", "predictions"):
+        report = json.loads((out / f"eval_{name}.json").read_text())
+        assert list(report) == ["counts", "f1_u", "f1_a", "per_sample"], name
 
 
 @pytest.mark.parametrize("parallelism", [1, 4])

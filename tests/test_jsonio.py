@@ -63,7 +63,7 @@ def test_checkpoint_writers_name_the_file_and_write_nothing(tmp_path, write):
 def test_nan_reaching_a_checkpoint_exits_4(tmp_path, monkeypatch, capsys):
     summary = {"n": 1, "f1_u": {"mean": math.nan, "stddev": 0.0},
                "f1_a": {"mean": 0.5, "stddev": 0.0}}
-    monkeypatch.setattr(ambigkit.cli, "_aggregate_reports", lambda paths: summary)
+    monkeypatch.setattr(ambigkit.cli, "aggregate_reports", lambda paths: summary)
     config = tmp_path / "config.json"
     config.write_text('{"backend": {"kind": "toy", "fixture": "t.yaml"}, '
                       '"dataset": "d.jsonl", "workdir": "out"}')

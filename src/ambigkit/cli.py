@@ -16,7 +16,8 @@ Commands::
 Global flags (before the command): --config, --seed, --epsilon, --backend,
 --out. Exit codes: 0 ok, 2 configuration error, 3 backend error,
 4 data-integrity error. Every command runs through ``_run_stage``: it prints
-the effective seed and writes a manifest into the working directory.
+the effective seed and writes a manifest into the working directory, which
+records the files the command read and wrote and the settings it ran with.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ EXIT_INTEGRITY = 4
 class _Paths:
     def __init__(self, config: RunConfig):
         workdir = Path(config.workdir)
+        self.dataset = Path(config.dataset)
         self.workdir = workdir
         self.assess = workdir / "assess.jsonl"
         self.records = workdir / "records.jsonl"
@@ -148,10 +150,11 @@ def _read_partition(config: RunConfig, paths: _Paths) -> StageOnePartition:
 
 
 class _Stage(NamedTuple):
-    """What a stage body hands back to ``_run_stage``: each output path with
-    the function that writes it there, the manifest's summary fields, the
-    line to print, and the exit code."""
+    """What a stage body hands back to ``_run_stage``: the files it read,
+    each output path with the function that writes it there, the manifest's
+    summary fields, the line to print, and the exit code."""
 
+    reads: list[Path]
     writes: list[tuple[Path, Callable[[Path], object]]]
     summary: dict
     message: str
@@ -168,6 +171,7 @@ def _write_manifest(path: Path, config: RunConfig, templates: dict[str, PromptTe
         **({} if journal is None else {"journal": {"hits": journal.hits,
                                                    "misses": journal.misses}}),
         "template_hashes": template_fingerprints(templates),
+        "inputs": list(map(str, stage.reads)),
         "outputs": [str(output) for output, _ in stage.writes],
         **stage.summary,
     })
@@ -177,10 +181,11 @@ def _run_stage(args, command: str, body, *, uses_backend: bool = True) -> int:
     """Run a command. ``body(args, config, paths, templates, backend)`` reads
     the inputs and does the work. Around it, this makes the workdir, opens and
     closes the backend (none when the body does not use one), refuses an
-    output that cannot be written, or two that are one file, the manifest
-    counted, before writing anything, then writes the outputs,
-    ``manifest_<command>.json`` and the body's line. A body that raises (a
-    total outage included, see ``evalkit.run_each``) writes nothing."""
+    output that cannot be written, that is a file the command read (the
+    config included), or that is another output, the manifest counted, before
+    writing anything, then writes the outputs, ``manifest_<command>.json``
+    and the body's line. A body that raises (a total outage included, see
+    ``evalkit.run_each``) writes nothing."""
     config, paths, templates = _start(args)
     with output_file(paths.workdir):
         paths.workdir.mkdir(parents=True, exist_ok=True)
@@ -188,7 +193,10 @@ def _run_stage(args, command: str, body, *, uses_backend: bool = True) -> int:
         stage = body(args, config, paths, templates, backend)
     manifest = paths.workdir / f"manifest_{command}.json"
     targets = [path for path, _ in stage.writes] + [manifest]
+    inputs = {path.resolve() for path in [*stage.reads, Path(args.config)]}
     for i, path in enumerate(targets):
+        if path.resolve() in inputs:
+            raise ConfigurationError(f"{command} would overwrite its input {path}")
         if path.resolve() in {other.resolve() for other in targets[:i]}:
             raise ConfigurationError(f"{command} would write {path} twice")
     for path, _ in stage.writes:
@@ -214,6 +222,7 @@ def _assess(args, config, paths, templates, backend) -> _Stage:
     )
     correct, incorrect = len(partition.correct), len(partition.incorrect)
     return _Stage(
+        [paths.dataset],
         [(paths.assess, lambda path: write_partition(partition, path))],
         {"correct": correct, "incorrect": incorrect, "errored": len(partition.errored)},
         f"assessed {len(samples)} samples: {correct} correct, "
@@ -232,6 +241,7 @@ def _detect(args, config, paths, templates, backend) -> _Stage:
     )
     ambiguous = len(perceived_ambiguous(records, config.epsilon))
     return _Stage(
+        [paths.dataset, paths.assess],
         [(paths.records, lambda path: write_records(records, path, config.epsilon))],
         {"records": len(records), "perceived_ambiguous": ambiguous,
          "errored": len(errored)},
@@ -252,6 +262,7 @@ def _label(args, config, paths, templates, backend) -> _Stage:
         _greedy_params(config), master_seed=config.seed,
     )
     return _Stage(
+        [paths.dataset, paths.assess, paths.records],
         [(paths.labels, lambda path: write_labels(labels, path)),
          (paths.selection, lambda path: write_json_atomic(path, record_obj(selection)))],
         {"labeled": len(labels)},
@@ -266,9 +277,9 @@ def _emit(args, config, paths, templates, backend) -> _Stage:
     records = read_records(paths.require(paths.records, "detect"))
     labels_path = paths.require(paths.labels, "label")
     labels = {label.sample_id: label for label in read_labels(labels_path)}
-    path = paths.require(paths.selection, "label")
-    with record_at(path):
-        correct, ambiguous = record_from(Selection, read_json_object(path)).halves(
+    selection_path = paths.require(paths.selection, "label")
+    with record_at(selection_path):
+        correct, ambiguous = record_from(Selection, read_json_object(selection_path)).halves(
             partition, records)
     with record_at(labels_path):
         if unlabelled := [r.sample_id for r in ambiguous if r.sample_id not in labels]:
@@ -276,6 +287,7 @@ def _emit(args, config, paths, templates, backend) -> _Stage:
     # sft_emit writes one record per selected sample.
     count = len(correct) + len(ambiguous)
     return _Stage(
+        [paths.dataset, paths.assess, paths.records, labels_path, selection_path],
         [(paths.sft, lambda path: sft_emit(
             correct, ambiguous, labels, templates["direct"], path, master_seed=config.seed,
         ))],
@@ -289,7 +301,7 @@ def _verify(args, config, paths, templates, backend) -> _Stage:
     report = sft_verify(target, answer_cue=templates["direct"].answer_cue)
     for message in report.failures:
         print(f"  {message}", file=sys.stderr)
-    return _Stage([], {"path": str(target), **report.counts()},
+    return _Stage([target], [], report.counts(),
                   f"verify {target}: {report.summary()}",
                   exit_code=EXIT_OK if report.ok else EXIT_INTEGRITY)
 
@@ -310,12 +322,13 @@ def _eval_stage(args, config: RunConfig, paths: _Paths, samples: list[QASample],
                 predictions: list[PredictionRecord], name: str, writes=(),
                 source: Path | None = None) -> _Stage:
     """``writes``, then the report on ``predictions`` (of file ``source``), and its line."""
+    reads = [paths.dataset] if source is None else [paths.dataset, Path(source)]
     report = report_obj(evaluate(samples, predictions, config.rouge_threshold, source))
     out = Path(args.report or paths.workdir / f"eval_{name}.json")
     left_out = report["counts"]["errored"]
     note = f"  {left_out} errored, left out of F1" if left_out else ""
     return _Stage(
-        [*writes, (out, lambda path: write_json_atomic(path, report))],
+        reads, [*writes, (out, lambda path: write_json_atomic(path, report))],
         {"predictions": len(predictions), "errored": left_out},
         f"F1_u: {report['f1_u']:.4f}  F1_a: {report['f1_a']:.4f}{note}  ({out})",
     )
@@ -342,15 +355,17 @@ def _eval_compare(args, config, paths, templates, backend) -> _Stage:
     regression = record_obj(mcr(before, after))
     out = Path(args.report or paths.workdir / "eval_compare.json")
     rate = "n/a" if regression["mcr"] is None else f"{regression['mcr']:.4f}"
-    return _Stage([(out, lambda path: write_json_atomic(path, regression))],
+    return _Stage([paths.dataset, *map(Path, args.compare)],
+                  [(out, lambda path: write_json_atomic(path, regression))],
                   regression, f"MCR: {rate} ({out})")
 
 
 def _eval_aggregate(args, config, paths, templates, backend) -> _Stage:
-    summary = aggregate_reports([Path(p) for p in args.aggregate])
+    reports = [Path(p) for p in args.aggregate]
+    summary = aggregate_reports(reports)
     out = Path(args.report or paths.workdir / "eval_aggregate.json")
     return _Stage(
-        [(out, lambda path: write_json_atomic(path, summary))],
+        reports, [(out, lambda path: write_json_atomic(path, summary))],
         {"reports": len(args.aggregate)},
         f"aggregated {summary['n']} reports: " + "".join(
             f"{label} {summary[key]['mean']:.4f} ({summary[key]['stddev']:.4f})  "
@@ -383,13 +398,15 @@ def _grid(text: str | None, default: tuple[float, ...], what: str) -> list[float
     return values
 
 
-def _sweep_stage(args, default_out: Path, rows: list, summary: dict) -> _Stage:
-    """Write ``rows`` as CSV to ``--out-csv`` or ``default_out``; print them."""
+def _sweep_stage(args, reads: list[Path], default_out: Path, rows: list,
+                 summary: dict) -> _Stage:
+    """Write ``rows``, made from ``reads``, as CSV to ``--out-csv`` or
+    ``default_out``; print them."""
     buffer = io.StringIO()
     csv.writer(buffer).writerows(rows)
     text = buffer.getvalue()
     out = Path(args.out_csv or default_out)
-    return _Stage([(out, lambda path: write_text_atomic(path, text))],
+    return _Stage(reads, [(out, lambda path: write_text_atomic(path, text))],
                   {**summary, "points": len(rows) - 1},
                   text.rstrip("\n") + f"\nwrote {out}")
 
@@ -400,7 +417,7 @@ def _sweep_epsilon(args, config, paths, templates, backend) -> _Stage:
         raise ConfigurationError("--thresholds applies only with --sample-rep")
     epsilons = _grid(args.epsilons, DEFAULT_EPSILON_GRID, "epsilon")
     records = read_records(paths.require(paths.records, "detect"))
-    return _sweep_stage(args, paths.workdir / "epsilon_sweep.csv",
+    return _sweep_stage(args, [paths.records], paths.workdir / "epsilon_sweep.csv",
                         [["epsilon", "pool_size"], *sweep_epsilon(records, epsilons)],
                         {"records": len(records)})
 
@@ -417,7 +434,8 @@ def _sweep_sample_rep(args, config, paths, templates, backend) -> _Stage:
         counts = OutcomeCounts.of(
             evaluate(samples, predictions, config.rouge_threshold, args.sample_rep))
         rows.append([threshold, f"{f1_unambig(counts):.6f}", f"{f1_ambig(counts):.6f}"])
-    return _sweep_stage(args, paths.workdir / "sample_rep_sweep.csv", rows,
+    return _sweep_stage(args, [paths.dataset, Path(args.sample_rep)],
+                        paths.workdir / "sample_rep_sweep.csv", rows,
                         {"predictions": len(recorded)})
 
 
@@ -432,6 +450,7 @@ def _ambiguate(args, config, paths, templates, backend) -> _Stage:
         accepted = [s for s in accepted if s.id in allowed]
     out = paths.workdir / "ambiguated.jsonl"
     return _Stage(
+        [paths.dataset, *([] if args.allowlist is None else [Path(args.allowlist)])],
         [(out, lambda path: write_jsonl_atomic(path, map(record_obj, accepted))),
          (paths.workdir / "ambiguate_rejects.jsonl",
           lambda path: write_jsonl_atomic(path, rejects))],

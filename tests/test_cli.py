@@ -160,30 +160,32 @@ def test_verify_clean_exits_0(tmp_path):
 
 
 # Each command that reads recorded results, the commands that make its
-# inputs, and its manifest. OUT stands for the workdir.
+# inputs, its manifest, and the files it reads. OUT stands for the workdir,
+# DATA for the dataset.
 MANIFEST_COMMANDS = {
-    "verify": ([["detect"], ["label"], ["emit"]], ["verify"], "verify"),
-    "sweep-epsilon": ([["detect"]], ["sweep"], "sweep_epsilon"),
+    "verify": ([["detect"], ["label"], ["emit"]], ["verify"], "verify", ["OUT/sft.jsonl"]),
+    "sweep-epsilon": ([["detect"]], ["sweep"], "sweep_epsilon", ["OUT/records.jsonl"]),
     "sweep-sample-rep": ([["eval", "--strategy", "sample_rep"]],
                          ["sweep", "--sample-rep", "OUT/predictions_sample_rep.jsonl"],
-                         "sweep_sample_rep"),
+                         "sweep_sample_rep", ["DATA", "OUT/predictions_sample_rep.jsonl"]),
     "eval-predictions": ([["eval", "--strategy", "direct"]],
                          ["eval", "--predictions", "OUT/predictions_direct.jsonl"],
-                         "eval_predictions"),
+                         "eval_predictions", ["DATA", "OUT/predictions_direct.jsonl"]),
     "eval-compare": ([["eval", "--strategy", "direct"], ["eval", "--strategy", "sample_rep"]],
                      ["eval", "--compare", "OUT/predictions_direct.jsonl",
                       "OUT/predictions_sample_rep.jsonl"],
-                     "eval_compare"),
+                     "eval_compare", ["DATA", "OUT/predictions_direct.jsonl",
+                                      "OUT/predictions_sample_rep.jsonl"]),
     "eval-aggregate": ([["eval", "--strategy", "direct"], ["eval", "--strategy", "sample_rep"]],
                        ["eval", "--aggregate", "OUT/eval_direct.json",
                         "OUT/eval_sample_rep.json"],
-                       "eval_aggregate"),
+                       "eval_aggregate", ["OUT/eval_direct.json", "OUT/eval_sample_rep.json"]),
 }
 
 
 @pytest.mark.parametrize("mode", list(MANIFEST_COMMANDS))
 def test_every_command_writes_its_manifest(tmp_path, capsys, mode):
-    inputs, argv, command = MANIFEST_COMMANDS[mode]
+    inputs, argv, command, read = MANIFEST_COMMANDS[mode]
     config = write_toy_config(tmp_path / "config.json")
     out = workdir_of(config)
     for step in (["assess"], *inputs):
@@ -198,6 +200,9 @@ def test_every_command_writes_its_manifest(tmp_path, capsys, mode):
     assert manifest["command"] == command
     for key in ("config_hash", "config", "template_hashes"):
         assert manifest[key] == assess[key], key
+    assert manifest["inputs"] == [
+        path.replace("OUT", str(out)).replace("DATA", str(FIXTURES / "corpus.jsonl"))
+        for path in read]
     written = {path.name for path in out.iterdir()} - before - {f"manifest_{command}.json"}
     assert [Path(path).parent for path in manifest["outputs"]] == [out] * len(written)
     assert {Path(path).name for path in manifest["outputs"]} == written
@@ -219,6 +224,56 @@ def test_two_outputs_at_one_path_exit_2_and_write_nothing(tmp_path, monkeypatch,
     assert list(out.iterdir()) == []
 
 
+# Each command that would write over a file it reads, the commands that make
+# that file, and the file. OUT stands for the workdir, DATA for the dataset
+# and CONFIG for the config file.
+OVERWRITTEN_INPUTS = {
+    "predictions": ([["eval", "--strategy", "direct"]],
+                    ["eval", "--predictions", "OUT/predictions_direct.jsonl",
+                     "--report", "OUT/predictions_direct.jsonl"], "OUT/predictions_direct.jsonl"),
+    "dataset": ([], ["eval", "--strategy", "direct", "--report", "DATA"], "DATA"),
+    "compare-after": ([["eval", "--strategy", "direct"], ["eval", "--strategy", "self_ask"]],
+                      ["eval", "--compare", "OUT/predictions_direct.jsonl",
+                       "OUT/predictions_self_ask.jsonl",
+                       "--report", "OUT/predictions_self_ask.jsonl"],
+                      "OUT/predictions_self_ask.jsonl"),
+    "aggregate": ([["eval", "--strategy", "direct"], ["eval", "--strategy", "self_ask"]],
+                  ["eval", "--aggregate", "OUT/eval_direct.json", "OUT/eval_self_ask.json",
+                   "--report", "OUT/eval_self_ask.json"], "OUT/eval_self_ask.json"),
+    "sample-rep": ([["eval", "--strategy", "sample_rep"]],
+                   ["sweep", "--sample-rep", "OUT/predictions_sample_rep.jsonl",
+                    "--out-csv", "OUT/predictions_sample_rep.jsonl"],
+                   "OUT/predictions_sample_rep.jsonl"),
+    "records": ([["assess"], ["detect"]], ["sweep", "--out-csv", "OUT/records.jsonl"],
+                "OUT/records.jsonl"),
+    "verified-manifest": ([["assess"], ["detect"], ["label"], ["emit"], ["verify"]],
+                          ["verify", "OUT/manifest_verify.json"], "OUT/manifest_verify.json"),
+    "config": ([], ["eval", "--strategy", "direct", "--report", "CONFIG"], "CONFIG"),
+}
+
+
+@pytest.mark.parametrize("mode", list(OVERWRITTEN_INPUTS))
+def test_an_output_at_an_input_exits_2_and_writes_nothing(tmp_path, capsys, mode):
+    steps, argv, target = OVERWRITTEN_INPUTS[mode]
+    fixtures = tmp_path / "fixtures"  # a copy, so the checkout stays as it is
+    shutil.copytree(FIXTURES, fixtures)
+    config = write_toy_config(
+        tmp_path / "config.json", dataset=str(fixtures / "corpus.jsonl"),
+        template_dir=str(fixtures / "toy_templates"),
+        backend={"fixture": str(fixtures / "tables" / "corpus_world.yaml")})
+    for step in steps:
+        assert run("--config", str(config), *step) == 0, step
+    names = {"OUT": str(workdir_of(config)), "DATA": str(fixtures / "corpus.jsonl"),
+             "CONFIG": str(config)}
+    argv = [re.sub("^(OUT|DATA|CONFIG)", lambda m: names[m[1]], arg) for arg in argv]
+    target = re.sub("^(OUT|DATA|CONFIG)", lambda m: names[m[1]], target)
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    capsys.readouterr()
+    assert run("--config", str(config), *argv) == 2
+    assert f"would overwrite its input {target}" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
 def test_verify_manifest_records_failures(tmp_path):
     config = write_toy_config(tmp_path / "config.json")
     sft_path = run_chain(config)
@@ -230,8 +285,8 @@ def test_verify_manifest_records_failures(tmp_path):
         manifest_path.unlink(missing_ok=True)
         assert run("--config", str(config), "verify", *argv) == 4
         manifest = json.loads(manifest_path.read_text())
-        assert (manifest["path"], manifest["records"], manifest["failures"]) == (
-            str(sft_path), 4, 1)
+        assert (manifest["inputs"], manifest["records"], manifest["failures"]) == (
+            [str(sft_path)], 4, 1)
         assert manifest["outputs"] == []
 
 
@@ -660,6 +715,8 @@ def test_ambiguate_with_allowlist(tmp_path):
                "--allowlist", str(empty_allow)) == 0
     accepted = (workdir_of(config) / "ambiguated.jsonl").read_text().splitlines()
     assert accepted == []
+    manifest = json.loads((workdir_of(config) / "manifest_ambiguate.json").read_text())
+    assert manifest["inputs"] == [str(FIXTURES / "ambiguate_input.jsonl"), str(empty_allow)]
 
 
 def test_ambiguate_allowlist_keeps_listed_ids_in_input_order(tmp_path):
@@ -1628,20 +1685,20 @@ PINNED_OUTPUTS = {
     "eval_sample_rep.json": "07dab731a230c72ce4e007e52343497c38fc8c89039e92a1f2d8bed4a9985813",
     "eval_self_ask.json": "66c06fa0de32750b2ffe105143efe7712e09621c484cb4f46822787d0b6c3348",
     "labels.jsonl": "8516ff11234efcf68d7a123e8e1890b9951845ba31572adb930b3ec3a1ec0c66",
-    "manifest_assess.json": "09f259964c0d1f94c283366ecde2c5f275a591e56765fe3e7d2137847bccfc16",
-    "manifest_detect.json": "fa7c336606fed5f3368f4806d724deabd449c1581c53902542c004f86022a728",
-    "manifest_emit.json": "04eca81b11a400c5f1d1500cfb1ed632e9e755d06dc1bdbd26865750f012f904",
-    "manifest_eval_aggregate.json": "66d61f657f9bd096233dc27cad9bd40f9ee308118d386c5008bea79f9ca8a75c",
-    "manifest_eval_compare.json": "c7ea3a6d82f045b27e3dcf3d67a869de2612799c598273b5cb014a2b2345b77c",
-    "manifest_eval_ambig_aware.json": "27d170cf57b6f3db89e973e38809bbe92018a9d6250983fe9bbf2ed8df4cf4e9",
-    "manifest_eval_direct.json": "60df2458716ca33c451fa4dc370c4957fb4f813a18ac4eb7decc6c51ab70d08d",
-    "manifest_eval_predictions.json": "31bfd25536770f17c177ed6f433fe60b87e6a3f2b2528d2cf790171857ad6180",
-    "manifest_eval_sample_rep.json": "c10208d238ea21e7451f04aac1db720deb0e73168c07d85a0bbd958a7faad713",
-    "manifest_eval_self_ask.json": "5901c4c684d8604ef3b22812b54661170f63b7d07031966b3fd21c4879462ced",
-    "manifest_label.json": "38e6e03ea9bbc29c2931f75d544957dfc3b7e55798315112711d4f5b9b3383dd",
-    "manifest_sweep_epsilon.json": "2293cf484aa4db31170db1bd43a0a2879abaefbabbbbe7e60a8fe203021b70b8",
-    "manifest_sweep_sample_rep.json": "cefe61924a1764a60446e6eecb46319a607d16c251c3cd753e94e21293644b5f",
-    "manifest_verify.json": "c618c9b30e8878687a439527f3637cf8b5196dba7cf9a131204de3c0e51e28cb",
+    "manifest_assess.json": "9933643f38e3b4d217561a07a708281de29d3a30cb8a03b080a39467076f59ee",
+    "manifest_detect.json": "8f84e83b186999025c2b29228524bdd6ee5332ed87f91c0f64426f5b01ed19b8",
+    "manifest_emit.json": "9ad7a9f256a0877317db1dd2e11e2dc6ca5a4c2c81fbdcaf2dc9f770b6833da5",
+    "manifest_eval_aggregate.json": "f58fc2f5e0c9ced5ef24a035af48d475836b989187af0ce9e7428c087553d067",
+    "manifest_eval_compare.json": "c388a4b514a6300b4dcf98eb21cd720fe04e5a9e17ae4ae23856985d5e9f71f5",
+    "manifest_eval_ambig_aware.json": "2c4e13ea5426252245376e15b5fcdc20a85d6c426be34cfcb3f432ec0da925fb",
+    "manifest_eval_direct.json": "201b4ef72ab035072748a3f7d7a6768a6a1297ef940ca4361df21985ee8b7223",
+    "manifest_eval_predictions.json": "7cac8d0fd154d335c3ef15b7ffcec7dc4be3b14a489ab9e08bcb6fdd73157263",
+    "manifest_eval_sample_rep.json": "d6e9c5b763870cdbe295a2bf95280c82447cbb254f43ca85074347f86e637642",
+    "manifest_eval_self_ask.json": "4e07d09c7b3927bb1fa85601d22c1ea639cdf2dfa85e10870baae76ddb25e35e",
+    "manifest_label.json": "0e4fb769d9b243538bf69f51c594fc17333ad8dde16f677031c18994b4e2ee04",
+    "manifest_sweep_epsilon.json": "3413f576a6dbaa654e48970538de6153cbdf7db11796870cc40155b0bf5e3b25",
+    "manifest_sweep_sample_rep.json": "158eb8ab8ee15c6a8656dfbfc98980c0d06765e4384af6fbc177c68e733a3dcd",
+    "manifest_verify.json": "efa342799988a3ab75f0da16ef7c58c6e8a52efdb27dee2de51ce0c5901627ff",
     "predictions_ambig_aware.jsonl": "3ca3cecf9e657ac3e2a3b28893d3e6db0c9342b7ca9260ed0fbcf1ec7b1abd94",
     "predictions_direct.jsonl": "eb5095f8abcbc723803ca764b07393f6c8ed3cedcdb16f1e91ee944b08244829",
     "predictions_sample_rep.jsonl": "9a63f74ce697caa757f3ee6f4e6269cdb5554005f8006317a57759b7d4ad1e99",
@@ -1657,7 +1714,7 @@ PINNED_OUTPUTS = {
 PINNED_AMBIGUATE_OUTPUTS = {
     "ambiguate_rejects.jsonl": "143927138c15b9eb42b2bb7300df8b11b4ce79fc7033f94e7e082eebb42d4e7e",
     "ambiguated.jsonl": "882f34a7b42dfd55f9cb40cd6b00553305c0476bf14859687bbb7ec07a57ba64",
-    "manifest_ambiguate.json": "6681112df818b28ca1e989415e9fe99ebad19bd7b3ad28d797324c6fefff6404",
+    "manifest_ambiguate.json": "23448f57a7afd20c21991efdb32c5717bd67b55a46f8b6b47ab45694b0061557",
 }
 
 
@@ -1769,9 +1826,15 @@ def test_every_manifest_records_the_config_it_hashes(tmp_path):
         assert config_hash(settings) == manifest["config_hash"], path.name
 
 
-def test_eval_reports_hold_scores_only(tmp_path):
-    """A report's settings are its manifest's: the report holds none."""
+def test_manifests_name_existing_files_and_reports_hold_scores_only(tmp_path):
+    """A report's settings are its manifest's, which names the files the
+    command read and wrote: the report holds none."""
     out = run_toy_chain(write_toy_config(tmp_path / "config.json"))
+    for path in out.glob("manifest_*.json"):
+        manifest = json.loads(path.read_text())
+        assert manifest["inputs"], path.name
+        for listed in manifest["inputs"] + manifest["outputs"]:
+            assert Path(listed).is_file(), (path.name, listed)
     for name in ("direct", "ambig_aware", "sample_rep", "self_ask", "predictions"):
         report = json.loads((out / f"eval_{name}.json").read_text())
         assert list(report) == ["counts", "f1_u", "f1_a", "per_sample"], name

@@ -1,6 +1,11 @@
 """Evaluation harness: answer matching, clarification detection, the
 five-outcome taxonomy, the outcome table and its scores (F1, regression
-rate), the prediction-file format, and the four inference-only baselines.
+rate), the prediction-file format, the eval report's format, and the four
+inference-only baselines.
+
+An eval report holds scores only: ``report_obj`` writes its counts, both F1
+scores and the outcome table, and ``aggregate_reports`` reads its F1 scores
+back. The settings that made it are its manifest's (see ``cli``).
 
 Outcome categories:
 

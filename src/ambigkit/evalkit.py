@@ -452,7 +452,7 @@ def report_obj(rows: Sequence[PerSampleOutcome]) -> dict:
 def aggregate_reports(paths: Sequence[Path]) -> dict:
     """The mean and population standard deviation (0 for one report) of each
     F1 score over the reports at ``paths``; each score must lie in [0, 1]."""
-    import statistics  # only this command needs it
+    import statistics  # here, so `import ambigkit.cli` does not load it
 
     values: dict[str, list[float]] = {"f1_u": [], "f1_a": []}
     for path in paths:

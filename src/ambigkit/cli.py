@@ -32,11 +32,10 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .backend import Backend, GenerationParams
+from .backend import GenerationParams
 from .config import RunConfig, config_hash, load_config, make_backend, recorded
 from .corpus import (
     PromptTemplate,
-    QASample,
     ambiguate,
     load_dataset,
     load_templates,
@@ -46,7 +45,6 @@ from .corpus import (
 from .errors import BackendError, ConfigurationError, DataIntegrityError
 from .evalkit import (
     OutcomeCounts,
-    PredictionRecord,
     aggregate_reports,
     evaluate,
     f1_ambig,
@@ -129,14 +127,6 @@ def _start(args) -> tuple[RunConfig, _Paths, dict[str, PromptTemplate]]:
     return config, _Paths(config), load_templates(config.template_dir)
 
 
-def _backend(config: RunConfig, paths: _Paths) -> contextlib.closing[Backend]:
-    """The command's backend, closed on leaving the ``with``. A remote one
-    journals its deterministic requests in the workdir, so no stage or rerun
-    sends one twice; the toy backend is the in-process oracle and ignores the
-    journal."""
-    return contextlib.closing(make_backend(config.backend, journal=paths.journal))
-
-
 def _greedy_params(config: RunConfig) -> GenerationParams:
     # Every reply is cut at its first newline (``corpus.trim_continuation``),
     # so the server may stop there instead of decoding the next few-shot block.
@@ -150,63 +140,73 @@ def _read_partition(config: RunConfig, paths: _Paths) -> StageOnePartition:
 
 
 class _Stage(NamedTuple):
-    """What a stage body hands back to ``_run_stage``: the files it read,
-    each output path with the function that writes it there, the manifest's
+    """What a stage body hands back to ``_run_stage``: one function per
+    planned output that writes it there, in plan order, the manifest's
     summary fields, the line to print, and the exit code."""
 
-    reads: list[Path]
-    writes: list[tuple[Path, Callable[[Path], object]]]
+    writers: list[Callable[[Path], object]]
     summary: dict
     message: str
     exit_code: int = EXIT_OK
 
 
-def _write_manifest(path: Path, config: RunConfig, templates: dict[str, PromptTemplate],
-                    command: str, stage: _Stage, backend: Backend | None) -> None:
+class _Plan(NamedTuple):
+    """A command's manifest name, the files it reads (the manifest's
+    ``inputs``) and writes, its body, and whether that uses the backend."""
+
+    command: str
+    reads: list[Path]
+    writes: list[Path]
+    body: Callable[..., _Stage]
+    uses_backend: bool = True
+
+
+def _run_stage(args) -> int:
+    """Run the command ``_plan`` names. Before any work it makes the workdir
+    and refuses an output that cannot be written, that is a file the command
+    reads (the config included), or that is another output, the manifest
+    counted. Then ``body(args, config, paths, templates, backend, writes)``
+    computes, with the backend open if it uses one, and this writes the
+    outputs, ``manifest_<command>.json`` and the body's line. A body that
+    raises (a total outage included, see ``evalkit.run_each``) writes
+    nothing."""
+    config, paths, templates = _start(args)
+    plan = _plan(args, paths)
+    with output_file(paths.workdir):
+        paths.workdir.mkdir(parents=True, exist_ok=True)
+    manifest = paths.workdir / f"manifest_{plan.command}.json"
+    targets = [*plan.writes, manifest]
+    inputs = {path.resolve() for path in [*plan.reads, Path(args.config)]}
+    for i, path in enumerate(targets):
+        if path.resolve() in inputs:
+            raise ConfigurationError(f"{plan.command} would overwrite its input {path}")
+        if path.resolve() in {other.resolve() for other in targets[:i]}:
+            raise ConfigurationError(f"{plan.command} would write {path} twice")
+    for path in plan.writes:
+        with output_file(path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+        if path.is_dir():
+            raise ConfigurationError(f"cannot write {path}: Is a directory")
+    # A remote backend journals its deterministic requests in the workdir, so no
+    # stage or rerun sends one twice; the toy backend, the in-process oracle,
+    # ignores the journal.
+    with (contextlib.closing(make_backend(config.backend, journal=paths.journal))
+          if plan.uses_backend else contextlib.nullcontext()) as backend:
+        stage = plan.body(args, config, paths, templates, backend, plan.writes)
+    for path, write in zip(plan.writes, stage.writers, strict=True):
+        write(path)
     journal = getattr(backend, "journal", None)
-    write_json_atomic(path, {
-        "command": command,
+    write_json_atomic(manifest, {
+        "command": plan.command,
         "config_hash": config_hash(config),
         "config": recorded(config),
         **({} if journal is None else {"journal": {"hits": journal.hits,
                                                    "misses": journal.misses}}),
         "template_hashes": template_fingerprints(templates),
-        "inputs": list(map(str, stage.reads)),
-        "outputs": [str(output) for output, _ in stage.writes],
+        "inputs": list(map(str, plan.reads)),
+        "outputs": list(map(str, plan.writes)),
         **stage.summary,
     })
-
-
-def _run_stage(args, command: str, body, *, uses_backend: bool = True) -> int:
-    """Run a command. ``body(args, config, paths, templates, backend)`` reads
-    the inputs and does the work. Around it, this makes the workdir, opens and
-    closes the backend (none when the body does not use one), refuses an
-    output that cannot be written, that is a file the command read (the
-    config included), or that is another output, the manifest counted, before
-    writing anything, then writes the outputs, ``manifest_<command>.json``
-    and the body's line. A body that raises (a total outage included, see
-    ``evalkit.run_each``) writes nothing."""
-    config, paths, templates = _start(args)
-    with output_file(paths.workdir):
-        paths.workdir.mkdir(parents=True, exist_ok=True)
-    with (_backend(config, paths) if uses_backend else contextlib.nullcontext()) as backend:
-        stage = body(args, config, paths, templates, backend)
-    manifest = paths.workdir / f"manifest_{command}.json"
-    targets = [path for path, _ in stage.writes] + [manifest]
-    inputs = {path.resolve() for path in [*stage.reads, Path(args.config)]}
-    for i, path in enumerate(targets):
-        if path.resolve() in inputs:
-            raise ConfigurationError(f"{command} would overwrite its input {path}")
-        if path.resolve() in {other.resolve() for other in targets[:i]}:
-            raise ConfigurationError(f"{command} would write {path} twice")
-    for path, _ in stage.writes:
-        with output_file(path):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        if path.is_dir():
-            raise ConfigurationError(f"cannot write {path}: Is a directory")
-    for path, write in stage.writes:
-        write(path)
-    _write_manifest(manifest, config, templates, command, stage, backend)
     print(stage.message)
     return stage.exit_code
 
@@ -214,7 +214,7 @@ def _run_stage(args, command: str, body, *, uses_backend: bool = True) -> int:
 # -- commands ------------------------------------------------------------------
 
 
-def _assess(args, config, paths, templates, backend) -> _Stage:
+def _assess(args, config, paths, templates, backend, writes) -> _Stage:
     samples = load_dataset(config.dataset)
     partition = stage1_assess(
         samples, backend, templates, _greedy_params(config),
@@ -222,15 +222,14 @@ def _assess(args, config, paths, templates, backend) -> _Stage:
     )
     correct, incorrect = len(partition.correct), len(partition.incorrect)
     return _Stage(
-        [paths.dataset],
-        [(paths.assess, lambda path: write_partition(partition, path))],
+        [lambda path: write_partition(partition, path)],
         {"correct": correct, "incorrect": incorrect, "errored": len(partition.errored)},
         f"assessed {len(samples)} samples: {correct} correct, "
         f"{incorrect} incorrect, {len(partition.errored)} errored",
     )
 
 
-def _detect(args, config, paths, templates, backend) -> _Stage:
+def _detect(args, config, paths, templates, backend, writes) -> _Stage:
     partition = _read_partition(config, paths)
     if not partition.correct:  # select_and_balance's refusal, foretold
         print(f"warning: {paths.assess} holds no correct sample, so `label` will refuse "
@@ -241,8 +240,7 @@ def _detect(args, config, paths, templates, backend) -> _Stage:
     )
     ambiguous = len(perceived_ambiguous(records, config.epsilon))
     return _Stage(
-        [paths.dataset, paths.assess],
-        [(paths.records, lambda path: write_records(records, path, config.epsilon))],
+        [lambda path: write_records(records, path, config.epsilon)],
         {"records": len(records), "perceived_ambiguous": ambiguous,
          "errored": len(errored)},
         f"disambiguated {len(records)} samples at epsilon={config.epsilon}: "
@@ -250,7 +248,7 @@ def _detect(args, config, paths, templates, backend) -> _Stage:
     )
 
 
-def _label(args, config, paths, templates, backend) -> _Stage:
+def _label(args, config, paths, templates, backend, writes) -> _Stage:
     partition = _read_partition(config, paths)
     records = read_records(paths.require(paths.records, "detect"))
     selection = select_and_balance(
@@ -262,9 +260,8 @@ def _label(args, config, paths, templates, backend) -> _Stage:
         _greedy_params(config), master_seed=config.seed,
     )
     return _Stage(
-        [paths.dataset, paths.assess, paths.records],
-        [(paths.labels, lambda path: write_labels(labels, path)),
-         (paths.selection, lambda path: write_json_atomic(path, record_obj(selection)))],
+        [lambda path: write_labels(labels, path),
+         lambda path: write_json_atomic(path, record_obj(selection))],
         {"labeled": len(labels)},
         f"selected {len(selection.correct_ids)} correct + "
         f"{len(ambiguous)} ambiguous ({config.strategy.value}); "
@@ -272,7 +269,7 @@ def _label(args, config, paths, templates, backend) -> _Stage:
     )
 
 
-def _emit(args, config, paths, templates, backend) -> _Stage:
+def _emit(args, config, paths, templates, backend, writes) -> _Stage:
     partition = _read_partition(config, paths)
     records = read_records(paths.require(paths.records, "detect"))
     labels_path = paths.require(paths.labels, "label")
@@ -287,22 +284,20 @@ def _emit(args, config, paths, templates, backend) -> _Stage:
     # sft_emit writes one record per selected sample.
     count = len(correct) + len(ambiguous)
     return _Stage(
-        [paths.dataset, paths.assess, paths.records, labels_path, selection_path],
-        [(paths.sft, lambda path: sft_emit(
+        [lambda path: sft_emit(
             correct, ambiguous, labels, templates["direct"], path, master_seed=config.seed,
-        ))],
+        )],
         {"records": count},
-        f"emitted {count} training records to {paths.sft}",
+        f"emitted {count} training records to {writes[0]}",
     )
 
 
-def _verify(args, config, paths, templates, backend) -> _Stage:
+def _verify(args, config, paths, templates, backend, writes) -> _Stage:
     target = Path(args.path) if args.path is not None else paths.require(paths.sft, "emit")
     report = sft_verify(target, answer_cue=templates["direct"].answer_cue)
     for message in report.failures:
         print(f"  {message}", file=sys.stderr)
-    return _Stage([target], [], report.counts(),
-                  f"verify {target}: {report.summary()}",
+    return _Stage([], report.counts(), f"verify {target}: {report.summary()}",
                   exit_code=EXIT_OK if report.ok else EXIT_INTEGRITY)
 
 
@@ -318,69 +313,45 @@ _STRATEGIES = {
 }
 
 
-def _eval_stage(args, config: RunConfig, paths: _Paths, samples: list[QASample],
-                predictions: list[PredictionRecord], name: str, writes=(),
-                source: Path | None = None) -> _Stage:
-    """``writes``, then the report on ``predictions`` (of file ``source``), and its line."""
-    reads = [paths.dataset] if source is None else [paths.dataset, Path(source)]
-    report = report_obj(evaluate(samples, predictions, config.rouge_threshold, source))
-    out = Path(args.report or paths.workdir / f"eval_{name}.json")
+def _eval(strategy, args, config, paths, templates, backend, writes) -> _Stage:
+    """Run ``strategy`` and write its predictions, or, with ``strategy``
+    None, read ``--predictions``; then write the report on them."""
+    samples = load_dataset(config.dataset)
+    if strategy is None:
+        predictions, writers = read_predictions(args.predictions), []
+    else:
+        predictions = _STRATEGIES[strategy](
+            config, samples, backend, templates, _greedy_params(config))
+        writers = [lambda path: write_predictions(predictions, path)]
+    report = report_obj(evaluate(samples, predictions, config.rouge_threshold, args.predictions))
     left_out = report["counts"]["errored"]
     note = f"  {left_out} errored, left out of F1" if left_out else ""
     return _Stage(
-        reads, [*writes, (out, lambda path: write_json_atomic(path, report))],
+        [*writers, lambda path: write_json_atomic(path, report)],
         {"predictions": len(predictions), "errored": left_out},
-        f"F1_u: {report['f1_u']:.4f}  F1_a: {report['f1_a']:.4f}{note}  ({out})",
+        f"F1_u: {report['f1_u']:.4f}  F1_a: {report['f1_a']:.4f}{note}  ({writes[-1]})",
     )
 
 
-def _eval_strategy(name, args, config, paths, templates, backend) -> _Stage:
-    samples = load_dataset(config.dataset)
-    predictions = _STRATEGIES[name](config, samples, backend, templates, _greedy_params(config))
-    return _eval_stage(args, config, paths, samples, predictions, name, [
-        (paths.workdir / f"predictions_{name}.jsonl",
-         lambda path: write_predictions(predictions, path))])
-
-
-def _eval_predictions(args, config, paths, templates, backend) -> _Stage:
-    return _eval_stage(args, config, paths, load_dataset(config.dataset),
-                       read_predictions(args.predictions), "predictions",
-                       source=args.predictions)
-
-
-def _eval_compare(args, config, paths, templates, backend) -> _Stage:
+def _eval_compare(args, config, paths, templates, backend, writes) -> _Stage:
     samples = load_dataset(config.dataset)
     before, after = ({row.sample_id: row.category for row in evaluate(
         samples, read_predictions(p), config.rouge_threshold, p)} for p in args.compare)
     regression = record_obj(mcr(before, after))
-    out = Path(args.report or paths.workdir / "eval_compare.json")
     rate = "n/a" if regression["mcr"] is None else f"{regression['mcr']:.4f}"
-    return _Stage([paths.dataset, *map(Path, args.compare)],
-                  [(out, lambda path: write_json_atomic(path, regression))],
-                  regression, f"MCR: {rate} ({out})")
+    return _Stage([lambda path: write_json_atomic(path, regression)],
+                  regression, f"MCR: {rate} ({writes[0]})")
 
 
-def _eval_aggregate(args, config, paths, templates, backend) -> _Stage:
-    reports = [Path(p) for p in args.aggregate]
-    summary = aggregate_reports(reports)
-    out = Path(args.report or paths.workdir / "eval_aggregate.json")
+def _eval_aggregate(args, config, paths, templates, backend, writes) -> _Stage:
+    summary = aggregate_reports([Path(p) for p in args.aggregate])
     return _Stage(
-        reports, [(out, lambda path: write_json_atomic(path, summary))],
+        [lambda path: write_json_atomic(path, summary)],
         {"reports": len(args.aggregate)},
         f"aggregated {summary['n']} reports: " + "".join(
             f"{label} {summary[key]['mean']:.4f} ({summary[key]['stddev']:.4f})  "
-            for key, label in (("f1_u", "F1_u"), ("f1_a", "F1_a"))) + f"({out})",
+            for key, label in (("f1_u", "F1_u"), ("f1_a", "F1_a"))) + f"({writes[0]})",
     )
-
-
-def cmd_eval(args) -> int:
-    # The modes that score recorded results need no backend.
-    for mode, body in (("predictions", _eval_predictions), ("compare", _eval_compare),
-                       ("aggregate", _eval_aggregate)):
-        if getattr(args, mode) is not None:
-            return _run_stage(args, f"eval_{mode}", body, uses_backend=False)
-    name = args.strategy or "direct"
-    return _run_stage(args, f"eval_{name}", partial(_eval_strategy, name))
 
 
 def _grid(text: str | None, default: tuple[float, ...], what: str) -> list[float]:
@@ -398,31 +369,27 @@ def _grid(text: str | None, default: tuple[float, ...], what: str) -> list[float
     return values
 
 
-def _sweep_stage(args, reads: list[Path], default_out: Path, rows: list,
-                 summary: dict) -> _Stage:
-    """Write ``rows``, made from ``reads``, as CSV to ``--out-csv`` or
-    ``default_out``; print them."""
+def _sweep_stage(rows: list, summary: dict, out: Path) -> _Stage:
+    """Write ``rows`` as CSV to ``out``; print them."""
     buffer = io.StringIO()
     csv.writer(buffer).writerows(rows)
     text = buffer.getvalue()
-    out = Path(args.out_csv or default_out)
-    return _Stage(reads, [(out, lambda path: write_text_atomic(path, text))],
+    return _Stage([lambda path: write_text_atomic(path, text)],
                   {**summary, "points": len(rows) - 1},
                   text.rstrip("\n") + f"\nwrote {out}")
 
 
-def _sweep_epsilon(args, config, paths, templates, backend) -> _Stage:
+def _sweep_epsilon(args, config, paths, templates, backend, writes) -> _Stage:
     # A grid given for the other sweep is an error, not something to ignore.
     if args.thresholds is not None:
         raise ConfigurationError("--thresholds applies only with --sample-rep")
     epsilons = _grid(args.epsilons, DEFAULT_EPSILON_GRID, "epsilon")
     records = read_records(paths.require(paths.records, "detect"))
-    return _sweep_stage(args, [paths.records], paths.workdir / "epsilon_sweep.csv",
-                        [["epsilon", "pool_size"], *sweep_epsilon(records, epsilons)],
-                        {"records": len(records)})
+    return _sweep_stage([["epsilon", "pool_size"], *sweep_epsilon(records, epsilons)],
+                        {"records": len(records)}, writes[0])
 
 
-def _sweep_sample_rep(args, config, paths, templates, backend) -> _Stage:
+def _sweep_sample_rep(args, config, paths, templates, backend, writes) -> _Stage:
     if args.epsilons is not None:
         raise ConfigurationError("--epsilons applies only without --sample-rep")
     thresholds = _grid(args.thresholds, DEFAULT_THRESHOLD_GRID, "threshold")
@@ -434,12 +401,10 @@ def _sweep_sample_rep(args, config, paths, templates, backend) -> _Stage:
         counts = OutcomeCounts.of(
             evaluate(samples, predictions, config.rouge_threshold, args.sample_rep))
         rows.append([threshold, f"{f1_unambig(counts):.6f}", f"{f1_ambig(counts):.6f}"])
-    return _sweep_stage(args, [paths.dataset, Path(args.sample_rep)],
-                        paths.workdir / "sample_rep_sweep.csv", rows,
-                        {"predictions": len(recorded)})
+    return _sweep_stage(rows, {"predictions": len(recorded)}, writes[0])
 
 
-def _ambiguate(args, config, paths, templates, backend) -> _Stage:
+def _ambiguate(args, config, paths, templates, backend, writes) -> _Stage:
     # The allowlist is read before the first backend call, so a bad one
     # costs none.
     allowed = read_allowlist(args.allowlist) if args.allowlist is not None else None
@@ -448,15 +413,63 @@ def _ambiguate(args, config, paths, templates, backend) -> _Stage:
     )
     if allowed is not None:
         accepted = [s for s in accepted if s.id in allowed]
-    out = paths.workdir / "ambiguated.jsonl"
     return _Stage(
-        [paths.dataset, *([] if args.allowlist is None else [Path(args.allowlist)])],
-        [(out, lambda path: write_jsonl_atomic(path, map(record_obj, accepted))),
-         (paths.workdir / "ambiguate_rejects.jsonl",
-          lambda path: write_jsonl_atomic(path, rejects))],
+        [lambda path: write_jsonl_atomic(path, map(record_obj, accepted)),
+         lambda path: write_jsonl_atomic(path, rejects)],
         {"accepted": len(accepted), "rejected": len(rejects)},
-        f"ambiguated {len(accepted)} samples ({len(rejects)} rejected) -> {out}",
+        f"ambiguated {len(accepted)} samples ({len(rejects)} rejected) -> {writes[0]}",
     )
+
+
+def _plan(args, paths: _Paths) -> _Plan:
+    """README's Pipeline table: what ``args`` runs, the files it reads and
+    writes (a flag's path or the workdir's), and whether it uses the backend;
+    the modes that score recorded results need none."""
+    out = paths.workdir
+
+    def report(name: str) -> Path:
+        return Path(args.report or out / f"eval_{name}.json")
+
+    match args.command:
+        case "assess":
+            return _Plan("assess", [paths.dataset], [paths.assess], _assess)
+        case "detect":
+            return _Plan("detect", [paths.dataset, paths.assess], [paths.records], _detect)
+        case "label":
+            return _Plan("label", [paths.dataset, paths.assess, paths.records],
+                         [paths.labels, paths.selection], _label)
+        case "emit":
+            return _Plan("emit", [paths.dataset, paths.assess, paths.records, paths.labels,
+                                  paths.selection], [paths.sft], _emit, uses_backend=False)
+        case "verify":
+            return _Plan("verify", [Path(args.path or paths.sft)], [], _verify,
+                         uses_backend=False)
+        case "eval" if args.predictions is not None:
+            return _Plan("eval_predictions", [paths.dataset, Path(args.predictions)],
+                         [report("predictions")], partial(_eval, None), uses_backend=False)
+        case "eval" if args.compare is not None:
+            return _Plan("eval_compare", [paths.dataset, *map(Path, args.compare)],
+                         [report("compare")], _eval_compare, uses_backend=False)
+        case "eval" if args.aggregate is not None:
+            return _Plan("eval_aggregate", list(map(Path, args.aggregate)),
+                         [report("aggregate")], _eval_aggregate, uses_backend=False)
+        case "eval":
+            name = args.strategy or "direct"
+            return _Plan(f"eval_{name}", [paths.dataset],
+                         [out / f"predictions_{name}.jsonl", report(name)],
+                         partial(_eval, name))
+        case "sweep" if args.sample_rep is None:
+            return _Plan("sweep_epsilon", [paths.records],
+                         [Path(args.out_csv or out / "epsilon_sweep.csv")], _sweep_epsilon,
+                         uses_backend=False)
+        case "sweep":
+            return _Plan("sweep_sample_rep", [paths.dataset, Path(args.sample_rep)],
+                         [Path(args.out_csv or out / "sample_rep_sweep.csv")],
+                         _sweep_sample_rep, uses_backend=False)
+        case "ambiguate":
+            allowlist = [] if args.allowlist is None else [Path(args.allowlist)]
+            return _Plan("ambiguate", [paths.dataset, *allowlist],
+                         [out / "ambiguated.jsonl", out / "ambiguate_rejects.jsonl"], _ambiguate)
 
 
 # -- parser ----------------------------------------------------------------------
@@ -536,24 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "assess": partial(_run_stage, command="assess", body=_assess),
-    "detect": partial(_run_stage, command="detect", body=_detect),
-    "label": partial(_run_stage, command="label", body=_label),
-    "emit": partial(_run_stage, command="emit", body=_emit, uses_backend=False),
-    "verify": partial(_run_stage, command="verify", body=_verify, uses_backend=False),
-    "eval": cmd_eval,
-    "sweep": lambda args: _run_stage(args, *(
-        ("sweep_epsilon", _sweep_epsilon) if args.sample_rep is None
-        else ("sweep_sample_rep", _sweep_sample_rep)), uses_backend=False),
-    "ambiguate": partial(_run_stage, command="ambiguate", body=_ambiguate),
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _run_stage(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,9 +15,12 @@ Commands::
 
 Global flags (before the command): --config, --seed, --epsilon, --backend,
 --out. Exit codes: 0 ok, 2 configuration error, 3 backend error,
-4 data-integrity error. Every command runs through ``_run_stage``: it prints
-the effective seed and writes a manifest into the working directory, which
-records the files the command read and wrote and the settings it ran with.
+4 data-integrity error. ``_plan`` names each command's files before it runs:
+the manifest, the files read and written, the body, and whether it uses the
+backend. Every command runs through ``_run_stage``: it prints the effective
+seed, refuses an output it cannot or may not write before any work, and
+writes a manifest into the working directory, which records the files the
+command read and wrote and the settings it ran with.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .corpus import (
     load_dataset,
     load_templates,
     read_allowlist,
+    template_files,
     template_fingerprints,
 )
 from .errors import BackendError, ConfigurationError, DataIntegrityError
@@ -162,21 +166,24 @@ class _Plan(NamedTuple):
 
 
 def _run_stage(args) -> int:
-    """Run the command ``_plan`` names. Before any work it makes the workdir
-    and refuses an output that cannot be written, that is a file the command
-    reads (the config included), or that is another output, the manifest
-    counted. Then ``body(args, config, paths, templates, backend, writes)``
-    computes, with the backend open if it uses one, and this writes the
-    outputs, ``manifest_<command>.json`` and the body's line. A body that
-    raises (a total outage included, see ``evalkit.run_each``) writes
-    nothing."""
+    """Run the command ``_plan`` names. Before any work, so before any
+    backend call, it makes the workdir and refuses an output that cannot be
+    written, that is another output (the manifest counted), or that is a
+    file the command reads: a planned input, the config, the toy fixture, a
+    template, or the request journal, whose name is reserved. Then
+    ``body(args, config, paths, templates, backend, writes)`` computes, with
+    the backend open if it uses one, and this writes the outputs,
+    ``manifest_<command>.json`` and the body's line. A body that raises (a
+    total outage included, see ``evalkit.run_each``) writes nothing."""
     config, paths, templates = _start(args)
     plan = _plan(args, paths)
     with output_file(paths.workdir):
         paths.workdir.mkdir(parents=True, exist_ok=True)
     manifest = paths.workdir / f"manifest_{plan.command}.json"
     targets = [*plan.writes, manifest]
-    inputs = {path.resolve() for path in [*plan.reads, Path(args.config)]}
+    inputs = {path.resolve() for path in [
+        *plan.reads, Path(args.config), *template_files(config.template_dir).values(),
+        *([Path(config.backend.fixture)] if config.backend.fixture else []), paths.journal]}
     for i, path in enumerate(targets):
         if path.resolve() in inputs:
             raise ConfigurationError(f"{plan.command} would overwrite its input {path}")

@@ -147,23 +147,28 @@ def _packaged_template_dir() -> Path:
     return Path(str(resources.files("ambigkit").joinpath("templates")))
 
 
+def template_files(directory: str | Path | None = None) -> dict[str, Path]:
+    """Each canonical template's file, ``<name>.txt`` in ``directory``
+    (packaged default)."""
+    base = Path(directory) if directory is not None else _packaged_template_dir()
+    return {name: base / f"{name}.txt" for name in TEMPLATE_SLOTS}
+
+
 def load_templates(directory: str | Path | None = None) -> dict[str, PromptTemplate]:
-    """Load the canonical template set from ``directory`` (packaged default).
+    """Load the canonical template set from ``template_files(directory)``.
 
     A template body is its file content minus one trailing newline. A body
     without each of its slot markers exactly once is refused with a
     ParseError naming its file.
     """
-    base = Path(directory) if directory is not None else _packaged_template_dir()
     templates: dict[str, PromptTemplate] = {}
-    for name, slots in TEMPLATE_SLOTS.items():
-        path = base / f"{name}.txt"
+    for name, path in template_files(directory).items():
         with input_file(path):
             body = path.read_text(encoding="utf-8")
         if body.endswith("\n"):
             body = body[:-1]
         with record_at(path):
-            templates[name] = PromptTemplate(name=name, body=body, slots=slots)
+            templates[name] = PromptTemplate(name=name, body=body, slots=TEMPLATE_SLOTS[name])
     return templates
 
 

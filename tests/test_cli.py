@@ -25,7 +25,7 @@ from ambigkit.sft import verify as sft_verify
 from ambigkit.toy import ToyBackend
 
 from conftest import FIXTURES, table_path
-from helpers import RefuseQuestion, run_chain, workdir_of, write_toy_config
+from helpers import LoopbackServer, RefuseQuestion, run_chain, workdir_of, write_toy_config
 
 
 def run(*argv: str) -> int:
@@ -225,8 +225,9 @@ def test_two_outputs_at_one_path_exit_2_and_write_nothing(tmp_path, monkeypatch,
 
 
 # Each command that would write over a file it reads, the commands that make
-# that file, and the file. OUT stands for the workdir, DATA for the dataset
-# and CONFIG for the config file.
+# that file, and the file. OUT stands for the workdir, DATA for the dataset,
+# CONFIG for the config file and FIXTURES for the copied fixtures directory,
+# which holds the toy fixture and the templates.
 OVERWRITTEN_INPUTS = {
     "predictions": ([["eval", "--strategy", "direct"]],
                     ["eval", "--predictions", "OUT/predictions_direct.jsonl",
@@ -249,6 +250,14 @@ OVERWRITTEN_INPUTS = {
     "verified-manifest": ([["assess"], ["detect"], ["label"], ["emit"], ["verify"]],
                           ["verify", "OUT/manifest_verify.json"], "OUT/manifest_verify.json"),
     "config": ([], ["eval", "--strategy", "direct", "--report", "CONFIG"], "CONFIG"),
+    "toy-fixture": ([], ["eval", "--strategy", "direct", "--report",
+                         "FIXTURES/tables/corpus_world.yaml"],
+                    "FIXTURES/tables/corpus_world.yaml"),
+    "template": ([], ["eval", "--strategy", "direct", "--report",
+                      "FIXTURES/toy_templates/direct.txt"], "FIXTURES/toy_templates/direct.txt"),
+    # The request journal's name is reserved, whatever the backend.
+    "journal": ([], ["eval", "--strategy", "direct", "--report", "OUT/backend_journal.jsonl"],
+                "OUT/backend_journal.jsonl"),
 }
 
 
@@ -264,14 +273,60 @@ def test_an_output_at_an_input_exits_2_and_writes_nothing(tmp_path, capsys, mode
     for step in steps:
         assert run("--config", str(config), *step) == 0, step
     names = {"OUT": str(workdir_of(config)), "DATA": str(fixtures / "corpus.jsonl"),
-             "CONFIG": str(config)}
-    argv = [re.sub("^(OUT|DATA|CONFIG)", lambda m: names[m[1]], arg) for arg in argv]
-    target = re.sub("^(OUT|DATA|CONFIG)", lambda m: names[m[1]], target)
+             "CONFIG": str(config), "FIXTURES": str(fixtures)}
+    argv = [re.sub("^(OUT|DATA|CONFIG|FIXTURES)", lambda m: names[m[1]], arg) for arg in argv]
+    target = re.sub("^(OUT|DATA|CONFIG|FIXTURES)", lambda m: names[m[1]], target)
     before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
     capsys.readouterr()
     assert run("--config", str(config), *argv) == 2
     assert f"would overwrite its input {target}" in capsys.readouterr().err
     assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
+def refused_sample_rep(tmp_path: Path, *flags: str) -> list[str]:
+    """The argv of a sample_rep run whose report would overwrite a copy of
+    the dataset; 99 toy calls (9 samples, 11 each) if it ran."""
+    dataset = tmp_path / "corpus.jsonl"
+    shutil.copy(FIXTURES / "corpus.jsonl", dataset)
+    config = write_toy_config(tmp_path / "config.json", dataset=str(dataset))
+    return ["--config", str(config), *flags, "eval", "--strategy", "sample_rep",
+            "--report", str(dataset)]
+
+
+def test_a_refused_output_makes_no_backend_call(tmp_path, capsys, monkeypatch):
+    calls = []
+    complete = ToyBackend.complete
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return complete(self, *args, **kwargs)
+
+    monkeypatch.setattr(ToyBackend, "complete", counted)
+    assert run(*refused_sample_rep(tmp_path)) == 2
+    assert f"would overwrite its input {tmp_path / 'corpus.jsonl'}" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_a_refused_output_sends_no_request(tmp_path, capsys):
+    # A 400 fails each request at once, without a retry.
+    with LoopbackServer(lambda body: (400, b"{}")) as server:
+        code = run(*refused_sample_rep(tmp_path, "--backend", f"remote:{server.endpoint}"))
+    assert code == 2
+    assert "would overwrite its input" in capsys.readouterr().err
+    assert server.requests == 0
+
+
+def test_a_refused_output_comes_before_reading_the_inputs(tmp_path, capsys):
+    # The predictions file is malformed (exit 4 if read), but the refusal of
+    # the report at its path comes first.
+    config = write_toy_config(tmp_path / "config.json")
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text('{"id": "s1"}\n')
+    assert run("--config", str(config), "eval", "--predictions", str(predictions),
+               "--report", str(predictions)) == 2
+    assert (f"eval_predictions would overwrite its input {predictions}"
+            in capsys.readouterr().err)
+    assert predictions.read_text() == '{"id": "s1"}\n'
 
 
 def test_verify_manifest_records_failures(tmp_path):

@@ -17,8 +17,9 @@ Global flags (before the command): --config, --seed, --epsilon, --backend,
 --out. Exit codes: 0 ok, 2 configuration error, 3 backend error,
 4 data-integrity error. ``_plan`` names each command's files before it runs:
 the manifest, the files read and written, the body, and whether it uses the
-backend. Every command runs through ``_run_stage``: it prints the effective
-seed, refuses an output it cannot or may not write before any work, and
+backend; a body reads only the files its plan names. Every command runs
+through ``_run_stage``: it prints the effective seed, refuses before any
+work an output it cannot or may not write and a missing checkpoint, and
 writes a manifest into the working directory, which records the files the
 command read and wrote and the settings it ran with.
 """
@@ -101,34 +102,20 @@ EXIT_BACKEND = 3
 EXIT_INTEGRITY = 4
 
 
-class _Paths:
-    def __init__(self, config: RunConfig):
-        workdir = Path(config.workdir)
-        self.dataset = Path(config.dataset)
-        self.workdir = workdir
-        self.assess = workdir / "assess.jsonl"
-        self.records = workdir / "records.jsonl"
-        self.labels = workdir / "labels.jsonl"
-        self.selection = workdir / "selection.json"
-        self.sft = workdir / "sft.jsonl"
-        self.journal = workdir / "backend_journal.jsonl"
-
-    def require(self, path: Path, producer: str) -> Path:
-        if not path.is_file():
-            raise ConfigurationError(
-                f"missing checkpoint {path}; run `ambigkit {producer}` first"
-            )
-        return path
+# Each checkpoint in the workdir, by file name, and the command that writes
+# it, in chain order (``_plan`` unpacks them in it).
+_CHECKPOINTS = {"assess.jsonl": "assess", "records.jsonl": "detect", "labels.jsonl": "label",
+                "selection.json": "label", "sft.jsonl": "emit"}
 
 
-def _start(args) -> tuple[RunConfig, _Paths, dict[str, PromptTemplate]]:
-    """Setup of every command: the effective config, the seed line, the
-    checkpoint paths and the command's one template load."""
+def _start(args) -> tuple[RunConfig, dict[str, PromptTemplate]]:
+    """Setup of every command: the effective config, the seed line and the
+    command's one template load."""
     # The flags that set a config value, each under the setting's name.
     config = load_config(args.config, {key: getattr(args, key, None) for key in (
         "seed", "epsilon", "workdir", "backend", "label_kind")})
     print(f"effective seed: {config.seed}")
-    return config, _Paths(config), load_templates(config.template_dir)
+    return config, load_templates(config.template_dir)
 
 
 def _greedy_params(config: RunConfig) -> GenerationParams:
@@ -138,9 +125,8 @@ def _greedy_params(config: RunConfig) -> GenerationParams:
                             stop_sequences=("\n",))
 
 
-def _read_partition(config: RunConfig, paths: _Paths) -> StageOnePartition:
-    samples_by_id = {s.id: s for s in load_dataset(config.dataset)}
-    return read_partition(paths.require(paths.assess, "assess"), samples_by_id)
+def _read_partition(dataset: Path, assess: Path) -> StageOnePartition:
+    return read_partition(assess, {s.id: s for s in load_dataset(dataset)})
 
 
 class _Stage(NamedTuple):
@@ -166,40 +152,54 @@ class _Plan(NamedTuple):
 
 
 def _run_stage(args) -> int:
-    """Run the command ``_plan`` names. Before any work, so before any
-    backend call, it makes the workdir and refuses an output that cannot be
-    written, that is another output (the manifest counted), or that is a
-    file the command reads: a planned input, the config, the toy fixture, a
-    template, or the request journal, whose name is reserved. Then
-    ``body(args, config, paths, templates, backend, writes)`` computes, with
-    the backend open if it uses one, and this writes the outputs,
+    """Run the command ``_plan`` names. Before any work, so before the
+    backend is made, it makes the workdir and refuses an output that cannot
+    be written, that is another output (the manifest counted), that is a
+    file the command reads (a planned input, the config, the toy fixture, a
+    template, or the request journal, whose name is reserved), or that is
+    another command's checkpoint or manifest; then a missing planned
+    checkpoint, naming the command that writes it. Then ``body(config,
+    templates, backend, reads, writes)`` computes from the plan's files
+    alone, with the backend open if it uses one, and this writes the outputs,
     ``manifest_<command>.json`` and the body's line. A body that raises (a
     total outage included, see ``evalkit.run_each``) writes nothing."""
-    config, paths, templates = _start(args)
-    plan = _plan(args, paths)
-    with output_file(paths.workdir):
-        paths.workdir.mkdir(parents=True, exist_ok=True)
-    manifest = paths.workdir / f"manifest_{plan.command}.json"
+    config, templates = _start(args)
+    plan = _plan(args, config)
+    workdir = Path(config.workdir)
+    with output_file(workdir):
+        workdir.mkdir(parents=True, exist_ok=True)
+    manifest = workdir / f"manifest_{plan.command}.json"
+    journal_file = workdir / "backend_journal.jsonl"
     targets = [*plan.writes, manifest]
     inputs = {path.resolve() for path in [
         *plan.reads, Path(args.config), *template_files(config.template_dir).values(),
-        *([Path(config.backend.fixture)] if config.backend.fixture else []), paths.journal]}
+        *([Path(config.backend.fixture)] if config.backend.fixture else []), journal_file]}
+    reserved = {name for name, producer in _CHECKPOINTS.items() if producer != plan.command}
     for i, path in enumerate(targets):
-        if path.resolve() in inputs:
+        resolved = path.resolve()
+        if resolved in inputs:
             raise ConfigurationError(f"{plan.command} would overwrite its input {path}")
-        if path.resolve() in {other.resolve() for other in targets[:i]}:
+        if resolved in {other.resolve() for other in targets[:i]}:
             raise ConfigurationError(f"{plan.command} would write {path} twice")
+        if resolved.parent == workdir.resolve() and (resolved.name in reserved or (
+                resolved.match("manifest_*.json") and resolved.name != manifest.name)):
+            raise ConfigurationError(
+                f"{plan.command} would overwrite {path}, which another command writes")
     for path in plan.writes:
         with output_file(path):
             path.parent.mkdir(parents=True, exist_ok=True)
         if path.is_dir():
             raise ConfigurationError(f"cannot write {path}: Is a directory")
+    for path in plan.reads:
+        if path.parent == workdir and path.name in _CHECKPOINTS and not path.is_file():
+            raise ConfigurationError(f"missing checkpoint {path}; "
+                                     f"run `ambigkit {_CHECKPOINTS[path.name]}` first")
     # A remote backend journals its deterministic requests in the workdir, so no
     # stage or rerun sends one twice; the toy backend, the in-process oracle,
     # ignores the journal.
-    with (contextlib.closing(make_backend(config.backend, journal=paths.journal))
+    with (contextlib.closing(make_backend(config.backend, journal=journal_file))
           if plan.uses_backend else contextlib.nullcontext()) as backend:
-        stage = plan.body(args, config, paths, templates, backend, plan.writes)
+        stage = plan.body(config, templates, backend, plan.reads, plan.writes)
     for path, write in zip(plan.writes, stage.writers, strict=True):
         write(path)
     journal = getattr(backend, "journal", None)
@@ -221,8 +221,8 @@ def _run_stage(args) -> int:
 # -- commands ------------------------------------------------------------------
 
 
-def _assess(args, config, paths, templates, backend, writes) -> _Stage:
-    samples = load_dataset(config.dataset)
+def _assess(config, templates, backend, reads, writes) -> _Stage:
+    samples = load_dataset(*reads)
     partition = stage1_assess(
         samples, backend, templates, _greedy_params(config),
         mode=config.truncation_mode, rouge_threshold=config.rouge_threshold,
@@ -236,10 +236,11 @@ def _assess(args, config, paths, templates, backend, writes) -> _Stage:
     )
 
 
-def _detect(args, config, paths, templates, backend, writes) -> _Stage:
-    partition = _read_partition(config, paths)
+def _detect(config, templates, backend, reads, writes) -> _Stage:
+    dataset, assess = reads
+    partition = _read_partition(dataset, assess)
     if not partition.correct:  # select_and_balance's refusal, foretold
-        print(f"warning: {paths.assess} holds no correct sample, so `label` will refuse "
+        print(f"warning: {assess} holds no correct sample, so `label` will refuse "
               "this run; only `sweep` can use its records", file=sys.stderr)
     records, errored = stage2_disambiguate(
         [partition.samples[a.sample_id] for a in partition.incorrect], backend, templates,
@@ -255,9 +256,10 @@ def _detect(args, config, paths, templates, backend, writes) -> _Stage:
     )
 
 
-def _label(args, config, paths, templates, backend, writes) -> _Stage:
-    partition = _read_partition(config, paths)
-    records = read_records(paths.require(paths.records, "detect"))
+def _label(config, templates, backend, reads, writes) -> _Stage:
+    dataset, assess, records_path = reads
+    partition = _read_partition(dataset, assess)
+    records = read_records(records_path)
     selection = select_and_balance(
         partition, records, config.strategy, config.epsilon, config.seed
     )
@@ -276,12 +278,11 @@ def _label(args, config, paths, templates, backend, writes) -> _Stage:
     )
 
 
-def _emit(args, config, paths, templates, backend, writes) -> _Stage:
-    partition = _read_partition(config, paths)
-    records = read_records(paths.require(paths.records, "detect"))
-    labels_path = paths.require(paths.labels, "label")
+def _emit(config, templates, backend, reads, writes) -> _Stage:
+    dataset, assess, records_path, labels_path, selection_path = reads
+    partition = _read_partition(dataset, assess)
+    records = read_records(records_path)
     labels = {label.sample_id: label for label in read_labels(labels_path)}
-    selection_path = paths.require(paths.selection, "label")
     with record_at(selection_path):
         correct, ambiguous = record_from(Selection, read_json_object(selection_path)).halves(
             partition, records)
@@ -299,8 +300,8 @@ def _emit(args, config, paths, templates, backend, writes) -> _Stage:
     )
 
 
-def _verify(args, config, paths, templates, backend, writes) -> _Stage:
-    target = Path(args.path) if args.path is not None else paths.require(paths.sft, "emit")
+def _verify(config, templates, backend, reads, writes) -> _Stage:
+    [target] = reads
     report = sft_verify(target, answer_cue=templates["direct"].answer_cue)
     for message in report.failures:
         print(f"  {message}", file=sys.stderr)
@@ -320,17 +321,19 @@ _STRATEGIES = {
 }
 
 
-def _eval(strategy, args, config, paths, templates, backend, writes) -> _Stage:
+def _eval(strategy, config, templates, backend, reads, writes) -> _Stage:
     """Run ``strategy`` and write its predictions, or, with ``strategy``
-    None, read ``--predictions``; then write the report on them."""
-    samples = load_dataset(config.dataset)
+    None, read the predictions file that follows the dataset in ``reads``;
+    then write the report on them."""
+    dataset, *source = reads
+    samples = load_dataset(dataset)
     if strategy is None:
-        predictions, writers = read_predictions(args.predictions), []
+        predictions, writers = read_predictions(*source), []
     else:
         predictions = _STRATEGIES[strategy](
             config, samples, backend, templates, _greedy_params(config))
         writers = [lambda path: write_predictions(predictions, path)]
-    report = report_obj(evaluate(samples, predictions, config.rouge_threshold, args.predictions))
+    report = report_obj(evaluate(samples, predictions, config.rouge_threshold, *source))
     left_out = report["counts"]["errored"]
     note = f"  {left_out} errored, left out of F1" if left_out else ""
     return _Stage(
@@ -340,21 +343,22 @@ def _eval(strategy, args, config, paths, templates, backend, writes) -> _Stage:
     )
 
 
-def _eval_compare(args, config, paths, templates, backend, writes) -> _Stage:
-    samples = load_dataset(config.dataset)
+def _eval_compare(config, templates, backend, reads, writes) -> _Stage:
+    dataset, *compared = reads
+    samples = load_dataset(dataset)
     before, after = ({row.sample_id: row.category for row in evaluate(
-        samples, read_predictions(p), config.rouge_threshold, p)} for p in args.compare)
+        samples, read_predictions(p), config.rouge_threshold, p)} for p in compared)
     regression = record_obj(mcr(before, after))
     rate = "n/a" if regression["mcr"] is None else f"{regression['mcr']:.4f}"
     return _Stage([lambda path: write_json_atomic(path, regression)],
                   regression, f"MCR: {rate} ({writes[0]})")
 
 
-def _eval_aggregate(args, config, paths, templates, backend, writes) -> _Stage:
-    summary = aggregate_reports([Path(p) for p in args.aggregate])
+def _eval_aggregate(config, templates, backend, reads, writes) -> _Stage:
+    summary = aggregate_reports(reads)
     return _Stage(
         [lambda path: write_json_atomic(path, summary)],
-        {"reports": len(args.aggregate)},
+        {"reports": len(reads)},
         f"aggregated {summary['n']} reports: " + "".join(
             f"{label} {summary[key]['mean']:.4f} ({summary[key]['stddev']:.4f})  "
             for key, label in (("f1_u", "F1_u"), ("f1_a", "F1_a"))) + f"({writes[0]})",
@@ -386,37 +390,32 @@ def _sweep_stage(rows: list, summary: dict, out: Path) -> _Stage:
                   text.rstrip("\n") + f"\nwrote {out}")
 
 
-def _sweep_epsilon(args, config, paths, templates, backend, writes) -> _Stage:
-    # A grid given for the other sweep is an error, not something to ignore.
-    if args.thresholds is not None:
-        raise ConfigurationError("--thresholds applies only with --sample-rep")
-    epsilons = _grid(args.epsilons, DEFAULT_EPSILON_GRID, "epsilon")
-    records = read_records(paths.require(paths.records, "detect"))
+def _sweep_epsilon(epsilons, config, templates, backend, reads, writes) -> _Stage:
+    records = read_records(*reads)
     return _sweep_stage([["epsilon", "pool_size"], *sweep_epsilon(records, epsilons)],
                         {"records": len(records)}, writes[0])
 
 
-def _sweep_sample_rep(args, config, paths, templates, backend, writes) -> _Stage:
-    if args.epsilons is not None:
-        raise ConfigurationError("--epsilons applies only without --sample-rep")
-    thresholds = _grid(args.thresholds, DEFAULT_THRESHOLD_GRID, "threshold")
-    samples = load_dataset(config.dataset)
-    recorded = read_predictions(args.sample_rep)
+def _sweep_sample_rep(thresholds, config, templates, backend, reads, writes) -> _Stage:
+    dataset, source = reads
+    samples = load_dataset(dataset)
+    recorded = read_predictions(source)
     rows = [["threshold", "f1_u", "f1_a"]]
     for threshold in thresholds:
         predictions = [judge_sample_rep(p, threshold, config.seed) for p in recorded]
         counts = OutcomeCounts.of(
-            evaluate(samples, predictions, config.rouge_threshold, args.sample_rep))
+            evaluate(samples, predictions, config.rouge_threshold, source))
         rows.append([threshold, f"{f1_unambig(counts):.6f}", f"{f1_ambig(counts):.6f}"])
     return _sweep_stage(rows, {"predictions": len(recorded)}, writes[0])
 
 
-def _ambiguate(args, config, paths, templates, backend, writes) -> _Stage:
+def _ambiguate(config, templates, backend, reads, writes) -> _Stage:
+    dataset, *allowlist = reads
     # The allowlist is read before the first backend call, so a bad one
     # costs none.
-    allowed = read_allowlist(args.allowlist) if args.allowlist is not None else None
+    allowed = read_allowlist(*allowlist) if allowlist else None
     accepted, rejects = ambiguate(
-        load_dataset(config.dataset), backend, templates, _greedy_params(config)
+        load_dataset(dataset), backend, templates, _greedy_params(config)
     )
     if allowed is not None:
         accepted = [s for s in accepted if s.id in allowed]
@@ -428,54 +427,61 @@ def _ambiguate(args, config, paths, templates, backend, writes) -> _Stage:
     )
 
 
-def _plan(args, paths: _Paths) -> _Plan:
+def _plan(args, config: RunConfig) -> _Plan:
     """README's Pipeline table: what ``args`` runs, the files it reads and
-    writes (a flag's path or the workdir's), and whether it uses the backend;
-    the modes that score recorded results need none."""
-    out = paths.workdir
+    writes (a flag's path, the dataset or the workdir's), and whether it
+    uses the backend; the modes that score recorded results need none. A
+    sweep's grid is read here, so a bad one is refused before any file."""
+    dataset, out = Path(config.dataset), Path(config.workdir)
+    assess, records, labels, selection, sft = (out / name for name in _CHECKPOINTS)
 
     def report(name: str) -> Path:
         return Path(args.report or out / f"eval_{name}.json")
 
     match args.command:
         case "assess":
-            return _Plan("assess", [paths.dataset], [paths.assess], _assess)
+            return _Plan("assess", [dataset], [assess], _assess)
         case "detect":
-            return _Plan("detect", [paths.dataset, paths.assess], [paths.records], _detect)
+            return _Plan("detect", [dataset, assess], [records], _detect)
         case "label":
-            return _Plan("label", [paths.dataset, paths.assess, paths.records],
-                         [paths.labels, paths.selection], _label)
+            return _Plan("label", [dataset, assess, records], [labels, selection], _label)
         case "emit":
-            return _Plan("emit", [paths.dataset, paths.assess, paths.records, paths.labels,
-                                  paths.selection], [paths.sft], _emit, uses_backend=False)
-        case "verify":
-            return _Plan("verify", [Path(args.path or paths.sft)], [], _verify,
+            return _Plan("emit", [dataset, assess, records, labels, selection], [sft], _emit,
                          uses_backend=False)
+        case "verify":
+            return _Plan("verify", [Path(args.path or sft)], [], _verify, uses_backend=False)
         case "eval" if args.predictions is not None:
-            return _Plan("eval_predictions", [paths.dataset, Path(args.predictions)],
+            return _Plan("eval_predictions", [dataset, Path(args.predictions)],
                          [report("predictions")], partial(_eval, None), uses_backend=False)
         case "eval" if args.compare is not None:
-            return _Plan("eval_compare", [paths.dataset, *map(Path, args.compare)],
+            return _Plan("eval_compare", [dataset, *map(Path, args.compare)],
                          [report("compare")], _eval_compare, uses_backend=False)
         case "eval" if args.aggregate is not None:
             return _Plan("eval_aggregate", list(map(Path, args.aggregate)),
                          [report("aggregate")], _eval_aggregate, uses_backend=False)
         case "eval":
             name = args.strategy or "direct"
-            return _Plan(f"eval_{name}", [paths.dataset],
+            return _Plan(f"eval_{name}", [dataset],
                          [out / f"predictions_{name}.jsonl", report(name)],
                          partial(_eval, name))
+        # A grid given for the other sweep is an error, not something to ignore.
         case "sweep" if args.sample_rep is None:
-            return _Plan("sweep_epsilon", [paths.records],
-                         [Path(args.out_csv or out / "epsilon_sweep.csv")], _sweep_epsilon,
-                         uses_backend=False)
+            if args.thresholds is not None:
+                raise ConfigurationError("--thresholds applies only with --sample-rep")
+            epsilons = _grid(args.epsilons, DEFAULT_EPSILON_GRID, "epsilon")
+            return _Plan("sweep_epsilon", [records],
+                         [Path(args.out_csv or out / "epsilon_sweep.csv")],
+                         partial(_sweep_epsilon, epsilons), uses_backend=False)
         case "sweep":
-            return _Plan("sweep_sample_rep", [paths.dataset, Path(args.sample_rep)],
+            if args.epsilons is not None:
+                raise ConfigurationError("--epsilons applies only without --sample-rep")
+            thresholds = _grid(args.thresholds, DEFAULT_THRESHOLD_GRID, "threshold")
+            return _Plan("sweep_sample_rep", [dataset, Path(args.sample_rep)],
                          [Path(args.out_csv or out / "sample_rep_sweep.csv")],
-                         _sweep_sample_rep, uses_backend=False)
+                         partial(_sweep_sample_rep, thresholds), uses_backend=False)
         case "ambiguate":
             allowlist = [] if args.allowlist is None else [Path(args.allowlist)]
-            return _Plan("ambiguate", [paths.dataset, *allowlist],
+            return _Plan("ambiguate", [dataset, *allowlist],
                          [out / "ambiguated.jsonl", out / "ambiguate_rejects.jsonl"], _ambiguate)
 
 

@@ -16,9 +16,14 @@ from pathlib import Path
 import pytest
 
 import ambigkit.cli
+import ambigkit.corpus
+import ambigkit.jsonio
+import ambigkit.remote
+import ambigkit.toy
 from ambigkit.backend import Backend
 from ambigkit.cli import main
 from ambigkit.config import LabelKind, RunConfig, config_hash, load_config
+from ambigkit.corpus import template_files
 from ambigkit.jsonio import record_from
 from ambigkit.phrases import FIXED_CLARIFICATIONS
 from ambigkit.sft import verify as sft_verify
@@ -83,10 +88,31 @@ def test_detect_pool_shrinks_with_epsilon(tmp_path):
     assert manifest["perceived_ambiguous"] == 0
 
 
-def test_missing_checkpoint_names_prerequisite(tmp_path, capsys):
+@pytest.mark.parametrize("command,checkpoint,producer", [
+    (["detect"], "assess.jsonl", "assess"),
+    (["label"], "records.jsonl", "detect"),
+    (["emit"], "labels.jsonl", "label"),
+    (["emit"], "selection.json", "label"),
+    (["verify"], "sft.jsonl", "emit"),
+    (["sweep"], "records.jsonl", "detect"),
+], ids=["detect", "label", "emit-labels", "emit-selection", "verify", "sweep"])
+def test_missing_checkpoint_names_prerequisite(tmp_path, capsys, monkeypatch, command,
+                                               checkpoint, producer):
     config = write_toy_config(tmp_path / "config.json")
-    assert run("--config", str(config), "detect") == 2
-    assert "ambigkit assess" in capsys.readouterr().err
+    run_chain(config)
+    path = workdir_of(config) / checkpoint
+    path.unlink()
+
+    def no_work(*args, **kwargs):
+        pytest.fail("the missing checkpoint was not refused before any work")
+
+    # The refusal comes before the backend is made or the dataset is read.
+    monkeypatch.setattr(ambigkit.cli, "make_backend", no_work)
+    monkeypatch.setattr(ambigkit.cli, "load_dataset", no_work)
+    capsys.readouterr()
+    assert run("--config", str(config), *command) == 2
+    assert (f"missing checkpoint {path}; run `ambigkit {producer}` first"
+            in capsys.readouterr().err)
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -206,6 +232,58 @@ def test_every_command_writes_its_manifest(tmp_path, capsys, mode):
     written = {path.name for path in out.iterdir()} - before - {f"manifest_{command}.json"}
     assert [Path(path).parent for path in manifest["outputs"]] == [out] * len(written)
     assert {Path(path).name for path in manifest["outputs"]} == written
+
+
+# The build chain, the four strategies and each of MANIFEST_COMMANDS, in an
+# order that makes every command's inputs before it runs, with its manifest.
+PLANNED_RUNS = [
+    *(([command], command) for command in ("assess", "detect", "label", "emit")),
+    *((["eval", "--strategy", strategy], f"eval_{strategy}")
+      for strategy in ("direct", "ambig_aware", "sample_rep", "self_ask")),
+    *((argv, command) for _, argv, command, _ in MANIFEST_COMMANDS.values()),
+]
+
+
+def test_a_command_opens_only_its_planned_files(tmp_path, monkeypatch):
+    # Besides its setup's files (the config, the toy fixture, the templates),
+    # a command opens exactly the inputs its manifest lists, so a check of
+    # those inputs sees every file the command reads.
+    config = write_toy_config(tmp_path / "config.json")
+    settings = load_config(config)
+    setup = {config, Path(settings.backend.fixture),
+             *template_files(settings.template_dir).values()}
+    opened = []
+
+    def recorded(input_file):
+        def record(path):
+            opened.append(Path(path))
+            return input_file(path)
+        return record
+
+    for module in (ambigkit.jsonio, ambigkit.corpus, ambigkit.toy, ambigkit.remote):
+        monkeypatch.setattr(module, "input_file", recorded(module.input_file))
+    out = workdir_of(config)
+    for argv, command in PLANNED_RUNS:
+        opened.clear()
+        assert run("--config", str(config), *(arg.replace("OUT", str(out)) for arg in argv)) == 0
+        manifest = json.loads((out / f"manifest_{command}.json").read_text())
+        inputs = set(map(Path, manifest["inputs"]))
+        assert set(opened) - inputs - setup == set(), command
+        assert inputs <= set(opened), command
+
+
+@pytest.mark.parametrize("name", ["assess.jsonl", "records.jsonl", "manifest_assess.json"])
+def test_an_output_at_another_commands_file_exits_2_and_writes_nothing(tmp_path, capsys, name):
+    config = write_toy_config(tmp_path / "config.json")
+    assert run("--config", str(config), "assess") == 0
+    out = workdir_of(config)
+    before = {path: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert run("--config", str(config), "eval", "--strategy", "direct",
+               "--report", str(out / name)) == 2
+    assert (f"eval_direct would overwrite {out / name}, which another command writes"
+            in capsys.readouterr().err)
+    assert {path: path.read_bytes() for path in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("report", [

@@ -32,7 +32,7 @@ import csv
 import io
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -156,13 +156,15 @@ def _run_stage(args) -> int:
     backend is made, it makes the workdir and refuses an output that cannot
     be written, that is another output (the manifest counted), that is a
     file the command reads (a planned input, the config, the toy fixture, a
-    template, or the request journal, whose name is reserved), or that is
-    another command's checkpoint or manifest; then a missing planned
-    checkpoint, naming the command that writes it. Then ``body(config,
-    templates, backend, reads, writes)`` computes from the plan's files
-    alone, with the backend open if it uses one, and this writes the outputs,
-    ``manifest_<command>.json`` and the body's line. A body that raises (a
-    total outage included, see ``evalkit.run_each``) writes nothing."""
+    template, or the request journal, whose name is reserved), or that is a
+    file another command owns: a file that ``_plan`` has another command
+    write by default, or a manifest other than its own; then a missing
+    planned checkpoint, naming the command that writes it. Then
+    ``body(config, templates, backend, reads, writes)`` computes from the
+    plan's files alone, with the backend open if it uses one, and this writes
+    the outputs, ``manifest_<command>.json`` and the body's line. A body that
+    raises (a total outage included, see ``evalkit.run_each``) writes
+    nothing."""
     config, templates = _start(args)
     plan = _plan(args, config)
     workdir = Path(config.workdir)
@@ -174,15 +176,18 @@ def _run_stage(args) -> int:
     inputs = {path.resolve() for path in [
         *plan.reads, Path(args.config), *template_files(config.template_dir).values(),
         *([Path(config.backend.fixture)] if config.backend.fixture else []), journal_file]}
-    reserved = {name for name, producer in _CHECKPOINTS.items() if producer != plan.command}
+    owners = {path.resolve(): other.command
+              for other in (_plan(run, config) for run in _default_runs())
+              for path in other.writes}
     for i, path in enumerate(targets):
         resolved = path.resolve()
         if resolved in inputs:
             raise ConfigurationError(f"{plan.command} would overwrite its input {path}")
         if resolved in {other.resolve() for other in targets[:i]}:
             raise ConfigurationError(f"{plan.command} would write {path} twice")
-        if resolved.parent == workdir.resolve() and (resolved.name in reserved or (
-                resolved.match("manifest_*.json") and resolved.name != manifest.name)):
+        if owners.get(resolved, plan.command) != plan.command or (
+                resolved.parent == workdir.resolve() and resolved.match("manifest_*.json")
+                and resolved.name != manifest.name):
             raise ConfigurationError(
                 f"{plan.command} would overwrite {path}, which another command writes")
     for path in plan.writes:
@@ -483,6 +488,18 @@ def _plan(args, config: RunConfig) -> _Plan:
             allowlist = [] if args.allowlist is None else [Path(args.allowlist)]
             return _Plan("ambiguate", [dataset, *allowlist],
                          [out / "ambiguated.jsonl", out / "ambiguate_rejects.jsonl"], _ambiguate)
+
+
+@cache
+def _default_runs() -> list[argparse.Namespace]:
+    """One run of every plan ``_plan`` tells apart, each with its outputs
+    at their default paths in the workdir."""
+    parser = build_parser()
+    return [parser.parse_args(argv) for argv in [
+        ["assess"], ["detect"], ["label"], ["emit"], ["verify"],
+        *(["eval", "--strategy", strategy] for strategy in _STRATEGIES),
+        ["eval", "--predictions", "-"], ["eval", "--compare", "-", "-"],
+        ["eval", "--aggregate", "-"], ["sweep"], ["sweep", "--sample-rep", "-"], ["ambiguate"]]]
 
 
 # -- parser ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .backend import Backend, GenerationParams, bounded_map
-from .errors import DataIntegrityError, TemplateError
+from .errors import DataIntegrityError
 from .jsonio import input_file, read_jsonl, record_at, record_from
 
 # Trailing characters ignored when parsing one-word verdicts like "Yes.".
@@ -90,7 +90,7 @@ class PromptTemplate:
         for slot, marker in self.slots.items():
             count = self.body.count(marker)
             if count != 1:
-                raise TemplateError(
+                raise DataIntegrityError(
                     f"template {self.name!r}: marker {marker!r} for slot "
                     f"{slot!r} appears {count} times, expected exactly once"
                 )
@@ -99,12 +99,12 @@ class PromptTemplate:
         """Substitute all declared slots simultaneously and literally."""
         missing = [s for s in self.slots if s not in values]
         if missing:
-            raise TemplateError(
+            raise DataIntegrityError(
                 f"template {self.name!r}: missing slot(s) {', '.join(missing)}"
             )
         unknown = [s for s in values if s not in self.slots]
         if unknown:
-            raise TemplateError(
+            raise DataIntegrityError(
                 f"template {self.name!r}: unknown slot(s) {', '.join(unknown)}"
             )
         by_marker = {marker: values[slot] for slot, marker in self.slots.items()}

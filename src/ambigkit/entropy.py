@@ -13,9 +13,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .backend import ScoringResult, TokenDistribution
-from .errors import EmptyInputError, NormalizationError
+from .backend import TokenDistribution
+from .errors import DataIntegrityError, NormalizationError
 
 _TAIL_TOLERANCE = 1e-9
 
@@ -63,11 +64,11 @@ def token_entropy(dist: TokenDistribution, mode: TruncationMode) -> float:
     return entropy + _plogp(dist.tail_mass)
 
 
-def entropy_profile(scoring: ScoringResult, mode: TruncationMode) -> EntropyProfile:
-    """Per-token entropies of a scored text, averaged over its tokens."""
-    if not scoring.tokens:
-        raise EmptyInputError("cannot build an entropy profile from zero tokens")
-    entropies = tuple(token_entropy(t, mode) for t in scoring.tokens)
+def entropy_profile(tokens: Sequence[TokenDistribution], mode: TruncationMode) -> EntropyProfile:
+    """Entropies of a text's distributions, one per token, and their mean."""
+    if not tokens:
+        raise DataIntegrityError("cannot build an entropy profile from zero tokens")
+    entropies = tuple(token_entropy(t, mode) for t in tokens)
     return EntropyProfile(
         per_token_entropy=entropies,
         average_entropy=math.fsum(entropies) / len(entropies),

@@ -1,21 +1,19 @@
-"""Exception hierarchy shared across the toolkit.
-
-The CLI maps these onto exit codes: configuration errors exit 2, backend
-errors exit 3, data-integrity errors exit 4.
+"""Exceptions shared across the toolkit: one class per exit code the CLI
+maps them onto (ConfigurationError 2, BackendError 3, DataIntegrityError 4),
+and a subclass only where code tells it apart (NormalizationError), where it
+carries or formats its message (TransportError, ProtocolError, ParseError,
+VocabularyError), or where it marks a feature the backend lacks rather than
+a bad answer (CapabilityError).
 """
 
 from __future__ import annotations
 
 
-class AmbigkitError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class ConfigurationError(AmbigkitError):
+class ConfigurationError(Exception):
     """Invalid or inconsistent run configuration."""
 
 
-class BackendError(AmbigkitError):
+class BackendError(Exception):
     """Base class for model-backend failures."""
 
 
@@ -40,7 +38,7 @@ class CapabilityError(BackendError):
     """Backend lacks a required feature (e.g. echo scoring or logprobs)."""
 
 
-class DataIntegrityError(AmbigkitError):
+class DataIntegrityError(Exception):
     """Data violates a documented invariant."""
 
 
@@ -58,10 +56,6 @@ class ParseError(DataIntegrityError):
         super().__init__(message)
 
 
-class TemplateError(DataIntegrityError):
-    """A prompt template and its slots disagree."""
-
-
 class VocabularyError(DataIntegrityError):
     """A token is outside the toy model's vocabulary."""
 
@@ -71,7 +65,3 @@ class VocabularyError(DataIntegrityError):
 
 class NormalizationError(DataIntegrityError):
     """A probability vector or token distribution is not normalized."""
-
-
-class EmptyInputError(DataIntegrityError):
-    """An operation received an empty input it cannot process."""

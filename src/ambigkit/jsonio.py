@@ -11,13 +11,13 @@ a directory; ``cli._run_stage`` does.
 Every reader reads its file inside ``input_file``: a file that cannot be
 read raises a ConfigurationError and one that is not UTF-8 a ParseError,
 each naming the file. Readers take each field through ``typed_field``, which
-checks its JSON type instead of coercing it, and refuses a string holding an
-unpaired surrogate, which no UTF-8 file can hold, inside ``record_at``,
-which turns a missing or malformed field, a key that no field names, or a
-record that breaks its own invariant, into a ParseError naming the file and
-the line, or the file alone for a file that is one JSON object (the run
-config, ``read_json_object``) or one document (a toy fixture, a template).
-Every file keyed by sample id is read with ``read_jsonl(path,
+checks its JSON type instead of coercing it, has no default, and refuses a
+string holding an unpaired surrogate, which no UTF-8 file can hold, inside
+``record_at``, which turns a missing or malformed field, a key that no field
+names, or a record that breaks its own invariant, into a ParseError naming
+the file and the line, or the file alone for a file that is one JSON object
+(the run config, ``read_json_object``) or one document (a toy fixture, a
+template). Every file keyed by sample id is read with ``read_jsonl(path,
 unique_ids=True)``, so a repeated id is a ParseError too.
 
 A record dataclass is one JSON object, and its fields are the object's
@@ -150,7 +150,6 @@ def read_json_object(path: str | Path) -> dict:
     return obj
 
 
-_REQUIRED = object()
 # Accepted Python types and the name a message gives each field kind. No
 # number kind takes a boolean, although bool is an int.
 _KINDS = {
@@ -165,20 +164,16 @@ _JSON_TYPES = {bool: "a boolean", int: "a number", float: "a number", str: "a st
                list: "an array", dict: "an object", type(None): "null"}
 
 
-def typed_field(obj: dict, key: str, kind: type, default: Any = _REQUIRED) -> Any:
+def typed_field(obj: dict, key: str, kind: type) -> Any:
     """``obj[key]`` checked to be a JSON ``kind``: ``str``, ``bool``, ``int``
     (a whole number, ``3.0`` too), ``float`` (any finite number, returned as
     a float), ``tuple`` (an array of strings, returned as a tuple) or an enum
-    (a string naming a member). An absent key gives ``default``, and KeyError
-    when there is none; a field whose default is None may be null. A value of
-    another type raises TypeError naming it, by its JSON type alone for a
-    string field (an ``api_key`` is a secret), and a string that holds an
-    unpaired surrogate, or names no member, ValueError listing the members."""
-    if key not in obj and default is not _REQUIRED:
-        return default
+    (a string naming a member). An absent key raises KeyError: a caller that
+    allows one, or a null, decides so before it asks. A value of another
+    type raises TypeError naming it, by its JSON type alone for a string
+    field (an ``api_key`` is a secret), and a string that holds an unpaired
+    surrogate, or names no member, ValueError listing the members."""
     value = obj[key]
-    if value is None and default is None:
-        return None
     if issubclass(kind, enum.Enum):
         allowed = [member.value for member in kind]
         if (text := typed_field(obj, key, str)) not in allowed:

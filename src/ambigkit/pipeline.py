@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .backend import Backend, GenerationParams, ScoringResult, bounded_map
+from .backend import Backend, GenerationParams, bounded_map
 from .config import DEFAULT_ROUGE_THRESHOLD, LabelKind, SelectionStrategy
 from .corpus import PromptTemplate, QASample, reply
 from .entropy import TruncationMode, Verdict, classify, entropy_profile, info_gain
@@ -199,7 +199,7 @@ def stage1_assess(
     return StageOnePartition.split({s.id: s for s in samples}, [
         Errored(row.sample_id, row.error) if row.error is not None else AssessedSample(
             row.sample_id, row.category, row.prediction,
-            entropy_profile(ScoringResult(tokens), mode).average_entropy if tokens else None)
+            entropy_profile(tokens, mode).average_entropy if tokens else None)
         for row, (_, tokens) in zip(rows, answered)])
 
 
@@ -228,8 +228,8 @@ def stage2_disambiguate(
 
     def one(sample: QASample) -> DisambiguationRecord:
         disambig = reply(backend, template, params, question=sample.question)
-        profile_q = entropy_profile(backend.score(sample.question, ""), mode)
-        profile_d = (entropy_profile(backend.score(disambig, ""), mode)
+        profile_q = entropy_profile(backend.score(sample.question, "").tokens, mode)
+        profile_d = (entropy_profile(backend.score(disambig, "").tokens, mode)
                      if disambig else profile_q)
         gain = info_gain(profile_q, profile_d)
         return DisambiguationRecord(
@@ -431,7 +431,8 @@ def read_records(path: str | Path) -> list[DisambiguationRecord]:
         with record_at(path, line_number):
             derived = {key: obj.pop(key) for key in ("verdict", "flags") if key in obj}
             typed_field(derived, "verdict", Verdict)
-            typed_field(derived, "flags", tuple, ())
+            if "flags" in derived:
+                typed_field(derived, "flags", tuple)
             records.append(record_from(DisambiguationRecord, obj))
     return records
 

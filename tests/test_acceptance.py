@@ -79,14 +79,14 @@ def test_criterion_1_entropy_oracle():
         table = load_ngram_table(table_path(name))
         backend = ToyBackend(table)  # full top-k
         for text in texts:
-            profile = entropy_profile(backend.score(text, ""), TruncationMode.EXACT)
+            profile = entropy_profile(backend.score(text, "").tokens, TruncationMode.EXACT)
             oracle = table_entropies(table, text)
             assert len(profile.per_token_entropy) == len(oracle)
             for got, want in zip(profile.per_token_entropy, oracle):
                 assert abs(got - want) <= 1e-12
                 positions += 1
     uniform = ToyBackend(load_ngram_table(table_path("uniform4")))
-    profile = entropy_profile(uniform.score("a", ""), TruncationMode.EXACT)
+    profile = entropy_profile(uniform.score("a", "").tokens, TruncationMode.EXACT)
     assert abs(profile.average_entropy - math.log(4)) <= 1e-12
     elapsed = time.monotonic() - started
     assert elapsed < 1.0
@@ -99,8 +99,8 @@ def test_criterion_1_entropy_oracle():
 
 def test_criterion_2_info_gain_identities():
     backend = ToyBackend(load_ngram_table(table_path("bigram_ab")))
-    a = entropy_profile(backend.score("a b a", ""), TruncationMode.EXACT)
-    b = entropy_profile(backend.score("a b a", ""), TruncationMode.EXACT)
+    a = entropy_profile(backend.score("a b a", "").tokens, TruncationMode.EXACT)
+    b = entropy_profile(backend.score("a b a", "").tokens, TruncationMode.EXACT)
     assert info_gain(a, b) == 0.0
 
     rng = random.Random(20240817)

@@ -272,7 +272,11 @@ def test_a_command_opens_only_its_planned_files(tmp_path, monkeypatch):
         assert inputs <= set(opened), command
 
 
-@pytest.mark.parametrize("name", ["assess.jsonl", "records.jsonl", "manifest_assess.json"])
+@pytest.mark.parametrize("name", [
+    "assess.jsonl", "records.jsonl", "manifest_assess.json", "predictions_sample_rep.jsonl",
+    "eval_self_ask.json", "sample_rep_sweep.csv", "epsilon_sweep.csv", "ambiguated.jsonl",
+    "ambiguate_rejects.jsonl", "eval_compare.json",
+])
 def test_an_output_at_another_commands_file_exits_2_and_writes_nothing(tmp_path, capsys, name):
     config = write_toy_config(tmp_path / "config.json")
     assert run("--config", str(config), "assess") == 0

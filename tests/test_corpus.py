@@ -21,7 +21,6 @@ from ambigkit.errors import (
     ConfigurationError,
     DataIntegrityError,
     ParseError,
-    TemplateError,
 )
 from ambigkit.jsonio import record_obj, write_jsonl_atomic
 
@@ -194,20 +193,20 @@ def test_template_without_slots_renders_its_body():
 
 def test_missing_slot_is_an_error():
     template = load_templates()["clarification"]
-    with pytest.raises(TemplateError, match="disambiguation"):
+    with pytest.raises(DataIntegrityError, match="missing slot\\(s\\) disambiguation"):
         template.render(question="Who won?")
 
 
 def test_unknown_slot_is_an_error():
     template = load_templates()["direct"]
-    with pytest.raises(TemplateError, match="bogus"):
+    with pytest.raises(DataIntegrityError, match="unknown slot\\(s\\) bogus"):
         template.render(question="q", bogus="x")
 
 
 def test_marker_must_appear_exactly_once():
-    with pytest.raises(TemplateError):
+    with pytest.raises(DataIntegrityError, match="'<q>' for slot 'q' appears 2 times"):
         PromptTemplate(name="bad", body="<q> and <q>", slots={"q": "<q>"})
-    with pytest.raises(TemplateError):
+    with pytest.raises(DataIntegrityError, match="'<q>' for slot 'q' appears 0 times"):
         PromptTemplate(name="bad", body="no marker", slots={"q": "<q>"})
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ambigkit.backend import ScoringResult, TokenDistribution
+from ambigkit.backend import TokenDistribution
 from ambigkit.entropy import (
     EntropyProfile,
     TruncationMode,
@@ -16,7 +16,7 @@ from ambigkit.entropy import (
     info_gain,
     token_entropy,
 )
-from ambigkit.errors import EmptyInputError, NormalizationError
+from ambigkit.errors import DataIntegrityError, NormalizationError
 from ambigkit.toy import ToyBackend, load_ngram_table
 
 from conftest import table_path
@@ -69,7 +69,7 @@ def test_exact_mode_rejects_tail():
 
 def test_profile_average_is_mean():
     backend = ToyBackend(load_ngram_table(table_path("bigram_ab")))
-    profile = entropy_profile(backend.score("a b a", ""), TruncationMode.EXACT)
+    profile = entropy_profile(backend.score("a b a", "").tokens, TruncationMode.EXACT)
     assert profile.token_count == 3
     assert profile.average_entropy == pytest.approx(
         math.fsum(profile.per_token_entropy) / 3, abs=1e-15
@@ -78,13 +78,13 @@ def test_profile_average_is_mean():
 
 def test_single_token_profile_equals_its_entropy():
     backend = ToyBackend(load_ngram_table(table_path("bigram_ab")))
-    profile = entropy_profile(backend.score("a", ""), TruncationMode.EXACT)
+    profile = entropy_profile(backend.score("a", "").tokens, TruncationMode.EXACT)
     assert profile.average_entropy == profile.per_token_entropy[0]
 
 
 def test_empty_scoring_rejected():
-    with pytest.raises(EmptyInputError):
-        entropy_profile(ScoringResult(tokens=()), TruncationMode.EXACT)
+    with pytest.raises(DataIntegrityError, match="zero tokens"):
+        entropy_profile((), TruncationMode.EXACT)
 
 
 @pytest.mark.parametrize(
@@ -102,7 +102,7 @@ def test_empty_scoring_rejected():
 def test_profile_matches_table_oracle(table_name, text):
     table = load_ngram_table(table_path(table_name))
     backend = ToyBackend(table)  # full top-k
-    profile = entropy_profile(backend.score(text, ""), TruncationMode.EXACT)
+    profile = entropy_profile(backend.score(text, "").tokens, TruncationMode.EXACT)
     expected = table_entropies(table, text)
     assert len(profile.per_token_entropy) == len(expected)
     for got, want in zip(profile.per_token_entropy, expected):
@@ -120,8 +120,8 @@ def profile(values):
 
 def test_identical_profiles_zero_gain():
     backend = ToyBackend(load_ngram_table(table_path("bigram_ab")))
-    a = entropy_profile(backend.score("a b", ""), TruncationMode.EXACT)
-    b = entropy_profile(backend.score("a b", ""), TruncationMode.EXACT)
+    a = entropy_profile(backend.score("a b", "").tokens, TruncationMode.EXACT)
+    b = entropy_profile(backend.score("a b", "").tokens, TruncationMode.EXACT)
     assert info_gain(a, b) == 0.0
 
 
@@ -165,8 +165,8 @@ def test_uniform_query_vs_one_hot_rewrite_gains_ln4():
         },
     )
     backend = ToyBackend(table)
-    h_query = entropy_profile(backend.score("u1 u2", ""), TruncationMode.EXACT)
-    h_rewrite = entropy_profile(backend.score("d1 d2", "c0"), TruncationMode.EXACT)
+    h_query = entropy_profile(backend.score("u1 u2", "").tokens, TruncationMode.EXACT)
+    h_rewrite = entropy_profile(backend.score("d1 d2", "c0").tokens, TruncationMode.EXACT)
     gain = info_gain(h_query, h_rewrite)
     assert gain == pytest.approx(math.log(4), abs=1e-12)
     assert classify(gain, 0.1) is Verdict.PERCEIVED_AMBIGUOUS

@@ -1114,14 +1114,18 @@ def generate_hello(backend: RemoteCompletionsBackend):
      "token ' Paris': backend distribution invalid: logprob inf"),
     (lambda body: one_choice(" Paris", [" Paris"], [str(-10 ** 400)], [0]), generate_hello,
      "token ' Paris': logprob -10{400} is out of range"),
+    (lambda body: one_choice(" Paris", [" Paris"], ["true"], [0]), generate_hello,
+     "token ' Paris': logprob 'True' is not a number"),
+    (lambda body: one_choice(" Paris", [" Paris"], ['"-0.5"'], [0]), generate_hello,
+     "token ' Paris': logprob '-0.5' is not a number"),
     (lambda body: paris_with(top_logprobs=[None]), generate_hello,
      "missing top_logprobs for token ' Paris'"),
     (lambda body: paris_with(tokens=" Paris"), generate_hello,
      "logprobs 'tokens' is not an array"),
     (lambda body: paris_with(text=None), generate_hello, "choice has no text"),
 ], ids=["http-400", "null-logprob-past-offset-0", "echoed-text-without-the-prompt",
-        "logprob-1e400", "logprob-401-digits", "top-logprobs-null", "tokens-not-an-array",
-        "text-null"])
+        "logprob-1e400", "logprob-401-digits", "logprob-true", "logprob-string",
+        "top-logprobs-null", "tokens-not-an-array", "text-null"])
 def test_wire_refusal_is_a_protocol_error_after_one_request(answer, call, message):
     with LoopbackServer(answer) as server:
         backend = RemoteCompletionsBackend(server.endpoint, "m")
